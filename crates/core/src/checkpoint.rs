@@ -230,6 +230,11 @@ mod tests {
     }
 
     #[test]
+    fn seal_value_is_pinned() {
+        assert_eq!(sample().checksum, 15856565202991895339);
+    }
+
+    #[test]
     fn content_tamper_fails_validation() {
         let mut c = sample();
         match &mut c.resident[0].1 {

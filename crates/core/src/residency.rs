@@ -475,6 +475,12 @@ mod tests {
     use super::*;
     use adamant_device::profiles::DeviceProfile;
 
+    #[test]
+    fn fingerprint_values_are_pinned() {
+        assert_eq!(fingerprint(&[1, -2, 3]), 12535802931127841918);
+        assert_eq!(fingerprint(&[]), 14695981039346656037);
+    }
+
     fn one_device() -> (DeviceRegistry, DeviceId) {
         let mut reg = DeviceRegistry::new();
         let d = reg.add(Box::new(DeviceProfile::cuda_rtx2080ti().build(DeviceId(0))));

@@ -371,6 +371,26 @@ mod tests {
         );
     }
 
+    /// Checksums are compared across the simulated bus, sealed into
+    /// checkpoints and pinned by the golden stats: the hash must not drift.
+    #[test]
+    fn checksum_values_are_pinned() {
+        let pinned: [(BufferData, u64); 6] = [
+            (BufferData::I64(vec![1, -2, 3]), 12535802931127841918),
+            (BufferData::F64(vec![0.5, -1.25]), 2837381929321697425),
+            (BufferData::U32(vec![7, 8, 9]), 907662272101868435),
+            (
+                BufferData::BitWords(vec![0xdead_beef, 1]),
+                13067558027854147482,
+            ),
+            (BufferData::Raw(b"adamant".to_vec()), 4752523004036885811),
+            (BufferData::I64(Vec::new()), 14695981039346656037),
+        ];
+        for (data, want) in pinned {
+            assert_eq!(data.checksum(), want, "{data:?}");
+        }
+    }
+
     #[test]
     fn empty_payloads_cannot_be_corrupted() {
         assert!(!BufferData::I64(vec![]).flip_bit(0));
