@@ -7,30 +7,40 @@
 //! pipeline, optionally staging in pinned memory (4-phase) and optionally
 //! overlapping the copy with compute on a real transfer thread synchronized
 //! by `fetched_until`/`processed_until` counters (Algorithm 2).
+//!
+//! The run is split into three roles that share one `RunCx` and nothing
+//! else: the **data path** (`datapath`) drives a pipeline over a chunk
+//! schedule and leaves cost events on the device clocks; the **recovery
+//! policy** (`recovery`) classifies whatever the data path surfaces and
+//! answers it from one `Fault → RecoveryAction` table; the **accounting
+//! fold** (`accounting`) is the only code that turns drained events into
+//! the makespan and the stats lanes. This file holds the public
+//! configuration surface and the run's set-up and tear-down.
 
-use crate::checkpoint::{CheckpointConfig, QueryCheckpoint};
+mod accounting;
+mod datapath;
+mod recovery;
+
+use crate::checkpoint::CheckpointConfig;
 use crate::error::{ExecError, Result};
-use crate::graph::{DataRef, NodeId, PrimitiveGraph, PrimitiveNode};
-use crate::hub::{DataTransferHub, HostAccum};
+use crate::graph::{DataRef, PrimitiveGraph};
+use crate::hub::DataTransferHub;
 use crate::models::{ExecutionModel, ModelConfig};
-use crate::pipeline::{Pipeline, PipelineSet};
+use crate::pipeline::PipelineSet;
 use crate::residency::{ResidencyCache, ResidencyConfig};
-use crate::result::{OutputData, QueryOutput};
+use crate::result::QueryOutput;
 use crate::stats::ExecutionStats;
-use crate::timeline::{overlapped_makespan, ChunkCost};
-use adamant_device::buffer::{BufferData, BufferId};
-use adamant_device::clock::Lane;
+use accounting::Tally;
 use adamant_device::device::{Device, DeviceId};
-use adamant_device::health::{DeviceHealthRegistry, FailureVerdict, HealthPolicy};
-use adamant_device::kernel::ExecuteSpec;
+use adamant_device::health::{DeviceHealthRegistry, HealthPolicy};
 use adamant_device::profiles::DeviceProfile;
 use adamant_device::registry::DeviceRegistry;
 use adamant_storage::column::Column;
-use adamant_task::primitive::PrimitiveKind;
 use adamant_task::registry::TaskRegistry;
-use adamant_task::semantics::DataSemantic;
+use datapath::escaping_refs;
+use recovery::CheckpointState;
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -84,7 +94,7 @@ impl Default for ExecutorConfig {
 /// accumulations discarded) and retried according to the error class:
 ///
 /// * device out-of-memory → the streaming chunk size is halved before the
-///   retry (down to [`RetryPolicy::min_chunk_rows`]);
+///   retry (down to one row);
 /// * a kernel that fails twice in a row on the same device → the
 ///   pipeline's nodes on that device are re-placed onto another device
 ///   with the primitive installed;
@@ -95,10 +105,6 @@ pub struct RetryPolicy {
     /// Total attempts per pipeline, including the first (so 1 disables
     /// recovery entirely).
     pub max_attempts: usize,
-    /// Whether pipelines may be re-placed onto a fallback device.
-    pub allow_fallback: bool,
-    /// Smallest chunk size the out-of-memory backoff will reach.
-    pub min_chunk_rows: usize,
     /// After this many consecutive successful chunks at a backed-off size,
     /// the streaming chunk size doubles back toward the configured
     /// `chunk_rows` (never above it). `0` disables regrowth.
@@ -109,8 +115,6 @@ impl Default for RetryPolicy {
     fn default() -> Self {
         RetryPolicy {
             max_attempts: 4,
-            allow_fallback: true,
-            min_chunk_rows: 1,
             regrow_after_chunks: 4,
         }
     }
@@ -171,45 +175,19 @@ impl RunControl {
     }
 }
 
-/// Deterministic chunk-size schedule for one streaming attempt.
-///
-/// A failed chunk unwinds the whole attempt, so every chunk an attempt
-/// processes succeeded and "after K consecutive successful chunks" is a
-/// pure function of the chunk index: starting from a (possibly backed-off)
-/// `start`, the size doubles every `regrow_after` chunks, capped at the
-/// configured size. The transfer thread and the execute thread evaluate
-/// the same schedule independently — no shared mutable size — so chunk
-/// boundaries, and every stat derived from them, are identical under any
-/// thread interleaving.
-#[derive(Clone, Copy)]
-struct ChunkSchedule {
-    start: usize,
-    configured: usize,
-    regrow_after: usize,
-}
-
-impl ChunkSchedule {
-    /// Rows for the `chunk`-th (0-based) chunk of the attempt.
-    fn rows_for(&self, chunk: usize) -> usize {
-        let mut size = self.start.max(1);
-        if self.regrow_after == 0 {
-            return size;
-        }
-        for _ in 0..(chunk / self.regrow_after) {
-            if size >= self.configured {
-                break;
-            }
-            size = (size * 2).min(self.configured);
-        }
-        size
-    }
-
-    /// True when `chunk` is the first chunk of a regrown group (each
-    /// doubling is counted once, and only if a chunk actually runs at the
-    /// new size).
-    fn regrows_at(&self, chunk: usize) -> bool {
-        chunk > 0 && self.rows_for(chunk) > self.rows_for(chunk - 1)
-    }
+/// One run's working state — the only thing the data path, the recovery
+/// policy and the accounting fold share.
+struct RunCx<'a> {
+    /// Private copy of the caller's graph: recovery re-places nodes on it.
+    graph: PrimitiveGraph,
+    inputs: &'a QueryInputs,
+    cfg: ModelConfig,
+    /// Streamed non-breaker outputs consumed outside their pipeline.
+    escaping: HashSet<DataRef>,
+    control: RunControl,
+    hub: DataTransferHub,
+    tally: Tally,
+    ckpt: CheckpointState,
 }
 
 /// Host columns bound to graph inputs, shareable with the transfer thread.
@@ -369,19 +347,6 @@ impl Executor {
         self.config.retry = retry;
     }
 
-    /// Sets (or clears) the per-query simulated-timeline deadline.
-    pub fn set_deadline_ns(&mut self, deadline_ns: Option<f64>) {
-        self.config.deadline_ns = deadline_ns;
-    }
-
-    /// Sets (or disables, with `None`) the straggler-watchdog multiplier.
-    ///
-    /// Values below `1.0` would trip on every chunk, so they are clamped up
-    /// to `1.0`.
-    pub fn set_watchdog_multiplier(&mut self, multiplier: Option<f64>) {
-        self.config.watchdog_multiplier = multiplier.map(|m| m.max(1.0));
-    }
-
     /// Replaces the health policy (breaker thresholds, cool-down length).
     /// Recorded health is kept.
     pub fn set_health_policy(&mut self, policy: HealthPolicy) {
@@ -532,7 +497,6 @@ impl Executor {
             fault_base.insert(id, dev.fault_counters().total());
         }
 
-        let cfg = model.config();
         let mut hub = DataTransferHub::new();
         // The hub verifies every host↔device transfer end-to-end; a corrupted
         // transfer gets as many retransmissions as the retry policy grants
@@ -563,865 +527,69 @@ impl Executor {
             }
             hub.install_cache(cache);
         }
-        let control = RunControl {
-            deadline_ns,
-            cancel: cancel.clone(),
+        let mut cx = RunCx {
+            escaping: escaping_refs(&graph, &pipelines),
+            graph,
+            inputs,
+            cfg: model.config(),
+            control: RunControl {
+                deadline_ns,
+                cancel: cancel.clone(),
+            },
+            hub,
+            tally: Tally::new(stats),
+            ckpt: CheckpointState::new(self.config.checkpoints),
         };
-        let mut tally = Tally::default();
-        let escaping = escaping_refs(&graph, &pipelines);
-
-        // Graph-level restart loop: a permanent device death (`Gone`)
-        // unwinds the whole run — the corpse's buffers are written off, the
-        // survivors rolled back, pipelines re-placed — and the query either
-        // resumes from the last validated checkpoint (when enabled and one
-        // exists) or restarts from row 0 on the remaining devices. The bound
-        // is recomputed from the live registry after every death: each
-        // restart retires exactly one device, so the loop still terminates,
-        // but devices hot-added via `attach_device` since the run began
-        // extend the budget instead of being silently ignored.
-        let mut ckpt = CheckpointState::new(self.config.checkpoints);
-        let mut restarts_left = self.devices.len();
-        let run_result = loop {
-            let attempt = (|| -> Result<QueryOutput> {
-                let cursor = ckpt.cursor.take();
-                let skip = cursor.as_ref().map_or(0, |c| c.pipelines_done);
-                for (pi, pipeline) in pipelines.pipelines.iter().enumerate() {
-                    if pi < skip {
-                        continue;
-                    }
-                    let resume = cursor
-                        .as_ref()
-                        .filter(|c| pi == skip && c.resume_offset > 0);
-                    self.run_pipeline_with_recovery(
-                        &mut graph, pipeline, inputs, cfg, &mut hub, &mut stats, &mut tally,
-                        &escaping, &control, &mut ckpt, resume,
-                    )?;
-                    ckpt.pipelines_done = pi + 1;
-                    // Pipeline-breaker boundary: always a considered capture
-                    // site; the cost policy decides whether to snapshot.
-                    self.maybe_capture_checkpoint(&mut hub, &mut stats, &mut tally, &mut ckpt, 0)?;
-                }
-                self.collect_outputs(&graph, &mut hub, &mut stats, &mut tally)
-            })();
-            match attempt {
-                Err(err) if gone_device(&err).is_some() && restarts_left > 0 => {
-                    let dead = gone_device(&err).expect("checked above");
-                    match self.handle_device_loss(
-                        dead,
-                        &mut graph,
-                        &pipelines,
-                        &mut hub,
-                        &mut stats,
-                        &mut fault_base,
-                        &mut tally,
-                        &mut ckpt,
-                    ) {
-                        Ok(()) => {
-                            restarts_left = self.devices.len();
-                            continue;
-                        }
-                        Err(e) => break Err(e),
-                    }
-                }
-                other => break other,
-            }
-        };
+        let run_result = self.run_to_completion(&mut cx, &pipelines, &mut fault_base);
+        let RunCx {
+            mut hub, mut tally, ..
+        } = cx;
 
         // Peaks, byte counts and per-run fault deltas before cleanup.
         for id in self.devices.ids() {
-            let dev = self.devices.get(id)?;
-            stats
-                .peak_device_bytes
-                .insert(dev.info().name.clone(), dev.pool().peak());
-            stats.bytes_h2d += dev.clock().bytes_h2d();
-            stats.bytes_d2h += dev.clock().bytes_d2h();
             let base = fault_base.get(&id).copied().unwrap_or(0);
-            let delta = dev.fault_counters().total().saturating_sub(base);
-            if delta > 0 {
-                stats.device_faults.insert(dev.info().name.clone(), delta);
-            }
+            tally.capture_device(self.devices.get(id)?, base);
         }
-        stats.quarantine_skips += hub.take_quarantine_skips();
+        tally.stats.quarantine_skips += hub.take_quarantine_skips();
         // Silent-corruption accounting: every checksum-mismatch retransmit
         // the hub performed is charged to the offending device's health.
         for (dev, n) in hub.take_corruption_retransmits() {
-            stats.corruption_retransmits += n as usize;
+            tally.stats.corruption_retransmits += n as usize;
             for _ in 0..n {
                 self.health.record_corruption(dev);
             }
         }
-        stats.rollback_delete_errors += hub.take_rollback_delete_errors();
+        tally.stats.rollback_delete_errors += hub.take_rollback_delete_errors();
         // Delete phase: free everything this run created. Cache pins are not
         // run-created and survive into the next run.
         hub.delete_all(&mut self.devices);
         if let Some(mut cache) = hub.take_cache() {
             let c = cache.take_counters();
-            stats.cache_hits += c.hits;
-            stats.cache_misses += c.misses;
-            stats.cache_evictions += c.evictions;
-            stats.cache_invalidations += c.invalidations;
-            stats.cache_saved_transfer_ns += c.saved_transfer_ns;
-            stats.cache_pinned_bytes = cache.total_pinned_bytes();
+            tally.stats.cache_hits += c.hits;
+            tally.stats.cache_misses += c.misses;
+            tally.stats.cache_evictions += c.evictions;
+            tally.stats.cache_invalidations += c.invalidations;
+            tally.stats.cache_saved_transfer_ns += c.saved_transfer_ns;
+            tally.stats.cache_pinned_bytes = cache.total_pinned_bytes();
             self.residency = Some(cache);
         }
-        for id in self.devices.ids() {
-            tally.drain_serial(self.devices.get_mut(id)?.as_mut(), &mut stats);
-        }
-
-        stats.total_ns = tally.serial_ns + tally.overlap_ns;
-        stats.wall_ns = wall.elapsed().as_nanos() as u64;
+        tally.fold_all(&mut self.devices);
+        let mut stats = tally.finish(wall.elapsed().as_nanos() as u64);
 
         // Tick breaker cool-downs and snapshot post-query health, whether
         // the run succeeded or not.
         self.health.on_query_completed();
-        let mut names: BTreeMap<DeviceId, String> = BTreeMap::new();
-        for id in self.devices.ids() {
-            names.insert(id, self.devices.get(id)?.info().name.clone());
-        }
         for (id, snap) in self.health.snapshot() {
-            let name = names
-                .get(&id)
-                .cloned()
-                .unwrap_or_else(|| format!("dev#{}", id.0));
+            let name = match self.devices.get(id) {
+                Ok(dev) => dev.info().name.clone(),
+                Err(_) => format!("dev#{}", id.0),
+            };
             stats.device_health.insert(name, snap);
         }
         self.last_stats = Some(stats.clone());
         let output = run_result?;
         Ok((output, stats))
     }
-
-    /// Pre-run placement repair from cross-query health: every pipeline
-    /// placed on a quarantined device — or whose kernels are quarantined
-    /// *on* that device — is moved to a healthy capable device when one
-    /// exists; a `HalfOpen` device (or `(device, kernel)` breaker) keeps
-    /// exactly one pipeline as its recovery probe and sheds the rest.
-    ///
-    /// Probe placement is latency-aware: among the pipelines placed on a
-    /// half-open device, the one with the **cheapest** modeled probe cost
-    /// (fewest nodes riding on the suspect device, weighted by its
-    /// recovery-aware placement cost including the latency penalty) carries
-    /// the probe, so the least work is at risk if the device is still sick.
-    fn apply_health_placement(
-        &mut self,
-        graph: &mut PrimitiveGraph,
-        pipelines: &PipelineSet,
-        stats: &mut ExecutionStats,
-    ) {
-        // Pre-pass: pick, per half-open device, the cheapest pipeline to
-        // carry its recovery probe (ties broken by earliest pipeline).
-        let est_bytes = (self.config.chunk_rows.max(1) * 8) as u64;
-        let mut probe_choice: HashMap<DeviceId, (f64, usize)> = HashMap::new();
-        for (pi, pipeline) in pipelines.pipelines.iter().enumerate() {
-            for &n in &pipeline.nodes {
-                let dev = graph.node(n).device;
-                if !(self.health.is_half_open(dev) && self.health.probe_candidate(dev)) {
-                    continue;
-                }
-                let nodes_on_dev = pipeline
-                    .nodes
-                    .iter()
-                    .filter(|&&m| graph.node(m).device == dev)
-                    .count();
-                let unit = match self.devices.get(dev) {
-                    Ok(d) => d
-                        .placement_cost_ns(
-                            est_bytes,
-                            self.health.retry_penalty_ns(dev) + self.health.latency_penalty_ns(dev),
-                        )
-                        .max(1.0),
-                    Err(_) => 1.0,
-                };
-                let cost = nodes_on_dev as f64 * unit;
-                let entry = probe_choice.entry(dev).or_insert((cost, pi));
-                if cost < entry.0 {
-                    *entry = (cost, pi);
-                }
-            }
-        }
-        let mut probe_granted: HashSet<DeviceId> = HashSet::new();
-        let mut kernel_probe_granted: HashSet<(DeviceId, String)> = HashSet::new();
-        for (pi, pipeline) in pipelines.pipelines.iter().enumerate() {
-            let mut devs: Vec<DeviceId> = pipeline
-                .nodes
-                .iter()
-                .map(|&n| graph.node(n).device)
-                .collect();
-            devs.sort_unstable();
-            devs.dedup();
-            for dev in devs {
-                let kernels = self.kernels_on_device(graph, pipeline, dev);
-                let avoid = if self.devices.get(dev).is_err() {
-                    // The plan targets a device that is no longer plugged
-                    // (it died in an earlier run, or was detached): move the
-                    // work to a live device rather than failing the lookup
-                    // mid-pipeline.
-                    true
-                } else if self.health.is_quarantined(dev) {
-                    true
-                } else if self.health.is_half_open(dev) {
-                    if self.health.probe_candidate(dev)
-                        && probe_choice.get(&dev).map(|&(_, p)| p) == Some(pi)
-                        && probe_granted.insert(dev)
-                    {
-                        // This pipeline is the device's one probe this query:
-                        // the cheapest eligible pipeline from the pre-pass.
-                        self.health.begin_probe(dev);
-                        false
-                    } else {
-                        // Already probing via an earlier pipeline: shed the
-                        // extra load until the probe verdict is in.
-                        true
-                    }
-                } else if kernels
-                    .iter()
-                    .any(|k| self.health.kernel_known_broken(dev, k))
-                {
-                    // A kernel this pipeline needs is quarantined here; the
-                    // device itself stays available for other pipelines.
-                    true
-                } else {
-                    // Grant at most one probe per half-open (device, kernel)
-                    // breaker; shed pipelines needing a kernel whose probe is
-                    // already in flight elsewhere.
-                    let mut shed = false;
-                    for k in &kernels {
-                        let key = (dev, k.clone());
-                        if self.health.kernel_probe_candidate(dev, k)
-                            && !kernel_probe_granted.contains(&key)
-                        {
-                            kernel_probe_granted.insert(key);
-                            self.health.begin_kernel_probe(dev, k);
-                        } else if matches!(
-                            self.health.kernel_state(dev, k),
-                            Some(adamant_device::health::BreakerState::HalfOpen)
-                        ) {
-                            shed = true;
-                        }
-                    }
-                    shed
-                };
-                if avoid {
-                    if let Ok(true) = self.repoint_pipeline(graph, pipeline, dev) {
-                        stats.quarantine_skips += 1;
-                    }
-                    // No healthy capable candidate: leave the placement and
-                    // let the run try its luck (graceful degradation beats
-                    // refusing to run at all).
-                }
-            }
-        }
-    }
-
-    /// Kernel names the pipeline's nodes placed on `dev` resolve to there
-    /// (deduplicated, sorted for determinism).
-    fn kernels_on_device(
-        &self,
-        graph: &PrimitiveGraph,
-        pipeline: &Pipeline,
-        dev: DeviceId,
-    ) -> Vec<String> {
-        let Ok(device) = self.devices.get(dev) else {
-            return Vec::new();
-        };
-        let sdk = device.info().sdk;
-        let mut kernels: Vec<String> = pipeline
-            .nodes
-            .iter()
-            .filter(|&&n| graph.node(n).device == dev)
-            .filter_map(|&n| {
-                let node = graph.node(n);
-                self.tasks
-                    .resolve(node.kind, sdk, node.variant.as_deref())
-                    .map(|c| c.kernel_name())
-            })
-            .collect();
-        kernels.sort_unstable();
-        kernels.dedup();
-        kernels
-    }
-
-    /// Runs one pipeline with bounded fault recovery (the tentpole of the
-    /// executor's hardening): a failed attempt is unwound — buffers freed
-    /// back to the pre-attempt mark, partial host accumulations discarded —
-    /// and retried according to [`RetryPolicy`] and the error class.
-    #[allow(clippy::too_many_arguments)]
-    fn run_pipeline_with_recovery(
-        &mut self,
-        graph: &mut PrimitiveGraph,
-        pipeline: &Pipeline,
-        inputs: &QueryInputs,
-        cfg: ModelConfig,
-        hub: &mut DataTransferHub,
-        stats: &mut ExecutionStats,
-        tally: &mut Tally,
-        escaping: &HashSet<DataRef>,
-        control: &RunControl,
-        ckpt: &mut CheckpointState,
-        resume: Option<&ResumeCursor>,
-    ) -> Result<()> {
-        let retry = self.config.retry;
-        let mut chunk_rows = self.config.chunk_rows;
-        // Consecutive kernel failures on the same device: one is treated as
-        // transient, two trigger a fallback placement.
-        let mut kernel_fault_streak: Option<(DeviceId, usize)> = None;
-        let mut attempt = 0usize;
-        loop {
-            attempt += 1;
-            control.check(tally.serial_ns + tally.overlap_ns, stats)?;
-            // Devices this attempt runs on (re-placement changes them), for
-            // the health registry's attempt/success accounting.
-            let mut attempt_devs: Vec<DeviceId> = pipeline
-                .nodes
-                .iter()
-                .map(|&n| graph.node(n).device)
-                .collect();
-            attempt_devs.sort_unstable();
-            attempt_devs.dedup();
-            for &d in &attempt_devs {
-                self.health.record_attempt(d);
-            }
-            let lanes_before = stats.transfer_ns + stats.compute_ns + stats.other_ns;
-            let mark = hub.mark();
-            let result = if pipeline.is_streaming() && cfg.chunked {
-                self.run_streaming(
-                    graph, pipeline, inputs, cfg, chunk_rows, hub, stats, tally, escaping, control,
-                    ckpt, resume,
-                )
-            } else {
-                self.run_whole(graph, pipeline, inputs, hub, stats, tally, control)
-            };
-            let err = match result {
-                Err(e) if gone_device(&e).is_some() => {
-                    // Permanent device death: pipeline-scope recovery must
-                    // not touch the corpse (rollback would call into it and
-                    // a health verdict would record a ghost), so surface it
-                    // untouched to the run-level membership recovery.
-                    return Err(e);
-                }
-                Ok(()) => {
-                    for &d in &attempt_devs {
-                        if self.health.record_success(d) {
-                            stats.probe_successes += 1;
-                        }
-                        // Every kernel the successful pipeline resolved on
-                        // this device ran clean: reset its streak and settle
-                        // any in-flight kernel probe.
-                        for k in self.kernels_on_device(graph, pipeline, d) {
-                            if self.health.record_kernel_success(d, &k) {
-                                stats.kernel_probe_successes += 1;
-                            }
-                        }
-                    }
-                    return Ok(());
-                }
-                Err(e) => e,
-            };
-
-            // Unwind the attempt. The modeled time already spent is real
-            // (wasted work is charged); the buffers and partial host
-            // accumulations are not.
-            for id in self.devices.ids() {
-                tally.drain_serial(self.devices.get_mut(id)?.as_mut(), stats);
-            }
-            hub.rollback_to(&mut self.devices, mark);
-            for r in escaping {
-                if let DataRef::Output { node, .. } = r {
-                    if pipeline.nodes.contains(node) {
-                        hub.discard_host(*r);
-                    }
-                }
-            }
-            // A resumed pipeline retries from the checkpoint boundary, not
-            // row 0: reinstate the snapshot's host prefix (content and
-            // contiguity watermark) that the discard just dropped, so the
-            // next attempt's accumulations continue from `resume_offset`.
-            if let Some(c) = resume {
-                hub.restore_host(&c.host);
-            }
-
-            // Feed the failure back into the health registry: what the
-            // attempt burned (the stats lanes kept accumulating through the
-            // chunk loop and the unwind drain) is its observed retry cost.
-            let wasted_ns =
-                (stats.transfer_ns + stats.compute_ns + stats.other_ns - lanes_before).max(0.0);
-            let verdict = match &err {
-                ExecError::KernelFailed { device, source, .. } if is_oom(source) => {
-                    FailureVerdict {
-                        device_tripped: self.health.record_oom(*device, wasted_ns),
-                        kernel_tripped: false,
-                    }
-                }
-                ExecError::KernelFailed { device, kernel, .. } => self
-                    .health
-                    .record_kernel_failure(*device, kernel, wasted_ns),
-                ExecError::TransferCorrupted { device, .. } => {
-                    // The retransmit loop already logged each mismatch; the
-                    // exhausted budget itself counts as one more strike.
-                    self.health.record_corruption(*device);
-                    FailureVerdict::default()
-                }
-                ExecError::Device(de) if is_oom(de) => {
-                    // A bare device OOM does not say which device; charge the
-                    // pipeline's first device (deterministic, and pipelines
-                    // are single-device in all built-in plans).
-                    FailureVerdict {
-                        device_tripped: match attempt_devs.first() {
-                            Some(&d) => self.health.record_oom(d, wasted_ns),
-                            None => false,
-                        },
-                        kernel_tripped: false,
-                    }
-                }
-                _ => FailureVerdict::default(),
-            };
-            if verdict.device_tripped {
-                stats.breaker_trips += 1;
-            }
-            if verdict.kernel_tripped {
-                stats.kernel_breaker_trips += 1;
-            }
-            // Residency pins on the failing devices are part of the fault
-            // domain: an OOM retry needs the memory back, a tripped breaker
-            // or corrupted link means the device's contents are not trusted.
-            // Invalidate instead of leaking them into the next attempt.
-            let cache_affected = verdict.device_tripped
-                || matches!(&err, ExecError::TransferCorrupted { .. })
-                || matches!(&err, ExecError::Device(de) if is_oom(de))
-                || matches!(&err,
-                    ExecError::KernelFailed { source, .. } if is_oom(source));
-            if cache_affected {
-                for &d in &attempt_devs {
-                    hub.evict_cache_on(&mut self.devices, d);
-                }
-            }
-
-            if attempt >= retry.max_attempts.max(1) {
-                return Err(err);
-            }
-
-            let can_halve = pipeline.is_streaming()
-                && cfg.chunked
-                && chunk_rows > retry.min_chunk_rows.max(1)
-                && !pipeline_is_order_sensitive(graph, pipeline);
-            match &err {
-                ExecError::Device(de) if is_oom(de) => {
-                    // Out of memory while staging or allocating: shrink the
-                    // streaming chunk so the working set fits. When halving
-                    // is impossible (whole-buffer pipeline, already at the
-                    // floor, order-sensitive primitives that must see the
-                    // scan in one chunk) a plain retry still clears
-                    // transient allocation faults.
-                    if can_halve {
-                        chunk_rows = (chunk_rows / 2).max(retry.min_chunk_rows.max(1));
-                        stats.chunk_backoffs += 1;
-                    }
-                }
-                ExecError::KernelFailed { device, source, .. } if is_oom(source) => {
-                    // A kernel ran out of memory mid-execution: same backoff
-                    // as an allocation failure.
-                    let _ = device;
-                    if can_halve {
-                        chunk_rows = (chunk_rows / 2).max(retry.min_chunk_rows.max(1));
-                        stats.chunk_backoffs += 1;
-                    }
-                }
-                ExecError::KernelFailed { device, .. } => {
-                    let streak = match kernel_fault_streak {
-                        Some((d, n)) if d == *device => n + 1,
-                        _ => 1,
-                    };
-                    kernel_fault_streak = Some((*device, streak));
-                    if streak >= 2 {
-                        // Persistent per-device failure: move the pipeline's
-                        // work off this device if another one can take it.
-                        if !retry.allow_fallback
-                            || !self.repoint_pipeline(graph, pipeline, *device)?
-                        {
-                            return Err(err);
-                        }
-                        stats.fallback_placements += 1;
-                        kernel_fault_streak = None;
-                    }
-                }
-                ExecError::TransferCorrupted { device, .. } => {
-                    // The link to this device failed checksum verification
-                    // through the whole retransmit budget: treat it like a
-                    // broken device and move the pipeline elsewhere.
-                    if !retry.allow_fallback || !self.repoint_pipeline(graph, pipeline, *device)? {
-                        return Err(err);
-                    }
-                    stats.fallback_placements += 1;
-                }
-                ExecError::NoImplementation { .. } => {
-                    // A placement bug, not a transient fault: retrying on
-                    // the same device can never succeed, so fall back
-                    // immediately or fail fast.
-                    let bad = self.find_unresolvable_device(graph, pipeline);
-                    match bad {
-                        Some(dev)
-                            if retry.allow_fallback
-                                && self.repoint_pipeline(graph, pipeline, dev)? =>
-                        {
-                            stats.fallback_placements += 1;
-                        }
-                        _ => return Err(err),
-                    }
-                }
-                // Graph validation problems, missing inputs, internal
-                // invariant violations: retrying cannot help.
-                _ => return Err(err),
-            }
-            stats.retries += 1;
-        }
-    }
-
-    /// Full-engine recovery from a permanent device death (the membership
-    /// tentpole). In order:
-    ///
-    /// 1. the corpse's modeled time, byte counts, pool peak and fault delta
-    ///    are captured into the stats (the post-run sweep only sees
-    ///    survivors);
-    /// 2. every hub buffer and residency pin on it is written off without
-    ///    calling into it, and its pool/admission accounting zeroed so the
-    ///    no-leak invariant still holds;
-    /// 3. the whole attempt is unwound on the survivors (buffers freed,
-    ///    host accumulations discarded) so re-staging starts from pristine
-    ///    host copies;
-    /// 4. health records are dropped, the device unplugged, and every
-    ///    pipeline still pointing at it re-placed onto the best survivor;
-    /// 5. when checkpoints are enabled and the latest snapshot validates,
-    ///    its host accumulations and completed-pipeline breaker copies are
-    ///    restored onto the (re-placed) survivors and a resume cursor is
-    ///    armed, so the restart skips everything the snapshot holds; any
-    ///    validation or restore failure counts a typed stat and degrades to
-    ///    the legacy full restart from row 0 — never a wrong answer.
-    ///
-    /// Errors with the original `Gone` when no survivor can take the work.
-    #[allow(clippy::too_many_arguments)]
-    fn handle_device_loss(
-        &mut self,
-        dead: DeviceId,
-        graph: &mut PrimitiveGraph,
-        pipelines: &PipelineSet,
-        hub: &mut DataTransferHub,
-        stats: &mut ExecutionStats,
-        fault_base: &mut BTreeMap<DeviceId, u64>,
-        tally: &mut Tally,
-        ckpt: &mut CheckpointState,
-    ) -> Result<()> {
-        stats.device_deaths += 1;
-        if let Ok(dev) = self.devices.get_mut(dead) {
-            // Host-side accessors still work on the corpse; capture its
-            // contribution before it is unplugged.
-            tally.drain_serial(dev.as_mut(), stats);
-            stats.bytes_h2d += dev.clock().bytes_h2d();
-            stats.bytes_d2h += dev.clock().bytes_d2h();
-            stats
-                .peak_device_bytes
-                .insert(dev.info().name.clone(), dev.pool().peak());
-            let base = fault_base.get(&dead).copied().unwrap_or(0);
-            let delta = dev.fault_counters().total().saturating_sub(base);
-            if delta > 0 {
-                stats.device_faults.insert(dev.info().name.clone(), delta);
-            }
-        }
-        let (buffers, lost_bytes) = hub.write_off_device(&mut self.devices, dead);
-        stats.buffers_written_off += buffers;
-        stats.restaged_bytes += lost_bytes;
-        hub.rollback_to(&mut self.devices, 0);
-        hub.discard_all_host();
-        self.health.forget_device(dead);
-        fault_base.remove(&dead);
-        self.devices.remove(dead);
-        if self.devices.is_empty() {
-            return Err(ExecError::Device(
-                adamant_device::error::DeviceError::Gone { device: dead },
-            ));
-        }
-        for pipeline in &pipelines.pipelines {
-            let on_dead = pipeline.nodes.iter().any(|&n| graph.node(n).device == dead);
-            if on_dead && !self.repoint_pipeline(graph, pipeline, dead)? {
-                return Err(ExecError::Device(
-                    adamant_device::error::DeviceError::Gone { device: dead },
-                ));
-            }
-        }
-        // Membership is settled; default to a full restart unless a
-        // checkpoint restores cleanly below.
-        ckpt.cursor = None;
-        ckpt.pipelines_done = 0;
-        ckpt.chunks_done = 0;
-        if !ckpt.cfg.enabled {
-            return Ok(());
-        }
-        let valid = match &ckpt.latest {
-            Some(cp) if cp.validate() => true,
-            Some(_) => {
-                // Corrupted snapshot (e.g. scripted via
-                // `FaultPlan::corrupt_checkpoint`): drop it and restart from
-                // row 0 rather than resume from untrusted state.
-                stats.resume_validation_failures += 1;
-                ckpt.latest = None;
-                false
-            }
-            None => false,
-        };
-        if !valid {
-            return Ok(());
-        }
-        let cp = ckpt.latest.as_ref().expect("validated above");
-        // Split the snapshot's resident copies: accumulators of *completed*
-        // pipelines are restored here (later pipelines consume them
-        // read-only), while the in-progress pipeline's own accumulators are
-        // carried in the cursor and seeded per attempt by `run_streaming` —
-        // they are mutated in place by every chunk, so they must live inside
-        // the attempt's rollback scope or a retry would double-count.
-        let in_progress: &[NodeId] = pipelines
-            .pipelines
-            .get(cp.pipelines_done)
-            .map_or(&[], |p| p.nodes.as_slice());
-        let restored = (|| -> Result<()> {
-            hub.restore_host(&cp.host);
-            for (r, payload) in &cp.resident {
-                let target = match r {
-                    DataRef::Output { node, .. } if !in_progress.contains(node) => {
-                        graph.node(*node).device
-                    }
-                    _ => continue,
-                };
-                hub.restore_resident(&mut self.devices, *r, target, payload)?;
-            }
-            Ok(())
-        })();
-        match restored {
-            Ok(()) => {
-                stats.resumes += 1;
-                stats.chunks_skipped_on_resume += cp.chunks_done;
-                ckpt.pipelines_done = cp.pipelines_done;
-                ckpt.chunks_done = cp.chunks_done;
-                ckpt.cursor = Some(ResumeCursor {
-                    pipelines_done: cp.pipelines_done,
-                    resume_offset: cp.resume_offset,
-                    host: cp.host.clone(),
-                    seed: cp
-                        .resident
-                        .iter()
-                        .filter(|(r, _)| {
-                            matches!(r, DataRef::Output { node, .. }
-                                if in_progress.contains(node))
-                        })
-                        .map(|(r, p)| (*r, p.clone()))
-                        .collect(),
-                });
-                Ok(())
-            }
-            Err(_) => {
-                // Re-staging the snapshot failed (e.g. a second device died
-                // or OOMed mid-restore). Unwind whatever landed and fall
-                // back to the full restart; if a survivor really is gone the
-                // restart will hit its `Gone` and run-level recovery handles
-                // that death in turn.
-                hub.rollback_to(&mut self.devices, 0);
-                hub.discard_all_host();
-                stats.resume_validation_failures += 1;
-                ckpt.latest = None;
-                Ok(())
-            }
-        }
-    }
-
-    /// Modeled cost of capturing a checkpoint right now: one verified D2H
-    /// retrieval per device-resident breaker accumulator, priced by each
-    /// holder's own cost model (host accumulations are already host-side
-    /// and cost nothing to snapshot).
-    fn estimate_capture_ns(&self, hub: &DataTransferHub) -> f64 {
-        let mut total = 0.0;
-        for (r, dev, id) in hub.resident_refs() {
-            if !matches!(r, DataRef::Output { .. }) {
-                continue;
-            }
-            if let Ok(d) = self.devices.get(dev) {
-                if let Ok(buf) = d.pool().get(id) {
-                    total += d.placement_cost_ns(buf.footprint(), 0.0);
-                }
-            }
-        }
-        total
-    }
-
-    /// Considered checkpoint boundary: captures a snapshot when the
-    /// cost-model policy agrees — the modeled re-execution cost accumulated
-    /// since the last snapshot must exceed the estimated capture cost times
-    /// [`CheckpointConfig::cost_factor`]. `resume_offset` is the in-progress
-    /// pipeline's high-water scan row (0 at pipeline boundaries).
-    fn maybe_capture_checkpoint(
-        &mut self,
-        hub: &mut DataTransferHub,
-        stats: &mut ExecutionStats,
-        tally: &mut Tally,
-        ckpt: &mut CheckpointState,
-        resume_offset: usize,
-    ) -> Result<()> {
-        if !ckpt.cfg.enabled {
-            return Ok(());
-        }
-        let est = self.estimate_capture_ns(hub);
-        let lanes = stats.transfer_ns + stats.compute_ns + stats.other_ns;
-        if lanes - ckpt.lanes_mark <= est * ckpt.cfg.cost_factor {
-            return Ok(());
-        }
-        self.capture_checkpoint(hub, stats, tally, ckpt, resume_offset)
-    }
-
-    /// Captures one consistent snapshot. The candidate is fully assembled
-    /// and sealed before it replaces `ckpt.latest`, so a device death in
-    /// the middle of a capture (any retrieval may return `Gone`) leaves the
-    /// previous snapshot intact — recovery then resumes from the older but
-    /// still consistent boundary. Capture transfers pay real modeled D2H
-    /// cost, drained into the stats here so the surrounding chunk loop's
-    /// per-chunk attribution stays clean.
-    fn capture_checkpoint(
-        &mut self,
-        hub: &mut DataTransferHub,
-        stats: &mut ExecutionStats,
-        tally: &mut Tally,
-        ckpt: &mut CheckpointState,
-        resume_offset: usize,
-    ) -> Result<()> {
-        let host = hub.snapshot_host();
-        let mut resident: Vec<(DataRef, BufferData)> = Vec::new();
-        let mut manifest: Vec<String> = Vec::new();
-        for (r, dev, id) in hub.resident_refs() {
-            // Inputs re-stage from pristine host columns for free; only
-            // materialized intermediates need host copies.
-            if !matches!(r, DataRef::Output { .. }) {
-                continue;
-            }
-            let payload = hub.retrieve_verified(&mut self.devices, dev, id, None, 0)?;
-            manifest.push(format!("place {:?} ({} B)", r, payload.byte_len()));
-            resident.push((r, payload));
-        }
-        for (r, _, watermark) in &host {
-            manifest.push(format!("host {:?} @{}", r, watermark));
-        }
-        let mut cp = QueryCheckpoint {
-            pipelines_done: ckpt.pipelines_done,
-            resume_offset,
-            chunks_done: ckpt.chunks_done,
-            host,
-            resident,
-            manifest,
-            bytes: 0,
-            checksum: 0,
-        };
-        cp.seal();
-        for id in self.devices.ids() {
-            tally.drain_serial(self.devices.get_mut(id)?.as_mut(), stats);
-            // Scripted checkpoint corruption: a device's fault plan may
-            // damage the snapshot in flight. The stored checksum no longer
-            // matches the content, so the resume-time validation rejects it
-            // and recovery degrades to a full restart — never resumes from
-            // (or produces) corrupt state.
-            if self.devices.get_mut(id)?.corrupt_checkpoint_capture() {
-                cp.checksum ^= 1;
-            }
-        }
-        stats.checkpoints_taken += 1;
-        stats.checkpoint_bytes += cp.bytes;
-        ckpt.lanes_mark = stats.transfer_ns + stats.compute_ns + stats.other_ns;
-        ckpt.latest = Some(cp);
-        Ok(())
-    }
-
-    /// Moves every node of `pipeline` currently placed on `failed` onto the
-    /// best other device that implements all of them, consulting the health
-    /// registry. Candidates where any moving kernel is already known broken
-    /// are never chosen; quarantined devices only as a last resort; among
-    /// the healthy candidates the recovery-aware placement cost (modeled
-    /// staging transfer plus expected retry penalty) picks the winner,
-    /// lowest id on ties. Returns whether a re-placement happened.
-    fn repoint_pipeline(
-        &self,
-        graph: &mut PrimitiveGraph,
-        pipeline: &Pipeline,
-        failed: DeviceId,
-    ) -> Result<bool> {
-        let moving: Vec<_> = pipeline
-            .nodes
-            .iter()
-            .copied()
-            .filter(|&n| graph.node(n).device == failed)
-            .collect();
-        if moving.is_empty() {
-            return Ok(false);
-        }
-        let est_bytes = (self.config.chunk_rows.max(1) * 8) as u64;
-        let mut healthy: Vec<(f64, DeviceId)> = Vec::new();
-        let mut last_resort: Vec<DeviceId> = Vec::new();
-        for cand in self.devices.ids() {
-            if cand == failed {
-                continue;
-            }
-            let dev = self.devices.get(cand)?;
-            let sdk = dev.info().sdk;
-            let capable = moving.iter().all(|&n| {
-                let node = graph.node(n);
-                match self.tasks.resolve(node.kind, sdk, node.variant.as_deref()) {
-                    Some(c) => !self.health.kernel_known_broken(cand, &c.kernel_name()),
-                    None => false,
-                }
-            });
-            if !capable {
-                continue;
-            }
-            if self.health.is_quarantined(cand) {
-                last_resort.push(cand);
-            } else {
-                // Slow devices lose placement ties: the latency EWMA the
-                // watchdog feeds joins the expected-retry penalty.
-                let penalty =
-                    self.health.retry_penalty_ns(cand) + self.health.latency_penalty_ns(cand);
-                healthy.push((dev.placement_cost_ns(est_bytes, penalty), cand));
-            }
-        }
-        let target = healthy
-            .into_iter()
-            .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
-            .map(|(_, id)| id)
-            .or_else(|| last_resort.into_iter().min());
-        match target {
-            Some(cand) => {
-                for &n in &moving {
-                    graph.nodes[n.0].device = cand;
-                }
-                Ok(true)
-            }
-            None => Ok(false),
-        }
-    }
-
-    /// The first device in `pipeline` whose SDK lacks an implementation for
-    /// one of its nodes, if any.
-    fn find_unresolvable_device(
-        &self,
-        graph: &PrimitiveGraph,
-        pipeline: &Pipeline,
-    ) -> Option<DeviceId> {
-        for &n in &pipeline.nodes {
-            let node = graph.node(n);
-            let sdk = self.devices.get(node.device).ok()?.info().sdk;
-            if self
-                .tasks
-                .resolve(node.kind, sdk, node.variant.as_deref())
-                .is_none()
-            {
-                return Some(node.device);
-            }
-        }
-        None
-    }
-
-    // ---- validation -----------------------------------------------------
 
     fn validate_inputs(&self, graph: &PrimitiveGraph, inputs: &QueryInputs) -> Result<()> {
         let mut scan_lens: HashMap<&str, usize> = HashMap::new();
@@ -1447,1226 +615,4 @@ impl Executor {
         }
         Ok(())
     }
-
-    // ---- whole-input execution (OAAT and full-buffer pipelines) ---------
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_whole(
-        &mut self,
-        graph: &PrimitiveGraph,
-        pipeline: &Pipeline,
-        inputs: &QueryInputs,
-        hub: &mut DataTransferHub,
-        stats: &mut ExecutionStats,
-        tally: &mut Tally,
-        control: &RunControl,
-    ) -> Result<()> {
-        for &node_id in &pipeline.nodes {
-            control.check(tally.serial_ns + tally.overlap_ns, stats)?;
-            let node = graph.node(node_id).clone();
-            // Resolve inputs.
-            let mut in_ids = Vec::with_capacity(node.inputs.len());
-            let mut est_rows = 0usize;
-            for &input in &node.inputs {
-                let id = match input {
-                    DataRef::Input(i) => {
-                        let gi = &graph.inputs()[i];
-                        let col = inputs.get(&gi.name).expect("validated");
-                        hub.load_whole_input(&mut self.devices, input, node.device, &gi.name, col)?
-                    }
-                    DataRef::Output { .. } => hub.router(&mut self.devices, input, node.device)?,
-                };
-                let len = self
-                    .devices
-                    .get(node.device)?
-                    .pool()
-                    .get(id)
-                    .map(|b| b.data.len())
-                    .unwrap_or(0);
-                est_rows = est_rows.max(len);
-                in_ids.push(id);
-            }
-            tally.drain_serial(self.devices.get_mut(node.device)?.as_mut(), stats);
-
-            // Prepare outputs (all materialized in whole mode).
-            let mut out_ids = Vec::with_capacity(node.output_count);
-            for port in 0..node.output_count {
-                let semantic = graph.semantic_of(DataRef::Output {
-                    node: node.id,
-                    port,
-                });
-                let id =
-                    hub.prepare_output_buffer(&mut self.devices, &node, port, semantic, est_rows)?;
-                hub.register_resident(
-                    DataRef::Output {
-                        node: node.id,
-                        port,
-                    },
-                    node.device,
-                    id,
-                );
-                out_ids.push(id);
-            }
-            tally.drain_serial(self.devices.get_mut(node.device)?.as_mut(), stats);
-
-            // Execute once over the whole inputs.
-            let saved = self.execute_node(&node, &in_ids, &out_ids)?;
-            stats.fusion_saved_transfer_ns += saved;
-            Self::note_intermediates(graph, &node, est_rows, stats);
-            let (t, c, o, _) = tally.drain_split(self.devices.get_mut(node.device)?.as_mut());
-            tally.serial_ns += t + c + o;
-            stats.transfer_ns += t;
-            stats.compute_ns += c;
-            stats.other_ns += o;
-            stats.record_primitive(&node.label, c);
-            stats.slice_ns.push(t + c + o);
-            let used = self.devices.get(node.device)?.pool().used();
-            stats.memory_trace.push((node.label.clone(), used));
-        }
-        Ok(())
-    }
-
-    // ---- streaming (chunked) execution -----------------------------------
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_streaming(
-        &mut self,
-        graph: &PrimitiveGraph,
-        pipeline: &Pipeline,
-        inputs: &QueryInputs,
-        cfg: ModelConfig,
-        chunk_rows: usize,
-        hub: &mut DataTransferHub,
-        stats: &mut ExecutionStats,
-        tally: &mut Tally,
-        escaping: &HashSet<DataRef>,
-        control: &RunControl,
-        ckpt: &mut CheckpointState,
-        resume: Option<&ResumeCursor>,
-    ) -> Result<()> {
-        let scan = pipeline
-            .scan
-            .clone()
-            .expect("streaming pipeline has a scan");
-        let chunk_rows = chunk_rows.max(1);
-        // Adaptive regrowth: after `regrow_after_chunks` consecutive
-        // successful chunks at a backed-off size, double back toward the
-        // configured size. Staging buffers grow in place (`place_data`
-        // re-checks the accounting, so an over-eager regrow surfaces as a
-        // recoverable OOM). Any failed chunk unwinds the whole attempt, so
-        // within an attempt every processed chunk succeeded and the size is
-        // a pure function of the chunk index — both streaming loops (and the
-        // overlap path's transfer thread) evaluate the same [`ChunkSchedule`]
-        // instead of exchanging sizes through shared state, keeping chunk
-        // boundaries deterministic under any thread interleaving.
-        let schedule = ChunkSchedule {
-            start: chunk_rows,
-            configured: self.config.chunk_rows.max(1),
-            regrow_after: self.config.retry.regrow_after_chunks,
-        };
-
-        // The scan columns this pipeline streams, and their length.
-        let mut scan_cols: Vec<(usize, Arc<Vec<i64>>)> = Vec::new();
-        let mut seen = HashSet::new();
-        for &node_id in &pipeline.nodes {
-            for &input in &graph.node(node_id).inputs {
-                if let DataRef::Input(i) = input {
-                    if graph.inputs()[i].scan.as_deref() == Some(scan.as_str()) && seen.insert(i) {
-                        let col = inputs.get(&graph.inputs()[i].name).expect("validated");
-                        scan_cols.push((i, Arc::clone(col)));
-                    }
-                }
-            }
-        }
-        let rows = scan_cols.first().map(|(_, c)| c.len()).unwrap_or(0);
-        let n_chunks = rows.div_ceil(chunk_rows);
-        // Resuming from a checkpoint: rows below the snapshot's high-water
-        // offset are already host-accumulated (and folded into the seeded
-        // breaker accumulators), so the scan starts there instead of row 0.
-        let resume_offset = resume.map_or(0, |c| c.resume_offset).min(rows);
-
-        // Order-sensitive breakers cannot stream across multiple chunks.
-        if n_chunks > 1 {
-            for &node_id in &pipeline.nodes {
-                let kind = graph.node(node_id).kind;
-                if matches!(
-                    kind,
-                    PrimitiveKind::Sort | PrimitiveKind::SortAgg | PrimitiveKind::PrefixSum
-                ) {
-                    return Err(ExecError::InvalidGraph(format!(
-                        "{kind} is order-sensitive and cannot run in a multi-chunk \
-                         streaming pipeline; materialize its input first"
-                    )));
-                }
-            }
-        }
-
-        // ---- Stage phase -------------------------------------------------
-        // Staging buffers per (scan input, consuming device, slot).
-        let devices_used: Vec<DeviceId> = {
-            let mut v: Vec<DeviceId> = pipeline
-                .nodes
-                .iter()
-                .map(|&n| graph.node(n).device)
-                .collect();
-            v.sort_unstable();
-            v.dedup();
-            v
-        };
-        let staging_slots = if cfg.stage_once {
-            cfg.staging_buffers
-        } else {
-            1
-        };
-        let chunk_bytes = (chunk_rows.min(rows.max(1)) * 8) as u64;
-        let mut staging: HashMap<(usize, DeviceId, usize), BufferId> = HashMap::new();
-        for &(input_idx, _) in &scan_cols {
-            for &dev_id in &devices_used {
-                for slot in 0..staging_slots {
-                    let id = hub.fresh_id();
-                    let dev = self.devices.get_mut(dev_id)?;
-                    if cfg.pinned {
-                        dev.add_pinned_memory(id, chunk_bytes)?;
-                    } else {
-                        dev.prepare_memory(id, chunk_bytes)?;
-                    }
-                    hub.track_created(dev_id, id);
-                    staging.insert((input_idx, dev_id, slot), id);
-                }
-            }
-        }
-
-        // Scratch outputs (non-breaker) and accumulators (breaker outputs).
-        let mut scratch: HashMap<DataRef, BufferId> = HashMap::new();
-        for &node_id in &pipeline.nodes {
-            let node = graph.node(node_id).clone();
-            for port in 0..node.output_count {
-                let r = DataRef::Output {
-                    node: node.id,
-                    port,
-                };
-                let semantic = graph.semantic_of(r);
-                if node.kind.is_pipeline_breaker() {
-                    let id =
-                        hub.prepare_output_buffer(&mut self.devices, &node, port, semantic, rows)?;
-                    hub.register_resident(r, node.device, id);
-                    // Checkpoint resume: seed the freshly created accumulator
-                    // with the snapshot's partial state. The seed is applied
-                    // per attempt (the accumulator is created after the
-                    // recovery mark), so an intra-pipeline retry rolls the
-                    // in-place chunk mutations back and re-seeds cleanly —
-                    // chunks past `resume_offset` are never double-counted.
-                    if let Some(seed) = resume.and_then(|c| c.seed_for(r)) {
-                        hub.place_verified(&mut self.devices, node.device, id, seed.clone(), 0)?;
-                    }
-                } else if cfg.stage_once {
-                    let id = hub.prepare_output_buffer(
-                        &mut self.devices,
-                        &node,
-                        port,
-                        semantic,
-                        chunk_rows.min(rows.max(1)),
-                    )?;
-                    scratch.insert(r, id);
-                }
-            }
-        }
-        for &dev_id in &devices_used {
-            tally.drain_serial(self.devices.get_mut(dev_id)?.as_mut(), stats);
-        }
-
-        // ---- Copy-compute phase -------------------------------------------
-        let mut chunk_costs: Vec<ChunkCost> = Vec::with_capacity(n_chunks);
-        // Device time charged to the owning query per chunk (winner cost
-        // plus any hedge work) — what the multi-query scheduler replays.
-        let mut chunk_charges: Vec<f64> = Vec::with_capacity(n_chunks);
-        let hedging = self.config.watchdog_multiplier.is_some();
-        if cfg.overlap && n_chunks > 0 {
-            // Algorithm 2: a transfer thread slices and hands chunks to the
-            // execute thread over a bounded channel whose capacity is the
-            // number of staging buffers; `fetched_until`/`processed_until`
-            // track progress exactly as in the paper.
-            let fetched_until = AtomicUsize::new(0);
-            let processed_until = AtomicUsize::new(0);
-            let (tx, rx) =
-                std::sync::mpsc::sync_channel::<(usize, usize, usize, Vec<(usize, BufferData)>)>(
-                    cfg.staging_buffers,
-                );
-            let producer_cols: Vec<(usize, Arc<Vec<i64>>)> = scan_cols.clone();
-            let producer_cancel = control.cancel.clone();
-            let result: Result<()> = std::thread::scope(|scope| {
-                let fetched = &fetched_until;
-                let processed = &processed_until;
-                scope.spawn(move || {
-                    let mut chunk = 0usize;
-                    let mut offset = resume_offset;
-                    while offset < rows {
-                        // Cooperative cancellation: stop slicing; the execute
-                        // side surfaces the error at its own check.
-                        if producer_cancel.is_cancelled() {
-                            return;
-                        }
-                        let len = schedule.rows_for(chunk).min(rows - offset);
-                        let payloads: Vec<(usize, BufferData)> = producer_cols
-                            .iter()
-                            .map(|(idx, col)| {
-                                (*idx, BufferData::I64(col[offset..offset + len].to_vec()))
-                            })
-                            .collect();
-                        // Algorithm 2 ordering: advertise the fetch *before*
-                        // handing the chunk over. The execute thread may
-                        // start on the chunk the instant `send` enqueues it,
-                        // so incrementing afterwards races its
-                        // `fetched > processed` check.
-                        fetched.fetch_add(1, Ordering::Release);
-                        if tx.send((chunk, offset, len, payloads)).is_err() {
-                            return; // executor side failed; stop transferring
-                        }
-                        chunk += 1;
-                        offset += len;
-                    }
-                });
-                // `rx` is moved into this scope so an early `?` return drops
-                // it, failing the producer's blocked `send` instead of
-                // deadlocking the implicit join at scope exit.
-                let rx = rx;
-                let mut streamed_ns = 0.0_f64;
-                for (chunk, offset, len, payloads) in rx.iter() {
-                    control.check(tally.serial_ns + tally.overlap_ns + streamed_ns, stats)?;
-                    if schedule.regrows_at(chunk) {
-                        stats.chunk_regrowths += 1;
-                    }
-                    debug_assert!(
-                        fetched.load(Ordering::Acquire) > processed.load(Ordering::Acquire),
-                        "execute thread ran ahead of transfer thread"
-                    );
-                    let slot = chunk % staging_slots;
-                    let hedge_payloads = hedging.then(|| payloads.clone());
-                    let outcome = self.run_one_chunk(
-                        graph,
-                        pipeline,
-                        inputs,
-                        cfg,
-                        hub,
-                        stats,
-                        tally,
-                        escaping,
-                        &staging,
-                        &mut scratch,
-                        slot,
-                        offset,
-                        len,
-                        payloads,
-                    )?;
-                    let (cost, charged) = self.watchdog_and_hedge(
-                        graph,
-                        pipeline,
-                        inputs,
-                        hub,
-                        stats,
-                        tally,
-                        outcome,
-                        len,
-                        hedge_payloads.as_deref(),
-                    );
-                    streamed_ns += cost.transfer_ns + cost.compute_ns;
-                    chunk_costs.push(cost);
-                    chunk_charges.push(charged);
-                    // Chunk-interval checkpoint boundary: host accumulations
-                    // and the breaker accumulators consistently reflect rows
-                    // `[0, offset + len)` right here.
-                    if ckpt.cfg.enabled && ckpt.on_chunk_completed() {
-                        self.maybe_capture_checkpoint(hub, stats, tally, ckpt, offset + len)?;
-                    }
-                    processed.fetch_add(1, Ordering::Release);
-                }
-                Ok(())
-            });
-            result?;
-        } else {
-            let mut chunk = 0usize;
-            let mut offset = resume_offset;
-            let mut streamed_ns = 0.0_f64;
-            while offset < rows {
-                control.check(tally.serial_ns + tally.overlap_ns + streamed_ns, stats)?;
-                if schedule.regrows_at(chunk) {
-                    stats.chunk_regrowths += 1;
-                }
-                let len = schedule.rows_for(chunk).min(rows - offset);
-                let payloads: Vec<(usize, BufferData)> = scan_cols
-                    .iter()
-                    .map(|(idx, col)| (*idx, BufferData::I64(col[offset..offset + len].to_vec())))
-                    .collect();
-                let slot = chunk % staging_slots;
-                let hedge_payloads = hedging.then(|| payloads.clone());
-                let outcome = self.run_one_chunk(
-                    graph,
-                    pipeline,
-                    inputs,
-                    cfg,
-                    hub,
-                    stats,
-                    tally,
-                    escaping,
-                    &staging,
-                    &mut scratch,
-                    slot,
-                    offset,
-                    len,
-                    payloads,
-                )?;
-                let (cost, charged) = self.watchdog_and_hedge(
-                    graph,
-                    pipeline,
-                    inputs,
-                    hub,
-                    stats,
-                    tally,
-                    outcome,
-                    len,
-                    hedge_payloads.as_deref(),
-                );
-                streamed_ns += cost.transfer_ns + cost.compute_ns;
-                chunk_costs.push(cost);
-                chunk_charges.push(charged);
-                if ckpt.cfg.enabled && ckpt.on_chunk_completed() {
-                    self.maybe_capture_checkpoint(hub, stats, tally, ckpt, offset + len)?;
-                }
-                chunk += 1;
-                offset += len;
-            }
-        }
-        stats.chunks_processed += chunk_costs.len();
-        // Preemption points for the multi-query scheduler: each chunk is
-        // one interleavable slice of device time, charged at the winner's
-        // cost plus any hedge work the chunk spawned (hedges bill the
-        // owning query, so fair-share tenants cannot hedge for free).
-        stats.slice_ns.extend(chunk_charges);
-        // Escaped scratch refs that never saw a chunk (empty scans) still
-        // need an (empty) host accumulation for downstream consumers.
-        for &node_id in &pipeline.nodes {
-            let node = graph.node(node_id);
-            if node.kind.is_pipeline_breaker() {
-                continue;
-            }
-            for port in 0..node.output_count {
-                let r = DataRef::Output {
-                    node: node.id,
-                    port,
-                };
-                if escaping.contains(&r) && !hub.has_host(r) {
-                    let semantic = graph.semantic_of(r);
-                    hub.host_accumulate(
-                        r,
-                        semantic,
-                        adamant_task::container::DataContainer::empty_payload(semantic),
-                        0,
-                        0,
-                    )?;
-                }
-            }
-        }
-        if cfg.overlap {
-            tally.overlap_ns += overlapped_makespan(&chunk_costs, cfg.staging_buffers);
-        } else {
-            tally.serial_ns += chunk_costs
-                .iter()
-                .map(|c| c.transfer_ns + c.compute_ns)
-                .sum::<f64>();
-        }
-        let in_loop_transfer: f64 = chunk_costs.iter().map(|c| c.transfer_ns).sum();
-        let in_loop_compute: f64 = chunk_costs.iter().map(|c| c.compute_ns).sum();
-        stats.transfer_ns += in_loop_transfer;
-        stats.compute_ns += in_loop_compute;
-
-        // ---- Per-pipeline delete phase ------------------------------------
-        // Free staging and scratch on the device that owns each buffer;
-        // breaker accumulators stay resident for downstream pipelines.
-        // These buffers are expected to exist, so failures are real leaks
-        // and surface as errors; `release` also untracks the ids so the
-        // final `delete_all` sweep cannot double-delete them.
-        let mut staging_ids: Vec<(DeviceId, BufferId)> = staging
-            .into_iter()
-            .map(|((_, dev_id, _), id)| (dev_id, id))
-            .collect();
-        staging_ids.sort_unstable();
-        for (dev_id, id) in staging_ids {
-            hub.release(&mut self.devices, dev_id, id)?;
-        }
-        let mut scratch_ids: Vec<(DeviceId, BufferId)> = scratch
-            .into_iter()
-            .map(|(r, id)| {
-                let owner = match r {
-                    DataRef::Output { node, .. } => graph.node(node).device,
-                    DataRef::Input(_) => unreachable!("scratch refs are node outputs"),
-                };
-                (owner, id)
-            })
-            .collect();
-        scratch_ids.sort_unstable();
-        for (dev_id, id) in scratch_ids {
-            hub.release(&mut self.devices, dev_id, id)?;
-        }
-        for &dev_id in &devices_used {
-            tally.drain_serial(self.devices.get_mut(dev_id)?.as_mut(), stats);
-        }
-        Ok(())
-    }
-
-    /// Processes one chunk through every primitive of the pipeline
-    /// (Algorithm 1's inner loop). Returns the chunk's transfer/compute
-    /// cost pair for the model's makespan computation, alongside the
-    /// fault-free modeled duration the watchdog budgets against.
-    #[allow(clippy::too_many_arguments)]
-    fn run_one_chunk(
-        &mut self,
-        graph: &PrimitiveGraph,
-        pipeline: &Pipeline,
-        inputs: &QueryInputs,
-        cfg: ModelConfig,
-        hub: &mut DataTransferHub,
-        stats: &mut ExecutionStats,
-        tally: &mut Tally,
-        escaping: &HashSet<DataRef>,
-        staging: &HashMap<(usize, DeviceId, usize), BufferId>,
-        scratch: &mut HashMap<DataRef, BufferId>,
-        slot: usize,
-        offset: usize,
-        len: usize,
-        payloads: Vec<(usize, BufferData)>,
-    ) -> Result<ChunkOutcome> {
-        let mut cost = ChunkCost::default();
-        let mut clean_ns = 0.0_f64;
-        let scan = pipeline.scan.as_deref().expect("streaming");
-
-        // Upload this chunk into the staging buffers of every device that
-        // consumes it, verifying each transfer's checksum end-to-end.
-        let mut uploaded: HashMap<(usize, DeviceId), BufferId> = HashMap::new();
-        for (input_idx, payload) in payloads {
-            let mut devices_for_input: Vec<DeviceId> = staging
-                .keys()
-                .filter(|(i, _, s)| *i == input_idx && *s == slot)
-                .map(|(_, d, _)| *d)
-                .collect();
-            devices_for_input.sort_unstable();
-            for dev_id in devices_for_input {
-                let id = staging[&(input_idx, dev_id, slot)];
-                // A residency-cached copy of the scan column serves the
-                // chunk with a device-internal copy instead of a fresh
-                // host→device upload; otherwise fall back to the verified
-                // transfer path.
-                let gi = &graph.inputs()[input_idx];
-                let from_cache = match inputs.get(&gi.name) {
-                    Some(col) => hub.stage_chunk_from_cache(
-                        &mut self.devices,
-                        dev_id,
-                        id,
-                        &gi.name,
-                        col,
-                        offset,
-                        len,
-                    )?,
-                    None => false,
-                };
-                if !from_cache {
-                    hub.place_verified(&mut self.devices, dev_id, id, payload.clone(), 0)?;
-                }
-                uploaded.insert((input_idx, dev_id), id);
-                let (t, c, o, k) = tally.drain_split(self.devices.get_mut(dev_id)?.as_mut());
-                cost.transfer_ns += t + o;
-                cost.compute_ns += c;
-                clean_ns += k;
-                stats.transfer_ns += t;
-                stats.other_ns += o;
-                stats.compute_ns += c;
-            }
-        }
-
-        // Per-chunk scratch allocation for the naive chunked model
-        // (Algorithm 1 calls prepare_memory inside the loop).
-        let mut chunk_scratch: Vec<(DataRef, BufferId)> = Vec::new();
-        if !cfg.stage_once {
-            for &node_id in &pipeline.nodes {
-                let node = graph.node(node_id).clone();
-                if node.kind.is_pipeline_breaker() {
-                    continue;
-                }
-                for port in 0..node.output_count {
-                    let r = DataRef::Output {
-                        node: node.id,
-                        port,
-                    };
-                    let semantic = graph.semantic_of(r);
-                    let id =
-                        hub.prepare_output_buffer(&mut self.devices, &node, port, semantic, len)?;
-                    scratch.insert(r, id);
-                    chunk_scratch.push((r, id));
-                }
-                let (t, c, o, k) = tally.drain_split(self.devices.get_mut(node.device)?.as_mut());
-                cost.transfer_ns += t + o;
-                cost.compute_ns += c;
-                clean_ns += k;
-                stats.transfer_ns += t;
-                stats.other_ns += o;
-                stats.compute_ns += c;
-            }
-        }
-
-        // Execute the pipeline's primitives over this chunk.
-        for &node_id in &pipeline.nodes {
-            let node = graph.node(node_id).clone();
-            let mut in_ids = Vec::with_capacity(node.inputs.len());
-            for &input in &node.inputs {
-                let id = match input {
-                    DataRef::Input(i) => {
-                        let gi = &graph.inputs()[i];
-                        if gi.scan.as_deref() == Some(scan) {
-                            *uploaded.get(&(i, node.device)).ok_or_else(|| {
-                                ExecError::Internal(format!(
-                                    "no staged chunk for input #{i} on {}",
-                                    node.device
-                                ))
-                            })?
-                        } else {
-                            // Whole (small) input: placed once, reused on
-                            // later chunks via the residency map.
-                            let col = inputs
-                                .get(&gi.name)
-                                .ok_or_else(|| ExecError::MissingInput(gi.name.clone()))?
-                                .clone();
-                            hub.load_whole_input(
-                                &mut self.devices,
-                                input,
-                                node.device,
-                                &gi.name,
-                                &col,
-                            )?
-                        }
-                    }
-                    DataRef::Output { .. } => {
-                        if let Some(&id) = scratch.get(&input) {
-                            id // same-pipeline scratch
-                        } else {
-                            // Materialized elsewhere (breaker output, earlier
-                            // pipeline, or escaped host accumulation).
-                            hub.router(&mut self.devices, input, node.device)?
-                        }
-                    }
-                };
-                in_ids.push(id);
-            }
-            let mut out_ids = Vec::with_capacity(node.output_count);
-            for port in 0..node.output_count {
-                let r = DataRef::Output {
-                    node: node.id,
-                    port,
-                };
-                if let Some(&id) = scratch.get(&r) {
-                    out_ids.push(id);
-                } else if let Some(id) = hub.resident(r, node.device) {
-                    out_ids.push(id); // breaker accumulator
-                } else {
-                    return Err(ExecError::Internal(format!(
-                        "output {r:?} has no buffer (node `{}`)",
-                        node.label
-                    )));
-                }
-            }
-            let saved = self.execute_node(&node, &in_ids, &out_ids)?;
-            stats.fusion_saved_transfer_ns += saved;
-            Self::note_intermediates(graph, &node, len, stats);
-            let (t, c, o, k) = tally.drain_split(self.devices.get_mut(node.device)?.as_mut());
-            cost.transfer_ns += t + o;
-            cost.compute_ns += c;
-            clean_ns += k;
-            stats.transfer_ns += t;
-            stats.other_ns += o;
-            stats.compute_ns += c;
-            stats.record_primitive(&node.label, c);
-
-            // Escaped scratch: pull this chunk's result back to the host
-            // through the checksum-verified path.
-            for port in 0..node.output_count {
-                let r = DataRef::Output {
-                    node: node.id,
-                    port,
-                };
-                if !node.kind.is_pipeline_breaker() && escaping.contains(&r) {
-                    let id = scratch[&r];
-                    let payload =
-                        hub.retrieve_verified(&mut self.devices, node.device, id, None, 0)?;
-                    let semantic = graph.semantic_of(r);
-                    hub.host_accumulate(r, semantic, payload, offset, len)?;
-                    let (t, c, o, k) =
-                        tally.drain_split(self.devices.get_mut(node.device)?.as_mut());
-                    cost.transfer_ns += t + o;
-                    cost.compute_ns += c;
-                    clean_ns += k;
-                    stats.transfer_ns += t;
-                    stats.other_ns += o;
-                    stats.compute_ns += c;
-                }
-            }
-        }
-
-        // Naive chunked model frees its per-chunk scratch again. Going
-        // through `release` untracks the ids, so the final sweep never sees
-        // (and double-deletes) buffers that died inside the chunk loop.
-        if !cfg.stage_once {
-            for (r, id) in chunk_scratch {
-                let node = match r {
-                    DataRef::Output { node, .. } => graph.node(node),
-                    _ => unreachable!(),
-                };
-                hub.release(&mut self.devices, node.device, id)?;
-                scratch.remove(&r);
-                let (t, c, o, k) = tally.drain_split(self.devices.get_mut(node.device)?.as_mut());
-                cost.transfer_ns += t + o;
-                cost.compute_ns += c;
-                clean_ns += k;
-                stats.transfer_ns += t;
-                stats.other_ns += o;
-                stats.compute_ns += c;
-            }
-        }
-        Ok(ChunkOutcome { cost, clean_ns })
-    }
-
-    // ---- straggler watchdog & hedged execution ---------------------------
-
-    /// Post-chunk watchdog check (the tentpole of the straggler tolerance):
-    /// a chunk whose modeled duration overran `watchdog_multiplier ×` its
-    /// fault-free expectation feeds the offending device's latency EWMA and
-    /// races a hedged duplicate on the best alternate device.
-    ///
-    /// The race is scored on the simulated timeline: the hedge launches when
-    /// the watchdog budget expires, so it wins when `budget + hedge_cost <
-    /// primary_cost`. Data is always committed from the primary (kernels are
-    /// deterministic, so both copies are identical — only the *time* is
-    /// rescued); the hedge's allocations are reclaimed either way. Returns
-    /// the chunk cost the makespan should see and the device time charged
-    /// to the owning query (winner cost plus all hedge work).
-    #[allow(clippy::too_many_arguments)]
-    fn watchdog_and_hedge(
-        &mut self,
-        graph: &PrimitiveGraph,
-        pipeline: &Pipeline,
-        inputs: &QueryInputs,
-        hub: &mut DataTransferHub,
-        stats: &mut ExecutionStats,
-        tally: &mut Tally,
-        outcome: ChunkOutcome,
-        len: usize,
-        payloads: Option<&[(usize, BufferData)]>,
-    ) -> (ChunkCost, f64) {
-        let actual = outcome.cost.transfer_ns + outcome.cost.compute_ns;
-        let Some(mult) = self.config.watchdog_multiplier else {
-            return (outcome.cost, actual);
-        };
-        let mult = mult.max(1.0);
-        let clean = outcome.clean_ns;
-        if clean <= 0.0 || actual <= mult * clean {
-            return (outcome.cost, actual);
-        }
-        // Watchdog fired: the chunk straggled past its budget.
-        stats.watchdog_fires += 1;
-        let budget_ns = mult * clean;
-        let primary = graph.node(pipeline.nodes[0]).device;
-        if self.health.record_latency_overrun(primary, clean, actual) {
-            stats.breaker_trips += 1;
-        }
-        let Some(payloads) = payloads else {
-            return (outcome.cost, actual);
-        };
-        let est_bytes = (len.max(1) * 8) as u64;
-        let Some(alt) = self.hedge_target(graph, pipeline, primary, est_bytes) else {
-            // No alternate device can run this pipeline: the overrun is
-            // recorded but the straggler's result stands.
-            return (outcome.cost, actual);
-        };
-        stats.hedged_launches += 1;
-        match self.hedge_chunk(
-            graph, pipeline, inputs, hub, stats, tally, alt, len, payloads,
-        ) {
-            Ok(hedge) => {
-                let hedge_actual = hedge.transfer_ns + hedge.compute_ns;
-                if budget_ns + hedge_actual < actual {
-                    // The duplicate finished first: the chunk completes when
-                    // the hedge does, and the straggling primary is cancelled
-                    // at that instant — so the query is charged the winner's
-                    // timeline (primary ran budget + hedge_actual before the
-                    // cancel) plus the hedge device's own work.
-                    stats.hedge_wins += 1;
-                    let winner = ChunkCost {
-                        transfer_ns: hedge.transfer_ns + budget_ns,
-                        compute_ns: hedge.compute_ns,
-                    };
-                    (winner, budget_ns + 2.0 * hedge_actual)
-                } else {
-                    // The primary beat the hedge after all; the duplicate's
-                    // work is still honest device time the query consumed.
-                    (outcome.cost, actual + hedge_actual)
-                }
-            }
-            // A failed hedge never fails the query — the primary's result
-            // is already committed.
-            Err(_) => (outcome.cost, actual),
-        }
-    }
-
-    /// The best alternate device to hedge `pipeline`'s chunk onto: capable
-    /// of every node, not quarantined, ranked by recovery-aware placement
-    /// cost (modeled staging transfer plus retry and latency penalties),
-    /// lowest id on ties. `None` when no such device exists.
-    fn hedge_target(
-        &self,
-        graph: &PrimitiveGraph,
-        pipeline: &Pipeline,
-        primary: DeviceId,
-        est_bytes: u64,
-    ) -> Option<DeviceId> {
-        let mut best: Option<(f64, DeviceId)> = None;
-        for cand in self.devices.ids() {
-            if cand == primary || self.health.is_quarantined(cand) {
-                continue;
-            }
-            let Ok(dev) = self.devices.get(cand) else {
-                continue;
-            };
-            let sdk = dev.info().sdk;
-            let capable = pipeline.nodes.iter().all(|&n| {
-                let node = graph.node(n);
-                match self.tasks.resolve(node.kind, sdk, node.variant.as_deref()) {
-                    Some(c) => !self.health.kernel_known_broken(cand, &c.kernel_name()),
-                    None => false,
-                }
-            });
-            if !capable {
-                continue;
-            }
-            let penalty = self.health.retry_penalty_ns(cand) + self.health.latency_penalty_ns(cand);
-            let cost = dev.placement_cost_ns(est_bytes, penalty);
-            best = match best {
-                Some((bc, bid)) if bc.total_cmp(&cost).then(bid.cmp(&cand)).is_le() => {
-                    Some((bc, bid))
-                }
-                _ => Some((cost, cand)),
-            };
-        }
-        best.map(|(_, id)| id)
-    }
-
-    /// Runs a hedged duplicate of one chunk on `alt`, sandboxed: temporary
-    /// staging, fresh output buffers, nothing registered as resident, and
-    /// every allocation rolled back before returning — the primary's
-    /// committed data is untouched whether the hedge wins or loses.
-    ///
-    /// Mirrors the device-side work of the chunk (staging uploads, scratch,
-    /// kernels); host accumulation of escaped outputs stays with the
-    /// primary. Returns the duplicate's modeled cost for the race.
-    #[allow(clippy::too_many_arguments)]
-    fn hedge_chunk(
-        &mut self,
-        graph: &PrimitiveGraph,
-        pipeline: &Pipeline,
-        inputs: &QueryInputs,
-        hub: &mut DataTransferHub,
-        stats: &mut ExecutionStats,
-        tally: &mut Tally,
-        alt: DeviceId,
-        len: usize,
-        payloads: &[(usize, BufferData)],
-    ) -> Result<ChunkCost> {
-        let scan = pipeline.scan.as_deref().expect("streaming");
-        let mark = hub.mark();
-        let result = (|| -> Result<()> {
-            // Stage the scan chunk on the hedge device (verified, like the
-            // primary's uploads).
-            let mut staged: HashMap<usize, BufferId> = HashMap::new();
-            for (input_idx, payload) in payloads {
-                let id = hub.fresh_id();
-                self.devices
-                    .get_mut(alt)?
-                    .prepare_memory(id, (len.max(1) * 8) as u64)?;
-                hub.track_created(alt, id);
-                hub.place_verified(&mut self.devices, alt, id, payload.clone(), 0)?;
-                staged.insert(*input_idx, id);
-            }
-            // Mirror the pipeline's nodes onto the hedge device.
-            let mut hedge_out: HashMap<DataRef, BufferId> = HashMap::new();
-            for &node_id in &pipeline.nodes {
-                let mut node = graph.node(node_id).clone();
-                node.device = alt;
-                let mut in_ids = Vec::with_capacity(node.inputs.len());
-                for &input in &node.inputs {
-                    let id = match input {
-                        DataRef::Input(i) => {
-                            let gi = &graph.inputs()[i];
-                            if gi.scan.as_deref() == Some(scan) {
-                                *staged.get(&i).ok_or_else(|| {
-                                    ExecError::Internal(format!(
-                                        "no hedge-staged chunk for input #{i} on {alt}"
-                                    ))
-                                })?
-                            } else {
-                                let col = inputs
-                                    .get(&gi.name)
-                                    .ok_or_else(|| ExecError::MissingInput(gi.name.clone()))?
-                                    .clone();
-                                hub.load_whole_input(&mut self.devices, input, alt, &gi.name, &col)?
-                            }
-                        }
-                        DataRef::Output { .. } => match hedge_out.get(&input) {
-                            Some(&id) => id,
-                            None => hub.router(&mut self.devices, input, alt)?,
-                        },
-                    };
-                    in_ids.push(id);
-                }
-                let mut out_ids = Vec::with_capacity(node.output_count);
-                for port in 0..node.output_count {
-                    let r = DataRef::Output {
-                        node: node.id,
-                        port,
-                    };
-                    let semantic = graph.semantic_of(r);
-                    let id =
-                        hub.prepare_output_buffer(&mut self.devices, &node, port, semantic, len)?;
-                    hedge_out.insert(r, id);
-                    out_ids.push(id);
-                }
-                // The hedge is a duplicate: its modeled fused saving is not
-                // added to the query's counter.
-                self.execute_node(&node, &in_ids, &out_ids)?;
-            }
-            Ok(())
-        })();
-        // Everything the mirror burned — on the hedge device and on any
-        // source device the router read from — is the duplicate's cost,
-        // billed to the stats lanes like all other work.
-        let mut cost = ChunkCost::default();
-        for dev_id in self.devices.ids() {
-            if let Ok(dev) = self.devices.get_mut(dev_id) {
-                let (t, c, o, _) = tally.drain_split(dev.as_mut());
-                cost.transfer_ns += t + o;
-                cost.compute_ns += c;
-                stats.transfer_ns += t;
-                stats.other_ns += o;
-                stats.compute_ns += c;
-            }
-        }
-        // Winner or loser, the duplicate's allocations are reclaimed (and
-        // its residency entries dropped); the reclaim itself is billed like
-        // any unwind.
-        hub.rollback_to(&mut self.devices, mark);
-        for dev_id in self.devices.ids() {
-            if let Ok(dev) = self.devices.get_mut(dev_id) {
-                tally.drain_serial(dev.as_mut(), stats);
-            }
-        }
-        result.map(|()| cost)
-    }
-
-    // ---- shared pieces ----------------------------------------------------
-
-    /// Per-node-execution intermediate accounting: bytes flowing through
-    /// materialized non-breaker outputs (`intermediate_bytes`) and the
-    /// interior bytes fused chains kept in kernel-local memory instead
-    /// (`intermediates_elided_bytes`). Streaming paths call this once per
-    /// chunk with the chunk length; whole mode once with the input rows.
-    fn note_intermediates(
-        graph: &PrimitiveGraph,
-        node: &PrimitiveNode,
-        rows: usize,
-        stats: &mut ExecutionStats,
-    ) {
-        if !node.kind.is_pipeline_breaker() {
-            for port in 0..node.output_count {
-                let semantic = graph.semantic_of(DataRef::Output {
-                    node: node.id,
-                    port,
-                });
-                stats.intermediate_bytes +=
-                    adamant_task::container::DataContainer::estimate_output_bytes(semantic, rows);
-            }
-        }
-        stats.intermediates_elided_bytes += crate::fusion::elided_bytes(&node.params, rows);
-    }
-
-    /// Resolves and runs one node's kernel. Returns the modeled nanoseconds
-    /// a fused node saved over launching its stages individually (`0.0` for
-    /// ordinary nodes, or when the device exposes no cost model).
-    fn execute_node(
-        &mut self,
-        node: &PrimitiveNode,
-        in_ids: &[BufferId],
-        out_ids: &[BufferId],
-    ) -> Result<f64> {
-        let sdk = self.devices.get(node.device)?.info().sdk;
-        let container = self
-            .tasks
-            .resolve(node.kind, sdk, node.variant.as_deref())
-            .ok_or_else(|| ExecError::NoImplementation {
-                primitive: node.kind.to_string(),
-                sdk: sdk.to_string(),
-                variant: node
-                    .variant
-                    .clone()
-                    .unwrap_or_else(|| "default".to_string()),
-            })?;
-        let mut buffers = in_ids.to_vec();
-        buffers.extend_from_slice(out_ids);
-        let spec = ExecuteSpec::new(container.kernel_name(), buffers, node.params.to_scalars());
-        let kstats = self
-            .devices
-            .get_mut(node.device)?
-            .execute(&spec)
-            .map_err(|e| ExecError::KernelFailed {
-                device: node.device,
-                kernel: spec.kernel.clone(),
-                source: e,
-            })?;
-        if let crate::graph::NodeParams::Fused { stages, .. } = &node.params {
-            if !kstats.stages.is_empty() {
-                if let Some(cost) = self.devices.get(node.device)?.cost_model() {
-                    return Ok(crate::fusion::fused_saved_ns(
-                        cost,
-                        stages,
-                        &kstats.stages,
-                        spec.arg_count(),
-                    ));
-                }
-            }
-        }
-        Ok(0.0)
-    }
-
-    fn collect_outputs(
-        &mut self,
-        graph: &PrimitiveGraph,
-        hub: &mut DataTransferHub,
-        stats: &mut ExecutionStats,
-        tally: &mut Tally,
-    ) -> Result<QueryOutput> {
-        let mut out = QueryOutput::new();
-        for (name, r) in graph.outputs() {
-            if let Some(acc) = hub.take_host(*r) {
-                out.insert(name.clone(), OutputData::from_buffer(acc.into_buffer()));
-                continue;
-            }
-            // Find any device holding it.
-            let mut found = false;
-            for dev_id in self.devices.ids() {
-                if let Some(id) = hub.resident(*r, dev_id) {
-                    let payload = hub.retrieve_verified(&mut self.devices, dev_id, id, None, 0)?;
-                    tally.drain_serial(self.devices.get_mut(dev_id)?.as_mut(), stats);
-                    out.insert(name.clone(), OutputData::from_buffer(payload));
-                    found = true;
-                    break;
-                }
-            }
-            if !found {
-                // Zero-row streaming run: nothing was ever produced.
-                let semantic = graph.semantic_of(*r);
-                let empty = match semantic {
-                    DataSemantic::Position => OutputData::U32(Vec::new()),
-                    DataSemantic::Bitmap => OutputData::BitWords(Vec::new()),
-                    _ => OutputData::I64(Vec::new()),
-                };
-                out.insert(name.clone(), empty);
-            }
-        }
-        Ok(out)
-    }
-}
-
-/// What one streamed chunk produced for the accounting layer: its modeled
-/// cost pair (the makespan contribution) and the fault-free modeled
-/// duration of the same work, which the straggler watchdog budgets
-/// against.
-#[derive(Default)]
-struct ChunkOutcome {
-    cost: ChunkCost,
-    clean_ns: f64,
-}
-
-/// Per-run accounting accumulators.
-/// Per-run checkpoint machinery: the configuration, the latest sealed
-/// snapshot, the cost-policy bookkeeping, and the resume cursor armed by
-/// `handle_device_loss` for the next restart-loop iteration. Lives only for
-/// the duration of one `run_with_deadline` call, so every byte of snapshot
-/// storage is released when the run returns — the no-leak invariant covers
-/// checkpoints too.
-struct CheckpointState {
-    cfg: CheckpointConfig,
-    latest: Option<QueryCheckpoint>,
-    /// Stats-lane total (`transfer + compute + other`) at the last capture:
-    /// the difference to the current total is the modeled re-execution cost
-    /// a death right now would forfeit.
-    lanes_mark: f64,
-    /// Chunks streamed since the last considered boundary (capture sites
-    /// are every `cfg.chunk_interval`-th chunk).
-    chunks_since_consider: usize,
-    /// Chunks whose results the current attempt lineage already holds (the
-    /// next snapshot records this as what a resume may skip).
-    chunks_done: usize,
-    /// Pipelines fully completed in the current attempt lineage.
-    pipelines_done: usize,
-    /// Armed by a successful checkpoint restore; consumed by the next
-    /// restart-loop iteration.
-    cursor: Option<ResumeCursor>,
-}
-
-impl CheckpointState {
-    fn new(cfg: CheckpointConfig) -> Self {
-        CheckpointState {
-            cfg,
-            latest: None,
-            lanes_mark: 0.0,
-            chunks_since_consider: 0,
-            chunks_done: 0,
-            pipelines_done: 0,
-            cursor: None,
-        }
-    }
-
-    /// Advances the chunk counters; returns whether this boundary is a
-    /// considered capture site.
-    fn on_chunk_completed(&mut self) -> bool {
-        self.chunks_done += 1;
-        self.chunks_since_consider += 1;
-        if self.chunks_since_consider >= self.cfg.chunk_interval.max(1) {
-            self.chunks_since_consider = 0;
-            true
-        } else {
-            false
-        }
-    }
-}
-
-/// What a resumed restart-loop iteration needs: how many pipelines to skip,
-/// the in-progress pipeline's scan offset, the snapshot's host entries (for
-/// re-restore when an intra-pipeline retry discards them), and the seeds
-/// for the in-progress pipeline's breaker accumulators.
-struct ResumeCursor {
-    pipelines_done: usize,
-    resume_offset: usize,
-    host: Vec<(DataRef, HostAccum, usize)>,
-    seed: Vec<(DataRef, BufferData)>,
-}
-
-impl ResumeCursor {
-    fn seed_for(&self, r: DataRef) -> Option<&BufferData> {
-        self.seed.iter().find(|(sr, _)| *sr == r).map(|(_, p)| p)
-    }
-}
-
-#[derive(Default)]
-struct Tally {
-    serial_ns: f64,
-    overlap_ns: f64,
-}
-
-impl Tally {
-    /// Drains a device's events, folding everything into the serial total
-    /// and the stats lanes.
-    fn drain_serial(&mut self, dev: &mut dyn Device, stats: &mut ExecutionStats) {
-        let events = dev.clock_mut().drain_events();
-        for e in events {
-            self.serial_ns += e.duration_ns;
-            match e.lane {
-                Lane::TransferH2D | Lane::TransferD2H => stats.transfer_ns += e.duration_ns,
-                Lane::Compute => stats.compute_ns += e.duration_ns,
-                _ => stats.other_ns += e.duration_ns,
-            }
-        }
-    }
-
-    /// Drains a device's events, returning `(transfer, compute, other,
-    /// clean)` without adding to the serial total (chunk-loop attribution).
-    /// `clean` is the fault-free modeled sum of the same events — the
-    /// baseline the straggler watchdog compares actual durations against.
-    fn drain_split(&mut self, dev: &mut dyn Device) -> (f64, f64, f64, f64) {
-        let events = dev.clock_mut().drain_events();
-        let (mut t, mut c, mut o, mut clean) = (0.0, 0.0, 0.0, 0.0);
-        for e in events {
-            match e.lane {
-                Lane::TransferH2D | Lane::TransferD2H => t += e.duration_ns,
-                Lane::Compute => c += e.duration_ns,
-                _ => o += e.duration_ns,
-            }
-            clean += e.clean_ns;
-        }
-        (t, c, o, clean)
-    }
-}
-
-/// The device a permanent-death (`Gone`) error names, whether it surfaced
-/// bare from a hub transfer/allocation or wrapped in a kernel failure —
-/// the trigger for run-level membership recovery.
-fn gone_device(e: &ExecError) -> Option<DeviceId> {
-    match e {
-        ExecError::Device(adamant_device::error::DeviceError::Gone { device }) => Some(*device),
-        ExecError::KernelFailed {
-            source: adamant_device::error::DeviceError::Gone { device },
-            ..
-        } => Some(*device),
-        _ => None,
-    }
-}
-
-/// Whether a device error is an out-of-memory condition (regular or pinned)
-/// — the class the chunk-size backoff can do something about.
-fn is_oom(e: &adamant_device::error::DeviceError) -> bool {
-    matches!(
-        e,
-        adamant_device::error::DeviceError::OutOfMemory { .. }
-            | adamant_device::error::DeviceError::OutOfPinnedMemory { .. }
-    )
-}
-
-/// Whether the pipeline contains a primitive that must see its scan in a
-/// single chunk — halving the chunk size could split a previously
-/// single-chunk scan and break it.
-fn pipeline_is_order_sensitive(graph: &PrimitiveGraph, pipeline: &Pipeline) -> bool {
-    pipeline.nodes.iter().any(|&n| {
-        matches!(
-            graph.node(n).kind,
-            PrimitiveKind::Sort | PrimitiveKind::SortAgg | PrimitiveKind::PrefixSum
-        )
-    })
-}
-
-/// Data refs produced by non-breaker nodes of streaming pipelines that are
-/// consumed outside their pipeline (or are graph outputs) — these must be
-/// accumulated chunk-by-chunk.
-fn escaping_refs(graph: &PrimitiveGraph, pipelines: &PipelineSet) -> HashSet<DataRef> {
-    let mut escaping = HashSet::new();
-    let is_streamed_scratch = |r: DataRef| -> bool {
-        match r {
-            DataRef::Output { node, .. } => {
-                let n = graph.node(node);
-                !n.kind.is_pipeline_breaker()
-                    && pipelines.pipelines[pipelines.node_pipeline[node.0]].is_streaming()
-            }
-            DataRef::Input(_) => false,
-        }
-    };
-    for node in graph.nodes() {
-        for &input in &node.inputs {
-            if let DataRef::Output { node: src, .. } = input {
-                if pipelines.node_pipeline[src.0] != pipelines.node_pipeline[node.id.0]
-                    && is_streamed_scratch(input)
-                {
-                    escaping.insert(input);
-                }
-            }
-        }
-    }
-    for (_, r) in graph.outputs() {
-        if is_streamed_scratch(*r) {
-            escaping.insert(*r);
-        }
-    }
-    escaping
 }

@@ -1,0 +1,868 @@
+//! The data path: given a placement and a chunk schedule, drive one
+//! pipeline and leave cost events on the device clocks.
+//!
+//! Nothing here decides policy or inspects an error — a failure is passed
+//! up untouched, and the two per-chunk decisions that are policy (hedge a
+//! straggler, take a checkpoint) are single calls into the recovery role.
+//! One node-wiring routine ([`Executor::wire_node`]) serves whole-mode
+//! nodes, streamed chunks and hedged duplicates; one chunk-loop body
+//! ([`Executor::stream_chunk`]) is fed by either chunk source — the
+//! in-thread slicer or Algorithm 2's transfer thread.
+
+use super::accounting::{Charge, ChunkOutcome, StreamCosts};
+use super::recovery::ResumeCursor;
+use super::{Executor, RunCx};
+use crate::error::{ExecError, Result};
+use crate::graph::{DataRef, NodeParams, PrimitiveGraph, PrimitiveNode};
+use crate::pipeline::{Pipeline, PipelineSet};
+use crate::result::{OutputData, QueryOutput};
+use crate::timeline::ChunkCost;
+use adamant_device::buffer::{BufferData, BufferId};
+use adamant_device::device::DeviceId;
+use adamant_device::kernel::ExecuteSpec;
+use adamant_task::container::DataContainer;
+use adamant_task::primitive::PrimitiveKind;
+use adamant_task::semantics::DataSemantic;
+use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
+/// Deterministic chunk-size schedule for one streaming attempt.
+///
+/// A failed chunk unwinds the whole attempt, so every chunk an attempt
+/// processes succeeded and "after K consecutive successful chunks" is a
+/// pure function of the chunk index: starting from a (possibly backed-off)
+/// `start`, the size doubles every `regrow_after` chunks, capped at the
+/// configured size. Whichever thread slices the chunks evaluates the same
+/// schedule — no shared mutable size — so chunk boundaries, and every stat
+/// derived from them, are identical under any thread interleaving.
+#[derive(Clone, Copy)]
+struct ChunkSchedule {
+    start: usize,
+    configured: usize,
+    regrow_after: usize,
+}
+
+impl ChunkSchedule {
+    /// Rows for the `chunk`-th (0-based) chunk of the attempt.
+    fn rows_for(&self, chunk: usize) -> usize {
+        let mut size = self.start.max(1);
+        if self.regrow_after == 0 {
+            return size;
+        }
+        for _ in 0..(chunk / self.regrow_after) {
+            if size >= self.configured {
+                break;
+            }
+            size = (size * 2).min(self.configured);
+        }
+        size
+    }
+
+    /// True when `chunk` is the first chunk of a regrown group (each
+    /// doubling is counted once, and only if a chunk actually runs at the
+    /// new size).
+    fn regrows_at(&self, chunk: usize) -> bool {
+        chunk > 0 && self.rows_for(chunk) > self.rows_for(chunk - 1)
+    }
+}
+
+/// One slice of the pipeline's scan columns on its way to the devices.
+pub(super) struct Chunk {
+    pub index: usize,
+    pub offset: usize,
+    pub len: usize,
+    /// `(graph input index, rows [offset, offset + len))` per scan column.
+    pub payloads: Vec<(usize, BufferData)>,
+}
+
+/// The chunk source: slices the scan columns along a [`ChunkSchedule`],
+/// starting at the cursor's offset. Runs on the execute thread, or on
+/// Algorithm 2's transfer thread when the model overlaps copy and compute.
+struct ChunkSlicer {
+    cols: Vec<(usize, Arc<Vec<i64>>)>,
+    schedule: ChunkSchedule,
+    rows: usize,
+    index: usize,
+    offset: usize,
+}
+
+impl Iterator for ChunkSlicer {
+    type Item = Chunk;
+
+    fn next(&mut self) -> Option<Chunk> {
+        if self.offset >= self.rows {
+            return None;
+        }
+        let (index, offset) = (self.index, self.offset);
+        let len = self.schedule.rows_for(index).min(self.rows - offset);
+        let payloads = self
+            .cols
+            .iter()
+            .map(|(idx, col)| (*idx, BufferData::I64(col[offset..offset + len].to_vec())))
+            .collect();
+        self.index += 1;
+        self.offset += len;
+        Some(Chunk {
+            index,
+            offset,
+            len,
+            payloads,
+        })
+    }
+}
+
+/// What [`Executor::wire_node`] does about an output port that has no
+/// pipeline-local buffer.
+#[derive(Clone, Copy)]
+enum Outputs {
+    /// Whole mode: materialize at input cardinality and publish as resident.
+    Publish,
+    /// Streamed chunk: the stage phase made every breaker accumulator
+    /// resident up front; a gap is a bug.
+    Staged,
+    /// Hedged duplicate: materialize privately — nothing the mirror writes
+    /// may become visible to the primary.
+    Sandbox,
+}
+
+/// Where one node execution finds its buffers.
+struct NodeIo<'a> {
+    /// The scan this execution streams (`None`: every input placed whole).
+    scan: Option<&'a str>,
+    /// This chunk's staged scan columns per `(input, device)`.
+    staged: &'a HashMap<(usize, DeviceId), BufferId>,
+    /// Output buffers private to the pipeline: stream scratch, or the
+    /// hedge sandbox.
+    local: &'a mut HashMap<DataRef, BufferId>,
+    outputs: Outputs,
+}
+
+/// Per-attempt state of one streaming pipeline.
+struct Stream<'a> {
+    scan: &'a str,
+    schedule: ChunkSchedule,
+    /// Devices the pipeline's nodes are placed on (sorted).
+    devices: Vec<DeviceId>,
+    slots: usize,
+    /// Staging buffers per `(scan input, consuming device, slot)`.
+    staging: HashMap<(usize, DeviceId, usize), BufferId>,
+    /// Non-breaker outputs, reused across chunks when staged once.
+    scratch: HashMap<DataRef, BufferId>,
+    costs: StreamCosts,
+}
+
+/// The devices a pipeline's nodes are placed on, sorted and deduplicated.
+pub(super) fn pipeline_devices(graph: &PrimitiveGraph, pipeline: &Pipeline) -> Vec<DeviceId> {
+    let mut devs: Vec<DeviceId> = pipeline
+        .nodes
+        .iter()
+        .map(|&n| graph.node(n).device)
+        .collect();
+    devs.sort_unstable();
+    devs.dedup();
+    devs
+}
+
+/// The first primitive of the pipeline that must see its scan in a single
+/// chunk, if any.
+pub(super) fn order_sensitive_kind(
+    graph: &PrimitiveGraph,
+    pipeline: &Pipeline,
+) -> Option<PrimitiveKind> {
+    pipeline
+        .nodes
+        .iter()
+        .map(|&n| graph.node(n).kind)
+        .find(|kind| {
+            matches!(
+                kind,
+                PrimitiveKind::Sort | PrimitiveKind::SortAgg | PrimitiveKind::PrefixSum
+            )
+        })
+}
+
+/// Data refs produced by non-breaker nodes of streaming pipelines that are
+/// consumed outside their pipeline (or are graph outputs) — these must be
+/// accumulated chunk-by-chunk.
+pub(super) fn escaping_refs(graph: &PrimitiveGraph, pipelines: &PipelineSet) -> HashSet<DataRef> {
+    let mut escaping = HashSet::new();
+    let is_streamed_scratch = |r: DataRef| -> bool {
+        match r {
+            DataRef::Output { node, .. } => {
+                let n = graph.node(node);
+                !n.kind.is_pipeline_breaker()
+                    && pipelines.pipelines[pipelines.node_pipeline[node.0]].is_streaming()
+            }
+            DataRef::Input(_) => false,
+        }
+    };
+    for node in graph.nodes() {
+        for &input in &node.inputs {
+            if let DataRef::Output { node: src, .. } = input {
+                if pipelines.node_pipeline[src.0] != pipelines.node_pipeline[node.id.0]
+                    && is_streamed_scratch(input)
+                {
+                    escaping.insert(input);
+                }
+            }
+        }
+    }
+    for (_, r) in graph.outputs() {
+        if is_streamed_scratch(*r) {
+            escaping.insert(*r);
+        }
+    }
+    escaping
+}
+
+impl Executor {
+    /// Runs one attempt of `pipeline`: streamed from the cursor's offset
+    /// under the chunked models, node by node over whole buffers otherwise.
+    pub(super) fn run_pipeline(
+        &mut self,
+        cx: &mut RunCx<'_>,
+        pipeline: &Pipeline,
+        chunk_rows: usize,
+        cursor: &ResumeCursor,
+    ) -> Result<()> {
+        if pipeline.is_streaming() && cx.cfg.chunked {
+            self.run_streaming(cx, pipeline, chunk_rows, cursor)
+        } else {
+            self.run_whole(cx, pipeline)
+        }
+    }
+
+    // ---- whole-input execution (OAAT and full-buffer pipelines) ---------
+
+    fn run_whole(&mut self, cx: &mut RunCx<'_>, pipeline: &Pipeline) -> Result<()> {
+        let (staged, mut local) = (HashMap::new(), HashMap::new());
+        let mut io = NodeIo {
+            scan: None,
+            staged: &staged,
+            local: &mut local,
+            outputs: Outputs::Publish,
+        };
+        for &node_id in &pipeline.nodes {
+            cx.control
+                .check(cx.tally.elapsed_ns(), &mut cx.tally.stats)?;
+            let node = cx.graph.node(node_id).clone();
+            self.run_node(cx, &node, &mut io, None)?;
+            let used = self.devices.get(node.device)?.pool().used();
+            cx.tally.stats.memory_trace.push((node.label, used));
+        }
+        Ok(())
+    }
+
+    // ---- streaming (chunked) execution -----------------------------------
+
+    fn run_streaming(
+        &mut self,
+        cx: &mut RunCx<'_>,
+        pipeline: &Pipeline,
+        chunk_rows: usize,
+        cursor: &ResumeCursor,
+    ) -> Result<()> {
+        let scan = pipeline
+            .scan
+            .as_deref()
+            .expect("streaming pipeline has a scan");
+        // Adaptive regrowth: after `regrow_after_chunks` consecutive
+        // successful chunks at a backed-off size, double back toward the
+        // configured size. Staging buffers grow in place (`place_data`
+        // re-checks the accounting, so an over-eager regrow surfaces as a
+        // recoverable OOM).
+        let schedule = ChunkSchedule {
+            start: chunk_rows.max(1),
+            configured: self.config.chunk_rows.max(1),
+            regrow_after: self.config.retry.regrow_after_chunks,
+        };
+
+        // The scan columns this pipeline streams, and their length.
+        let mut cols: Vec<(usize, Arc<Vec<i64>>)> = Vec::new();
+        let mut seen = HashSet::new();
+        for &node_id in &pipeline.nodes {
+            for &input in &cx.graph.node(node_id).inputs {
+                if let DataRef::Input(i) = input {
+                    let gi = &cx.graph.inputs()[i];
+                    if gi.scan.as_deref() == Some(scan) && seen.insert(i) {
+                        cols.push((i, Arc::clone(cx.inputs.get(&gi.name).expect("validated"))));
+                    }
+                }
+            }
+        }
+        let rows = cols.first().map_or(0, |(_, c)| c.len());
+        let n_chunks = rows.div_ceil(schedule.start);
+        if n_chunks > 1 {
+            if let Some(kind) = order_sensitive_kind(&cx.graph, pipeline) {
+                return Err(ExecError::InvalidGraph(format!(
+                    "{kind} is order-sensitive and cannot run in a multi-chunk \
+                     streaming pipeline; materialize its input first"
+                )));
+            }
+        }
+
+        // ---- Stage phase -------------------------------------------------
+        let mut stream = Stream {
+            scan,
+            schedule,
+            devices: pipeline_devices(&cx.graph, pipeline),
+            slots: if cx.cfg.stage_once {
+                cx.cfg.staging_buffers
+            } else {
+                1
+            },
+            staging: HashMap::new(),
+            scratch: HashMap::new(),
+            costs: StreamCosts::default(),
+        };
+        let first_chunk_rows = schedule.start.min(rows.max(1));
+        let chunk_bytes = (first_chunk_rows * 8) as u64;
+        for &(input_idx, _) in &cols {
+            for &dev_id in &stream.devices {
+                for slot in 0..stream.slots {
+                    let id = cx.hub.fresh_id();
+                    let dev = self.devices.get_mut(dev_id)?;
+                    if cx.cfg.pinned {
+                        dev.add_pinned_memory(id, chunk_bytes)?;
+                    } else {
+                        dev.prepare_memory(id, chunk_bytes)?;
+                    }
+                    cx.hub.track_created(dev_id, id);
+                    stream.staging.insert((input_idx, dev_id, slot), id);
+                }
+            }
+        }
+        // Scratch outputs (non-breaker) and accumulators (breaker outputs).
+        for &node_id in &pipeline.nodes {
+            let node = cx.graph.node(node_id).clone();
+            for (port, r) in node.output_refs().enumerate() {
+                if node.kind.is_pipeline_breaker() {
+                    let id = self.alloc_output(cx, &node, port, rows)?;
+                    cx.hub.register_resident(r, node.device, id);
+                    // Checkpoint resume: seed the fresh accumulator with the
+                    // snapshot's partial state. Seeding happens per attempt
+                    // (the accumulator is created after the recovery mark),
+                    // so a retry rolls the in-place chunk mutations back and
+                    // re-seeds cleanly — chunks past the cursor's offset are
+                    // never double-counted.
+                    if let Some(seed) = cursor.seed_for(r) {
+                        cx.hub.place_verified(
+                            &mut self.devices,
+                            node.device,
+                            id,
+                            seed.clone(),
+                            0,
+                        )?;
+                    }
+                } else if cx.cfg.stage_once {
+                    let id = self.alloc_output(cx, &node, port, first_chunk_rows)?;
+                    stream.scratch.insert(r, id);
+                }
+            }
+        }
+        cx.tally.fold_serial(&mut self.devices, &stream.devices)?;
+
+        // ---- Copy-compute phase -------------------------------------------
+        // Rows below the cursor's offset are already host-accumulated (and
+        // folded into the seeded accumulators); a restart's cursor is empty.
+        let mut source = ChunkSlicer {
+            cols,
+            schedule,
+            rows,
+            index: 0,
+            offset: cursor.resume_offset.min(rows),
+        };
+        if cx.cfg.overlap && n_chunks > 0 {
+            // Algorithm 2: a transfer thread slices and hands chunks to the
+            // execute thread over a bounded channel whose capacity is the
+            // number of staging buffers; `fetched_until`/`processed_until`
+            // track progress exactly as in the paper.
+            let fetched_until = AtomicUsize::new(0);
+            let processed_until = AtomicUsize::new(0);
+            let (tx, rx) = std::sync::mpsc::sync_channel::<Chunk>(cx.cfg.staging_buffers);
+            let cancel = cx.control.cancel.clone();
+            std::thread::scope(|scope| -> Result<()> {
+                let (fetched, processed) = (&fetched_until, &processed_until);
+                scope.spawn(move || {
+                    // Cooperative cancellation: stop slicing; the execute
+                    // side surfaces the error at its own check.
+                    while !cancel.is_cancelled() {
+                        let Some(chunk) = source.next() else { return };
+                        // Algorithm 2 ordering: advertise the fetch *before*
+                        // handing the chunk over. The execute thread may
+                        // start on the chunk the instant `send` enqueues it,
+                        // so incrementing afterwards races its
+                        // `fetched > processed` check.
+                        fetched.fetch_add(1, Ordering::Release);
+                        if tx.send(chunk).is_err() {
+                            return; // executor side failed; stop transferring
+                        }
+                    }
+                });
+                // `rx` is moved into this scope so an early `?` return drops
+                // it, failing the producer's blocked `send` instead of
+                // deadlocking the implicit join at scope exit.
+                let rx = rx;
+                for chunk in rx.iter() {
+                    debug_assert!(
+                        fetched.load(Ordering::Acquire) > processed.load(Ordering::Acquire),
+                        "execute thread ran ahead of transfer thread"
+                    );
+                    self.stream_chunk(cx, pipeline, &mut stream, &chunk)?;
+                    processed.fetch_add(1, Ordering::Release);
+                }
+                Ok(())
+            })?;
+        } else {
+            for chunk in source {
+                self.stream_chunk(cx, pipeline, &mut stream, &chunk)?;
+            }
+        }
+        // Escaped scratch refs that never saw a chunk (empty scans) still
+        // need an (empty) host accumulation for downstream consumers.
+        for &node_id in &pipeline.nodes {
+            let node = cx.graph.node(node_id);
+            if node.kind.is_pipeline_breaker() {
+                continue;
+            }
+            for r in node.output_refs() {
+                if cx.escaping.contains(&r) && !cx.hub.has_host(r) {
+                    let semantic = cx.graph.semantic_of(r);
+                    let empty = DataContainer::empty_payload(semantic);
+                    cx.hub.host_accumulate(r, semantic, empty, 0, 0)?;
+                }
+            }
+        }
+        cx.tally.close_stream(stream.costs, cx.cfg);
+
+        // ---- Per-pipeline delete phase ------------------------------------
+        // Free staging and scratch on the device that owns each buffer;
+        // breaker accumulators stay resident for downstream pipelines.
+        // These buffers are expected to exist, so failures are real leaks
+        // and surface as errors; `release` also untracks the ids so the
+        // final `delete_all` sweep cannot double-delete them.
+        let mut staging_ids: Vec<(DeviceId, BufferId)> = stream
+            .staging
+            .into_iter()
+            .map(|((_, dev_id, _), id)| (dev_id, id))
+            .collect();
+        staging_ids.sort_unstable();
+        let mut scratch_ids: Vec<(DeviceId, BufferId)> = stream
+            .scratch
+            .into_iter()
+            .map(|(r, id)| (self.owner_of(cx, r), id))
+            .collect();
+        scratch_ids.sort_unstable();
+        for (dev_id, id) in staging_ids.into_iter().chain(scratch_ids) {
+            cx.hub.release(&mut self.devices, dev_id, id)?;
+        }
+        cx.tally.fold_serial(&mut self.devices, &stream.devices)
+    }
+
+    /// The device a pipeline-local output buffer lives on: its producer's.
+    fn owner_of(&self, cx: &RunCx<'_>, r: DataRef) -> DeviceId {
+        match r {
+            DataRef::Output { node, .. } => cx.graph.node(node).device,
+            DataRef::Input(_) => unreachable!("pipeline-local refs are node outputs"),
+        }
+    }
+
+    /// The chunk-loop body (Algorithms 1 and 2 share it): run the chunk,
+    /// let the recovery role supervise it, record its cost.
+    fn stream_chunk(
+        &mut self,
+        cx: &mut RunCx<'_>,
+        pipeline: &Pipeline,
+        stream: &mut Stream<'_>,
+        chunk: &Chunk,
+    ) -> Result<()> {
+        cx.control.check(
+            cx.tally.elapsed_ns() + stream.costs.streamed_ns,
+            &mut cx.tally.stats,
+        )?;
+        if stream.schedule.regrows_at(chunk.index) {
+            cx.tally.stats.chunk_regrowths += 1;
+        }
+        let outcome = self.run_chunk(cx, pipeline, stream, chunk)?;
+        let (cost, charged_ns) = self.supervise_chunk(cx, pipeline, outcome, chunk);
+        stream.costs.push(cost, charged_ns);
+        // Host accumulations and the breaker accumulators consistently
+        // reflect rows `[0, offset + len)` right here.
+        self.chunk_boundary(cx, chunk.offset + chunk.len)
+    }
+
+    /// Processes one chunk through every primitive of the pipeline
+    /// (Algorithm 1's inner loop).
+    fn run_chunk(
+        &mut self,
+        cx: &mut RunCx<'_>,
+        pipeline: &Pipeline,
+        stream: &mut Stream<'_>,
+        chunk: &Chunk,
+    ) -> Result<ChunkOutcome> {
+        let mut out = ChunkOutcome::default();
+        let slot = chunk.index % stream.slots;
+
+        // Upload this chunk into the staging buffers of every device that
+        // consumes it, verifying each transfer's checksum end-to-end.
+        let mut staged: HashMap<(usize, DeviceId), BufferId> = HashMap::new();
+        for (input_idx, payload) in &chunk.payloads {
+            for &dev_id in &stream.devices {
+                let id = stream.staging[&(*input_idx, dev_id, slot)];
+                // A residency-cached copy of the scan column serves the
+                // chunk with a device-internal copy instead of a fresh
+                // host→device upload; otherwise fall back to the verified
+                // transfer path.
+                let name = &cx.graph.inputs()[*input_idx].name;
+                let from_cache = match cx.inputs.get(name) {
+                    Some(col) => cx.hub.stage_chunk_from_cache(
+                        &mut self.devices,
+                        dev_id,
+                        id,
+                        name,
+                        col,
+                        chunk.offset,
+                        chunk.len,
+                    )?,
+                    None => false,
+                };
+                if !from_cache {
+                    cx.hub
+                        .place_verified(&mut self.devices, dev_id, id, payload.clone(), 0)?;
+                }
+                staged.insert((*input_idx, dev_id), id);
+                cx.tally
+                    .fold(&mut self.devices, dev_id, Charge::Chunk(&mut out))?;
+            }
+        }
+
+        // Per-chunk scratch allocation for the naive chunked model
+        // (Algorithm 1 calls prepare_memory inside the loop).
+        let mut chunk_scratch: Vec<(DataRef, BufferId)> = Vec::new();
+        if !cx.cfg.stage_once {
+            for &node_id in &pipeline.nodes {
+                let node = cx.graph.node(node_id).clone();
+                if node.kind.is_pipeline_breaker() {
+                    continue;
+                }
+                for (port, r) in node.output_refs().enumerate() {
+                    let id = self.alloc_output(cx, &node, port, chunk.len)?;
+                    stream.scratch.insert(r, id);
+                    chunk_scratch.push((r, id));
+                }
+                cx.tally
+                    .fold(&mut self.devices, node.device, Charge::Chunk(&mut out))?;
+            }
+        }
+
+        // Execute the pipeline's primitives over this chunk.
+        let mut io = NodeIo {
+            scan: Some(stream.scan),
+            staged: &staged,
+            local: &mut stream.scratch,
+            outputs: Outputs::Staged,
+        };
+        for &node_id in &pipeline.nodes {
+            let node = cx.graph.node(node_id).clone();
+            self.run_node(cx, &node, &mut io, Some((chunk.len, &mut out)))?;
+            if node.kind.is_pipeline_breaker() {
+                continue;
+            }
+            // Escaped scratch: pull this chunk's result back to the host
+            // through the checksum-verified path.
+            for r in node.output_refs() {
+                if !cx.escaping.contains(&r) {
+                    continue;
+                }
+                let id = io.local[&r];
+                let payload =
+                    cx.hub
+                        .retrieve_verified(&mut self.devices, node.device, id, None, 0)?;
+                let semantic = cx.graph.semantic_of(r);
+                cx.hub
+                    .host_accumulate(r, semantic, payload, chunk.offset, chunk.len)?;
+                cx.tally
+                    .fold(&mut self.devices, node.device, Charge::Chunk(&mut out))?;
+            }
+        }
+
+        // Naive chunked model frees its per-chunk scratch again. Going
+        // through `release` untracks the ids, so the final sweep never sees
+        // (and double-deletes) buffers that died inside the chunk loop.
+        for (r, id) in chunk_scratch {
+            let owner = self.owner_of(cx, r);
+            cx.hub.release(&mut self.devices, owner, id)?;
+            stream.scratch.remove(&r);
+            cx.tally
+                .fold(&mut self.devices, owner, Charge::Chunk(&mut out))?;
+        }
+        Ok(out)
+    }
+
+    /// Runs a hedged duplicate of one chunk on `alt`, sandboxed: temporary
+    /// staging, fresh output buffers, nothing registered as resident, and
+    /// every allocation rolled back before returning — the primary's
+    /// committed data is untouched whether the hedge wins or loses.
+    ///
+    /// Mirrors the device-side work of the chunk (staging uploads, scratch,
+    /// kernels); host accumulation of escaped outputs stays with the
+    /// primary, and the duplicate's fused saving and intermediate bytes are
+    /// not the query's. Returns the duplicate's modeled cost for the race.
+    pub(super) fn mirror_chunk(
+        &mut self,
+        cx: &mut RunCx<'_>,
+        pipeline: &Pipeline,
+        alt: DeviceId,
+        chunk: &Chunk,
+    ) -> Result<ChunkCost> {
+        let mark = cx.hub.mark();
+        let result = (|| -> Result<()> {
+            // Stage the scan chunk on the hedge device (verified, like the
+            // primary's uploads).
+            let mut staged: HashMap<(usize, DeviceId), BufferId> = HashMap::new();
+            for (input_idx, payload) in &chunk.payloads {
+                let id = cx.hub.fresh_id();
+                self.devices
+                    .get_mut(alt)?
+                    .prepare_memory(id, (chunk.len.max(1) * 8) as u64)?;
+                cx.hub.track_created(alt, id);
+                cx.hub
+                    .place_verified(&mut self.devices, alt, id, payload.clone(), 0)?;
+                staged.insert((*input_idx, alt), id);
+            }
+            let mut sandbox = HashMap::new();
+            let mut io = NodeIo {
+                scan: pipeline.scan.as_deref(),
+                staged: &staged,
+                local: &mut sandbox,
+                outputs: Outputs::Sandbox,
+            };
+            for &node_id in &pipeline.nodes {
+                let mut node = cx.graph.node(node_id).clone();
+                node.device = alt;
+                let (in_ids, out_ids, _) = self.wire_node(cx, &node, &mut io, Some(chunk.len))?;
+                self.execute_node(&node, &in_ids, &out_ids)?;
+            }
+            Ok(())
+        })();
+        // Everything the mirror burned — on the hedge device and on any
+        // source device the router read from — is the duplicate's cost,
+        // billed to the stats lanes like all other work.
+        let mut hedge = ChunkOutcome::default();
+        for dev_id in self.devices.ids() {
+            cx.tally
+                .fold(&mut self.devices, dev_id, Charge::Chunk(&mut hedge))?;
+        }
+        // Winner or loser, the duplicate's allocations are reclaimed (and
+        // its residency entries dropped); the reclaim itself is billed like
+        // any unwind.
+        cx.hub.rollback_to(&mut self.devices, mark);
+        cx.tally.fold_all(&mut self.devices);
+        result.map(|()| hedge.cost)
+    }
+
+    // ---- one node ---------------------------------------------------------
+
+    /// Wires and launches one node, then folds its events: as part of
+    /// `chunk` when streaming, as a serial slice of its own in whole mode
+    /// (where staging the operands is serial time outside the slice).
+    fn run_node(
+        &mut self,
+        cx: &mut RunCx<'_>,
+        node: &PrimitiveNode,
+        io: &mut NodeIo<'_>,
+        chunk: Option<(usize, &mut ChunkOutcome)>,
+    ) -> Result<()> {
+        let (in_ids, out_ids, rows) = self.wire_node(cx, node, io, chunk.as_ref().map(|c| c.0))?;
+        let charge = match chunk {
+            Some((_, outcome)) => Charge::Chunk(outcome),
+            None => {
+                cx.tally.fold_serial(&mut self.devices, &[node.device])?;
+                Charge::Slice
+            }
+        };
+        let saved_ns = self.execute_node(node, &in_ids, &out_ids)?;
+        cx.tally.stats.fusion_saved_transfer_ns += saved_ns;
+        cx.tally.note_intermediates(&cx.graph, node, rows);
+        let kernel_ns = cx.tally.fold(&mut self.devices, node.device, charge)?;
+        cx.tally.stats.record_primitive(&node.label, kernel_ns);
+        Ok(())
+    }
+
+    /// Resolves a node's operand and result buffers on `node.device`:
+    /// streamed scan inputs from this chunk's staging, other inputs placed
+    /// whole (once; later chunks reuse them through the residency map),
+    /// pipeline-local intermediates from `io.local`, everything else routed
+    /// from wherever it is materialized. Returns `(inputs, outputs, rows)`
+    /// where `rows` is the given cardinality or, when `None`, the largest
+    /// input's.
+    fn wire_node(
+        &mut self,
+        cx: &mut RunCx<'_>,
+        node: &PrimitiveNode,
+        io: &mut NodeIo<'_>,
+        rows: Option<usize>,
+    ) -> Result<(Vec<BufferId>, Vec<BufferId>, usize)> {
+        let mut in_ids = Vec::with_capacity(node.inputs.len());
+        let mut widest = 0usize;
+        for &input in &node.inputs {
+            let id = match input {
+                DataRef::Input(i) => {
+                    let gi = &cx.graph.inputs()[i];
+                    if io.scan.is_some() && gi.scan.as_deref() == io.scan {
+                        *io.staged.get(&(i, node.device)).ok_or_else(|| {
+                            ExecError::Internal(format!(
+                                "no staged chunk for input #{i} on {}",
+                                node.device
+                            ))
+                        })?
+                    } else {
+                        let col = cx
+                            .inputs
+                            .get(&gi.name)
+                            .ok_or_else(|| ExecError::MissingInput(gi.name.clone()))?;
+                        cx.hub.load_whole_input(
+                            &mut self.devices,
+                            input,
+                            node.device,
+                            &gi.name,
+                            col,
+                        )?
+                    }
+                }
+                DataRef::Output { .. } => match io.local.get(&input) {
+                    Some(&id) => id,
+                    // Materialized elsewhere (breaker output, earlier
+                    // pipeline, or escaped host accumulation).
+                    None => cx.hub.router(&mut self.devices, input, node.device)?,
+                },
+            };
+            if rows.is_none() {
+                let pool = self.devices.get(node.device)?.pool();
+                widest = widest.max(pool.get(id).map_or(0, |b| b.data.len()));
+            }
+            in_ids.push(id);
+        }
+        let rows = rows.unwrap_or(widest);
+        let mut out_ids = Vec::with_capacity(node.output_count);
+        for (port, r) in node.output_refs().enumerate() {
+            let id = match (io.local.get(&r), io.outputs) {
+                (Some(&id), _) => id,
+                (None, Outputs::Staged) => cx.hub.resident(r, node.device).ok_or_else(|| {
+                    ExecError::Internal(format!(
+                        "output {r:?} has no buffer (node `{}`)",
+                        node.label
+                    ))
+                })?,
+                (None, outputs) => {
+                    let id = self.alloc_output(cx, node, port, rows)?;
+                    if let Outputs::Publish = outputs {
+                        cx.hub.register_resident(r, node.device, id);
+                    } else {
+                        io.local.insert(r, id);
+                    }
+                    id
+                }
+            };
+            out_ids.push(id);
+        }
+        Ok((in_ids, out_ids, rows))
+    }
+
+    /// Creates result space for output `port` of `node` on its device, sized
+    /// for `rows` input rows, with the port's data semantics.
+    fn alloc_output(
+        &mut self,
+        cx: &mut RunCx<'_>,
+        node: &PrimitiveNode,
+        port: usize,
+        rows: usize,
+    ) -> Result<BufferId> {
+        let semantic = cx.graph.semantic_of(DataRef::Output {
+            node: node.id,
+            port,
+        });
+        cx.hub
+            .prepare_output_buffer(&mut self.devices, node, port, semantic, rows)
+    }
+
+    /// Resolves and runs one node's kernel. Returns the modeled nanoseconds
+    /// a fused node saved over launching its stages individually (`0.0` for
+    /// ordinary nodes, or when the device exposes no cost model).
+    fn execute_node(
+        &mut self,
+        node: &PrimitiveNode,
+        in_ids: &[BufferId],
+        out_ids: &[BufferId],
+    ) -> Result<f64> {
+        let sdk = self.devices.get(node.device)?.info().sdk;
+        let container = self
+            .tasks
+            .resolve(node.kind, sdk, node.variant.as_deref())
+            .ok_or_else(|| ExecError::NoImplementation {
+                primitive: node.kind.to_string(),
+                sdk: sdk.to_string(),
+                variant: node
+                    .variant
+                    .clone()
+                    .unwrap_or_else(|| "default".to_string()),
+            })?;
+        let mut buffers = in_ids.to_vec();
+        buffers.extend_from_slice(out_ids);
+        let spec = ExecuteSpec::new(container.kernel_name(), buffers, node.params.to_scalars());
+        let kstats = self
+            .devices
+            .get_mut(node.device)?
+            .execute(&spec)
+            .map_err(|e| ExecError::KernelFailed {
+                device: node.device,
+                kernel: spec.kernel.clone(),
+                source: e,
+            })?;
+        if let NodeParams::Fused { stages, .. } = &node.params {
+            if !kstats.stages.is_empty() {
+                if let Some(cost) = self.devices.get(node.device)?.cost_model() {
+                    return Ok(crate::fusion::fused_saved_ns(
+                        cost,
+                        stages,
+                        &kstats.stages,
+                        spec.arg_count(),
+                    ));
+                }
+            }
+        }
+        Ok(0.0)
+    }
+
+    /// Gathers the graph's outputs: finished host accumulations, else the
+    /// resident copy (retrieved verified), else — a zero-row streaming run
+    /// produced nothing — an empty column of the right kind.
+    pub(super) fn collect_outputs(&mut self, cx: &mut RunCx<'_>) -> Result<QueryOutput> {
+        let mut out = QueryOutput::new();
+        for (name, r) in cx.graph.outputs() {
+            let data = if let Some(acc) = cx.hub.take_host(*r) {
+                OutputData::from_buffer(acc.into_buffer())
+            } else if let Some((dev_id, id)) = self
+                .devices
+                .ids()
+                .into_iter()
+                .find_map(|d| Some((d, cx.hub.resident(*r, d)?)))
+            {
+                let payload = cx
+                    .hub
+                    .retrieve_verified(&mut self.devices, dev_id, id, None, 0)?;
+                cx.tally.fold_serial(&mut self.devices, &[dev_id])?;
+                OutputData::from_buffer(payload)
+            } else {
+                match cx.graph.semantic_of(*r) {
+                    DataSemantic::Position => OutputData::U32(Vec::new()),
+                    DataSemantic::Bitmap => OutputData::BitWords(Vec::new()),
+                    _ => OutputData::I64(Vec::new()),
+                }
+            };
+            out.insert(name.clone(), data);
+        }
+        Ok(out)
+    }
+}

@@ -1,0 +1,912 @@
+//! The recovery policy: what the engine does about a fault.
+//!
+//! Every failure the data path surfaces is classified once
+//! ([`classify`]) and answered from one table ([`action`]); the rest of
+//! this module applies the answers — bounded pipeline retries, placement
+//! repair, hedged chunks, membership recovery after a device death, and the
+//! checkpoints that make a restart a resume. It moves placement, health
+//! records and buffers; time is accounted by the accounting fold alone.
+//!
+//! | fault | action |
+//! |---|---|
+//! | device or kernel out of memory | halve the streaming chunk, retry |
+//! | kernel failed | retry; second strike in a row on the device moves the pipeline off it |
+//! | transfer corrupt through the whole retransmit budget | move the pipeline off the device |
+//! | no implementation on the placed device | move the pipeline off it |
+//! | chunk overran its watchdog budget | hedge it on the best alternate device |
+//! | device gone | unplug it, re-place, resume from the latest checkpoint (none: from row 0) |
+//! | anything else | fail |
+
+use super::accounting::ChunkOutcome;
+use super::datapath::{order_sensitive_kind, pipeline_devices, Chunk};
+use super::{Executor, RunCx};
+use crate::checkpoint::{CheckpointConfig, QueryCheckpoint};
+use crate::error::{ExecError, Result};
+use crate::graph::{DataRef, NodeId, PrimitiveGraph};
+use crate::hub::HostAccum;
+use crate::pipeline::{Pipeline, PipelineSet};
+use crate::result::QueryOutput;
+use crate::stats::ExecutionStats;
+use crate::timeline::ChunkCost;
+use adamant_device::buffer::BufferData;
+use adamant_device::device::DeviceId;
+use adamant_device::error::DeviceError;
+use adamant_device::health::{BreakerState, FailureVerdict};
+use std::collections::{BTreeMap, HashMap, HashSet};
+
+/// What went wrong, in the terms the policy cares about.
+pub(super) enum Fault {
+    /// A device pool (regular or pinned) could not satisfy an allocation.
+    /// A bare allocation failure does not say which device.
+    OutOfMemory { device: Option<DeviceId> },
+    /// A kernel launch failed on a device.
+    KernelFailed { device: DeviceId, kernel: String },
+    /// Transfers to/from the device failed checksum verification through
+    /// the whole retransmit budget.
+    CorruptLink { device: DeviceId },
+    /// A node is placed on a device whose SDK has no kernel for it.
+    Unplaceable,
+    /// A streamed chunk overran its watchdog budget (not an error: the
+    /// chunk's result is committed, only its time can still be rescued).
+    Straggler {
+        device: DeviceId,
+        clean_ns: f64,
+        actual_ns: f64,
+    },
+    /// The device died permanently.
+    DeviceGone { device: DeviceId },
+    /// Graph validation problems, missing inputs, deadlines, cancellation,
+    /// internal invariant violations: retrying cannot help.
+    Fatal,
+}
+
+/// What the engine does about a [`Fault`].
+pub(super) enum RecoveryAction {
+    /// Retry the pipeline with the streaming chunk halved, so the working
+    /// set fits (a plain retry when halving is impossible still clears
+    /// transient allocation faults).
+    ShrinkChunk,
+    /// Retry in place — one failure is treated as transient — and move the
+    /// pipeline off the device on the second consecutive strike.
+    MoveOnSecondStrike(DeviceId),
+    /// Move the pipeline's work off the device now (`None`: off whichever
+    /// device lacks an implementation), or fail when nobody can take it.
+    Move(Option<DeviceId>),
+    /// Race a duplicate of the chunk on the best alternate device.
+    Hedge,
+    /// Unplug the device and continue on the survivors from the latest
+    /// validated checkpoint — from row 0 when there is none.
+    ResumeOnSurvivors(DeviceId),
+    /// Surface the error.
+    Fail,
+}
+
+/// The one error classification.
+pub(super) fn classify(err: &ExecError) -> Fault {
+    use DeviceError::{Gone, OutOfMemory, OutOfPinnedMemory};
+    match err {
+        ExecError::Device(Gone { device })
+        | ExecError::KernelFailed {
+            source: Gone { device },
+            ..
+        } => Fault::DeviceGone { device: *device },
+        ExecError::Device(OutOfMemory { .. } | OutOfPinnedMemory { .. }) => {
+            Fault::OutOfMemory { device: None }
+        }
+        ExecError::KernelFailed {
+            device,
+            source: OutOfMemory { .. } | OutOfPinnedMemory { .. },
+            ..
+        } => Fault::OutOfMemory {
+            device: Some(*device),
+        },
+        ExecError::KernelFailed { device, kernel, .. } => Fault::KernelFailed {
+            device: *device,
+            kernel: kernel.clone(),
+        },
+        ExecError::TransferCorrupted { device, .. } => Fault::CorruptLink { device: *device },
+        ExecError::NoImplementation { .. } => Fault::Unplaceable,
+        _ => Fault::Fatal,
+    }
+}
+
+/// The recovery table.
+pub(super) fn action(fault: &Fault) -> RecoveryAction {
+    match *fault {
+        Fault::OutOfMemory { .. } => RecoveryAction::ShrinkChunk,
+        Fault::KernelFailed { device, .. } => RecoveryAction::MoveOnSecondStrike(device),
+        Fault::CorruptLink { device } => RecoveryAction::Move(Some(device)),
+        Fault::Unplaceable => RecoveryAction::Move(None),
+        Fault::Straggler { .. } => RecoveryAction::Hedge,
+        Fault::DeviceGone { device } => RecoveryAction::ResumeOnSurvivors(device),
+        Fault::Fatal => RecoveryAction::Fail,
+    }
+}
+
+/// Where an attempt starts: how many pipelines to skip, the in-progress
+/// pipeline's scan offset, the snapshot's host entries (re-restored when an
+/// intra-pipeline retry discards them) and the seeds for the in-progress
+/// pipeline's breaker accumulators. A restart is the empty cursor.
+#[derive(Default)]
+pub(super) struct ResumeCursor {
+    pipelines_done: usize,
+    pub resume_offset: usize,
+    chunks_done: usize,
+    host: Vec<(DataRef, HostAccum, usize)>,
+    seed: Vec<(DataRef, BufferData)>,
+}
+
+impl ResumeCursor {
+    pub fn seed_for(&self, r: DataRef) -> Option<&BufferData> {
+        self.seed.iter().find(|(sr, _)| *sr == r).map(|(_, p)| p)
+    }
+}
+
+/// Per-run checkpoint machinery: the configuration, the latest sealed
+/// snapshot, the cost-policy bookkeeping, and the cursor the next attempt
+/// starts from. Lives only for the duration of one run, so every byte of
+/// snapshot storage is released when the run returns — the no-leak
+/// invariant covers checkpoints too.
+pub(super) struct CheckpointState {
+    cfg: CheckpointConfig,
+    latest: Option<QueryCheckpoint>,
+    /// Work charged (all lanes) at the last capture: the difference to the
+    /// current total is the modeled re-execution cost a death right now
+    /// would forfeit.
+    lanes_mark: f64,
+    /// Chunks streamed since the last considered boundary (capture sites
+    /// are every `cfg.chunk_interval`-th chunk).
+    chunks_since_consider: usize,
+    /// Chunks whose results the current attempt lineage already holds (the
+    /// next snapshot records this as what a resume may skip).
+    chunks_done: usize,
+    /// Pipelines fully completed in the current attempt lineage.
+    pipelines_done: usize,
+    /// Armed by membership recovery; consumed by the next attempt.
+    cursor: ResumeCursor,
+}
+
+impl CheckpointState {
+    pub fn new(cfg: CheckpointConfig) -> Self {
+        CheckpointState {
+            cfg,
+            latest: None,
+            lanes_mark: 0.0,
+            chunks_since_consider: 0,
+            chunks_done: 0,
+            pipelines_done: 0,
+            cursor: ResumeCursor::default(),
+        }
+    }
+}
+
+impl Executor {
+    // ---- run level: membership recovery -----------------------------------
+
+    /// Runs the query to completion across device deaths. A permanent death
+    /// (`Gone`) unwinds the whole attempt — the corpse's buffers written
+    /// off, the survivors rolled back, pipelines re-placed — and the next
+    /// attempt starts from whatever cursor the latest checkpoint restores.
+    /// Every death retires one device and the last one fails the run, so
+    /// the loop terminates; devices hot-added since the run began simply
+    /// are more survivors.
+    pub(super) fn run_to_completion(
+        &mut self,
+        cx: &mut RunCx<'_>,
+        pipelines: &PipelineSet,
+        fault_base: &mut BTreeMap<DeviceId, u64>,
+    ) -> Result<QueryOutput> {
+        loop {
+            let err = match self.run_from_cursor(cx, pipelines) {
+                Ok(output) => return Ok(output),
+                Err(err) => err,
+            };
+            match action(&classify(&err)) {
+                RecoveryAction::ResumeOnSurvivors(dead) => {
+                    self.handle_device_loss(dead, cx, pipelines, fault_base)?
+                }
+                _ => return Err(err),
+            }
+        }
+    }
+
+    fn run_from_cursor(
+        &mut self,
+        cx: &mut RunCx<'_>,
+        pipelines: &PipelineSet,
+    ) -> Result<QueryOutput> {
+        let cursor = std::mem::take(&mut cx.ckpt.cursor);
+        cx.ckpt.pipelines_done = cursor.pipelines_done;
+        cx.ckpt.chunks_done = cursor.chunks_done;
+        let restart = ResumeCursor::default();
+        let todo = pipelines.pipelines.iter().skip(cursor.pipelines_done);
+        for (i, pipeline) in todo.enumerate() {
+            // Only the pipeline the snapshot caught in flight resumes
+            // mid-scan; everything after it starts at row 0.
+            let from = if i == 0 { &cursor } else { &restart };
+            self.run_pipeline_with_recovery(cx, pipeline, from)?;
+            cx.ckpt.pipelines_done += 1;
+            // Pipeline-breaker boundary: always a considered capture site.
+            self.consider_checkpoint(cx, 0)?;
+        }
+        self.collect_outputs(cx)
+    }
+
+    /// Full-engine recovery from a permanent device death. In order:
+    ///
+    /// 1. the corpse's modeled time, byte counts, pool peak and fault delta
+    ///    are captured into the stats (the post-run sweep only sees
+    ///    survivors);
+    /// 2. every hub buffer and residency pin on it is written off without
+    ///    calling into it, and its pool/admission accounting zeroed so the
+    ///    no-leak invariant still holds;
+    /// 3. the whole attempt is unwound on the survivors (buffers freed,
+    ///    host accumulations discarded) so re-staging starts from pristine
+    ///    host copies;
+    /// 4. health records are dropped, the device unplugged, and every
+    ///    pipeline still pointing at it re-placed onto the best survivor;
+    /// 5. the cursor for the next attempt is armed from the latest
+    ///    checkpoint ([`Executor::restore_checkpoint`]).
+    ///
+    /// Errors with `Gone` when no survivor can take the work.
+    fn handle_device_loss(
+        &mut self,
+        dead: DeviceId,
+        cx: &mut RunCx<'_>,
+        pipelines: &PipelineSet,
+        fault_base: &mut BTreeMap<DeviceId, u64>,
+    ) -> Result<()> {
+        cx.tally.stats.device_deaths += 1;
+        let base = fault_base.remove(&dead).unwrap_or(0);
+        // Host-side accessors still work on the corpse.
+        cx.tally.fold_serial(&mut self.devices, &[dead])?;
+        cx.tally.capture_device(self.devices.get(dead)?, base);
+        let (buffers, lost_bytes) = cx.hub.write_off_device(&mut self.devices, dead);
+        cx.tally.stats.buffers_written_off += buffers;
+        cx.tally.stats.restaged_bytes += lost_bytes;
+        cx.hub.rollback_to(&mut self.devices, 0);
+        cx.hub.discard_all_host();
+        self.health.forget_device(dead);
+        self.devices.remove(dead);
+        let gone = || ExecError::Device(DeviceError::Gone { device: dead });
+        if self.devices.is_empty() {
+            return Err(gone());
+        }
+        for pipeline in &pipelines.pipelines {
+            let on_dead = pipeline
+                .nodes
+                .iter()
+                .any(|&n| cx.graph.node(n).device == dead);
+            if on_dead && !self.repoint_pipeline(&mut cx.graph, pipeline, dead) {
+                return Err(gone());
+            }
+        }
+        cx.ckpt.cursor = self.restore_checkpoint(cx, pipelines);
+        Ok(())
+    }
+
+    /// Restores the latest checkpoint onto the (re-placed) survivors and
+    /// returns the cursor that skips everything it holds. No snapshot, a
+    /// snapshot failing validation (e.g. scripted via
+    /// `FaultPlan::corrupt_checkpoint`) or one that cannot be re-staged
+    /// (a second device died or OOMed mid-restore) yields the empty cursor
+    /// — a full restart, never a wrong answer; the latter two are counted
+    /// and drop the snapshot.
+    fn restore_checkpoint(&mut self, cx: &mut RunCx<'_>, pipelines: &PipelineSet) -> ResumeCursor {
+        let Some(cp) = cx.ckpt.latest.take() else {
+            return ResumeCursor::default();
+        };
+        // Accumulators of *completed* pipelines are restored here (later
+        // pipelines consume them read-only); the in-progress pipeline's own
+        // accumulators travel in the cursor and are seeded per attempt —
+        // every chunk mutates them in place, so they must live inside the
+        // attempt's rollback scope or a retry would double-count.
+        let in_progress: &[NodeId] = pipelines
+            .pipelines
+            .get(cp.pipelines_done)
+            .map_or(&[], |p| p.nodes.as_slice());
+        let seeds =
+            |r: &DataRef| matches!(r, DataRef::Output { node, .. } if in_progress.contains(node));
+        let restored = cp.validate() && {
+            let staged = (|| -> Result<()> {
+                cx.hub.restore_host(&cp.host);
+                for (r, payload) in &cp.resident {
+                    if let DataRef::Output { node, .. } = r {
+                        if !seeds(r) {
+                            let target = cx.graph.node(*node).device;
+                            cx.hub
+                                .restore_resident(&mut self.devices, *r, target, payload)?;
+                        }
+                    }
+                }
+                Ok(())
+            })();
+            if staged.is_err() {
+                // Unwind whatever landed; if a survivor really is gone the
+                // restart will hit its `Gone` and be recovered in turn.
+                cx.hub.rollback_to(&mut self.devices, 0);
+                cx.hub.discard_all_host();
+            }
+            staged.is_ok()
+        };
+        if !restored {
+            cx.tally.stats.resume_validation_failures += 1;
+            return ResumeCursor::default();
+        }
+        cx.tally.stats.resumes += 1;
+        cx.tally.stats.chunks_skipped_on_resume += cp.chunks_done;
+        let cursor = ResumeCursor {
+            pipelines_done: cp.pipelines_done,
+            resume_offset: cp.resume_offset,
+            chunks_done: cp.chunks_done,
+            host: cp.host.clone(),
+            seed: cp
+                .resident
+                .iter()
+                .filter(|(r, _)| seeds(r))
+                .cloned()
+                .collect(),
+        };
+        cx.ckpt.latest = Some(cp);
+        cursor
+    }
+
+    // ---- pipeline level: bounded retries ----------------------------------
+
+    /// Runs one pipeline with bounded fault recovery: a failed attempt is
+    /// unwound — buffers freed back to the pre-attempt mark, partial host
+    /// accumulations discarded — fed to the health registry, and answered
+    /// from the recovery table, up to `RetryPolicy::max_attempts`.
+    fn run_pipeline_with_recovery(
+        &mut self,
+        cx: &mut RunCx<'_>,
+        pipeline: &Pipeline,
+        cursor: &ResumeCursor,
+    ) -> Result<()> {
+        let max_attempts = self.config.retry.max_attempts.max(1);
+        let mut chunk_rows = self.config.chunk_rows;
+        let mut strikes: Option<(DeviceId, usize)> = None;
+        let mut attempt = 0usize;
+        loop {
+            attempt += 1;
+            cx.control
+                .check(cx.tally.elapsed_ns(), &mut cx.tally.stats)?;
+            // Devices this attempt runs on (re-placement changes them), for
+            // the health registry's attempt/success accounting.
+            let attempt_devs = pipeline_devices(&cx.graph, pipeline);
+            for &d in &attempt_devs {
+                self.health.record_attempt(d);
+            }
+            let lanes_before = cx.tally.lanes_ns();
+            let mark = cx.hub.mark();
+            let err = match self.run_pipeline(cx, pipeline, chunk_rows, cursor) {
+                Ok(()) => {
+                    self.record_success(&cx.graph, pipeline, &attempt_devs, &mut cx.tally.stats);
+                    return Ok(());
+                }
+                Err(err) => err,
+            };
+            let fault = classify(&err);
+            let action = action(&fault);
+            if let RecoveryAction::ResumeOnSurvivors(_) = action {
+                // Pipeline-scope recovery must not touch the corpse
+                // (rollback would call into it and a health verdict would
+                // record a ghost): surface it untouched to the run level.
+                return Err(err);
+            }
+
+            // Unwind the attempt. The modeled time already spent is real
+            // (wasted work is charged); the buffers and partial host
+            // accumulations are not. A resumed pipeline retries from the
+            // checkpoint boundary, so the cursor's host prefix (content and
+            // contiguity watermark) the discard just dropped is reinstated.
+            cx.tally.fold_all(&mut self.devices);
+            cx.hub.rollback_to(&mut self.devices, mark);
+            for r in &cx.escaping {
+                if matches!(r, DataRef::Output { node, .. } if pipeline.nodes.contains(node)) {
+                    cx.hub.discard_host(*r);
+                }
+            }
+            cx.hub.restore_host(&cursor.host);
+
+            // What the attempt burned is its observed retry cost.
+            let wasted_ns = (cx.tally.lanes_ns() - lanes_before).max(0.0);
+            let tripped = self.record_fault(&fault, &attempt_devs, wasted_ns, &mut cx.tally.stats);
+            // Residency pins on the failing devices are part of the fault
+            // domain: an OOM retry needs the memory back, a tripped breaker
+            // or corrupted link means the device's contents are not trusted.
+            if tripped || matches!(fault, Fault::OutOfMemory { .. } | Fault::CorruptLink { .. }) {
+                for &d in &attempt_devs {
+                    cx.hub.evict_cache_on(&mut self.devices, d);
+                }
+            }
+            if attempt >= max_attempts {
+                return Err(err);
+            }
+            let retry = match action {
+                RecoveryAction::ShrinkChunk => {
+                    // Halving is impossible for a whole-buffer pipeline, at
+                    // the one-row floor, and for order-sensitive primitives
+                    // that must see their scan in one chunk.
+                    if pipeline.is_streaming()
+                        && cx.cfg.chunked
+                        && chunk_rows > 1
+                        && order_sensitive_kind(&cx.graph, pipeline).is_none()
+                    {
+                        chunk_rows /= 2;
+                        cx.tally.stats.chunk_backoffs += 1;
+                    }
+                    true
+                }
+                RecoveryAction::MoveOnSecondStrike(device) => {
+                    let n = match strikes {
+                        Some((d, n)) if d == device => n + 1,
+                        _ => 1,
+                    };
+                    strikes = (n < 2).then_some((device, n));
+                    n < 2 || self.move_pipeline(cx, pipeline, Some(device))
+                }
+                RecoveryAction::Move(off) => self.move_pipeline(cx, pipeline, off),
+                _ => false,
+            };
+            if !retry {
+                return Err(err);
+            }
+            cx.tally.stats.retries += 1;
+        }
+    }
+
+    /// Settles the health registry after a clean pipeline: every device it
+    /// ran on, and every kernel it resolved there, ran clean — streaks
+    /// reset and in-flight probes close their breakers.
+    fn record_success(
+        &mut self,
+        graph: &PrimitiveGraph,
+        pipeline: &Pipeline,
+        devices: &[DeviceId],
+        stats: &mut ExecutionStats,
+    ) {
+        for &d in devices {
+            if self.health.record_success(d) {
+                stats.probe_successes += 1;
+            }
+            for k in self.kernels_on_device(graph, pipeline, d) {
+                if self.health.record_kernel_success(d, &k) {
+                    stats.kernel_probe_successes += 1;
+                }
+            }
+        }
+    }
+
+    /// Feeds a fault into the health registry and counts the breakers it
+    /// tripped. Returns whether a *device* breaker tripped.
+    fn record_fault(
+        &mut self,
+        fault: &Fault,
+        attempt_devs: &[DeviceId],
+        wasted_ns: f64,
+        stats: &mut ExecutionStats,
+    ) -> bool {
+        let device_only = |device_tripped| FailureVerdict {
+            device_tripped,
+            kernel_tripped: false,
+        };
+        let verdict = match fault {
+            // A bare OOM is charged to the pipeline's first device
+            // (deterministic, and pipelines are single-device in all
+            // built-in plans).
+            Fault::OutOfMemory { device } => device_only(
+                device
+                    .or(attempt_devs.first().copied())
+                    .is_some_and(|d| self.health.record_oom(d, wasted_ns)),
+            ),
+            Fault::KernelFailed { device, kernel } => self
+                .health
+                .record_kernel_failure(*device, kernel, wasted_ns),
+            Fault::CorruptLink { device } => {
+                // The retransmit loop already logged each mismatch; the
+                // exhausted budget itself counts as one more strike.
+                self.health.record_corruption(*device);
+                FailureVerdict::default()
+            }
+            Fault::Straggler {
+                device,
+                clean_ns,
+                actual_ns,
+            } => device_only(
+                self.health
+                    .record_latency_overrun(*device, *clean_ns, *actual_ns),
+            ),
+            Fault::Unplaceable | Fault::DeviceGone { .. } | Fault::Fatal => {
+                FailureVerdict::default()
+            }
+        };
+        stats.breaker_trips += usize::from(verdict.device_tripped);
+        stats.kernel_breaker_trips += usize::from(verdict.kernel_tripped);
+        verdict.device_tripped
+    }
+
+    /// Re-places `pipeline` off `off` (`None`: off the first device whose
+    /// SDK lacks one of its kernels). Returns whether a fallback happened.
+    fn move_pipeline(
+        &mut self,
+        cx: &mut RunCx<'_>,
+        pipeline: &Pipeline,
+        off: Option<DeviceId>,
+    ) -> bool {
+        let off = off.or_else(|| {
+            pipeline.nodes.iter().find_map(|&n| {
+                let node = cx.graph.node(n);
+                let sdk = self.devices.get(node.device).ok()?.info().sdk;
+                self.tasks
+                    .resolve(node.kind, sdk, node.variant.as_deref())
+                    .is_none()
+                    .then_some(node.device)
+            })
+        });
+        let moved = off.is_some_and(|dev| self.repoint_pipeline(&mut cx.graph, pipeline, dev));
+        cx.tally.stats.fallback_placements += usize::from(moved);
+        moved
+    }
+
+    // ---- chunk level: watchdog and hedging --------------------------------
+
+    /// Post-chunk watchdog: a chunk whose modeled duration overran
+    /// `watchdog_multiplier ×` its fault-free expectation feeds the
+    /// offending device's latency tracking and races a hedged duplicate on
+    /// the best alternate device. Data is always committed from the primary
+    /// (kernels are deterministic, so both copies are identical — only the
+    /// *time* is rescued). Returns the chunk cost the makespan should see
+    /// and the device time charged to the owning query.
+    pub(super) fn supervise_chunk(
+        &mut self,
+        cx: &mut RunCx<'_>,
+        pipeline: &Pipeline,
+        outcome: ChunkOutcome,
+        chunk: &Chunk,
+    ) -> (ChunkCost, f64) {
+        let unhedged = (outcome.cost, outcome.actual_ns());
+        let overrun = self
+            .config
+            .watchdog_multiplier
+            .and_then(|m| outcome.overrun_budget_ns(m));
+        let Some(budget_ns) = overrun else {
+            return unhedged;
+        };
+        cx.tally.stats.watchdog_fires += 1;
+        let primary = cx.graph.node(pipeline.nodes[0]).device;
+        let fault = Fault::Straggler {
+            device: primary,
+            clean_ns: outcome.clean_ns,
+            actual_ns: outcome.actual_ns(),
+        };
+        self.record_fault(&fault, &[], 0.0, &mut cx.tally.stats);
+        let RecoveryAction::Hedge = action(&fault) else {
+            return unhedged;
+        };
+        let est_bytes = (chunk.len.max(1) * 8) as u64;
+        // No alternate device can run this pipeline: the overrun is
+        // recorded but the straggler's result stands.
+        let Some(alt) = self.best_candidate(&cx.graph, &pipeline.nodes, primary, est_bytes, false)
+        else {
+            return unhedged;
+        };
+        cx.tally.stats.hedged_launches += 1;
+        // A failed hedge never fails the query — the primary's result is
+        // already committed.
+        let Ok(hedge) = self.mirror_chunk(cx, pipeline, alt, chunk) else {
+            return unhedged;
+        };
+        let (cost, charged_ns, hedge_won) = outcome.race(budget_ns, hedge);
+        cx.tally.stats.hedge_wins += usize::from(hedge_won);
+        (cost, charged_ns)
+    }
+
+    // ---- checkpoints -------------------------------------------------------
+
+    /// A streamed chunk completed through scan row `rows_done`: every
+    /// `chunk_interval`-th such boundary is a considered capture site.
+    pub(super) fn chunk_boundary(&mut self, cx: &mut RunCx<'_>, rows_done: usize) -> Result<()> {
+        if !cx.ckpt.cfg.enabled {
+            return Ok(());
+        }
+        cx.ckpt.chunks_done += 1;
+        cx.ckpt.chunks_since_consider += 1;
+        if cx.ckpt.chunks_since_consider < cx.ckpt.cfg.chunk_interval.max(1) {
+            return Ok(());
+        }
+        cx.ckpt.chunks_since_consider = 0;
+        self.consider_checkpoint(cx, rows_done)
+    }
+
+    /// Considered checkpoint boundary: captures a snapshot when the
+    /// cost-model policy agrees — the modeled re-execution cost accumulated
+    /// since the last snapshot must exceed the estimated capture cost times
+    /// [`CheckpointConfig::cost_factor`]. `resume_offset` is the in-progress
+    /// pipeline's high-water scan row (0 at pipeline boundaries).
+    ///
+    /// The candidate is fully assembled and sealed before it replaces the
+    /// latest snapshot, so a device death in the middle of a capture (any
+    /// retrieval may return `Gone`) leaves the previous snapshot intact —
+    /// recovery then resumes from the older but still consistent boundary.
+    fn consider_checkpoint(&mut self, cx: &mut RunCx<'_>, resume_offset: usize) -> Result<()> {
+        if !cx.ckpt.cfg.enabled {
+            return Ok(());
+        }
+        // Inputs re-stage from pristine host columns for free; only
+        // materialized intermediates need host copies — one verified D2H
+        // retrieval each, priced by the holder's own cost model.
+        let intermediates: Vec<_> = cx
+            .hub
+            .resident_refs()
+            .into_iter()
+            .filter(|(r, _, _)| matches!(r, DataRef::Output { .. }))
+            .collect();
+        let estimate_ns: f64 = intermediates
+            .iter()
+            .filter_map(|&(_, dev, id)| {
+                let d = self.devices.get(dev).ok()?;
+                Some(d.placement_cost_ns(d.pool().get(id).ok()?.footprint(), 0.0))
+            })
+            .sum();
+        if cx.tally.lanes_ns() - cx.ckpt.lanes_mark <= estimate_ns * cx.ckpt.cfg.cost_factor {
+            return Ok(());
+        }
+        let host = cx.hub.snapshot_host();
+        let mut resident: Vec<(DataRef, BufferData)> = Vec::new();
+        let mut manifest: Vec<String> = Vec::new();
+        for (r, dev, id) in intermediates {
+            let payload = cx
+                .hub
+                .retrieve_verified(&mut self.devices, dev, id, None, 0)?;
+            manifest.push(format!("place {:?} ({} B)", r, payload.byte_len()));
+            resident.push((r, payload));
+        }
+        for (r, _, watermark) in &host {
+            manifest.push(format!("host {:?} @{}", r, watermark));
+        }
+        let mut cp = QueryCheckpoint {
+            pipelines_done: cx.ckpt.pipelines_done,
+            resume_offset,
+            chunks_done: cx.ckpt.chunks_done,
+            host,
+            resident,
+            manifest,
+            bytes: 0,
+            checksum: 0,
+        };
+        cp.seal();
+        // Capture transfers pay real modeled D2H cost, folded here so the
+        // surrounding chunk's attribution stays clean.
+        cx.tally.fold_all(&mut self.devices);
+        for id in self.devices.ids() {
+            // Scripted checkpoint corruption: a device's fault plan may
+            // damage the snapshot in flight. The stored checksum no longer
+            // matches the content, so the resume-time validation rejects it
+            // and recovery degrades to a full restart.
+            if self.devices.get_mut(id)?.corrupt_checkpoint_capture() {
+                cp.checksum ^= 1;
+            }
+        }
+        cx.tally.stats.checkpoints_taken += 1;
+        cx.tally.stats.checkpoint_bytes += cp.bytes;
+        cx.ckpt.lanes_mark = cx.tally.lanes_ns();
+        cx.ckpt.latest = Some(cp);
+        Ok(())
+    }
+
+    // ---- placement ---------------------------------------------------------
+
+    /// Recovery-aware cost of placing `est_bytes` of work on `dev`: modeled
+    /// staging transfer plus the expected-retry penalty and the latency
+    /// EWMA the watchdog feeds (slow devices lose placement ties).
+    fn placement_cost_ns(&self, dev: DeviceId, est_bytes: u64) -> Option<f64> {
+        let penalty = self.health.retry_penalty_ns(dev) + self.health.latency_penalty_ns(dev);
+        Some(
+            self.devices
+                .get(dev)
+                .ok()?
+                .placement_cost_ns(est_bytes, penalty),
+        )
+    }
+
+    /// The one candidate ranking: the best device other than `avoid` that
+    /// implements every one of `nodes` with no kernel known broken there.
+    /// Healthy candidates are ranked by [`Executor::placement_cost_ns`],
+    /// lowest id on ties; a quarantined one (lowest id) is returned only
+    /// when `last_resort` allows it and nothing healthy qualifies.
+    fn best_candidate(
+        &self,
+        graph: &PrimitiveGraph,
+        nodes: &[NodeId],
+        avoid: DeviceId,
+        est_bytes: u64,
+        last_resort: bool,
+    ) -> Option<DeviceId> {
+        let mut healthy: Option<(f64, DeviceId)> = None;
+        let mut quarantined: Option<DeviceId> = None;
+        for cand in self.devices.ids().into_iter().filter(|&c| c != avoid) {
+            let Ok(dev) = self.devices.get(cand) else {
+                continue;
+            };
+            let sdk = dev.info().sdk;
+            let capable = nodes.iter().all(|&n| {
+                let node = graph.node(n);
+                self.tasks
+                    .resolve(node.kind, sdk, node.variant.as_deref())
+                    .is_some_and(|c| !self.health.kernel_known_broken(cand, &c.kernel_name()))
+            });
+            if !capable {
+                continue;
+            }
+            if self.health.is_quarantined(cand) {
+                quarantined.get_or_insert(cand);
+            } else if let Some(cost) = self.placement_cost_ns(cand, est_bytes) {
+                if healthy.is_none_or(|(best, _)| cost.total_cmp(&best).is_lt()) {
+                    healthy = Some((cost, cand));
+                }
+            }
+        }
+        healthy
+            .map(|(_, id)| id)
+            .or(quarantined.filter(|_| last_resort))
+    }
+
+    /// Moves every node of `pipeline` currently placed on `failed` onto the
+    /// [`Executor::best_candidate`] for them, quarantined devices as a last
+    /// resort. Returns whether a re-placement happened.
+    fn repoint_pipeline(
+        &self,
+        graph: &mut PrimitiveGraph,
+        pipeline: &Pipeline,
+        failed: DeviceId,
+    ) -> bool {
+        let moving: Vec<NodeId> = pipeline
+            .nodes
+            .iter()
+            .copied()
+            .filter(|&n| graph.node(n).device == failed)
+            .collect();
+        let est_bytes = (self.config.chunk_rows.max(1) * 8) as u64;
+        let target = match moving.is_empty() {
+            true => None,
+            false => self.best_candidate(graph, &moving, failed, est_bytes, true),
+        };
+        for &n in &moving {
+            if let Some(target) = target {
+                graph.nodes[n.0].device = target;
+            }
+        }
+        target.is_some()
+    }
+
+    /// Kernel names the pipeline's nodes placed on `dev` resolve to there
+    /// (deduplicated, sorted for determinism).
+    fn kernels_on_device(
+        &self,
+        graph: &PrimitiveGraph,
+        pipeline: &Pipeline,
+        dev: DeviceId,
+    ) -> Vec<String> {
+        let Ok(device) = self.devices.get(dev) else {
+            return Vec::new();
+        };
+        let sdk = device.info().sdk;
+        let mut kernels: Vec<String> = pipeline
+            .nodes
+            .iter()
+            .map(|&n| graph.node(n))
+            .filter(|node| node.device == dev)
+            .filter_map(|node| {
+                self.tasks
+                    .resolve(node.kind, sdk, node.variant.as_deref())
+                    .map(|c| c.kernel_name())
+            })
+            .collect();
+        kernels.sort_unstable();
+        kernels.dedup();
+        kernels
+    }
+
+    /// Pre-run placement repair from cross-query health: every pipeline
+    /// placed on a quarantined device — or whose kernels are quarantined
+    /// *on* that device — is moved to a healthy capable device when one
+    /// exists; a `HalfOpen` device (or `(device, kernel)` breaker) keeps
+    /// exactly one pipeline as its recovery probe and sheds the rest.
+    ///
+    /// Probe placement is latency-aware: among the pipelines placed on a
+    /// half-open device, the one with the **cheapest** modeled probe cost
+    /// (fewest nodes riding on the suspect device, weighted by its
+    /// recovery-aware placement cost) carries the probe, so the least work
+    /// is at risk if the device is still sick.
+    pub(super) fn apply_health_placement(
+        &mut self,
+        graph: &mut PrimitiveGraph,
+        pipelines: &PipelineSet,
+        stats: &mut ExecutionStats,
+    ) {
+        // Pre-pass: pick, per half-open device, the cheapest pipeline to
+        // carry its recovery probe (ties broken by earliest pipeline).
+        let est_bytes = (self.config.chunk_rows.max(1) * 8) as u64;
+        let mut probe_choice: HashMap<DeviceId, (f64, usize)> = HashMap::new();
+        for (pi, pipeline) in pipelines.pipelines.iter().enumerate() {
+            for &n in &pipeline.nodes {
+                let dev = graph.node(n).device;
+                if !(self.health.is_half_open(dev) && self.health.probe_candidate(dev)) {
+                    continue;
+                }
+                let nodes_on_dev = pipeline
+                    .nodes
+                    .iter()
+                    .filter(|&&m| graph.node(m).device == dev)
+                    .count();
+                let unit = self
+                    .placement_cost_ns(dev, est_bytes)
+                    .map_or(1.0, |c| c.max(1.0));
+                let cost = nodes_on_dev as f64 * unit;
+                let entry = probe_choice.entry(dev).or_insert((cost, pi));
+                if cost < entry.0 {
+                    *entry = (cost, pi);
+                }
+            }
+        }
+        let mut probe_granted: HashSet<DeviceId> = HashSet::new();
+        let mut kernel_probe_granted: HashSet<(DeviceId, String)> = HashSet::new();
+        for (pi, pipeline) in pipelines.pipelines.iter().enumerate() {
+            for dev in pipeline_devices(graph, pipeline) {
+                let kernels = self.kernels_on_device(graph, pipeline, dev);
+                let avoid = if self.devices.get(dev).is_err() || self.health.is_quarantined(dev) {
+                    // Quarantined — or no longer plugged (it died in an
+                    // earlier run, or was detached): move the work to a
+                    // live device rather than failing mid-pipeline.
+                    true
+                } else if self.health.is_half_open(dev) {
+                    // This pipeline is the device's one probe this query
+                    // when it is the cheapest eligible pipeline from the
+                    // pre-pass; everything else sheds the extra load until
+                    // the probe verdict is in.
+                    let probes = self.health.probe_candidate(dev)
+                        && probe_choice.get(&dev).map(|&(_, p)| p) == Some(pi)
+                        && probe_granted.insert(dev);
+                    if probes {
+                        self.health.begin_probe(dev);
+                    }
+                    !probes
+                } else if kernels
+                    .iter()
+                    .any(|k| self.health.kernel_known_broken(dev, k))
+                {
+                    // A kernel this pipeline needs is quarantined here; the
+                    // device itself stays available for other pipelines.
+                    true
+                } else {
+                    // Grant at most one probe per half-open (device, kernel)
+                    // breaker; shed pipelines needing a kernel whose probe is
+                    // already in flight elsewhere.
+                    let mut shed = false;
+                    for k in &kernels {
+                        let key = (dev, k.clone());
+                        if self.health.kernel_probe_candidate(dev, k)
+                            && !kernel_probe_granted.contains(&key)
+                        {
+                            kernel_probe_granted.insert(key);
+                            self.health.begin_kernel_probe(dev, k);
+                        } else if matches!(
+                            self.health.kernel_state(dev, k),
+                            Some(BreakerState::HalfOpen)
+                        ) {
+                            shed = true;
+                        }
+                    }
+                    shed
+                };
+                // No healthy capable candidate: leave the placement and let
+                // the run try its luck (graceful degradation beats refusing
+                // to run at all).
+                if avoid && self.repoint_pipeline(graph, pipeline, dev) {
+                    stats.quarantine_skips += 1;
+                }
+            }
+        }
+    }
+}

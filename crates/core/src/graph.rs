@@ -213,6 +213,14 @@ pub struct PrimitiveNode {
     pub label: String,
 }
 
+impl PrimitiveNode {
+    /// The data refs of this node's output ports, in port order.
+    pub fn output_refs(&self) -> impl Iterator<Item = DataRef> {
+        let node = self.id;
+        (0..self.output_count).map(move |port| DataRef::Output { node, port })
+    }
+}
+
 /// An external input column.
 #[derive(Clone, Debug)]
 pub struct GraphInput {
