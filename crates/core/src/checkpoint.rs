@@ -28,9 +28,8 @@
 use crate::graph::DataRef;
 use crate::hub::HostAccum;
 use adamant_device::buffer::BufferData;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+use adamant_storage::fnv::FnvHasher;
+use std::hash::Hasher;
 
 /// Configuration of the checkpoint subsystem (disabled by default).
 ///
@@ -121,52 +120,41 @@ pub struct QueryCheckpoint {
     pub checksum: u64,
 }
 
-fn eat(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h = (*h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-    }
-}
-
-fn eat_ref(h: &mut u64, r: &DataRef) {
-    match r {
-        DataRef::Input(i) => {
-            eat(h, &[0]);
-            eat(h, &(*i as u64).to_le_bytes());
-            eat(h, &0u64.to_le_bytes());
-        }
-        DataRef::Output { node, port } => {
-            eat(h, &[1]);
-            eat(h, &(node.0 as u64).to_le_bytes());
-            eat(h, &(*port as u64).to_le_bytes());
-        }
-    }
+fn eat_ref(h: &mut FnvHasher, r: &DataRef) {
+    let (tag, a, b) = match r {
+        DataRef::Input(i) => (0, *i, 0),
+        DataRef::Output { node, port } => (1, node.0, *port),
+    };
+    h.write(&[tag]);
+    h.write_u64(a as u64);
+    h.write_u64(b as u64);
 }
 
 impl QueryCheckpoint {
     /// Computes the canonical FNV-1a checksum of the snapshot's content
     /// (everything except the stored `checksum` itself).
     pub fn compute_checksum(&self) -> u64 {
-        let mut h = FNV_OFFSET;
-        eat(&mut h, &(self.pipelines_done as u64).to_le_bytes());
-        eat(&mut h, &(self.resume_offset as u64).to_le_bytes());
-        eat(&mut h, &(self.chunks_done as u64).to_le_bytes());
-        eat(&mut h, &(self.host.len() as u64).to_le_bytes());
+        let mut h = FnvHasher::default();
+        h.write_u64(self.pipelines_done as u64);
+        h.write_u64(self.resume_offset as u64);
+        h.write_u64(self.chunks_done as u64);
+        h.write_u64(self.host.len() as u64);
         for (r, accum, watermark) in &self.host {
             eat_ref(&mut h, r);
-            eat(&mut h, &(*watermark as u64).to_le_bytes());
-            eat(&mut h, &accum.to_buffer().checksum().to_le_bytes());
+            h.write_u64(*watermark as u64);
+            h.write_u64(accum.to_buffer().checksum());
         }
-        eat(&mut h, &(self.resident.len() as u64).to_le_bytes());
+        h.write_u64(self.resident.len() as u64);
         for (r, payload) in &self.resident {
             eat_ref(&mut h, r);
-            eat(&mut h, &payload.checksum().to_le_bytes());
+            h.write_u64(payload.checksum());
         }
-        eat(&mut h, &(self.manifest.len() as u64).to_le_bytes());
+        h.write_u64(self.manifest.len() as u64);
         for entry in &self.manifest {
-            eat(&mut h, entry.as_bytes());
-            eat(&mut h, &[0xff]);
+            h.write(entry.as_bytes());
+            h.write(&[0xff]);
         }
-        h
+        h.finish()
     }
 
     /// Seals the snapshot: stores the canonical checksum and the payload

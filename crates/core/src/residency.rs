@@ -36,7 +36,9 @@
 use adamant_device::buffer::BufferId;
 use adamant_device::device::DeviceId;
 use adamant_device::registry::DeviceRegistry;
+use adamant_storage::fnv::FnvHasher;
 use std::collections::{BTreeMap, BTreeSet};
+use std::hash::Hasher;
 
 /// First buffer id the cache allocates from — far above any per-run hub id.
 const CACHE_ID_BASE: u64 = 1 << 48;
@@ -100,14 +102,9 @@ struct Entry {
 /// FNV-1a over the little-endian bytes of a column (deterministic, cheap,
 /// no dependencies).
 fn fingerprint(column: &[i64]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for v in column {
-        for b in v.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
+    let mut h = FnvHasher::default();
+    column.iter().for_each(|&v| h.write_i64(v));
+    h.finish()
 }
 
 /// The cross-query device-residency cache. Owned by the executor between

@@ -7,8 +7,10 @@
 //! `retrieve_data` — the runtime never reaches around the interface.
 
 use crate::sdk::SdkRepr;
+use adamant_storage::fnv::FnvHasher;
 use std::any::Any;
 use std::fmt;
+use std::hash::Hasher;
 
 /// Identifier for a buffer within one device's pool.
 ///
@@ -226,41 +228,20 @@ impl BufferData {
     /// byte length) only — opaque structures are built *on* the device, never
     /// shipped over the simulated bus, so their content never transits.
     pub fn checksum(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        let mut eat = |b: u8| h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+        let mut h = FnvHasher::default();
         match self {
-            BufferData::I64(v) => {
-                for x in v {
-                    x.to_le_bytes().iter().for_each(|&b| eat(b));
-                }
-            }
-            BufferData::F64(v) => {
-                for x in v {
-                    x.to_le_bytes().iter().for_each(|&b| eat(b));
-                }
-            }
-            BufferData::U32(v) => {
-                for x in v {
-                    x.to_le_bytes().iter().for_each(|&b| eat(b));
-                }
-            }
-            BufferData::BitWords(v) => {
-                for x in v {
-                    x.to_le_bytes().iter().for_each(|&b| eat(b));
-                }
-            }
-            BufferData::Raw(v) => v.iter().for_each(|&b| eat(b)),
+            BufferData::I64(v) => v.iter().for_each(|x| h.write(&x.to_le_bytes())),
+            BufferData::F64(v) => v.iter().for_each(|x| h.write(&x.to_le_bytes())),
+            BufferData::U32(v) => v.iter().for_each(|x| h.write(&x.to_le_bytes())),
+            BufferData::BitWords(v) => v.iter().for_each(|x| h.write(&x.to_le_bytes())),
+            BufferData::Raw(v) => h.write(v),
             BufferData::Generic(g) => {
-                for &b in b"generic" {
-                    eat(b);
-                }
-                (g.len() as u64).to_le_bytes().iter().for_each(|&b| eat(b));
-                g.byte_len().to_le_bytes().iter().for_each(|&b| eat(b));
+                h.write(b"generic");
+                h.write_u64(g.len() as u64);
+                h.write_u64(g.byte_len());
             }
         }
-        h
+        h.finish()
     }
 
     /// Flips the low bit of the element at `element % len` (fault injection:
