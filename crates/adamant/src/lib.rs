@@ -92,7 +92,6 @@ pub use session::{Session, SessionError, SessionRetryPolicy, SqlResultSet, SqlVa
 /// The top-level engine: devices + tasks + executor, ready to run plans.
 pub struct Adamant {
     executor: Executor,
-    device_ids: Vec<DeviceId>,
     preempt: PreemptPolicy,
 }
 
@@ -102,23 +101,21 @@ impl Adamant {
         AdamantBuilder::default()
     }
 
-    /// Ids of the plugged devices, in plug order.
-    pub fn device_ids(&self) -> &[DeviceId] {
-        &self.device_ids
+    /// Ids of the devices currently plugged, in plug order — read from the
+    /// live registry, so a device that died mid-query (or was detached) is
+    /// no longer listed.
+    pub fn device_ids(&self) -> Vec<DeviceId> {
+        self.executor.devices().ids()
     }
 
     /// Plugs an additional device after construction.
     pub fn plug_device(&mut self, device: Box<dyn Device>) -> Result<DeviceId> {
-        let id = self.executor.add_device(device)?;
-        self.device_ids.push(id);
-        Ok(id)
+        self.executor.add_device(device)
     }
 
     /// Plugs a device from a profile.
     pub fn plug_profile(&mut self, profile: &DeviceProfile) -> Result<DeviceId> {
-        let id = self.executor.add_profile(profile)?;
-        self.device_ids.push(id);
-        Ok(id)
+        self.executor.add_profile(profile)
     }
 
     /// Hot-adds a device between runs. Unlike [`Adamant::plug_device`], the
@@ -128,16 +125,12 @@ impl Adamant {
     /// on the next run without a rebuild. The add is counted in the next
     /// run's `ExecutionStats::hot_adds`.
     pub fn attach_device(&mut self, device: Box<dyn Device>) -> Result<DeviceId> {
-        let id = self.executor.attach_device(device)?;
-        self.device_ids.push(id);
-        Ok(id)
+        self.executor.attach_device(device)
     }
 
     /// Hot-adds a device from a profile (see [`Adamant::attach_device`]).
     pub fn attach_profile(&mut self, profile: &DeviceProfile) -> Result<DeviceId> {
-        let id = self.executor.attach_profile(profile)?;
-        self.device_ids.push(id);
-        Ok(id)
+        self.executor.attach_profile(profile)
     }
 
     /// Administratively unplugs a healthy device between runs, returning
@@ -145,11 +138,7 @@ impl Adamant {
     /// retired (never reused). Mid-query deaths need no call here — the
     /// engine unplugs a dead device on the first `Gone` it observes.
     pub fn detach_device(&mut self, id: DeviceId) -> Option<Box<dyn Device>> {
-        let dev = self.executor.detach_device(id);
-        if dev.is_some() {
-            self.device_ids.retain(|&d| d != id);
-        }
-        dev
+        self.executor.detach_device(id)
     }
 
     /// Executes a primitive graph.
@@ -221,10 +210,10 @@ impl Adamant {
         self.executor.last_run_stats()
     }
 
-    /// Installs a fault plan on one device (by plug order), for chaos
-    /// testing the recovery machinery.
+    /// Installs a fault plan on one device (by plug order among the devices
+    /// currently plugged), for chaos testing the recovery machinery.
     pub fn set_fault_plan(&mut self, index: usize, plan: FaultPlan) -> Result<()> {
-        let id = *self.device_ids.get(index).ok_or_else(|| {
+        let id = *self.device_ids().get(index).ok_or_else(|| {
             adamant_core::ExecError::Internal(format!("no device at plug index {index}"))
         })?;
         self.executor.set_fault_plan(id, plan)
@@ -413,7 +402,6 @@ impl AdamantBuilder {
         }
         let mut engine = Adamant {
             executor: Executor::new(tasks, config),
-            device_ids: Vec::new(),
             preempt: self.preempt.unwrap_or_default(),
         };
         if let Some(policy) = self.health {

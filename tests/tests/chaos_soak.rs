@@ -8,18 +8,9 @@
 //! environment variable.
 
 use adamant::prelude::*;
+use adamant_integration_tests::seeds;
 
 const DEFAULT_SEEDS: [u64; 3] = [1, 7, 42];
-
-fn seeds() -> Vec<u64> {
-    match std::env::var("CHAOS_SEED") {
-        Ok(s) => vec![s
-            .trim()
-            .parse()
-            .expect("CHAOS_SEED must be an unsigned integer")],
-        Err(_) => DEFAULT_SEEDS.to_vec(),
-    }
-}
 
 /// One engine under a seeded fault plan; returns the run's outcome and the
 /// (wall-clock-free) stats JSON of the attempt.
@@ -53,7 +44,7 @@ fn chaos_run(
         .map(|(out, _)| adamant::tpch::queries::q6::decode(&out));
 
     // Whatever happened, nothing may leak.
-    for &d in engine.device_ids() {
+    for d in engine.device_ids() {
         let pool = engine.executor().devices().get(d).unwrap();
         assert_eq!(
             pool.pool().used(),
@@ -80,7 +71,7 @@ fn chaos_run(
 fn seeded_chaos_across_models_is_survivable_and_deterministic() {
     let catalog = TpchGenerator::new(0.001, 5).generate();
     let reference = adamant::tpch::reference::q6(&catalog).unwrap();
-    for seed in seeds() {
+    for seed in seeds("CHAOS_SEED", &DEFAULT_SEEDS) {
         for model in ExecutionModel::ALL {
             let (first, first_json) = chaos_run(&catalog, seed, model);
             match &first {

@@ -163,7 +163,7 @@ fn kernel_breaker_quarantine_probe_lifecycle() {
     assert_eq!(out.i64_column("sum")[0], expected);
     assert_eq!(stats.retries, 0);
     assert_eq!(stats.quarantine_skips, 0);
-    for &d in engine.device_ids() {
+    for d in engine.device_ids() {
         let used = engine.executor().devices().get(d).unwrap().pool().used();
         assert_eq!(used, 0, "leaked {used} bytes on {d}");
     }

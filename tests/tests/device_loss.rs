@@ -9,48 +9,9 @@
 //! `DEVLOSS_SEED` environment variable (mirroring the `chaos` job).
 
 use adamant::prelude::*;
+use adamant_integration_tests::{assert_no_leaks, seeds, CHUNKED_MODELS};
 
 const DEFAULT_SEEDS: [u64; 4] = [1, 7, 42, 1337];
-
-/// The chunk-streaming execution models — everything but operator-at-a-time.
-const CHUNKED_MODELS: [ExecutionModel; 4] = [
-    ExecutionModel::Chunked,
-    ExecutionModel::Pipelined,
-    ExecutionModel::FourPhaseChunked,
-    ExecutionModel::FourPhasePipelined,
-];
-
-fn seeds() -> Vec<u64> {
-    match std::env::var("DEVLOSS_SEED") {
-        Ok(s) => vec![s
-            .trim()
-            .parse()
-            .expect("DEVLOSS_SEED must be an unsigned integer")],
-        Err(_) => DEFAULT_SEEDS.to_vec(),
-    }
-}
-
-/// Zero-leak check over the devices *still plugged in* — dead devices are
-/// removed from the registry, so `engine.device_ids()` (the facade's
-/// creation-time snapshot) would dangle; the live registry is the truth.
-fn assert_no_leaks(engine: &mut Adamant, context: &str) {
-    engine.executor_mut().clear_residency();
-    let live: Vec<DeviceId> = engine.executor().devices().ids();
-    for d in live {
-        let dev = engine.executor().devices().get(d).unwrap();
-        assert_eq!(dev.pool().used(), 0, "{context}: leaked bytes on {d}");
-        assert_eq!(
-            dev.pool().pinned_used(),
-            0,
-            "{context}: leaked pinned bytes on {d}"
-        );
-        assert_eq!(
-            dev.pool().admission_reserved(),
-            0,
-            "{context}: leaked admission reservation on {d}"
-        );
-    }
-}
 
 fn gone_error(err: &ExecError) -> bool {
     use adamant::device::error::DeviceError;
@@ -137,6 +98,39 @@ fn device_death_mid_query_recovers_and_hot_add_takes_work() {
         .unwrap();
     assert_eq!(stats3.hot_adds, 0);
     assert_no_leaks(&mut engine, "after hot-add run");
+}
+
+/// The facade keeps no membership list of its own: `device_ids()` is the
+/// live registry, so a device that died mid-query drops out, a hot-added
+/// replacement appears, and plug indices address what is actually plugged.
+#[test]
+fn device_ids_follow_the_live_registry() {
+    let catalog = TpchGenerator::new(0.001, 3).generate();
+    let mut engine = Adamant::builder()
+        .chunk_rows(500)
+        .device(DeviceProfile::cuda_rtx2080ti())
+        .device(DeviceProfile::opencl_cpu_i7())
+        .fault_plan(0, FaultPlan::none().die_on_exec(3))
+        .build()
+        .unwrap();
+    let before = engine.device_ids();
+    let graph = TpchQuery::Q6.plan(before[0], &catalog).unwrap();
+    let inputs = TpchQuery::Q6.bind(&catalog).unwrap();
+    let (_, stats) = engine
+        .run(&graph, &inputs, ExecutionModel::Chunked)
+        .unwrap();
+    assert_eq!(stats.device_deaths, 1, "the scripted death must fire");
+    assert_eq!(engine.device_ids(), vec![before[1]], "the corpse is gone");
+
+    let added = engine
+        .attach_profile(&DeviceProfile::cuda_rtx2080ti())
+        .unwrap();
+    assert_eq!(engine.device_ids(), engine.executor().devices().ids());
+    assert_eq!(engine.device_ids(), vec![before[1], added]);
+    // Plug indices address what is plugged: two devices, so 0 and 1.
+    assert!(engine.set_fault_plan(1, FaultPlan::none()).is_ok());
+    assert!(engine.set_fault_plan(2, FaultPlan::none()).is_err());
+    assert_no_leaks(&mut engine, "after death and hot-add");
 }
 
 /// Degenerate topology: the only device dies. The run must fail with the
@@ -286,7 +280,7 @@ fn death_sweep(
 /// engine — byte-identically deterministic.
 #[test]
 fn seeded_death_soak_is_survivable_and_deterministic() {
-    for seed in seeds() {
+    for seed in seeds("DEVLOSS_SEED", &DEFAULT_SEEDS) {
         let catalog = TpchGenerator::new(0.001, seed).generate();
         let reference = adamant::tpch::reference::q6(&catalog).unwrap();
         let plans: Vec<(&str, FaultPlan)> = vec![

@@ -221,7 +221,7 @@ fn no_leaks_after_faulted_runs() {
     for model in ExecutionModel::ALL {
         let (out, _) = engine.run(&graph, &inputs, model).unwrap();
         assert_eq!(out.i64_column("sum")[0], expected_sum(&data, 0, 2));
-        for &d in engine.device_ids() {
+        for d in engine.device_ids() {
             let used = engine.executor().devices().get(d).unwrap().pool().used();
             assert_eq!(used, 0, "{model:?}: leaked {used} bytes on {d}");
             let pinned = engine

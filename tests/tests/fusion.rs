@@ -12,18 +12,9 @@
 //! the `FUSION_SEED` environment variable.
 
 use adamant::prelude::*;
+use adamant_integration_tests::{assert_no_leaks, seeds};
 
 const DEFAULT_SEEDS: [u64; 3] = [3, 11, 58];
-
-fn seeds() -> Vec<u64> {
-    match std::env::var("FUSION_SEED") {
-        Ok(s) => vec![s
-            .trim()
-            .parse()
-            .expect("FUSION_SEED must be an unsigned integer")],
-        Err(_) => DEFAULT_SEEDS.to_vec(),
-    }
-}
 
 fn engine(fusion: bool) -> Adamant {
     Adamant::builder()
@@ -38,19 +29,6 @@ fn engine(fusion: bool) -> Adamant {
 /// columns in a `BTreeMap`, so the debug form is stable).
 fn canon(out: &QueryOutput) -> String {
     format!("{out:?}")
-}
-
-fn assert_no_leaks(engine: &mut Adamant, context: &str) {
-    engine.executor_mut().clear_residency();
-    for d in engine.executor().devices().ids() {
-        let dev = engine.executor().devices().get(d).unwrap();
-        assert_eq!(dev.pool().used(), 0, "{context}: leaked bytes on {d}");
-        assert_eq!(
-            dev.pool().pinned_used(),
-            0,
-            "{context}: leaked pinned bytes on {d}"
-        );
-    }
 }
 
 /// SQL-lowered plans bind their scan columns straight from the catalog
@@ -266,7 +244,7 @@ fn seeded_fusion_fault_soak_is_exact_and_deterministic() {
         (outcome, json)
     };
 
-    for seed in seeds() {
+    for seed in seeds("FUSION_SEED", &DEFAULT_SEEDS) {
         let catalog = TpchGenerator::new(0.001, seed).generate();
         let reference = adamant::tpch::reference::q6(&catalog).unwrap();
         for model in ExecutionModel::ALL {

@@ -12,27 +12,9 @@
 //! `INTEGRITY_SEED` environment variable.
 
 use adamant::prelude::*;
+use adamant_integration_tests::{seeds, CHUNKED_MODELS};
 
 const DEFAULT_SEEDS: [u64; 3] = [1, 7, 42];
-
-/// The chunk-streaming execution models — everything but operator-at-a-time,
-/// which has no chunk loop for the watchdog to supervise.
-const CHUNKED_MODELS: [ExecutionModel; 4] = [
-    ExecutionModel::Chunked,
-    ExecutionModel::Pipelined,
-    ExecutionModel::FourPhaseChunked,
-    ExecutionModel::FourPhasePipelined,
-];
-
-fn seeds() -> Vec<u64> {
-    match std::env::var("INTEGRITY_SEED") {
-        Ok(s) => vec![s
-            .trim()
-            .parse()
-            .expect("INTEGRITY_SEED must be an unsigned integer")],
-        Err(_) => DEFAULT_SEEDS.to_vec(),
-    }
-}
 
 /// The straggler × corruption fault matrix applied to device 0.
 fn fault_plans(seed: u64) -> Vec<(&'static str, FaultPlan)> {
@@ -89,7 +71,7 @@ fn soak_run(
         .map(|(out, _)| adamant::tpch::queries::q6::decode(&out));
 
     // Whatever happened, nothing may leak.
-    for &d in engine.device_ids() {
+    for d in engine.device_ids() {
         let pool = engine.executor().devices().get(d).unwrap();
         assert_eq!(
             pool.pool().used(),
@@ -116,7 +98,7 @@ fn soak_run(
 fn seeded_integrity_soak_across_chunked_models() {
     let catalog = TpchGenerator::new(0.001, 5).generate();
     let reference = adamant::tpch::reference::q6(&catalog).unwrap();
-    for seed in seeds() {
+    for seed in seeds("INTEGRITY_SEED", &DEFAULT_SEEDS) {
         for (name, plan) in fault_plans(seed) {
             for model in CHUNKED_MODELS {
                 let (first, first_json) = soak_run(&catalog, plan.clone(), model, true);
@@ -212,7 +194,7 @@ fn hedge_rescues_straggler_and_checksums_catch_corruption() {
         let (out, stats) = engine
             .run(&graph, &inputs, ExecutionModel::Chunked)
             .unwrap();
-        for &d in engine.device_ids() {
+        for d in engine.device_ids() {
             let pool = engine.executor().devices().get(d).unwrap();
             assert_eq!(pool.pool().used(), 0, "hedging={hedging}: leak on {d}");
             assert_eq!(

@@ -11,48 +11,9 @@
 //! `RECOVERY_SEED` environment variable (mirroring `chaos`/`device-loss`).
 
 use adamant::prelude::*;
+use adamant_integration_tests::{assert_no_leaks, seeds, CHUNKED_MODELS};
 
 const DEFAULT_SEEDS: [u64; 4] = [1, 7, 42, 1337];
-
-/// The chunk-streaming execution models — everything but operator-at-a-time.
-const CHUNKED_MODELS: [ExecutionModel; 4] = [
-    ExecutionModel::Chunked,
-    ExecutionModel::Pipelined,
-    ExecutionModel::FourPhaseChunked,
-    ExecutionModel::FourPhasePipelined,
-];
-
-fn seeds() -> Vec<u64> {
-    match std::env::var("RECOVERY_SEED") {
-        Ok(s) => vec![s
-            .trim()
-            .parse()
-            .expect("RECOVERY_SEED must be an unsigned integer")],
-        Err(_) => DEFAULT_SEEDS.to_vec(),
-    }
-}
-
-/// Zero-leak check over the devices still plugged in. Dropping the
-/// residency cache first means any surviving bytes would be genuine leaks
-/// — including anything a checkpoint capture or resume left behind.
-fn assert_no_leaks(engine: &mut Adamant, context: &str) {
-    engine.executor_mut().clear_residency();
-    let live: Vec<DeviceId> = engine.executor().devices().ids();
-    for d in live {
-        let dev = engine.executor().devices().get(d).unwrap();
-        assert_eq!(dev.pool().used(), 0, "{context}: leaked bytes on {d}");
-        assert_eq!(
-            dev.pool().pinned_used(),
-            0,
-            "{context}: leaked pinned bytes on {d}"
-        );
-        assert_eq!(
-            dev.pool().admission_reserved(),
-            0,
-            "{context}: leaked admission reservation on {d}"
-        );
-    }
-}
 
 fn two_device_engine(plan: FaultPlan, checkpoints: Option<CheckpointConfig>) -> Adamant {
     let mut b = Adamant::builder()
@@ -376,7 +337,7 @@ fn recovery_sweep(
 /// byte-identically deterministic (stats JSON with wall time zeroed).
 #[test]
 fn seeded_recovery_soak_is_survivable_and_deterministic() {
-    for seed in seeds() {
+    for seed in seeds("RECOVERY_SEED", &DEFAULT_SEEDS) {
         let catalog = TpchGenerator::new(0.001, seed).generate();
         let reference = adamant::tpch::reference::q6(&catalog).unwrap();
         let plans: Vec<(&str, FaultPlan)> = vec![

@@ -9,26 +9,9 @@
 //! `RESIDENCY_SEED` environment variable.
 
 use adamant::prelude::*;
+use adamant_integration_tests::{assert_no_leaks, seeds, CHUNKED_MODELS};
 
 const DEFAULT_SEEDS: [u64; 4] = [1, 7, 42, 1337];
-
-/// The chunk-streaming execution models — everything but operator-at-a-time.
-const CHUNKED_MODELS: [ExecutionModel; 4] = [
-    ExecutionModel::Chunked,
-    ExecutionModel::Pipelined,
-    ExecutionModel::FourPhaseChunked,
-    ExecutionModel::FourPhasePipelined,
-];
-
-fn seeds() -> Vec<u64> {
-    match std::env::var("RESIDENCY_SEED") {
-        Ok(s) => vec![s
-            .trim()
-            .parse()
-            .expect("RESIDENCY_SEED must be an unsigned integer")],
-        Err(_) => DEFAULT_SEEDS.to_vec(),
-    }
-}
 
 fn cached_engine(cache_bytes: u64, plan: Option<FaultPlan>) -> Adamant {
     let mut builder = Adamant::builder()
@@ -44,27 +27,6 @@ fn cached_engine(cache_bytes: u64, plan: Option<FaultPlan>) -> Adamant {
         builder = builder.fault_plan(0, plan);
     }
     builder.build().unwrap()
-}
-
-/// Clears the cache and asserts every pool is back to zero — nothing may
-/// outlive the cache: no data bytes, no pinned staging, no admission
-/// reservations backing evicted pins.
-fn assert_no_leaks(engine: &mut Adamant, context: &str) {
-    engine.executor_mut().clear_residency();
-    for &d in engine.device_ids() {
-        let dev = engine.executor().devices().get(d).unwrap();
-        assert_eq!(dev.pool().used(), 0, "{context}: leaked bytes on {d}");
-        assert_eq!(
-            dev.pool().pinned_used(),
-            0,
-            "{context}: leaked pinned bytes on {d}"
-        );
-        assert_eq!(
-            dev.pool().admission_reserved(),
-            0,
-            "{context}: leaked admission reservation on {d}"
-        );
-    }
 }
 
 /// The fault matrix applied to device 0 while the cache is live.
@@ -92,7 +54,7 @@ fn fault_plans(seed: u64) -> Vec<(&'static str, FaultPlan)> {
 
 #[test]
 fn repeated_workloads_hit_the_cache_and_stay_exact() {
-    for seed in seeds() {
+    for seed in seeds("RESIDENCY_SEED", &DEFAULT_SEEDS) {
         let catalog = TpchGenerator::new(0.001, seed).generate();
         let reference = adamant::tpch::reference::q6(&catalog).unwrap();
         for model in CHUNKED_MODELS {
@@ -125,7 +87,7 @@ fn repeated_workloads_hit_the_cache_and_stay_exact() {
 
 #[test]
 fn eviction_pressure_keeps_results_exact() {
-    for seed in seeds() {
+    for seed in seeds("RESIDENCY_SEED", &DEFAULT_SEEDS) {
         let catalog = TpchGenerator::new(0.001, seed).generate();
         let ref_q6 = adamant::tpch::reference::q6(&catalog).unwrap();
         let ref_q14 = adamant::tpch::reference::q14(&catalog).unwrap();
@@ -171,7 +133,7 @@ fn eviction_pressure_keeps_results_exact() {
 /// clearing the cache must return every pool to zero either way.
 #[test]
 fn eviction_pressure_under_fusion_pins_only_real_inputs() {
-    for seed in seeds() {
+    for seed in seeds("RESIDENCY_SEED", &DEFAULT_SEEDS) {
         let catalog = TpchGenerator::new(0.001, seed).generate();
         let ref_q6 = adamant::tpch::reference::q6(&catalog).unwrap();
         let ref_q14 = adamant::tpch::reference::q14(&catalog).unwrap();
@@ -275,7 +237,7 @@ fn faulted_sweep(
 
 #[test]
 fn faults_with_cache_stay_exact_and_deterministic() {
-    for seed in seeds() {
+    for seed in seeds("RESIDENCY_SEED", &DEFAULT_SEEDS) {
         let catalog = TpchGenerator::new(0.001, seed).generate();
         let reference = adamant::tpch::reference::q6(&catalog).unwrap();
         for (name, plan) in fault_plans(seed) {

@@ -13,6 +13,7 @@
 use adamant::prelude::*;
 use adamant::sched::ReservationLedger;
 use adamant::storage::Rng;
+use adamant_integration_tests::seeds;
 
 fn filter_map_sum(dev: DeviceId, threshold: i64, factor: i64) -> PrimitiveGraph {
     let mut pb = PlanBuilder::new(dev);
@@ -497,16 +498,6 @@ fn preemption_is_deterministic_across_identical_runs() {
 
 const DEFAULT_SEEDS: [u64; 3] = [1, 7, 42];
 
-fn seeds() -> Vec<u64> {
-    match std::env::var("PREEMPT_SEED") {
-        Ok(s) => vec![s
-            .trim()
-            .parse()
-            .expect("PREEMPT_SEED must be an unsigned integer")],
-        Err(_) => DEFAULT_SEEDS.to_vec(),
-    }
-}
-
 /// Query mix drawn per seed: tenant × workload class; deadlines and arrival
 /// order are randomized from the seed.
 const SOAK_MIX: [(&str, i64, i64, i64); 6] = [
@@ -642,7 +633,7 @@ fn soak_run(
     drop(report);
     drop(session);
 
-    for &d in e.device_ids() {
+    for d in e.device_ids() {
         let pool = e.executor().devices().get(d).unwrap().pool();
         assert_eq!(pool.used(), 0, "seed {seed}: leaked bytes on {d}");
         assert_eq!(
@@ -656,7 +647,7 @@ fn soak_run(
 
 #[test]
 fn seeded_preempt_soak_no_silent_misses_and_deterministic() {
-    for seed in seeds() {
+    for seed in seeds("PREEMPT_SEED", &DEFAULT_SEEDS) {
         for preempt_on in [false, true] {
             let (first, first_json) = soak_run(seed, preempt_on);
             let (second, second_json) = soak_run(seed, preempt_on);

@@ -8,18 +8,9 @@
 //! environment variable (mirroring the `chaos` job's `CHAOS_SEED`).
 
 use adamant::prelude::*;
+use adamant_integration_tests::seeds;
 
 const DEFAULT_SEEDS: [u64; 3] = [1, 7, 42];
-
-fn seeds() -> Vec<u64> {
-    match std::env::var("SCHED_SEED") {
-        Ok(s) => vec![s
-            .trim()
-            .parse()
-            .expect("SCHED_SEED must be an unsigned integer")],
-        Err(_) => DEFAULT_SEEDS.to_vec(),
-    }
-}
 
 fn filter_map_sum(dev: DeviceId, threshold: i64, factor: i64) -> PrimitiveGraph {
     let mut pb = PlanBuilder::new(dev);
@@ -118,7 +109,7 @@ fn soak_run(seed: u64, data: &[i64]) -> (Vec<Result<i64, String>>, String) {
     drop(report);
 
     // Whatever happened: no buffer bytes and no reservation may survive.
-    for &d in engine.device_ids() {
+    for d in engine.device_ids() {
         let pool = engine.executor().devices().get(d).unwrap().pool();
         assert_eq!(pool.used(), 0, "seed {seed}: leaked bytes on {d}");
         assert_eq!(
@@ -138,7 +129,7 @@ fn soak_run(seed: u64, data: &[i64]) -> (Vec<Result<i64, String>>, String) {
 #[test]
 fn seeded_concurrent_chaos_is_survivable_and_deterministic() {
     let data = test_data(600);
-    for seed in seeds() {
+    for seed in seeds("SCHED_SEED", &DEFAULT_SEEDS) {
         let (first, first_json) = soak_run(seed, &data);
         for (i, (tenant, threshold, factor)) in MIX.iter().enumerate() {
             if let Ok(sum) = &first[i] {

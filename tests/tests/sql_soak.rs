@@ -17,18 +17,9 @@ use adamant::storage::catalog::Catalog;
 use adamant::storage::column::Column;
 use adamant::storage::datatype::{date_to_days, format_date};
 use adamant::storage::table::Table;
+use adamant_integration_tests::seeds;
 
 const DEFAULT_SEEDS: [u64; 4] = [1, 7, 42, 1337];
-
-fn seeds() -> Vec<u64> {
-    match std::env::var("SQL_SEED") {
-        Ok(s) => vec![s
-            .trim()
-            .parse()
-            .expect("SQL_SEED must be an unsigned integer")],
-        Err(_) => DEFAULT_SEEDS.to_vec(),
-    }
-}
 
 /// xorshift64* — deterministic, std-only.
 struct Rng(u64);
@@ -348,7 +339,7 @@ fn soak_run(seed: u64) -> Vec<String> {
 
     // The serving layer must leave no residue: pools and the admission
     // ledger return to zero after every query.
-    for &d in engine.device_ids() {
+    for d in engine.device_ids() {
         let pool = engine.executor().devices().get(d).unwrap().pool();
         assert_eq!(pool.used(), 0, "seed {seed}: leaked bytes on {d}");
         assert_eq!(
@@ -367,7 +358,7 @@ fn soak_run(seed: u64) -> Vec<String> {
 
 #[test]
 fn random_sql_agrees_with_host_oracle_under_every_model() {
-    for seed in seeds() {
+    for seed in seeds("SQL_SEED", &DEFAULT_SEEDS) {
         let first = soak_run(seed);
         assert_eq!(first.len(), QUERIES_PER_SEED);
         // Same seed, fresh engine and catalog: byte-identical stats (the
