@@ -195,8 +195,6 @@ impl Tally {
         } else {
             self.serial_ns += serial_makespan(&stream.costs);
         }
-        self.stats.transfer_ns += stream.costs.iter().map(|c| c.transfer_ns).sum::<f64>();
-        self.stats.compute_ns += stream.costs.iter().map(|c| c.compute_ns).sum::<f64>();
     }
 
     /// Per-execution intermediate accounting: bytes flowing through

@@ -80,6 +80,38 @@ fn first_diff(path: &str, want: &str, got: &str) -> Option<String> {
     (w.len() != g.len()).then(|| format!("{path}: {} members, got {}", w.len(), g.len()))
 }
 
+/// Conservation: every drained cost event is charged to exactly one stats
+/// lane, once. The device clocks keep their own running totals (reset at
+/// run start), so summed over the plugged devices they must equal the
+/// lanes — and kernel time is the compute lane's floor.
+fn assert_lanes_conserve(engine: &Adamant, stats: &ExecutionStats, label: &str) {
+    let (mut total, mut transfer, mut compute) = (0.0, 0.0, 0.0);
+    for d in engine.device_ids() {
+        let clock = engine.executor().devices().get(d).unwrap().clock();
+        total += clock.total_ns();
+        transfer += clock.transfer_ns();
+        compute += clock.compute_ns();
+    }
+    let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0);
+    let lanes = stats.transfer_ns + stats.compute_ns + stats.other_ns;
+    assert!(
+        close(lanes, total),
+        "{label}: lanes {lanes} vs events {total}"
+    );
+    assert!(
+        close(stats.transfer_ns, transfer) && close(stats.compute_ns, compute),
+        "{label}: transfer {} vs {transfer}, compute {} vs {compute}",
+        stats.transfer_ns,
+        stats.compute_ns
+    );
+    assert!(
+        stats.compute_ns >= stats.primitive_total_ns() * (1.0 - 1e-9),
+        "{label}: compute {} below the primitives' sum {}",
+        stats.compute_ns,
+        stats.primitive_total_ns()
+    );
+}
+
 /// 7 queries × 5 models × {fused, unfused}, a fresh engine per row so a
 /// diff stays local to the row that caused it.
 fn matrix_rows(rows: &mut Vec<(String, String)>) {
@@ -98,6 +130,7 @@ fn matrix_rows(rows: &mut Vec<(String, String)>) {
                 let inputs = q.bind(&catalog).unwrap();
                 let (_, stats) = engine.run(&graph, &inputs, model).unwrap();
                 let label = format!("{q}/{model}/{}", if fusion { "fused" } else { "unfused" });
+                assert_lanes_conserve(&engine, &stats, &label);
                 rows.push((label, modeled_json(&stats)));
             }
         }
@@ -142,6 +175,10 @@ fn all_on_rows(rows: &mut Vec<(String, String)>) {
         let (_, stats) = engine
             .run(&graph, &inputs, model)
             .unwrap_or_else(|e| panic!("all-on/{tag}: {e}"));
+        if stats.device_deaths == 0 {
+            // (A corpse takes its clock with it.)
+            assert_lanes_conserve(engine, &stats, tag);
+        }
         sum.retries += stats.retries;
         sum.chunk_backoffs += stats.chunk_backoffs;
         sum.corruption_retransmits += stats.corruption_retransmits;
