@@ -702,12 +702,8 @@ impl Executor {
     /// EWMA the watchdog feeds (slow devices lose placement ties).
     fn placement_cost_ns(&self, dev: DeviceId, est_bytes: u64) -> Option<f64> {
         let penalty = self.health.retry_penalty_ns(dev) + self.health.latency_penalty_ns(dev);
-        Some(
-            self.devices
-                .get(dev)
-                .ok()?
-                .placement_cost_ns(est_bytes, penalty),
-        )
+        let device = self.devices.get(dev).ok()?;
+        Some(device.placement_cost_ns(est_bytes, penalty))
     }
 
     /// The one candidate ranking: the best device other than `avoid` that
@@ -767,17 +763,17 @@ impl Executor {
             .copied()
             .filter(|&n| graph.node(n).device == failed)
             .collect();
-        let est_bytes = (self.config.chunk_rows.max(1) * 8) as u64;
-        let target = match moving.is_empty() {
-            true => None,
-            false => self.best_candidate(graph, &moving, failed, est_bytes, true),
-        };
-        for &n in &moving {
-            if let Some(target) = target {
-                graph.nodes[n.0].device = target;
-            }
+        if moving.is_empty() {
+            return false;
         }
-        target.is_some()
+        let est_bytes = (self.config.chunk_rows.max(1) * 8) as u64;
+        let Some(target) = self.best_candidate(graph, &moving, failed, est_bytes, true) else {
+            return false;
+        };
+        for n in moving {
+            graph.nodes[n.0].device = target;
+        }
+        true
     }
 
     /// Kernel names the pipeline's nodes placed on `dev` resolve to there

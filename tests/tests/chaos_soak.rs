@@ -4,7 +4,7 @@
 //! — never panic — and always return every device pool to zero bytes.
 //! Same-seed runs must be byte-identical.
 //!
-//! The CI `chaos` job shards this suite by seed through the `CHAOS_SEED`
+//! The CI `soak` matrix shards this suite by seed through the `CHAOS_SEED`
 //! environment variable.
 
 use adamant::prelude::*;

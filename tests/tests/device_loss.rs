@@ -5,8 +5,8 @@
 //! query reference-exact on the survivors (or fail with a clean typed
 //! error when none remain), and leave zero leaked bytes everywhere.
 //!
-//! The CI `device-loss` job shards the seeded soak by seed through the
-//! `DEVLOSS_SEED` environment variable (mirroring the `chaos` job).
+//! The CI `soak` matrix shards the seeded soak by seed through the
+//! `DEVLOSS_SEED` environment variable.
 
 use adamant::prelude::*;
 use adamant_integration_tests::{assert_no_leaks, seeds, CHUNKED_MODELS};

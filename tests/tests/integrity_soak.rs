@@ -8,7 +8,7 @@
 //! (watchdog + hedged chunks + checksum retransmits) and the latency-aware
 //! half-open probe placement test.
 //!
-//! The CI `integrity` job shards the soak by seed through the
+//! The CI `soak` matrix shards the soak by seed through the
 //! `INTEGRITY_SEED` environment variable.
 
 use adamant::prelude::*;

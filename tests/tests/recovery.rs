@@ -7,8 +7,8 @@
 //! bytes (checkpoint storage included), and degrading to a full restart
 //! with a typed stat when the snapshot is corrupted.
 //!
-//! The CI `recovery` job shards the seeded soak by seed through the
-//! `RECOVERY_SEED` environment variable (mirroring `chaos`/`device-loss`).
+//! The CI `soak` matrix shards the seeded soak by seed through the
+//! `RECOVERY_SEED` environment variable.
 
 use adamant::prelude::*;
 use adamant_integration_tests::{assert_no_leaks, seeds, CHUNKED_MODELS};

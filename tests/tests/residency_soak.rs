@@ -5,7 +5,7 @@
 //! byte-identical, and clearing the cache must return every device pool —
 //! regular, pinned, and the admission ledger — to zero bytes.
 //!
-//! The CI `residency` job shards the soak by seed through the
+//! The CI `soak` matrix shards the soak by seed through the
 //! `RESIDENCY_SEED` environment variable.
 
 use adamant::prelude::*;

@@ -5,7 +5,7 @@
 //! weight-update and completed-past-deadline bugs, and the ledger's
 //! O(outstanding) release.
 //!
-//! The CI `preempt` job shards the seeded soak through `PREEMPT_SEED`
+//! The CI `soak` matrix shards the seeded soak through `PREEMPT_SEED`
 //! (mirroring `SCHED_SEED`/`INTEGRITY_SEED`), randomizing arrival order ×
 //! deadlines × preemption on/off and asserting no completed query silently
 //! misses its deadline.

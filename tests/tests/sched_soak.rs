@@ -4,8 +4,8 @@
 //! errors, device pools and the admission ledger must return to zero, and
 //! same-seed runs must export byte-identical scheduler statistics.
 //!
-//! The CI `sched` job shards this suite by seed through the `SCHED_SEED`
-//! environment variable (mirroring the `chaos` job's `CHAOS_SEED`).
+//! The CI `soak` matrix shards this suite by seed through the `SCHED_SEED`
+//! environment variable.
 
 use adamant::prelude::*;
 use adamant_integration_tests::seeds;

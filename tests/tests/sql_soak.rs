@@ -7,7 +7,7 @@
 //! pools and the admission ledger must be back at zero, and same-seed runs
 //! must produce byte-identical executor statistics.
 //!
-//! The CI `sql` job shards this suite by seed through the `SQL_SEED`
+//! The CI `soak` matrix shards this suite by seed through the `SQL_SEED`
 //! environment variable (mirroring `CHAOS_SEED`/`SCHED_SEED`).
 
 use adamant::prelude::*;
