@@ -440,7 +440,7 @@ pub mod prelude {
     pub use adamant_core::ExecError;
     pub use adamant_device::buffer::{Buffer, BufferData, BufferId};
     pub use adamant_device::cost::{CostClass, CostModel};
-    pub use adamant_device::device::{Device, DeviceId, DeviceInfo, DeviceKind};
+    pub use adamant_device::device::{Device, DeviceId, DeviceInfo, DeviceKind, DeviceState};
     pub use adamant_device::fault::{FaultCounters, FaultPlan};
     pub use adamant_device::health::{
         BreakerState, DeviceHealthRegistry, HealthPolicy, HealthSnapshot,

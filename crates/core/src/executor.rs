@@ -377,7 +377,11 @@ impl Executor {
         device: DeviceId,
         plan: adamant_device::FaultPlan,
     ) -> Result<()> {
-        self.devices.get_mut(device)?.set_fault_plan(plan);
+        self.devices
+            .get_mut(device)?
+            .state_mut()
+            .faults
+            .install(plan);
         Ok(())
     }
 
@@ -494,7 +498,7 @@ impl Executor {
         for id in self.devices.ids() {
             let dev = self.devices.get_mut(id)?;
             dev.clock_mut().reset();
-            fault_base.insert(id, dev.fault_counters().total());
+            fault_base.insert(id, dev.state().faults.counters().total());
         }
 
         let mut hub = DataTransferHub::new();

@@ -226,7 +226,12 @@ impl Tally {
             .insert(name.clone(), dev.pool().peak());
         self.stats.bytes_h2d += dev.clock().bytes_h2d();
         self.stats.bytes_d2h += dev.clock().bytes_d2h();
-        let faults = dev.fault_counters().total().saturating_sub(fault_base);
+        let faults = dev
+            .state()
+            .faults
+            .counters()
+            .total()
+            .saturating_sub(fault_base);
         if faults > 0 {
             self.stats.device_faults.insert(name.clone(), faults);
         }

@@ -822,14 +822,12 @@ impl Executor {
             })?;
         if let NodeParams::Fused { stages, .. } = &node.params {
             if !kstats.stages.is_empty() {
-                if let Some(cost) = self.devices.get(node.device)?.cost_model() {
-                    return Ok(crate::fusion::fused_saved_ns(
-                        cost,
-                        stages,
-                        &kstats.stages,
-                        spec.arg_count(),
-                    ));
-                }
+                return Ok(crate::fusion::fused_saved_ns(
+                    &self.devices.get(node.device)?.state().cost,
+                    stages,
+                    &kstats.stages,
+                    spec.arg_count(),
+                ));
             }
         }
         Ok(0.0)

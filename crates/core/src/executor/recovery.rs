@@ -645,8 +645,9 @@ impl Executor {
         let estimate_ns: f64 = intermediates
             .iter()
             .filter_map(|&(_, dev, id)| {
-                let d = self.devices.get(dev).ok()?;
-                Some(d.placement_cost_ns(d.pool().get(id).ok()?.footprint(), 0.0))
+                let d = self.devices.get(dev).ok()?.state();
+                let bytes = d.pool.get(id).ok()?.footprint();
+                Some(d.cost.placement_cost_ns(bytes, 0.0))
             })
             .sum();
         if cx.tally.lanes_ns() - cx.ckpt.lanes_mark <= estimate_ns * cx.ckpt.cfg.cost_factor {
@@ -684,7 +685,8 @@ impl Executor {
             // damage the snapshot in flight. The stored checksum no longer
             // matches the content, so the resume-time validation rejects it
             // and recovery degrades to a full restart.
-            if self.devices.get_mut(id)?.corrupt_checkpoint_capture() {
+            let faults = &mut self.devices.get_mut(id)?.state_mut().faults;
+            if faults.on_checkpoint_capture() {
                 cp.checksum ^= 1;
             }
         }
@@ -702,8 +704,8 @@ impl Executor {
     /// EWMA the watchdog feeds (slow devices lose placement ties).
     fn placement_cost_ns(&self, dev: DeviceId, est_bytes: u64) -> Option<f64> {
         let penalty = self.health.retry_penalty_ns(dev) + self.health.latency_penalty_ns(dev);
-        let device = self.devices.get(dev).ok()?;
-        Some(device.placement_cost_ns(est_bytes, penalty))
+        let cost = &self.devices.get(dev).ok()?.state().cost;
+        Some(cost.placement_cost_ns(est_bytes, penalty))
     }
 
     /// The one candidate ranking: the best device other than `avoid` that

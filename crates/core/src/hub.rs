@@ -122,6 +122,14 @@ impl HostAccum {
 /// retried; doubles with each further retransmit of the same payload.
 const RETRANSMIT_BACKOFF_NS: f64 = 500.0;
 
+/// Modeled cost of uploading `bytes` to `device` — what a residency-cache
+/// hit avoids (zero for a device no longer plugged in).
+fn upload_ns(devices: &DeviceRegistry, device: DeviceId, bytes: u64) -> f64 {
+    devices
+        .get(device)
+        .map_or(0.0, |d| d.state().cost.placement_cost_ns(bytes, 0.0))
+}
+
 /// The hub: buffer-id allocation, residency tracking, routing and output
 /// buffer preparation.
 #[derive(Debug)]
@@ -243,7 +251,8 @@ impl DataTransferHub {
                 .place_data(id, data.clone(), offset)?;
             let echo = devices
                 .get(device)?
-                .buffer_checksum(id, Some(len), offset)?;
+                .pool()
+                .checksum(id, Some(len), offset)?;
             if echo == expected {
                 return Ok(());
             }
@@ -277,7 +286,8 @@ impl DataTransferHub {
             let payload = devices.get_mut(device)?.retrieve_data(id, len, offset)?;
             let echo = devices
                 .get(device)?
-                .buffer_checksum(id, Some(payload.len()), offset)?;
+                .pool()
+                .checksum(id, Some(payload.len()), offset)?;
             if payload.checksum() == echo {
                 return Ok(payload);
             }
@@ -599,10 +609,7 @@ impl DataTransferHub {
                 if was_hit {
                     // The whole upload was avoided.
                     let bytes = (column.len() as u64) * 8;
-                    let saved = devices
-                        .get(target)
-                        .map(|d| d.placement_cost_ns(bytes, 0.0))
-                        .unwrap_or(0.0);
+                    let saved = upload_ns(devices, target, bytes);
                     if let Some(cache) = &mut self.cache {
                         cache.note_saved_transfer_ns(saved);
                     }
@@ -631,10 +638,7 @@ impl DataTransferHub {
         column: &[i64],
     ) -> Result<Option<(BufferId, bool)>> {
         let bytes = (column.len() as u64) * 8;
-        let transfer_ns = devices
-            .get(target)
-            .map(|d| d.placement_cost_ns(bytes, 0.0))
-            .unwrap_or(0.0);
+        let transfer_ns = upload_ns(devices, target, bytes);
         let mut cache = self.cache.take().expect("caller checked");
         if let Some(id) = cache.lookup(devices, target, name, column) {
             self.absorb_cache_frees(&mut cache);
@@ -700,10 +704,7 @@ impl DataTransferHub {
             None => return Ok(false),
         };
         let chunk_bytes = (len as u64) * 8;
-        let saved = devices
-            .get(device)
-            .map(|d| d.placement_cost_ns(chunk_bytes, 0.0))
-            .unwrap_or(0.0);
+        let saved = upload_ns(devices, device, chunk_bytes);
         let dev = devices.get_mut(device)?;
         // The staging slot was pre-allocated for uploads; re-materialize it
         // as a device-internal sub-buffer of the pinned column.
@@ -1226,14 +1227,23 @@ mod tests {
         devices
             .get_mut(gpu)
             .unwrap()
-            .set_fault_plan(FaultPlan::none().corrupt_on_place(1));
+            .state_mut()
+            .faults
+            .install(FaultPlan::none().corrupt_on_place(1));
         let mut hub = DataTransferHub::new();
         let id = hub
             .load_whole_input(&mut devices, DataRef::Input(0), gpu, "in0", &[1, 2, 3, 4])
             .unwrap();
-        // The first transmission was corrupted; the hub retransmitted.
+        // The first transmission was corrupted; the pool's checksum echo
+        // exposed it and the hub retransmitted.
         let log = hub.take_corruption_retransmits();
         assert_eq!(log.get(&gpu), Some(&1));
+        let dev = devices.get(gpu).unwrap();
+        assert_eq!(dev.state().faults.counters().corruptions_injected, 1);
+        assert_eq!(
+            dev.pool().checksum(id, None, 0).unwrap(),
+            BufferData::I64(vec![1, 2, 3, 4]).checksum()
+        );
         // What the device now holds is the clean payload.
         let payload = devices
             .get_mut(gpu)
@@ -1243,6 +1253,16 @@ mod tests {
         assert_eq!(payload, BufferData::I64(vec![1, 2, 3, 4]));
         // The drain reset the log.
         assert!(hub.take_corruption_retransmits().is_empty());
+        // A state reset frees the buffers but keeps the plan's ordinals:
+        // place #1 is behind us, so the next upload goes through clean.
+        devices.get_mut(gpu).unwrap().state_mut().reset();
+        assert_eq!(devices.get(gpu).unwrap().pool().used(), 0);
+        let mut hub = DataTransferHub::new();
+        hub.load_whole_input(&mut devices, DataRef::Input(0), gpu, "in0", &[1, 2, 3, 4])
+            .unwrap();
+        assert!(hub.take_corruption_retransmits().is_empty());
+        let counters = devices.get(gpu).unwrap().state().faults.counters();
+        assert_eq!(counters.corruptions_injected, 1);
     }
 
     #[test]
@@ -1258,12 +1278,27 @@ mod tests {
         devices
             .get_mut(gpu)
             .unwrap()
-            .set_fault_plan(FaultPlan::none().corrupt_on_retrieve(1));
+            .state_mut()
+            .faults
+            .install(FaultPlan::none().corrupt_on_retrieve(1));
         let payload = hub
             .retrieve_verified(&mut devices, gpu, id, None, 0)
             .unwrap();
         assert_eq!(payload, BufferData::I64(vec![9, 8, 7]));
         assert_eq!(hub.take_corruption_retransmits().get(&gpu), Some(&1));
+        // A scripted death is permanent: the state reset between queries
+        // must not revive the device.
+        let dev = devices.get_mut(gpu).unwrap();
+        dev.state_mut()
+            .faults
+            .install(FaultPlan::none().die_at_ns(0.0));
+        let gone = |r: adamant_device::error::Result<()>| {
+            assert!(matches!(r, Err(DeviceError::Gone { .. })), "got {r:?}")
+        };
+        gone(dev.retrieve_data(id, None, 0).map(drop));
+        dev.state_mut().reset();
+        gone(dev.initialize());
+        assert_eq!(dev.state().faults.counters().deaths_injected, 1);
     }
 
     #[test]
@@ -1276,7 +1311,12 @@ mod tests {
         for n in 1..=8 {
             plan = plan.corrupt_on_place(n);
         }
-        devices.get_mut(gpu).unwrap().set_fault_plan(plan);
+        devices
+            .get_mut(gpu)
+            .unwrap()
+            .state_mut()
+            .faults
+            .install(plan);
         let mut hub = DataTransferHub::new();
         hub.set_retransmit_budget(3);
         let before = devices.get(gpu).unwrap().clock().transfer_ns();

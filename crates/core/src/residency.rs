@@ -618,7 +618,9 @@ mod tests {
         // Kill the device: any data-plane call would now fail.
         reg.get_mut(dev)
             .unwrap()
-            .set_fault_plan(FaultPlan::none().die_on_exec(1).die_at_ns(0.0));
+            .state_mut()
+            .faults
+            .install(FaultPlan::none().die_on_exec(1).die_at_ns(0.0));
         let freed = cache.write_off_device(dev);
         assert_eq!(freed, 32 * 8, "pinned bytes written off");
         assert!(cache.is_empty());

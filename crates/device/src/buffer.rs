@@ -159,7 +159,7 @@ impl BufferData {
     /// `Generic` payloads do not support slicing; they are cloned whole
     /// (chunking a hash table has no meaning — the runtime never does it).
     pub fn slice(&self, offset: usize, len: usize) -> BufferData {
-        let end = (offset + len).min(self.len());
+        let end = offset.saturating_add(len).min(self.len());
         let offset = offset.min(end);
         match self {
             BufferData::I64(v) => BufferData::I64(v[offset..end].to_vec()),

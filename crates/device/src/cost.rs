@@ -163,6 +163,12 @@ impl CostModel {
         }
     }
 
+    /// Time for a device-internal copy or memset of `bytes` at memory
+    /// bandwidth (`create_chunk`, `init_structure`).
+    pub fn device_copy_ns(&self, bytes: u64) -> f64 {
+        bytes as f64 / (self.mem_bandwidth_gibs * GIB) * 1e9
+    }
+
     /// Kernel execution time for `elements` inputs of the given class.
     ///
     /// `arg_count` models the launch-time argument mapping (Fig. 10).

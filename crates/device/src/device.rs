@@ -1,9 +1,11 @@
-//! The `Device` trait — ADAMANT's ten pluggable interfaces.
+//! The `Device` trait — ADAMANT's ten pluggable interfaces — and the
+//! [`DeviceState`] every driver embeds.
 
 use crate::buffer::{BufferData, BufferId};
 use crate::clock::SimClock;
+use crate::cost::CostModel;
 use crate::error::Result;
-use crate::fault::{FaultCounters, FaultPlan};
+use crate::fault::FaultState;
 use crate::kernel::{ExecuteSpec, KernelSource, KernelStats};
 use crate::pool::BufferPool;
 use crate::sdk::{SdkKind, SdkRepr};
@@ -48,14 +50,59 @@ pub struct DeviceInfo {
     pub pinned_capacity: u64,
 }
 
+/// The state every driver keeps beside its SDK handles: the cost clock the
+/// runtime drains for statistics, the bounded buffer pool, the
+/// fault-injection state and the analytical cost model the runtime prices
+/// placement and fusion savings with.
+///
+/// This is the one concrete struct behind [`Device::state`]; the runtime
+/// reads it directly instead of reaching through per-concern trait hooks.
+/// A driver embeds one and charges `clock` from `cost` as it works.
+pub struct DeviceState {
+    /// Cost clock (statistics, timelines).
+    pub clock: SimClock,
+    /// Bounded device + pinned memory pool.
+    pub pool: BufferPool,
+    /// Installed fault plan, its ordinals and counters. Drivers with
+    /// nothing to inject simply never consult it.
+    pub faults: FaultState,
+    /// Transfer/allocation/kernel cost model.
+    pub cost: CostModel,
+}
+
+impl DeviceState {
+    /// Fresh state for a device: an empty pool sized from `info`, a zeroed
+    /// clock, no fault plan.
+    pub fn new(info: &DeviceInfo, cost: CostModel) -> Self {
+        DeviceState {
+            clock: SimClock::new(),
+            pool: BufferPool::new(info.memory_capacity, info.pinned_capacity),
+            faults: FaultState::default(),
+            cost,
+        }
+    }
+
+    /// Frees all buffers and zeroes the clock and the peak watermark
+    /// (between queries/experiments).
+    ///
+    /// Fault state survives: the plan is configuration, and its ordinals
+    /// are per-plan (reinstall the plan to rewind them). A driver's
+    /// permanent death lives outside this struct and survives too.
+    pub fn reset(&mut self) {
+        self.pool.clear();
+        self.pool.reset_peak();
+        self.clock.reset();
+    }
+}
+
 /// ADAMANT's device-layer interface (paper §III-A).
 ///
 /// Implementing this trait is all that is required to plug a new
 /// co-processor or SDK into the executor; the runtime layer only ever talks
-/// through these methods. The ten paper interfaces map to the ten required
-/// methods below; `clock`/`pool` accessors expose the simulation state the
-/// runtime uses for statistics (a real driver would surface hardware
-/// counters the same way).
+/// through these methods. The required surface is [`Device::info`], the ten
+/// paper interfaces (`initialize` … `execute`), [`Device::init_structure`]
+/// and the [`Device::state`] pair; `clock`/`pool` are provided shorthands
+/// for the matching [`DeviceState`] fields.
 pub trait Device: Send {
     /// Static device description.
     fn info(&self) -> &DeviceInfo;
@@ -114,106 +161,40 @@ pub trait Device: Send {
 
     /// Allocates and initializes a device-resident structure (empty hash
     /// table, zeroed accumulator) **without** a host transfer — the
-    /// device-side half of the runtime's `prepare_output_buffer`.
+    /// device-side half of the runtime's `prepare_output_buffer`, kept
+    /// apart from `prepare_memory` because it is modeled as its own
+    /// allocation event.
     ///
     /// Cost: one allocation plus an on-device initialization at memory
     /// bandwidth (like `cudaMemset` after `cudaMalloc`).
     fn init_structure(&mut self, id: BufferId, data: BufferData) -> Result<()>;
 
-    /// The device's cost clock (statistics, timelines).
-    fn clock(&self) -> &SimClock;
+    /// The driver's [`DeviceState`]. Stays readable on a dead device so
+    /// write-off accounting can still inspect the corpse.
+    fn state(&self) -> &DeviceState;
 
-    /// Mutable clock access (the runtime drains events after each step).
-    fn clock_mut(&mut self) -> &mut SimClock;
+    /// Mutable [`DeviceState`] access: the runtime drains clock events,
+    /// installs fault plans and drives the admission ledger through it.
+    fn state_mut(&mut self) -> &mut DeviceState;
 
-    /// The device's buffer pool (read-only inspection: usage, peak).
-    fn pool(&self) -> &BufferPool;
-
-    /// Mutable pool access — the multi-query scheduler drives the admission
-    /// ledger ([`BufferPool::admission_reserve`]/[`BufferPool::admission_release`])
-    /// through it.
-    fn pool_mut(&mut self) -> &mut BufferPool;
-
-    /// Frees all buffers and resets usage (between queries/experiments).
-    fn reset(&mut self);
-
-    /// The device's kernel cost model, when it has one. The runtime uses it
-    /// for read-only accounting (e.g. pricing what a fused chain would have
-    /// cost unfused); drivers for real hardware may have no analytical model,
-    /// so the default is `None`.
-    fn cost_model(&self) -> Option<&crate::cost::CostModel> {
-        None
+    /// Shorthand for `&self.state().clock`.
+    fn clock(&self) -> &SimClock {
+        &self.state().clock
     }
 
-    /// Installs a deterministic fault-injection plan.
-    ///
-    /// Optional: drivers for real hardware have nothing to inject, so the
-    /// default is a no-op. [`crate::sim::SimDevice`] honors the plan.
-    fn set_fault_plan(&mut self, _plan: FaultPlan) {}
-
-    /// Counters of faults injected so far (all zero for drivers that do not
-    /// support injection).
-    fn fault_counters(&self) -> FaultCounters {
-        FaultCounters::default()
+    /// Shorthand for `&mut self.state_mut().clock`.
+    fn clock_mut(&mut self) -> &mut SimClock {
+        &mut self.state_mut().clock
     }
 
-    /// Zeroes the injected-fault counters without touching the installed
-    /// plan or its ordinals, so back-to-back soak iterations start from a
-    /// clean slate. No-op for drivers without injection.
-    fn reset_fault_counters(&mut self) {}
-
-    /// Asked once per query-checkpoint capture: returns whether this
-    /// device's fault plan scripts the snapshot being captured right now to
-    /// be damaged ([`FaultPlan::corrupt_checkpoint`], 1-based capture
-    /// ordinals). Drivers without injection never corrupt, so the default
-    /// returns `false`. [`crate::sim::SimDevice`] honors the plan.
-    fn corrupt_checkpoint_capture(&mut self) -> bool {
-        false
+    /// Shorthand for `&self.state().pool`.
+    fn pool(&self) -> &BufferPool {
+        &self.state().pool
     }
 
-    /// Recovery-aware placement cost of moving a `working_set_bytes` working
-    /// set onto this device, given the expected-retry penalty the health
-    /// registry attributes to it. Fallback placement ranks candidate devices
-    /// by this value (ties broken by lowest id).
-    ///
-    /// The default charges only the penalty — drivers without a cost model
-    /// still let health feedback order candidates.
-    /// [`crate::sim::SimDevice`] adds its modeled transfer cost via
-    /// [`crate::cost::CostModel::placement_cost_ns`].
-    fn placement_cost_ns(&self, _working_set_bytes: u64, retry_penalty_ns: f64) -> f64 {
-        retry_penalty_ns.max(0.0)
-    }
-
-    /// [`Device::placement_cost_ns`] discounted by working-set bytes already
-    /// resident on the device (a residency-cache pin): only the missing part
-    /// pays transfer, so a cache-warm device prices a hit at zero transfer.
-    fn placement_cost_ns_resident(
-        &self,
-        working_set_bytes: u64,
-        resident_bytes: u64,
-        retry_penalty_ns: f64,
-    ) -> f64 {
-        let moved = working_set_bytes.saturating_sub(resident_bytes);
-        if moved == 0 {
-            retry_penalty_ns.max(0.0)
-        } else {
-            self.placement_cost_ns(moved, retry_penalty_ns)
-        }
-    }
-
-    /// Echoes the checksum of the stored elements `offset..offset+len` of
-    /// buffer `id` (`len == None` = through the end of the buffer), as the
-    /// device sees them — *after* any transfer corruption.
-    ///
-    /// The hub compares this echo against the checksum of what it sent to
-    /// detect silent corruption end-to-end. The echo is an 8-byte control
-    /// message, so it is deliberately free on the simulated clock. The
-    /// default implementation reads the device's own pool, which is correct
-    /// for any driver whose `place_data` stores through [`Self::pool_mut`].
-    fn buffer_checksum(&self, id: BufferId, len: Option<usize>, offset: usize) -> Result<u64> {
-        let buf = self.pool().get(id)?;
-        let n = len.unwrap_or_else(|| buf.data.len().saturating_sub(offset));
-        Ok(buf.data.slice(offset, n).checksum())
+    /// Shorthand for `&mut self.state_mut().pool`.
+    fn pool_mut(&mut self) -> &mut BufferPool {
+        &mut self.state_mut().pool
     }
 }
 

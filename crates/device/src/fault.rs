@@ -8,10 +8,10 @@
 //! testable without hardware — and *deterministically*, so a failing run can
 //! be replayed exactly.
 //!
-//! Faults are counted in [`FaultCounters`], which devices expose through
-//! [`crate::device::Device::fault_counters`]; the runtime folds them into
-//! its execution statistics so tests and benches can assert that recovery
-//! actually happened.
+//! Faults are counted in [`FaultCounters`], which every device exposes as
+//! `state().faults.counters()` ([`crate::device::DeviceState`]); the runtime
+//! folds them into its execution statistics so tests and benches can assert
+//! that recovery actually happened.
 
 use crate::error::{DeviceError, Result};
 use adamant_storage::rng::Rng;

@@ -20,6 +20,11 @@
 //! | `add_pinned_memory(ID, chunk size, offset)` | [`Device::add_pinned_memory`] |
 //! | `execute()` | [`Device::execute`] |
 //!
+//! Beside those, a driver names itself ([`Device::info`]), initializes
+//! device-resident structures ([`Device::init_structure`]) and hands the
+//! runtime its [`DeviceState`] — clock, pool, fault state and cost model in
+//! one concrete struct, so the trait carries no per-concern hooks.
+//!
 //! ## Hardware simulation
 //!
 //! This reproduction runs without GPUs. [`sim::SimDevice`] is a faithful
@@ -51,7 +56,7 @@ pub mod transform;
 pub use buffer::{Buffer, BufferData, BufferId, GenericPayload};
 pub use clock::{CostEvent, Lane, SimClock};
 pub use cost::{CostClass, CostModel};
-pub use device::{Device, DeviceId, DeviceInfo, DeviceKind};
+pub use device::{Device, DeviceId, DeviceInfo, DeviceKind, DeviceState};
 pub use error::DeviceError;
 pub use fault::{FaultCounters, FaultPlan};
 pub use health::{BreakerState, DeviceHealthRegistry, HealthPolicy, HealthSnapshot};
@@ -68,7 +73,7 @@ pub mod prelude {
     pub use crate::buffer::{Buffer, BufferData, BufferId, GenericPayload};
     pub use crate::clock::{CostEvent, Lane, SimClock};
     pub use crate::cost::{CostClass, CostModel};
-    pub use crate::device::{Device, DeviceId, DeviceInfo, DeviceKind};
+    pub use crate::device::{Device, DeviceId, DeviceInfo, DeviceKind, DeviceState};
     pub use crate::error::DeviceError;
     pub use crate::fault::{FaultCounters, FaultPlan};
     pub use crate::health::{BreakerState, DeviceHealthRegistry, HealthPolicy, HealthSnapshot};

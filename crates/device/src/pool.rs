@@ -232,6 +232,85 @@ impl BufferPool {
         Ok(())
     }
 
+    /// Copies elements `offset..offset+len` of buffer `id` (`len == None` =
+    /// through the end of the buffer). A range past the end — or one whose
+    /// end overflows — is [`DeviceError::RangeOutOfBounds`], never a
+    /// silently short payload.
+    pub fn read(&self, id: BufferId, len: Option<usize>, offset: usize) -> Result<BufferData> {
+        let data = &self.get(id)?.data;
+        let total = data.len();
+        let len = len.unwrap_or(total.saturating_sub(offset));
+        match offset.checked_add(len) {
+            Some(end) if end <= total => Ok(data.slice(offset, len)),
+            end => Err(DeviceError::RangeOutOfBounds {
+                id,
+                requested_end: end.unwrap_or(usize::MAX),
+                len: total,
+            }),
+        }
+    }
+
+    /// Echoes the checksum of the stored elements `offset..offset+len` of
+    /// buffer `id`, as the device sees them — *after* any transfer
+    /// corruption. Same range contract as [`Self::read`].
+    ///
+    /// The hub compares this echo against the checksum of what it sent to
+    /// detect silent corruption end-to-end. The echo is an 8-byte control
+    /// message, so it is deliberately free on the simulated clock.
+    pub fn checksum(&self, id: BufferId, len: Option<usize>, offset: usize) -> Result<u64> {
+        Ok(self.read(id, len, offset)?.checksum())
+    }
+
+    /// Writes `data` into the existing buffer `id` starting at element
+    /// `offset`, re-accounting any footprint growth.
+    ///
+    /// `offset == 0` replaces the payload wholesale (the chunk-upload case —
+    /// a shorter final chunk must not leave a stale tail); `offset > 0`
+    /// splices into the existing payload, growing it if needed. Payload
+    /// kinds must match; a reserved-but-empty buffer accepts any kind.
+    pub fn write(&mut self, id: BufferId, data: BufferData, offset: usize) -> Result<()> {
+        let dst = self.get_mut(id)?;
+        let old = dst.footprint();
+        let mismatch = |dst: &BufferData, src: &BufferData| DeviceError::TypeMismatch {
+            id,
+            expected: dst.kind(),
+            actual: src.kind(),
+        };
+        if offset == 0 {
+            if std::mem::discriminant(&dst.data) != std::mem::discriminant(&data)
+                && !dst.data.is_empty()
+            {
+                return Err(mismatch(&dst.data, &data));
+            }
+            dst.data = data;
+            return self.update_accounting(id, old);
+        }
+        let end = offset
+            .checked_add(data.len())
+            .ok_or(DeviceError::RangeOutOfBounds {
+                id,
+                requested_end: usize::MAX,
+                len: dst.data.len(),
+            })?;
+        macro_rules! splice {
+            ($dv:expr, $sv:expr) => {{
+                if $dv.len() < end {
+                    $dv.resize(end, Default::default());
+                }
+                $dv[offset..end].copy_from_slice(&$sv);
+            }};
+        }
+        match (&mut dst.data, data) {
+            (BufferData::I64(d), BufferData::I64(s)) => splice!(d, s),
+            (BufferData::F64(d), BufferData::F64(s)) => splice!(d, s),
+            (BufferData::U32(d), BufferData::U32(s)) => splice!(d, s),
+            (BufferData::BitWords(d), BufferData::BitWords(s)) => splice!(d, s),
+            (BufferData::Raw(d), BufferData::Raw(s)) => splice!(d, s),
+            (d, s) => return Err(mismatch(d, &s)),
+        }
+        self.update_accounting(id, old)
+    }
+
     /// Removes every buffer (end-of-query cleanup / delete phase).
     pub fn clear(&mut self) {
         self.buffers.clear();
@@ -424,6 +503,49 @@ mod tests {
             .unwrap();
         assert_eq!(pool.used(), 64);
         assert_eq!(pool.get(BufferId(7)).unwrap().repr, SdkRepr::ClBuffer);
+    }
+
+    #[test]
+    fn read_write_checksum_share_one_range_contract() {
+        let mut pool = BufferPool::new(1000, 0);
+        pool.insert(BufferId(1), buf(4)).unwrap(); // 32 bytes
+        pool.write(BufferId(1), BufferData::I64(vec![7, 8]), 3)
+            .unwrap();
+        assert_eq!(
+            pool.read(BufferId(1), None, 2).unwrap(),
+            BufferData::I64(vec![0, 7, 8])
+        );
+        assert_eq!(pool.used(), 40, "the splice grew the buffer by one element");
+        assert_eq!(
+            pool.checksum(BufferId(1), Some(2), 3).unwrap(),
+            BufferData::I64(vec![7, 8]).checksum()
+        );
+        // Offset 0 replaces wholesale: no stale tail, kinds must match.
+        pool.write(BufferId(1), BufferData::I64(vec![1]), 0)
+            .unwrap();
+        assert_eq!(
+            pool.read(BufferId(1), None, 0).unwrap(),
+            BufferData::I64(vec![1])
+        );
+        assert!(matches!(
+            pool.write(BufferId(1), BufferData::U32(vec![1]), 0),
+            Err(DeviceError::TypeMismatch { .. })
+        ));
+        // Past-the-end and overflowing ranges are typed errors everywhere.
+        for (len, offset) in [(Some(2), 0), (None, 2), (Some(usize::MAX), 1)] {
+            assert!(matches!(
+                pool.read(BufferId(1), len, offset),
+                Err(DeviceError::RangeOutOfBounds { .. })
+            ));
+            assert!(matches!(
+                pool.checksum(BufferId(1), len, offset),
+                Err(DeviceError::RangeOutOfBounds { .. })
+            ));
+        }
+        assert!(matches!(
+            pool.write(BufferId(1), BufferData::I64(vec![1]), usize::MAX),
+            Err(DeviceError::RangeOutOfBounds { .. })
+        ));
     }
 
     #[test]

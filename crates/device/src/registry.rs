@@ -76,15 +76,6 @@ impl DeviceRegistry {
     pub fn is_empty(&self) -> bool {
         self.devices.is_empty()
     }
-
-    /// Resets every device (buffers, clocks, fault counters) between
-    /// experiments, so each iteration starts from a clean slate.
-    pub fn reset_all(&mut self) {
-        for d in self.devices.values_mut() {
-            d.reset();
-            d.reset_fault_counters();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -118,27 +109,6 @@ mod tests {
         assert_eq!(reg.peek_next_id(), DeviceId(1));
         let id1 = reg.add(Box::new(DeviceProfile::host().build(reg.peek_next_id())));
         assert_eq!(id1, DeviceId(1));
-    }
-
-    #[test]
-    fn reset_all_clears_fault_counters() {
-        use crate::fault::FaultPlan;
-        let mut reg = DeviceRegistry::new();
-        let id = reg.add(Box::new(DeviceProfile::cuda_rtx2080ti().build(DeviceId(0))));
-        {
-            let dev = reg.get_mut(id).unwrap();
-            dev.initialize().unwrap();
-            dev.set_fault_plan(FaultPlan::none().oom_on_allocation(1));
-            assert!(dev.prepare_memory(crate::buffer::BufferId(1), 64).is_err());
-            assert_eq!(dev.fault_counters().oom_injected, 1);
-        }
-        reg.reset_all();
-        let dev = reg.get(id).unwrap();
-        assert_eq!(
-            dev.fault_counters().total(),
-            0,
-            "reset_all must clear accumulated fault counters"
-        );
     }
 
     #[test]

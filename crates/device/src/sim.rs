@@ -7,13 +7,11 @@
 //! cannot tell it apart from hardware except by wall-clock speed.
 
 use crate::buffer::{Buffer, BufferData, BufferId};
-use crate::clock::{Lane, SimClock};
+use crate::clock::Lane;
 use crate::cost::CostModel;
-use crate::device::{Device, DeviceInfo};
+use crate::device::{Device, DeviceInfo, DeviceState};
 use crate::error::{DeviceError, Result};
-use crate::fault::{FaultCounters, FaultPlan, FaultState};
 use crate::kernel::{ExecuteSpec, KernelFn, KernelSource, KernelStats};
-use crate::pool::BufferPool;
 use crate::sdk::SdkRepr;
 use crate::transform::{TransformKind, TransformTable};
 use std::collections::HashMap;
@@ -21,17 +19,14 @@ use std::collections::HashMap;
 /// A simulated co-processor driver.
 pub struct SimDevice {
     info: DeviceInfo,
-    cost: CostModel,
-    pool: BufferPool,
-    clock: SimClock,
+    state: DeviceState,
     transforms: TransformTable,
     kernels: HashMap<String, KernelFn>,
     supports_compilation: bool,
     initialized: bool,
-    faults: FaultState,
     /// Permanent death (hot-unplug / terminal fault): once set, every
     /// data-plane operation fails with [`DeviceError::Gone`] forever —
-    /// `reset()` does not revive a dead device.
+    /// [`DeviceState::reset`] does not revive a dead device.
     dead: bool,
 }
 
@@ -43,17 +38,13 @@ impl SimDevice {
         transforms: TransformTable,
         supports_compilation: bool,
     ) -> Self {
-        let pool = BufferPool::new(info.memory_capacity, info.pinned_capacity);
         SimDevice {
+            state: DeviceState::new(&info, cost),
             info,
-            cost,
-            pool,
-            clock: SimClock::new(),
             transforms,
             kernels: HashMap::new(),
             supports_compilation,
             initialized: false,
-            faults: FaultState::default(),
             dead: false,
         }
     }
@@ -62,16 +53,6 @@ impl SimDevice {
     /// now fails with [`DeviceError::Gone`]).
     pub fn is_dead(&self) -> bool {
         self.dead
-    }
-
-    /// The device's cost model (benches read parameters from here).
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
-    }
-
-    /// Mutable cost model access (ablation benches tweak parameters).
-    pub fn cost_model_mut(&mut self) -> &mut CostModel {
-        &mut self.cost
     }
 
     /// Names of prepared kernels, sorted (for diagnostics).
@@ -83,14 +64,18 @@ impl SimDevice {
 
     /// Runs the fault plan's allocation check for a device-memory request.
     fn check_alloc(&mut self, bytes: u64) -> Result<()> {
-        self.faults
-            .on_alloc(bytes, self.pool.used(), self.info.memory_capacity)
+        self.state
+            .faults
+            .on_alloc(bytes, self.state.pool.used(), self.info.memory_capacity)
     }
 
     /// Runs the fault plan's allocation check for a pinned-memory request.
     fn check_pinned_alloc(&mut self, bytes: u64) -> Result<()> {
-        self.faults
-            .on_alloc(bytes, self.pool.pinned_used(), self.info.pinned_capacity)
+        self.state.faults.on_alloc(
+            bytes,
+            self.state.pool.pinned_used(),
+            self.info.pinned_capacity,
+        )
     }
 
     fn ensure_init(&self) -> Result<()> {
@@ -106,7 +91,7 @@ impl SimDevice {
     fn die(&mut self) -> DeviceError {
         if !self.dead {
             self.dead = true;
-            self.faults.note_death();
+            self.state.faults.note_death();
         }
         DeviceError::Gone {
             device: self.info.id,
@@ -116,15 +101,15 @@ impl SimDevice {
     /// Gate at the top of every data-plane operation: a dead device only
     /// ever answers [`DeviceError::Gone`], and the plan's wall-clock death
     /// trigger fires on the first operation at or past its instant.
-    /// Host-side accessors (`info`, `clock`, `pool`, `fault_counters`) stay
-    /// usable so write-off accounting can still read the corpse.
+    /// The host-side accessors (`info`, `state`) stay usable so write-off
+    /// accounting can still read the corpse's clock, pool and fault counters.
     fn ensure_alive(&mut self) -> Result<()> {
         if self.dead {
             return Err(DeviceError::Gone {
                 device: self.info.id,
             });
         }
-        if self.faults.death_due(self.clock.total_ns()) {
+        if self.state.faults.death_due(self.state.clock.total_ns()) {
             return Err(self.die());
         }
         Ok(())
@@ -132,58 +117,6 @@ impl SimDevice {
 
     fn native_repr(&self) -> SdkRepr {
         SdkRepr::native_of(self.info.sdk)
-    }
-
-    /// Writes `data` into `dst.data` starting at element `offset`.
-    ///
-    /// `offset == 0` replaces the payload wholesale (the chunk-upload case —
-    /// a shorter final chunk must not leave a stale tail); `offset > 0`
-    /// splices into the existing payload, growing it if needed. Payload
-    /// kinds must match.
-    fn overwrite_at(dst: &mut Buffer, id: BufferId, data: BufferData, offset: usize) -> Result<()> {
-        if offset == 0 {
-            match (&dst.data, &data) {
-                (a, b)
-                    if std::mem::discriminant(a) == std::mem::discriminant(b) || a.is_empty() =>
-                {
-                    dst.data = data;
-                    return Ok(());
-                }
-                _ => {
-                    return Err(DeviceError::TypeMismatch {
-                        id,
-                        expected: dst.data.kind(),
-                        actual: data.kind(),
-                    })
-                }
-            }
-        }
-        macro_rules! splice {
-            ($dv:expr, $sv:expr) => {{
-                let needed = offset + $sv.len();
-                if $dv.len() < needed {
-                    $dv.resize(needed, Default::default());
-                }
-                $dv[offset..needed].copy_from_slice(&$sv);
-            }};
-        }
-        match (&mut dst.data, data) {
-            (BufferData::I64(d), BufferData::I64(s)) => splice!(d, s),
-            (BufferData::F64(d), BufferData::F64(s)) => splice!(d, s),
-            (BufferData::U32(d), BufferData::U32(s)) => splice!(d, s),
-            (BufferData::BitWords(d), BufferData::BitWords(s)) => splice!(d, s),
-            (BufferData::Raw(d), BufferData::Raw(s)) => splice!(d, s),
-            // A reserved-but-empty buffer accepts its first payload kind.
-            (slot @ BufferData::Raw(_), s) if slot.is_empty() && offset == 0 => *slot = s,
-            (d, s) => {
-                return Err(DeviceError::TypeMismatch {
-                    id,
-                    expected: d.kind(),
-                    actual: s.kind(),
-                })
-            }
-        }
-        Ok(())
     }
 }
 
@@ -201,31 +134,18 @@ impl Device for SimDevice {
     fn place_data(&mut self, id: BufferId, data: BufferData, offset: usize) -> Result<()> {
         self.ensure_alive()?;
         self.ensure_init()?;
-        let fault = self.faults.on_place();
+        let fault = self.state.faults.on_place();
         let mut data = data;
         if fault.corrupt {
             // A bit flipped on the bus: the device stores the damaged
             // payload. The hub's checksum echo is what catches this.
             data.flip_bit(fault.corrupt_at as usize);
         }
-        let dilate = self.faults.time_multiplier();
         let bytes = data.byte_len();
-        if self.pool.contains(id) {
-            let old = self.pool.get(id)?.footprint();
-            let pinned = self.pool.get(id)?.pinned;
-            {
-                let buf = self.pool.get_mut(id)?;
-                Self::overwrite_at(buf, id, data, offset)?;
-            }
-            self.pool.update_accounting(id, old)?;
-            let t = self.cost.h2d_ns(bytes, pinned);
-            self.clock.record_dilated(
-                Lane::TransferH2D,
-                t,
-                t * dilate + fault.stall_ns,
-                bytes,
-                format!("place {id} @{offset}"),
-            );
+        let (pinned, label) = if self.state.pool.contains(id) {
+            let pinned = self.state.pool.get(id)?.pinned;
+            self.state.pool.write(id, data, offset)?;
+            (pinned, format!("place {id} @{offset}"))
         } else {
             if offset != 0 {
                 return Err(DeviceError::BadKernelArgs {
@@ -240,19 +160,21 @@ impl Device for SimDevice {
                 pinned: false,
                 reserved_bytes: 0,
             };
-            self.pool.insert(id, buf)?;
-            let alloc = self.cost.alloc_ns(bytes, false);
-            self.clock
+            self.state.pool.insert(id, buf)?;
+            let alloc = self.state.cost.alloc_ns(bytes, false);
+            self.state
+                .clock
                 .record(Lane::Alloc, alloc, 0, format!("implicit alloc {id}"));
-            let t = self.cost.h2d_ns(bytes, false);
-            self.clock.record_dilated(
-                Lane::TransferH2D,
-                t,
-                t * dilate + fault.stall_ns,
-                bytes,
-                format!("place {id}"),
-            );
-        }
+            (false, format!("place {id}"))
+        };
+        let t = self.state.cost.h2d_ns(bytes, pinned);
+        self.state.clock.record_dilated(
+            Lane::TransferH2D,
+            t,
+            t * self.state.faults.time_multiplier() + fault.stall_ns,
+            bytes,
+            label,
+        );
         Ok(())
     }
 
@@ -264,30 +186,20 @@ impl Device for SimDevice {
     ) -> Result<BufferData> {
         self.ensure_alive()?;
         self.ensure_init()?;
-        let fault = self.faults.on_retrieve();
-        let buf = self.pool.get(id)?;
-        let total = buf.data.len();
-        let len = len.unwrap_or(total.saturating_sub(offset));
-        if offset + len > total {
-            return Err(DeviceError::RangeOutOfBounds {
-                id,
-                requested_end: offset + len,
-                len: total,
-            });
-        }
-        let mut out = buf.data.slice(offset, len);
-        let pinned = buf.pinned;
+        let fault = self.state.faults.on_retrieve();
+        let mut out = self.state.pool.read(id, len, offset)?;
+        let pinned = self.state.pool.get(id)?.pinned;
         if fault.corrupt {
             // The device copy stays intact; the payload was damaged in
             // flight, so a retransmit can succeed.
             out.flip_bit(fault.corrupt_at as usize);
         }
         let bytes = out.byte_len();
-        let t = self.cost.d2h_ns(bytes, pinned);
-        self.clock.record_dilated(
+        let t = self.state.cost.d2h_ns(bytes, pinned);
+        self.state.clock.record_dilated(
             Lane::TransferD2H,
             t,
-            t * self.faults.time_multiplier() + fault.stall_ns,
+            t * self.state.faults.time_multiplier() + fault.stall_ns,
             bytes,
             format!("retrieve {id}"),
         );
@@ -298,9 +210,11 @@ impl Device for SimDevice {
         self.ensure_alive()?;
         self.ensure_init()?;
         self.check_alloc(bytes)?;
-        self.pool.reserve(id, bytes, self.native_repr(), false)?;
-        let t = self.cost.alloc_ns(bytes, false);
-        self.clock.record(
+        self.state
+            .pool
+            .reserve(id, bytes, self.native_repr(), false)?;
+        let t = self.state.cost.alloc_ns(bytes, false);
+        self.state.clock.record(
             Lane::Alloc,
             t,
             0,
@@ -313,32 +227,32 @@ impl Device for SimDevice {
         self.ensure_alive()?;
         self.ensure_init()?;
         let (from, bytes, pinned) = {
-            let buf = self.pool.get(id)?;
+            let buf = self.state.pool.get(id)?;
             (buf.repr, buf.data.byte_len(), buf.pinned)
         };
         let kind = self.transforms.resolve(from, target);
         match kind {
             TransformKind::ZeroCopy => {
-                self.pool.get_mut(id)?.repr = target;
-                self.clock.record(
+                self.state.pool.get_mut(id)?.repr = target;
+                self.state.clock.record(
                     Lane::Transform,
-                    self.cost.transform_zero_copy_ns,
+                    self.state.cost.transform_zero_copy_ns,
                     0,
                     format!("transform {id} {from}->{target} (zero-copy)"),
                 );
             }
             TransformKind::HostRoundTrip => {
                 // Data crosses the bus twice; representation changes on host.
-                self.pool.get_mut(id)?.repr = target;
-                let down = self.cost.d2h_ns(bytes, pinned);
-                let up = self.cost.h2d_ns(bytes, pinned);
-                self.clock.record(
+                self.state.pool.get_mut(id)?.repr = target;
+                let down = self.state.cost.d2h_ns(bytes, pinned);
+                let up = self.state.cost.h2d_ns(bytes, pinned);
+                self.state.clock.record(
                     Lane::TransferD2H,
                     down,
                     bytes,
                     format!("transform {id} {from}->{target} (down)"),
                 );
-                self.clock.record(
+                self.state.clock.record(
                     Lane::TransferH2D,
                     up,
                     bytes,
@@ -352,10 +266,10 @@ impl Device for SimDevice {
     fn delete_memory(&mut self, id: BufferId) -> Result<()> {
         self.ensure_alive()?;
         self.ensure_init()?;
-        self.pool.remove(id)?;
-        self.clock.record(
+        self.state.pool.remove(id)?;
+        self.state.clock.record(
             Lane::Alloc,
-            self.cost.free_overhead_ns,
+            self.state.cost.free_overhead_ns,
             0,
             format!("free {id}"),
         );
@@ -374,9 +288,9 @@ impl Device for SimDevice {
                         device: self.info.name.clone(),
                     });
                 }
-                self.clock.record(
+                self.state.clock.record(
                     Lane::Compile,
-                    self.cost.compile_ns,
+                    self.state.cost.compile_ns,
                     0,
                     format!("compile {name}"),
                 );
@@ -396,20 +310,11 @@ impl Device for SimDevice {
     ) -> Result<()> {
         self.ensure_alive()?;
         self.ensure_init()?;
-        let (slice, repr) = {
-            let buf = self.pool.get(src)?;
-            if offset + len > buf.data.len() {
-                return Err(DeviceError::RangeOutOfBounds {
-                    id: src,
-                    requested_end: offset + len,
-                    len: buf.data.len(),
-                });
-            }
-            (buf.data.slice(offset, len), buf.repr)
-        };
+        let slice = self.state.pool.read(src, Some(len), offset)?;
+        let repr = self.state.pool.get(src)?.repr;
         let bytes = slice.byte_len();
         self.check_alloc(bytes)?;
-        self.pool.insert(
+        self.state.pool.insert(
             dst,
             Buffer {
                 data: slice,
@@ -418,11 +323,10 @@ impl Device for SimDevice {
                 reserved_bytes: 0,
             },
         )?;
-        // Device-internal copy at memory bandwidth.
-        let t = bytes as f64 / (self.cost.mem_bandwidth_gibs * 1024.0 * 1024.0 * 1024.0) * 1e9;
-        self.clock.record(
+        let t = self.state.cost.device_copy_ns(bytes);
+        self.state.clock.record(
             Lane::Compute,
-            self.cost.alloc_overhead_ns + t,
+            self.state.cost.alloc_overhead_ns + t,
             bytes,
             format!("create_chunk {src}->{dst}"),
         );
@@ -433,9 +337,11 @@ impl Device for SimDevice {
         self.ensure_alive()?;
         self.ensure_init()?;
         self.check_pinned_alloc(bytes)?;
-        self.pool.reserve(id, bytes, self.native_repr(), true)?;
-        let t = self.cost.alloc_ns(bytes, true);
-        self.clock.record(
+        self.state
+            .pool
+            .reserve(id, bytes, self.native_repr(), true)?;
+        let t = self.state.cost.alloc_ns(bytes, true);
+        self.state.clock.record(
             Lane::Alloc,
             t,
             0,
@@ -449,28 +355,31 @@ impl Device for SimDevice {
         self.ensure_init()?;
         // The terminal trigger is checked before `on_execute` advances the
         // ordinal, so `die_on_exec(n)` kills the n-th call itself.
-        if self.faults.exec_death_due() {
+        if self.state.faults.exec_death_due() {
             return Err(self.die());
         }
-        self.faults.on_execute(&spec.kernel)?;
+        self.state.faults.on_execute(&spec.kernel)?;
         let kernel = self
             .kernels
             .get(&spec.kernel)
             .cloned()
             .ok_or_else(|| DeviceError::KernelNotFound(spec.kernel.clone()))?;
-        let stats = kernel(&mut self.pool, &spec.buffers, &spec.params)?;
+        let stats = kernel(&mut self.state.pool, &spec.buffers, &spec.params)?;
         // Fused kernels report a per-stage breakdown and are priced through
         // the fused cost entry (one launch + discounted stage bodies) —
         // the watchdog's fault-free budget sees the same figure, so healthy
         // fused chunks never look like stragglers.
         let t = if stats.stages.is_empty() {
-            self.cost
+            self.state
+                .cost
                 .kernel_ns(stats.cost_class, stats.elements, spec.arg_count())
         } else {
-            self.cost.fused_kernel_ns(&stats.stages, spec.arg_count())
+            self.state
+                .cost
+                .fused_kernel_ns(&stats.stages, spec.arg_count())
         };
-        let actual = t * self.faults.time_multiplier() + self.faults.take_exec_stall();
-        self.clock.record_dilated(
+        let actual = t * self.state.faults.time_multiplier() + self.state.faults.take_exec_stall();
+        self.state.clock.record_dilated(
             Lane::Compute,
             t,
             actual,
@@ -485,7 +394,7 @@ impl Device for SimDevice {
         self.ensure_init()?;
         let bytes = data.byte_len();
         self.check_alloc(bytes)?;
-        self.pool.insert(
+        self.state.pool.insert(
             id,
             Buffer {
                 data,
@@ -494,64 +403,22 @@ impl Device for SimDevice {
                 reserved_bytes: 0,
             },
         )?;
-        let memset = bytes as f64 / (self.cost.mem_bandwidth_gibs * 1024.0 * 1024.0 * 1024.0) * 1e9;
-        self.clock.record(
+        let memset = self.state.cost.device_copy_ns(bytes);
+        self.state.clock.record(
             Lane::Alloc,
-            self.cost.alloc_ns(bytes, false) + memset,
+            self.state.cost.alloc_ns(bytes, false) + memset,
             0,
             format!("init_structure {id} ({bytes} B)"),
         );
         Ok(())
     }
 
-    fn clock(&self) -> &SimClock {
-        &self.clock
+    fn state(&self) -> &DeviceState {
+        &self.state
     }
 
-    fn clock_mut(&mut self) -> &mut SimClock {
-        &mut self.clock
-    }
-
-    fn pool(&self) -> &BufferPool {
-        &self.pool
-    }
-
-    fn pool_mut(&mut self) -> &mut BufferPool {
-        &mut self.pool
-    }
-
-    fn reset(&mut self) {
-        // Fault state survives reset: the plan is configuration, and its
-        // ordinals are per-plan (reinstall the plan to rewind them). Death
-        // also survives — it is permanent by definition.
-        self.pool.clear();
-        self.pool.reset_peak();
-        self.clock.reset();
-    }
-
-    fn cost_model(&self) -> Option<&CostModel> {
-        Some(&self.cost)
-    }
-
-    fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.faults.install(plan);
-    }
-
-    fn fault_counters(&self) -> FaultCounters {
-        self.faults.counters()
-    }
-
-    fn reset_fault_counters(&mut self) {
-        self.faults.reset_counters();
-    }
-
-    fn corrupt_checkpoint_capture(&mut self) -> bool {
-        self.faults.on_checkpoint_capture()
-    }
-
-    fn placement_cost_ns(&self, working_set_bytes: u64, retry_penalty_ns: f64) -> f64 {
-        self.cost
-            .placement_cost_ns(working_set_bytes, retry_penalty_ns)
+    fn state_mut(&mut self) -> &mut DeviceState {
+        &mut self.state
     }
 }
 
@@ -560,6 +427,7 @@ mod tests {
     use super::*;
     use crate::cost::CostClass;
     use crate::device::{DeviceId, DeviceKind};
+    use crate::fault::{FaultCounters, FaultPlan};
     use crate::sdk::SdkKind;
     use std::sync::Arc;
 
@@ -611,6 +479,12 @@ mod tests {
         let part = d.retrieve_data(BufferId(1), Some(2), 1).unwrap();
         assert_eq!(part, BufferData::I64(vec![2, 3]));
         assert!(d.retrieve_data(BufferId(1), Some(9), 0).is_err());
+        // A range whose end overflows is a typed error, not a panic or a
+        // silently short payload.
+        assert!(matches!(
+            d.retrieve_data(BufferId(1), Some(usize::MAX), 1),
+            Err(DeviceError::RangeOutOfBounds { .. })
+        ));
         assert!(d.clock().bytes_h2d() > 0);
         assert!(d.clock().bytes_d2h() > 0);
     }
@@ -686,6 +560,10 @@ mod tests {
             BufferData::I64(vec![10, 11, 12, 13, 14])
         );
         assert!(d.create_chunk(BufferId(1), BufferId(3), 99, 5).is_err());
+        assert!(matches!(
+            d.create_chunk(BufferId(1), BufferId(3), 1, usize::MAX),
+            Err(DeviceError::RangeOutOfBounds { .. })
+        ));
     }
 
     #[test]
@@ -761,7 +639,9 @@ mod tests {
     #[test]
     fn fault_plan_oom_on_nth_allocation() {
         let mut d = gpu();
-        d.set_fault_plan(FaultPlan::none().oom_on_allocation(2));
+        d.state_mut()
+            .faults
+            .install(FaultPlan::none().oom_on_allocation(2));
         d.prepare_memory(BufferId(1), 64).unwrap();
         assert!(matches!(
             d.prepare_memory(BufferId(2), 64),
@@ -769,7 +649,7 @@ mod tests {
         ));
         // The ordinal fired once; later allocations succeed again.
         d.prepare_memory(BufferId(3), 64).unwrap();
-        assert_eq!(d.fault_counters().oom_injected, 1);
+        assert_eq!(d.state().faults.counters().oom_injected, 1);
     }
 
     #[test]
@@ -777,11 +657,13 @@ mod tests {
         let mut d = gpu();
         let f: KernelFn = Arc::new(|_, _, _| Ok(KernelStats::new(0, CostClass::MapLike)));
         d.prepare_kernel("noop", KernelSource::Builtin(f)).unwrap();
-        d.set_fault_plan(FaultPlan::none().transient_exec_errors(1));
+        d.state_mut()
+            .faults
+            .install(FaultPlan::none().transient_exec_errors(1));
         let spec = ExecuteSpec::new("noop", vec![], vec![]);
         assert!(matches!(d.execute(&spec), Err(DeviceError::Driver(_))));
         d.execute(&spec).unwrap();
-        assert_eq!(d.fault_counters().transient_exec_injected, 1);
+        assert_eq!(d.state().faults.counters().transient_exec_injected, 1);
     }
 
     #[test]
@@ -791,19 +673,23 @@ mod tests {
         d.prepare_kernel("bad", KernelSource::Builtin(f.clone()))
             .unwrap();
         d.prepare_kernel("good", KernelSource::Builtin(f)).unwrap();
-        d.set_fault_plan(FaultPlan::none().broken_kernel("bad"));
+        d.state_mut()
+            .faults
+            .install(FaultPlan::none().broken_kernel("bad"));
         for _ in 0..3 {
             assert!(d.execute(&ExecuteSpec::new("bad", vec![], vec![])).is_err());
         }
         d.execute(&ExecuteSpec::new("good", vec![], vec![]))
             .unwrap();
-        assert_eq!(d.fault_counters().broken_kernel_hits, 3);
+        assert_eq!(d.state().faults.counters().broken_kernel_hits, 3);
     }
 
     #[test]
     fn fault_plan_capacity_cap() {
         let mut d = gpu(); // real capacity 1 MiB
-        d.set_fault_plan(FaultPlan::none().capacity_cap(128));
+        d.state_mut()
+            .faults
+            .install(FaultPlan::none().capacity_cap(128));
         d.prepare_memory(BufferId(1), 100).unwrap();
         assert!(matches!(
             d.prepare_memory(BufferId(2), 100),
@@ -818,7 +704,9 @@ mod tests {
     fn slowdown_dilates_transfers_and_kernels_but_not_clean_ns() {
         let mut fast = gpu();
         let mut slow = gpu();
-        slow.set_fault_plan(FaultPlan::none().slowdown(8.0));
+        slow.state_mut()
+            .faults
+            .install(FaultPlan::none().slowdown(8.0));
         let payload = BufferData::I64((0..1000).collect());
         fast.place_data(BufferId(1), payload.clone(), 0).unwrap();
         slow.place_data(BufferId(1), payload, 0).unwrap();
@@ -854,14 +742,16 @@ mod tests {
     fn transfer_stall_injects_unbounded_duration() {
         use crate::fault::STALL_NS;
         let mut d = gpu();
-        d.set_fault_plan(FaultPlan::none().stall_on_transfer(2));
+        d.state_mut()
+            .faults
+            .install(FaultPlan::none().stall_on_transfer(2));
         d.place_data(BufferId(1), BufferData::I64(vec![1, 2, 3]), 0)
             .unwrap();
         let before = d.clock().transfer_ns();
         assert!(before < STALL_NS);
         let _ = d.retrieve_data(BufferId(1), None, 0).unwrap();
         assert!(d.clock().transfer_ns() >= STALL_NS, "retrieve #2 stalled");
-        assert_eq!(d.fault_counters().stalls_injected, 1);
+        assert_eq!(d.state().faults.counters().stalls_injected, 1);
     }
 
     #[test]
@@ -869,14 +759,16 @@ mod tests {
         let mut d = gpu();
         let payload = BufferData::I64((0..100).collect());
         let sent = payload.checksum();
-        d.set_fault_plan(FaultPlan::none().corrupt_on_place(1));
+        d.state_mut()
+            .faults
+            .install(FaultPlan::none().corrupt_on_place(1));
         d.place_data(BufferId(1), payload.clone(), 0).unwrap();
-        let echo = d.buffer_checksum(BufferId(1), None, 0).unwrap();
+        let echo = d.pool().checksum(BufferId(1), None, 0).unwrap();
         assert_ne!(echo, sent, "stored payload must differ from what we sent");
         // Retransmit (transfer #2, not scripted) heals the buffer.
         d.place_data(BufferId(1), payload, 0).unwrap();
-        assert_eq!(d.buffer_checksum(BufferId(1), None, 0).unwrap(), sent);
-        assert_eq!(d.fault_counters().corruptions_injected, 1);
+        assert_eq!(d.pool().checksum(BufferId(1), None, 0).unwrap(), sent);
+        assert_eq!(d.state().faults.counters().corruptions_injected, 1);
     }
 
     #[test]
@@ -884,12 +776,14 @@ mod tests {
         let mut d = gpu();
         let payload = BufferData::I64((0..100).collect());
         d.place_data(BufferId(1), payload.clone(), 0).unwrap();
-        d.set_fault_plan(FaultPlan::none().corrupt_on_retrieve(1));
+        d.state_mut()
+            .faults
+            .install(FaultPlan::none().corrupt_on_retrieve(1));
         let dirty = d.retrieve_data(BufferId(1), None, 0).unwrap();
         assert_ne!(dirty, payload, "first retrieve was corrupted in flight");
         assert_ne!(
             dirty.checksum(),
-            d.buffer_checksum(BufferId(1), None, 0).unwrap()
+            d.pool().checksum(BufferId(1), None, 0).unwrap()
         );
         let clean = d.retrieve_data(BufferId(1), None, 0).unwrap();
         assert_eq!(clean, payload, "device copy was never damaged");
@@ -900,15 +794,19 @@ mod tests {
         let mut d = gpu();
         d.place_data(BufferId(1), BufferData::I64((0..10).collect()), 0)
             .unwrap();
-        let whole = d.buffer_checksum(BufferId(1), None, 0).unwrap();
-        let prefix = d.buffer_checksum(BufferId(1), Some(4), 0).unwrap();
+        let whole = d.pool().checksum(BufferId(1), None, 0).unwrap();
+        let prefix = d.pool().checksum(BufferId(1), Some(4), 0).unwrap();
         assert_ne!(whole, prefix);
         assert_eq!(prefix, BufferData::I64((0..4).collect()).checksum());
         assert_eq!(
-            d.buffer_checksum(BufferId(1), Some(3), 4).unwrap(),
+            d.pool().checksum(BufferId(1), Some(3), 4).unwrap(),
             BufferData::I64((4..7).collect()).checksum()
         );
-        assert!(d.buffer_checksum(BufferId(9), None, 0).is_err());
+        assert!(d.pool().checksum(BufferId(9), None, 0).is_err());
+        assert!(matches!(
+            d.pool().checksum(BufferId(1), Some(usize::MAX), 1),
+            Err(DeviceError::RangeOutOfBounds { .. })
+        ));
     }
 
     #[test]
@@ -916,7 +814,9 @@ mod tests {
         let mut d = gpu();
         let f: KernelFn = Arc::new(|_, _, _| Ok(KernelStats::new(0, CostClass::MapLike)));
         d.prepare_kernel("noop", KernelSource::Builtin(f)).unwrap();
-        d.set_fault_plan(FaultPlan::none().die_on_exec(2));
+        d.state_mut()
+            .faults
+            .install(FaultPlan::none().die_on_exec(2));
         let spec = ExecuteSpec::new("noop", vec![], vec![]);
         d.execute(&spec).unwrap();
         assert!(!d.is_dead());
@@ -931,11 +831,11 @@ mod tests {
             d.delete_memory(BufferId(1)),
             Err(DeviceError::Gone { .. })
         ));
-        d.reset();
+        d.state_mut().reset();
         assert!(d.is_dead(), "reset must not revive a dead device");
         assert!(matches!(d.initialize(), Err(DeviceError::Gone { .. })));
         // The death was counted exactly once, even after more attempts.
-        assert_eq!(d.fault_counters().deaths_injected, 1);
+        assert_eq!(d.state().faults.counters().deaths_injected, 1);
         // Host-side accessors still work on the corpse.
         assert_eq!(d.pool().used(), 0);
         assert_eq!(d.info().name, "test-gpu");
@@ -948,34 +848,40 @@ mod tests {
             .unwrap();
         let now = d.clock().total_ns();
         assert!(now > 0.0);
-        d.set_fault_plan(FaultPlan::none().die_at_ns(now / 2.0));
+        d.state_mut()
+            .faults
+            .install(FaultPlan::none().die_at_ns(now / 2.0));
         // The very next operation observes the clock past the instant.
         assert!(matches!(
             d.retrieve_data(BufferId(1), None, 0),
             Err(DeviceError::Gone { .. })
         ));
         assert!(d.is_dead());
-        assert_eq!(d.fault_counters().deaths_injected, 1);
+        assert_eq!(d.state().faults.counters().deaths_injected, 1);
     }
 
     #[test]
     fn future_clock_death_does_not_fire_early() {
         let mut d = gpu();
-        d.set_fault_plan(FaultPlan::none().die_at_ns(1.0e18));
+        d.state_mut()
+            .faults
+            .install(FaultPlan::none().die_at_ns(1.0e18));
         d.place_data(BufferId(1), BufferData::I64(vec![1]), 0)
             .unwrap();
         assert!(!d.is_dead());
-        assert_eq!(d.fault_counters().deaths_injected, 0);
+        assert_eq!(d.state().faults.counters().deaths_injected, 0);
     }
 
     #[test]
     fn reset_fault_counters_clears_accumulated_counts() {
         let mut d = gpu();
-        d.set_fault_plan(FaultPlan::none().oom_on_allocation(1));
+        d.state_mut()
+            .faults
+            .install(FaultPlan::none().oom_on_allocation(1));
         assert!(d.prepare_memory(BufferId(1), 64).is_err());
-        assert_eq!(d.fault_counters().oom_injected, 1);
-        d.reset_fault_counters();
-        assert_eq!(d.fault_counters(), FaultCounters::default());
+        assert_eq!(d.state().faults.counters().oom_injected, 1);
+        d.state_mut().faults.reset_counters();
+        assert_eq!(d.state().faults.counters(), FaultCounters::default());
     }
 
     #[test]
@@ -987,7 +893,7 @@ mod tests {
         assert_eq!(d.pool().pinned_used(), 0);
         d.place_data(BufferId(2), BufferData::I64(vec![1]), 0)
             .unwrap();
-        d.reset();
+        d.state_mut().reset();
         assert_eq!(d.pool().used(), 0);
         assert_eq!(d.clock().total_ns(), 0.0);
     }

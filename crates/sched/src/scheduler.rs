@@ -935,8 +935,10 @@ impl<'e> QueryScheduler<'e> {
                     .executor
                     .devices()
                     .get(i.id)
-                    .map(|d| d.placement_cost_ns_resident(footprint, resident, penalty))
-                    .unwrap_or(f64::INFINITY);
+                    .map_or(f64::INFINITY, |d| {
+                        let cost = &d.state().cost;
+                        cost.placement_cost_ns_resident(footprint, resident, penalty)
+                    });
                 (i.id, place + backlog_ns(active, i.id))
             })
             .collect();

@@ -3,46 +3,15 @@
 //! query engine").
 //!
 //! This example integrates an imaginary "NPU" with its own vendor SDK:
-//! a custom `Device` implementation (here a `SimDevice` configured with the
-//! NPU's own cost profile and a custom SDK tag, exactly how a real driver
-//! author would wrap their SDK calls) plus kernel registrations for the
-//! new SDK. *No executor, runtime or planner code changes.*
+//! a hand-written `Device` implementation ([`NpuDevice`], in this package's
+//! `lib.rs` — the required trait methods and nothing else) plus kernel
+//! registrations for the new SDK. *No executor, runtime or planner code
+//! changes.*
 //!
 //! Run: `cargo run --release -p adamant-examples --example plug_in_device`
 
-use adamant::device::sim::SimDevice;
-use adamant::device::transform::TransformTable;
 use adamant::prelude::*;
-
-/// The NPU's SDK tag — unknown to every built-in component.
-const NPU_SDK: SdkKind = SdkKind::Custom(42);
-
-/// Builds the NPU driver: implements the ten device interfaces via
-/// `SimDevice` with NPU-specific characteristics (huge compute bandwidth,
-/// narrow transfer bus, no runtime kernel compilation).
-fn npu_device() -> SimDevice {
-    let info = DeviceInfo {
-        id: DeviceId(0), // reassigned by the registry on plug
-        name: "npu0 (imaginary-vendor-sdk)".into(),
-        kind: DeviceKind::Accelerator,
-        sdk: NPU_SDK,
-        memory_capacity: 2 << 30,
-        pinned_capacity: 512 << 20,
-    };
-    let cost = CostModel {
-        h2d_pageable_gibs: 3.0,
-        h2d_pinned_gibs: 8.0,
-        d2h_pageable_gibs: 3.0,
-        d2h_pinned_gibs: 8.0,
-        mem_bandwidth_gibs: 900.0,
-        launch_overhead_ns: 4_000.0,
-        discrete: true,
-        ..CostModel::default()
-    };
-    let mut dev = SimDevice::new(info, cost, TransformTable::new(), false);
-    dev.initialize().expect("init");
-    dev
-}
+use adamant_examples::{NpuDevice, NPU_SDK};
 
 fn main() {
     // 1. Register kernels for the new SDK. The reference implementations
@@ -56,10 +25,12 @@ fn main() {
     );
 
     // 2. Plug the device. Nothing else in the engine changes.
+    let mut npu = NpuDevice::new(DeviceId(0));
+    npu.initialize().expect("init");
     let mut engine = Adamant::builder()
         .tasks(tasks)
         .chunk_rows(8192)
-        .custom_device(Box::new(npu_device()))
+        .custom_device(Box::new(npu))
         .build()
         .expect("engine");
     let npu = engine.device_ids()[0];

@@ -3,11 +3,13 @@
 //! form of the paper's claim that a new co-processor can be plugged in
 //! without reworking the engine.
 //!
-//! Run against every built-in profile *and* a from-scratch custom device.
+//! Run against every built-in profile *and* the hand-written `NpuDevice`
+//! of the examples package — the repo's one `impl Device` that is not the
+//! simulator, so a new required trait method breaks this build.
 
-use adamant::device::sim::SimDevice;
-use adamant::device::transform::TransformTable;
+use adamant::device::error::DeviceError;
 use adamant::prelude::*;
+use adamant_examples::{NpuDevice, NPU_SDK};
 
 /// Exercises every interface of a freshly-initialized device.
 fn conformance_suite(dev: &mut dyn Device, supports_jit: bool) {
@@ -30,6 +32,31 @@ fn conformance_suite(dev: &mut dyn Device, supports_jit: bool) {
     // Partial retrieval with offset.
     let part = dev.retrieve_data(BufferId(1), Some(2), 1).unwrap();
     assert_eq!(part, BufferData::I64(vec![6, 7]), "{}", ctx("offset read"));
+
+    // A range whose end overflows is a typed error — never a panic, a
+    // wrapped offset or a silently short payload.
+    let overflow = |r: Result<(), DeviceError>, what: &str| {
+        assert!(
+            matches!(r, Err(DeviceError::RangeOutOfBounds { .. })),
+            "{}: got {r:?}",
+            ctx(what)
+        )
+    };
+    overflow(
+        dev.retrieve_data(BufferId(1), Some(usize::MAX), 1)
+            .map(drop),
+        "retrieve_data overflow",
+    );
+    overflow(
+        dev.create_chunk(BufferId(1), BufferId(3), 1, usize::MAX),
+        "create_chunk overflow",
+    );
+    overflow(
+        dev.pool()
+            .checksum(BufferId(1), Some(usize::MAX), 1)
+            .map(drop),
+        "checksum overflow",
+    );
 
     // prepare_memory reserves; the reservation is visible in the pool.
     let used_before = dev.pool().used();
@@ -122,8 +149,8 @@ fn conformance_suite(dev: &mut dyn Device, supports_jit: bool) {
     // Costs were recorded throughout.
     assert!(dev.clock().total_ns() > 0.0, "{}", ctx("clock records"));
 
-    // reset leaves a clean, reusable device.
-    dev.reset();
+    // A state reset leaves a clean, reusable device.
+    dev.state_mut().reset();
     assert_eq!(dev.pool().used(), 0, "{}", ctx("reset pool"));
     assert_eq!(dev.clock().total_ns(), 0.0, "{}", ctx("reset clock"));
     dev.place_data(BufferId(9), BufferData::I64(vec![1]), 0)
@@ -145,55 +172,21 @@ fn all_builtin_profiles_conform() {
 
 #[test]
 fn custom_device_conforms() {
-    // A from-scratch accelerator with its own SDK tag: the plug-in path.
-    let info = DeviceInfo {
-        id: DeviceId(0),
-        name: "conformance-npu".into(),
-        kind: DeviceKind::Accelerator,
-        sdk: SdkKind::Custom(9),
-        memory_capacity: 1 << 24,
-        pinned_capacity: 1 << 22,
-    };
-    let mut dev = SimDevice::new(
-        info,
-        CostModel {
-            discrete: true,
-            ..CostModel::default()
-        },
-        TransformTable::new(),
-        true,
-    );
+    // A hand-written driver with its own SDK tag: the plug-in path.
+    let mut dev = NpuDevice::new(DeviceId(0));
     dev.initialize().unwrap();
-    conformance_suite(&mut dev, true);
+    conformance_suite(&mut dev, false);
 }
 
 #[test]
 fn custom_device_runs_full_query_suite() {
-    // The stronger claim: a custom device + SDK executes the TPC-H suite
-    // under every model with exact results.
-    let sdk = SdkKind::Custom(7);
-    let info = DeviceInfo {
-        id: DeviceId(0),
-        name: "query-npu".into(),
-        kind: DeviceKind::Accelerator,
-        sdk,
-        memory_capacity: 4 << 30,
-        pinned_capacity: 1 << 30,
-    };
-    let mut npu = SimDevice::new(
-        info,
-        CostModel {
-            discrete: true,
-            mem_bandwidth_gibs: 700.0,
-            ..CostModel::default()
-        },
-        TransformTable::new(),
-        false,
-    );
+    // The stronger claim: a hand-written driver + its SDK executes the
+    // TPC-H suite under every model with exact results.
+    let mut npu = NpuDevice::new(DeviceId(0));
     npu.initialize().unwrap();
 
     let mut tasks = TaskRegistry::new();
-    tasks.register_defaults_for(sdk);
+    tasks.register_defaults_for(NPU_SDK);
     let mut engine = Adamant::builder()
         .tasks(tasks)
         .chunk_rows(900)

@@ -100,7 +100,9 @@ fn kernel_breaker_quarantine_probe_lifecycle() {
         .devices()
         .get(dev0)
         .unwrap()
-        .fault_counters()
+        .state()
+        .faults
+        .counters()
         .broken_kernel_hits;
 
     // Query 2: the known-broken kernel re-places the plan up front — no
@@ -117,7 +119,9 @@ fn kernel_breaker_quarantine_probe_lifecycle() {
             .devices()
             .get(dev0)
             .unwrap()
-            .fault_counters()
+            .state()
+            .faults
+            .counters()
             .broken_kernel_hits,
         hits_after_q1,
         "quarantined kernel was still executed"
@@ -218,7 +222,9 @@ fn repoint_skips_known_broken_kernel_candidates() {
             .devices()
             .get(dev1)
             .unwrap()
-            .fault_counters()
+            .state()
+            .faults
+            .counters()
             .broken_kernel_hits,
         0,
         "known-broken candidate was still executed on"
@@ -281,7 +287,9 @@ fn deadline_bounds_wedged_device() {
             .devices()
             .get(dev)
             .unwrap()
-            .fault_counters()
+            .state()
+            .faults
+            .counters()
             .transient_exec_injected;
         (stats.to_json(), attempts)
     };

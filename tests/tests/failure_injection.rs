@@ -90,7 +90,9 @@ fn oom_fault_backoff_completes_chunked() {
             .devices()
             .get(dev)
             .unwrap()
-            .fault_counters();
+            .state()
+            .faults
+            .counters();
         assert_eq!(counters.oom_injected, 1);
     }
 }
@@ -125,7 +127,9 @@ fn persistent_kernel_fault_falls_back_to_second_device() {
         .devices()
         .get(dev)
         .unwrap()
-        .fault_counters();
+        .state()
+        .faults
+        .counters();
     assert!(counters.broken_kernel_hits >= 2);
 }
 

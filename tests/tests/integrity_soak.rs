@@ -335,7 +335,9 @@ fn half_open_probe_rides_cheapest_pipeline() {
             .devices()
             .get(dev0)
             .unwrap()
-            .fault_counters()
+            .state()
+            .faults
+            .counters()
             .broken_kernel_hits,
         0,
         "a broken filter kernel ran on dev0 — probe was misplaced"
