@@ -18,14 +18,6 @@ pub fn setup1_profiles() -> Vec<DeviceProfile> {
     DeviceProfile::setup1()
 }
 
-/// GPU-only drivers of Setup 1 (for the transfer/execution-model figures).
-pub fn setup1_gpus() -> Vec<DeviceProfile> {
-    vec![
-        DeviceProfile::opencl_rtx2080ti(),
-        DeviceProfile::cuda_rtx2080ti(),
-    ]
-}
-
 /// The default task registry used by every experiment.
 pub fn standard_tasks() -> TaskRegistry {
     TaskRegistry::with_defaults(&[

@@ -19,7 +19,9 @@
 //!   `FILTER_BITMAP_COL`, `BITMAP_OP`, `MAP`, `MATERIALIZE`) with a single
 //!   output port and the default implementation variant;
 //! * `c` is interior-fusible **or** a terminal aggregation (`AGG_BLOCK`,
-//!   `HASH_AGG`), again default-variant, single-output;
+//!   `HASH_AGG`), again default-variant, single-output — which kinds those
+//!   are is `PrimitiveKind::fusion`, the table the interpreter kernel reads
+//!   too;
 //! * both nodes are annotated onto the **same device**;
 //! * `c` is the **sole consumer** of `p`'s output and that output is not a
 //!   graph output;
@@ -39,8 +41,7 @@ use crate::graph::{
 };
 use adamant_device::cost::{CostClass, CostModel};
 use adamant_task::container::DataContainer;
-use adamant_task::primitive::PrimitiveKind;
-use adamant_task::semantics::DataSemantic;
+use adamant_task::primitive::{FusionRole, PrimitiveKind};
 
 /// What the fusion pass did to a graph.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -52,38 +53,6 @@ pub struct FusionReport {
     pub fused_chains: usize,
 }
 
-/// Whether a primitive may appear as an interior (non-terminal) stage.
-fn interior_fusible(kind: PrimitiveKind) -> bool {
-    matches!(
-        kind,
-        PrimitiveKind::FilterBitmap
-            | PrimitiveKind::FilterBitmapCol
-            | PrimitiveKind::BitmapOp
-            | PrimitiveKind::Map
-            | PrimitiveKind::Materialize
-    )
-}
-
-/// Whether a primitive may terminate a fused chain.
-fn terminal_fusible(kind: PrimitiveKind) -> bool {
-    interior_fusible(kind) || matches!(kind, PrimitiveKind::AggBlock | PrimitiveKind::HashAgg)
-}
-
-/// The semantic a fused stage's in-kernel result would have carried as a
-/// materialized edge.
-pub fn stage_output_semantic(kind: PrimitiveKind) -> DataSemantic {
-    match kind {
-        PrimitiveKind::FilterBitmap | PrimitiveKind::FilterBitmapCol | PrimitiveKind::BitmapOp => {
-            DataSemantic::Bitmap
-        }
-        PrimitiveKind::Map | PrimitiveKind::Materialize | PrimitiveKind::AggBlock => {
-            DataSemantic::Numeric
-        }
-        PrimitiveKind::HashAgg => DataSemantic::HashTable,
-        _ => DataSemantic::Generic,
-    }
-}
-
 /// Bytes of interior intermediates a fused node elides per `rows`-row
 /// execution — the buffers the unfused chain would have materialized through
 /// the hub (the same sizing formula `prepare_output_buffer` uses).
@@ -91,7 +60,8 @@ pub fn elided_bytes(params: &NodeParams, rows: usize) -> u64 {
     match params {
         NodeParams::Fused { stages, .. } => stages[..stages.len() - 1]
             .iter()
-            .map(|s| DataContainer::estimate_output_bytes(stage_output_semantic(s.kind), rows))
+            .filter_map(|s| s.kind.fusion())
+            .map(|(_, semantic)| DataContainer::estimate_output_bytes(semantic, rows))
             .sum(),
         _ => 0,
     }
@@ -197,7 +167,7 @@ pub fn fuse_graph(graph: &mut PrimitiveGraph) -> FusionReport {
     // merged_into[p] = the consumer p's output folds into.
     let mut merged_into: Vec<Option<usize>> = vec![None; n];
     for c in graph.nodes() {
-        if !terminal_fusible(c.kind) || c.variant.is_some() || c.output_count != 1 {
+        if c.kind.fusion().is_none() || c.variant.is_some() || c.output_count != 1 {
             continue;
         }
         for &input in &c.inputs {
@@ -205,7 +175,7 @@ pub fn fuse_graph(graph: &mut PrimitiveGraph) -> FusionReport {
                 continue;
             };
             let p = graph.node(src);
-            if !interior_fusible(p.kind)
+            if !matches!(p.kind.fusion(), Some((FusionRole::Interior, _)))
                 || p.variant.is_some()
                 || p.output_count != 1
                 || p.device != c.device
@@ -293,14 +263,9 @@ pub fn fuse_graph(graph: &mut PrimitiveGraph) -> FusionReport {
                 operands,
             });
         }
-        let terminal_kind = graph.nodes()[root].kind;
-        let kind = if matches!(
-            terminal_kind,
-            PrimitiveKind::AggBlock | PrimitiveKind::HashAgg
-        ) {
-            PrimitiveKind::FusedAgg
-        } else {
-            PrimitiveKind::Fused
+        let kind = match graph.nodes()[root].kind.fusion() {
+            Some((FusionRole::Terminal, _)) => PrimitiveKind::FusedAgg,
+            _ => PrimitiveKind::Fused,
         };
         let output_semantic = graph.semantic_of(DataRef::Output {
             node: NodeId(root),
@@ -357,6 +322,7 @@ mod tests {
     use crate::pipeline::PipelineSet;
     use adamant_device::device::DeviceId;
     use adamant_task::params::{AggFunc, CmpOp, MapOp};
+    use adamant_task::semantics::DataSemantic;
 
     fn dev() -> DeviceId {
         DeviceId(0)

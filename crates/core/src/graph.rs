@@ -10,6 +10,8 @@ use crate::error::{ExecError, Result};
 use adamant_device::device::DeviceId;
 use adamant_task::params::{AggFunc, BitmapOp, CmpOp, MapOp};
 use adamant_task::primitive::PrimitiveKind;
+use adamant_task::program;
+pub use adamant_task::program::FusedOperand;
 use adamant_task::semantics::DataSemantic;
 use std::collections::BTreeMap;
 
@@ -120,26 +122,6 @@ pub enum NodeParams {
     None,
 }
 
-/// Where one stage of a fused chain reads an operand from.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum FusedOperand {
-    /// The fused node's external input at this index.
-    External(usize),
-    /// The in-kernel result of an earlier stage.
-    Stage(usize),
-}
-
-impl FusedOperand {
-    /// Scalar encoding: externals as their index (`>= 0`), stage results as
-    /// `-(index + 1)`.
-    pub fn to_code(self) -> i64 {
-        match self {
-            FusedOperand::External(i) => i as i64,
-            FusedOperand::Stage(j) => -(j as i64) - 1,
-        }
-    }
-}
-
 /// One original primitive inside a fused chain: its kind, its own decoded
 /// parameters, and where each of its operands comes from.
 #[derive(Clone, Debug, PartialEq)]
@@ -174,18 +156,15 @@ impl NodeParams {
                 agg_count,
             } => vec![*payload_cols as i64, *agg_count as i64],
             NodeParams::Fused { stages, .. } => {
-                // Flattened stage program, decoded by the `fused` kernel:
-                // `[n_stages, (kind, n_ops, ops.., n_params, params..)*]`.
-                let mut out = vec![stages.len() as i64];
-                for stage in stages {
-                    out.push(stage.kind.op_code());
-                    out.push(stage.operands.len() as i64);
-                    out.extend(stage.operands.iter().map(|o| o.to_code()));
-                    let p = stage.params.to_scalars();
-                    out.push(p.len() as i64);
-                    out.extend(p);
-                }
-                out
+                let wire: Vec<program::Stage> = stages
+                    .iter()
+                    .map(|s| program::Stage {
+                        kind: s.kind,
+                        operands: s.operands.clone(),
+                        params: s.params.to_scalars(),
+                    })
+                    .collect();
+                program::encode(&wire)
             }
             NodeParams::None => Vec::new(),
         }
@@ -329,16 +308,6 @@ impl GraphBuilder {
         self.inputs.push(GraphInput {
             name: name.into(),
             scan: Some(scan.into()),
-        });
-        DataRef::Input(idx)
-    }
-
-    /// Declares a small external input placed wholly on the device.
-    pub fn whole_input(&mut self, name: impl Into<String>) -> DataRef {
-        let idx = self.inputs.len();
-        self.inputs.push(GraphInput {
-            name: name.into(),
-            scan: None,
         });
         DataRef::Input(idx)
     }

@@ -350,11 +350,6 @@ impl DataTransferHub {
         self.cache.take()
     }
 
-    /// Whether a residency cache is installed.
-    pub fn has_cache(&self) -> bool {
-        self.cache.is_some()
-    }
-
     /// Drops every residency-cache entry on `device` (fault recovery:
     /// failed attempt, breaker trip) and purges per-run residency entries
     /// that pointed at the freed buffers. Returns the bytes freed.

@@ -147,11 +147,6 @@ impl CostModel {
         bytes as f64 / GIB / (self.h2d_ns(bytes, pinned) / 1e9)
     }
 
-    /// Effective D2H bandwidth in GiB/s for a given transfer size.
-    pub fn d2h_effective_gibs(&self, bytes: u64, pinned: bool) -> f64 {
-        bytes as f64 / GIB / (self.d2h_ns(bytes, pinned) / 1e9)
-    }
-
     /// Time for the allocation of `bytes` (pinned allocations pay
     /// page-locking per MiB).
     pub fn alloc_ns(&self, bytes: u64, pinned: bool) -> f64 {

@@ -92,75 +92,6 @@ impl PlacementPolicy {
         }
         self.choose(devices)
     }
-
-    /// Deadline-aware resolution: like [`PlacementPolicy::choose`], but
-    /// devices whose modeled placement cost exceeds the query's remaining
-    /// deadline budget are skipped, falling back to the cheapest feasible
-    /// device when the policy's own preference is infeasible.
-    ///
-    /// `costs` pairs each candidate with its modeled
-    /// `placement_cost_ns` (transfer + expected retry penalty, plus any
-    /// backlog the caller wants to charge); devices missing from `costs`
-    /// are treated as free. With no budget the plain policy applies;
-    /// [`PlacementPolicy::Fixed`] is always honored as-is (an explicit pin
-    /// overrides the deadline — the run itself will still abort if the
-    /// budget truly cannot fit). When *no* device fits the budget the
-    /// cheapest device overall is returned: the closest-to-feasible start
-    /// beats refusing to place, and the runtime's deadline check remains
-    /// the final arbiter.
-    pub fn choose_within_budget(
-        &self,
-        devices: &[DeviceInfo],
-        costs: &[(DeviceId, f64)],
-        budget_ns: Option<f64>,
-    ) -> Result<DeviceId> {
-        let Some(budget_ns) = budget_ns else {
-            return self.choose(devices);
-        };
-        if matches!(self, PlacementPolicy::Fixed(_)) {
-            return self.choose(devices);
-        }
-        let cost_of = |id: DeviceId| -> f64 {
-            costs
-                .iter()
-                .find(|(d, _)| *d == id)
-                .map(|(_, c)| *c)
-                .unwrap_or(0.0)
-        };
-        let feasible: Vec<DeviceInfo> = devices
-            .iter()
-            .filter(|d| cost_of(d.id) <= budget_ns)
-            .cloned()
-            .collect();
-        if !feasible.is_empty() {
-            if let Ok(id) = self.choose(&feasible) {
-                return Ok(id);
-            }
-            // The policy's preference is infeasible (e.g. a strict SDK
-            // requirement): cheapest feasible device wins.
-            if let Some(id) = feasible
-                .iter()
-                .map(|d| d.id)
-                .min_by(|a, b| cost_of(*a).total_cmp(&cost_of(*b)).then(a.cmp(b)))
-            {
-                return Ok(id);
-            }
-        }
-        self.choose(devices).map(|preferred| {
-            // Nothing fits the budget: cheapest overall, tie-broken toward
-            // the policy's own preference then lowest id.
-            devices
-                .iter()
-                .map(|d| d.id)
-                .min_by(|a, b| {
-                    cost_of(*a)
-                        .total_cmp(&cost_of(*b))
-                        .then((*a != preferred).cmp(&(*b != preferred)))
-                        .then(a.cmp(b))
-                })
-                .unwrap_or(preferred)
-        })
-    }
 }
 
 #[cfg(test)]
@@ -283,57 +214,6 @@ mod tests {
         assert_eq!(
             PlacementPolicy::Fixed(DeviceId(1))
                 .choose_avoiding(&d, &[DeviceId(1)])
-                .unwrap(),
-            DeviceId(1)
-        );
-    }
-
-    #[test]
-    fn budget_skips_devices_too_slow_to_finish() {
-        let d = infos();
-        // GPU preferred, but its modeled start cost (900) blows the 500 ns
-        // remaining budget: the feasible CPU (cost 100) wins.
-        let costs = vec![(DeviceId(0), 100.0), (DeviceId(1), 900.0)];
-        assert_eq!(
-            PlacementPolicy::PreferKind(DeviceKind::Gpu)
-                .choose_within_budget(&d, &costs, Some(500.0))
-                .unwrap(),
-            DeviceId(0)
-        );
-        // Roomy budget: the policy's own preference stands.
-        assert_eq!(
-            PlacementPolicy::PreferKind(DeviceKind::Gpu)
-                .choose_within_budget(&d, &costs, Some(1000.0))
-                .unwrap(),
-            DeviceId(1)
-        );
-        // No budget at all: plain resolution.
-        assert_eq!(
-            PlacementPolicy::PreferKind(DeviceKind::Gpu)
-                .choose_within_budget(&d, &costs, None)
-                .unwrap(),
-            DeviceId(1)
-        );
-        // Nothing feasible: cheapest overall rather than an error (the
-        // runtime deadline check is the final arbiter).
-        assert_eq!(
-            PlacementPolicy::PreferKind(DeviceKind::Gpu)
-                .choose_within_budget(&d, &costs, Some(50.0))
-                .unwrap(),
-            DeviceId(0)
-        );
-        // A strict SDK preference that is infeasible degrades to the
-        // cheapest feasible device instead of failing.
-        assert_eq!(
-            PlacementPolicy::RequireSdk(SdkKind::Cuda)
-                .choose_within_budget(&d, &costs, Some(500.0))
-                .unwrap(),
-            DeviceId(0)
-        );
-        // An explicit pin overrides the budget.
-        assert_eq!(
-            PlacementPolicy::Fixed(DeviceId(1))
-                .choose_within_budget(&d, &costs, Some(50.0))
                 .unwrap(),
             DeviceId(1)
         );

@@ -223,11 +223,6 @@ pub struct Stream {
 }
 
 impl Stream {
-    /// The scan this stream reads.
-    pub fn scan_name(&self) -> &str {
-        &self.scan
-    }
-
     fn raw_col(&self, name: &str) -> Result<DataRef> {
         match self.cols.get(name) {
             Some(&(r, 0)) => Ok(r),

@@ -41,7 +41,6 @@ use adamant_core::result::QueryOutput;
 use adamant_core::stats::ExecutionStats;
 use adamant_core::timeline::WfqClock;
 use adamant_device::device::DeviceId;
-use adamant_plan::PlacementPolicy;
 use std::collections::{BTreeMap, VecDeque};
 
 /// Default aging horizon: waiting this many modeled ns doubles a queued
@@ -104,7 +103,6 @@ pub struct QuerySpec {
     footprint_bytes: Option<u64>,
     deadline_ns: Option<f64>,
     pin_device: Option<DeviceId>,
-    policy: Option<PlacementPolicy>,
     cancel: CancelToken,
 }
 
@@ -119,7 +117,6 @@ impl QuerySpec {
             footprint_bytes: None,
             deadline_ns: None,
             pin_device: None,
-            policy: None,
             cancel: CancelToken::new(),
         }
     }
@@ -143,14 +140,6 @@ impl QuerySpec {
     /// Pins execution to one device (admission still checks its capacity).
     pub fn pin_device(mut self, device: DeviceId) -> Self {
         self.pin_device = Some(device);
-        self
-    }
-
-    /// Places via an `adamant-plan` policy instead of the scheduler's
-    /// default cheapest-feasible-device rule. Deadlines are honored through
-    /// [`PlacementPolicy::choose_within_budget`].
-    pub fn with_policy(mut self, policy: PlacementPolicy) -> Self {
-        self.policy = Some(policy);
         self
     }
 
@@ -889,10 +878,10 @@ impl<'e> QueryScheduler<'e> {
         self.stats.resume_validation_failures += stats.resume_validation_failures as u64;
     }
 
-    /// Picks the target device: the pin, the spec's policy under its
-    /// remaining budget, or the cheapest non-quarantined device with
-    /// capacity — with the modeled backlog of already-admitted queries
-    /// added to each device's cost so concurrent placements spread apart.
+    /// Picks the target device: the pin, or the cheapest non-quarantined
+    /// device with capacity — with the modeled backlog of already-admitted
+    /// queries added to each device's cost so concurrent placements spread
+    /// apart.
     fn choose_device(
         &self,
         spec: &QuerySpec,
@@ -943,13 +932,7 @@ impl<'e> QueryScheduler<'e> {
             })
             .collect();
 
-        if let Some(policy) = &spec.policy {
-            return policy
-                .choose_within_budget(&feasible, &costs, remaining_budget)
-                .map_err(Unplaceable::Other);
-        }
-
-        // Default rule: cheapest feasible device, skipping quarantined ones
+        // Cheapest feasible device, skipping quarantined ones
         // when any healthy device qualifies; shed when even the cheapest
         // modeled cost overruns the remaining budget.
         let healthy: Vec<_> = costs

@@ -270,14 +270,4 @@ impl BoundQuery {
         }
         needed
     }
-
-    /// Output column names in select-list order.
-    pub fn output_names(&self) -> Vec<&str> {
-        match &self.select {
-            BoundSelect::Plain(items) => items.iter().map(|i| i.name.as_str()).collect(),
-            BoundSelect::Aggregate { outputs, .. } => {
-                outputs.iter().map(|o| o.name.as_str()).collect()
-            }
-        }
-    }
 }

@@ -73,11 +73,6 @@ impl Bitmap {
         &self.words
     }
 
-    /// Mutable access to the packed words (used by device kernels).
-    pub fn words_mut(&mut self) -> &mut [u64] {
-        &mut self.words
-    }
-
     /// Sets row `i` (marks it selected).
     #[inline]
     pub fn set(&mut self, i: usize) {

@@ -124,16 +124,6 @@ impl Column {
         &self.data
     }
 
-    /// Mutable payload.
-    pub fn data_mut(&mut self) -> &mut ColumnData {
-        &mut self.data
-    }
-
-    /// Consumes the column, returning its payload.
-    pub fn into_data(self) -> ColumnData {
-        self.data
-    }
-
     /// Logical type.
     pub fn data_type(&self) -> DataType {
         self.data.data_type()

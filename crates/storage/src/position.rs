@@ -58,16 +58,6 @@ impl PositionList {
         &self.positions
     }
 
-    /// Mutable access (device kernels fill lists in place).
-    pub fn as_mut_vec(&mut self) -> &mut Vec<u32> {
-        &mut self.positions
-    }
-
-    /// Consumes the list, returning the raw vector.
-    pub fn into_vec(self) -> Vec<u32> {
-        self.positions
-    }
-
     /// Converts into a bitmap over `len` rows.
     ///
     /// Panics (debug) if any position is `>= len`.

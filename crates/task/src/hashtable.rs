@@ -278,11 +278,6 @@ impl AggHashTable {
         &self.group_keys
     }
 
-    /// The dense payload column `i`.
-    pub fn group_payload(&self, i: usize) -> &[i64] {
-        &self.group_payloads[i]
-    }
-
     fn grow(&mut self) {
         let new_cap = self.slot_keys.len() * 2;
         self.slot_keys = vec![EMPTY_KEY; new_cap];

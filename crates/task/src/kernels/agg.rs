@@ -1,13 +1,41 @@
 //! `AGG_BLOCK`, `HASH_AGG` and `SORT_AGG` kernels.
 
-use super::{bad_args, input_i64, need_bufs, need_params, write_output};
+use super::{
+    bad_args, count_param, count_sum, emit, input_i64, need_bufs, need_params, with_taken,
+    write_output, Produced, StageCost,
+};
 use crate::hashtable::AggHashTable;
 use crate::params::AggFunc;
-use adamant_device::buffer::{BufferData, BufferId};
+use adamant_device::buffer::{Buffer, BufferData, BufferId};
 use adamant_device::cost::CostClass;
 use adamant_device::error::Result;
 use adamant_device::kernel::KernelStats;
 use adamant_device::pool::BufferPool;
+
+/// Body of `agg_block`: folds `input` into the accumulator's current
+/// payload `acc` — `[state, rows_seen]`, or anything else on the first call,
+/// which starts from the aggregate's identity — and returns the new payload.
+pub(crate) fn agg_block_body(
+    k: &str,
+    input: &[i64],
+    acc: &BufferData,
+    params: &[i64],
+) -> Result<Produced> {
+    need_params(k, params, 1)?;
+    let agg = AggFunc::from_code(params[0]).ok_or_else(|| bad_args(k, "unknown aggregate"))?;
+    let (mut state, mut rows) = match acc.as_i64() {
+        Some(v) if v.len() >= 2 => (v[0], v[1]),
+        _ => (agg.identity(), 0),
+    };
+    for &x in input {
+        state = agg.fold(state, x);
+    }
+    rows += input.len() as i64;
+    Ok((
+        BufferData::I64(vec![state, rows]),
+        (CostClass::ReduceLike, input.len() as u64),
+    ))
+}
 
 /// `agg_block` — block-wise reduction into a persistent accumulator.
 ///
@@ -17,25 +45,67 @@ use adamant_device::pool::BufferPool;
 /// accumulator carries across calls (the primitive is a pipeline breaker —
 /// its output persists in device memory).
 pub fn agg_block(pool: &mut BufferPool, bufs: &[BufferId], params: &[i64]) -> Result<KernelStats> {
-    need_bufs("agg_block", bufs, 2)?;
-    need_params("agg_block", params, 1)?;
-    let agg =
-        AggFunc::from_code(params[0]).ok_or_else(|| bad_args("agg_block", "unknown aggregate"))?;
-    let (mut state, mut rows) = {
-        let acc = pool.get(bufs[1])?;
-        match acc.data.as_i64() {
-            Some(v) if v.len() >= 2 => (v[0], v[1]),
-            _ => (agg.identity(), 0),
-        }
-    };
-    let input = input_i64(pool, "agg_block", bufs[0])?;
-    for &x in input {
-        state = agg.fold(state, x);
+    const K: &str = "agg_block";
+    need_bufs(K, bufs, 2)?;
+    let acc = &pool.get(bufs[1])?.data;
+    let produced = agg_block_body(K, input_i64(pool, K, bufs[0])?, acc, params)?;
+    emit(pool, bufs[1], produced)
+}
+
+/// Borrows the [`AggHashTable`] a taken table buffer must hold.
+pub(crate) fn agg_table_mut<'b>(k: &str, buf: &'b mut Buffer) -> Result<&'b mut AggHashTable> {
+    buf.data
+        .as_generic_mut::<AggHashTable>()
+        .ok_or_else(|| bad_args(k, "table buffer does not hold an AggHashTable"))
+}
+
+/// Body of `hash_agg`: updates `table` with one row per key. `cols` is
+/// `[keys, payload_0.., val_0..]`, params `[payload_cols, agg_count]`.
+pub(crate) fn hash_agg_body(
+    k: &str,
+    table: &mut AggHashTable,
+    cols: &[&[i64]],
+    params: &[i64],
+) -> Result<StageCost> {
+    let payload_cols = count_param(k, params, 0)?;
+    let agg_count = count_param(k, params, 1)?;
+    let expected = count_sum(k, &[1, payload_cols, agg_count])?;
+    if cols.len() < expected {
+        return Err(bad_args(
+            k,
+            format!("expected {expected} input columns, got {}", cols.len()),
+        ));
     }
-    rows += input.len() as i64;
-    let n = input.len() as u64;
-    write_output(pool, bufs[1], BufferData::I64(vec![state, rows]))?;
-    Ok(KernelStats::new(n, CostClass::ReduceLike))
+    if table.agg_funcs().len() != agg_count {
+        return Err(bad_args(
+            k,
+            format!(
+                "table has {} aggregates, call supplies {agg_count}",
+                table.agg_funcs().len()
+            ),
+        ));
+    }
+    let keys = cols[0];
+    let (payload_refs, val_refs) = cols[1..expected].split_at(payload_cols);
+    if payload_refs.iter().any(|col| col.len() != keys.len()) {
+        return Err(bad_args(k, "payload length mismatch"));
+    }
+    if val_refs.iter().any(|col| col.len() != keys.len()) {
+        return Err(bad_args(k, "value length mismatch"));
+    }
+    let mut payload_row = vec![0i64; payload_cols];
+    let mut val_row = vec![0i64; agg_count];
+    for (i, &key) in keys.iter().enumerate() {
+        for (c, col) in payload_refs.iter().enumerate() {
+            payload_row[c] = col[i];
+        }
+        for (c, col) in val_refs.iter().enumerate() {
+            val_row[c] = col[i];
+        }
+        table.update(key, &payload_row, &val_row);
+    }
+    let groups = table.group_count() as u64;
+    Ok((CostClass::HashAgg { groups }, keys.len() as u64))
 }
 
 /// `hash_agg` — group-by aggregation into a shared device-resident table.
@@ -46,65 +116,17 @@ pub fn agg_block(pool: &mut BufferPool, bufs: &[BufferId], params: &[i64]) -> Re
 /// (the runtime creates it via `prepare_output_buffer`). Accumulates across
 /// chunks.
 pub fn hash_agg(pool: &mut BufferPool, bufs: &[BufferId], params: &[i64]) -> Result<KernelStats> {
-    need_params("hash_agg", params, 2)?;
-    let payload_cols = params[0] as usize;
-    let agg_count = params[1] as usize;
-    let expected_bufs = 1 + payload_cols + agg_count + 1;
-    need_bufs("hash_agg", bufs, expected_bufs)?;
-    let table_id = bufs[expected_bufs - 1];
-
-    let mut table_buf = pool.take(table_id)?;
-    let result = (|| -> Result<KernelStats> {
-        let table = table_buf
-            .data
-            .as_generic_mut::<AggHashTable>()
-            .ok_or_else(|| bad_args("hash_agg", "table buffer does not hold an AggHashTable"))?;
-        if table.agg_funcs().len() != agg_count {
-            return Err(bad_args(
-                "hash_agg",
-                format!(
-                    "table has {} aggregates, call supplies {agg_count}",
-                    table.agg_funcs().len()
-                ),
-            ));
-        }
-        let keys = input_i64(pool, "hash_agg", bufs[0])?;
-        let mut payload_refs = Vec::with_capacity(payload_cols);
-        for i in 0..payload_cols {
-            let col = input_i64(pool, "hash_agg", bufs[1 + i])?;
-            if col.len() != keys.len() {
-                return Err(bad_args("hash_agg", "payload length mismatch"));
-            }
-            payload_refs.push(col);
-        }
-        let mut val_refs = Vec::with_capacity(agg_count);
-        for i in 0..agg_count {
-            let col = input_i64(pool, "hash_agg", bufs[1 + payload_cols + i])?;
-            if col.len() != keys.len() {
-                return Err(bad_args("hash_agg", "value length mismatch"));
-            }
-            val_refs.push(col);
-        }
-        let mut payload_row = vec![0i64; payload_cols];
-        let mut val_row = vec![0i64; agg_count];
-        for (i, &key) in keys.iter().enumerate() {
-            for (c, col) in payload_refs.iter().enumerate() {
-                payload_row[c] = col[i];
-            }
-            for (c, col) in val_refs.iter().enumerate() {
-                val_row[c] = col[i];
-            }
-            table.update(key, &payload_row, &val_row);
-        }
-        Ok(KernelStats::new(
-            keys.len() as u64,
-            CostClass::HashAgg {
-                groups: table.group_count() as u64,
-            },
-        ))
-    })();
-    pool.restore(table_id, table_buf)?;
-    result
+    const K: &str = "hash_agg";
+    need_bufs(K, bufs, 2)?;
+    let (&table_id, col_ids) = bufs.split_last().expect("checked above");
+    let (class, elements) = with_taken(pool, table_id, |pool, table_buf| {
+        let cols = col_ids
+            .iter()
+            .map(|&id| input_i64(pool, K, id).map(Vec::as_slice))
+            .collect::<Result<Vec<_>>>()?;
+        hash_agg_body(K, agg_table_mut(K, table_buf)?, &cols, params)
+    })?;
+    Ok(KernelStats::new(elements, class))
 }
 
 /// `sort_agg` — aggregation over *sorted* keys by run detection.
@@ -154,10 +176,10 @@ pub fn sort_agg(pool: &mut BufferPool, bufs: &[BufferId], params: &[i64]) -> Res
 /// `[payload_cols, agg_count]`. Extension primitive (documented in
 /// DESIGN.md).
 pub fn agg_export(pool: &mut BufferPool, bufs: &[BufferId], params: &[i64]) -> Result<KernelStats> {
-    need_params("agg_export", params, 2)?;
-    let payload_cols = params[0] as usize;
-    let agg_count = params[1] as usize;
-    need_bufs("agg_export", bufs, 2 + payload_cols + agg_count)?;
+    let payload_cols = count_param("agg_export", params, 0)?;
+    let agg_count = count_param("agg_export", params, 1)?;
+    let expected = count_sum("agg_export", &[2, payload_cols, agg_count])?;
+    need_bufs("agg_export", bufs, expected)?;
     let (keys, payloads, states) = {
         let table_buf = pool.get(bufs[0])?;
         let table = table_buf
@@ -192,7 +214,10 @@ mod tests {
     use super::*;
     use crate::kernels::testutil::*;
     use adamant_device::buffer::{Buffer, BufferData};
+    use adamant_device::error::DeviceError;
     use adamant_device::sdk::SdkRepr;
+
+    type Kernel = fn(&mut BufferPool, &[BufferId], &[i64]) -> Result<KernelStats>;
 
     fn put_agg_table(
         p: &mut adamant_device::pool::BufferPool,
@@ -287,6 +312,19 @@ mod tests {
         // Agg count mismatch.
         put_agg_table(&mut p, 4, vec![AggFunc::Sum, AggFunc::Count], 0);
         assert!(hash_agg(&mut p, &[b(1), b(2), b(4)], &[0, 1]).is_err());
+        // Hostile counts are typed errors, not casts (debug) or wraps (release).
+        for params in [[-1, 0], [0, -1], [i64::MAX, i64::MAX], [i64::MIN, 2]] {
+            for (kernel, bufs) in [
+                (hash_agg as Kernel, [b(1), b(2), b(4)]),
+                (agg_export, [b(4), b(1), b(2)]),
+            ] {
+                let got = kernel(&mut p, &bufs, &params);
+                assert!(
+                    matches!(got, Err(DeviceError::BadKernelArgs { .. })),
+                    "{params:?}: {got:?}"
+                );
+            }
+        }
     }
 
     #[test]

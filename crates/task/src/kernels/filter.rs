@@ -1,6 +1,6 @@
 //! `FILTER_BITMAP`, `FILTER_BITMAP_COL` and `FILTER_POSITION` kernels.
 
-use super::{bad_args, input_i64, need_bufs, need_params, write_output};
+use super::{bad_args, emit, input_i64, need_bufs, need_params, Produced};
 use crate::params::CmpOp;
 use adamant_device::buffer::{BufferData, BufferId};
 use adamant_device::cost::CostClass;
@@ -18,6 +18,25 @@ fn pack_bits(bools: impl Iterator<Item = bool>, n: usize) -> Vec<u64> {
     words
 }
 
+/// Decodes the constant-predicate params `[cmp, value, hi]` (`hi` only used
+/// by `Between`, optional otherwise).
+fn const_predicate(k: &str, params: &[i64]) -> Result<(CmpOp, i64, i64)> {
+    need_params(k, params, 2)?;
+    let cmp = CmpOp::from_code(params[0]).ok_or_else(|| bad_args(k, "unknown comparison"))?;
+    Ok((cmp, params[1], params.get(2).copied().unwrap_or(0)))
+}
+
+/// Body of `filter_bitmap`: one bit per input row, packed 64 to a word.
+pub(crate) fn filter_bitmap_body(k: &str, input: &[i64], params: &[i64]) -> Result<Produced> {
+    let (cmp, v, hi) = const_predicate(k, params)?;
+    let n = input.len();
+    let words = pack_bits(input.iter().map(|&x| cmp.eval(x, v, hi)), n);
+    Ok((
+        BufferData::BitWords(words),
+        (CostClass::FilterBitmap, n as u64),
+    ))
+}
+
 /// `filter_bitmap` — constant predicate producing a bit-packed result.
 ///
 /// Buffers `[in, out]`, params `[cmp, value, hi]` (`hi` only used by
@@ -27,17 +46,10 @@ pub fn filter_bitmap(
     bufs: &[BufferId],
     params: &[i64],
 ) -> Result<KernelStats> {
-    need_bufs("filter_bitmap", bufs, 2)?;
-    need_params("filter_bitmap", params, 2)?;
-    let cmp = CmpOp::from_code(params[0])
-        .ok_or_else(|| bad_args("filter_bitmap", "unknown comparison"))?;
-    let v = params[1];
-    let hi = params.get(2).copied().unwrap_or(0);
-    let input = input_i64(pool, "filter_bitmap", bufs[0])?;
-    let n = input.len();
-    let words = pack_bits(input.iter().map(|&x| cmp.eval(x, v, hi)), n);
-    write_output(pool, bufs[1], BufferData::BitWords(words))?;
-    Ok(KernelStats::new(n as u64, CostClass::FilterBitmap))
+    const K: &str = "filter_bitmap";
+    need_bufs(K, bufs, 2)?;
+    let produced = filter_bitmap_body(K, input_i64(pool, K, bufs[0])?, params)?;
+    emit(pool, bufs[1], produced)
 }
 
 /// `filter_bitmap@branchless` — predication-style variant (no data-dependent
@@ -48,13 +60,10 @@ pub fn filter_bitmap_branchless(
     bufs: &[BufferId],
     params: &[i64],
 ) -> Result<KernelStats> {
-    need_bufs("filter_bitmap", bufs, 2)?;
-    need_params("filter_bitmap", params, 2)?;
-    let cmp = CmpOp::from_code(params[0])
-        .ok_or_else(|| bad_args("filter_bitmap", "unknown comparison"))?;
-    let v = params[1];
-    let hi = params.get(2).copied().unwrap_or(0);
-    let input = input_i64(pool, "filter_bitmap", bufs[0])?;
+    const K: &str = "filter_bitmap";
+    need_bufs(K, bufs, 2)?;
+    let (cmp, v, hi) = const_predicate(K, params)?;
+    let input = input_i64(pool, K, bufs[0])?;
     let n = input.len();
     let mut words = vec![0u64; n.div_ceil(64)];
     for (w, block) in input.chunks(64).enumerate() {
@@ -65,8 +74,31 @@ pub fn filter_bitmap_branchless(
         }
         words[w] = word;
     }
-    write_output(pool, bufs[1], BufferData::BitWords(words))?;
-    Ok(KernelStats::new(n as u64, CostClass::FilterBitmap))
+    let cost = (CostClass::FilterBitmap, n as u64);
+    emit(pool, bufs[1], (BufferData::BitWords(words), cost))
+}
+
+/// Body of `filter_bitmap_col`: `a[i] cmp b[i]`, bit-packed.
+pub(crate) fn filter_bitmap_col_body(
+    k: &str,
+    a: &[i64],
+    b: &[i64],
+    params: &[i64],
+) -> Result<Produced> {
+    need_params(k, params, 1)?;
+    let cmp = CmpOp::from_code(params[0]).ok_or_else(|| bad_args(k, "unknown comparison"))?;
+    if cmp == CmpOp::Between {
+        return Err(bad_args(k, "Between needs a constant"));
+    }
+    if a.len() != b.len() {
+        return Err(bad_args(k, "input length mismatch"));
+    }
+    let n = a.len();
+    let words = pack_bits(a.iter().zip(b).map(|(&x, &y)| cmp.eval(x, y, 0)), n);
+    Ok((
+        BufferData::BitWords(words),
+        (CostClass::FilterBitmap, n as u64),
+    ))
 }
 
 /// `filter_bitmap_col` — column-column predicate (Q4's
@@ -78,22 +110,12 @@ pub fn filter_bitmap_col(
     bufs: &[BufferId],
     params: &[i64],
 ) -> Result<KernelStats> {
-    need_bufs("filter_bitmap_col", bufs, 3)?;
-    need_params("filter_bitmap_col", params, 1)?;
-    let cmp = CmpOp::from_code(params[0])
-        .ok_or_else(|| bad_args("filter_bitmap_col", "unknown comparison"))?;
-    if cmp == CmpOp::Between {
-        return Err(bad_args("filter_bitmap_col", "Between needs a constant"));
-    }
-    let a = input_i64(pool, "filter_bitmap_col", bufs[0])?;
-    let b = input_i64(pool, "filter_bitmap_col", bufs[1])?;
-    if a.len() != b.len() {
-        return Err(bad_args("filter_bitmap_col", "input length mismatch"));
-    }
-    let n = a.len();
-    let words = pack_bits(a.iter().zip(b).map(|(&x, &y)| cmp.eval(x, y, 0)), n);
-    write_output(pool, bufs[2], BufferData::BitWords(words))?;
-    Ok(KernelStats::new(n as u64, CostClass::FilterBitmap))
+    const K: &str = "filter_bitmap_col";
+    need_bufs(K, bufs, 3)?;
+    let a = input_i64(pool, K, bufs[0])?;
+    let b = input_i64(pool, K, bufs[1])?;
+    let produced = filter_bitmap_col_body(K, a, b, params)?;
+    emit(pool, bufs[2], produced)
 }
 
 /// `filter_position` — constant predicate producing a position list.
@@ -104,21 +126,18 @@ pub fn filter_position(
     bufs: &[BufferId],
     params: &[i64],
 ) -> Result<KernelStats> {
-    need_bufs("filter_position", bufs, 2)?;
-    need_params("filter_position", params, 2)?;
-    let cmp = CmpOp::from_code(params[0])
-        .ok_or_else(|| bad_args("filter_position", "unknown comparison"))?;
-    let v = params[1];
-    let hi = params.get(2).copied().unwrap_or(0);
-    let input = input_i64(pool, "filter_position", bufs[0])?;
+    const K: &str = "filter_position";
+    need_bufs(K, bufs, 2)?;
+    let (cmp, v, hi) = const_predicate(K, params)?;
+    let input = input_i64(pool, K, bufs[0])?;
     let n = input.len();
     let positions: Vec<u32> = input
         .iter()
         .enumerate()
         .filter_map(|(i, &x)| cmp.eval(x, v, hi).then_some(i as u32))
         .collect();
-    write_output(pool, bufs[1], BufferData::U32(positions))?;
-    Ok(KernelStats::new(n as u64, CostClass::FilterPosition))
+    let cost = (CostClass::FilterPosition, n as u64);
+    emit(pool, bufs[1], (BufferData::U32(positions), cost))
 }
 
 #[cfg(test)]

@@ -1,16 +1,21 @@
 //! `FUSED` and `FUSED_AGG` — the interpreter kernel behind graph fusion.
 //!
 //! A fused node carries a flattened stage program in its scalar parameters
-//! (encoded by `NodeParams::Fused::to_scalars` in `adamant-core`); this
-//! kernel interprets the stages in order, keeping every interior value in
-//! kernel-local memory. No interior stage touches the buffer pool — that is
-//! the whole point of fusion: the intermediates the unfused graph would have
-//! materialized through the hub (bitmaps, mapped columns) never get a buffer
-//! id, never charge the pool and never ride a transfer.
+//! (wire format and codec: [`crate::program`]); this kernel runs the stages
+//! in order, keeping every interior value in kernel-local memory. No
+//! interior stage touches the buffer pool — that is the whole point of
+//! fusion: the intermediates the unfused graph would have materialized
+//! through the hub (bitmaps, mapped columns) never get a buffer id, never
+//! charge the pool and never ride a transfer.
 //!
-//! Stage semantics replicate the standalone kernels bit for bit (same
-//! packing, same error conditions, same accumulator layout), so fused and
-//! unfused execution are reference-exact. Per-stage `(CostClass, elements)`
+//! The interpreter owns two things only: the stage loop and operand
+//! resolution (external buffer or earlier stage's result). It holds no
+//! primitive semantics: every stage calls the same slice-level body its
+//! standalone kernel calls (`filter::filter_bitmap_body`, `map::map_body`,
+//! `agg::hash_agg_body`, …), so fused and unfused execution are
+//! reference-exact by construction, error conditions included. Which kinds
+//! may appear, and where, is [`PrimitiveKind::fusion`] — the table the
+//! fusion pass built the program from. Per-stage `(CostClass, elements)`
 //! pairs are reported in `KernelStats::stages`; the device prices them
 //! through `CostModel::fused_kernel_ns` (one launch + discounted bodies).
 //!
@@ -18,399 +23,146 @@
 //! just another primitive to the plug-in interface, so per-SDK variants can
 //! override it like any other kernel (Breß et al.'s portability argument).
 
-use super::{bad_args, input_bitwords, input_i64, need_bufs, write_output};
-use crate::hashtable::AggHashTable;
-use crate::params::{AggFunc, BitmapOp, CmpOp, MapOp};
-use crate::primitive::PrimitiveKind;
+use super::{
+    agg, bad_args, filter, map, materialize, need_bufs, with_taken, write_output, Produced,
+    StageCost,
+};
+use crate::primitive::{FusionRole, PrimitiveKind};
+use crate::program::{decode, FusedOperand, Stage};
 use adamant_device::buffer::{BufferData, BufferId};
-use adamant_device::cost::CostClass;
 use adamant_device::error::Result;
 use adamant_device::kernel::KernelStats;
 use adamant_device::pool::BufferPool;
 
 const K: &str = "fused";
 
-/// One decoded stage: the original primitive, its operand sources and its
-/// own scalar parameters (exactly what the standalone kernel would receive).
-struct Stage {
-    kind: PrimitiveKind,
-    /// `>= 0`: external input index (position in the fused node's buffer
-    /// list); `< 0`: result of stage `-(code + 1)`.
-    operands: Vec<i64>,
-    params: Vec<i64>,
+/// One stage's operand sources: the fused node's external inputs (resolved
+/// from the pool) and the earlier stages' results in kernel-local memory.
+struct Operands<'a> {
+    /// The fused node's buffer list minus its trailing output.
+    externals: &'a [BufferId],
+    results: &'a [BufferData],
+    stage: &'a Stage,
 }
 
-/// Decodes the flattened stage program:
-/// `[n_stages, (kind, n_operands, operands.., n_params, params..)*]`.
-fn decode(params: &[i64]) -> Result<Vec<Stage>> {
-    let mut it = params.iter().copied();
-    let mut next = |what: &str| {
-        it.next()
-            .ok_or_else(|| bad_args(K, format!("truncated stage program at {what}")))
-    };
-    let n_stages = next("stage count")?;
-    if n_stages < 1 {
-        return Err(bad_args(K, "empty stage program"));
+impl<'a> Operands<'a> {
+    fn data(&self, pool: &'a BufferPool, i: usize) -> Result<&'a BufferData> {
+        let bad = |what: &str| bad_args(K, format!("{} stage: {what} {i}", self.stage.kind));
+        match self.stage.operands.get(i) {
+            Some(&FusedOperand::External(e)) => match self.externals.get(e) {
+                Some(&id) => Ok(&pool.get(id)?.data),
+                None => Err(bad("external index out of range in operand")),
+            },
+            Some(&FusedOperand::Stage(j)) => self
+                .results
+                .get(j)
+                .ok_or_else(|| bad("no such earlier stage for operand")),
+            None => Err(bad("missing operand")),
+        }
     }
-    let mut stages = Vec::with_capacity(n_stages as usize);
-    for si in 0..n_stages {
-        let kind = PrimitiveKind::from_op_code(next("stage kind")?)
-            .ok_or_else(|| bad_args(K, "unknown stage op code"))?;
-        let n_ops = next("operand count")?;
-        if n_ops < 0 {
-            return Err(bad_args(K, "negative operand count"));
-        }
-        let mut operands = Vec::with_capacity(n_ops as usize);
-        for _ in 0..n_ops {
-            let code = next("operand")?;
-            if code < 0 && -(code + 1) >= si {
-                return Err(bad_args(K, "stage operand references a later stage"));
-            }
-            operands.push(code);
-        }
-        let n_params = next("param count")?;
-        if n_params < 0 {
-            return Err(bad_args(K, "negative param count"));
-        }
-        let mut sp = Vec::with_capacity(n_params as usize);
-        for _ in 0..n_params {
-            sp.push(next("stage param")?);
-        }
-        stages.push(Stage {
-            kind,
-            operands,
-            params: sp,
-        });
+
+    fn i64(&self, pool: &'a BufferPool, i: usize) -> Result<&'a [i64]> {
+        let data = self.data(pool, i)?;
+        let need = || bad_args(K, format!("operand {i} is {}, need i64", data.kind()));
+        data.as_i64().map(Vec::as_slice).ok_or_else(need)
     }
-    Ok(stages)
-}
 
-/// An interior value held in kernel-local memory instead of the pool.
-enum Val {
-    I64(Vec<i64>),
-    Bits(Vec<u64>),
-}
-
-/// Resolves an operand to an `i64` slice (external buffer or earlier stage).
-fn i64_operand<'a>(
-    pool: &'a BufferPool,
-    bufs: &[BufferId],
-    results: &'a [Val],
-    code: i64,
-) -> Result<&'a [i64]> {
-    if code >= 0 {
-        let idx = code as usize;
-        if idx + 1 >= bufs.len() {
-            return Err(bad_args(K, "external operand index out of range"));
-        }
-        Ok(input_i64(pool, K, bufs[idx])?.as_slice())
-    } else {
-        match results.get((-(code + 1)) as usize) {
-            Some(Val::I64(v)) => Ok(v),
-            Some(Val::Bits(_)) => Err(bad_args(K, "stage operand is a bitmap, need i64")),
-            None => Err(bad_args(K, "stage operand index out of range")),
-        }
+    fn bits(&self, pool: &'a BufferPool, i: usize) -> Result<&'a [u64]> {
+        let data = self.data(pool, i)?;
+        let need = || bad_args(K, format!("operand {i} is {}, need bitwords", data.kind()));
+        data.as_bitwords().map(Vec::as_slice).ok_or_else(need)
     }
 }
 
-/// Resolves an operand to a bitmap-word slice.
-fn bits_operand<'a>(
-    pool: &'a BufferPool,
-    bufs: &[BufferId],
-    results: &'a [Val],
-    code: i64,
-) -> Result<&'a [u64]> {
-    if code >= 0 {
-        let idx = code as usize;
-        if idx + 1 >= bufs.len() {
-            return Err(bad_args(K, "external operand index out of range"));
-        }
-        Ok(input_bitwords(pool, K, bufs[idx])?.as_slice())
-    } else {
-        match results.get((-(code + 1)) as usize) {
-            Some(Val::Bits(v)) => Ok(v),
-            Some(Val::I64(_)) => Err(bad_args(K, "stage operand is i64, need bitmap")),
-            None => Err(bad_args(K, "stage operand index out of range")),
-        }
-    }
-}
-
-fn pack_bits(bools: impl Iterator<Item = bool>, n: usize) -> Vec<u64> {
-    let mut words = vec![0u64; n.div_ceil(64)];
-    for (i, b) in bools.enumerate() {
-        if b {
-            words[i / 64] |= 1 << (i % 64);
-        }
-    }
-    words
-}
-
-fn need_operands(stage: &Stage, n: usize) -> Result<()> {
-    if stage.operands.len() < n {
-        Err(bad_args(
-            K,
-            format!(
-                "{} stage expects {n} operands, got {}",
-                stage.kind,
-                stage.operands.len()
-            ),
-        ))
-    } else {
-        Ok(())
-    }
-}
-
-fn need_stage_params(stage: &Stage, n: usize) -> Result<()> {
-    if stage.params.len() < n {
-        Err(bad_args(
-            K,
-            format!(
-                "{} stage expects {n} params, got {}",
-                stage.kind,
-                stage.params.len()
-            ),
-        ))
-    } else {
-        Ok(())
-    }
-}
-
-/// Evaluates one non-accumulating stage, mirroring the standalone kernel.
-fn eval_stage(
-    pool: &BufferPool,
-    bufs: &[BufferId],
-    results: &[Val],
-    stage: &Stage,
-    stats: &mut Vec<(CostClass, u64)>,
-) -> Result<Val> {
-    let p = &stage.params;
-    match stage.kind {
-        PrimitiveKind::FilterBitmap => {
-            need_operands(stage, 1)?;
-            need_stage_params(stage, 2)?;
-            let cmp = CmpOp::from_code(p[0]).ok_or_else(|| bad_args(K, "unknown comparison"))?;
-            let v = p[1];
-            let hi = p.get(2).copied().unwrap_or(0);
-            let input = i64_operand(pool, bufs, results, stage.operands[0])?;
-            let n = input.len();
-            stats.push((CostClass::FilterBitmap, n as u64));
-            Ok(Val::Bits(pack_bits(
-                input.iter().map(|&x| cmp.eval(x, v, hi)),
-                n,
-            )))
-        }
+/// Runs one non-accumulating stage through its primitive's body.
+fn interior(pool: &BufferPool, ops: &Operands<'_>) -> Result<Produced> {
+    let params = &ops.stage.params;
+    match ops.stage.kind {
+        PrimitiveKind::FilterBitmap => filter::filter_bitmap_body(K, ops.i64(pool, 0)?, params),
         PrimitiveKind::FilterBitmapCol => {
-            need_operands(stage, 2)?;
-            need_stage_params(stage, 1)?;
-            let cmp = CmpOp::from_code(p[0]).ok_or_else(|| bad_args(K, "unknown comparison"))?;
-            if cmp == CmpOp::Between {
-                return Err(bad_args(K, "Between needs a constant"));
-            }
-            let a = i64_operand(pool, bufs, results, stage.operands[0])?;
-            let b = i64_operand(pool, bufs, results, stage.operands[1])?;
-            if a.len() != b.len() {
-                return Err(bad_args(K, "input length mismatch"));
-            }
-            let n = a.len();
-            stats.push((CostClass::FilterBitmap, n as u64));
-            Ok(Val::Bits(pack_bits(
-                a.iter().zip(b).map(|(&x, &y)| cmp.eval(x, y, 0)),
-                n,
-            )))
+            filter::filter_bitmap_col_body(K, ops.i64(pool, 0)?, ops.i64(pool, 1)?, params)
         }
         PrimitiveKind::BitmapOp => {
-            need_operands(stage, 2)?;
-            need_stage_params(stage, 1)?;
-            let op = BitmapOp::from_code(p[0]).ok_or_else(|| bad_args(K, "unknown opcode"))?;
-            let a = bits_operand(pool, bufs, results, stage.operands[0])?;
-            let b = bits_operand(pool, bufs, results, stage.operands[1])?;
-            if a.len() != b.len() {
-                return Err(bad_args(
-                    K,
-                    format!("word count mismatch: {} vs {}", a.len(), b.len()),
-                ));
-            }
-            let out: Vec<u64> = a.iter().zip(b).map(|(&x, &y)| op.apply(x, y)).collect();
-            stats.push((CostClass::MapLike, out.len() as u64));
-            Ok(Val::Bits(out))
+            map::bitmap_op_body(K, ops.bits(pool, 0)?, ops.bits(pool, 1)?, params)
         }
         PrimitiveKind::Map => {
-            need_stage_params(stage, 1)?;
-            let op = MapOp::from_code(p[0]).ok_or_else(|| bad_args(K, "unknown opcode"))?;
-            let out = if op.is_const() {
-                need_operands(stage, 1)?;
-                need_stage_params(stage, 2)?;
-                let c = p[1];
-                let input = i64_operand(pool, bufs, results, stage.operands[0])?;
-                input.iter().map(|&x| op.apply(x, c)).collect::<Vec<i64>>()
-            } else {
-                need_operands(stage, 2)?;
-                let a = i64_operand(pool, bufs, results, stage.operands[0])?;
-                let b = i64_operand(pool, bufs, results, stage.operands[1])?;
-                if a.len() != b.len() {
-                    return Err(bad_args(
-                        K,
-                        format!("input length mismatch: {} vs {}", a.len(), b.len()),
-                    ));
-                }
-                a.iter().zip(b).map(|(&x, &y)| op.apply(x, y)).collect()
+            let b = match ops.stage.operands.len() {
+                0 | 1 => None,
+                _ => Some(ops.i64(pool, 1)?),
             };
-            stats.push((CostClass::MapLike, out.len() as u64));
-            Ok(Val::I64(out))
+            map::map_body(K, ops.i64(pool, 0)?, b, params)
         }
         PrimitiveKind::Materialize => {
-            need_operands(stage, 2)?;
-            let values = i64_operand(pool, bufs, results, stage.operands[0])?;
-            let words = bits_operand(pool, bufs, results, stage.operands[1])?;
-            let n = values.len();
-            if words.len() * 64 < n {
-                return Err(bad_args(
-                    K,
-                    format!("bitmap covers {} rows, values have {n}", words.len() * 64),
-                ));
-            }
-            let mut out = Vec::new();
-            for (w, &word) in words.iter().enumerate() {
-                let mut bits = word;
-                while bits != 0 {
-                    let bit = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let idx = w * 64 + bit;
-                    if idx < n {
-                        out.push(values[idx]);
-                    }
-                }
-            }
-            stats.push((CostClass::MaterializeBitmap, n as u64));
-            Ok(Val::I64(out))
+            materialize::materialize_body(K, ops.i64(pool, 0)?, ops.bits(pool, 1)?)
         }
-        other => Err(bad_args(K, format!("stage kind {other} is not fusible"))),
+        other => Err(bad_args(K, format!("no interior body for {other}"))),
+    }
+}
+
+/// Runs the accumulating terminal stage of a `fused_agg` chain into `acc`.
+fn terminal(pool: &mut BufferPool, acc: BufferId, ops: &Operands<'_>) -> Result<StageCost> {
+    let params = &ops.stage.params;
+    match ops.stage.kind {
+        PrimitiveKind::AggBlock => {
+            let (data, cost) =
+                agg::agg_block_body(K, ops.i64(pool, 0)?, &pool.get(acc)?.data, params)?;
+            write_output(pool, acc, data)?;
+            Ok(cost)
+        }
+        PrimitiveKind::HashAgg => with_taken(pool, acc, |pool, table_buf| {
+            let cols = (0..ops.stage.operands.len())
+                .map(|i| ops.i64(pool, i))
+                .collect::<Result<Vec<_>>>()?;
+            agg::hash_agg_body(K, agg::agg_table_mut(K, table_buf)?, &cols, params)
+        }),
+        other => Err(bad_args(K, format!("no terminal body for {other}"))),
     }
 }
 
 /// Shared driver for both fused kernels. Buffers are
 /// `[external_0, .., external_{m-1}, out]` where `out` is per-chunk scratch
-/// (`fused`) or the persistent accumulator (`fused_agg`).
+/// (`fused`) or the persistent accumulator (`fused_agg`); `last_role` is the
+/// role the final stage must have.
 fn run_chain(
     pool: &mut BufferPool,
     bufs: &[BufferId],
     params: &[i64],
-    agg_terminal: bool,
+    last_role: FusionRole,
 ) -> Result<KernelStats> {
     need_bufs(K, bufs, 2)?;
+    let (&out_id, externals) = bufs.split_last().expect("checked above");
     let stages = decode(params)?;
-    let last = stages.len() - 1;
-    let out_id = bufs[bufs.len() - 1];
-    let mut results: Vec<Val> = Vec::with_capacity(stages.len());
-    let mut stage_stats: Vec<(CostClass, u64)> = Vec::with_capacity(stages.len());
+    let mut results: Vec<BufferData> = Vec::with_capacity(stages.len());
+    let mut stage_stats: Vec<StageCost> = Vec::with_capacity(stages.len());
 
-    let interior = if agg_terminal { last } else { stages.len() };
-    for stage in &stages[..interior] {
-        let val = eval_stage(pool, bufs, &results, stage, &mut stage_stats)?;
-        results.push(val);
-    }
-
-    if agg_terminal {
-        let stage = &stages[last];
-        match stage.kind {
-            PrimitiveKind::AggBlock => {
-                need_operands(stage, 1)?;
-                need_stage_params(stage, 1)?;
-                let agg = AggFunc::from_code(stage.params[0])
-                    .ok_or_else(|| bad_args(K, "unknown aggregate"))?;
-                let (mut state, mut rows) = {
-                    let acc = pool.get(out_id)?;
-                    match acc.data.as_i64() {
-                        Some(v) if v.len() >= 2 => (v[0], v[1]),
-                        _ => (agg.identity(), 0),
-                    }
-                };
-                let input = i64_operand(pool, bufs, &results, stage.operands[0])?;
-                for &x in input {
-                    state = agg.fold(state, x);
-                }
-                rows += input.len() as i64;
-                let n = input.len() as u64;
-                stage_stats.push((CostClass::ReduceLike, n));
-                write_output(pool, out_id, BufferData::I64(vec![state, rows]))?;
-            }
-            PrimitiveKind::HashAgg => {
-                need_stage_params(stage, 2)?;
-                let payload_cols = stage.params[0] as usize;
-                let agg_count = stage.params[1] as usize;
-                need_operands(stage, 1 + payload_cols + agg_count)?;
-                let mut table_buf = pool.take(out_id)?;
-                let result = (|| -> Result<u64> {
-                    let table = table_buf
-                        .data
-                        .as_generic_mut::<AggHashTable>()
-                        .ok_or_else(|| bad_args(K, "table buffer does not hold an AggHashTable"))?;
-                    if table.agg_funcs().len() != agg_count {
-                        return Err(bad_args(
-                            K,
-                            format!(
-                                "table has {} aggregates, call supplies {agg_count}",
-                                table.agg_funcs().len()
-                            ),
-                        ));
-                    }
-                    let keys = i64_operand(pool, bufs, &results, stage.operands[0])?;
-                    let mut payload_refs = Vec::with_capacity(payload_cols);
-                    for i in 0..payload_cols {
-                        let col = i64_operand(pool, bufs, &results, stage.operands[1 + i])?;
-                        if col.len() != keys.len() {
-                            return Err(bad_args(K, "payload length mismatch"));
-                        }
-                        payload_refs.push(col);
-                    }
-                    let mut val_refs = Vec::with_capacity(agg_count);
-                    for i in 0..agg_count {
-                        let col = i64_operand(
-                            pool,
-                            bufs,
-                            &results,
-                            stage.operands[1 + payload_cols + i],
-                        )?;
-                        if col.len() != keys.len() {
-                            return Err(bad_args(K, "value length mismatch"));
-                        }
-                        val_refs.push(col);
-                    }
-                    let mut payload_row = vec![0i64; payload_cols];
-                    let mut val_row = vec![0i64; agg_count];
-                    for (i, &key) in keys.iter().enumerate() {
-                        for (c, col) in payload_refs.iter().enumerate() {
-                            payload_row[c] = col[i];
-                        }
-                        for (c, col) in val_refs.iter().enumerate() {
-                            val_row[c] = col[i];
-                        }
-                        table.update(key, &payload_row, &val_row);
-                    }
-                    stage_stats.push((
-                        CostClass::HashAgg {
-                            groups: table.group_count() as u64,
-                        },
-                        keys.len() as u64,
-                    ));
-                    Ok(keys.len() as u64)
-                })();
-                pool.restore(out_id, table_buf)?;
-                result?;
-            }
-            other => {
-                return Err(bad_args(
-                    K,
-                    format!("fused_agg terminal stage {other} is not an aggregation"),
-                ))
-            }
-        }
-    } else {
-        let data = match results.pop().expect("at least one stage") {
-            Val::I64(v) => BufferData::I64(v),
-            Val::Bits(w) => BufferData::BitWords(w),
+    for (si, stage) in stages.iter().enumerate() {
+        let role = if si + 1 == stages.len() {
+            last_role
+        } else {
+            FusionRole::Interior
         };
-        write_output(pool, out_id, data)?;
+        if stage.kind.fusion().map(|(r, _)| r) != Some(role) {
+            return Err(bad_args(
+                K,
+                format!("stage {si} ({}) is not fusible as {role:?}", stage.kind),
+            ));
+        }
+        let ops = Operands {
+            externals,
+            results: &results,
+            stage,
+        };
+        stage_stats.push(match role {
+            FusionRole::Interior => {
+                let (data, cost) = interior(pool, &ops)?;
+                results.push(data);
+                cost
+            }
+            FusionRole::Terminal => terminal(pool, out_id, &ops)?,
+        });
+    }
+    if last_role == FusionRole::Interior {
+        write_output(pool, out_id, results.pop().expect("at least one stage"))?;
     }
 
     let (class, elements) = *stage_stats.last().expect("at least one stage");
@@ -419,38 +171,47 @@ fn run_chain(
 
 /// `fused` — interprets a non-accumulating fused chain into scratch output.
 pub fn fused(pool: &mut BufferPool, bufs: &[BufferId], params: &[i64]) -> Result<KernelStats> {
-    run_chain(pool, bufs, params, false)
+    run_chain(pool, bufs, params, FusionRole::Interior)
 }
 
 /// `fused_agg` — a fused chain terminating in `AGG_BLOCK` or `HASH_AGG`;
 /// accumulates into the last buffer across chunks like its terminal would.
 pub fn fused_agg(pool: &mut BufferPool, bufs: &[BufferId], params: &[i64]) -> Result<KernelStats> {
-    run_chain(pool, bufs, params, true)
+    run_chain(pool, bufs, params, FusionRole::Terminal)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hashtable::AggHashTable;
     use crate::kernels::testutil::*;
-    use crate::kernels::{agg, filter, map, materialize};
+    use crate::params;
+    use crate::program::encode;
+    use adamant_device::buffer::Buffer;
+    use adamant_device::cost::CostClass;
+    use adamant_device::error::DeviceError;
+    use adamant_device::sdk::SdkRepr;
+    use FusedOperand::{External as Ext, Stage as St};
 
-    // Stage program builder mirroring `NodeParams::Fused::to_scalars`.
-    fn program(stages: &[(PrimitiveKind, &[i64], &[i64])]) -> Vec<i64> {
-        let mut out = vec![stages.len() as i64];
-        for (kind, ops, params) in stages {
-            out.push(kind.op_code());
-            out.push(ops.len() as i64);
-            out.extend_from_slice(ops);
-            out.push(params.len() as i64);
-            out.extend_from_slice(params);
-        }
-        out
+    /// Encodes `(kind, operands, params)` stages with the real encoder.
+    fn prog(stages: &[(PrimitiveKind, &[FusedOperand], &[i64])]) -> Vec<i64> {
+        let stages: Vec<Stage> = stages
+            .iter()
+            .map(|&(kind, operands, params)| Stage {
+                kind,
+                operands: operands.to_vec(),
+                params: params.to_vec(),
+            })
+            .collect();
+        encode(&stages)
     }
 
     #[test]
     fn filter_map_agg_matches_unfused() {
         let data: Vec<i64> = (0..500).map(|i| (i * 37) % 100).collect();
         let vals: Vec<i64> = (0..500).map(|i| i * 3).collect();
+        let lt50 = [params::CmpOp::Lt.to_code(), 50, 0];
+        let sum = [params::AggFunc::Sum.to_code()];
 
         // Unfused: filter -> materialize -> agg_block through the pool.
         let mut p = pool();
@@ -459,9 +220,9 @@ mod tests {
         out(&mut p, 3); // bitmap
         out(&mut p, 4); // materialized
         out(&mut p, 5); // acc
-        filter::filter_bitmap(&mut p, &[b(1), b(3)], &[CmpOp::Lt.to_code(), 50, 0]).unwrap();
+        filter::filter_bitmap(&mut p, &[b(1), b(3)], &lt50).unwrap();
         materialize::materialize(&mut p, &[b(2), b(3), b(4)], &[]).unwrap();
-        agg::agg_block(&mut p, &[b(4), b(5)], &[AggFunc::Sum.to_code()]).unwrap();
+        agg::agg_block(&mut p, &[b(4), b(5)], &sum).unwrap();
         let expect = read_i64(&p, 5);
 
         // Fused: one kernel, no interior buffers.
@@ -469,33 +230,30 @@ mod tests {
         put(&mut q, 1, BufferData::I64(data));
         put(&mut q, 2, BufferData::I64(vals));
         out(&mut q, 9); // acc only
-        let prog = program(&[
-            (
-                PrimitiveKind::FilterBitmap,
-                &[0],
-                &[CmpOp::Lt.to_code(), 50, 0],
-            ),
-            (PrimitiveKind::Materialize, &[1, -1], &[]),
-            (PrimitiveKind::AggBlock, &[-2], &[AggFunc::Sum.to_code()]),
+        let program = prog(&[
+            (PrimitiveKind::FilterBitmap, &[Ext(0)], &lt50),
+            (PrimitiveKind::Materialize, &[Ext(1), St(0)], &[]),
+            (PrimitiveKind::AggBlock, &[St(1)], &sum),
         ]);
-        let stats = fused_agg(&mut q, &[b(1), b(2), b(9)], &prog).unwrap();
+        let stats = fused_agg(&mut q, &[b(1), b(2), b(9)], &program).unwrap();
         assert_eq!(read_i64(&q, 9), expect);
         assert_eq!(stats.stages.len(), 3);
-        assert_eq!(stats.stages[0].0, CostClass::FilterBitmap);
-        assert_eq!(stats.stages[0].1, 500);
+        assert_eq!(stats.stages[0], (CostClass::FilterBitmap, 500));
     }
 
     #[test]
     fn fused_map_chain_writes_scratch() {
+        let mul10 = [params::MapOp::MulConst.to_code(), 10];
+        let add1 = [params::MapOp::AddConst.to_code(), 1];
         let mut p = pool();
         put(&mut p, 1, BufferData::I64(vec![1, 2, 3, 4]));
         out(&mut p, 2);
         // map *10 then map +1, all in registers.
-        let prog = program(&[
-            (PrimitiveKind::Map, &[0], &[MapOp::MulConst.to_code(), 10]),
-            (PrimitiveKind::Map, &[-1], &[MapOp::AddConst.to_code(), 1]),
+        let program = prog(&[
+            (PrimitiveKind::Map, &[Ext(0)], &mul10),
+            (PrimitiveKind::Map, &[St(0)], &add1),
         ]);
-        let stats = fused(&mut p, &[b(1), b(2)], &prog).unwrap();
+        let stats = fused(&mut p, &[b(1), b(2)], &program).unwrap();
         assert_eq!(read_i64(&p, 2), vec![11, 21, 31, 41]);
         assert_eq!(stats.stages.len(), 2);
         // Matches the two standalone map kernels.
@@ -503,8 +261,8 @@ mod tests {
         put(&mut q, 1, BufferData::I64(vec![1, 2, 3, 4]));
         out(&mut q, 2);
         out(&mut q, 3);
-        map::map(&mut q, &[b(1), b(2)], &[MapOp::MulConst.to_code(), 10]).unwrap();
-        map::map(&mut q, &[b(2), b(3)], &[MapOp::AddConst.to_code(), 1]).unwrap();
+        map::map(&mut q, &[b(1), b(2)], &mul10).unwrap();
+        map::map(&mut q, &[b(2), b(3)], &add1).unwrap();
         assert_eq!(read_i64(&q, 3), read_i64(&p, 2));
     }
 
@@ -513,34 +271,260 @@ mod tests {
         let mut p = pool();
         put(&mut p, 1, BufferData::I64(vec![1, 2, 3]));
         out(&mut p, 2);
-        let prog = program(&[(PrimitiveKind::AggBlock, &[0], &[AggFunc::Sum.to_code()])]);
-        fused_agg(&mut p, &[b(1), b(2)], &prog).unwrap();
+        let sum = [params::AggFunc::Sum.to_code()];
+        let program = prog(&[(PrimitiveKind::AggBlock, &[Ext(0)], &sum)]);
+        fused_agg(&mut p, &[b(1), b(2)], &program).unwrap();
         assert_eq!(read_i64(&p, 2), vec![6, 3]);
         // Second chunk folds into the same accumulator.
-        fused_agg(&mut p, &[b(1), b(2)], &prog).unwrap();
+        fused_agg(&mut p, &[b(1), b(2)], &program).unwrap();
         assert_eq!(read_i64(&p, 2), vec![12, 6]);
     }
 
+    /// One row of the fused-vs-standalone table: a fusible kind, inputs and
+    /// params both paths must agree on, and malformed `(inputs, params)`
+    /// variations both must reject.
+    struct Case {
+        kind: PrimitiveKind,
+        standalone: fn(&mut BufferPool, &[BufferId], &[i64]) -> Result<KernelStats>,
+        inputs: Vec<BufferData>,
+        params: Vec<i64>,
+        malformed: Vec<(Vec<BufferData>, Vec<i64>)>,
+    }
+
+    fn cases() -> Vec<Case> {
+        use BufferData::{BitWords, I64};
+        let col = |n: i64, mul: i64| I64((0..n).map(|i| (i * mul) % 97).collect());
+        let lt = params::CmpOp::Lt.to_code();
+        let between = params::CmpOp::Between.to_code();
+        vec![
+            Case {
+                kind: PrimitiveKind::FilterBitmap,
+                standalone: filter::filter_bitmap,
+                inputs: vec![col(130, 37)],
+                params: vec![between, 10, 60],
+                malformed: vec![
+                    (vec![col(130, 37)], vec![99, 10, 0]),
+                    (vec![col(130, 37)], vec![lt]),
+                    (vec![BitWords(vec![1])], vec![lt, 10, 0]),
+                ],
+            },
+            Case {
+                kind: PrimitiveKind::FilterBitmapCol,
+                standalone: filter::filter_bitmap_col,
+                inputs: vec![col(70, 5), col(70, 11)],
+                params: vec![lt],
+                malformed: vec![
+                    (vec![col(70, 5), col(69, 11)], vec![lt]),
+                    (vec![col(70, 5), col(70, 11)], vec![between]),
+                    (vec![col(70, 5), col(70, 11)], vec![99]),
+                ],
+            },
+            Case {
+                kind: PrimitiveKind::BitmapOp,
+                standalone: map::bitmap_op,
+                inputs: vec![BitWords(vec![0b1100, u64::MAX]), BitWords(vec![0b1010, 7])],
+                params: vec![params::BitmapOp::AndNot.to_code()],
+                malformed: vec![
+                    (vec![BitWords(vec![1]), BitWords(vec![1, 2])], vec![0]),
+                    (vec![BitWords(vec![1]), BitWords(vec![1])], vec![99]),
+                    (vec![col(1, 1), BitWords(vec![1])], vec![0]),
+                ],
+            },
+            Case {
+                kind: PrimitiveKind::Map,
+                standalone: map::map,
+                inputs: vec![col(100, 7)],
+                params: vec![params::MapOp::RsubConst.to_code(), 100],
+                malformed: vec![
+                    (vec![col(100, 7)], vec![99, 1]),
+                    (vec![col(100, 7)], vec![params::MapOp::AddConst.to_code()]),
+                    // A binary op with one column, then with unequal columns.
+                    (vec![col(100, 7)], vec![params::MapOp::Add.to_code()]),
+                    (
+                        vec![col(100, 7), col(99, 3)],
+                        vec![params::MapOp::Add.to_code()],
+                    ),
+                ],
+            },
+            Case {
+                kind: PrimitiveKind::Map,
+                standalone: map::map,
+                inputs: vec![col(100, 7), col(100, 3)],
+                params: vec![params::MapOp::Mul.to_code()],
+                malformed: vec![],
+            },
+            Case {
+                kind: PrimitiveKind::Materialize,
+                standalone: materialize::materialize,
+                inputs: vec![col(100, 7), BitWords(vec![0xF0F0, u64::MAX])],
+                params: vec![],
+                malformed: vec![
+                    (vec![col(100, 7), BitWords(vec![1])], vec![]),
+                    (vec![col(100, 7), col(100, 7)], vec![]),
+                ],
+            },
+            Case {
+                kind: PrimitiveKind::AggBlock,
+                standalone: agg::agg_block,
+                inputs: vec![col(100, 7)],
+                params: vec![params::AggFunc::Max.to_code()],
+                malformed: vec![(vec![col(100, 7)], vec![99]), (vec![col(100, 7)], vec![])],
+            },
+            Case {
+                kind: PrimitiveKind::HashAgg,
+                standalone: agg::hash_agg,
+                // keys, one payload column, one value column per aggregate.
+                inputs: vec![col(90, 1), col(90, 1), col(90, 13), col(90, 1)],
+                params: vec![1, 2],
+                malformed: vec![
+                    // Wrong aggregate count for the table; too few columns;
+                    // unequal columns; hostile counts.
+                    (vec![col(90, 1); 4], vec![1, 1]),
+                    (vec![col(90, 1); 3], vec![1, 2]),
+                    (
+                        vec![col(90, 1), col(89, 1), col(90, 1), col(90, 1)],
+                        vec![1, 2],
+                    ),
+                    (
+                        vec![col(90, 1), col(90, 1), col(90, 1), col(89, 1)],
+                        vec![1, 2],
+                    ),
+                    (vec![col(90, 1); 4], vec![-1, 0]),
+                    (vec![col(90, 1); 4], vec![i64::MAX, i64::MAX]),
+                    (vec![col(90, 1); 4], vec![1]),
+                ],
+            },
+        ]
+    }
+
+    /// Runs `case.kind` over `inputs` as the standalone kernel or as a
+    /// one-stage fused program; returns the stats and the output payload.
+    fn run_case(
+        case: &Case,
+        inputs: &[BufferData],
+        params: &[i64],
+        as_fused: bool,
+    ) -> Result<(KernelStats, Vec<i64>)> {
+        let mut p = pool();
+        let mut bufs = Vec::new();
+        for (i, data) in inputs.iter().enumerate() {
+            put(&mut p, i as u64 + 1, data.slice(0, data.len()));
+            bufs.push(b(i as u64 + 1));
+        }
+        let table =
+            AggHashTable::with_capacity(16, vec![params::AggFunc::Sum, params::AggFunc::Count], 1);
+        let out_data = match case.kind {
+            PrimitiveKind::HashAgg => BufferData::Generic(Box::new(table)),
+            _ => BufferData::Raw(Vec::new()),
+        };
+        let out_buf = Buffer {
+            data: out_data,
+            repr: SdkRepr::HostVec,
+            pinned: false,
+            reserved_bytes: 0,
+        };
+        p.insert(b(99), out_buf).unwrap();
+        bufs.push(b(99));
+        let stats = if as_fused {
+            let operands: Vec<FusedOperand> = (0..inputs.len()).map(Ext).collect();
+            let program = prog(&[(case.kind, &operands, params)]);
+            match case.kind.fusion() {
+                Some((FusionRole::Terminal, _)) => fused_agg(&mut p, &bufs, &program),
+                _ => fused(&mut p, &bufs, &program),
+            }
+        } else {
+            (case.standalone)(&mut p, &bufs, params)
+        }?;
+        let payload = match &p.get(b(99)).unwrap().data {
+            BufferData::I64(v) => v.clone(),
+            BufferData::BitWords(w) => w.iter().map(|&x| x as i64).collect(),
+            other => {
+                let (keys, payloads, states) = other.as_generic::<AggHashTable>().unwrap().export();
+                let cols = payloads.into_iter().chain(states).flatten();
+                keys.iter().copied().chain(cols).collect()
+            }
+        };
+        Ok((stats, payload))
+    }
+
     #[test]
-    fn malformed_programs_rejected() {
+    fn one_stage_program_is_the_standalone_kernel() {
+        let cases = cases();
+        // Every row of the fusion table has a case, so a new fusible kind
+        // cannot land without the interpreter running it.
+        for kind in PrimitiveKind::ALL {
+            let covered = cases.iter().any(|c| c.kind == kind);
+            assert_eq!(covered, kind.fusion().is_some(), "{kind}");
+        }
+        for case in &cases {
+            let kind = case.kind;
+            let (alone, alone_out) = run_case(case, &case.inputs, &case.params, false).unwrap();
+            let (chain, chain_out) = run_case(case, &case.inputs, &case.params, true).unwrap();
+            assert_eq!(chain_out, alone_out, "{kind}");
+            assert!(!alone_out.is_empty(), "{kind}");
+            assert_eq!(
+                chain.stages,
+                vec![(alone.cost_class, alone.elements)],
+                "{kind}"
+            );
+            assert_eq!(
+                (chain.cost_class, chain.elements),
+                (alone.cost_class, alone.elements)
+            );
+            for (i, (inputs, params)) in case.malformed.iter().enumerate() {
+                for as_fused in [false, true] {
+                    let got = run_case(case, inputs, params, as_fused).map(|_| ());
+                    assert!(
+                        matches!(got, Err(DeviceError::BadKernelArgs { .. })),
+                        "{kind} malformed #{i} fused={as_fused}: {got:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn hostile_programs_are_typed_errors() {
         let mut p = pool();
         put(&mut p, 1, BufferData::I64(vec![1]));
         out(&mut p, 2);
-        // Empty program.
-        assert!(fused(&mut p, &[b(1), b(2)], &[0]).is_err());
-        // Truncated.
-        assert!(fused(&mut p, &[b(1), b(2)], &[1, PrimitiveKind::Map.op_code()]).is_err());
-        // Forward stage reference.
-        let prog = program(&[(PrimitiveKind::Map, &[-1], &[MapOp::AddConst.to_code(), 1])]);
-        assert!(fused(&mut p, &[b(1), b(2)], &prog).is_err());
-        // Non-fusible stage kind.
-        let prog = program(&[(PrimitiveKind::Sort, &[0], &[])]);
-        assert!(fused(&mut p, &[b(1), b(2)], &prog).is_err());
-        // Non-agg terminal under fused_agg.
-        let prog = program(&[(PrimitiveKind::Map, &[0], &[MapOp::AddConst.to_code(), 1])]);
-        assert!(fused_agg(&mut p, &[b(1), b(2)], &prog).is_err());
-        // External operand out of range.
-        let prog = program(&[(PrimitiveKind::Map, &[7], &[MapOp::AddConst.to_code(), 1])]);
-        assert!(fused(&mut p, &[b(1), b(2)], &prog).is_err());
+        let bufs = [b(1), b(2)];
+        let add1 = [params::MapOp::AddConst.to_code(), 1];
+        let map = PrimitiveKind::Map;
+        let programs = [
+            // Counts no program could hold (`program::decode` has the full
+            // table; these three reach it through the kernel).
+            vec![i64::MAX],
+            vec![1, map.op_code(), i64::MAX],
+            vec![1, map.op_code(), 0, i64::MAX],
+            // External operand out of range; operand missing altogether.
+            prog(&[(map, &[Ext(1)], &add1)]),
+            prog(&[(map, &[Ext(usize::MAX >> 1)], &add1)]),
+            prog(&[(map, &[], &add1)]),
+            // A kind with no row in the fusion table; a terminal kind in an
+            // interior position.
+            prog(&[(PrimitiveKind::Sort, &[Ext(0)], &[])]),
+            prog(&[
+                (PrimitiveKind::AggBlock, &[Ext(0)], &[0]),
+                (map, &[St(0)], &add1),
+            ]),
+        ];
+        for program in &programs {
+            for kernel in [fused, fused_agg] {
+                let got = kernel(&mut p, &bufs, program).map(|_| ());
+                assert!(
+                    matches!(got, Err(DeviceError::BadKernelArgs { .. })),
+                    "{program:?}: {got:?}"
+                );
+            }
+        }
+        // Roles are positional: an interior-only chain is not a `fused_agg`
+        // program and an aggregation cannot end a `fused` one.
+        let interior_only = prog(&[(map, &[Ext(0)], &add1)]);
+        assert!(fused(&mut p, &bufs, &interior_only).is_ok());
+        assert!(fused_agg(&mut p, &bufs, &interior_only).is_err());
+        let agg_last = prog(&[(PrimitiveKind::AggBlock, &[Ext(0)], &[0])]);
+        assert!(fused(&mut p, &bufs, &agg_last).is_err());
+        assert!(fused_agg(&mut p, &bufs, &agg_last).is_ok());
     }
 }

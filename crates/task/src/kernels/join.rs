@@ -1,6 +1,6 @@
 //! `HASH_BUILD`, `HASH_PROBE` and `HASH_PROBE_SEMI` kernels.
 
-use super::{bad_args, input_i64, need_bufs, need_params, write_output};
+use super::{bad_args, count_param, count_sum, input_i64, need_bufs, with_taken, write_output};
 use crate::hashtable::JoinHashTable;
 use adamant_device::buffer::{BufferData, BufferId};
 use adamant_device::cost::CostClass;
@@ -15,32 +15,29 @@ use adamant_device::pool::BufferPool;
 /// buffer must already hold a [`JoinHashTable`] with matching payload
 /// column count. Accumulates across chunks (pipeline breaker).
 pub fn hash_build(pool: &mut BufferPool, bufs: &[BufferId], params: &[i64]) -> Result<KernelStats> {
-    need_params("hash_build", params, 1)?;
-    let payload_cols = params[0] as usize;
-    need_bufs("hash_build", bufs, 2 + payload_cols)?;
-    let table_id = bufs[1 + payload_cols];
-
-    let mut table_buf = pool.take(table_id)?;
-    let result = (|| -> Result<KernelStats> {
+    const K: &str = "hash_build";
+    let payload_cols = count_param(K, params, 0)?;
+    need_bufs(K, bufs, count_sum(K, &[2, payload_cols])?)?;
+    with_taken(pool, bufs[1 + payload_cols], |pool, table_buf| {
         let table = table_buf
             .data
             .as_generic_mut::<JoinHashTable>()
-            .ok_or_else(|| bad_args("hash_build", "table buffer does not hold a JoinHashTable"))?;
+            .ok_or_else(|| bad_args(K, "table buffer does not hold a JoinHashTable"))?;
         if table.payload_cols() != payload_cols {
             return Err(bad_args(
-                "hash_build",
+                K,
                 format!(
                     "table has {} payload columns, call supplies {payload_cols}",
                     table.payload_cols()
                 ),
             ));
         }
-        let keys = input_i64(pool, "hash_build", bufs[0])?;
+        let keys = input_i64(pool, K, bufs[0])?;
         let mut payload_refs = Vec::with_capacity(payload_cols);
         for i in 0..payload_cols {
-            let col = input_i64(pool, "hash_build", bufs[1 + i])?;
+            let col = input_i64(pool, K, bufs[1 + i])?;
             if col.len() != keys.len() {
-                return Err(bad_args("hash_build", "payload length mismatch"));
+                return Err(bad_args(K, "payload length mismatch"));
             }
             payload_refs.push(col);
         }
@@ -52,9 +49,7 @@ pub fn hash_build(pool: &mut BufferPool, bufs: &[BufferId], params: &[i64]) -> R
             table.insert(key, &row);
         }
         Ok(KernelStats::new(keys.len() as u64, CostClass::HashBuild))
-    })();
-    pool.restore(table_id, table_buf)?;
-    result
+    })
 }
 
 /// `hash_probe` — inner-join probe.
@@ -64,9 +59,12 @@ pub fn hash_build(pool: &mut BufferPool, bufs: &[BufferId], params: &[i64]) -> R
 /// emits `i` into `out_probe_pos` (chunk-relative) and the entry's payload
 /// values into the payload outputs. Multi-match keys emit one row per match.
 pub fn hash_probe(pool: &mut BufferPool, bufs: &[BufferId], params: &[i64]) -> Result<KernelStats> {
-    need_params("hash_probe", params, 1)?;
-    let payload_outs = params[0] as usize;
-    need_bufs("hash_probe", bufs, 3 + payload_outs)?;
+    let payload_outs = count_param("hash_probe", params, 0)?;
+    need_bufs(
+        "hash_probe",
+        bufs,
+        count_sum("hash_probe", &[3, payload_outs])?,
+    )?;
     let keys = input_i64(pool, "hash_probe", bufs[0])?;
     let table_buf = pool.get(bufs[1])?;
     let table = table_buf
@@ -140,6 +138,7 @@ mod tests {
     use super::*;
     use crate::kernels::testutil::*;
     use adamant_device::buffer::Buffer;
+    use adamant_device::error::DeviceError;
     use adamant_device::sdk::SdkRepr;
 
     fn put_join_table(p: &mut adamant_device::pool::BufferPool, id: u64, payload_cols: usize) {
@@ -223,5 +222,15 @@ mod tests {
         // Probe requesting more payload outs than the table has.
         out(&mut p, 5);
         assert!(hash_probe(&mut p, &[b(1), b(4), b(3), b(5), b(5)], &[3]).is_err());
+        // Hostile counts are typed errors, not casts (debug) or wraps (release).
+        for count in [-1, i64::MIN, i64::MAX] {
+            for kernel in [hash_build, hash_probe] {
+                let got = kernel(&mut p, &[b(1), b(4), b(3)], &[count]);
+                assert!(
+                    matches!(got, Err(DeviceError::BadKernelArgs { .. })),
+                    "{count}: {got:?}"
+                );
+            }
+        }
     }
 }

@@ -1,6 +1,6 @@
 //! `MAP` and `BITMAP_OP` kernels.
 
-use super::{bad_args, input_bitwords, input_i64, need_bufs, need_params, write_output};
+use super::{bad_args, emit, input_bitwords, input_i64, need_bufs, need_params, Produced};
 use crate::params::{BitmapOp, MapOp};
 use adamant_device::buffer::{BufferData, BufferId};
 use adamant_device::cost::CostClass;
@@ -8,35 +8,75 @@ use adamant_device::error::Result;
 use adamant_device::kernel::KernelStats;
 use adamant_device::pool::BufferPool;
 
+/// The right-hand side of a decoded `MAP`: a constant or a second column.
+enum Rhs<'a> {
+    Const(i64),
+    Col(&'a [i64]),
+}
+
+/// Decodes `[opcode {, constant}]` against the operands the caller was
+/// given: `*Const` ops read the constant param, binary ops need the second
+/// column `b`, of `a`'s length.
+fn map_args<'a>(
+    k: &str,
+    a: &[i64],
+    b: Option<&'a [i64]>,
+    params: &[i64],
+) -> Result<(MapOp, Rhs<'a>)> {
+    need_params(k, params, 1)?;
+    let op = MapOp::from_code(params[0]).ok_or_else(|| bad_args(k, "unknown opcode"))?;
+    if op.is_const() {
+        need_params(k, params, 2)?;
+        return Ok((op, Rhs::Const(params[1])));
+    }
+    let b = b.ok_or_else(|| bad_args(k, "binary op needs two input columns"))?;
+    if a.len() != b.len() {
+        return Err(bad_args(
+            k,
+            format!("input length mismatch: {} vs {}", a.len(), b.len()),
+        ));
+    }
+    Ok((op, Rhs::Col(b)))
+}
+
+/// Body of `map`: element-wise `op(a, constant)` or `op(a, b)`.
+pub(crate) fn map_body(k: &str, a: &[i64], b: Option<&[i64]>, params: &[i64]) -> Result<Produced> {
+    let out: Vec<i64> = match map_args(k, a, b, params)? {
+        (op, Rhs::Const(c)) => a.iter().map(|&x| op.apply(x, c)).collect(),
+        (op, Rhs::Col(b)) => a.iter().zip(b).map(|(&x, &y)| op.apply(x, y)).collect(),
+    };
+    let n = out.len() as u64;
+    Ok((BufferData::I64(out), (CostClass::MapLike, n)))
+}
+
+/// Signature of `map`'s body and its variants' bodies.
+type MapBody = fn(&str, &[i64], Option<&[i64]>, &[i64]) -> Result<Produced>;
+
+/// Shared wrapper of `map` and its variants: resolves buffers
+/// `[a {, b}, out]` — the second input only when one was passed — runs
+/// `body` and stores its result in the last buffer.
+fn run_map(
+    pool: &mut BufferPool,
+    bufs: &[BufferId],
+    params: &[i64],
+    body: MapBody,
+) -> Result<KernelStats> {
+    need_bufs("map", bufs, 2)?;
+    let a = input_i64(pool, "map", bufs[0])?;
+    let b = match bufs.len() {
+        2 => None,
+        _ => Some(input_i64(pool, "map", bufs[1])?.as_slice()),
+    };
+    let produced = body("map", a, b, params)?;
+    emit(pool, bufs[bufs.len() - 1], produced)
+}
+
 /// `map` — element-wise arithmetic.
 ///
 /// * const ops: buffers `[in, out]`, params `[opcode, constant]`
 /// * binary ops: buffers `[a, b, out]`, params `[opcode]`
 pub fn map(pool: &mut BufferPool, bufs: &[BufferId], params: &[i64]) -> Result<KernelStats> {
-    need_params("map", params, 1)?;
-    let op = MapOp::from_code(params[0]).ok_or_else(|| bad_args("map", "unknown opcode"))?;
-    let out_data = if op.is_const() {
-        need_bufs("map", bufs, 2)?;
-        need_params("map", params, 2)?;
-        let c = params[1];
-        let input = input_i64(pool, "map", bufs[0])?;
-        BufferData::I64(input.iter().map(|&x| op.apply(x, c)).collect())
-    } else {
-        need_bufs("map", bufs, 3)?;
-        let a = input_i64(pool, "map", bufs[0])?;
-        let b = input_i64(pool, "map", bufs[1])?;
-        if a.len() != b.len() {
-            return Err(bad_args(
-                "map",
-                format!("input length mismatch: {} vs {}", a.len(), b.len()),
-            ));
-        }
-        BufferData::I64(a.iter().zip(b).map(|(&x, &y)| op.apply(x, y)).collect())
-    };
-    let n = out_data.len() as u64;
-    let out_id = *bufs.last().expect("checked above");
-    write_output(pool, out_id, out_data)?;
-    Ok(KernelStats::new(n, CostClass::MapLike))
+    run_map(pool, bufs, params, map_body)
 }
 
 /// `map@blocked` — a variant of `map` that processes the input in
@@ -48,57 +88,53 @@ pub fn map_blocked(
     bufs: &[BufferId],
     params: &[i64],
 ) -> Result<KernelStats> {
-    need_params("map", params, 1)?;
-    let op = MapOp::from_code(params[0]).ok_or_else(|| bad_args("map", "unknown opcode"))?;
+    run_map(pool, bufs, params, map_blocked_body)
+}
+
+fn map_blocked_body(k: &str, a: &[i64], b: Option<&[i64]>, params: &[i64]) -> Result<Produced> {
     const BLOCK: usize = 4096;
-    let out_data = if op.is_const() {
-        need_bufs("map", bufs, 2)?;
-        need_params("map", params, 2)?;
-        let c = params[1];
-        let input = input_i64(pool, "map", bufs[0])?;
-        let mut out = Vec::with_capacity(input.len());
-        for block in input.chunks(BLOCK) {
-            out.extend(block.iter().map(|&x| op.apply(x, c)));
+    let mut out = Vec::with_capacity(a.len());
+    match map_args(k, a, b, params)? {
+        (op, Rhs::Const(c)) => {
+            for block in a.chunks(BLOCK) {
+                out.extend(block.iter().map(|&x| op.apply(x, c)));
+            }
         }
-        BufferData::I64(out)
-    } else {
-        need_bufs("map", bufs, 3)?;
-        let a = input_i64(pool, "map", bufs[0])?;
-        let b = input_i64(pool, "map", bufs[1])?;
-        if a.len() != b.len() {
-            return Err(bad_args("map", "input length mismatch"));
+        (op, Rhs::Col(b)) => {
+            for (ab, bb) in a.chunks(BLOCK).zip(b.chunks(BLOCK)) {
+                out.extend(ab.iter().zip(bb).map(|(&x, &y)| op.apply(x, y)));
+            }
         }
-        let mut out = Vec::with_capacity(a.len());
-        for (ab, bb) in a.chunks(BLOCK).zip(b.chunks(BLOCK)) {
-            out.extend(ab.iter().zip(bb).map(|(&x, &y)| op.apply(x, y)));
-        }
-        BufferData::I64(out)
-    };
-    let n = out_data.len() as u64;
-    write_output(pool, *bufs.last().expect("checked"), out_data)?;
-    Ok(KernelStats::new(n, CostClass::MapLike))
+    }
+    let n = out.len() as u64;
+    Ok((BufferData::I64(out), (CostClass::MapLike, n)))
+}
+
+/// Body of `bitmap_op`: combines two bitmaps word-wise.
+pub(crate) fn bitmap_op_body(k: &str, a: &[u64], b: &[u64], params: &[i64]) -> Result<Produced> {
+    need_params(k, params, 1)?;
+    let op = BitmapOp::from_code(params[0]).ok_or_else(|| bad_args(k, "unknown opcode"))?;
+    if a.len() != b.len() {
+        return Err(bad_args(
+            k,
+            format!("word count mismatch: {} vs {}", a.len(), b.len()),
+        ));
+    }
+    let out: Vec<u64> = a.iter().zip(b).map(|(&x, &y)| op.apply(x, y)).collect();
+    let n = out.len() as u64;
+    Ok((BufferData::BitWords(out), (CostClass::MapLike, n)))
 }
 
 /// `bitmap_op` — combines two filter bitmaps word-wise.
 ///
 /// Buffers `[a, b, out]`, params `[opcode]`.
 pub fn bitmap_op(pool: &mut BufferPool, bufs: &[BufferId], params: &[i64]) -> Result<KernelStats> {
-    need_bufs("bitmap_op", bufs, 3)?;
-    need_params("bitmap_op", params, 1)?;
-    let op =
-        BitmapOp::from_code(params[0]).ok_or_else(|| bad_args("bitmap_op", "unknown opcode"))?;
-    let a = input_bitwords(pool, "bitmap_op", bufs[0])?;
-    let b = input_bitwords(pool, "bitmap_op", bufs[1])?;
-    if a.len() != b.len() {
-        return Err(bad_args(
-            "bitmap_op",
-            format!("word count mismatch: {} vs {}", a.len(), b.len()),
-        ));
-    }
-    let out: Vec<u64> = a.iter().zip(b).map(|(&x, &y)| op.apply(x, y)).collect();
-    let n = out.len() as u64;
-    write_output(pool, bufs[2], BufferData::BitWords(out))?;
-    Ok(KernelStats::new(n, CostClass::MapLike))
+    const K: &str = "bitmap_op";
+    need_bufs(K, bufs, 3)?;
+    let a = input_bitwords(pool, K, bufs[0])?;
+    let b = input_bitwords(pool, K, bufs[1])?;
+    let produced = bitmap_op_body(K, a, b, params)?;
+    emit(pool, bufs[2], produced)
 }
 
 #[cfg(test)]

@@ -1,39 +1,21 @@
 //! `MATERIALIZE` and `MATERIALIZE_POSITION` kernels.
 
-use super::{bad_args, input_i64, input_u32, need_bufs, write_output};
+use super::{
+    bad_args, emit, input_bitwords, input_i64, input_u32, need_bufs, write_output, Produced,
+};
 use adamant_device::buffer::{BufferData, BufferId};
 use adamant_device::cost::CostClass;
 use adamant_device::error::Result;
 use adamant_device::kernel::KernelStats;
 use adamant_device::pool::BufferPool;
 
-/// `materialize` — extracts the values selected by a bitmap.
-///
-/// Buffers `[values, bitmap, out]`. The bitmap must cover at least
-/// `values.len()` rows (trailing bits are ignored). On SIMT devices the
-/// cost model charges the bit-extraction penalty (paper Fig. 9b).
-pub fn materialize(
-    pool: &mut BufferPool,
-    bufs: &[BufferId],
-    _params: &[i64],
-) -> Result<KernelStats> {
-    need_bufs("materialize", bufs, 3)?;
-    let values = input_i64(pool, "materialize", bufs[0])?;
-    let bitmap = pool.get(bufs[1])?;
-    let words = bitmap.data.as_bitwords().ok_or_else(|| {
-        bad_args(
-            "materialize",
-            format!(
-                "buffer {} is {}, need bitwords",
-                bufs[1],
-                bitmap.data.kind()
-            ),
-        )
-    })?;
+/// Body of `materialize`: the values whose bit is set. The bitmap must
+/// cover at least `values.len()` rows (trailing bits are ignored).
+pub(crate) fn materialize_body(k: &str, values: &[i64], words: &[u64]) -> Result<Produced> {
     let n = values.len();
     if words.len() * 64 < n {
         return Err(bad_args(
-            "materialize",
+            k,
             format!("bitmap covers {} rows, values have {n}", words.len() * 64),
         ));
     }
@@ -49,8 +31,27 @@ pub fn materialize(
             }
         }
     }
-    write_output(pool, bufs[2], BufferData::I64(out))?;
-    Ok(KernelStats::new(n as u64, CostClass::MaterializeBitmap))
+    Ok((
+        BufferData::I64(out),
+        (CostClass::MaterializeBitmap, n as u64),
+    ))
+}
+
+/// `materialize` — extracts the values selected by a bitmap.
+///
+/// Buffers `[values, bitmap, out]`. On SIMT devices the cost model charges
+/// the bit-extraction penalty (paper Fig. 9b).
+pub fn materialize(
+    pool: &mut BufferPool,
+    bufs: &[BufferId],
+    _params: &[i64],
+) -> Result<KernelStats> {
+    const K: &str = "materialize";
+    need_bufs(K, bufs, 3)?;
+    let values = input_i64(pool, K, bufs[0])?;
+    let words = input_bitwords(pool, K, bufs[1])?;
+    let produced = materialize_body(K, values, words)?;
+    emit(pool, bufs[2], produced)
 }
 
 /// `materialize_position` — gathers values at the given positions.

@@ -12,6 +12,17 @@
 //! "semantically similar implementations" across drivers, §V). Additional
 //! *variants* (e.g. the branchless filter) demonstrate the multiple-
 //! implementations-per-primitive capability of the task layer.
+//!
+//! "One" includes fusion. Each fusible primitive's semantics live in a
+//! single slice-level *body* (`filter::filter_bitmap_body`,
+//! `map::map_body`, `agg::hash_agg_body`, …) that takes resolved operands,
+//! the primitive's scalar params and the calling kernel's name (for error
+//! text) and returns the output payload plus its `(CostClass, elements)`
+//! bill. The standalone kernel is "resolve buffers from the pool → body →
+//! store"; the [`fused`] interpreter resolves operands from the pool *or*
+//! an earlier stage and calls the same body. A kernel optimisation is a
+//! one-place change that both paths, and the `task.*_ns_per_row` probes,
+//! see.
 
 pub mod agg;
 pub mod filter;
@@ -22,9 +33,17 @@ pub mod materialize;
 pub mod prefix;
 pub mod sort;
 
-use adamant_device::buffer::{BufferData, BufferId};
+use adamant_device::buffer::{Buffer, BufferData, BufferId};
+use adamant_device::cost::CostClass;
 use adamant_device::error::{DeviceError, Result};
+use adamant_device::kernel::KernelStats;
 use adamant_device::pool::BufferPool;
+
+/// What a body's launch is priced by: its cost class and element count.
+pub(crate) type StageCost = (CostClass, u64);
+
+/// A body's result: the output payload and its bill.
+pub(crate) type Produced = (BufferData, StageCost);
 
 /// Builds a `BadKernelArgs` error.
 pub(crate) fn bad_args(kernel: &str, reason: impl Into<String>) -> DeviceError {
@@ -56,6 +75,26 @@ pub(crate) fn need_params(kernel: &str, params: &[i64], n: usize) -> Result<()> 
     } else {
         Ok(())
     }
+}
+
+/// Reads `params[i]` as a buffer/column count. Counts arrive in the caller's
+/// scalar list, so a missing or negative one is a typed error, never a cast.
+pub(crate) fn count_param(kernel: &str, params: &[i64], i: usize) -> Result<usize> {
+    let raw = params.get(i).copied();
+    raw.and_then(|v| usize::try_from(v).ok()).ok_or_else(|| {
+        bad_args(
+            kernel,
+            format!("param {i} must be a non-negative count, got {raw:?}"),
+        )
+    })
+}
+
+/// Adds decoded counts into a buffer total; overflow is a typed error.
+pub(crate) fn count_sum(kernel: &str, parts: &[usize]) -> Result<usize> {
+    parts
+        .iter()
+        .try_fold(0usize, |total, &p| total.checked_add(p))
+        .ok_or_else(|| bad_args(kernel, "buffer count overflows"))
 }
 
 /// Borrows an input buffer's payload as `i64`s.
@@ -109,6 +148,31 @@ pub(crate) fn write_output(pool: &mut BufferPool, id: BufferId, data: BufferData
     let mut out = pool.take(id)?;
     out.data = data;
     pool.restore(id, out)
+}
+
+/// The tail every single-output kernel shares: store the body's result and
+/// report its bill.
+pub(crate) fn emit(
+    pool: &mut BufferPool,
+    out: BufferId,
+    (data, (class, elements)): Produced,
+) -> Result<KernelStats> {
+    write_output(pool, out, data)?;
+    Ok(KernelStats::new(elements, class))
+}
+
+/// Runs `f` with buffer `id` taken out of the pool — so `f` can mutate it
+/// while reading other buffers — and restores it afterwards (re-checking
+/// capacity for growth) whether or not `f` failed.
+pub(crate) fn with_taken<T>(
+    pool: &mut BufferPool,
+    id: BufferId,
+    f: impl FnOnce(&BufferPool, &mut Buffer) -> Result<T>,
+) -> Result<T> {
+    let mut buf = pool.take(id)?;
+    let result = f(pool, &mut buf);
+    pool.restore(id, buf)?;
+    result
 }
 
 #[cfg(test)]

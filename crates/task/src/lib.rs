@@ -12,6 +12,8 @@
 //! * [`kernels`] — the reference kernel implementations (they run on every
 //!   simulated SDK; per-SDK *performance* differences come from the device
 //!   cost models, per-SDK *variants* can be registered alongside).
+//! * [`program`] — the wire format a fused chain's stages travel in
+//!   (encoder for the runtime, decoder for the interpreter kernel).
 //! * [`registry::TaskRegistry`] — the kernel/data containers keyed by
 //!   `(primitive, SDK)`, consulted by the runtime when binding a plan.
 //! * [`hashtable`] — device-resident join and aggregation hash tables
@@ -25,6 +27,7 @@ pub mod hashtable;
 pub mod kernels;
 pub mod params;
 pub mod primitive;
+pub mod program;
 pub mod registry;
 pub mod semantics;
 

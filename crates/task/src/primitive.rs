@@ -73,6 +73,17 @@ pub enum PrimitiveKind {
     FusedAgg,
 }
 
+/// Where a primitive may sit in a fused chain (DESIGN.md §16).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FusionRole {
+    /// Any position: a streamable stage whose result stays in kernel-local
+    /// memory (or, last in a `FUSED` chain, becomes its scratch output).
+    Interior,
+    /// Last position only: an accumulating aggregation, which makes the
+    /// chain a `FUSED_AGG` pipeline breaker.
+    Terminal,
+}
+
 /// The I/O signature of a primitive.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PrimitiveSignature {
@@ -166,6 +177,26 @@ impl PrimitiveKind {
             .iter()
             .copied()
             .find(|k| k.op_code() == code)
+    }
+
+    /// The fusion table: which primitives fuse, in which role, and the
+    /// semantic the stage's result would have carried as a materialized
+    /// edge. The fusion pass reads it for eligibility, `FUSED` vs `FUSED_AGG`
+    /// and elided-byte sizing; the interpreter kernel reads it to accept or
+    /// reject a stage at its position. A new fusible primitive is one row
+    /// here plus one body for the interpreter to call.
+    pub fn fusion(self) -> Option<(FusionRole, DataSemantic)> {
+        use DataSemantic::{Bitmap, HashTable, Numeric};
+        use FusionRole::{Interior, Terminal};
+        Some(match self {
+            PrimitiveKind::FilterBitmap
+            | PrimitiveKind::FilterBitmapCol
+            | PrimitiveKind::BitmapOp => (Interior, Bitmap),
+            PrimitiveKind::Map | PrimitiveKind::Materialize => (Interior, Numeric),
+            PrimitiveKind::AggBlock => (Terminal, Numeric),
+            PrimitiveKind::HashAgg => (Terminal, HashTable),
+            _ => return None,
+        })
     }
 
     /// Whether this primitive is a pipeline breaker (Table I's †).
@@ -286,6 +317,24 @@ mod tests {
         assert!(!PrimitiveKind::Materialize.is_pipeline_breaker());
         assert!(!PrimitiveKind::FilterBitmap.is_pipeline_breaker());
         assert!(!PrimitiveKind::Fused.is_pipeline_breaker());
+    }
+
+    #[test]
+    fn fusion_table_agrees_with_signatures() {
+        for kind in PrimitiveKind::ALL {
+            let Some((role, semantic)) = kind.fusion() else {
+                continue;
+            };
+            assert_eq!(kind.signature().outputs, vec![semantic], "{kind}");
+            // Accumulating terminals are exactly the fusible breakers.
+            assert_eq!(
+                role == FusionRole::Terminal,
+                kind.is_pipeline_breaker(),
+                "{kind}"
+            );
+        }
+        assert_eq!(PrimitiveKind::Sort.fusion(), None);
+        assert_eq!(PrimitiveKind::Fused.fusion(), None);
     }
 
     #[test]

@@ -118,6 +118,39 @@ fn fused_matches_unfused_for_every_query_model_and_plan_source() {
     assert_no_leaks(&mut unfused, "unfused engine");
 }
 
+/// Wire-format round trip over every fused node the pass produces on the
+/// seven TPC-H plans (both plan sources): what the kernel decodes is exactly
+/// what the pass merged, and re-encoding it reproduces the scalars.
+#[test]
+fn every_fused_node_round_trips_through_the_stage_program_codec() {
+    use adamant::task::program::{decode, encode};
+    let catalog = TpchGenerator::new(0.002, 0xF05E).generate();
+    let dev = engine(true).device_ids()[0];
+    let mut fused_nodes = 0;
+    for q in TpchQuery::ALL {
+        let compiled = adamant::sql::compile(adamant::tpch::sql::text(q), &catalog, dev).unwrap();
+        for mut graph in [q.plan(dev, &catalog).unwrap(), compiled.graph] {
+            adamant::core::fuse_graph(&mut graph);
+            for node in graph.nodes() {
+                let NodeParams::Fused { stages, .. } = &node.params else {
+                    continue;
+                };
+                fused_nodes += 1;
+                let scalars = node.params.to_scalars();
+                let wire = decode(&scalars).unwrap_or_else(|e| panic!("{q} {}: {e}", node.label));
+                assert_eq!(wire.len(), stages.len(), "{q} {}", node.label);
+                for (got, spec) in wire.iter().zip(stages) {
+                    assert_eq!(got.kind, spec.kind, "{q} {}", node.label);
+                    assert_eq!(got.operands, spec.operands, "{q} {}", node.label);
+                    assert_eq!(got.params, spec.params.to_scalars(), "{q} {}", node.label);
+                }
+                assert_eq!(encode(&wire), scalars, "{q} {}", node.label);
+            }
+        }
+    }
+    assert!(fused_nodes >= 14, "only {fused_nodes} fused nodes seen");
+}
+
 /// Watchdog regression: the straggler budget of a chunk containing a fused
 /// chain must come from the **fused** cost entry. If the watchdog budgeted
 /// the fused kernel at its per-stage sum — or worse, budgeted per-stage
