@@ -18,7 +18,9 @@
 //! snapshot. On resume the post-re-placement graph annotation decides where
 //! each entry lands, so a snapshot taken before a device died restores
 //! cleanly onto whatever survivors remain. The whole snapshot is guarded by
-//! an FNV-1a checksum over a canonical serialization; a snapshot that fails
+//! a seal: FNV-1a framing (counts, refs, watermarks, the manifest) over one
+//! content-hash term per payload — the same word-parallel hash, computed in
+//! place, that verifies the payload's transfers. A snapshot that fails
 //! [`QueryCheckpoint::validate`] (e.g. scripted corruption via
 //! `FaultPlan::corrupt_checkpoint`) is discarded and recovery degrades to
 //! the old full restart — never a wrong answer.
@@ -115,8 +117,9 @@ pub struct QueryCheckpoint {
     pub manifest: Vec<String>,
     /// Total snapshot payload bytes (host accumulations + resident copies).
     pub bytes: u64,
-    /// FNV-1a checksum over the canonical serialization of everything
-    /// above; [`QueryCheckpoint::validate`] recomputes and compares.
+    /// The seal over the canonical serialization of everything above
+    /// (FNV-1a framing over per-payload content hashes);
+    /// [`QueryCheckpoint::validate`] recomputes and compares.
     pub checksum: u64,
 }
 
@@ -131,8 +134,9 @@ fn eat_ref(h: &mut FnvHasher, r: &DataRef) {
 }
 
 impl QueryCheckpoint {
-    /// Computes the canonical FNV-1a checksum of the snapshot's content
-    /// (everything except the stored `checksum` itself).
+    /// Computes the canonical seal of the snapshot's content (everything
+    /// except the stored `checksum` itself): the framing goes through
+    /// FNV-1a, each payload contributes its content hash, computed in place.
     pub fn compute_checksum(&self) -> u64 {
         let mut h = FnvHasher::default();
         h.write_u64(self.pipelines_done as u64);
@@ -142,7 +146,7 @@ impl QueryCheckpoint {
         for (r, accum, watermark) in &self.host {
             eat_ref(&mut h, r);
             h.write_u64(*watermark as u64);
-            h.write_u64(accum.to_buffer().checksum());
+            h.write_u64(accum.checksum());
         }
         h.write_u64(self.resident.len() as u64);
         for (r, payload) in &self.resident {
@@ -163,7 +167,7 @@ impl QueryCheckpoint {
         self.bytes = self
             .host
             .iter()
-            .map(|(_, a, _)| a.to_buffer().byte_len())
+            .map(|(_, a, _)| a.byte_len())
             .chain(self.resident.iter().map(|(_, p)| p.byte_len()))
             .sum();
         self.checksum = self.compute_checksum();
@@ -219,7 +223,17 @@ mod tests {
 
     #[test]
     fn seal_value_is_pinned() {
-        assert_eq!(sample().checksum, 15856565202991895339);
+        assert_eq!(sample().checksum, 5378208950578361187);
+    }
+
+    #[test]
+    fn accumulated_value_tamper_fails_validation() {
+        let mut c = sample();
+        match &mut c.host[0].1 {
+            HostAccum::Numeric(v) => v[1] ^= 1,
+            _ => unreachable!(),
+        }
+        assert!(!c.validate());
     }
 
     #[test]

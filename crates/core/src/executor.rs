@@ -27,7 +27,7 @@ use crate::graph::{DataRef, PrimitiveGraph};
 use crate::hub::DataTransferHub;
 use crate::models::{ExecutionModel, ModelConfig};
 use crate::pipeline::PipelineSet;
-use crate::residency::{ResidencyCache, ResidencyConfig};
+use crate::residency::{BoundRows, ResidencyCache, ResidencyConfig};
 use crate::result::QueryOutput;
 use crate::stats::ExecutionStats;
 use accounting::Tally;
@@ -41,7 +41,7 @@ use datapath::escaping_refs;
 use recovery::CheckpointState;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, Once, OnceLock};
 use std::time::Instant;
 
 /// Executor configuration.
@@ -191,9 +191,15 @@ struct RunCx<'a> {
 }
 
 /// Host columns bound to graph inputs, shareable with the transfer thread.
+///
+/// A bound column is immutable for as long as it is bound, so each entry
+/// also keeps the column's residency fingerprint once the cache has asked
+/// for it: computed at most once per binding, replaced together with the
+/// column when the name is bound again (and carried along by `clone`, which
+/// shares the same `Arc`).
 #[derive(Clone, Debug, Default)]
 pub struct QueryInputs {
-    cols: BTreeMap<String, Arc<Vec<i64>>>,
+    cols: BTreeMap<String, (Arc<Vec<i64>>, OnceLock<u64>)>,
 }
 
 impl QueryInputs {
@@ -204,20 +210,28 @@ impl QueryInputs {
 
     /// Binds a raw vector.
     pub fn bind(&mut self, name: impl Into<String>, values: Vec<i64>) {
-        self.cols.insert(name.into(), Arc::new(values));
+        self.cols
+            .insert(name.into(), (Arc::new(values), OnceLock::new()));
     }
 
     /// Binds a storage column (widened to `i64`; dictionary columns bind
     /// their codes).
     pub fn bind_column(&mut self, name: impl Into<String>, column: &Column) -> Result<()> {
-        self.cols
-            .insert(name.into(), Arc::new(column.to_i64_vec()?));
+        self.bind(name, column.to_i64_vec()?);
         Ok(())
     }
 
     /// Looks up a bound column.
     pub fn get(&self, name: &str) -> Option<&Arc<Vec<i64>>> {
-        self.cols.get(name)
+        self.cols.get(name).map(|(col, _)| col)
+    }
+
+    /// Looks up a bound column together with the cell that keeps its
+    /// fingerprint — what the hub hands to the residency cache.
+    pub(crate) fn bound(&self, name: &str) -> Option<BoundRows<'_>> {
+        self.cols
+            .get(name)
+            .map(|(col, memo)| BoundRows::new(col, memo))
     }
 
     /// Number of bound columns.
@@ -232,8 +246,40 @@ impl QueryInputs {
 
     /// Iterates bound `(name, column)` pairs in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Arc<Vec<i64>>)> {
-        self.cols.iter().map(|(n, c)| (n.as_str(), c))
+        self.cols.iter().map(|(n, (c, _))| (n.as_str(), c))
     }
+}
+
+/// Asks the host allocator, once per process, to keep freed column-sized
+/// blocks instead of returning them to the operating system.
+///
+/// Every query allocates and frees whole-column buffers at a high rate —
+/// bound inputs, the stored copies of uploads, kernel outputs: hundreds of
+/// KiB each, tens of MiB per query. glibc serves a block above its `mmap`
+/// threshold with a fresh mapping, and trims the heap top once a `free`
+/// leaves more than its trim threshold there, so the next query faults the
+/// same memory in again page by page. How often that happens depends on
+/// where the heap happens to start: with the same seed one 12 s run of the
+/// repository's benchmark took 45 k page faults and the next 400 k
+/// (`warm_repeat`), or 0.6 M and 2.5 M (`scan_cold`, 1.7 s and 5 s of system
+/// time), and a round was 10–50 % slower for it. glibc raises both
+/// thresholds to the size of the largest mapped block freed so far, up to
+/// 32 MiB, and never lowers them; freeing one block of just under that size
+/// moves them there at once. The block is never written, so it costs
+/// address space for a moment and no memory, and an allocator without the
+/// heuristic sees one large allocation and nothing else.
+fn keep_freed_buffers_mapped() {
+    /// Just under glibc's `DEFAULT_MMAP_THRESHOLD_MAX` (32 MiB on 64-bit),
+    /// header and page rounding included.
+    const BYTES: usize = (32 << 20) - (64 << 10);
+    static ONCE: Once = Once::new();
+    ONCE.call_once(|| {
+        let mut block = Vec::<u8>::new();
+        // A refusal (strict overcommit) only leaves the thresholds alone.
+        let _ = block.try_reserve_exact(BYTES);
+        // Keeps the optimiser from eliding the allocate/free pair.
+        drop(std::hint::black_box(block));
+    });
 }
 
 /// The ADAMANT executor: plugged devices + task registry + configuration,
@@ -253,6 +299,7 @@ pub struct Executor {
 impl Executor {
     /// Creates an executor around a task registry.
     pub fn new(tasks: TaskRegistry, config: ExecutorConfig) -> Self {
+        keep_freed_buffers_mapped();
         Executor {
             devices: DeviceRegistry::new(),
             tasks,
@@ -435,8 +482,11 @@ impl Executor {
             return 0;
         };
         inputs
+            .cols
             .iter()
-            .map(|(name, col)| cache.resident_bytes(device, name, col))
+            .map(|(name, (col, memo))| {
+                cache.resident_bytes(device, name, BoundRows::new(col, memo))
+            })
             .sum()
     }
 

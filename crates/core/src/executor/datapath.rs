@@ -17,7 +17,7 @@ use crate::graph::{DataRef, NodeParams, PrimitiveGraph, PrimitiveNode};
 use crate::pipeline::{Pipeline, PipelineSet};
 use crate::result::{OutputData, QueryOutput};
 use crate::timeline::ChunkCost;
-use adamant_device::buffer::{BufferData, BufferId};
+use adamant_device::buffer::BufferId;
 use adamant_device::device::DeviceId;
 use adamant_device::kernel::ExecuteSpec;
 use adamant_task::container::DataContainer;
@@ -25,7 +25,6 @@ use adamant_task::primitive::PrimitiveKind;
 use adamant_task::semantics::DataSemantic;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
 /// Deterministic chunk-size schedule for one streaming attempt.
 ///
@@ -67,20 +66,21 @@ impl ChunkSchedule {
     }
 }
 
-/// One slice of the pipeline's scan columns on its way to the devices.
+/// One row range of the pipeline's scan columns on its way to the devices.
+/// It owns no rows: whoever stages it borrows `[offset, offset + len)` from
+/// the bound columns, so the only copy of a chunk is the one the device
+/// stores.
+#[derive(Clone, Copy)]
 pub(super) struct Chunk {
     pub index: usize,
     pub offset: usize,
     pub len: usize,
-    /// `(graph input index, rows [offset, offset + len))` per scan column.
-    pub payloads: Vec<(usize, BufferData)>,
 }
 
-/// The chunk source: slices the scan columns along a [`ChunkSchedule`],
+/// The chunk source: cuts the scan's rows along a [`ChunkSchedule`],
 /// starting at the cursor's offset. Runs on the execute thread, or on
 /// Algorithm 2's transfer thread when the model overlaps copy and compute.
 struct ChunkSlicer {
-    cols: Vec<(usize, Arc<Vec<i64>>)>,
     schedule: ChunkSchedule,
     rows: usize,
     index: usize,
@@ -96,19 +96,9 @@ impl Iterator for ChunkSlicer {
         }
         let (index, offset) = (self.index, self.offset);
         let len = self.schedule.rows_for(index).min(self.rows - offset);
-        let payloads = self
-            .cols
-            .iter()
-            .map(|(idx, col)| (*idx, BufferData::I64(col[offset..offset + len].to_vec())))
-            .collect();
         self.index += 1;
         self.offset += len;
-        Some(Chunk {
-            index,
-            offset,
-            len,
-            payloads,
-        })
+        Some(Chunk { index, offset, len })
     }
 }
 
@@ -141,6 +131,8 @@ struct NodeIo<'a> {
 /// Per-attempt state of one streaming pipeline.
 struct Stream<'a> {
     scan: &'a str,
+    /// Graph input indexes of the scan columns the pipeline streams.
+    cols: Vec<usize>,
     schedule: ChunkSchedule,
     /// Devices the pipeline's nodes are placed on (sorted).
     devices: Vec<DeviceId>,
@@ -162,6 +154,25 @@ pub(super) fn pipeline_devices(graph: &PrimitiveGraph, pipeline: &Pipeline) -> V
     devs.sort_unstable();
     devs.dedup();
     devs
+}
+
+/// Graph input indexes of the columns `pipeline` streams from its scan, in
+/// first-use order.
+fn scan_columns(graph: &PrimitiveGraph, pipeline: &Pipeline) -> Vec<usize> {
+    let mut cols = Vec::new();
+    if pipeline.scan.is_none() {
+        return cols;
+    }
+    for &node_id in &pipeline.nodes {
+        for &input in &graph.node(node_id).inputs {
+            if let DataRef::Input(i) = input {
+                if graph.inputs()[i].scan == pipeline.scan && !cols.contains(&i) {
+                    cols.push(i);
+                }
+            }
+        }
+    }
+    cols
 }
 
 /// The first primitive of the pipeline that must see its scan in a single
@@ -279,19 +290,11 @@ impl Executor {
         };
 
         // The scan columns this pipeline streams, and their length.
-        let mut cols: Vec<(usize, Arc<Vec<i64>>)> = Vec::new();
-        let mut seen = HashSet::new();
-        for &node_id in &pipeline.nodes {
-            for &input in &cx.graph.node(node_id).inputs {
-                if let DataRef::Input(i) = input {
-                    let gi = &cx.graph.inputs()[i];
-                    if gi.scan.as_deref() == Some(scan) && seen.insert(i) {
-                        cols.push((i, Arc::clone(cx.inputs.get(&gi.name).expect("validated"))));
-                    }
-                }
-            }
-        }
-        let rows = cols.first().map_or(0, |(_, c)| c.len());
+        let cols = scan_columns(&cx.graph, pipeline);
+        let rows = cols.first().map_or(0, |&i| {
+            let name = &cx.graph.inputs()[i].name;
+            cx.inputs.get(name).expect("validated").len()
+        });
         let n_chunks = rows.div_ceil(schedule.start);
         if n_chunks > 1 {
             if let Some(kind) = order_sensitive_kind(&cx.graph, pipeline) {
@@ -305,6 +308,7 @@ impl Executor {
         // ---- Stage phase -------------------------------------------------
         let mut stream = Stream {
             scan,
+            cols,
             schedule,
             devices: pipeline_devices(&cx.graph, pipeline),
             slots: if cx.cfg.stage_once {
@@ -318,7 +322,7 @@ impl Executor {
         };
         let first_chunk_rows = schedule.start.min(rows.max(1));
         let chunk_bytes = (first_chunk_rows * 8) as u64;
-        for &(input_idx, _) in &cols {
+        for &input_idx in &stream.cols {
             for &dev_id in &stream.devices {
                 for slot in 0..stream.slots {
                     let id = cx.hub.fresh_id();
@@ -347,13 +351,8 @@ impl Executor {
                     // re-seeds cleanly — chunks past the cursor's offset are
                     // never double-counted.
                     if let Some(seed) = cursor.seed_for(r) {
-                        cx.hub.place_verified(
-                            &mut self.devices,
-                            node.device,
-                            id,
-                            seed.clone(),
-                            0,
-                        )?;
+                        cx.hub
+                            .place_verified(&mut self.devices, node.device, id, seed, 0)?;
                     }
                 } else if cx.cfg.stage_once {
                     let id = self.alloc_output(cx, &node, port, first_chunk_rows)?;
@@ -367,7 +366,6 @@ impl Executor {
         // Rows below the cursor's offset are already host-accumulated (and
         // folded into the seeded accumulators); a restart's cursor is empty.
         let mut source = ChunkSlicer {
-            cols,
             schedule,
             rows,
             index: 0,
@@ -381,25 +379,40 @@ impl Executor {
             let fetched_until = AtomicUsize::new(0);
             let processed_until = AtomicUsize::new(0);
             let (tx, rx) = std::sync::mpsc::sync_channel::<Chunk>(cx.cfg.staging_buffers);
+            // The staging buffers start full: the execute thread cuts the
+            // first chunks itself, so its first `recv` never waits for a
+            // thread that has yet to be scheduled — on a 2-core VM that
+            // wait is the other core's wake-up, hundreds of µs when the
+            // host is idle and milliseconds when it is not, once per
+            // pipeline. A scan that fits the staging buffers has nothing
+            // to overlap and starts no thread.
+            for chunk in source.by_ref().take(cx.cfg.staging_buffers) {
+                fetched_until.fetch_add(1, Ordering::Release);
+                tx.try_send(chunk)
+                    .expect("one free slot per staging buffer");
+            }
+            let tx = (source.offset < source.rows).then_some(tx);
             let cancel = cx.control.cancel.clone();
             std::thread::scope(|scope| -> Result<()> {
                 let (fetched, processed) = (&fetched_until, &processed_until);
-                scope.spawn(move || {
-                    // Cooperative cancellation: stop slicing; the execute
-                    // side surfaces the error at its own check.
-                    while !cancel.is_cancelled() {
-                        let Some(chunk) = source.next() else { return };
-                        // Algorithm 2 ordering: advertise the fetch *before*
-                        // handing the chunk over. The execute thread may
-                        // start on the chunk the instant `send` enqueues it,
-                        // so incrementing afterwards races its
-                        // `fetched > processed` check.
-                        fetched.fetch_add(1, Ordering::Release);
-                        if tx.send(chunk).is_err() {
-                            return; // executor side failed; stop transferring
+                if let Some(tx) = tx {
+                    scope.spawn(move || {
+                        // Cooperative cancellation: stop slicing; the execute
+                        // side surfaces the error at its own check.
+                        while !cancel.is_cancelled() {
+                            let Some(chunk) = source.next() else { return };
+                            // Algorithm 2 ordering: advertise the fetch
+                            // *before* handing the chunk over. The execute
+                            // thread may start on the chunk the instant
+                            // `send` enqueues it, so incrementing afterwards
+                            // races its `fetched > processed` check.
+                            fetched.fetch_add(1, Ordering::Release);
+                            if tx.send(chunk).is_err() {
+                                return; // executor side failed; stop transferring
+                            }
                         }
-                    }
-                });
+                    });
+                }
                 // `rx` is moved into this scope so an early `?` return drops
                 // it, failing the producer's blocked `send` instead of
                 // deadlocking the implicit join at scope exit.
@@ -505,33 +518,34 @@ impl Executor {
         let slot = chunk.index % stream.slots;
 
         // Upload this chunk into the staging buffers of every device that
-        // consumes it, verifying each transfer's checksum end-to-end.
+        // consumes it, verifying each transfer's checksum end-to-end. The
+        // rows are borrowed from the bound column: the copy the device
+        // stores is the only one made.
         let mut staged: HashMap<(usize, DeviceId), BufferId> = HashMap::new();
-        for (input_idx, payload) in &chunk.payloads {
+        for &input_idx in &stream.cols {
+            let name = &cx.graph.inputs()[input_idx].name;
+            let col = cx.inputs.bound(name).expect("validated");
             for &dev_id in &stream.devices {
-                let id = stream.staging[&(*input_idx, dev_id, slot)];
+                let id = stream.staging[&(input_idx, dev_id, slot)];
                 // A residency-cached copy of the scan column serves the
                 // chunk with a device-internal copy instead of a fresh
                 // host→device upload; otherwise fall back to the verified
                 // transfer path.
-                let name = &cx.graph.inputs()[*input_idx].name;
-                let from_cache = match cx.inputs.get(name) {
-                    Some(col) => cx.hub.stage_chunk_from_cache(
-                        &mut self.devices,
-                        dev_id,
-                        id,
-                        name,
-                        col,
-                        chunk.offset,
-                        chunk.len,
-                    )?,
-                    None => false,
-                };
+                let from_cache = cx.hub.stage_chunk_from_cache(
+                    &mut self.devices,
+                    dev_id,
+                    id,
+                    name,
+                    col,
+                    chunk.offset,
+                    chunk.len,
+                )?;
                 if !from_cache {
+                    let rows = &col.rows[chunk.offset..chunk.offset + chunk.len];
                     cx.hub
-                        .place_verified(&mut self.devices, dev_id, id, payload.clone(), 0)?;
+                        .place_verified(&mut self.devices, dev_id, id, rows, 0)?;
                 }
-                staged.insert((*input_idx, dev_id), id);
+                staged.insert((input_idx, dev_id), id);
                 cx.tally
                     .fold(&mut self.devices, dev_id, Charge::Chunk(&mut out))?;
             }
@@ -621,15 +635,17 @@ impl Executor {
             // Stage the scan chunk on the hedge device (verified, like the
             // primary's uploads).
             let mut staged: HashMap<(usize, DeviceId), BufferId> = HashMap::new();
-            for (input_idx, payload) in &chunk.payloads {
+            for input_idx in scan_columns(&cx.graph, pipeline) {
+                let name = &cx.graph.inputs()[input_idx].name;
+                let col = cx.inputs.get(name).expect("validated");
                 let id = cx.hub.fresh_id();
                 self.devices
                     .get_mut(alt)?
                     .prepare_memory(id, (chunk.len.max(1) * 8) as u64)?;
                 cx.hub.track_created(alt, id);
-                cx.hub
-                    .place_verified(&mut self.devices, alt, id, payload.clone(), 0)?;
-                staged.insert((*input_idx, alt), id);
+                let rows = &col[chunk.offset..chunk.offset + chunk.len];
+                cx.hub.place_verified(&mut self.devices, alt, id, rows, 0)?;
+                staged.insert((input_idx, alt), id);
             }
             let mut sandbox = HashMap::new();
             let mut io = NodeIo {
@@ -720,9 +736,9 @@ impl Executor {
                     } else {
                         let col = cx
                             .inputs
-                            .get(&gi.name)
+                            .bound(&gi.name)
                             .ok_or_else(|| ExecError::MissingInput(gi.name.clone()))?;
-                        cx.hub.load_whole_input(
+                        cx.hub.load_bound_input(
                             &mut self.devices,
                             input,
                             node.device,

@@ -13,20 +13,37 @@
 //!
 //! The hub also owns the host-side accumulation of streamed scratch results
 //! that escape their pipeline (graph outputs or cross-pipeline consumers).
+//!
+//! # Verified transfers
+//!
+//! Every host↔device copy goes through [`DataTransferHub::place_verified`]
+//! or [`DataTransferHub::retrieve_verified`]: the host hashes the bytes it
+//! sends (or received), the device's pool echoes the hash of the range it
+//! holds, and a mismatch retransmits with doubling back-off. Both hashes are
+//! computed on **every** transmission, the first included — the hub never
+//! consults a fault plan or a fault counter to decide whether to check; a
+//! check that depends on the injector is no check. What keeps this cheap is
+//! that a transmission costs two passes of the word-parallel content hash
+//! and exactly one copy: uploads are fed from a borrowed [`Payload`] (a
+//! slice of the bound column, a host accumulation, a checkpointed payload),
+//! the per-transmission copy handed to `place_data` *is* the transfer, and
+//! the echo is hashed in place.
 
 use crate::error::{ExecError, Result};
 use crate::graph::{DataRef, NodeParams, PrimitiveNode};
-use crate::residency::ResidencyCache;
+use crate::residency::{BoundRows, ResidencyCache};
 use adamant_device::buffer::{BufferData, BufferId};
 use adamant_device::clock::Lane;
 use adamant_device::device::DeviceId;
 use adamant_device::error::DeviceError;
 use adamant_device::registry::DeviceRegistry;
 use adamant_storage::bitmap::Bitmap;
+use adamant_storage::fnv::{content_hash, Content};
 use adamant_task::container::DataContainer;
 use adamant_task::primitive::PrimitiveKind;
 use adamant_task::semantics::DataSemantic;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::OnceLock;
 
 /// Host-side accumulation of per-chunk results.
 ///
@@ -116,6 +133,74 @@ impl HostAccum {
             HostAccum::Bitmap(bm) => BufferData::BitWords(bm.words().to_vec()),
         }
     }
+
+    /// `self.to_buffer().byte_len()`, without the copy.
+    pub fn byte_len(&self) -> u64 {
+        match self {
+            HostAccum::Numeric(v) => (v.len() * 8) as u64,
+            HostAccum::Position(v) => (v.len() * 4) as u64,
+            HostAccum::Bitmap(bm) => (bm.words().len() * 8) as u64,
+        }
+    }
+
+    /// `self.to_buffer().checksum()`, hashed in place.
+    pub fn checksum(&self) -> u64 {
+        content_hash(match self {
+            HostAccum::Numeric(v) => Content::I64(v),
+            HostAccum::Position(v) => Content::U32(v),
+            HostAccum::Bitmap(bm) => Content::BitWords(bm.words()),
+        })
+    }
+}
+
+/// What [`DataTransferHub::place_verified`] uploads: something that can say
+/// what it will send (its content checksum, computed where the data lies)
+/// and produce the device's own copy of it, once per transmission. Borrowed
+/// sources — a slice of a bound column, a host accumulation, a checkpointed
+/// payload — implement it so that no caller has to build an owned payload
+/// only for the hub to copy it again.
+pub trait Payload {
+    /// The sender-side checksum: what the device's echo must equal.
+    fn checksum(&self) -> u64;
+    /// The copy one transmission hands to the device.
+    fn to_buffer(&self) -> BufferData;
+}
+
+impl Payload for BufferData {
+    fn checksum(&self) -> u64 {
+        BufferData::checksum(self)
+    }
+    fn to_buffer(&self) -> BufferData {
+        self.clone()
+    }
+}
+
+/// Rows of a bound input column (`NUMERIC` semantics).
+impl Payload for [i64] {
+    fn checksum(&self) -> u64 {
+        content_hash(Content::I64(self))
+    }
+    fn to_buffer(&self) -> BufferData {
+        BufferData::I64(self.to_vec())
+    }
+}
+
+impl Payload for HostAccum {
+    fn checksum(&self) -> u64 {
+        HostAccum::checksum(self)
+    }
+    fn to_buffer(&self) -> BufferData {
+        HostAccum::to_buffer(self)
+    }
+}
+
+impl<P: Payload + ?Sized> Payload for &P {
+    fn checksum(&self) -> u64 {
+        (**self).checksum()
+    }
+    fn to_buffer(&self) -> BufferData {
+        (**self).to_buffer()
+    }
 }
 
 /// Base modeled back-off charged before a checksum-failed transfer is
@@ -128,6 +213,64 @@ fn upload_ns(devices: &DeviceRegistry, device: DeviceId, bytes: u64) -> f64 {
     devices
         .get(device)
         .map_or(0.0, |d| d.state().cost.placement_cost_ns(bytes, 0.0))
+}
+
+/// Before retransmission number `attempt` (nothing before the first): the
+/// link already lied, so wait out a doubling back-off before re-occupying
+/// it — charged as copy-engine time on `lane`, no payload bytes.
+fn charge_backoff(
+    devices: &mut DeviceRegistry,
+    device: DeviceId,
+    lane: Lane,
+    id: BufferId,
+    attempt: u32,
+) -> Result<()> {
+    if attempt > 0 {
+        let backoff = RETRANSMIT_BACKOFF_NS * f64::from(1u32 << (attempt - 1).min(16));
+        devices.get_mut(device)?.clock_mut().record(
+            lane,
+            backoff,
+            0,
+            format!("retransmit backoff {id} (attempt {attempt})"),
+        );
+    }
+    Ok(())
+}
+
+/// The one upload loop behind [`DataTransferHub::place_verified`]: hash what
+/// is about to be sent, once; then per transmission hand the device its own
+/// copy, ask the pool to echo the checksum of the range it now holds, and
+/// compare — on every transmission, the first included. A mismatch is logged
+/// against `device` and retransmitted until `budget` transmissions are spent.
+///
+/// A free function over the hub's two fields it needs, so a payload borrowed
+/// from another field of the hub (a host accumulation) can be uploaded
+/// without copying it out first.
+fn transmit(
+    budget: u32,
+    corruption_log: &mut BTreeMap<DeviceId, u64>,
+    devices: &mut DeviceRegistry,
+    device: DeviceId,
+    id: BufferId,
+    data: &(impl Payload + ?Sized),
+    offset: usize,
+) -> Result<()> {
+    let expected = data.checksum();
+    for attempt in 0..budget.max(1) {
+        charge_backoff(devices, device, Lane::TransferH2D, id, attempt)?;
+        let copy = data.to_buffer();
+        let len = copy.len();
+        devices.get_mut(device)?.place_data(id, copy, offset)?;
+        let echo = devices
+            .get(device)?
+            .pool()
+            .checksum(id, Some(len), offset)?;
+        if echo == expected {
+            return Ok(());
+        }
+        *corruption_log.entry(device).or_insert(0) += 1;
+    }
+    Err(ExecError::TransferCorrupted { device, buffer: id })
 }
 
 /// The hub: buffer-id allocation, residency tracking, routing and output
@@ -223,42 +366,27 @@ impl DataTransferHub {
     /// back-off on mismatch. After [`Self::set_retransmit_budget`]
     /// transmissions the payload still not arriving intact becomes
     /// [`ExecError::TransferCorrupted`] (callers re-place on another device).
+    ///
+    /// `data` is any [`Payload`]: an owned or borrowed [`BufferData`], a
+    /// borrowed slice of column rows, a host accumulation. It is hashed once
+    /// where it lies; each transmission copies it once, for the device.
     pub fn place_verified(
         &mut self,
         devices: &mut DeviceRegistry,
         device: DeviceId,
         id: BufferId,
-        data: BufferData,
+        data: impl Payload,
         offset: usize,
     ) -> Result<()> {
-        let expected = data.checksum();
-        let len = data.len();
-        for attempt in 0..self.retransmit_budget.max(1) {
-            if attempt > 0 {
-                // The link already lied once: wait out a doubling back-off
-                // before re-occupying it (charged as copy-engine time, no
-                // payload bytes).
-                let backoff = RETRANSMIT_BACKOFF_NS * f64::from(1u32 << (attempt - 1).min(16));
-                devices.get_mut(device)?.clock_mut().record(
-                    Lane::TransferH2D,
-                    backoff,
-                    0,
-                    format!("retransmit backoff {id} (attempt {attempt})"),
-                );
-            }
-            devices
-                .get_mut(device)?
-                .place_data(id, data.clone(), offset)?;
-            let echo = devices
-                .get(device)?
-                .pool()
-                .checksum(id, Some(len), offset)?;
-            if echo == expected {
-                return Ok(());
-            }
-            *self.corruption_log.entry(device).or_insert(0) += 1;
-        }
-        Err(ExecError::TransferCorrupted { device, buffer: id })
+        transmit(
+            self.retransmit_budget,
+            &mut self.corruption_log,
+            devices,
+            device,
+            id,
+            &data,
+            offset,
+        )
     }
 
     /// Checksummed `retrieve_data`: reads the payload back, compares its
@@ -274,15 +402,7 @@ impl DataTransferHub {
         offset: usize,
     ) -> Result<BufferData> {
         for attempt in 0..self.retransmit_budget.max(1) {
-            if attempt > 0 {
-                let backoff = RETRANSMIT_BACKOFF_NS * f64::from(1u32 << (attempt - 1).min(16));
-                devices.get_mut(device)?.clock_mut().record(
-                    Lane::TransferD2H,
-                    backoff,
-                    0,
-                    format!("retransmit backoff {id} (attempt {attempt})"),
-                );
-            }
+            charge_backoff(devices, device, Lane::TransferD2H, id, attempt)?;
             let payload = devices.get_mut(device)?.retrieve_data(id, len, offset)?;
             let echo = devices
                 .get(device)?
@@ -489,7 +609,7 @@ impl DataTransferHub {
             .get_mut(device)?
             .prepare_memory(id, payload.byte_len().max(8))?;
         self.track_created(device, id);
-        self.place_verified(devices, device, id, payload.clone(), 0)?;
+        self.place_verified(devices, device, id, payload, 0)?;
         self.register_resident(data, device, id);
         Ok(id)
     }
@@ -560,18 +680,25 @@ impl DataTransferHub {
             self.register_resident(data, target, new_id);
             return Ok(new_id);
         }
-        if let Some(acc) = self.host.get(&data) {
-            // Upload a clone: the host accumulation stays authoritative, so
-            // a recovery rollback that deletes the device copy cannot lose
-            // the data.
+        if self.host.contains_key(&data) {
+            // The device gets a copy: the host accumulation stays
+            // authoritative, so a recovery rollback that deletes the device
+            // copy cannot lose the data.
             if !holders.is_empty() {
                 // The holders were all quarantined and the host copy won.
                 self.quarantine_skips += 1;
             }
-            let payload = acc.to_buffer();
             let new_id = self.fresh_id();
             self.track_created(target, new_id);
-            self.place_verified(devices, target, new_id, payload, 0)?;
+            transmit(
+                self.retransmit_budget,
+                &mut self.corruption_log,
+                devices,
+                target,
+                new_id,
+                &self.host[&data],
+                0,
+            )?;
             self.register_resident(data, target, new_id);
             return Ok(new_id);
         }
@@ -588,6 +715,10 @@ impl DataTransferHub {
     /// and a miss tries to pin the column for future runs (falling back to
     /// an uncached per-run upload when the column does not fit the cache
     /// budget or the device).
+    ///
+    /// This is the thin public form for a bare slice; the executor calls
+    /// the crate-internal `load_bound_input` with the fingerprint kept
+    /// beside the binding.
     pub fn load_whole_input(
         &mut self,
         devices: &mut DeviceRegistry,
@@ -596,6 +727,20 @@ impl DataTransferHub {
         name: &str,
         column: &[i64],
     ) -> Result<BufferId> {
+        let memo = OnceLock::new();
+        self.load_bound_input(devices, data, target, name, BoundRows::new(column, &memo))
+    }
+
+    /// [`Self::load_whole_input`] for a bound column: the upload borrows the
+    /// rows, and the cache reads the binding's one fingerprint.
+    pub(crate) fn load_bound_input(
+        &mut self,
+        devices: &mut DeviceRegistry,
+        data: DataRef,
+        target: DeviceId,
+        name: &str,
+        column: BoundRows<'_>,
+    ) -> Result<BufferId> {
         if let Some(id) = self.resident(data, target) {
             return Ok(id);
         }
@@ -603,7 +748,7 @@ impl DataTransferHub {
             if let Some((id, was_hit)) = self.cache_acquire_whole(devices, target, name, column)? {
                 if was_hit {
                     // The whole upload was avoided.
-                    let bytes = (column.len() as u64) * 8;
+                    let bytes = (column.rows.len() as u64) * 8;
                     let saved = upload_ns(devices, target, bytes);
                     if let Some(cache) = &mut self.cache {
                         cache.note_saved_transfer_ns(saved);
@@ -615,7 +760,7 @@ impl DataTransferHub {
         }
         let id = self.fresh_id();
         self.track_created(target, id);
-        self.place_verified(devices, target, id, BufferData::I64(column.to_vec()), 0)?;
+        self.place_verified(devices, target, id, column.rows, 0)?;
         self.register_resident(data, target, id);
         Ok(id)
     }
@@ -630,25 +775,25 @@ impl DataTransferHub {
         devices: &mut DeviceRegistry,
         target: DeviceId,
         name: &str,
-        column: &[i64],
+        column: BoundRows<'_>,
     ) -> Result<Option<(BufferId, bool)>> {
-        let bytes = (column.len() as u64) * 8;
+        let bytes = (column.rows.len() as u64) * 8;
         let transfer_ns = upload_ns(devices, target, bytes);
         let mut cache = self.cache.take().expect("caller checked");
-        if let Some(id) = cache.lookup(devices, target, name, column) {
+        if let Some(id) = cache.lookup_bound(devices, target, name, column) {
             self.absorb_cache_frees(&mut cache);
             self.cache = Some(cache);
             return Ok(Some((id, true)));
         }
-        let Some(id) = cache.begin_pin(devices, target, column) else {
+        let Some(id) = cache.begin_pin(devices, target, column.rows) else {
             self.absorb_cache_frees(&mut cache);
             self.cache = Some(cache);
             return Ok(None);
         };
         self.absorb_cache_frees(&mut cache);
-        match self.place_verified(devices, target, id, BufferData::I64(column.to_vec()), 0) {
+        match self.place_verified(devices, target, id, column.rows, 0) {
             Ok(()) => {
-                cache.commit_pin(target, name, column, id, transfer_ns);
+                cache.commit_pin_bound(target, name, column, id, transfer_ns);
                 self.cache = Some(cache);
                 Ok(Some((id, false)))
             }
@@ -681,13 +826,13 @@ impl DataTransferHub {
     /// Returns `false` when the cache is absent or passed — the caller
     /// uploads the chunk payload as usual.
     #[allow(clippy::too_many_arguments)]
-    pub fn stage_chunk_from_cache(
+    pub(crate) fn stage_chunk_from_cache(
         &mut self,
         devices: &mut DeviceRegistry,
         device: DeviceId,
         staging: BufferId,
         name: &str,
-        column: &[i64],
+        column: BoundRows<'_>,
         offset: usize,
         len: usize,
     ) -> Result<bool> {
@@ -1072,6 +1217,84 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+    }
+
+    /// The in-place forms the checkpoint seal uses are the copying forms,
+    /// by construction.
+    #[test]
+    fn in_place_byte_len_and_checksum_match_the_copy() {
+        let mut bitmap = Bitmap::new_zeroed(0);
+        bitmap.extend_from(&Bitmap::from_bools(&[true; 70])); // two words, 6 bits used
+        bitmap.extend_from(&Bitmap::from_bools(&[false, true, true]));
+        assert_ne!(bitmap.len() % 64, 0);
+        for accum in [
+            HostAccum::Numeric(vec![]),
+            HostAccum::Numeric((0..37).map(|i| i * 7919 - 5).collect()),
+            HostAccum::Position(vec![0, 3, 5, 70_000, u32::MAX]),
+            HostAccum::Bitmap(Bitmap::new_zeroed(0)),
+            HostAccum::Bitmap(bitmap),
+        ] {
+            let copy = accum.to_buffer();
+            assert_eq!(accum.byte_len(), copy.byte_len(), "{accum:?}");
+            assert_eq!(accum.checksum(), copy.checksum(), "{accum:?}");
+        }
+    }
+
+    /// What an upload leaves behind on a fresh device: the stored payload,
+    /// the pool's echo of it, and the cost events (lane, ns, bytes, label).
+    #[derive(Debug, PartialEq)]
+    struct UploadTrace {
+        stored: BufferData,
+        echo: u64,
+        events: Vec<(Lane, f64, u64, String)>,
+    }
+
+    fn upload_trace(
+        upload: impl FnOnce(&mut DataTransferHub, &mut DeviceRegistry, DeviceId, BufferId),
+    ) -> UploadTrace {
+        let (mut devices, gpu, _) = two_devices();
+        let mut hub = DataTransferHub::new();
+        let id = hub.fresh_id();
+        devices
+            .get_mut(gpu)
+            .unwrap()
+            .prepare_memory(id, 64)
+            .unwrap();
+        upload(&mut hub, &mut devices, gpu, id);
+        assert!(hub.take_corruption_retransmits().is_empty());
+        let dev = devices.get_mut(gpu).unwrap();
+        UploadTrace {
+            stored: dev.pool().get(id).unwrap().data.clone(),
+            echo: dev.pool().checksum(id, None, 0).unwrap(),
+            events: dev
+                .clock_mut()
+                .drain_events()
+                .into_iter()
+                .map(|e| (e.lane, e.duration_ns, e.bytes, e.label))
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn borrowed_and_owned_uploads_are_indistinguishable() {
+        let column: Vec<i64> = (0..100).map(|i| i * 7919 - 5).collect();
+        let rows = &column[13..50];
+        let payload = BufferData::I64(rows.to_vec());
+        let owned = upload_trace(|hub, devices, gpu, id| {
+            hub.place_verified(devices, gpu, id, payload.clone(), 0)
+                .unwrap()
+        });
+        let borrowed = upload_trace(|hub, devices, gpu, id| {
+            hub.place_verified(devices, gpu, id, rows, 0).unwrap()
+        });
+        let by_ref = upload_trace(|hub, devices, gpu, id| {
+            hub.place_verified(devices, gpu, id, &payload, 0).unwrap()
+        });
+        assert_eq!(owned.stored, payload);
+        assert_eq!(owned.echo, payload.checksum());
+        assert!(!owned.events.is_empty());
+        assert_eq!(owned, borrowed);
+        assert_eq!(owned, by_ref);
     }
 
     #[test]

@@ -20,6 +20,17 @@
 //!   ([`ResidencyCache::abort_pin`]) the entry.
 //! * **Hit** — a valid entry (fingerprint match, buffer still in the pool)
 //!   is served in place; nothing crosses the bus.
+//! * **Fingerprint** — an entry remembers the element count and the content
+//!   hash of the column it was pinned from, and every lookup compares both
+//!   with the column bound now, so a rebound input with different contents
+//!   can never hit. The fingerprint *is* the upload's sender-side checksum
+//!   (`adamant_storage::fnv::content_hash` over the `i64` rows). Hashing a
+//!   column once per lookup made the cache cost the host more than it saved,
+//!   so the value is computed at most once per binding: it lives in a cell
+//!   beside the immutable `Arc<Vec<i64>>` it was computed from
+//!   ([`crate::executor::QueryInputs`]) and travels down as a
+//!   `BoundRows`. It is keyed by nothing — re-binding a name replaces
+//!   column and cell together.
 //! * **Evict** — pins are evicted in LRU order (ties broken by the lowest
 //!   modeled re-transfer cost, then name) whenever the per-device budget or
 //!   the admission ledger needs room. Eviction frees the device buffer and
@@ -36,9 +47,9 @@
 use adamant_device::buffer::BufferId;
 use adamant_device::device::DeviceId;
 use adamant_device::registry::DeviceRegistry;
-use adamant_storage::fnv::FnvHasher;
+use adamant_storage::fnv::{content_hash, Content};
 use std::collections::{BTreeMap, BTreeSet};
-use std::hash::Hasher;
+use std::sync::OnceLock;
 
 /// First buffer id the cache allocates from — far above any per-run hub id.
 const CACHE_ID_BASE: u64 = 1 << 48;
@@ -85,7 +96,7 @@ pub struct ResidencyCounters {
 struct Entry {
     id: BufferId,
     bytes: u64,
-    /// Input fingerprint: element count + FNV-1a over the column bytes. A
+    /// Input fingerprint: element count + content hash of the column. A
     /// rebound input with different contents must never serve a stale hit.
     len: usize,
     fingerprint: u64,
@@ -99,12 +110,40 @@ struct Entry {
     pinned_gen: u64,
 }
 
-/// FNV-1a over the little-endian bytes of a column (deterministic, cheap,
-/// no dependencies).
+/// The fingerprint of a column: the content hash of its rows, i.e. exactly
+/// the sender-side checksum of uploading it whole.
 fn fingerprint(column: &[i64]) -> u64 {
-    let mut h = FnvHasher::default();
-    column.iter().for_each(|&v| h.write_i64(v));
-    h.finish()
+    content_hash(Content::I64(column))
+}
+
+/// A bound column as the cache sees it: the rows, and the cell beside them
+/// that keeps their fingerprint once something asked for it.
+///
+/// Whoever builds one vouches that `memo` belongs to exactly these rows:
+/// [`crate::executor::QueryInputs`] pairs each immutable column with its own
+/// cell, and the slice-taking public forms of the cache pair the slice with
+/// a cell that lives for that one call.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct BoundRows<'a> {
+    pub(crate) rows: &'a [i64],
+    memo: &'a OnceLock<u64>,
+}
+
+impl<'a> BoundRows<'a> {
+    pub(crate) fn new(rows: &'a [i64], memo: &'a OnceLock<u64>) -> Self {
+        BoundRows { rows, memo }
+    }
+
+    /// The rows' fingerprint, hashed on first use.
+    fn fingerprint(&self) -> u64 {
+        *self.memo.get_or_init(|| fingerprint(self.rows))
+    }
+
+    /// Whether `entry` was pinned from exactly these rows. The length is
+    /// compared first, so a column of another length is never hashed.
+    fn matches(&self, entry: &Entry) -> bool {
+        entry.len == self.rows.len() && entry.fingerprint == self.fingerprint()
+    }
 }
 
 /// The cross-query device-residency cache. Owned by the executor between
@@ -181,6 +220,10 @@ impl ResidencyCache {
     /// A stale entry (fingerprint mismatch, or its buffer vanished from the
     /// pool — e.g. a device reset) is invalidated on the spot, releasing its
     /// admission charge, and reported as a miss.
+    ///
+    /// This is the thin public form: it fingerprints `column` for this one
+    /// call. The hub goes through the crate-internal `lookup_bound` with
+    /// the fingerprint kept beside the binding.
     pub fn lookup(
         &mut self,
         devices: &mut DeviceRegistry,
@@ -188,11 +231,29 @@ impl ResidencyCache {
         name: &str,
         column: &[i64],
     ) -> Option<BufferId> {
+        self.lookup_bound(
+            devices,
+            device,
+            name,
+            BoundRows::new(column, &OnceLock::new()),
+        )
+    }
+
+    /// [`Self::lookup`] for a column whose fingerprint is kept with its
+    /// binding: the same validation (stored length and fingerprint against
+    /// the bound column's, buffer still pooled) and the same recency and
+    /// hit/miss accounting on every call — only the hashing is not repeated.
+    pub(crate) fn lookup_bound(
+        &mut self,
+        devices: &mut DeviceRegistry,
+        device: DeviceId,
+        name: &str,
+        column: BoundRows<'_>,
+    ) -> Option<BufferId> {
         let key = (device, name.to_string());
         let valid = match self.entries.get(&key) {
             Some(e) => {
-                e.len == column.len()
-                    && e.fingerprint == fingerprint(column)
+                column.matches(e)
                     && devices
                         .get(device)
                         .map(|d| d.pool().contains(e.id))
@@ -229,9 +290,14 @@ impl ResidencyCache {
     /// Bytes a pin of `(device, name)` matching `column` holds — 0 when
     /// absent or stale. Read-only (no hit/miss accounting, no invalidation);
     /// placement uses it to discount transfer cost for cache-warm devices.
-    pub fn resident_bytes(&self, device: DeviceId, name: &str, column: &[i64]) -> u64 {
+    pub(crate) fn resident_bytes(
+        &self,
+        device: DeviceId,
+        name: &str,
+        column: BoundRows<'_>,
+    ) -> u64 {
         match self.entries.get(&(device, name.to_string())) {
-            Some(e) if e.len == column.len() && e.fingerprint == fingerprint(column) => e.bytes,
+            Some(e) if column.matches(e) => e.bytes,
             _ => 0,
         }
     }
@@ -279,7 +345,8 @@ impl ResidencyCache {
         Some(BufferId(self.next_id))
     }
 
-    /// Commits a pin whose upload succeeded.
+    /// Commits a pin whose upload succeeded (the thin public form: it
+    /// fingerprints `column` here).
     pub fn commit_pin(
         &mut self,
         device: DeviceId,
@@ -288,15 +355,35 @@ impl ResidencyCache {
         id: BufferId,
         transfer_cost_ns: f64,
     ) {
-        let bytes = (column.len() as u64) * 8;
+        let memo = OnceLock::new();
+        self.commit_pin_bound(
+            device,
+            name,
+            BoundRows::new(column, &memo),
+            id,
+            transfer_cost_ns,
+        )
+    }
+
+    /// Commits a pin whose upload succeeded, remembering the length and the
+    /// fingerprint of the column it was uploaded from.
+    pub(crate) fn commit_pin_bound(
+        &mut self,
+        device: DeviceId,
+        name: &str,
+        column: BoundRows<'_>,
+        id: BufferId,
+        transfer_cost_ns: f64,
+    ) {
+        let bytes = (column.rows.len() as u64) * 8;
         self.seq += 1;
         self.entries.insert(
             (device, name.to_string()),
             Entry {
                 id,
                 bytes,
-                len: column.len(),
-                fingerprint: fingerprint(column),
+                len: column.rows.len(),
+                fingerprint: column.fingerprint(),
                 last_used: self.seq,
                 transfer_cost_ns,
                 pinned_gen: self.generation,
@@ -474,8 +561,40 @@ mod tests {
 
     #[test]
     fn fingerprint_values_are_pinned() {
-        assert_eq!(fingerprint(&[1, -2, 3]), 12535802931127841918);
-        assert_eq!(fingerprint(&[]), 14695981039346656037);
+        assert_eq!(fingerprint(&[1, -2, 3]), 11357866896077846762);
+        assert_eq!(fingerprint(&[]), 12490462554737973041);
+        // The fingerprint of a column is the sender-side checksum of
+        // uploading it whole: one value, one function.
+        let col = [1, -2, 3];
+        let upload = adamant_device::buffer::BufferData::I64(col.to_vec());
+        assert_eq!(fingerprint(&col), upload.checksum());
+    }
+
+    #[test]
+    fn bound_fingerprint_is_hashed_once_and_only_on_demand() {
+        let (mut reg, dev) = one_device();
+        let mut cache = ResidencyCache::new(ResidencyConfig::new(1 << 20));
+        let col: Vec<i64> = (0..64).collect();
+        let memo = OnceLock::new();
+        let bound = BoundRows::new(&col, &memo);
+        cache.begin_run();
+        // No entry, or an entry of another length: nothing to compare with,
+        // nothing hashed.
+        assert!(cache.lookup_bound(&mut reg, dev, "x", bound).is_none());
+        pin(&mut cache, &mut reg, dev, "x", &col[..32]);
+        assert_eq!(cache.resident_bytes(dev, "x", bound), 0);
+        assert!(memo.get().is_none());
+        assert!(cache.lookup_bound(&mut reg, dev, "x", bound).is_none());
+        assert!(memo.get().is_none(), "length mismatch decided it");
+        // Pinning asks for it; from then on the cell answers.
+        let id = cache.begin_pin(&mut reg, dev, &col).unwrap();
+        cache.commit_pin_bound(dev, "x", bound, id, 1_000.0);
+        assert_eq!(memo.get(), Some(&fingerprint(&col)));
+        assert_eq!(cache.resident_bytes(dev, "x", bound), 64 * 8);
+        // The slice-taking public form and the bound form agree.
+        assert_eq!(cache.resident_bytes(dev, "y", bound), 0);
+        cache.commit_pin(dev, "y", &col, BufferId(CACHE_ID_BASE + 99), 1_000.0);
+        assert_eq!(cache.resident_bytes(dev, "y", bound), 64 * 8);
     }
 
     fn one_device() -> (DeviceRegistry, DeviceId) {
@@ -538,6 +657,48 @@ mod tests {
         assert_eq!(reg.get(dev).unwrap().pool().used(), 0);
         let c = cache.take_counters();
         assert_eq!(c.invalidations, 1);
+    }
+
+    /// The fingerprint lives beside the bound column and nowhere else: the
+    /// same name bound again, with other contents of the same length, misses
+    /// and invalidates — also when the old vector was freed first, so that
+    /// the allocator may hand its address to the new one.
+    #[test]
+    fn rebound_column_never_serves_the_old_pin() {
+        use crate::executor::QueryInputs;
+        let (mut reg, dev) = one_device();
+        let mut cache = ResidencyCache::new(ResidencyConfig::new(1 << 20));
+        let mut inputs = QueryInputs::new();
+        inputs.bind("x", (0..64).collect());
+        cache.begin_run();
+        let bound = inputs.bound("x").unwrap();
+        let id = cache.begin_pin(&mut reg, dev, bound.rows).unwrap();
+        let upload = adamant_device::buffer::BufferData::I64(bound.rows.to_vec());
+        reg.get_mut(dev).unwrap().place_data(id, upload, 0).unwrap();
+        cache.commit_pin_bound(dev, "x", bound, id, 1_000.0);
+        assert_eq!(cache.lookup_bound(&mut reg, dev, "x", bound), Some(id));
+        assert_eq!(cache.resident_bytes(dev, "x", bound), 64 * 8);
+
+        // Free the old binding first, then bind the name again: the new
+        // vector usually lands on the old one's address.
+        drop(inputs);
+        let mut inputs = QueryInputs::new();
+        inputs.bind("x", (1..65).collect());
+        let rebound = inputs.bound("x").unwrap();
+        assert_eq!(cache.resident_bytes(dev, "x", rebound), 0);
+        assert!(cache.lookup_bound(&mut reg, dev, "x", rebound).is_none());
+        assert!(cache.is_empty(), "stale pin invalidated");
+        assert_eq!(cache.take_counters().invalidations, 1);
+        assert_eq!(reg.get(dev).unwrap().pool().used(), 0);
+
+        // Re-binding in place replaces the cell together with the column.
+        let first = inputs.bound("x").unwrap().fingerprint();
+        inputs.bind("x", (2..66).collect());
+        let second = inputs.bound("x").unwrap().fingerprint();
+        assert_ne!(first, second);
+        assert_eq!(second, fingerprint(&(2..66).collect::<Vec<i64>>()));
+        // A clone shares the column and carries the value along.
+        assert_eq!(inputs.clone().bound("x").unwrap().fingerprint(), second);
     }
 
     #[test]

@@ -5,12 +5,17 @@
 //! In this simulation the payload physically lives in host memory, but it is
 //! owned by the device's bounded pool and can only be read back through
 //! `retrieve_data` — the runtime never reaches around the interface.
+//!
+//! [`BufferData::checksum`] is what both ends of a transfer compare. It is
+//! the engine's one content hash (`adamant_storage::fnv::content_hash`):
+//! word-parallel, tagged with the payload kind and the element count, and
+//! computable over a sub-range in place ([`BufferData::checksum_range`]) so
+//! the device's echo never copies what it vouches for.
 
 use crate::sdk::SdkRepr;
-use adamant_storage::fnv::FnvHasher;
+use adamant_storage::fnv::{content_hash, Content};
 use std::any::Any;
 use std::fmt;
-use std::hash::Hasher;
 
 /// Identifier for a buffer within one device's pool.
 ///
@@ -219,29 +224,40 @@ impl BufferData {
         }
     }
 
-    /// Content checksum (FNV-1a over the element bytes).
+    /// Content checksum of the whole payload: [`Self::checksum_range`] over
+    /// every element.
     ///
     /// The transfer-integrity protocol compares this on both ends of a
     /// host↔device copy: the hub checksums what it sent, the device echoes
     /// the checksum of what it stored, and a mismatch triggers a retransmit.
-    /// `Generic` payloads hash a structural marker (kind, element count,
-    /// byte length) only — opaque structures are built *on* the device, never
-    /// shipped over the simulated bus, so their content never transits.
     pub fn checksum(&self) -> u64 {
-        let mut h = FnvHasher::default();
-        match self {
-            BufferData::I64(v) => v.iter().for_each(|x| h.write(&x.to_le_bytes())),
-            BufferData::F64(v) => v.iter().for_each(|x| h.write(&x.to_le_bytes())),
-            BufferData::U32(v) => v.iter().for_each(|x| h.write(&x.to_le_bytes())),
-            BufferData::BitWords(v) => v.iter().for_each(|x| h.write(&x.to_le_bytes())),
-            BufferData::Raw(v) => h.write(v),
-            BufferData::Generic(g) => {
-                h.write(b"generic");
-                h.write_u64(g.len() as u64);
-                h.write_u64(g.byte_len());
-            }
-        }
-        h.finish()
+        self.checksum_range(0, self.len())
+    }
+
+    /// Content checksum of elements `offset..offset+len`, hashed where they
+    /// lie — equal to `self.slice(offset, len).checksum()` without the copy
+    /// (and saturating at the end of the payload as `slice` does).
+    ///
+    /// The hash covers the payload kind and the element count besides the
+    /// elements, so payloads of different kinds or lengths never verify
+    /// against each other. `Generic` payloads hash a structural marker
+    /// (kind, element count, byte length) only, whatever the range — opaque
+    /// structures are built *on* the device, never shipped over the
+    /// simulated bus, so their content never transits.
+    pub fn checksum_range(&self, offset: usize, len: usize) -> u64 {
+        let end = offset.saturating_add(len).min(self.len());
+        let range = offset.min(end)..end;
+        content_hash(match self {
+            BufferData::I64(v) => Content::I64(&v[range]),
+            BufferData::F64(v) => Content::F64(&v[range]),
+            BufferData::U32(v) => Content::U32(&v[range]),
+            BufferData::BitWords(v) => Content::BitWords(&v[range]),
+            BufferData::Raw(v) => Content::Raw(&v[range]),
+            BufferData::Generic(g) => Content::Opaque {
+                len: g.len() as u64,
+                byte_len: g.byte_len(),
+            },
+        })
     }
 
     /// Flips the low bit of the element at `element % len` (fault injection:
@@ -290,7 +306,7 @@ impl Buffer {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -356,19 +372,116 @@ mod tests {
     /// checkpoints and pinned by the golden stats: the hash must not drift.
     #[test]
     fn checksum_values_are_pinned() {
-        let pinned: [(BufferData, u64); 6] = [
-            (BufferData::I64(vec![1, -2, 3]), 12535802931127841918),
-            (BufferData::F64(vec![0.5, -1.25]), 2837381929321697425),
-            (BufferData::U32(vec![7, 8, 9]), 907662272101868435),
+        let pinned: [(BufferData, u64); 7] = [
+            (BufferData::I64(vec![1, -2, 3]), 11357866896077846762),
+            (BufferData::F64(vec![0.5, -1.25]), 15851023222852744517),
+            (BufferData::U32(vec![7, 8, 9]), 7385504724775396070),
             (
                 BufferData::BitWords(vec![0xdead_beef, 1]),
-                13067558027854147482,
+                13642631494642883280,
             ),
-            (BufferData::Raw(b"adamant".to_vec()), 4752523004036885811),
-            (BufferData::I64(Vec::new()), 14695981039346656037),
+            (BufferData::Raw(b"adamant".to_vec()), 16667896223839231331),
+            (BufferData::I64(Vec::new()), 12490462554737973041),
+            (BufferData::Generic(Box::new(Blob(3))), 1208769418905113923),
         ];
         for (data, want) in pinned {
             assert_eq!(data.checksum(), want, "{data:?}");
+        }
+    }
+
+    /// An opaque structure of `n` 32-byte entries.
+    #[derive(Clone, Debug)]
+    pub(crate) struct Blob(pub usize);
+
+    impl GenericPayload for Blob {
+        fn byte_len(&self) -> u64 {
+            32 * self.0 as u64
+        }
+        fn len(&self) -> usize {
+            self.0
+        }
+        fn clone_box(&self) -> Box<dyn GenericPayload> {
+            Box::new(self.clone())
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// The checksum covers kind and element count: an echo of the wrong kind
+    /// or length with the same bits must not verify.
+    #[test]
+    fn checksum_covers_kind_and_count() {
+        let x = 0x4045_0000_0000_0007u64;
+        let same_bits = [
+            BufferData::I64(vec![x as i64]),
+            BufferData::F64(vec![f64::from_bits(x)]),
+            BufferData::BitWords(vec![x]),
+            BufferData::Raw(x.to_le_bytes().to_vec()),
+            BufferData::U32(vec![x as u32, (x >> 32) as u32]),
+        ];
+        let empties = [
+            BufferData::I64(vec![]),
+            BufferData::F64(vec![]),
+            BufferData::U32(vec![]),
+            BufferData::BitWords(vec![]),
+            BufferData::Raw(vec![]),
+        ];
+        let zeros = [
+            BufferData::I64(vec![]),
+            BufferData::I64(vec![0]),
+            BufferData::I64(vec![0, 0]),
+        ];
+        for set in [&same_bits[..], &empties[..], &zeros[..]] {
+            for (i, a) in set.iter().enumerate() {
+                for b in &set[i + 1..] {
+                    assert_ne!(a.checksum(), b.checksum(), "{a:?} vs {b:?}");
+                }
+            }
+        }
+    }
+
+    /// Hashing a range in place is hashing its copy.
+    #[test]
+    fn checksum_range_is_the_checksum_of_the_slice() {
+        let n = 37; // four whole rounds of lanes and an unaligned tail
+        let payloads = [
+            BufferData::I64((0..n).map(|i| i * 7919 - 5).collect()),
+            BufferData::F64((0..n).map(|i| i as f64 * -0.37).collect()),
+            BufferData::U32((0..n as u32).map(|i| i.wrapping_mul(40503)).collect()),
+            BufferData::BitWords((0..n as u64).map(|i| !i << 7).collect()),
+            BufferData::Raw((0..n as u8).map(|i| i.wrapping_mul(37)).collect()),
+            BufferData::Generic(Box::new(Blob(n as usize))),
+        ];
+        let n = n as usize;
+        // Empty, whole, prefix, lane-unaligned tail, last element, and the
+        // past-the-end ranges `slice` saturates on.
+        let ranges = [
+            (0, 0),
+            (5, 0),
+            (0, n),
+            (0, 9),
+            (3, 8),
+            (11, n - 11),
+            (n - 1, 1),
+            (n, 0),
+            (n - 2, 5),
+            (n + 3, 1),
+            (1, usize::MAX),
+        ];
+        for data in &payloads {
+            for (offset, len) in ranges {
+                assert_eq!(
+                    data.checksum_range(offset, len),
+                    data.slice(offset, len).checksum(),
+                    "{} [{offset}, +{len})",
+                    data.kind()
+                );
+            }
+            assert_eq!(data.checksum(), data.checksum_range(0, n));
         }
     }
 

@@ -5,6 +5,11 @@
 //! out-of-memory result both hinge on allocations failing when the device is
 //! full. The pool therefore accounts every buffer against the profile's
 //! capacity and refuses overcommit with [`DeviceError::OutOfMemory`].
+//!
+//! The pool is also the device's end of the transfer-integrity protocol:
+//! [`BufferPool::checksum`] echoes the content hash of a stored range,
+//! computed in place under the same range contract as [`BufferPool::read`].
+//! It knows nothing about fault plans — it hashes what it holds.
 
 use crate::buffer::{Buffer, BufferData, BufferId};
 use crate::error::{DeviceError, Result};
@@ -232,16 +237,22 @@ impl BufferPool {
         Ok(())
     }
 
-    /// Copies elements `offset..offset+len` of buffer `id` (`len == None` =
-    /// through the end of the buffer). A range past the end — or one whose
-    /// end overflows — is [`DeviceError::RangeOutOfBounds`], never a
-    /// silently short payload.
-    pub fn read(&self, id: BufferId, len: Option<usize>, offset: usize) -> Result<BufferData> {
+    /// Resolves the element range `offset..offset+len` of buffer `id`
+    /// (`len == None` = through the end of the buffer) — the one range
+    /// contract [`Self::read`] and [`Self::checksum`] share. A range past
+    /// the end — or one whose end overflows — is
+    /// [`DeviceError::RangeOutOfBounds`], never a silently short one.
+    fn range(
+        &self,
+        id: BufferId,
+        len: Option<usize>,
+        offset: usize,
+    ) -> Result<(&BufferData, usize)> {
         let data = &self.get(id)?.data;
         let total = data.len();
         let len = len.unwrap_or(total.saturating_sub(offset));
         match offset.checked_add(len) {
-            Some(end) if end <= total => Ok(data.slice(offset, len)),
+            Some(end) if end <= total => Ok((data, len)),
             end => Err(DeviceError::RangeOutOfBounds {
                 id,
                 requested_end: end.unwrap_or(usize::MAX),
@@ -250,15 +261,27 @@ impl BufferPool {
         }
     }
 
+    /// Copies elements `offset..offset+len` of buffer `id` (`len == None` =
+    /// through the end of the buffer). A range past the end — or one whose
+    /// end overflows — is [`DeviceError::RangeOutOfBounds`], never a
+    /// silently short payload.
+    pub fn read(&self, id: BufferId, len: Option<usize>, offset: usize) -> Result<BufferData> {
+        let (data, len) = self.range(id, len, offset)?;
+        Ok(data.slice(offset, len))
+    }
+
     /// Echoes the checksum of the stored elements `offset..offset+len` of
     /// buffer `id`, as the device sees them — *after* any transfer
-    /// corruption. Same range contract as [`Self::read`].
+    /// corruption. Same range contract as [`Self::read`], but the elements
+    /// are hashed where they lie: nothing is copied, and an opaque
+    /// structure is not cloned to hash its three-integer marker.
     ///
     /// The hub compares this echo against the checksum of what it sent to
     /// detect silent corruption end-to-end. The echo is an 8-byte control
     /// message, so it is deliberately free on the simulated clock.
     pub fn checksum(&self, id: BufferId, len: Option<usize>, offset: usize) -> Result<u64> {
-        Ok(self.read(id, len, offset)?.checksum())
+        let (data, len) = self.range(id, len, offset)?;
+        Ok(data.checksum_range(offset, len))
     }
 
     /// Writes `data` into the existing buffer `id` starting at element
@@ -532,7 +555,13 @@ mod tests {
             Err(DeviceError::TypeMismatch { .. })
         ));
         // Past-the-end and overflowing ranges are typed errors everywhere.
-        for (len, offset) in [(Some(2), 0), (None, 2), (Some(usize::MAX), 1)] {
+        for (len, offset) in [
+            (Some(2), 0),
+            (None, 2),
+            (Some(usize::MAX), 1),
+            (Some(1), usize::MAX),
+            (Some(0), 2),
+        ] {
             assert!(matches!(
                 pool.read(BufferId(1), len, offset),
                 Err(DeviceError::RangeOutOfBounds { .. })
@@ -544,6 +573,35 @@ mod tests {
         }
         assert!(matches!(
             pool.write(BufferId(1), BufferData::I64(vec![1]), usize::MAX),
+            Err(DeviceError::RangeOutOfBounds { .. })
+        ));
+        // The empty range at the very end is in bounds for both.
+        assert_eq!(
+            pool.checksum(BufferId(1), Some(0), 1).unwrap(),
+            pool.read(BufferId(1), None, 1).unwrap().checksum()
+        );
+    }
+
+    #[test]
+    fn generic_echo_is_the_marker_checksum() {
+        use crate::buffer::tests::Blob;
+        let mut pool = BufferPool::new(1000, 0);
+        let table = BufferData::Generic(Box::new(Blob(5)));
+        let marker = table.checksum();
+        pool.insert(
+            BufferId(1),
+            Buffer {
+                data: table,
+                ..buf(0)
+            },
+        )
+        .unwrap();
+        assert_eq!(pool.checksum(BufferId(1), None, 0).unwrap(), marker);
+        assert_eq!(pool.checksum(BufferId(1), Some(5), 0).unwrap(), marker);
+        assert_eq!(marker, BufferData::Generic(Box::new(Blob(5))).checksum());
+        assert_ne!(marker, BufferData::Generic(Box::new(Blob(6))).checksum());
+        assert!(matches!(
+            pool.checksum(BufferId(1), Some(6), 0),
             Err(DeviceError::RangeOutOfBounds { .. })
         ));
     }

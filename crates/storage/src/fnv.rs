@@ -1,9 +1,37 @@
-//! A small FNV-1a hasher.
+//! The two hashes of the engine: FNV-1a for hash maps and framing, and a
+//! word-parallel *content hash* for everything that has to vouch for bulk
+//! data.
 //!
-//! The kernel hot paths (hash build/probe/aggregate) need a fast,
-//! deterministic integer hash; the std `SipHash` default is unnecessarily
-//! slow there, and the usual `rustc-hash` crate is not on the allowed
-//! dependency list, so we ship a ~40-line FNV-1a implementation.
+//! **FNV-1a** ([`FnvHasher`], [`fnv1a_i64`]). The kernel hot paths (hash
+//! build/probe/aggregate) need a fast, deterministic integer hash; the std
+//! `SipHash` default is unnecessarily slow there, and the usual `rustc-hash`
+//! crate is not on the allowed dependency list, so we ship a ~40-line FNV-1a
+//! implementation. It is byte-serial — eight dependent multiplies per `i64`
+//! — which is fine for keys and for the few framing integers of a
+//! checkpoint seal, and far too slow for payloads.
+//!
+//! **Content hash** ([`content_hash`]). Transfer checksums, residency
+//! fingerprints and the payload terms of the checkpoint seal all hash whole
+//! columns, so they share one function that runs at memory speed: elements
+//! are packed into 64-bit words ([`Content`] says how, per payload kind) and
+//! dealt round-robin onto eight independent lanes, each stepping
+//! `h = ((h ^ w) * M).rotate_left(R)`; a finalizer then folds the lanes, the
+//! element count and the payload-kind tag with the same step. The lanes
+//! carry no dependency on each other, so the multiplies of one round
+//! overlap; all arithmetic is wrapping, so debug and release builds agree to
+//! the bit.
+//!
+//! *Detection guarantee.* One step is a bijection of the lane state for a
+//! fixed word and of the word for a fixed state (xor, multiplication by an
+//! odd constant and rotation are all invertible on `u64`), and the finalizer
+//! is a chain of the same steps, hence bijective in each lane with the
+//! others held fixed. Any damage confined to a single 64-bit word — every
+//! single-bit flip, every change to one element — therefore changes the
+//! hash with certainty, which is what byte-serial FNV-1a guaranteed before.
+//! Damage spread over several words is caught with probability 1 − 2⁻⁶⁴,
+//! not certainty. The rotation is there for that second case: without it a
+//! difference can only travel towards bit 63, and two flipped sign bits in
+//! one lane would cancel.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -65,6 +93,99 @@ pub fn fnv1a_i64(v: i64) -> u64 {
     h
 }
 
+/// Independent lanes of the content hash. Eight keep a 3-cycle multiplier
+/// busy every cycle; the hash is defined by this number, so changing it
+/// changes every pinned vector.
+const LANES: usize = 8;
+
+const LANE_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+const LANE_ROT: u32 = 29;
+
+/// One step of a lane (and of the finalizer): a bijection of `h` for a
+/// fixed `w` and of `w` for a fixed `h`.
+#[inline(always)]
+const fn step(h: u64, w: u64) -> u64 {
+    (h ^ w).wrapping_mul(LANE_MUL).rotate_left(LANE_ROT)
+}
+
+/// Distinct start states, so equal words on different lanes (and a swap of
+/// two neighbouring elements) do not hash alike.
+const LANE_SEEDS: [u64; LANES] = {
+    let mut seeds = [0; LANES];
+    let mut i = 0;
+    while i < LANES {
+        seeds[i] = step(FNV_OFFSET, i as u64);
+        i += 1;
+    }
+    seeds
+};
+
+/// Typed bulk data as the content hash sees it: which payload kind it is and
+/// how its elements pack into 64-bit words. The kind is part of the hash, so
+/// payloads of different kinds never verify against each other even when
+/// their bits agree, and so is the element count, so a prefix never verifies
+/// against the whole.
+#[derive(Clone, Copy, Debug)]
+pub enum Content<'a> {
+    /// 64-bit integers, one per word.
+    I64(&'a [i64]),
+    /// 64-bit floats, one per word (by bit pattern: `-0.0` ≠ `0.0`).
+    F64(&'a [f64]),
+    /// 32-bit positions, two per word, the earlier one in the low half.
+    U32(&'a [u32]),
+    /// Packed bitmap words, one per word.
+    BitWords(&'a [u64]),
+    /// Raw bytes, eight per word, little-endian.
+    Raw(&'a [u8]),
+    /// The structural marker of an opaque device-resident structure (a hash
+    /// table is built *on* the device and never crosses the bus, so only
+    /// its shape is vouched for).
+    Opaque {
+        /// Logical element count.
+        len: u64,
+        /// Bytes occupied in device memory.
+        byte_len: u64,
+    },
+}
+
+/// The content hash of `content` (see the module docs for the construction
+/// and its detection guarantee). A trailing partial word is zero-padded; the
+/// element count in the finalizer keeps it apart from real zeros.
+pub fn content_hash(content: Content<'_>) -> u64 {
+    match content {
+        Content::I64(v) => lane_hash::<_, 1>(1, v, |e| e[0] as u64),
+        Content::F64(v) => lane_hash::<_, 1>(2, v, |e| e[0].to_bits()),
+        Content::U32(v) => lane_hash::<_, 2>(3, v, |e| {
+            e.iter().rev().fold(0, |w, &x| w << 32 | u64::from(x))
+        }),
+        Content::BitWords(v) => lane_hash::<_, 1>(4, v, |e| e[0]),
+        Content::Raw(v) => lane_hash::<_, 8>(5, v, |e| {
+            let mut bytes = [0; 8];
+            bytes[..e.len()].copy_from_slice(e);
+            u64::from_le_bytes(bytes)
+        }),
+        Content::Opaque { len, byte_len } => lane_hash::<_, 1>(6, &[len, byte_len], |e| e[0]),
+    }
+}
+
+/// The one lane loop: `W` elements make a word (`word` packs them, fewer
+/// than `W` only at the very end), words are dealt round-robin onto the
+/// lanes, and the finalizer folds lanes, element count and `kind`.
+#[inline(always)]
+fn lane_hash<T, const W: usize>(kind: u64, elems: &[T], word: impl Fn(&[T]) -> u64) -> u64 {
+    let mut lanes = LANE_SEEDS;
+    let mut deal = |round: &[T]| {
+        for (lane, e) in lanes.iter_mut().zip(round.chunks(W)) {
+            *lane = step(*lane, word(e));
+        }
+    };
+    let mut rounds = elems.chunks_exact(LANES * W);
+    rounds.by_ref().for_each(&mut deal);
+    deal(rounds.remainder());
+    let lanes = lanes.iter().fold(FNV_OFFSET, |h, &lane| step(h, lane));
+    step(step(lanes, elems.len() as u64), kind)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,6 +212,155 @@ mod tests {
         s.insert(1);
         s.insert(1);
         assert_eq!(s.len(), 1);
+    }
+
+    fn fnv(bytes: &[u8]) -> u64 {
+        let mut h = FnvHasher::default();
+        h.write(bytes);
+        h.finish()
+    }
+
+    /// `FnvHasher` frames the checkpoint seal: it must stay FNV-1a.
+    #[test]
+    fn fnv1a_values_are_pinned() {
+        assert_eq!(fnv(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv(b"adamant"), 4752523004036885811);
+        let le: Vec<u8> = [1i64, -2, 3].iter().flat_map(|x| x.to_le_bytes()).collect();
+        assert_eq!(fnv(&le), 12535802931127841918);
+        assert_eq!(fnv1a_i64(42), fnv(&42i64.to_le_bytes()));
+    }
+
+    /// The content hash crosses the simulated bus, validates cache pins and
+    /// seals checkpoints: it must not drift, in either build profile.
+    #[test]
+    fn content_hash_values_are_pinned() {
+        let pinned = [
+            (Content::I64(&[]), 12490462554737973041),
+            (Content::I64(&[1, -2, 3]), 11357866896077846762),
+            (Content::F64(&[0.5, -1.25]), 15851023222852744517),
+            (Content::U32(&[7, 8, 9]), 7385504724775396070),
+            (Content::BitWords(&[0xdead_beef, 1]), 13642631494642883280),
+            (Content::Raw(b"adamant"), 16667896223839231331),
+            (
+                Content::Opaque {
+                    len: 3,
+                    byte_len: 96,
+                },
+                1208769418905113923,
+            ),
+        ];
+        for (content, want) in pinned {
+            assert_eq!(content_hash(content), want, "{content:?}");
+        }
+        let long: Vec<i64> = (0..8193).map(|i| i * 7919 - 5).collect();
+        assert_eq!(content_hash(Content::I64(&long)), 3956000123245621610);
+    }
+
+    /// Lengths around the lane count and around a chunk of 2^13 rows.
+    const LENGTHS: [usize; 8] = [0, 1, 3, 4, 5, 8191, 8192, 8193];
+
+    /// Every single-element change the fault injector (or anything else) can
+    /// make is caught: the low bit of every element of every length, one at
+    /// a time, no sampling. Bit 63 and a swap with the right-hand neighbour
+    /// are tried everywhere on the short lengths and, on the long ones, in
+    /// the first and last two rounds of lanes plus every 61st position.
+    #[test]
+    fn every_single_element_change_is_detected() {
+        for n in LENGTHS {
+            let mut v: Vec<i64> = (0..n as i64).map(|i| i * 7919 - 5).collect();
+            let clean = content_hash(Content::I64(&v));
+            for i in 0..n {
+                v[i] ^= 1;
+                assert_ne!(
+                    content_hash(Content::I64(&v)),
+                    clean,
+                    "len {n}, low bit of [{i}]"
+                );
+                v[i] ^= 1;
+                if i >= 2 * LANES && i + 2 * LANES < n && i % 61 != 0 {
+                    continue;
+                }
+                v[i] ^= 1 << 63;
+                assert_ne!(
+                    content_hash(Content::I64(&v)),
+                    clean,
+                    "len {n}, bit 63 of [{i}]"
+                );
+                v[i] ^= 1 << 63;
+                if i + 1 < n {
+                    v.swap(i, i + 1);
+                    assert_ne!(
+                        content_hash(Content::I64(&v)),
+                        clean,
+                        "len {n}, swap at {i}"
+                    );
+                    v.swap(i, i + 1);
+                }
+            }
+            assert_eq!(content_hash(Content::I64(&v)), clean, "len {n} restored");
+        }
+    }
+
+    /// The packed kinds: a flip in either half of a `u32` pair and in any
+    /// byte of a raw word, including the zero-padded trailing word.
+    #[test]
+    fn packed_elements_are_detected_too() {
+        for n in [0, 1, 2, 3, 15, 16, 17, 33] {
+            let mut u: Vec<u32> = (0..n as u32).map(|i| i.wrapping_mul(40503)).collect();
+            let clean = content_hash(Content::U32(&u));
+            for i in 0..n {
+                for bit in [0, 31] {
+                    u[i] ^= 1 << bit;
+                    assert_ne!(content_hash(Content::U32(&u)), clean, "u32 len {n}, [{i}]");
+                    u[i] ^= 1 << bit;
+                }
+            }
+        }
+        for n in [0, 1, 7, 8, 9, 63, 64, 65, 71] {
+            let mut b: Vec<u8> = (0..n).map(|i| (i * 37) as u8).collect();
+            let clean = content_hash(Content::Raw(&b));
+            for i in 0..n {
+                for bit in [0, 7] {
+                    b[i] ^= 1 << bit;
+                    assert_ne!(content_hash(Content::Raw(&b)), clean, "raw len {n}, [{i}]");
+                    b[i] ^= 1 << bit;
+                }
+            }
+        }
+    }
+
+    /// Kind and element count are part of the hash.
+    #[test]
+    fn kind_and_count_are_hashed() {
+        let x = 0x4045_0000_0000_0000u64;
+        let same_bits = [
+            content_hash(Content::I64(&[x as i64])),
+            content_hash(Content::F64(&[f64::from_bits(x)])),
+            content_hash(Content::BitWords(&[x])),
+            content_hash(Content::Raw(&x.to_le_bytes())),
+            content_hash(Content::U32(&[x as u32, (x >> 32) as u32])),
+        ];
+        let empties = [
+            content_hash(Content::I64(&[])),
+            content_hash(Content::F64(&[])),
+            content_hash(Content::U32(&[])),
+            content_hash(Content::BitWords(&[])),
+            content_hash(Content::Raw(&[])),
+        ];
+        let counts = [
+            content_hash(Content::I64(&[])),
+            content_hash(Content::I64(&[0])),
+            content_hash(Content::I64(&[0, 0])),
+            content_hash(Content::U32(&[0])),
+            content_hash(Content::U32(&[0, 0])),
+            content_hash(Content::Raw(&[0; 7])),
+            content_hash(Content::Raw(&[0; 8])),
+        ];
+        for set in [&same_bits[..], &empties[..], &counts[..]] {
+            let distinct: FnvHashSet<u64> = set.iter().copied().collect();
+            assert_eq!(distinct.len(), set.len(), "{set:?}");
+        }
     }
 
     #[test]

@@ -277,6 +277,37 @@ fn overlap_stress_many_tiny_chunks() {
     }
 }
 
+/// The staging buffers start full (the execute thread cuts the first
+/// `staging_buffers` chunks itself), and a scan that fits them starts no
+/// transfer thread: one, two (exactly full) and three chunks (one left for
+/// the thread) all finish, count their chunks and leak nothing.
+#[test]
+fn overlap_scan_around_the_staging_buffer_count() {
+    for model in [
+        ExecutionModel::Pipelined,
+        ExecutionModel::FourPhasePipelined,
+    ] {
+        for chunks in [1usize, 2, 3] {
+            let data = test_data(chunks as i64 * 4 - 1); // last chunk is short
+            let expected: i64 = data.iter().sum();
+            let mut engine = Adamant::builder()
+                .chunk_rows(4) // staging_buffers = 2
+                .device(DeviceProfile::cuda_rtx2080ti())
+                .build()
+                .unwrap();
+            let dev = engine.device_ids()[0];
+            let graph = sum_query(dev);
+            let mut inputs = QueryInputs::new();
+            inputs.bind("x", data);
+            let (out, stats) = engine.run(&graph, &inputs, model).unwrap();
+            assert_eq!(out.i64_column("sum")[0], expected, "{model:?} {chunks}");
+            assert_eq!(stats.chunks_processed, chunks, "{model:?} {chunks}");
+            let used = engine.executor().devices().get(dev).unwrap().pool().used();
+            assert_eq!(used, 0, "{model:?} {chunks}: leaked {used} bytes");
+        }
+    }
+}
+
 // ---- determinism ---------------------------------------------------------
 
 /// A multi-device query reports byte-identical statistics across repeated

@@ -5,13 +5,19 @@
 //! zero bytes. Same-seed runs must be byte-identical.
 //!
 //! Also hosts the end-to-end acceptance scenario for the robustness layer
-//! (watchdog + hedged chunks + checksum retransmits) and the latency-aware
-//! half-open probe placement test.
+//! (watchdog + hedged chunks + checksum retransmits), the latency-aware
+//! half-open probe placement test, and the lying-driver tests: transfers are
+//! verified on every transmission whether or not any fault plan exists.
 //!
 //! The CI `soak` matrix shards the soak by seed through the
 //! `INTEGRITY_SEED` environment variable.
 
+use adamant::core::hub::DataTransferHub;
+use adamant::device::error::Result as DeviceResult;
+use adamant::device::registry::DeviceRegistry;
+use adamant::device::transform::TransformKind;
 use adamant::prelude::*;
+use adamant_examples::NpuDevice;
 use adamant_integration_tests::{seeds, CHUNKED_MODELS};
 
 const DEFAULT_SEEDS: [u64; 3] = [1, 7, 42];
@@ -350,4 +356,202 @@ fn half_open_probe_rides_cheapest_pipeline() {
         !engine.health().is_quarantined(dev0),
         "successful probe should re-close the breaker"
     );
+}
+
+// ---- verification is unconditional: a driver that lies, no fault plan ----
+
+/// A hand-written driver that damages payloads by itself: it wraps the
+/// example NPU driver and flips one bit of what it is about to store
+/// (`place_data`) or of what it hands back (`retrieve_data`) on the calls
+/// `lie` selects. No `FaultPlan` is installed anywhere, so nothing the hub
+/// could consult says a fault is armed — only hashing both ends can tell.
+struct LyingDevice {
+    inner: NpuDevice,
+    lie_on_place: fn(u32) -> bool,
+    lie_on_retrieve: fn(u32) -> bool,
+    places: u32,
+    retrieves: u32,
+}
+
+impl LyingDevice {
+    fn new(id: DeviceId, lie_on_place: fn(u32) -> bool, lie_on_retrieve: fn(u32) -> bool) -> Self {
+        LyingDevice {
+            inner: NpuDevice::new(id),
+            lie_on_place,
+            lie_on_retrieve,
+            places: 0,
+            retrieves: 0,
+        }
+    }
+}
+
+impl Device for LyingDevice {
+    fn info(&self) -> &DeviceInfo {
+        self.inner.info()
+    }
+    fn initialize(&mut self) -> DeviceResult<()> {
+        self.inner.initialize()
+    }
+    fn place_data(
+        &mut self,
+        id: BufferId,
+        mut data: BufferData,
+        offset: usize,
+    ) -> DeviceResult<()> {
+        self.places += 1;
+        if (self.lie_on_place)(self.places) {
+            assert!(data.flip_bit(self.places as usize));
+        }
+        self.inner.place_data(id, data, offset)
+    }
+    fn retrieve_data(
+        &mut self,
+        id: BufferId,
+        len: Option<usize>,
+        offset: usize,
+    ) -> DeviceResult<BufferData> {
+        self.retrieves += 1;
+        let mut out = self.inner.retrieve_data(id, len, offset)?;
+        if (self.lie_on_retrieve)(self.retrieves) {
+            assert!(out.flip_bit(self.retrieves as usize));
+        }
+        Ok(out)
+    }
+    fn prepare_memory(&mut self, id: BufferId, bytes: u64) -> DeviceResult<()> {
+        self.inner.prepare_memory(id, bytes)
+    }
+    fn transform_memory(&mut self, id: BufferId, target: SdkRepr) -> DeviceResult<TransformKind> {
+        self.inner.transform_memory(id, target)
+    }
+    fn delete_memory(&mut self, id: BufferId) -> DeviceResult<()> {
+        self.inner.delete_memory(id)
+    }
+    fn prepare_kernel(&mut self, name: &str, source: KernelSource) -> DeviceResult<()> {
+        self.inner.prepare_kernel(name, source)
+    }
+    fn create_chunk(
+        &mut self,
+        src: BufferId,
+        dst: BufferId,
+        offset: usize,
+        len: usize,
+    ) -> DeviceResult<()> {
+        self.inner.create_chunk(src, dst, offset, len)
+    }
+    fn add_pinned_memory(&mut self, id: BufferId, bytes: u64) -> DeviceResult<()> {
+        self.inner.add_pinned_memory(id, bytes)
+    }
+    fn execute(&mut self, spec: &ExecuteSpec) -> DeviceResult<KernelStats> {
+        self.inner.execute(spec)
+    }
+    fn init_structure(&mut self, id: BufferId, data: BufferData) -> DeviceResult<()> {
+        self.inner.init_structure(id, data)
+    }
+    fn state(&self) -> &DeviceState {
+        self.inner.state()
+    }
+    fn state_mut(&mut self) -> &mut DeviceState {
+        self.inner.state_mut()
+    }
+}
+
+/// One lying device in a registry of its own, a hub with `budget`
+/// transmissions per payload, and a reserved buffer to upload into.
+fn lying_rig(
+    lie_on_place: fn(u32) -> bool,
+    lie_on_retrieve: fn(u32) -> bool,
+    budget: u32,
+) -> (DeviceRegistry, DeviceId, DataTransferHub, BufferId) {
+    let mut devices = DeviceRegistry::new();
+    let id = devices.peek_next_id();
+    let dev = devices.add(Box::new(LyingDevice::new(
+        id,
+        lie_on_place,
+        lie_on_retrieve,
+    )));
+    devices.get_mut(dev).unwrap().initialize().unwrap();
+    let mut hub = DataTransferHub::new();
+    hub.set_retransmit_budget(budget);
+    let buf = hub.fresh_id();
+    devices
+        .get_mut(dev)
+        .unwrap()
+        .prepare_memory(buf, 64)
+        .unwrap();
+    (devices, dev, hub, buf)
+}
+
+fn faults_injected(devices: &DeviceRegistry, dev: DeviceId) -> u64 {
+    let counters = devices.get(dev).unwrap().state().faults.counters();
+    counters.total()
+}
+
+#[test]
+fn a_lying_place_is_caught_on_the_first_transmission_without_any_fault_plan() {
+    let rows: Vec<i64> = (0..100).map(|i| i * 7919 - 5).collect();
+    // The very first store is damaged, the retransmission is clean.
+    let (mut devices, dev, mut hub, buf) = lying_rig(|call| call == 1, |_| false, 4);
+    hub.place_verified(&mut devices, dev, buf, &rows[..], 0)
+        .unwrap();
+    assert_eq!(hub.take_corruption_retransmits().get(&dev), Some(&1));
+    assert_eq!(faults_injected(&devices, dev), 0, "nothing was armed");
+    let stored = &devices.get(dev).unwrap().pool().get(buf).unwrap().data;
+    assert_eq!(
+        *stored,
+        BufferData::I64(rows.clone()),
+        "stored payload is clean"
+    );
+
+    // Every store is damaged: the budget is spent transmission by
+    // transmission, then the corruption surfaces as a typed error.
+    let (mut devices, dev, mut hub, buf) = lying_rig(|_| true, |_| false, 3);
+    let before = devices.get(dev).unwrap().clock().transfer_ns();
+    let err = hub
+        .place_verified(&mut devices, dev, buf, BufferData::I64(rows.clone()), 0)
+        .unwrap_err();
+    assert!(
+        matches!(err, ExecError::TransferCorrupted { device, buffer } if device == dev && buffer == buf),
+        "got {err}"
+    );
+    assert_eq!(hub.take_corruption_retransmits().get(&dev), Some(&3));
+    assert_eq!(faults_injected(&devices, dev), 0);
+    let events = devices.get(dev).unwrap().clock().events();
+    let stores = events
+        .iter()
+        .filter(|e| e.label.starts_with("place"))
+        .count();
+    assert_eq!(stores, 3, "exactly `retransmit_budget` transmissions");
+    // Doubling back-off before the second and the third.
+    let spent = devices.get(dev).unwrap().clock().transfer_ns() - before;
+    assert!(spent >= 500.0 + 1000.0, "backoff missing: {spent}");
+}
+
+#[test]
+fn a_lying_retrieve_is_caught_on_the_first_read_without_any_fault_plan() {
+    let rows: Vec<i64> = (0..100).map(|i| i * 7919 - 5).collect();
+    let (mut devices, dev, mut hub, buf) = lying_rig(|_| false, |call| call == 1, 4);
+    hub.place_verified(&mut devices, dev, buf, &rows[..], 0)
+        .unwrap();
+    let got = hub
+        .retrieve_verified(&mut devices, dev, buf, None, 0)
+        .unwrap();
+    assert_eq!(got, BufferData::I64(rows.clone()));
+    assert_eq!(hub.take_corruption_retransmits().get(&dev), Some(&1));
+    assert_eq!(faults_injected(&devices, dev), 0);
+
+    let (mut devices, dev, mut hub, buf) = lying_rig(|_| false, |_| true, 3);
+    hub.place_verified(&mut devices, dev, buf, &rows[..], 0)
+        .unwrap();
+    let err = hub
+        .retrieve_verified(&mut devices, dev, buf, Some(40), 7)
+        .unwrap_err();
+    assert!(
+        matches!(err, ExecError::TransferCorrupted { device, .. } if device == dev),
+        "got {err}"
+    );
+    assert_eq!(hub.take_corruption_retransmits().get(&dev), Some(&3));
+    assert_eq!(faults_injected(&devices, dev), 0);
+    // The device's own copy was never damaged.
+    let stored = &devices.get(dev).unwrap().pool().get(buf).unwrap().data;
+    assert_eq!(*stored, BufferData::I64(rows));
 }
