@@ -20,16 +20,33 @@ fn device() -> adamant::device::sim::SimDevice {
 fn bench_scan_kernels() {
     let group = "scan_kernels";
 
-    {
+    // The workloads' filters run from a few percent (Q6's discount band) to
+    // nearly everything (Q1's ship date): a data-dependent branch would show
+    // as the 50 % row standing out. Each bitmap then drives a `materialize`.
+    for percent in [2, 50, 98] {
         let mut dev = device();
         dev.place_data(BufferId(1), BufferData::I64(random_ints(N, 100, 1)), 0)
             .unwrap();
         dev.prepare_memory(BufferId(2), 8).unwrap();
-        bench(group, "filter_bitmap", SAMPLES, || {
+        bench(
+            group,
+            &format!("filter_bitmap/{percent}pct"),
+            SAMPLES,
+            || {
+                dev.execute(&ExecuteSpec::new(
+                    "filter_bitmap",
+                    vec![BufferId(1), BufferId(2)],
+                    vec![CmpOp::Lt.to_code(), percent, 0],
+                ))
+                .unwrap()
+            },
+        );
+        dev.prepare_memory(BufferId(3), 8).unwrap();
+        bench(group, &format!("materialize/{percent}pct"), SAMPLES, || {
             dev.execute(&ExecuteSpec::new(
-                "filter_bitmap",
-                vec![BufferId(1), BufferId(2)],
-                vec![CmpOp::Lt.to_code(), 50, 0],
+                "materialize",
+                vec![BufferId(1), BufferId(2), BufferId(3)],
+                vec![],
             ))
             .unwrap()
         });
@@ -60,28 +77,6 @@ fn bench_scan_kernels() {
                 "map",
                 vec![BufferId(1), BufferId(2)],
                 vec![MapOp::MulConst.to_code(), 3],
-            ))
-            .unwrap()
-        });
-    }
-
-    {
-        let mut dev = device();
-        dev.place_data(BufferId(1), BufferData::I64(random_ints(N, 100, 3)), 0)
-            .unwrap();
-        dev.prepare_memory(BufferId(2), 8).unwrap();
-        dev.execute(&ExecuteSpec::new(
-            "filter_bitmap",
-            vec![BufferId(1), BufferId(2)],
-            vec![CmpOp::Lt.to_code(), 50, 0],
-        ))
-        .unwrap();
-        dev.prepare_memory(BufferId(3), 8).unwrap();
-        bench(group, "materialize_50pct", SAMPLES, || {
-            dev.execute(&ExecuteSpec::new(
-                "materialize",
-                vec![BufferId(1), BufferId(2), BufferId(3)],
-                vec![],
             ))
             .unwrap()
         });
@@ -181,7 +176,86 @@ fn bench_hash_kernels() {
     }
 }
 
+/// The shapes the TPC-H plans launch, which the uniform-random benches above
+/// do not cover: few groups under many aggregates, unique build keys with
+/// payload columns, and a build side full of duplicates.
+fn bench_workload_shapes() {
+    let group = "workload_shapes";
+    let ids = |range: std::ops::RangeInclusive<u64>| range.map(BufferId).collect::<Vec<_>>();
+
+    // Q1: 4 groups, 8 aggregates.
+    {
+        const ROWS: usize = 1 << 18;
+        let aggs = [AggFunc::Sum, AggFunc::Count].repeat(4);
+        let mut dev = device();
+        dev.place_data(BufferId(1), BufferData::I64(random_ints(ROWS, 4, 10)), 0)
+            .unwrap();
+        for val in 2..=9 {
+            let column = BufferData::I64(random_ints(ROWS, 1000, 10 + val));
+            dev.place_data(BufferId(val), column, 0).unwrap();
+        }
+        bench(group, "hash_agg/4groups_8aggs", SAMPLES, || {
+            let _ = dev.delete_memory(BufferId(10));
+            let table = DataContainer::agg_table(4, aggs.clone(), 0);
+            dev.init_structure(BufferId(10), table).unwrap();
+            dev.execute(&ExecuteSpec::new("hash_agg", ids(1..=10), vec![0, 8]))
+                .unwrap()
+        });
+    }
+
+    // Q3's orders: 15 k unique keys (8 of every 32, like TPC-H order keys)
+    // carrying 2 payload columns, probed by four lineitems per order.
+    {
+        const ORDERS: i64 = 15_000;
+        let order_key = |i: i64| i / 8 * 32 + i % 8;
+        let build_keys: Vec<i64> = (0..ORDERS).map(order_key).collect();
+        let probe_keys: Vec<i64> = (0..4 * ORDERS).map(|i| order_key(i / 4)).collect();
+        let mut dev = device();
+        dev.place_data(BufferId(1), BufferData::I64(build_keys), 0)
+            .unwrap();
+        for payload in 2..=3 {
+            let column = BufferData::I64(random_ints(ORDERS as usize, 1 << 20, payload));
+            dev.place_data(BufferId(payload), column, 0).unwrap();
+        }
+        bench(group, "hash_build/15k_unique_2payload", SAMPLES, || {
+            let _ = dev.delete_memory(BufferId(4));
+            let table = DataContainer::join_table(ORDERS as usize, 2);
+            dev.init_structure(BufferId(4), table).unwrap();
+            dev.execute(&ExecuteSpec::new("hash_build", ids(1..=4), vec![2]))
+                .unwrap()
+        });
+        // The last build's table is still there.
+        dev.place_data(BufferId(5), BufferData::I64(probe_keys), 0)
+            .unwrap();
+        for out in 6..=8 {
+            dev.prepare_memory(BufferId(out), 8).unwrap();
+        }
+        let probe = [5, 4, 6, 7, 8].map(BufferId).to_vec();
+        bench(group, "hash_probe/15k_unique_2payload", SAMPLES, || {
+            dev.execute(&ExecuteSpec::new("hash_probe", probe.clone(), vec![2]))
+                .unwrap()
+        });
+    }
+
+    // Q4's semi-join build: every key four times, no payload, into a table
+    // whose estimate is short of the rows it receives (one regrowth a run).
+    {
+        let keys: Vec<i64> = (0..60_000).map(|i| i / 4).collect();
+        let mut dev = device();
+        dev.place_data(BufferId(1), BufferData::I64(keys), 0)
+            .unwrap();
+        bench(group, "hash_build/4x_duplicates_0payload", SAMPLES, || {
+            let _ = dev.delete_memory(BufferId(2));
+            let table = DataContainer::join_table(32_768, 0);
+            dev.init_structure(BufferId(2), table).unwrap();
+            dev.execute(&ExecuteSpec::new("hash_build", ids(1..=2), vec![0]))
+                .unwrap()
+        });
+    }
+}
+
 fn main() {
     bench_scan_kernels();
     bench_hash_kernels();
+    bench_workload_shapes();
 }

@@ -161,8 +161,7 @@ mod tests {
     #[test]
     fn agg_table_conversion() {
         let mut t = AggHashTable::with_capacity(4, vec![AggFunc::Sum], 1);
-        t.update(1, &[10], &[5]);
-        t.update(1, &[10], &[6]);
+        t.update_block(&[1, 1], &[&[10, 10]], &[&[5, 6]]).unwrap();
         let o = OutputData::from_buffer(BufferData::Generic(Box::new(t)));
         match o {
             OutputData::AggTable {

@@ -4,24 +4,62 @@
 //! shared table in global memory, with atomics resolving insertion races.
 //! The simulated kernels execute sequentially (correctness is exact), while
 //! the cost model charges the atomic/contention behaviour; the *layout* here
-//! matches the paper's: open addressing, linear probing, one flat key array
-//! plus flat payload/aggregate arrays.
+//! matches the paper's: open addressing, linear probing, power-of-two
+//! capacity at load <= 0.5, one flat slot array per table.
+//!
+//! * **Slots.** [`JoinHashTable`] interleaves each entry's key and payload
+//!   row in one `Vec<i64>` of stride `1 + payload_cols`, so a probe hit
+//!   reads its payload from the cache line the key compare already touched.
+//!   [`AggHashTable`] keeps a key array and a parallel `u32` group-id array;
+//!   group keys, carried payloads and aggregate states live in dense
+//!   columns in first-seen order.
+//! * **Key hash.** One multiply (`adamant_storage::fnv::key_hash`), masked
+//!   to the capacity. Results never depend on it: aggregation exports in
+//!   first-seen order and a join visits the matches of a key in insertion
+//!   order, for any hash.
+//! * **Blocks, not rows.** Both tables are fed a column block at a time
+//!   ([`JoinHashTable::insert_block`], [`AggHashTable::update_block`]),
+//!   straight from the kernels' input slices.
+//! * **The sentinel.** [`EMPTY_KEY`] marks an empty slot, so a key column
+//!   that contains it is refused whole, before anything is written
+//!   ([`ReservedKey`]; the kernels turn it into `BadKernelArgs`). Probing
+//!   for it finds nothing.
 //!
 //! Both tables implement [`GenericPayload`] so they can live in a device
-//! buffer under the `HASH_TABLE` I/O semantic.
+//! buffer under the `HASH_TABLE` I/O semantic. Their `byte_len` is what the
+//! pool charges and what `init_structure` is priced by, so the capacity
+//! rule and the growth points are part of the modeled clock.
 
-use crate::params::AggFunc;
+use crate::params::{per_agg, AggFunc};
 use adamant_device::buffer::GenericPayload;
-use adamant_storage::fnv::fnv1a_i64;
+use adamant_storage::fnv::key_hash;
 use std::any::Any;
 
-/// Sentinel marking an empty slot. Keys of this value are not supported
-/// (TPC-H keys are non-negative).
+/// Sentinel marking an empty slot. A key column containing it is rejected
+/// with [`ReservedKey`] (TPC-H keys are non-negative).
 pub const EMPTY_KEY: i64 = i64::MIN;
+
+/// A key column held [`EMPTY_KEY`]; the table was left untouched.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ReservedKey;
+
+impl std::fmt::Display for ReservedKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("key i64::MIN is reserved")
+    }
+}
 
 fn table_capacity_for(expected: usize) -> usize {
     // Load factor <= 0.5, power of two, minimum 16.
     (expected.max(8) * 2).next_power_of_two()
+}
+
+/// One pass over the key column, before anything is mutated.
+fn refuse_reserved(keys: &[i64]) -> Result<(), ReservedKey> {
+    if keys.contains(&EMPTY_KEY) {
+        return Err(ReservedKey);
+    }
+    Ok(())
 }
 
 /// A multimap hash table for joins: key → one or more payload rows.
@@ -29,11 +67,18 @@ fn table_capacity_for(expected: usize) -> usize {
 /// `HASH_BUILD` materializes the payload columns the probe side will need
 /// directly into the table (standard for co-processor joins: the build input
 /// is streamed and must not be re-read later).
+///
+/// **Order rule:** the matches of a key are visited in insertion order,
+/// before and after any growth, for any hash. A duplicate always lands
+/// further along its key's probe chain than the earlier ones, and growth
+/// re-inserts every cluster in chain order.
 #[derive(Clone, Debug)]
 pub struct JoinHashTable {
-    keys: Vec<i64>,
-    /// Column-major payload storage, each column `capacity` long.
-    payloads: Vec<Vec<i64>>,
+    /// `capacity * stride` values: slot `s` is `[key, payload_0, ..]` at
+    /// `s * stride`.
+    slots: Vec<i64>,
+    /// `1 + payload_cols`.
+    stride: usize,
     mask: usize,
     len: usize,
 }
@@ -43,12 +88,22 @@ impl JoinHashTable {
     /// payload columns per entry.
     pub fn with_capacity(expected: usize, payload_cols: usize) -> Self {
         let capacity = table_capacity_for(expected);
+        let stride = 1 + payload_cols;
         JoinHashTable {
-            keys: vec![EMPTY_KEY; capacity],
-            payloads: vec![vec![0; capacity]; payload_cols],
+            slots: Self::empty_slots(capacity, stride),
+            stride,
             mask: capacity - 1,
             len: 0,
         }
+    }
+
+    fn empty_slots(capacity: usize, stride: usize) -> Vec<i64> {
+        let mut slots = vec![0; capacity * stride];
+        slots
+            .iter_mut()
+            .step_by(stride)
+            .for_each(|k| *k = EMPTY_KEY);
+        slots
     }
 
     /// Number of entries inserted.
@@ -63,85 +118,130 @@ impl JoinHashTable {
 
     /// Slot capacity.
     pub fn capacity(&self) -> usize {
-        self.keys.len()
+        self.mask + 1
     }
 
     /// Number of payload columns.
     pub fn payload_cols(&self) -> usize {
-        self.payloads.len()
+        self.stride - 1
     }
 
-    /// Inserts a key with its payload row (duplicates allowed — each
-    /// occupies its own slot along the probe chain).
-    pub fn insert(&mut self, key: i64, payload: &[i64]) {
-        debug_assert_ne!(key, EMPTY_KEY, "sentinel key not supported");
-        debug_assert_eq!(payload.len(), self.payloads.len());
-        if (self.len + 1) * 2 > self.keys.len() {
-            self.grow();
-        }
-        let mut slot = (fnv1a_i64(key) as usize) & self.mask;
-        loop {
-            if self.keys[slot] == EMPTY_KEY {
-                self.keys[slot] = key;
-                for (col, &v) in payload.iter().enumerate() {
-                    self.payloads[col][slot] = v;
-                }
-                self.len += 1;
-                return;
+    /// Inserts `keys[i]` with payload row `payloads[..][i]` for every `i`,
+    /// in order (duplicates allowed — each occupies its own slot along the
+    /// probe chain). A key column holding [`EMPTY_KEY`] is refused before
+    /// the first insertion.
+    ///
+    /// # Panics
+    /// If `payloads` is not `payload_cols()` columns of `keys.len()` values.
+    pub fn insert_block(&mut self, keys: &[i64], payloads: &[&[i64]]) -> Result<(), ReservedKey> {
+        assert_eq!(payloads.len(), self.payload_cols(), "payload column count");
+        assert!(
+            payloads.iter().all(|col| col.len() == keys.len()),
+            "payload column length"
+        );
+        refuse_reserved(keys)?;
+        for (i, &key) in keys.iter().enumerate() {
+            if (self.len + 1) * 2 > self.capacity() {
+                self.grow();
             }
-            slot = (slot + 1) & self.mask;
+            let at = self.free_slot(key);
+            self.slots[at] = key;
+            for (cell, col) in self.slots[at + 1..].iter_mut().zip(payloads) {
+                *cell = col[i];
+            }
+            self.len += 1;
+        }
+        Ok(())
+    }
+
+    /// Offset into `slots` of `key`'s home slot.
+    #[inline]
+    fn home(&self, key: i64) -> usize {
+        (key_hash(key) as usize & self.mask) * self.stride
+    }
+
+    /// Offset of the slot after the one at `at`, cyclically.
+    #[inline]
+    fn after(&self, at: usize) -> usize {
+        match at + self.stride {
+            end if end == self.slots.len() => 0,
+            next => next,
         }
     }
 
-    /// Appends the slot indices of all entries matching `key` to `out`.
-    pub fn probe_into(&self, key: i64, out: &mut Vec<usize>) {
-        let mut slot = (fnv1a_i64(key) as usize) & self.mask;
-        loop {
-            let k = self.keys[slot];
-            if k == EMPTY_KEY {
-                return;
-            }
-            if k == key {
-                out.push(slot);
-            }
-            slot = (slot + 1) & self.mask;
+    /// Offset into `slots` of the first empty slot on `key`'s probe chain.
+    #[inline]
+    fn free_slot(&self, key: i64) -> usize {
+        let mut at = self.home(key);
+        while self.slots[at] != EMPTY_KEY {
+            at = self.after(at);
+        }
+        at
+    }
+
+    /// The payload rows of all entries matching `key`, in insertion order.
+    /// One walk of the probe chain; [`EMPTY_KEY`] matches nothing.
+    #[inline]
+    pub fn matches(&self, key: i64) -> Matches<'_> {
+        Matches {
+            table: self,
+            key,
+            at: self.home(key),
         }
     }
 
     /// Whether any entry matches `key` (semi-join probe).
+    #[inline]
     pub fn contains(&self, key: i64) -> bool {
-        let mut slot = (fnv1a_i64(key) as usize) & self.mask;
-        loop {
-            let k = self.keys[slot];
-            if k == EMPTY_KEY {
-                return false;
-            }
-            if k == key {
-                return true;
-            }
-            slot = (slot + 1) & self.mask;
+        self.matches(key).next().is_some()
+    }
+
+    /// Doubles the capacity. The scan of the old slots starts just past an
+    /// empty one (load <= 0.5, so there is one) and proceeds cyclically:
+    /// no cluster is entered in the middle, so entries are re-inserted in
+    /// chain order and the order rule survives for any hash.
+    fn grow(&mut self) {
+        let (capacity, stride) = (self.capacity() * 2, self.stride);
+        let old = std::mem::replace(&mut self.slots, Self::empty_slots(capacity, stride));
+        self.mask = capacity - 1;
+        let start = (0..old.len())
+            .step_by(stride)
+            .find(|&at| old[at] == EMPTY_KEY)
+            .expect("load <= 0.5 leaves an empty slot");
+        let cyclic = (start..old.len()).chain(0..start).step_by(stride);
+        for from in cyclic.filter(|&at| old[at] != EMPTY_KEY) {
+            let to = self.free_slot(old[from]);
+            self.slots[to..to + stride].copy_from_slice(&old[from..from + stride]);
         }
     }
+}
 
-    /// Payload value at (`col`, `slot`).
-    pub fn payload(&self, col: usize, slot: usize) -> i64 {
-        self.payloads[col][slot]
-    }
+/// Iterator over the payload rows matching one key
+/// ([`JoinHashTable::matches`]).
+#[derive(Clone, Debug)]
+pub struct Matches<'t> {
+    table: &'t JoinHashTable,
+    key: i64,
+    /// Offset into `table.slots` of the next slot to visit.
+    at: usize,
+}
 
-    fn grow(&mut self) {
-        let new_cap = self.keys.len() * 2;
-        let old_keys = std::mem::replace(&mut self.keys, vec![EMPTY_KEY; new_cap]);
-        let old_payloads: Vec<Vec<i64>> = self
-            .payloads
-            .iter_mut()
-            .map(|p| std::mem::replace(p, vec![0; new_cap]))
-            .collect();
-        self.mask = new_cap - 1;
-        self.len = 0;
-        for (slot, &k) in old_keys.iter().enumerate() {
-            if k != EMPTY_KEY {
-                let row: Vec<i64> = old_payloads.iter().map(|p| p[slot]).collect();
-                self.insert(k, &row);
+impl<'t> Iterator for Matches<'t> {
+    type Item = &'t [i64];
+
+    #[inline]
+    fn next(&mut self) -> Option<&'t [i64]> {
+        let table = self.table;
+        loop {
+            let at = self.at;
+            let found = table.slots[at];
+            // The walk parks on the empty slot that ends the chain.
+            if found == EMPTY_KEY {
+                return None;
+            }
+            self.at = table.after(at);
+            if found == self.key {
+                return Some(&table.slots[at + 1..at + table.stride]);
             }
         }
     }
@@ -149,7 +249,7 @@ impl JoinHashTable {
 
 impl GenericPayload for JoinHashTable {
     fn byte_len(&self) -> u64 {
-        (self.keys.len() * 8 * (1 + self.payloads.len())) as u64
+        (self.slots.len() * 8) as u64
     }
 
     fn len(&self) -> usize {
@@ -169,12 +269,16 @@ impl GenericPayload for JoinHashTable {
     }
 }
 
+/// Rows whose group ids are resolved before their values are folded: small
+/// enough that the ids and one value column stay in the first-level cache.
+const AGG_BLOCK_ROWS: usize = 2048;
+
 /// A group-by aggregation hash table: key → group payload + aggregate states.
 ///
-/// The aggregate functions are fixed at construction; `update` folds one row
-/// into the group's states. Group *payload* columns (e.g. Q3's carried
-/// `o_orderdate`, `o_shippriority`) are captured from the first row of each
-/// group.
+/// The aggregate functions are fixed at construction; `update_block` folds a
+/// block of rows into their groups' states. Group *payload* columns (e.g.
+/// Q3's carried `o_orderdate`, `o_shippriority`) are captured from the first
+/// row of each group.
 #[derive(Clone, Debug)]
 pub struct AggHashTable {
     slot_keys: Vec<i64>,
@@ -212,6 +316,11 @@ impl AggHashTable {
         self.group_keys.len()
     }
 
+    /// Slot capacity.
+    pub fn capacity(&self) -> usize {
+        self.slot_keys.len()
+    }
+
     /// The aggregate functions.
     pub fn agg_funcs(&self) -> &[AggFunc] {
         &self.aggs
@@ -222,40 +331,88 @@ impl AggHashTable {
         self.group_payloads.len()
     }
 
-    /// Folds one row into its group. `vals[i]` feeds `aggs[i]` (`Count`
-    /// ignores its value); `payload` is captured on first sight of a group.
-    pub fn update(&mut self, key: i64, payload: &[i64], vals: &[i64]) {
-        debug_assert_ne!(key, EMPTY_KEY);
-        debug_assert_eq!(vals.len(), self.aggs.len());
-        debug_assert_eq!(payload.len(), self.group_payloads.len());
+    /// Folds row `i` of the block into the group of `keys[i]`, for every
+    /// `i`, in order. `vals[a]` feeds aggregate `a` (`Count` ignores its
+    /// column); `payloads[..][i]` is captured on first sight of a group. A
+    /// key column holding [`EMPTY_KEY`] is refused before anything changes.
+    ///
+    /// Column at a time: the group ids of a run of rows are resolved into
+    /// a scratch vector (creating groups as they appear), then each
+    /// aggregate folds its own column over those ids in a loop of its own.
+    ///
+    /// # Panics
+    /// If `payloads` / `vals` are not `group_payload_count()` /
+    /// `agg_funcs().len()` columns of `keys.len()` values.
+    pub fn update_block(
+        &mut self,
+        keys: &[i64],
+        payloads: &[&[i64]],
+        vals: &[&[i64]],
+    ) -> Result<(), ReservedKey> {
+        assert_eq!(payloads.len(), self.group_payloads.len(), "payload columns");
+        assert_eq!(vals.len(), self.aggs.len(), "value columns");
+        assert!(
+            payloads
+                .iter()
+                .chain(vals)
+                .all(|col| col.len() == keys.len()),
+            "column length"
+        );
+        refuse_reserved(keys)?;
+        let mut groups: Vec<u32> = Vec::with_capacity(keys.len().min(AGG_BLOCK_ROWS));
+        for (block, block_keys) in keys.chunks(AGG_BLOCK_ROWS).enumerate() {
+            let start = block * AGG_BLOCK_ROWS;
+            groups.clear();
+            for (i, &key) in block_keys.iter().enumerate() {
+                groups.push(self.group_of(key, start + i, payloads));
+            }
+            // Groups that appeared in this block start from the identity.
+            let group_count = self.group_keys.len();
+            for ((&agg, states), col) in self.aggs.iter().zip(&mut self.states).zip(vals) {
+                states.resize(group_count, agg.identity());
+                fold_column(agg, states, &groups, &col[start..]);
+            }
+        }
+        Ok(())
+    }
+
+    /// The dense id of `key`'s group, created from row `row` of `payloads`
+    /// if this is its first sight. Capacity is checked on every row, hit or
+    /// not — the table's growth points (and so its `byte_len`) are those of
+    /// a row-at-a-time update.
+    #[inline]
+    fn group_of(&mut self, key: i64, row: usize, payloads: &[&[i64]]) -> u32 {
         if (self.group_keys.len() + 1) * 2 > self.slot_keys.len() {
             self.grow();
         }
-        let mut slot = (fnv1a_i64(key) as usize) & self.mask;
-        let group = loop {
-            let k = self.slot_keys[slot];
-            if k == key {
-                break self.slot_group[slot] as usize;
+        let mut slot = key_hash(key) as usize & self.mask;
+        loop {
+            let found = self.slot_keys[slot];
+            if found == key {
+                return self.slot_group[slot];
             }
-            if k == EMPTY_KEY {
-                let g = self.group_keys.len();
-                self.slot_keys[slot] = key;
-                self.slot_group[slot] = g as u32;
-                self.group_keys.push(key);
-                for (col, &p) in payload.iter().enumerate() {
-                    self.group_payloads[col].push(p);
-                }
-                for (ai, agg) in self.aggs.iter().enumerate() {
-                    self.states[ai].push(agg.identity());
-                }
-                break g;
+            if found == EMPTY_KEY {
+                break;
             }
             slot = (slot + 1) & self.mask;
-        };
-        for (ai, agg) in self.aggs.iter().enumerate() {
-            let acc = &mut self.states[ai][group];
-            *acc = agg.fold(*acc, vals[ai]);
         }
+        let group = self.group_keys.len() as u32;
+        self.slot_keys[slot] = key;
+        self.slot_group[slot] = group;
+        self.group_keys.push(key);
+        for (carried, col) in self.group_payloads.iter_mut().zip(payloads) {
+            carried.push(col[row]);
+        }
+        group
+    }
+
+    /// The first empty slot on `key`'s probe chain.
+    fn free_slot(&self, key: i64) -> usize {
+        let mut slot = key_hash(key) as usize & self.mask;
+        while self.slot_keys[slot] != EMPTY_KEY {
+            slot = (slot + 1) & self.mask;
+        }
+        slot
     }
 
     /// Exports `(group_keys, payload_columns, state_columns)` in first-seen
@@ -283,15 +440,20 @@ impl AggHashTable {
         self.slot_keys = vec![EMPTY_KEY; new_cap];
         self.slot_group = vec![0; new_cap];
         self.mask = new_cap - 1;
-        for (g, &key) in self.group_keys.iter().enumerate() {
-            let mut slot = (fnv1a_i64(key) as usize) & self.mask;
-            while self.slot_keys[slot] != EMPTY_KEY {
-                slot = (slot + 1) & self.mask;
-            }
+        for group in 0..self.group_keys.len() {
+            let key = self.group_keys[group];
+            let slot = self.free_slot(key);
             self.slot_keys[slot] = key;
-            self.slot_group[slot] = g as u32;
+            self.slot_group[slot] = group as u32;
         }
     }
+}
+
+/// Folds `vals[i]` into `states[groups[i]]` for every `i`: one loop per
+/// aggregate function, chosen once per column.
+fn fold_column(agg: AggFunc, states: &mut [i64], groups: &[u32], vals: &[i64]) {
+    let rows = groups.iter().map(|&g| g as usize).zip(vals);
+    per_agg!(agg, fold => rows.for_each(|(g, &v)| states[g] = fold(states[g], v)));
 }
 
 impl GenericPayload for AggHashTable {
@@ -322,24 +484,23 @@ impl GenericPayload for AggHashTable {
 mod tests {
     use super::*;
 
+    /// First payload value of every match of `key`, in visiting order.
+    fn first_payloads(t: &JoinHashTable, key: i64) -> Vec<i64> {
+        t.matches(key).map(|row| row[0]).collect()
+    }
+
     #[test]
     fn join_insert_probe() {
         let mut t = JoinHashTable::with_capacity(4, 1);
-        t.insert(10, &[100]);
-        t.insert(20, &[200]);
-        t.insert(10, &[101]); // duplicate key
+        t.insert_block(&[10, 20, 10], &[&[100, 200, 101]]).unwrap(); // duplicate key
         assert_eq!(t.len(), 3);
 
-        let mut slots = Vec::new();
-        t.probe_into(10, &mut slots);
-        assert_eq!(slots.len(), 2);
-        let mut vals: Vec<i64> = slots.iter().map(|&s| t.payload(0, s)).collect();
+        let mut vals = first_payloads(&t, 10);
+        assert_eq!(vals.len(), 2);
         vals.sort_unstable();
         assert_eq!(vals, vec![100, 101]);
 
-        slots.clear();
-        t.probe_into(99, &mut slots);
-        assert!(slots.is_empty());
+        assert!(first_payloads(&t, 99).is_empty());
         assert!(t.contains(20));
         assert!(!t.contains(21));
     }
@@ -348,38 +509,73 @@ mod tests {
     fn join_grows_under_load() {
         let mut t = JoinHashTable::with_capacity(4, 1);
         let initial_cap = t.capacity();
-        for i in 0..1000 {
-            t.insert(i, &[i * 10]);
-        }
+        let keys: Vec<i64> = (0..1000).collect();
+        let tens: Vec<i64> = keys.iter().map(|k| k * 10).collect();
+        t.insert_block(&keys, &[&tens]).unwrap();
         assert!(t.capacity() > initial_cap);
         assert_eq!(t.len(), 1000);
-        let mut slots = Vec::new();
         for i in 0..1000 {
-            slots.clear();
-            t.probe_into(i, &mut slots);
-            assert_eq!(slots.len(), 1, "key {i}");
-            assert_eq!(t.payload(0, slots[0]), i * 10);
+            assert_eq!(first_payloads(&t, i), vec![i * 10], "key {i}");
         }
     }
 
     #[test]
     fn join_multi_payload() {
         let mut t = JoinHashTable::with_capacity(8, 3);
-        t.insert(5, &[1, 2, 3]);
-        let mut slots = Vec::new();
-        t.probe_into(5, &mut slots);
-        assert_eq!(t.payload(0, slots[0]), 1);
-        assert_eq!(t.payload(1, slots[0]), 2);
-        assert_eq!(t.payload(2, slots[0]), 3);
+        t.insert_block(&[5], &[&[1], &[2], &[3]]).unwrap();
+        let rows: Vec<&[i64]> = t.matches(5).collect();
+        assert_eq!(rows, vec![&[1, 2, 3][..]]);
         assert_eq!(t.payload_cols(), 3);
+    }
+
+    /// The order rule, where the parent's `grow` broke it: duplicates whose
+    /// cluster wraps past the end of the slot array, carried through two
+    /// growths. `a` wraps in the 16-slot table, `b` in the 32-slot one.
+    #[test]
+    fn matches_keep_insertion_order_across_growth_and_wrap() {
+        let last_slot_key = |capacity: usize, not: i64| {
+            (0..i64::MAX)
+                .find(|&k| k != not && key_hash(k) as usize & (capacity - 1) == capacity - 1)
+                .unwrap()
+        };
+        let a = last_slot_key(16, -1);
+        let b = last_slot_key(32, a);
+        let mut t = JoinHashTable::with_capacity(0, 1);
+        assert_eq!(t.capacity(), 16);
+        let mut inserted = Vec::new();
+        let mut filler = (1_000_000i64..).filter(|&k| k != a && k != b);
+        let mut seq = 0i64;
+        // Three duplicates of each first, so both clusters start at their
+        // table's last slot; then distinct keys until the table has grown
+        // twice and once more for good measure.
+        while t.capacity() < 128 {
+            let key = match inserted.len() {
+                0..=2 => a,
+                3..=5 => b,
+                _ => filler.next().unwrap(),
+            };
+            seq += 1;
+            t.insert_block(&[key], &[&[seq]]).unwrap();
+            inserted.push((key, seq));
+            for probe in [a, b] {
+                let want: Vec<i64> = inserted
+                    .iter()
+                    .filter(|&&(k, _)| k == probe)
+                    .map(|&(_, v)| v)
+                    .collect();
+                let capacity = t.capacity();
+                assert_eq!(first_payloads(&t, probe), want, "capacity {capacity}");
+            }
+        }
+        assert_eq!(t.len(), inserted.len());
     }
 
     #[test]
     fn agg_grouping() {
         let mut t = AggHashTable::with_capacity(4, vec![AggFunc::Sum, AggFunc::Count], 1);
-        t.update(1, &[77], &[10, 0]);
-        t.update(2, &[88], &[20, 0]);
-        t.update(1, &[99], &[5, 0]); // payload captured from first row only
+        // Payload captured from the first row of a group only.
+        t.update_block(&[1, 2, 1], &[&[77, 88, 99]], &[&[10, 20, 5], &[0, 0, 0]])
+            .unwrap();
         assert_eq!(t.group_count(), 2);
         let (keys, payloads, states) = t.export();
         assert_eq!(keys, vec![1, 2]);
@@ -391,9 +587,8 @@ mod tests {
     #[test]
     fn agg_min_max() {
         let mut t = AggHashTable::with_capacity(4, vec![AggFunc::Min, AggFunc::Max], 0);
-        for v in [5, -3, 12] {
-            t.update(7, &[], &[v, v]);
-        }
+        let vals = [5, -3, 12];
+        t.update_block(&[7, 7, 7], &[], &[&vals, &vals]).unwrap();
         assert_eq!(t.states(0), &[-3]);
         assert_eq!(t.states(1), &[12]);
         assert_eq!(t.group_keys(), &[7]);
@@ -402,14 +597,77 @@ mod tests {
     #[test]
     fn agg_grows() {
         let mut t = AggHashTable::with_capacity(2, vec![AggFunc::Count], 0);
-        for k in 0..500 {
-            t.update(k, &[], &[0]);
-            t.update(k, &[], &[0]);
-        }
+        let keys: Vec<i64> = (0..500).flat_map(|k| [k, k]).collect();
+        t.update_block(&keys, &[], &[&keys]).unwrap();
         assert_eq!(t.group_count(), 500);
         for g in 0..500 {
             assert_eq!(t.states(0)[g], 2);
         }
+    }
+
+    /// The reserved key is refused whole — wherever it sits in the block —
+    /// and leaves the table as it was; probing for it finds nothing.
+    #[test]
+    fn sentinel_key_is_refused_before_anything_changes() {
+        let mut j = JoinHashTable::with_capacity(4, 1);
+        j.insert_block(&[1, 2], &[&[10, 20]]).unwrap();
+        let mut a = AggHashTable::with_capacity(4, vec![AggFunc::Sum], 0);
+        a.update_block(&[1, 2], &[], &[&[10, 20]]).unwrap();
+        for keys in [[EMPTY_KEY, 3, 4], [3, 4, EMPTY_KEY]] {
+            assert_eq!(j.insert_block(&keys, &[&[0, 0, 0]]), Err(ReservedKey));
+            assert_eq!(a.update_block(&keys, &[], &[&[1, 1, 1]]), Err(ReservedKey));
+        }
+        assert_eq!((j.len(), j.contains(3), j.contains(4)), (2, false, false));
+        assert_eq!(a.export(), (vec![1, 2], vec![], vec![vec![10, 20]]));
+        assert!(!j.contains(EMPTY_KEY));
+        assert_eq!(j.matches(EMPTY_KEY).count(), 0);
+        assert_eq!(ReservedKey.to_string(), "key i64::MIN is reserved");
+    }
+
+    /// `byte_len` is what the pool charges and `init_structure` is priced
+    /// by: capacity rule and growth points are part of the modeled clock.
+    /// The literals are the parent's (separate key and payload arrays,
+    /// row-at-a-time updates), before and after `expected + 1` distinct keys.
+    #[test]
+    fn sizes_are_pinned() {
+        // (expected, [join capacity, join bytes, agg capacity, agg bytes] x 2)
+        let pinned: [(usize, [u64; 4], [u64; 4]); 5] = [
+            (0, [16, 384, 16, 192], [16, 384, 16, 224]),
+            (8, [16, 384, 16, 192], [32, 768, 32, 672]),
+            (9, [32, 768, 32, 384], [32, 768, 32, 704]),
+            (1000, [2048, 49152, 2048, 24576], [2048, 49152, 2048, 56608]),
+            (
+                32768,
+                [65536, 1572864, 65536, 786432],
+                [131072, 3145728, 131072, 2621472],
+            ),
+        ];
+        for (expected, before, after) in pinned {
+            let mut j = JoinHashTable::with_capacity(expected, 2);
+            let mut a =
+                AggHashTable::with_capacity(expected, vec![AggFunc::Sum, AggFunc::Count], 1);
+            let sizes = |j: &JoinHashTable, a: &AggHashTable| {
+                [
+                    j.capacity() as u64,
+                    j.byte_len(),
+                    a.capacity() as u64,
+                    a.byte_len(),
+                ]
+            };
+            assert_eq!(sizes(&j, &a), before, "expected {expected}, empty");
+            let keys: Vec<i64> = (0..=expected as i64).collect();
+            j.insert_block(&keys, &[&keys, &keys]).unwrap();
+            a.update_block(&keys, &[&keys], &[&keys, &keys]).unwrap();
+            assert_eq!(sizes(&j, &a), after, "expected {expected}, filled");
+        }
+        // A hit counts towards the growth point like a new group does: the
+        // ninth *row* grows a 16-slot table, not the ninth group.
+        let mut a = AggHashTable::with_capacity(8, vec![AggFunc::Count], 0);
+        a.update_block(&[0, 1, 2, 3, 4, 5, 6, 7], &[], &[&[0; 8]])
+            .unwrap();
+        assert_eq!(a.capacity(), 16);
+        a.update_block(&[0], &[], &[&[0]]).unwrap();
+        assert_eq!((a.capacity(), a.group_count()), (32, 8));
     }
 
     #[test]

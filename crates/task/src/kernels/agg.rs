@@ -5,7 +5,7 @@ use super::{
     write_output, Produced, StageCost,
 };
 use crate::hashtable::AggHashTable;
-use crate::params::AggFunc;
+use crate::params::{per_agg, AggFunc};
 use adamant_device::buffer::{Buffer, BufferData, BufferId};
 use adamant_device::cost::CostClass;
 use adamant_device::error::Result;
@@ -27,9 +27,7 @@ pub(crate) fn agg_block_body(
         Some(v) if v.len() >= 2 => (v[0], v[1]),
         _ => (agg.identity(), 0),
     };
-    for &x in input {
-        state = agg.fold(state, x);
-    }
+    state = per_agg!(agg, fold => input.iter().fold(state, |acc, &x| fold(acc, x)));
     rows += input.len() as i64;
     Ok((
         BufferData::I64(vec![state, rows]),
@@ -59,8 +57,10 @@ pub(crate) fn agg_table_mut<'b>(k: &str, buf: &'b mut Buffer) -> Result<&'b mut 
         .ok_or_else(|| bad_args(k, "table buffer does not hold an AggHashTable"))
 }
 
-/// Body of `hash_agg`: updates `table` with one row per key. `cols` is
-/// `[keys, payload_0.., val_0..]`, params `[payload_cols, agg_count]`.
+/// Body of `hash_agg`: folds one row per key into `table`, a column at a
+/// time. `cols` is `[keys, payload_0.., val_0..]`, params
+/// `[payload_cols, agg_count]`. A key column holding the reserved
+/// `i64::MIN` is a typed error and leaves the table untouched.
 pub(crate) fn hash_agg_body(
     k: &str,
     table: &mut AggHashTable,
@@ -85,6 +85,15 @@ pub(crate) fn hash_agg_body(
             ),
         ));
     }
+    if table.group_payload_count() != payload_cols {
+        return Err(bad_args(
+            k,
+            format!(
+                "table has {} payload columns, call supplies {payload_cols}",
+                table.group_payload_count()
+            ),
+        ));
+    }
     let keys = cols[0];
     let (payload_refs, val_refs) = cols[1..expected].split_at(payload_cols);
     if payload_refs.iter().any(|col| col.len() != keys.len()) {
@@ -93,17 +102,9 @@ pub(crate) fn hash_agg_body(
     if val_refs.iter().any(|col| col.len() != keys.len()) {
         return Err(bad_args(k, "value length mismatch"));
     }
-    let mut payload_row = vec![0i64; payload_cols];
-    let mut val_row = vec![0i64; agg_count];
-    for (i, &key) in keys.iter().enumerate() {
-        for (c, col) in payload_refs.iter().enumerate() {
-            payload_row[c] = col[i];
-        }
-        for (c, col) in val_refs.iter().enumerate() {
-            val_row[c] = col[i];
-        }
-        table.update(key, &payload_row, &val_row);
-    }
+    table
+        .update_block(keys, payload_refs, val_refs)
+        .map_err(|reserved| bad_args(k, reserved.to_string()))?;
     let groups = table.group_count() as u64;
     Ok((CostClass::HashAgg { groups }, keys.len() as u64))
 }
@@ -151,17 +152,19 @@ pub fn sort_agg(pool: &mut BufferPool, bufs: &[BufferId], params: &[i64]) -> Res
     }
     let mut out_keys = Vec::new();
     let mut out_vals = Vec::new();
-    let mut i = 0;
-    while i < keys.len() {
-        let key = keys[i];
-        let mut state = agg.identity();
-        while i < keys.len() && keys[i] == key {
-            state = agg.fold(state, vals[i]);
-            i += 1;
+    per_agg!(agg, fold => {
+        let mut i = 0;
+        while i < keys.len() {
+            let key = keys[i];
+            let mut state = agg.identity();
+            while i < keys.len() && keys[i] == key {
+                state = fold(state, vals[i]);
+                i += 1;
+            }
+            out_keys.push(key);
+            out_vals.push(state);
         }
-        out_keys.push(key);
-        out_vals.push(state);
-    }
+    });
     let n = keys.len() as u64;
     write_output(pool, bufs[2], BufferData::I64(out_keys))?;
     write_output(pool, bufs[3], BufferData::I64(out_vals))?;

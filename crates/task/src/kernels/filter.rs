@@ -1,19 +1,59 @@
 //! `FILTER_BITMAP`, `FILTER_BITMAP_COL` and `FILTER_POSITION` kernels.
+//!
+//! One packing loop (`pack_word`, a word's worth of rows at a time) builds
+//! every bitmap the task layer produces, `hash_probe_semi`'s included; the
+//! filters differ only in the predicate they hand it. The
+//! default kernels pick the comparison *once per launch* (`per_cmp!`: one
+//! monomorphic copy of the loop per [`CmpOp`], nothing but a compare in
+//! it); the `@branchless` variant hands the same loop the un-hoisted
+//! [`CmpOp::eval`] instead, so the two are one loop under two dispatch
+//! strategies.
 
 use super::{bad_args, emit, input_i64, need_bufs, need_params, Produced};
-use crate::params::CmpOp;
+use crate::params::{per_cmp, CmpOp};
 use adamant_device::buffer::{BufferData, BufferId};
 use adamant_device::cost::CostClass;
 use adamant_device::error::Result;
 use adamant_device::kernel::KernelStats;
 use adamant_device::pool::BufferPool;
 
-fn pack_bits(bools: impl Iterator<Item = bool>, n: usize) -> Vec<u64> {
-    let mut words = vec![0u64; n.div_ceil(64)];
-    for (i, b) in bools.enumerate() {
-        if b {
-            words[i / 64] |= 1 << (i % 64);
-        }
+/// Rows per bitmap word.
+const WORD_ROWS: usize = 64;
+
+/// The one bit-packing loop: bit `i` of the result is `pred(block[i])`, for
+/// a block of at most [`WORD_ROWS`] rows. The word is built in a register —
+/// a byte per eight rows, eight bytes to the word — with no data-dependent
+/// branch and no indexing; handed a whole `[T; 64]`, every trip count is a
+/// constant and the loops unroll into straight-line compares.
+#[inline(always)]
+fn pack_word<T: Copy>(block: &[T], pred: impl Fn(T) -> bool) -> u64 {
+    let bits = |rows: &[T]| {
+        let bit = |(i, &row): (usize, &T)| (pred(row) as u64) << i;
+        rows.iter()
+            .enumerate()
+            .map(bit)
+            .fold(0, |byte, bit| byte | bit)
+    };
+    let (bytes, rest) = block.as_chunks::<8>();
+    let byte = |(j, rows): (usize, &[T; 8])| bits(rows) << (8 * j);
+    let word = bytes
+        .iter()
+        .enumerate()
+        .map(byte)
+        .fold(0, |word, byte| word | byte);
+    // `rest` is empty when `bytes` holds a whole word, so the shift is < 64.
+    word | bits(rest) << (8 * bytes.len() % WORD_ROWS)
+}
+
+/// One bit per row of `rows`, [`WORD_ROWS`] to a word through
+/// [`pack_word`]; bits past the last row are zero. Each word is stored once.
+#[inline(always)]
+pub(crate) fn pack_words<T: Copy>(rows: &[T], pred: impl Fn(T) -> bool) -> Vec<u64> {
+    let (full, tail) = rows.as_chunks::<WORD_ROWS>();
+    let mut words = Vec::with_capacity(rows.len().div_ceil(WORD_ROWS));
+    words.extend(full.iter().map(|block| pack_word(block, &pred)));
+    if !tail.is_empty() {
+        words.push(pack_word(tail, &pred));
     }
     words
 }
@@ -26,15 +66,18 @@ fn const_predicate(k: &str, params: &[i64]) -> Result<(CmpOp, i64, i64)> {
     Ok((cmp, params[1], params.get(2).copied().unwrap_or(0)))
 }
 
+fn bitmap_of(words: Vec<u64>, rows: usize) -> Produced {
+    (
+        BufferData::BitWords(words),
+        (CostClass::FilterBitmap, rows as u64),
+    )
+}
+
 /// Body of `filter_bitmap`: one bit per input row, packed 64 to a word.
 pub(crate) fn filter_bitmap_body(k: &str, input: &[i64], params: &[i64]) -> Result<Produced> {
     let (cmp, v, hi) = const_predicate(k, params)?;
-    let n = input.len();
-    let words = pack_bits(input.iter().map(|&x| cmp.eval(x, v, hi)), n);
-    Ok((
-        BufferData::BitWords(words),
-        (CostClass::FilterBitmap, n as u64),
-    ))
+    let words = per_cmp!(cmp, pred => pack_words(input, |x| pred(x, v, hi)));
+    Ok(bitmap_of(words, input.len()))
 }
 
 /// `filter_bitmap` — constant predicate producing a bit-packed result.
@@ -52,8 +95,9 @@ pub fn filter_bitmap(
     emit(pool, bufs[1], produced)
 }
 
-/// `filter_bitmap@branchless` — predication-style variant (no data-dependent
-/// branch in the inner loop). Identical results; registered as an
+/// `filter_bitmap@branchless` — the same packing loop as `filter_bitmap`
+/// around the un-hoisted [`CmpOp::eval`]: the comparison is dispatched per
+/// row instead of per launch. Identical results; registered as an
 /// alternative implementation for the ablation benches.
 pub fn filter_bitmap_branchless(
     pool: &mut BufferPool,
@@ -64,18 +108,9 @@ pub fn filter_bitmap_branchless(
     need_bufs(K, bufs, 2)?;
     let (cmp, v, hi) = const_predicate(K, params)?;
     let input = input_i64(pool, K, bufs[0])?;
-    let n = input.len();
-    let mut words = vec![0u64; n.div_ceil(64)];
-    for (w, block) in input.chunks(64).enumerate() {
-        let mut word = 0u64;
-        for (i, &x) in block.iter().enumerate() {
-            // Branch-free accumulate: bool -> 0/1 -> shifted bit.
-            word |= (cmp.eval(x, v, hi) as u64) << i;
-        }
-        words[w] = word;
-    }
-    let cost = (CostClass::FilterBitmap, n as u64);
-    emit(pool, bufs[1], (BufferData::BitWords(words), cost))
+    let words = pack_words(input, |x| cmp.eval(x, v, hi));
+    let produced = bitmap_of(words, input.len());
+    emit(pool, bufs[1], produced)
 }
 
 /// Body of `filter_bitmap_col`: `a[i] cmp b[i]`, bit-packed.
@@ -93,12 +128,19 @@ pub(crate) fn filter_bitmap_col_body(
     if a.len() != b.len() {
         return Err(bad_args(k, "input length mismatch"));
     }
-    let n = a.len();
-    let words = pack_bits(a.iter().zip(b).map(|(&x, &y)| cmp.eval(x, y, 0)), n);
-    Ok((
-        BufferData::BitWords(words),
-        (CostClass::FilterBitmap, n as u64),
-    ))
+    // The packer takes one slice: pair the columns up a word's rows at a
+    // time, on the stack.
+    let blocks = a.chunks(WORD_ROWS).zip(b.chunks(WORD_ROWS));
+    let words = per_cmp!(cmp, pred => blocks
+        .map(|(a, b)| {
+            let mut pairs = [(0, 0); WORD_ROWS];
+            for (pair, (&x, &y)) in pairs.iter_mut().zip(a.iter().zip(b)) {
+                *pair = (x, y);
+            }
+            pack_word(&pairs[..a.len()], |(x, y)| pred(x, y, 0))
+        })
+        .collect());
+    Ok(bitmap_of(words, a.len()))
 }
 
 /// `filter_bitmap_col` — column-column predicate (Q4's
@@ -131,11 +173,10 @@ pub fn filter_position(
     let (cmp, v, hi) = const_predicate(K, params)?;
     let input = input_i64(pool, K, bufs[0])?;
     let n = input.len();
-    let positions: Vec<u32> = input
-        .iter()
-        .enumerate()
-        .filter_map(|(i, &x)| cmp.eval(x, v, hi).then_some(i as u32))
-        .collect();
+    let rows = input.iter().zip(0u32..);
+    let positions: Vec<u32> = per_cmp!(cmp, pred => rows
+        .filter_map(|(&x, i)| pred(x, v, hi).then_some(i))
+        .collect());
     let cost = (CostClass::FilterPosition, n as u64);
     emit(pool, bufs[1], (BufferData::U32(positions), cost))
 }

@@ -392,6 +392,12 @@ mod tests {
                     (vec![col(90, 1); 4], vec![-1, 0]),
                     (vec![col(90, 1); 4], vec![i64::MAX, i64::MAX]),
                     (vec![col(90, 1); 4], vec![1]),
+                    // Wrong payload count for the table; the reserved key.
+                    (vec![col(90, 1); 4], vec![0, 2]),
+                    (
+                        vec![I64(vec![3, i64::MIN]), col(2, 1), col(2, 1), col(2, 1)],
+                        vec![1, 2],
+                    ),
                 ],
             },
         ]
@@ -481,6 +487,46 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A key column holding the reserved `i64::MIN` fails the launch —
+    /// standalone or as a fused stage, wherever the key sits — before the
+    /// table is touched, so a retry finds what the failed attempt found.
+    #[test]
+    fn reserved_key_is_a_typed_error_and_leaves_the_table() {
+        let mut p = pool();
+        let table = AggHashTable::with_capacity(16, vec![params::AggFunc::Sum], 0);
+        put(&mut p, 9, BufferData::Generic(Box::new(table)));
+        put(&mut p, 1, BufferData::I64(vec![5, 6, 5]));
+        put(&mut p, 2, BufferData::I64(vec![1, 2, 3]));
+        put(&mut p, 3, BufferData::I64(vec![i64::MIN, 5, 7]));
+        put(&mut p, 4, BufferData::I64(vec![5, 7, i64::MIN]));
+        let program = prog(&[(PrimitiveKind::HashAgg, &[Ext(0), Ext(1)], &[0, 1])]);
+        agg::hash_agg(&mut p, &[b(1), b(2), b(9)], &[0, 1]).unwrap();
+        let export = |p: &BufferPool| {
+            let held = &p.get(b(9)).unwrap().data;
+            held.as_generic::<AggHashTable>().unwrap().export()
+        };
+        let before = export(&p);
+        assert_eq!(before.0, vec![5, 6]);
+        for keys in [b(3), b(4)] {
+            let bufs = [keys, b(2), b(9)];
+            for got in [
+                agg::hash_agg(&mut p, &bufs, &[0, 1]),
+                fused_agg(&mut p, &bufs, &program),
+            ] {
+                match got {
+                    Err(DeviceError::BadKernelArgs { reason, .. }) => {
+                        assert_eq!(reason, "key i64::MIN is reserved")
+                    }
+                    other => panic!("{other:?}"),
+                }
+                assert_eq!(export(&p), before);
+            }
+        }
+        // The retry with a clean column lands on the untouched table.
+        fused_agg(&mut p, &[b(1), b(2), b(9)], &program).unwrap();
+        assert_eq!(export(&p).2, vec![vec![8, 4]]);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! `HASH_BUILD`, `HASH_PROBE` and `HASH_PROBE_SEMI` kernels.
 
+use super::filter::pack_words;
 use super::{bad_args, count_param, count_sum, input_i64, need_bufs, with_taken, write_output};
 use crate::hashtable::JoinHashTable;
 use adamant_device::buffer::{BufferData, BufferId};
@@ -8,12 +9,20 @@ use adamant_device::error::Result;
 use adamant_device::kernel::KernelStats;
 use adamant_device::pool::BufferPool;
 
+/// Borrows the [`JoinHashTable`] a probe's table buffer must hold.
+fn join_table<'p>(pool: &'p BufferPool, k: &str, id: BufferId) -> Result<&'p JoinHashTable> {
+    let held = pool.get(id)?.data.as_generic::<JoinHashTable>();
+    held.ok_or_else(|| bad_args(k, "table buffer does not hold a JoinHashTable"))
+}
+
 /// `hash_build` — streams keys (plus payload columns) into a shared
-/// device-resident join table.
+/// device-resident join table, straight from the column slices.
 ///
 /// Buffers `[keys, payload_0.., table]`, params `[payload_cols]`. The table
 /// buffer must already hold a [`JoinHashTable`] with matching payload
-/// column count. Accumulates across chunks (pipeline breaker).
+/// column count. Accumulates across chunks (pipeline breaker). A key column
+/// holding the reserved `i64::MIN` is a typed error and leaves the table
+/// untouched.
 pub fn hash_build(pool: &mut BufferPool, bufs: &[BufferId], params: &[i64]) -> Result<KernelStats> {
     const K: &str = "hash_build";
     let payload_cols = count_param(K, params, 0)?;
@@ -39,15 +48,11 @@ pub fn hash_build(pool: &mut BufferPool, bufs: &[BufferId], params: &[i64]) -> R
             if col.len() != keys.len() {
                 return Err(bad_args(K, "payload length mismatch"));
             }
-            payload_refs.push(col);
+            payload_refs.push(col.as_slice());
         }
-        let mut row = vec![0i64; payload_cols];
-        for (i, &key) in keys.iter().enumerate() {
-            for (c, col) in payload_refs.iter().enumerate() {
-                row[c] = col[i];
-            }
-            table.insert(key, &row);
-        }
+        table
+            .insert_block(keys, &payload_refs)
+            .map_err(|reserved| bad_args(K, reserved.to_string()))?;
         Ok(KernelStats::new(keys.len() as u64, CostClass::HashBuild))
     })
 }
@@ -57,39 +62,34 @@ pub fn hash_build(pool: &mut BufferPool, bufs: &[BufferId], params: &[i64]) -> R
 /// Buffers `[keys, table, out_probe_pos, out_payload_0..]`, params
 /// `[payload_outs]`. For every probe row `i` and every matching build entry,
 /// emits `i` into `out_probe_pos` (chunk-relative) and the entry's payload
-/// values into the payload outputs. Multi-match keys emit one row per match.
+/// values into the payload outputs. Multi-match keys emit one row per match,
+/// in the build's insertion order. Each key's chain is walked once and its
+/// matches go straight into the outputs, which start with room for one
+/// match per key.
 pub fn hash_probe(pool: &mut BufferPool, bufs: &[BufferId], params: &[i64]) -> Result<KernelStats> {
-    let payload_outs = count_param("hash_probe", params, 0)?;
-    need_bufs(
-        "hash_probe",
-        bufs,
-        count_sum("hash_probe", &[3, payload_outs])?,
-    )?;
-    let keys = input_i64(pool, "hash_probe", bufs[0])?;
-    let table_buf = pool.get(bufs[1])?;
-    let table = table_buf
-        .data
-        .as_generic::<JoinHashTable>()
-        .ok_or_else(|| bad_args("hash_probe", "table buffer does not hold a JoinHashTable"))?;
+    const K: &str = "hash_probe";
+    let payload_outs = count_param(K, params, 0)?;
+    need_bufs(K, bufs, count_sum(K, &[3, payload_outs])?)?;
+    let keys = input_i64(pool, K, bufs[0])?;
+    let table = join_table(pool, K, bufs[1])?;
     if table.payload_cols() < payload_outs {
         return Err(bad_args(
-            "hash_probe",
+            K,
             format!(
                 "table has {} payload columns, call requests {payload_outs}",
                 table.payload_cols()
             ),
         ));
     }
-    let mut probe_pos: Vec<u32> = Vec::new();
-    let mut payload_out: Vec<Vec<i64>> = vec![Vec::new(); payload_outs];
-    let mut slots = Vec::new();
-    for (i, &key) in keys.iter().enumerate() {
-        slots.clear();
-        table.probe_into(key, &mut slots);
-        for &slot in &slots {
-            probe_pos.push(i as u32);
-            for (c, out) in payload_out.iter_mut().enumerate() {
-                out.push(table.payload(c, slot));
+    let mut probe_pos: Vec<u32> = Vec::with_capacity(keys.len());
+    let mut payload_out: Vec<Vec<i64>> = (0..payload_outs)
+        .map(|_| Vec::with_capacity(keys.len()))
+        .collect();
+    for (&key, i) in keys.iter().zip(0u32..) {
+        for row in table.matches(key) {
+            probe_pos.push(i);
+            for (out, &v) in payload_out.iter_mut().zip(row) {
+                out.push(v);
             }
         }
     }
@@ -102,7 +102,7 @@ pub fn hash_probe(pool: &mut BufferPool, bufs: &[BufferId], params: &[i64]) -> R
 }
 
 /// `hash_probe_semi` — EXISTS probe producing a bitmap over the probe rows
-/// (Q4's subquery).
+/// (Q4's subquery), through the filters' packing loop.
 ///
 /// Buffers `[keys, table, out_bitmap]`.
 pub fn hash_probe_semi(
@@ -110,27 +110,14 @@ pub fn hash_probe_semi(
     bufs: &[BufferId],
     _params: &[i64],
 ) -> Result<KernelStats> {
-    need_bufs("hash_probe_semi", bufs, 3)?;
-    let keys = input_i64(pool, "hash_probe_semi", bufs[0])?;
-    let table_buf = pool.get(bufs[1])?;
-    let table = table_buf
-        .data
-        .as_generic::<JoinHashTable>()
-        .ok_or_else(|| {
-            bad_args(
-                "hash_probe_semi",
-                "table buffer does not hold a JoinHashTable",
-            )
-        })?;
-    let n = keys.len();
-    let mut words = vec![0u64; n.div_ceil(64)];
-    for (i, &key) in keys.iter().enumerate() {
-        if table.contains(key) {
-            words[i / 64] |= 1 << (i % 64);
-        }
-    }
+    const K: &str = "hash_probe_semi";
+    need_bufs(K, bufs, 3)?;
+    let keys = input_i64(pool, K, bufs[0])?;
+    let table = join_table(pool, K, bufs[1])?;
+    let words = pack_words(keys, |key| table.contains(key));
+    let n = keys.len() as u64;
     write_output(pool, bufs[2], BufferData::BitWords(words))?;
-    Ok(KernelStats::new(n as u64, CostClass::HashProbe))
+    Ok(KernelStats::new(n, CostClass::HashProbe))
 }
 
 #[cfg(test)]
@@ -222,6 +209,24 @@ mod tests {
         // Probe requesting more payload outs than the table has.
         out(&mut p, 5);
         assert!(hash_probe(&mut p, &[b(1), b(4), b(3), b(5), b(5)], &[3]).is_err());
+        // The reserved key fails the build whole: the rows before it are
+        // not inserted either. Probing for it matches nothing.
+        put_join_table(&mut p, 6, 0);
+        for (id, keys) in [(7, vec![i64::MIN]), (8, vec![7, i64::MIN, 8])] {
+            put(&mut p, id, BufferData::I64(keys));
+            match hash_build(&mut p, &[b(id), b(6)], &[0]) {
+                Err(DeviceError::BadKernelArgs { reason, .. }) => {
+                    assert_eq!(reason, "key i64::MIN is reserved")
+                }
+                other => panic!("{other:?}"),
+            }
+            let held = &p.get(b(6)).unwrap().data;
+            assert!(held.as_generic::<JoinHashTable>().unwrap().is_empty());
+        }
+        hash_probe(&mut p, &[b(7), b(6), b(3)], &[0]).unwrap();
+        assert!(read_u32(&p, 3).is_empty());
+        hash_probe_semi(&mut p, &[b(7), b(6), b(3)], &[]).unwrap();
+        assert_eq!(read_words(&p, 3), vec![0]);
         // Hostile counts are typed errors, not casts (debug) or wraps (release).
         for count in [-1, i64::MIN, i64::MAX] {
             for kernel in [hash_build, hash_probe] {

@@ -1,7 +1,7 @@
 //! `MAP` and `BITMAP_OP` kernels.
 
 use super::{bad_args, emit, input_bitwords, input_i64, need_bufs, need_params, Produced};
-use crate::params::{BitmapOp, MapOp};
+use crate::params::{per_map_op, BitmapOp, MapOp};
 use adamant_device::buffer::{BufferData, BufferId};
 use adamant_device::cost::CostClass;
 use adamant_device::error::Result;
@@ -39,14 +39,46 @@ fn map_args<'a>(
     Ok((op, Rhs::Col(b)))
 }
 
-/// Body of `map`: element-wise `op(a, constant)` or `op(a, b)`.
-pub(crate) fn map_body(k: &str, a: &[i64], b: Option<&[i64]>, params: &[i64]) -> Result<Produced> {
-    let out: Vec<i64> = match map_args(k, a, b, params)? {
-        (op, Rhs::Const(c)) => a.iter().map(|&x| op.apply(x, c)).collect(),
-        (op, Rhs::Col(b)) => a.iter().zip(b).map(|(&x, &y)| op.apply(x, y)).collect(),
-    };
+impl Rhs<'_> {
+    /// The right-hand side of rows `rows` alone.
+    fn rows(&self, rows: std::ops::Range<usize>) -> Rhs<'_> {
+        match *self {
+            Rhs::Const(c) => Rhs::Const(c),
+            Rhs::Col(b) => Rhs::Col(&b[rows]),
+        }
+    }
+}
+
+/// The one element-wise loop: appends `op(a[i], rhs[i])` to `out`.
+fn apply_onto(out: &mut Vec<i64>, op: MapOp, a: &[i64], rhs: Rhs<'_>) {
+    per_map_op!(op, f => match rhs {
+        Rhs::Const(c) => out.extend(a.iter().map(|&x| f(x, c))),
+        Rhs::Col(b) => out.extend(a.iter().zip(b).map(|(&x, &y)| f(x, y))),
+    })
+}
+
+/// `op` over `a` and its right-hand side, `block` rows per pass of the loop.
+fn map_in_blocks(
+    k: &str,
+    a: &[i64],
+    b: Option<&[i64]>,
+    params: &[i64],
+    block: usize,
+) -> Result<Produced> {
+    let (op, rhs) = map_args(k, a, b, params)?;
+    let mut out = Vec::with_capacity(a.len());
+    for start in (0..a.len()).step_by(block) {
+        let rows = start..a.len().min(start.saturating_add(block));
+        apply_onto(&mut out, op, &a[rows.clone()], rhs.rows(rows));
+    }
     let n = out.len() as u64;
     Ok((BufferData::I64(out), (CostClass::MapLike, n)))
+}
+
+/// Body of `map`: element-wise `op(a, constant)` or `op(a, b)`, the whole
+/// input in one pass.
+pub(crate) fn map_body(k: &str, a: &[i64], b: Option<&[i64]>, params: &[i64]) -> Result<Produced> {
+    map_in_blocks(k, a, b, params, usize::MAX)
 }
 
 /// Signature of `map`'s body and its variants' bodies.
@@ -79,10 +111,10 @@ pub fn map(pool: &mut BufferPool, bufs: &[BufferId], params: &[i64]) -> Result<K
     run_map(pool, bufs, params, map_body)
 }
 
-/// `map@blocked` — a variant of `map` that processes the input in
-/// cache-sized blocks. Results are identical; it exists to demonstrate (and
-/// test) that the task layer carries multiple implementations of one
-/// primitive side by side (paper §III-B1).
+/// `map@blocked` — a variant of `map` that runs the same loop over the
+/// input in cache-sized blocks. Results are identical; it exists to
+/// demonstrate (and test) that the task layer carries multiple
+/// implementations of one primitive side by side (paper §III-B1).
 pub fn map_blocked(
     pool: &mut BufferPool,
     bufs: &[BufferId],
@@ -92,22 +124,7 @@ pub fn map_blocked(
 }
 
 fn map_blocked_body(k: &str, a: &[i64], b: Option<&[i64]>, params: &[i64]) -> Result<Produced> {
-    const BLOCK: usize = 4096;
-    let mut out = Vec::with_capacity(a.len());
-    match map_args(k, a, b, params)? {
-        (op, Rhs::Const(c)) => {
-            for block in a.chunks(BLOCK) {
-                out.extend(block.iter().map(|&x| op.apply(x, c)));
-            }
-        }
-        (op, Rhs::Col(b)) => {
-            for (ab, bb) in a.chunks(BLOCK).zip(b.chunks(BLOCK)) {
-                out.extend(ab.iter().zip(bb).map(|(&x, &y)| op.apply(x, y)));
-            }
-        }
-    }
-    let n = out.len() as u64;
-    Ok((BufferData::I64(out), (CostClass::MapLike, n)))
+    map_in_blocks(k, a, b, params, 4096)
 }
 
 /// Body of `bitmap_op`: combines two bitmaps word-wise.

@@ -23,8 +23,36 @@
 //! an earlier stage and calls the same body. A kernel optimisation is a
 //! one-place change that both paths, and the `task.*_ns_per_row` probes,
 //! see.
+//!
+//! **How the bodies are written.** The modeled clock prices a launch by
+//! `CostClass × elements`, never by host time, so the bodies are free to be
+//! as fast as the host allows — and they are most of what a query's wall
+//! clock is spent on. The rules they follow:
+//!
+//! * *Decide once per launch, not per row.* Operator enums are matched
+//!   outside the loop (`params::per_cmp!`, `per_map_op!`, `per_agg!`), which
+//!   compiles one copy of the loop per operator around a single inlined
+//!   expression. `CmpOp::eval` / `AggFunc::fold` per row is what the
+//!   `@branchless` variant does, on purpose, through the same loop.
+//! * *Bitmaps are built a word at a time* by the one packing loop in
+//!   [`filter`] (filters and `hash_probe_semi`): 64 outcomes accumulate in
+//!   a register and are stored once, without a data-dependent branch.
+//!   `materialize` sizes its output from a population count and copies runs
+//!   of set bits from dense words.
+//! * *Hash tables are fed a column block at a time*
+//!   ([`crate::hashtable`]): `hash_agg` resolves a block's group ids, then
+//!   folds each aggregate column in a loop of its own; `hash_build` inserts
+//!   straight from the column slices; `hash_probe` walks a key's chain once
+//!   and emits its matches, in insertion order, directly into the outputs.
+//! * *Validation is untouched by any of it*: every length, count and kind
+//!   check runs before the loop, a key column holding the reserved
+//!   `i64::MIN` is a `BadKernelArgs` raised before the table is written, and
+//!   the differential tests (`differential.rs`) hold each body to a naive
+//!   oracle at every length around a word and a chunk boundary.
 
 pub mod agg;
+#[cfg(test)]
+mod differential;
 pub mod filter;
 pub mod fused;
 pub mod join;

@@ -5,6 +5,15 @@
 //! parameter enum here provides a stable `to_code`/`from_code` pair so the
 //! runtime can encode plan parameters and kernels can decode them without
 //! sharing Rust types across the interface boundary.
+//!
+//! **Once-per-launch dispatch.** `eval`, `apply` and `fold` decide the
+//! operator per call, which is what a scalar caller wants and what a kernel's
+//! inner loop must not do. The crate-private macros `per_cmp!`,
+//! `per_map_op!` and `per_agg!` sit next to them for the kernels: each
+//! matches the operator *once* and compiles the caller's loop once per arm
+//! around a closure that is nothing but that operator's expression. Every
+//! operator's expression is still written once: `eval` and `fold` are
+//! defined through their macro, `per_map_op!` through `apply`.
 
 /// Arithmetic map operations (`MAP` primitive).
 ///
@@ -153,6 +162,57 @@ impl MapOp {
     }
 }
 
+/// Evaluates `$body` with `$f` bound to `$op`'s arithmetic, a closure of its
+/// own type per operator: the `match` happens here, once per launch, and in
+/// every arm [`MapOp::apply`] is called on a *constant* operator, so it
+/// inlines to that operator's one expression and `$body` — the caller's
+/// loop — compiles around it (the `match` itself proves the list complete).
+macro_rules! per_map_op {
+    ($op:expr, $f:ident => $body:expr) => {
+        per_map_op!(@each $op, $f, $body;
+            Add Sub Mul Div Mod Min Max
+            AddConst SubConst MulConst DivConst RsubConst
+            EqConst NeConst LtConst LeConst GtConst GeConst)
+    };
+    (@each $op:expr, $f:ident, $body:expr; $($variant:ident)*) => {
+        match $op {
+            $($crate::params::MapOp::$variant => {
+                let $f = |x: i64, y: i64| $crate::params::MapOp::$variant.apply(x, y);
+                $body
+            })*
+        }
+    };
+}
+pub(crate) use per_map_op;
+
+/// Evaluates `$body` with `$pred` bound to the comparison `$cmp` names, a
+/// closure `(x, v, hi) -> bool` of its own type per operator: the `match`
+/// happens here, once per launch, and every arm compiles `$body` — the
+/// caller's loop — around one inlined compare. These arms *are* the
+/// comparisons' definition ([`CmpOp::eval`] is the per-call view of them).
+/// `Between` tests both bounds (`&`, not `&&`), so it is branch-free too.
+macro_rules! per_cmp {
+    ($cmp:expr, $pred:ident => $body:expr) => {
+        match $cmp {
+            $crate::params::CmpOp::Lt => per_cmp!(@arm $pred, $body, |x: i64, v: i64, _: i64| x < v),
+            $crate::params::CmpOp::Le => per_cmp!(@arm $pred, $body, |x: i64, v: i64, _: i64| x <= v),
+            $crate::params::CmpOp::Gt => per_cmp!(@arm $pred, $body, |x: i64, v: i64, _: i64| x > v),
+            $crate::params::CmpOp::Ge => per_cmp!(@arm $pred, $body, |x: i64, v: i64, _: i64| x >= v),
+            $crate::params::CmpOp::Eq => per_cmp!(@arm $pred, $body, |x: i64, v: i64, _: i64| x == v),
+            $crate::params::CmpOp::Ne => per_cmp!(@arm $pred, $body, |x: i64, v: i64, _: i64| x != v),
+            $crate::params::CmpOp::Between => {
+                per_cmp!(@arm $pred, $body, |x: i64, lo: i64, hi: i64| (lo <= x) & (x <= hi))
+            }
+        }
+    };
+    (@arm $pred:ident, $body:expr, $test:expr) => {{
+        let $pred = $test;
+        $body
+    }};
+}
+
+pub(crate) use per_cmp;
+
 /// Comparison operators (`FILTER_*` primitives).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum CmpOp {
@@ -203,15 +263,7 @@ impl CmpOp {
     /// Evaluates the predicate (`hi` is ignored except for `Between`).
     #[inline]
     pub fn eval(self, x: i64, v: i64, hi: i64) -> bool {
-        match self {
-            CmpOp::Lt => x < v,
-            CmpOp::Le => x <= v,
-            CmpOp::Gt => x > v,
-            CmpOp::Ge => x >= v,
-            CmpOp::Eq => x == v,
-            CmpOp::Ne => x != v,
-            CmpOp::Between => v <= x && x <= hi,
-        }
+        per_cmp!(self, pred => pred(x, v, hi))
     }
 }
 
@@ -263,6 +315,25 @@ impl BitmapOp {
     }
 }
 
+/// Evaluates `$body` with `$fold` bound to the aggregate `$agg` names, a
+/// closure `(acc, v) -> acc` of its own type per function. These arms *are*
+/// the folds' definition ([`AggFunc::fold`] is the per-call view of them).
+macro_rules! per_agg {
+    ($agg:expr, $fold:ident => $body:expr) => {
+        match $agg {
+            $crate::params::AggFunc::Sum => per_agg!(@arm $fold, $body, |acc: i64, v: i64| acc.wrapping_add(v)),
+            $crate::params::AggFunc::Count => per_agg!(@arm $fold, $body, |acc: i64, _: i64| acc + 1),
+            $crate::params::AggFunc::Min => per_agg!(@arm $fold, $body, |acc: i64, v: i64| acc.min(v)),
+            $crate::params::AggFunc::Max => per_agg!(@arm $fold, $body, |acc: i64, v: i64| acc.max(v)),
+        }
+    };
+    (@arm $fold:ident, $body:expr, $step:expr) => {{
+        let $fold = $step;
+        $body
+    }};
+}
+pub(crate) use per_agg;
+
 /// Aggregation functions (`AGG_BLOCK`, `HASH_AGG`, `SORT_AGG`).
 ///
 /// `Avg` is decomposed into `Sum` + `Count` by the planner and finalized on
@@ -313,12 +384,7 @@ impl AggFunc {
     /// Folds one value into an accumulator.
     #[inline]
     pub fn fold(self, acc: i64, v: i64) -> i64 {
-        match self {
-            AggFunc::Sum => acc.wrapping_add(v),
-            AggFunc::Count => acc + 1,
-            AggFunc::Min => acc.min(v),
-            AggFunc::Max => acc.max(v),
-        }
+        per_agg!(self, fold => fold(acc, v))
     }
 
     /// Merges two partial accumulators (chunk combination).

@@ -26,15 +26,12 @@ fn join_table_matches_multimap() {
         let mut table = JoinHashTable::with_capacity(4, 1); // force growth
         let mut oracle: HashMap<i64, Vec<i64>> = HashMap::new();
         for (k, v) in &entries {
-            table.insert(*k, &[*v]);
+            table.insert_block(&[*k], &[&[*v]]).unwrap();
             oracle.entry(*k).or_default().push(*v);
         }
         assert_eq!(table.len(), entries.len());
-        let mut slots = Vec::new();
         for &k in &probes {
-            slots.clear();
-            table.probe_into(k, &mut slots);
-            let mut got: Vec<i64> = slots.iter().map(|&s| table.payload(0, s)).collect();
+            let mut got: Vec<i64> = table.matches(k).map(|row| row[0]).collect();
             got.sort_unstable();
             let mut want = oracle.get(&k).cloned().unwrap_or_default();
             want.sort_unstable();
@@ -70,7 +67,9 @@ fn agg_table_matches_hashmap() {
         }
         let mut oracle: HashMap<i64, Acc> = HashMap::new();
         for (k, v) in &rows {
-            table.update(*k, &[*k * 3], &[*v, 0, *v, *v]);
+            table
+                .update_block(&[*k], &[&[*k * 3]], &[&[*v], &[0], &[*v], &[*v]])
+                .unwrap();
             let e = oracle.entry(*k).or_insert(Acc {
                 min: i64::MAX,
                 max: i64::MIN,
@@ -107,7 +106,7 @@ fn agg_table_first_seen_order() {
         let mut first_seen = Vec::new();
         let mut seen = std::collections::HashSet::new();
         for &k in &keys {
-            table.update(k, &[], &[0]);
+            table.update_block(&[k], &[], &[&[0]]).unwrap();
             if seen.insert(k) {
                 first_seen.push(k);
             }

@@ -479,6 +479,14 @@ mod tests {
             .unwrap()
             .iter()
             .any(|t| t.starts_with("PROMO")));
+        // The hash kernels reserve `i64::MIN` as their empty-slot marker and
+        // refuse a key column that holds it: no TPC-H column does.
+        for name in cat.table_names() {
+            for col in cat.table(name).unwrap().columns() {
+                let reserved = col.to_i64_vec().is_ok_and(|v| v.contains(&i64::MIN));
+                assert!(!reserved, "{name}.{}", col.name());
+            }
+        }
     }
 
     #[test]
