@@ -5,8 +5,10 @@
 //! [`crate::models::ModelConfig`]: operator-at-a-time places
 //! whole inputs; the chunked family streams scan chunks through each
 //! pipeline, optionally staging in pinned memory (4-phase) and optionally
-//! overlapping the copy with compute on a real transfer thread synchronized
-//! by `fetched_until`/`processed_until` counters (Algorithm 2).
+//! overlapping the copy with compute (Algorithm 2) — on the modeled
+//! timeline: one host thread stages and executes every chunk, and
+//! [`crate::timeline::overlapped_makespan`] computes what a transfer engine
+//! running ahead by the staging buffers would have hidden.
 //!
 //! The run is split into three roles that share one `RunCx` and nothing
 //! else: the **data path** (`datapath`) drives a pipeline over a chunk
@@ -35,13 +37,13 @@ use adamant_device::device::{Device, DeviceId};
 use adamant_device::health::{DeviceHealthRegistry, HealthPolicy};
 use adamant_device::profiles::DeviceProfile;
 use adamant_device::registry::DeviceRegistry;
-use adamant_storage::column::Column;
+use adamant_storage::column::{Column, SharedRows};
 use adamant_task::registry::TaskRegistry;
 use datapath::escaping_refs;
 use recovery::CheckpointState;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Once, OnceLock};
+use std::sync::{Arc, Once};
 use std::time::Instant;
 
 /// Executor configuration.
@@ -190,16 +192,19 @@ struct RunCx<'a> {
     ckpt: CheckpointState,
 }
 
-/// Host columns bound to graph inputs, shareable with the transfer thread.
+/// Host columns bound to graph inputs, by reference.
 ///
-/// A bound column is immutable for as long as it is bound, so each entry
-/// also keeps the column's residency fingerprint once the cache has asked
-/// for it: computed at most once per binding, replaced together with the
-/// column when the name is bound again (and carried along by `clone`, which
-/// shares the same `Arc`).
+/// Each entry is a [`SharedRows`]: immutable `i64` rows behind an `Arc`
+/// and, beside them, the cell that keeps their residency fingerprint once
+/// the cache has asked for it. [`QueryInputs::bind_column`] takes the pair a
+/// catalog [`Column`] already holds — two reference-count bumps, no copy, and
+/// a fingerprint hashed for one query is there for the next one and for
+/// every other spec bound from the same column. [`QueryInputs::bind`] pairs
+/// the vector it is given with a fresh cell. Binding a name again replaces
+/// rows and cell together; `clone` shares both.
 #[derive(Clone, Debug, Default)]
 pub struct QueryInputs {
-    cols: BTreeMap<String, (Arc<Vec<i64>>, OnceLock<u64>)>,
+    cols: BTreeMap<String, SharedRows>,
 }
 
 impl QueryInputs {
@@ -210,28 +215,26 @@ impl QueryInputs {
 
     /// Binds a raw vector.
     pub fn bind(&mut self, name: impl Into<String>, values: Vec<i64>) {
-        self.cols
-            .insert(name.into(), (Arc::new(values), OnceLock::new()));
+        self.cols.insert(name.into(), SharedRows::new(values));
     }
 
-    /// Binds a storage column (widened to `i64`; dictionary columns bind
-    /// their codes).
+    /// Binds a storage column by reference (an `Int64` column's own rows; a
+    /// narrower column's rows widened to `i64` once, by the column;
+    /// dictionary columns bind their codes).
     pub fn bind_column(&mut self, name: impl Into<String>, column: &Column) -> Result<()> {
-        self.bind(name, column.to_i64_vec()?);
+        self.cols.insert(name.into(), column.shared_rows()?.clone());
         Ok(())
     }
 
     /// Looks up a bound column.
     pub fn get(&self, name: &str) -> Option<&Arc<Vec<i64>>> {
-        self.cols.get(name).map(|(col, _)| col)
+        self.cols.get(name).map(SharedRows::rows)
     }
 
     /// Looks up a bound column together with the cell that keeps its
     /// fingerprint — what the hub hands to the residency cache.
     pub(crate) fn bound(&self, name: &str) -> Option<BoundRows<'_>> {
-        self.cols
-            .get(name)
-            .map(|(col, memo)| BoundRows::new(col, memo))
+        self.cols.get(name).map(BoundRows::kept)
     }
 
     /// Number of bound columns.
@@ -246,28 +249,29 @@ impl QueryInputs {
 
     /// Iterates bound `(name, column)` pairs in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Arc<Vec<i64>>)> {
-        self.cols.iter().map(|(n, (c, _))| (n.as_str(), c))
+        self.cols.iter().map(|(n, c)| (n.as_str(), c.rows()))
     }
 }
 
 /// Asks the host allocator, once per process, to keep freed column-sized
 /// blocks instead of returning them to the operating system.
 ///
-/// Every query allocates and frees whole-column buffers at a high rate —
-/// bound inputs, the stored copies of uploads, kernel outputs: hundreds of
-/// KiB each, tens of MiB per query. glibc serves a block above its `mmap`
-/// threshold with a fresh mapping, and trims the heap top once a `free`
-/// leaves more than its trim threshold there, so the next query faults the
-/// same memory in again page by page. How often that happens depends on
-/// where the heap happens to start: with the same seed one 12 s run of the
-/// repository's benchmark took 45 k page faults and the next 400 k
-/// (`warm_repeat`), or 0.6 M and 2.5 M (`scan_cold`, 1.7 s and 5 s of system
-/// time), and a round was 10–50 % slower for it. glibc raises both
-/// thresholds to the size of the largest mapped block freed so far, up to
-/// 32 MiB, and never lowers them; freeing one block of just under that size
-/// moves them there at once. The block is never written, so it costs
-/// address space for a moment and no memory, and an allocator without the
-/// heuristic sees one large allocation and nothing else.
+/// Every query allocates and frees column-sized buffers at a high rate —
+/// the stored copies of uploads and kernel outputs, tens to hundreds of KiB
+/// each (bound inputs are shared by reference and no longer among them).
+/// glibc serves a block above its `mmap` threshold with a fresh mapping, and
+/// trims the heap top once a `free` leaves more than its trim threshold
+/// there, so the next query faults the same memory in again page by page.
+/// Measured with bind-by-reference in place (the repository's benchmark,
+/// seed 500, 12 s, two runs each): `scan_cold` takes 6.4 k page faults and
+/// 0.02 s of system time with this ratchet and 2.8–3.5 M faults, 2.8–3.4 s
+/// of system time and a 35–45 % slower round (6.2 → 8.3–9.0 ms) without it;
+/// `warm_repeat` 6.7 k against 64–87 k faults at equal rounds (4.1 ms). glibc
+/// raises both thresholds to the size of the largest mapped block freed so
+/// far, up to 32 MiB, and never lowers them; freeing one block of just under
+/// that size moves them there at once. The block is never written, so it
+/// costs address space for a moment and no memory, and an allocator without
+/// the heuristic sees one large allocation and nothing else.
 fn keep_freed_buffers_mapped() {
     /// Just under glibc's `DEFAULT_MMAP_THRESHOLD_MAX` (32 MiB on 64-bit),
     /// header and page rounding included.
@@ -484,9 +488,7 @@ impl Executor {
         inputs
             .cols
             .iter()
-            .map(|(name, (col, memo))| {
-                cache.resident_bytes(device, name, BoundRows::new(col, memo))
-            })
+            .map(|(name, col)| cache.resident_bytes(device, name, BoundRows::kept(col)))
             .sum()
     }
 

@@ -6,8 +6,8 @@
 //! straggler, take a checkpoint) are single calls into the recovery role.
 //! One node-wiring routine ([`Executor::wire_node`]) serves whole-mode
 //! nodes, streamed chunks and hedged duplicates; one chunk-loop body
-//! ([`Executor::stream_chunk`]) is fed by either chunk source — the
-//! in-thread slicer or Algorithm 2's transfer thread.
+//! ([`Executor::stream_chunk`]) is fed by one chunk source, the
+//! [`ChunkSlicer`], under every chunked model.
 
 use super::accounting::{Charge, ChunkOutcome, StreamCosts};
 use super::recovery::ResumeCursor;
@@ -24,7 +24,6 @@ use adamant_task::container::DataContainer;
 use adamant_task::primitive::PrimitiveKind;
 use adamant_task::semantics::DataSemantic;
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Deterministic chunk-size schedule for one streaming attempt.
 ///
@@ -32,9 +31,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// processes succeeded and "after K consecutive successful chunks" is a
 /// pure function of the chunk index: starting from a (possibly backed-off)
 /// `start`, the size doubles every `regrow_after` chunks, capped at the
-/// configured size. Whichever thread slices the chunks evaluates the same
-/// schedule — no shared mutable size — so chunk boundaries, and every stat
-/// derived from them, are identical under any thread interleaving.
+/// configured size. Chunk boundaries, and every stat derived from them,
+/// depend on nothing else.
 #[derive(Clone, Copy)]
 struct ChunkSchedule {
     start: usize,
@@ -78,8 +76,7 @@ pub(super) struct Chunk {
 }
 
 /// The chunk source: cuts the scan's rows along a [`ChunkSchedule`],
-/// starting at the cursor's offset. Runs on the execute thread, or on
-/// Algorithm 2's transfer thread when the model overlaps copy and compute.
+/// starting at the cursor's offset.
 struct ChunkSlicer {
     schedule: ChunkSchedule,
     rows: usize,
@@ -365,72 +362,17 @@ impl Executor {
         // ---- Copy-compute phase -------------------------------------------
         // Rows below the cursor's offset are already host-accumulated (and
         // folded into the seeded accumulators); a restart's cursor is empty.
-        let mut source = ChunkSlicer {
+        // One host thread under every model: the overlap Algorithm 2 is
+        // about is computed on the modeled timeline
+        // (`timeline::overlapped_makespan`, DESIGN.md §4).
+        let source = ChunkSlicer {
             schedule,
             rows,
             index: 0,
             offset: cursor.resume_offset.min(rows),
         };
-        if cx.cfg.overlap && n_chunks > 0 {
-            // Algorithm 2: a transfer thread slices and hands chunks to the
-            // execute thread over a bounded channel whose capacity is the
-            // number of staging buffers; `fetched_until`/`processed_until`
-            // track progress exactly as in the paper.
-            let fetched_until = AtomicUsize::new(0);
-            let processed_until = AtomicUsize::new(0);
-            let (tx, rx) = std::sync::mpsc::sync_channel::<Chunk>(cx.cfg.staging_buffers);
-            // The staging buffers start full: the execute thread cuts the
-            // first chunks itself, so its first `recv` never waits for a
-            // thread that has yet to be scheduled — on a 2-core VM that
-            // wait is the other core's wake-up, hundreds of µs when the
-            // host is idle and milliseconds when it is not, once per
-            // pipeline. A scan that fits the staging buffers has nothing
-            // to overlap and starts no thread.
-            for chunk in source.by_ref().take(cx.cfg.staging_buffers) {
-                fetched_until.fetch_add(1, Ordering::Release);
-                tx.try_send(chunk)
-                    .expect("one free slot per staging buffer");
-            }
-            let tx = (source.offset < source.rows).then_some(tx);
-            let cancel = cx.control.cancel.clone();
-            std::thread::scope(|scope| -> Result<()> {
-                let (fetched, processed) = (&fetched_until, &processed_until);
-                if let Some(tx) = tx {
-                    scope.spawn(move || {
-                        // Cooperative cancellation: stop slicing; the execute
-                        // side surfaces the error at its own check.
-                        while !cancel.is_cancelled() {
-                            let Some(chunk) = source.next() else { return };
-                            // Algorithm 2 ordering: advertise the fetch
-                            // *before* handing the chunk over. The execute
-                            // thread may start on the chunk the instant
-                            // `send` enqueues it, so incrementing afterwards
-                            // races its `fetched > processed` check.
-                            fetched.fetch_add(1, Ordering::Release);
-                            if tx.send(chunk).is_err() {
-                                return; // executor side failed; stop transferring
-                            }
-                        }
-                    });
-                }
-                // `rx` is moved into this scope so an early `?` return drops
-                // it, failing the producer's blocked `send` instead of
-                // deadlocking the implicit join at scope exit.
-                let rx = rx;
-                for chunk in rx.iter() {
-                    debug_assert!(
-                        fetched.load(Ordering::Acquire) > processed.load(Ordering::Acquire),
-                        "execute thread ran ahead of transfer thread"
-                    );
-                    self.stream_chunk(cx, pipeline, &mut stream, &chunk)?;
-                    processed.fetch_add(1, Ordering::Release);
-                }
-                Ok(())
-            })?;
-        } else {
-            for chunk in source {
-                self.stream_chunk(cx, pipeline, &mut stream, &chunk)?;
-            }
+        for chunk in source {
+            self.stream_chunk(cx, pipeline, &mut stream, &chunk)?;
         }
         // Escaped scratch refs that never saw a chunk (empty scans) still
         // need an (empty) host accumulation for downstream consumers.

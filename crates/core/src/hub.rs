@@ -23,11 +23,11 @@
 //! computed on **every** transmission, the first included — the hub never
 //! consults a fault plan or a fault counter to decide whether to check; a
 //! check that depends on the injector is no check. What keeps this cheap is
-//! that a transmission costs two passes of the word-parallel content hash
-//! and exactly one copy: uploads are fed from a borrowed [`Payload`] (a
-//! slice of the bound column, a host accumulation, a checkpointed payload),
-//! the per-transmission copy handed to `place_data` *is* the transfer, and
-//! the echo is hashed in place.
+//! that an upload passes over its bytes twice, not three times: uploads are
+//! fed from a borrowed [`Payload`] (a slice of the bound column, a host
+//! accumulation, a checkpointed payload), the sender's hash and the copy
+//! handed to `place_data` — which *is* the transfer — come out of one loop
+//! over the source, and the echo is hashed in place on the device's side.
 
 use crate::error::{ExecError, Result};
 use crate::graph::{DataRef, NodeParams, PrimitiveNode};
@@ -38,12 +38,11 @@ use adamant_device::device::DeviceId;
 use adamant_device::error::DeviceError;
 use adamant_device::registry::DeviceRegistry;
 use adamant_storage::bitmap::Bitmap;
-use adamant_storage::fnv::{content_hash, Content};
+use adamant_storage::fnv::{content_hash, copy_and_hash, Content};
 use adamant_task::container::DataContainer;
 use adamant_task::primitive::PrimitiveKind;
 use adamant_task::semantics::DataSemantic;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::OnceLock;
 
 /// Host-side accumulation of per-chunk results.
 ///
@@ -153,22 +152,28 @@ impl HostAccum {
     }
 }
 
-/// What [`DataTransferHub::place_verified`] uploads: something that can say
-/// what it will send (its content checksum, computed where the data lies)
-/// and produce the device's own copy of it, once per transmission. Borrowed
+/// What [`DataTransferHub::place_verified`] uploads: something that can
+/// produce the device's own copy of itself — with the checksum of what it
+/// sends for the first transmission, plain for a retransmission. Borrowed
 /// sources — a slice of a bound column, a host accumulation, a checkpointed
 /// payload — implement it so that no caller has to build an owned payload
 /// only for the hub to copy it again.
 pub trait Payload {
-    /// The sender-side checksum: what the device's echo must equal.
-    fn checksum(&self) -> u64;
-    /// The copy one transmission hands to the device.
+    /// The copy the first transmission hands to the device, and the
+    /// sender-side checksum every echo must equal. `i64` rows — bound
+    /// columns, numeric accumulations — produce both in one pass over the
+    /// source (`adamant_storage::fnv::copy_and_hash`).
+    fn copy_and_checksum(&self) -> (BufferData, u64);
+    /// The copy a retransmission hands to the device.
     fn to_buffer(&self) -> BufferData;
 }
 
 impl Payload for BufferData {
-    fn checksum(&self) -> u64 {
-        BufferData::checksum(self)
+    fn copy_and_checksum(&self) -> (BufferData, u64) {
+        match self {
+            BufferData::I64(rows) => rows.as_slice().copy_and_checksum(),
+            other => (other.clone(), other.checksum()),
+        }
     }
     fn to_buffer(&self) -> BufferData {
         self.clone()
@@ -177,8 +182,9 @@ impl Payload for BufferData {
 
 /// Rows of a bound input column (`NUMERIC` semantics).
 impl Payload for [i64] {
-    fn checksum(&self) -> u64 {
-        content_hash(Content::I64(self))
+    fn copy_and_checksum(&self) -> (BufferData, u64) {
+        let (copy, checksum) = copy_and_hash(self);
+        (BufferData::I64(copy), checksum)
     }
     fn to_buffer(&self) -> BufferData {
         BufferData::I64(self.to_vec())
@@ -186,8 +192,11 @@ impl Payload for [i64] {
 }
 
 impl Payload for HostAccum {
-    fn checksum(&self) -> u64 {
-        HostAccum::checksum(self)
+    fn copy_and_checksum(&self) -> (BufferData, u64) {
+        match self {
+            HostAccum::Numeric(rows) => rows.as_slice().copy_and_checksum(),
+            other => (other.to_buffer(), other.checksum()),
+        }
     }
     fn to_buffer(&self) -> BufferData {
         HostAccum::to_buffer(self)
@@ -195,8 +204,8 @@ impl Payload for HostAccum {
 }
 
 impl<P: Payload + ?Sized> Payload for &P {
-    fn checksum(&self) -> u64 {
-        (**self).checksum()
+    fn copy_and_checksum(&self) -> (BufferData, u64) {
+        (**self).copy_and_checksum()
     }
     fn to_buffer(&self) -> BufferData {
         (**self).to_buffer()
@@ -237,11 +246,13 @@ fn charge_backoff(
     Ok(())
 }
 
-/// The one upload loop behind [`DataTransferHub::place_verified`]: hash what
-/// is about to be sent, once; then per transmission hand the device its own
-/// copy, ask the pool to echo the checksum of the range it now holds, and
-/// compare — on every transmission, the first included. A mismatch is logged
-/// against `device` and retransmitted until `budget` transmissions are spent.
+/// The one upload loop behind [`DataTransferHub::place_verified`]: one pass
+/// over the source yields the device's copy and the checksum of what is
+/// about to be sent; then per transmission hand the device its own copy (a
+/// fresh plain one for a retransmission), ask the pool to echo the checksum
+/// of the range it now holds, and compare — on every transmission, the
+/// first included. A mismatch is logged against `device` and retransmitted
+/// until `budget` transmissions are spent.
 ///
 /// A free function over the hub's two fields it needs, so a payload borrowed
 /// from another field of the hub (a host accumulation) can be uploaded
@@ -255,10 +266,11 @@ fn transmit(
     data: &(impl Payload + ?Sized),
     offset: usize,
 ) -> Result<()> {
-    let expected = data.checksum();
+    let (first, expected) = data.copy_and_checksum();
+    let mut first = Some(first);
     for attempt in 0..budget.max(1) {
         charge_backoff(devices, device, Lane::TransferH2D, id, attempt)?;
-        let copy = data.to_buffer();
+        let copy = first.take().unwrap_or_else(|| data.to_buffer());
         let len = copy.len();
         devices.get_mut(device)?.place_data(id, copy, offset)?;
         let echo = devices
@@ -369,7 +381,8 @@ impl DataTransferHub {
     ///
     /// `data` is any [`Payload`]: an owned or borrowed [`BufferData`], a
     /// borrowed slice of column rows, a host accumulation. It is hashed once
-    /// where it lies; each transmission copies it once, for the device.
+    /// where it lies, in the pass that makes the first transmission's copy;
+    /// each retransmission copies it once more, for the device.
     pub fn place_verified(
         &mut self,
         devices: &mut DeviceRegistry,
@@ -727,8 +740,7 @@ impl DataTransferHub {
         name: &str,
         column: &[i64],
     ) -> Result<BufferId> {
-        let memo = OnceLock::new();
-        self.load_bound_input(devices, data, target, name, BoundRows::new(column, &memo))
+        self.load_bound_input(devices, data, target, name, BoundRows::bare(column))
     }
 
     /// [`Self::load_whole_input`] for a bound column: the upload borrows the
@@ -1125,6 +1137,7 @@ impl DataTransferHub {
 mod tests {
     use super::*;
     use adamant_device::profiles::DeviceProfile;
+    use adamant_storage::column::SharedRows;
 
     fn two_devices() -> (DeviceRegistry, DeviceId, DeviceId) {
         let mut reg = DeviceRegistry::new();
@@ -1449,13 +1462,29 @@ mod tests {
             .faults
             .install(FaultPlan::none().corrupt_on_place(1));
         let mut hub = DataTransferHub::new();
+        let host = SharedRows::new(vec![1, 2, 3, 4]);
         let id = hub
-            .load_whole_input(&mut devices, DataRef::Input(0), gpu, "in0", &[1, 2, 3, 4])
+            .load_bound_input(
+                &mut devices,
+                DataRef::Input(0),
+                gpu,
+                "in0",
+                BoundRows::kept(&host),
+            )
             .unwrap();
         // The first transmission was corrupted; the pool's checksum echo
         // exposed it and the hub retransmitted.
         let log = hub.take_corruption_retransmits();
         assert_eq!(log.get(&gpu), Some(&1));
+        // The bit was flipped in the device's own copy: the host's rows —
+        // shared by reference with whoever else bound the column — are what
+        // they were, and no upload left a sender hash in their memo.
+        assert_eq!(**host.rows(), [1, 2, 3, 4]);
+        assert_eq!(host.known_content_hash(), None);
+        assert_eq!(
+            host.content_hash(),
+            BufferData::I64(vec![1, 2, 3, 4]).checksum()
+        );
         let dev = devices.get(gpu).unwrap();
         assert_eq!(dev.state().faults.counters().corruptions_injected, 1);
         assert_eq!(

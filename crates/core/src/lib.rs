@@ -10,9 +10,11 @@
 //!   baseline whose scalability Fig. 7 criticizes);
 //! * **chunked** (Algorithm 1) — streams fixed-size chunks through each
 //!   pipeline, bounding device memory;
-//! * **pipelined** (Algorithm 2) — chunked plus a separate transfer thread
-//!   overlapping copy with compute, synchronized by the
-//!   `fetched_until`/`processed_until` counters;
+//! * **pipelined** (Algorithm 2) — chunked with the next chunk's copy
+//!   overlapping the current chunk's compute. The overlap, and the
+//!   `fetched_until`/`processed_until` ordering that bounds it, live on the
+//!   modeled timeline ([`timeline::overlapped_makespan`]); the host stages
+//!   and executes every chunk on one thread;
 //! * **4-phase** (Algorithm 3) — stage/copy-compute/delete phases with dual
 //!   pinned staging buffers, in chunked and pipelined flavors.
 //!

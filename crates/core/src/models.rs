@@ -9,10 +9,11 @@ pub enum ExecutionModel {
     /// Naive chunked execution (Algorithm 1): per chunk — route, allocate,
     /// execute; transfer and compute strictly serialized, pageable memory.
     Chunked,
-    /// Pipelined execution (Algorithm 2): a transfer thread overlaps the
-    /// next chunk's copy with the current chunk's compute, synchronized via
-    /// `fetched_until`/`processed_until`; pageable memory, staging
-    /// allocated once.
+    /// Pipelined execution (Algorithm 2): the next chunk's copy overlaps the
+    /// current chunk's compute, as far ahead as the staging buffers allow
+    /// (the paper's `fetched_until`/`processed_until` ordering, computed by
+    /// `timeline::overlapped_makespan` on the modeled clock); pageable
+    /// memory, staging allocated once.
     Pipelined,
     /// 4-phase execution, chunked flavor (Algorithm 3 without overlap):
     /// stage dual *pinned* buffers once, copy-compute serially, delete.
@@ -30,12 +31,15 @@ pub struct ModelConfig {
     pub chunked: bool,
     /// Stage chunk uploads in pinned memory.
     pub pinned: bool,
-    /// Overlap transfer with compute (copy/compute concurrency).
+    /// Overlap transfer with compute on the modeled timeline (the device's
+    /// copy engine runs beside its compute units; the host does not thread).
     pub overlap: bool,
     /// Allocate staging buffers once up front (4-phase stage phase) instead
     /// of allocating per chunk (Algorithm 1's in-loop `prepare_memory`).
     pub stage_once: bool,
-    /// Number of staging buffers per input (dual memories in Fig. 8).
+    /// Number of staging buffers per input (dual memories in Fig. 8): the
+    /// slots a stage-once model allocates, and how many chunks the modeled
+    /// transfer may run ahead of compute.
     pub staging_buffers: usize,
 }
 

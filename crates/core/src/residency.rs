@@ -26,11 +26,12 @@
 //!   can never hit. The fingerprint *is* the upload's sender-side checksum
 //!   (`adamant_storage::fnv::content_hash` over the `i64` rows). Hashing a
 //!   column once per lookup made the cache cost the host more than it saved,
-//!   so the value is computed at most once per binding: it lives in a cell
-//!   beside the immutable `Arc<Vec<i64>>` it was computed from
-//!   ([`crate::executor::QueryInputs`]) and travels down as a
-//!   `BoundRows`. It is keyed by nothing — re-binding a name replaces
-//!   column and cell together.
+//!   so the value is computed at most once per *column*: it lives in a cell
+//!   beside the immutable `Arc<Vec<i64>>` it was computed from (an
+//!   `adamant_storage::column::SharedRows`, made by the catalog column and
+//!   shared by every [`crate::executor::QueryInputs`] bound from it) and
+//!   travels down as a `BoundRows`. It is keyed by nothing — re-binding a
+//!   name replaces rows and cell together.
 //! * **Evict** — pins are evicted in LRU order (ties broken by the lowest
 //!   modeled re-transfer cost, then name) whenever the per-device budget or
 //!   the admission ledger needs room. Eviction frees the device buffer and
@@ -47,9 +48,9 @@
 use adamant_device::buffer::BufferId;
 use adamant_device::device::DeviceId;
 use adamant_device::registry::DeviceRegistry;
+use adamant_storage::column::SharedRows;
 use adamant_storage::fnv::{content_hash, Content};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::OnceLock;
 
 /// First buffer id the cache allocates from — far above any per-run hub id.
 const CACHE_ID_BASE: u64 = 1 << 48;
@@ -116,27 +117,41 @@ fn fingerprint(column: &[i64]) -> u64 {
     content_hash(Content::I64(column))
 }
 
-/// A bound column as the cache sees it: the rows, and the cell beside them
-/// that keeps their fingerprint once something asked for it.
+/// A bound column as the cache sees it: the rows, and whoever keeps their
+/// fingerprint once something asked for it.
 ///
-/// Whoever builds one vouches that `memo` belongs to exactly these rows:
-/// [`crate::executor::QueryInputs`] pairs each immutable column with its own
-/// cell, and the slice-taking public forms of the cache pair the slice with
-/// a cell that lives for that one call.
+/// Nobody outside [`SharedRows`] pairs rows with a memo: a binding
+/// ([`crate::executor::QueryInputs`], and behind it the catalog column)
+/// arrives as [`BoundRows::kept`] and answers from the cell it has carried
+/// since the pair was made; the slice-taking public forms of the cache have
+/// no cell and hash when asked ([`BoundRows::bare`]).
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct BoundRows<'a> {
     pub(crate) rows: &'a [i64],
-    memo: &'a OnceLock<u64>,
+    kept: Option<&'a SharedRows>,
 }
 
 impl<'a> BoundRows<'a> {
-    pub(crate) fn new(rows: &'a [i64], memo: &'a OnceLock<u64>) -> Self {
-        BoundRows { rows, memo }
+    /// Rows whose fingerprint is remembered beside them.
+    pub(crate) fn kept(shared: &'a SharedRows) -> Self {
+        BoundRows {
+            rows: shared.rows(),
+            kept: Some(shared),
+        }
     }
 
-    /// The rows' fingerprint, hashed on first use.
+    /// A bare slice: hashed each time its fingerprint is needed.
+    pub(crate) fn bare(rows: &'a [i64]) -> Self {
+        BoundRows { rows, kept: None }
+    }
+
+    /// The rows' fingerprint: remembered if the binding keeps it, hashed on
+    /// the spot otherwise.
     fn fingerprint(&self) -> u64 {
-        *self.memo.get_or_init(|| fingerprint(self.rows))
+        match self.kept {
+            Some(shared) => shared.content_hash(),
+            None => fingerprint(self.rows),
+        }
     }
 
     /// Whether `entry` was pinned from exactly these rows. The length is
@@ -221,9 +236,10 @@ impl ResidencyCache {
     /// pool — e.g. a device reset) is invalidated on the spot, releasing its
     /// admission charge, and reported as a miss.
     ///
-    /// This is the thin public form: it fingerprints `column` for this one
-    /// call. The hub goes through the crate-internal `lookup_bound` with
-    /// the fingerprint kept beside the binding.
+    /// This is the thin public form: it fingerprints `column` when an entry
+    /// of its length is there to compare with. The hub goes through the
+    /// crate-internal `lookup_bound` with the fingerprint kept beside the
+    /// binding.
     pub fn lookup(
         &mut self,
         devices: &mut DeviceRegistry,
@@ -231,12 +247,7 @@ impl ResidencyCache {
         name: &str,
         column: &[i64],
     ) -> Option<BufferId> {
-        self.lookup_bound(
-            devices,
-            device,
-            name,
-            BoundRows::new(column, &OnceLock::new()),
-        )
+        self.lookup_bound(devices, device, name, BoundRows::bare(column))
     }
 
     /// [`Self::lookup`] for a column whose fingerprint is kept with its
@@ -355,14 +366,7 @@ impl ResidencyCache {
         id: BufferId,
         transfer_cost_ns: f64,
     ) {
-        let memo = OnceLock::new();
-        self.commit_pin_bound(
-            device,
-            name,
-            BoundRows::new(column, &memo),
-            id,
-            transfer_cost_ns,
-        )
+        self.commit_pin_bound(device, name, BoundRows::bare(column), id, transfer_cost_ns)
     }
 
     /// Commits a pin whose upload succeeded, remembering the length and the
@@ -575,21 +579,24 @@ mod tests {
         let (mut reg, dev) = one_device();
         let mut cache = ResidencyCache::new(ResidencyConfig::new(1 << 20));
         let col: Vec<i64> = (0..64).collect();
-        let memo = OnceLock::new();
-        let bound = BoundRows::new(&col, &memo);
+        let shared = SharedRows::new(col.clone());
+        let bound = BoundRows::kept(&shared);
         cache.begin_run();
         // No entry, or an entry of another length: nothing to compare with,
         // nothing hashed.
         assert!(cache.lookup_bound(&mut reg, dev, "x", bound).is_none());
         pin(&mut cache, &mut reg, dev, "x", &col[..32]);
         assert_eq!(cache.resident_bytes(dev, "x", bound), 0);
-        assert!(memo.get().is_none());
+        assert!(shared.known_content_hash().is_none());
         assert!(cache.lookup_bound(&mut reg, dev, "x", bound).is_none());
-        assert!(memo.get().is_none(), "length mismatch decided it");
+        assert!(
+            shared.known_content_hash().is_none(),
+            "length mismatch decided it"
+        );
         // Pinning asks for it; from then on the cell answers.
         let id = cache.begin_pin(&mut reg, dev, &col).unwrap();
         cache.commit_pin_bound(dev, "x", bound, id, 1_000.0);
-        assert_eq!(memo.get(), Some(&fingerprint(&col)));
+        assert_eq!(shared.known_content_hash(), Some(fingerprint(&col)));
         assert_eq!(cache.resident_bytes(dev, "x", bound), 64 * 8);
         // The slice-taking public form and the bound form agree.
         assert_eq!(cache.resident_bytes(dev, "y", bound), 0);

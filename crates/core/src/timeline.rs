@@ -30,7 +30,11 @@ pub fn serial_makespan(chunks: &[ChunkCost]) -> f64 {
 ///   (the dual-memory alternation of Fig. 8 is `staging_buffers == 2`).
 ///
 /// The paper's Algorithm 2 trackers (`fetched_until`/`processed_until`)
-/// enforce exactly these constraints at runtime.
+/// enforce exactly these constraints between its two threads. Here they
+/// are this function's two arrays: the executor runs one host thread (it
+/// moves no bytes a second thread could move for it — DESIGN.md §4), so the
+/// overwrite-while-executing hazard the trackers guard is ruled out by the
+/// slot arithmetic above rather than raced at run time.
 pub fn overlapped_makespan(chunks: &[ChunkCost], staging_buffers: usize) -> f64 {
     assert!(staging_buffers >= 1);
     let n = chunks.len();

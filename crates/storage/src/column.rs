@@ -1,17 +1,71 @@
 //! Typed columns.
+//!
+//! **Bind by reference.** The devices compute on `i64` rows, and a column
+//! is immutable once built, so it hands those rows out shared, never
+//! copied: [`Column::shared_rows`] returns a [`SharedRows`] — the rows
+//! behind one `Arc` and, beside them, the cell that remembers their content
+//! hash. An `Int64` column's storage *is* that `Arc`; a narrower column
+//! (`Int32`, `Date`, dictionary codes) is widened once, on first use, into
+//! a memo beside its storage. Rows and cell are paired in exactly one
+//! place, [`SharedRows::new`], and travel together from then on, so the
+//! memo is keyed by nothing that could outlive what it describes.
 
 use crate::bitmap::Bitmap;
 use crate::datatype::{DataType, Value};
 use crate::error::StorageError;
+use crate::fnv::{content_hash, Content};
 use crate::position::PositionList;
+use std::sync::{Arc, OnceLock};
+
+/// Immutable `i64` rows shared by reference, paired with the memo of their
+/// content hash (the value that is at once the sender checksum of uploading
+/// them whole and their residency fingerprint).
+///
+/// A clone is two reference-count bumps and shares both the rows and the
+/// memo: whoever hashes first, hashes for every holder.
+#[derive(Clone, Debug)]
+pub struct SharedRows {
+    rows: Arc<Vec<i64>>,
+    hash: Arc<OnceLock<u64>>,
+}
+
+impl SharedRows {
+    /// Pairs `rows` with a fresh, empty memo — the only place a pair is
+    /// made.
+    pub fn new(rows: impl Into<Arc<Vec<i64>>>) -> Self {
+        SharedRows {
+            rows: rows.into(),
+            hash: Arc::default(),
+        }
+    }
+
+    /// The rows.
+    pub fn rows(&self) -> &Arc<Vec<i64>> {
+        &self.rows
+    }
+
+    /// `content_hash(Content::I64(rows))`, computed on first use.
+    pub fn content_hash(&self) -> u64 {
+        *self
+            .hash
+            .get_or_init(|| content_hash(Content::I64(&self.rows)))
+    }
+
+    /// The content hash if some holder has asked for it already.
+    pub fn known_content_hash(&self) -> Option<u64> {
+        self.hash.get().copied()
+    }
+}
 
 /// The physical payload of a column.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ColumnData {
     /// 32-bit integers.
     Int32(Vec<i32>),
-    /// 64-bit integers (also fixed-point decimals in cents).
-    Int64(Vec<i64>),
+    /// 64-bit integers (also fixed-point decimals in cents). Behind an
+    /// `Arc` because these are the rows the devices see: binding the column
+    /// shares them instead of copying them.
+    Int64(Arc<Vec<i64>>),
     /// 64-bit floats.
     Float64(Vec<f64>),
     /// Dates as days since epoch.
@@ -59,11 +113,22 @@ impl ColumnData {
     }
 }
 
-/// A named, typed column.
-#[derive(Clone, Debug, PartialEq)]
+/// A named, typed column. Immutable after construction.
+#[derive(Clone, Debug)]
 pub struct Column {
     name: String,
     data: ColumnData,
+    /// The rows as the devices see them, made on first use
+    /// ([`Column::shared_rows`]); a clone of the column shares them.
+    shared: OnceLock<SharedRows>,
+}
+
+/// Name and payload; whether the rows were shared yet is not part of a
+/// column's value.
+impl PartialEq for Column {
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name && self.data == other.data
+    }
 }
 
 impl Column {
@@ -72,6 +137,7 @@ impl Column {
         Column {
             name: name.into(),
             data,
+            shared: OnceLock::new(),
         }
     }
 
@@ -82,7 +148,7 @@ impl Column {
 
     /// Convenience constructor for `Int64` columns.
     pub fn from_i64(name: impl Into<String>, values: Vec<i64>) -> Self {
-        Column::new(name, ColumnData::Int64(values))
+        Column::new(name, ColumnData::Int64(Arc::new(values)))
     }
 
     /// Convenience constructor for `Float64` columns.
@@ -167,14 +233,32 @@ impl Column {
         })
     }
 
-    /// The rows of the column widened to `i64` (device kernels run on i64).
+    /// The rows of the column widened to `i64`, shared by reference: what a
+    /// query binds. An `Int64` column shares its storage; a narrower one is
+    /// widened on the first call and every later call (on this column or a
+    /// clone of it) returns the same rows. Floats are rejected like in
+    /// [`Column::to_i64_vec`].
+    pub fn shared_rows(&self) -> Result<&SharedRows, StorageError> {
+        if let Some(shared) = self.shared.get() {
+            return Ok(shared);
+        }
+        let rows = match &self.data {
+            ColumnData::Int64(v) => Arc::clone(v),
+            _ => Arc::new(self.to_i64_vec()?),
+        };
+        Ok(self.shared.get_or_init(|| SharedRows::new(rows)))
+    }
+
+    /// A fresh copy of the rows widened to `i64` (device kernels run on
+    /// i64), for callers that want a vector of their own; binding goes
+    /// through [`Column::shared_rows`] instead.
     ///
     /// Floats are rejected with a `TypeMismatch`; dictionary columns expose
     /// their codes.
     pub fn to_i64_vec(&self) -> Result<Vec<i64>, StorageError> {
         Ok(match &self.data {
             ColumnData::Int32(v) => v.iter().map(|&x| x as i64).collect(),
-            ColumnData::Int64(v) => v.clone(),
+            ColumnData::Int64(v) => v.to_vec(),
             ColumnData::Date(v) => v.iter().map(|&x| x as i64).collect(),
             ColumnData::DictStr { codes, .. } => codes.iter().map(|&c| c as i64).collect(),
             ColumnData::Float64(_) => {
@@ -235,13 +319,13 @@ impl Column {
                     .map(|&p| check(p).map(|p| v[p]))
                     .collect::<Result<_, _>>()?,
             ),
-            ColumnData::Int64(v) => ColumnData::Int64(
+            ColumnData::Int64(v) => ColumnData::Int64(Arc::new(
                 positions
                     .as_slice()
                     .iter()
                     .map(|&p| check(p).map(|p| v[p]))
                     .collect::<Result<_, _>>()?,
-            ),
+            )),
             ColumnData::Float64(v) => ColumnData::Float64(
                 positions
                     .as_slice()
@@ -274,7 +358,7 @@ impl Column {
         let offset = offset.min(end);
         let data = match &self.data {
             ColumnData::Int32(v) => ColumnData::Int32(v[offset..end].to_vec()),
-            ColumnData::Int64(v) => ColumnData::Int64(v[offset..end].to_vec()),
+            ColumnData::Int64(v) => ColumnData::Int64(Arc::new(v[offset..end].to_vec())),
             ColumnData::Float64(v) => ColumnData::Float64(v[offset..end].to_vec()),
             ColumnData::Date(v) => ColumnData::Date(v[offset..end].to_vec()),
             ColumnData::DictStr { codes, dict } => ColumnData::DictStr {
@@ -326,14 +410,54 @@ mod tests {
     }
 
     #[test]
+    fn shared_rows_are_the_columns_own() {
+        // `Int64`: the shared rows are the storage itself.
+        let wide = Column::from_i64("a", vec![1, -2, 3]);
+        let ColumnData::Int64(storage) = wide.data() else {
+            panic!("{:?}", wide.data())
+        };
+        let shared = wide.shared_rows().unwrap();
+        assert!(Arc::ptr_eq(shared.rows(), storage));
+        // Narrower types: widened once; later calls and clones of the
+        // column (made before or after) hand out the same rows and memo.
+        let early = Column::from_dates("d", vec![10, 11]);
+        let narrow = early.clone();
+        let first = narrow.shared_rows().unwrap().clone();
+        assert_eq!(**first.rows(), [10, 11]);
+        assert!(Arc::ptr_eq(
+            narrow.shared_rows().unwrap().rows(),
+            first.rows()
+        ));
+        assert!(Arc::ptr_eq(
+            narrow.clone().shared_rows().unwrap().rows(),
+            first.rows()
+        ));
+        assert_eq!(first.known_content_hash(), None);
+        let hash = narrow.clone().shared_rows().unwrap().content_hash();
+        assert_eq!(hash, content_hash(Content::I64(&[10, 11])));
+        assert_eq!(first.known_content_hash(), Some(hash));
+        // A clone taken before the first use widens for itself — equal
+        // rows, its own allocation — and compares equal all the same.
+        assert!(!Arc::ptr_eq(
+            early.shared_rows().unwrap().rows(),
+            first.rows()
+        ));
+        assert_eq!(early, narrow);
+        assert_eq!(Column::from_dates("d", vec![10, 11]), narrow);
+        let codes = Column::from_strings("s", &["x", "y", "x"]);
+        assert_eq!(**codes.shared_rows().unwrap().rows(), [0, 1, 0]);
+        assert!(Column::from_f64("f", vec![1.0]).shared_rows().is_err());
+    }
+
+    #[test]
     fn filter_and_take() {
         let c = Column::from_i64("a", vec![10, 20, 30, 40]);
         let bm = Bitmap::from_bools(&[true, false, true, false]);
         let out = c.filter_by_bitmap(&bm).unwrap();
-        assert_eq!(out.data(), &ColumnData::Int64(vec![10, 30]));
+        assert_eq!(out.data(), &ColumnData::Int64(vec![10, 30].into()));
 
         let taken = c.take(&PositionList::from_vec(vec![3, 0, 3])).unwrap();
-        assert_eq!(taken.data(), &ColumnData::Int64(vec![40, 10, 40]));
+        assert_eq!(taken.data(), &ColumnData::Int64(vec![40, 10, 40].into()));
 
         assert!(c.take(&PositionList::from_vec(vec![9])).is_err());
         let wrong = Bitmap::new_zeroed(3);

@@ -37,7 +37,7 @@ pub mod table;
 pub use bitmap::Bitmap;
 pub use catalog::Catalog;
 pub use chunk::ChunkView;
-pub use column::{Column, ColumnData};
+pub use column::{Column, ColumnData, SharedRows};
 pub use datatype::{DataType, Value};
 pub use error::StorageError;
 pub use position::PositionList;
@@ -49,7 +49,7 @@ pub mod prelude {
     pub use crate::bitmap::Bitmap;
     pub use crate::catalog::Catalog;
     pub use crate::chunk::ChunkView;
-    pub use crate::column::{Column, ColumnData};
+    pub use crate::column::{Column, ColumnData, SharedRows};
     pub use crate::datatype::{DataType, Value};
     pub use crate::error::StorageError;
     pub use crate::fnv::{FnvHashMap, FnvHashSet};

@@ -449,11 +449,56 @@ impl AggHashTable {
     }
 }
 
+/// Most groups a table may hold for [`fold_column`] to fold through lane
+/// accumulators (what fits the stack comfortably: `FOLD_LANES` × this many
+/// states).
+const FEW_GROUPS: usize = 64;
+
+/// Independent accumulator sets of the few-groups fold.
+const FOLD_LANES: usize = 4;
+
 /// Folds `vals[i]` into `states[groups[i]]` for every `i`: one loop per
 /// aggregate function, chosen once per column.
+///
+/// With few groups, rows of one group follow each other closely and
+/// `states[g] = fold(states[g], v)` waits for the store of the row before
+/// (Q1: four groups, runs of ~50 equal ids). So when the table holds at most
+/// [`FEW_GROUPS`] groups, rows go round-robin into [`FOLD_LANES`] sets of
+/// accumulators that start from the aggregate's identity and are merged into
+/// `states` once per block. Every aggregate is associative and commutative
+/// (`Sum` because it wraps — see [`AggFunc`]), so the result is that of the
+/// plain loop, bit for bit. With many groups equal ids are far apart, the
+/// plain loop does not wait, and lanes would only cost cache.
 fn fold_column(agg: AggFunc, states: &mut [i64], groups: &[u32], vals: &[i64]) {
-    let rows = groups.iter().map(|&g| g as usize).zip(vals);
-    per_agg!(agg, fold => rows.for_each(|(g, &v)| states[g] = fold(states[g], v)));
+    if states.len() > FEW_GROUPS {
+        let rows = groups.iter().map(|&g| g as usize).zip(vals);
+        per_agg!(agg, fold => rows.for_each(|(g, &v)| states[g] = fold(states[g], v)));
+        return;
+    }
+    let mut lanes = [[agg.identity(); FEW_GROUPS]; FOLD_LANES];
+    // Whole rounds feed every lane (fixed trip count, so the inner loop
+    // unrolls); the last few rows go to the first lane.
+    let vals = &vals[..groups.len()];
+    let (group_rounds, val_rounds) = (
+        groups.chunks_exact(FOLD_LANES),
+        vals.chunks_exact(FOLD_LANES),
+    );
+    let tail = group_rounds.remainder().iter().zip(val_rounds.remainder());
+    per_agg!(agg, fold => {
+        for (gs, vs) in group_rounds.zip(val_rounds) {
+            for ((lane, &g), &v) in lanes.iter_mut().zip(gs).zip(vs) {
+                lane[g as usize] = fold(lane[g as usize], v);
+            }
+        }
+        for (&g, &v) in tail {
+            lanes[0][g as usize] = fold(lanes[0][g as usize], v);
+        }
+    });
+    for (g, state) in states.iter_mut().enumerate() {
+        *state = lanes
+            .iter()
+            .fold(*state, |acc, lane| agg.merge(acc, lane[g]));
+    }
 }
 
 impl GenericPayload for AggHashTable {

@@ -338,6 +338,15 @@ pub(crate) use per_agg;
 ///
 /// `Avg` is decomposed into `Sum` + `Count` by the planner and finalized on
 /// the host, as the paper's integer primitives do.
+///
+/// **At the `i64` boundary `Sum` wraps** (two's complement, in debug and
+/// release alike) — in every kernel body, in [`AggFunc::fold`] and
+/// [`AggFunc::merge`], and so in the host interpreter, which folds through
+/// them. That makes every aggregate associative and commutative, which is
+/// what lets partial states be merged in any grouping (chunks, hedged
+/// duplicates, the hash table's lane fold) with a bit-identical result.
+/// `Count` adds one per row and cannot overflow: a count is bounded by the
+/// rows a query can address.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum AggFunc {
     /// Sum of values.

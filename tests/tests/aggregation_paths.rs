@@ -91,3 +91,75 @@ fn hash_and_sort_aggregation_equivalent() {
         );
     }
 }
+
+/// `SUM` at the `i64` boundary wraps (two's complement), everywhere: the
+/// standalone `agg_block` and `hash_agg` kernels, the fused terminals that
+/// call the same bodies, and the host interpreter all agree with a naive
+/// `wrapping_add` loop — in debug and in release. The group counts sit on
+/// both sides of the hash table's few-groups lane fold (`<= 64` groups),
+/// whose regrouping of the additions is exact only because `SUM` wraps.
+#[test]
+fn sum_wraps_at_the_i64_boundary_on_every_path() {
+    use adamant::sql::prelude::run_sql_host;
+    const EDGE: [i64; 8] = [i64::MAX, 1, -1, i64::MIN, i64::MAX, i64::MAX, 7, i64::MIN];
+    const ROWS: usize = 1000; // several chunks; not a multiple of the fold's lanes or block
+    let vals: Vec<i64> = (0..ROWS)
+        .map(|i| EDGE[i % EDGE.len()].wrapping_add((i / EDGE.len()) as i64 % 3))
+        .collect();
+
+    for groups in [1usize, 4, 64, 65] {
+        // Runs of equal keys (what the lane fold is for), every group present.
+        let keys: Vec<i64> = (0..ROWS).map(|i| ((i / 5) % groups) as i64).collect();
+        let mut want = vec![0i64; groups];
+        for (&k, &v) in keys.iter().zip(&vals) {
+            want[k as usize] = want[k as usize].wrapping_add(v);
+        }
+        let total = want.iter().fold(0i64, |acc, &s| acc.wrapping_add(s));
+        let exact: i128 = vals.iter().map(|&v| i128::from(v)).sum();
+        assert!(i64::try_from(exact).is_err(), "the inputs do overflow");
+
+        let mut catalog = Catalog::new();
+        catalog.register(
+            Table::new(
+                "t",
+                vec![
+                    Column::from_i64("k", keys),
+                    Column::from_i64("v", vals.clone()),
+                ],
+            )
+            .unwrap(),
+        );
+        let grouped = "SELECT k, SUM(v) AS s FROM t WHERE k >= 0 GROUP BY k ORDER BY k";
+        let scalar = "SELECT SUM(v) AS s FROM t WHERE k >= 0";
+        let want_grouped: Vec<Vec<i64>> = (0..groups).map(|g| vec![g as i64, want[g]]).collect();
+        assert_eq!(run_sql_host(grouped, &catalog).unwrap(), want_grouped);
+        assert_eq!(run_sql_host(scalar, &catalog).unwrap(), vec![vec![total]]);
+
+        for fusion in [false, true] {
+            let mut engine = Adamant::builder()
+                .chunk_rows(256)
+                .fusion(fusion)
+                .device(DeviceProfile::cuda_rtx2080ti())
+                .build()
+                .unwrap();
+            let mut session = Session::new(&mut engine, &catalog);
+            for (sql, want_rows) in [(grouped, &want_grouped), (scalar, &vec![vec![total]])] {
+                let rs = session.sql(sql).unwrap();
+                assert_eq!(rs.stats.nodes_fused > 0, fusion, "{sql}");
+                let got: Vec<Vec<i64>> = rs
+                    .rows
+                    .iter()
+                    .map(|row| {
+                        row.iter()
+                            .map(|cell| match cell {
+                                SqlValue::Int(v) => *v,
+                                other => panic!("{other:?}"),
+                            })
+                            .collect()
+                    })
+                    .collect();
+                assert_eq!(&got, want_rows, "{groups} groups, fusion {fusion}: {sql}");
+            }
+        }
+    }
+}

@@ -240,12 +240,11 @@ fn no_leaks_after_faulted_runs() {
     }
 }
 
-// ---- overlap stress: fetched/processed ordering --------------------------
+// ---- overlap stress: many chunks, few staging slots ------------------------
 
 /// Many tiny chunks through the overlapped models, repeatedly, on one
-/// engine: exercises the `fetched_until`-before-send ordering (a debug
-/// build would trip the executor's `fetched > processed` assertion if the
-/// counters raced) and per-pipeline cleanup across runs.
+/// engine: every chunk is staged into one of two slots, processed once and
+/// in order, and per-pipeline cleanup holds across runs.
 #[test]
 fn overlap_stress_many_tiny_chunks() {
     let data = test_data(300);
@@ -277,10 +276,8 @@ fn overlap_stress_many_tiny_chunks() {
     }
 }
 
-/// The staging buffers start full (the execute thread cuts the first
-/// `staging_buffers` chunks itself), and a scan that fits them starts no
-/// transfer thread: one, two (exactly full) and three chunks (one left for
-/// the thread) all finish, count their chunks and leak nothing.
+/// Scans of one, two (one chunk per staging slot) and three chunks (a slot
+/// is reused) all finish, count their chunks and leak nothing.
 #[test]
 fn overlap_scan_around_the_staging_buffer_count() {
     for model in [
