@@ -80,7 +80,7 @@ use adamant_core::result::QueryOutput;
 use adamant_core::stats::ExecutionStats;
 use adamant_device::device::{Device, DeviceId};
 use adamant_device::fault::FaultPlan;
-use adamant_device::health::{DeviceHealthRegistry, HealthPolicy};
+use adamant_device::health::DeviceHealthRegistry;
 use adamant_device::profiles::DeviceProfile;
 use adamant_device::sdk::SdkKind;
 use adamant_sched::{PreemptPolicy, QueryScheduler, QuerySpec, SchedReport};
@@ -245,7 +245,6 @@ pub struct AdamantBuilder {
     checkpoints: Option<CheckpointConfig>,
     deadline_ns: Option<f64>,
     watchdog_multiplier: Option<Option<f64>>,
-    health: Option<HealthPolicy>,
     fault_plans: Vec<(usize, FaultPlan)>,
     tasks: Option<TaskRegistry>,
     preempt: Option<PreemptPolicy>,
@@ -330,13 +329,6 @@ impl AdamantBuilder {
         self
     }
 
-    /// Sets the device health policy (circuit-breaker thresholds, cool-down
-    /// length). Defaults to [`HealthPolicy::default`].
-    pub fn health_policy(mut self, policy: HealthPolicy) -> Self {
-        self.health = Some(policy);
-        self
-    }
-
     /// Installs a fault plan on the device at plug index `index` (profiles
     /// first, then custom devices, in declaration order).
     pub fn fault_plan(mut self, index: usize, plan: FaultPlan) -> Self {
@@ -404,9 +396,6 @@ impl AdamantBuilder {
             executor: Executor::new(tasks, config),
             preempt: self.preempt.unwrap_or_default(),
         };
-        if let Some(policy) = self.health {
-            engine.executor.set_health_policy(policy);
-        }
         for p in &self.profiles {
             engine.plug_profile(p)?;
         }
@@ -442,9 +431,7 @@ pub mod prelude {
     pub use adamant_device::cost::{CostClass, CostModel};
     pub use adamant_device::device::{Device, DeviceId, DeviceInfo, DeviceKind, DeviceState};
     pub use adamant_device::fault::{FaultCounters, FaultPlan};
-    pub use adamant_device::health::{
-        BreakerState, DeviceHealthRegistry, HealthPolicy, HealthSnapshot,
-    };
+    pub use adamant_device::health::{BreakerState, DeviceHealthRegistry, HealthSnapshot};
     pub use adamant_device::kernel::{ExecuteSpec, KernelSource, KernelStats};
     pub use adamant_device::profiles::DeviceProfile;
     pub use adamant_device::sdk::{SdkKind, SdkRepr};

@@ -34,7 +34,7 @@ use crate::result::QueryOutput;
 use crate::stats::ExecutionStats;
 use accounting::Tally;
 use adamant_device::device::{Device, DeviceId};
-use adamant_device::health::{DeviceHealthRegistry, HealthPolicy};
+use adamant_device::health::DeviceHealthRegistry;
 use adamant_device::profiles::DeviceProfile;
 use adamant_device::registry::DeviceRegistry;
 use adamant_storage::column::{Column, SharedRows};
@@ -96,7 +96,8 @@ impl Default for ExecutorConfig {
 /// accumulations discarded) and retried according to the error class:
 ///
 /// * device out-of-memory → the streaming chunk size is halved before the
-///   retry (down to one row);
+///   retry (down to one row), and doubles back toward `chunk_rows` after
+///   every four clean chunks;
 /// * a kernel that fails twice in a row on the same device → the
 ///   pipeline's nodes on that device are re-placed onto another device
 ///   with the primitive installed;
@@ -107,18 +108,11 @@ pub struct RetryPolicy {
     /// Total attempts per pipeline, including the first (so 1 disables
     /// recovery entirely).
     pub max_attempts: usize,
-    /// After this many consecutive successful chunks at a backed-off size,
-    /// the streaming chunk size doubles back toward the configured
-    /// `chunk_rows` (never above it). `0` disables regrowth.
-    pub regrow_after_chunks: usize,
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 4,
-            regrow_after_chunks: 4,
-        }
+        RetryPolicy { max_attempts: 4 }
     }
 }
 
@@ -398,19 +392,13 @@ impl Executor {
         self.config.retry = retry;
     }
 
-    /// Replaces the health policy (breaker thresholds, cool-down length).
-    /// Recorded health is kept.
-    pub fn set_health_policy(&mut self, policy: HealthPolicy) {
-        self.health.set_policy(policy);
-    }
-
     /// The cross-query device health registry, read-only.
     pub fn health(&self) -> &DeviceHealthRegistry {
         &self.health
     }
 
-    /// Mutable health registry access (tests force breaker states; callers
-    /// may `reset()` it between experiments).
+    /// Mutable health registry access (tests record events to force breaker
+    /// states, or tick a cool-down with `on_query_completed`).
     pub fn health_mut(&mut self) -> &mut DeviceHealthRegistry {
         &mut self.health
     }

@@ -30,24 +30,24 @@ use std::collections::{HashMap, HashSet};
 /// A failed chunk unwinds the whole attempt, so every chunk an attempt
 /// processes succeeded and "after K consecutive successful chunks" is a
 /// pure function of the chunk index: starting from a (possibly backed-off)
-/// `start`, the size doubles every `regrow_after` chunks, capped at the
-/// configured size. Chunk boundaries, and every stat derived from them,
+/// `start`, the size doubles every [`REGROW_AFTER_CHUNKS`] chunks, capped at
+/// the configured size. Chunk boundaries, and every stat derived from them,
 /// depend on nothing else.
 #[derive(Clone, Copy)]
 struct ChunkSchedule {
     start: usize,
     configured: usize,
-    regrow_after: usize,
 }
+
+/// Consecutive successful chunks at a backed-off size after which the
+/// streaming chunk size doubles back toward the configured `chunk_rows`.
+const REGROW_AFTER_CHUNKS: usize = 4;
 
 impl ChunkSchedule {
     /// Rows for the `chunk`-th (0-based) chunk of the attempt.
     fn rows_for(&self, chunk: usize) -> usize {
         let mut size = self.start.max(1);
-        if self.regrow_after == 0 {
-            return size;
-        }
-        for _ in 0..(chunk / self.regrow_after) {
+        for _ in 0..(chunk / REGROW_AFTER_CHUNKS) {
             if size >= self.configured {
                 break;
             }
@@ -275,7 +275,7 @@ impl Executor {
             .scan
             .as_deref()
             .expect("streaming pipeline has a scan");
-        // Adaptive regrowth: after `regrow_after_chunks` consecutive
+        // Adaptive regrowth: after `REGROW_AFTER_CHUNKS` consecutive
         // successful chunks at a backed-off size, double back toward the
         // configured size. Staging buffers grow in place (`place_data`
         // re-checks the accounting, so an over-eager regrow surfaces as a
@@ -283,7 +283,6 @@ impl Executor {
         let schedule = ChunkSchedule {
             start: chunk_rows.max(1),
             configured: self.config.chunk_rows.max(1),
-            regrow_after: self.config.retry.regrow_after_chunks,
         };
 
         // The scan columns this pipeline streams, and their length.

@@ -32,7 +32,7 @@ use adamant_device::buffer::BufferData;
 use adamant_device::device::DeviceId;
 use adamant_device::error::DeviceError;
 use adamant_device::health::{BreakerState, FailureVerdict};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 
 /// What went wrong, in the terms the policy cares about.
 pub(super) enum Fault {
@@ -703,7 +703,7 @@ impl Executor {
     /// staging transfer plus the expected-retry penalty and the latency
     /// EWMA the watchdog feeds (slow devices lose placement ties).
     fn placement_cost_ns(&self, dev: DeviceId, est_bytes: u64) -> Option<f64> {
-        let penalty = self.health.retry_penalty_ns(dev) + self.health.latency_penalty_ns(dev);
+        let penalty = self.health.placement_penalty_ns(dev);
         let cost = &self.devices.get(dev).ok()?.state().cost;
         Some(cost.placement_cost_ns(est_bytes, penalty))
     }
@@ -830,7 +830,7 @@ impl Executor {
         for (pi, pipeline) in pipelines.pipelines.iter().enumerate() {
             for &n in &pipeline.nodes {
                 let dev = graph.node(n).device;
-                if !(self.health.is_half_open(dev) && self.health.probe_candidate(dev)) {
+                if !self.health.probe_candidate(dev) {
                     continue;
                 }
                 let nodes_on_dev = pipeline
@@ -848,8 +848,8 @@ impl Executor {
                 }
             }
         }
-        let mut probe_granted: HashSet<DeviceId> = HashSet::new();
-        let mut kernel_probe_granted: HashSet<(DeviceId, String)> = HashSet::new();
+        // A granted probe is in flight, so the breaker stops being a probe
+        // candidate: one grant per breaker per query needs no bookkeeping.
         for (pi, pipeline) in pipelines.pipelines.iter().enumerate() {
             for dev in pipeline_devices(graph, pipeline) {
                 let kernels = self.kernels_on_device(graph, pipeline, dev);
@@ -864,8 +864,7 @@ impl Executor {
                     // pre-pass; everything else sheds the extra load until
                     // the probe verdict is in.
                     let probes = self.health.probe_candidate(dev)
-                        && probe_choice.get(&dev).map(|&(_, p)| p) == Some(pi)
-                        && probe_granted.insert(dev);
+                        && probe_choice.get(&dev).map(|&(_, p)| p) == Some(pi);
                     if probes {
                         self.health.begin_probe(dev);
                     }
@@ -878,16 +877,12 @@ impl Executor {
                     // device itself stays available for other pipelines.
                     true
                 } else {
-                    // Grant at most one probe per half-open (device, kernel)
-                    // breaker; shed pipelines needing a kernel whose probe is
-                    // already in flight elsewhere.
+                    // Grant the first pipeline needing a half-open
+                    // (device, kernel) breaker its probe; shed pipelines
+                    // needing a kernel whose probe is already in flight.
                     let mut shed = false;
                     for k in &kernels {
-                        let key = (dev, k.clone());
-                        if self.health.kernel_probe_candidate(dev, k)
-                            && !kernel_probe_granted.contains(&key)
-                        {
-                            kernel_probe_granted.insert(key);
+                        if self.health.kernel_probe_candidate(dev, k) {
                             self.health.begin_kernel_probe(dev, k);
                         } else if matches!(
                             self.health.kernel_state(dev, k),

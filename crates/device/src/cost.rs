@@ -241,14 +241,14 @@ impl CostModel {
 
     /// Recovery-aware placement cost: what moving a `working_set_bytes`
     /// working set onto this device is expected to cost, including the
-    /// expected-retry penalty the health registry derived from the device's
-    /// observed failure rate (failure rate × average wasted modeled time).
+    /// health registry's `placement_penalty_ns` for the device (failure rate
+    /// × average wasted modeled time, plus its smoothed watchdog overrun).
     ///
-    /// Fallback placement ranks candidates by this value, so a flaky or
-    /// memory-tight device loses ties against an equally capable healthy one
-    /// instead of winning them by id order.
-    pub fn placement_cost_ns(&self, working_set_bytes: u64, retry_penalty_ns: f64) -> f64 {
-        self.h2d_ns(working_set_bytes, false) + retry_penalty_ns.max(0.0)
+    /// Every placement ranking uses this value, so a flaky, memory-tight or
+    /// slow device loses ties against an equally capable healthy one instead
+    /// of winning them by id order.
+    pub fn placement_cost_ns(&self, working_set_bytes: u64, penalty_ns: f64) -> f64 {
+        self.h2d_ns(working_set_bytes, false) + penalty_ns.max(0.0)
     }
 
     /// [`CostModel::placement_cost_ns`] discounted by bytes already resident
@@ -259,13 +259,13 @@ impl CostModel {
         &self,
         working_set_bytes: u64,
         resident_bytes: u64,
-        retry_penalty_ns: f64,
+        penalty_ns: f64,
     ) -> f64 {
         let moved = working_set_bytes.saturating_sub(resident_bytes);
         if moved == 0 {
-            retry_penalty_ns.max(0.0)
+            penalty_ns.max(0.0)
         } else {
-            self.placement_cost_ns(moved, retry_penalty_ns)
+            self.placement_cost_ns(moved, penalty_ns)
         }
     }
 }

@@ -59,7 +59,7 @@ pub use cost::{CostClass, CostModel};
 pub use device::{Device, DeviceId, DeviceInfo, DeviceKind, DeviceState};
 pub use error::DeviceError;
 pub use fault::{FaultCounters, FaultPlan};
-pub use health::{BreakerState, DeviceHealthRegistry, HealthPolicy, HealthSnapshot};
+pub use health::{BreakerState, DeviceHealthRegistry, HealthSnapshot};
 pub use kernel::{ExecuteSpec, KernelFn, KernelSource, KernelStats};
 pub use pool::BufferPool;
 pub use profiles::DeviceProfile;
@@ -76,7 +76,7 @@ pub mod prelude {
     pub use crate::device::{Device, DeviceId, DeviceInfo, DeviceKind, DeviceState};
     pub use crate::error::DeviceError;
     pub use crate::fault::{FaultCounters, FaultPlan};
-    pub use crate::health::{BreakerState, DeviceHealthRegistry, HealthPolicy, HealthSnapshot};
+    pub use crate::health::{BreakerState, DeviceHealthRegistry, HealthSnapshot};
     pub use crate::kernel::{ExecuteSpec, KernelFn, KernelSource, KernelStats};
     pub use crate::pool::BufferPool;
     pub use crate::profiles::DeviceProfile;

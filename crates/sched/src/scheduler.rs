@@ -915,7 +915,7 @@ impl<'e> QueryScheduler<'e> {
         let costs: Vec<(DeviceId, f64)> = feasible
             .iter()
             .map(|i| {
-                let penalty = self.executor.health().retry_penalty_ns(i.id);
+                let penalty = self.executor.health().placement_penalty_ns(i.id);
                 // Inputs already pinned on a device by the residency cache
                 // do not pay transfer again — a cache-warm device wins the
                 // placement it is warm for.

@@ -65,18 +65,22 @@ fn main() {
     match run(true, deadline_ns) {
         Ok(stats) => println!(
             "  deadline met: watchdog_fires={} hedged_launches={} hedge_wins={} \
-             corruption_retransmits={}",
+             corruption_retransmits={} breaker_trips={}",
             stats.watchdog_fires,
             stats.hedged_launches,
             stats.hedge_wins,
-            stats.corruption_retransmits
+            stats.corruption_retransmits,
+            stats.breaker_trips
         ),
-        Err(e) => println!("  unexpected failure: {e}"),
+        Err(e) => panic!("hedged run failed: {e}"),
     }
 
     println!("\nwithout hedging (same faults, same deadline):");
     match run(false, deadline_ns) {
-        Ok(stats) => println!("  unexpectedly met deadline in {:.3} ms", stats.total_ms()),
+        Ok(stats) => panic!(
+            "unhedged run met the deadline in {:.3} ms",
+            stats.total_ms()
+        ),
         Err(e) => println!("  {e}"),
     }
 

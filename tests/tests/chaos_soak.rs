@@ -30,10 +30,7 @@ fn chaos_run(
                 .exec_error_rate(0.05)
                 .oom_rate(0.05),
         )
-        .retry_policy(RetryPolicy {
-            max_attempts: 6,
-            ..Default::default()
-        })
+        .retry_policy(RetryPolicy { max_attempts: 6 })
         .build()
         .unwrap();
     let dev = engine.device_ids()[0];

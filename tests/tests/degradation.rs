@@ -53,11 +53,6 @@ fn kernel_breaker_quarantine_probe_lifecycle() {
         .device(DeviceProfile::cuda_rtx2080ti())
         .device(DeviceProfile::opencl_cpu_i7())
         .fault_plan(0, FaultPlan::none().broken_kernel("agg_block"))
-        .health_policy(HealthPolicy {
-            cooldown_queries: 1,
-            kernel_cooldown_queries: 1,
-            ..HealthPolicy::default()
-        })
         .build()
         .unwrap();
     let dev0 = engine.device_ids()[0];
@@ -104,6 +99,9 @@ fn kernel_breaker_quarantine_probe_lifecycle() {
         .faults
         .counters()
         .broken_kernel_hits;
+    // Spend one of the two cool-down queries outside a run, so query 2's
+    // completion half-opens the kernel breaker.
+    engine.executor_mut().health_mut().on_query_completed();
 
     // Query 2: the known-broken kernel re-places the plan up front — no
     // retries, and the broken kernel is never executed again.
@@ -126,8 +124,8 @@ fn kernel_breaker_quarantine_probe_lifecycle() {
         hits_after_q1,
         "quarantined kernel was still executed"
     );
-    // Query 2 completing ends the one-query cool-down: the kernel breaker
-    // half-opens (the device breaker never moved).
+    // Query 2 completing ends the cool-down: the kernel breaker half-opens
+    // (the device breaker never moved).
     assert!(!engine.health().kernel_known_broken(dev0, "agg_block"));
     assert!(
         matches!(
@@ -189,12 +187,6 @@ fn repoint_skips_known_broken_kernel_candidates() {
         .device(DeviceProfile::openmp_cpu_i7())
         .fault_plan(0, FaultPlan::none().broken_kernel("agg_block"))
         .fault_plan(1, FaultPlan::none().broken_kernel("agg_block"))
-        // Breakers stay closed throughout: this isolates the known-broken
-        // kernel skip from quarantine.
-        .health_policy(HealthPolicy {
-            failure_threshold: 100,
-            ..HealthPolicy::default()
-        })
         .build()
         .unwrap();
     let (dev0, dev1) = (engine.device_ids()[0], engine.device_ids()[1]);
@@ -244,7 +236,6 @@ fn deadline_bounds_wedged_device() {
             .fault_plan(0, FaultPlan::none().transient_exec_errors(u64::MAX))
             .retry_policy(RetryPolicy {
                 max_attempts: 10_000,
-                ..Default::default()
             })
             // Small enough that the second attempt's pre-check trips it,
             // large enough that the first attempt is admitted.
@@ -353,10 +344,6 @@ fn chunk_size_regrows_after_backoff() {
             .fusion(false)
             .device(DeviceProfile::cuda_rtx2080ti())
             .fault_plan(0, FaultPlan::none().oom_on_allocation(3))
-            .retry_policy(RetryPolicy {
-                regrow_after_chunks: 2,
-                ..Default::default()
-            })
             .build()
             .unwrap();
         let dev = engine.device_ids()[0];
@@ -372,44 +359,5 @@ fn chunk_size_regrows_after_backoff() {
         );
         let used = engine.executor().devices().get(dev).unwrap().pool().used();
         assert_eq!(used, 0, "{model:?}: leaked {used} bytes");
-    }
-}
-
-/// Disabling the health policy turns the whole subsystem off: the same
-/// broken-device scenario records no breaker activity and query 2 blindly
-/// retries the broken device again.
-#[test]
-fn disabled_health_policy_is_inert() {
-    let data = test_data(100);
-    let mut engine = Adamant::builder()
-        .chunk_rows(32)
-        // Fault scripting targets the unfused kernel names / allocation
-        // ordinals, so run this scenario with fusion off.
-        .fusion(false)
-        .device(DeviceProfile::cuda_rtx2080ti())
-        .device(DeviceProfile::opencl_cpu_i7())
-        .fault_plan(0, FaultPlan::none().broken_kernel("agg_block"))
-        .health_policy(HealthPolicy {
-            enabled: false,
-            ..HealthPolicy::default()
-        })
-        .build()
-        .unwrap();
-    let dev0 = engine.device_ids()[0];
-    let graph = filter_map_sum(dev0, 0, 2);
-    let mut inputs = QueryInputs::new();
-    inputs.bind("x", data.clone());
-    for query in 0..2 {
-        let (out, stats) = engine
-            .run(&graph, &inputs, ExecutionModel::Chunked)
-            .unwrap();
-        assert_eq!(out.i64_column("sum")[0], expected_sum(&data, 0, 2));
-        assert_eq!(stats.breaker_trips, 0, "query {query}");
-        assert_eq!(stats.quarantine_skips, 0, "query {query}");
-        assert!(
-            stats.retries >= 2,
-            "query {query}: with health off every query must rediscover the fault"
-        );
-        assert!(stats.device_health.is_empty(), "query {query}");
     }
 }

@@ -233,10 +233,7 @@ fn death_sweep(
         .device(DeviceProfile::opencl_cpu_i7())
         .residency_cache(ResidencyConfig::new(1 << 30))
         .fault_plan(0, plan)
-        .retry_policy(RetryPolicy {
-            max_attempts: 6,
-            ..Default::default()
-        })
+        .retry_policy(RetryPolicy { max_attempts: 6 })
         .build()
         .unwrap();
     let dev0 = engine.device_ids()[0];

@@ -212,10 +212,7 @@ fn no_leaks_after_faulted_runs() {
         )
         // Two OOM backoffs plus the two strikes before fallback exceed the
         // default attempt budget; give this chaos run more headroom.
-        .retry_policy(RetryPolicy {
-            max_attempts: 8,
-            ..Default::default()
-        })
+        .retry_policy(RetryPolicy { max_attempts: 8 })
         .build()
         .unwrap();
     let dev = engine.device_ids()[0];
@@ -452,10 +449,7 @@ fn pinned_pool_exhaustion_is_typed() {
     let mut engine = Adamant::builder()
         .chunk_rows(1 << 14)
         .device(DeviceProfile::cuda_rtx2080ti().with_memory(64 << 20, 1 << 10))
-        .retry_policy(RetryPolicy {
-            max_attempts: 1,
-            ..Default::default()
-        })
+        .retry_policy(RetryPolicy { max_attempts: 1 })
         .build()
         .unwrap();
     let dev = engine.device_ids()[0];

@@ -248,10 +248,7 @@ fn seeded_fusion_fault_soak_is_exact_and_deterministic() {
                     .exec_error_rate(0.05)
                     .oom_rate(0.05),
             )
-            .retry_policy(RetryPolicy {
-                max_attempts: 6,
-                ..Default::default()
-            })
+            .retry_policy(RetryPolicy { max_attempts: 6 })
             .build()
             .unwrap();
         let dev = engine.device_ids()[0];

@@ -159,10 +159,7 @@ fn all_on_rows(rows: &mut Vec<(String, String)>) {
         .device(DeviceProfile::cuda_rtx2080ti())
         .device(DeviceProfile::opencl_rtx2080ti())
         .checkpoints(CheckpointConfig::enabled().chunk_interval(2))
-        .retry_policy(RetryPolicy {
-            max_attempts: 6,
-            ..RetryPolicy::default()
-        })
+        .retry_policy(RetryPolicy { max_attempts: 6 })
         .residency_cache(ResidencyConfig::new(1 << 30))
         .fault_plan(0, standing(0xA11))
         .build()
@@ -255,11 +252,6 @@ fn degraded_rows(rows: &mut Vec<(String, String)>) {
     let mut broken = two_devices()
         .fusion(false)
         .fault_plan(0, FaultPlan::none().broken_kernel("agg_block"))
-        .health_policy(HealthPolicy {
-            cooldown_queries: 1,
-            kernel_cooldown_queries: 1,
-            ..HealthPolicy::default()
-        })
         .build()
         .unwrap();
     let graph = TpchQuery::Q6
@@ -275,6 +267,11 @@ fn degraded_rows(rows: &mut Vec<(String, String)>) {
     .into_iter()
     .enumerate()
     {
+        if i == 1 {
+            // Spend one of the two cool-down queries outside a run, so the
+            // third query probes the tripped kernel.
+            broken.executor_mut().health_mut().on_query_completed();
+        }
         let (_, stats) = broken.run(&graph, &inputs, model).unwrap();
         fallbacks += stats.fallback_placements;
         skips += stats.quarantine_skips;

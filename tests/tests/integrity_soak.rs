@@ -61,10 +61,7 @@ fn soak_run(
         .device(DeviceProfile::cuda_rtx2080ti())
         .device(DeviceProfile::opencl_cpu_i7())
         .fault_plan(0, plan)
-        .retry_policy(RetryPolicy {
-            max_attempts: 6,
-            ..Default::default()
-        });
+        .retry_policy(RetryPolicy { max_attempts: 6 });
     if !hedging {
         builder = builder.no_hedging();
     }
@@ -171,7 +168,7 @@ fn distinct_seeds_vary_the_schedule() {
 ///   hedge wins the race (`hedge_wins >= 1`);
 /// * the hub's end-to-end checksum catches the corrupted transfer and
 ///   retransmits it (`corruption_retransmits >= 1`);
-/// * the chronic overruns trip the slow-open breaker;
+/// * the chronic overruns trip the device breaker;
 ///
 /// and the hedged run's simulated makespan beats the identical run with
 /// hedging disabled. Nothing leaks, and the whole scenario is byte-stable.
@@ -226,7 +223,7 @@ fn hedge_rescues_straggler_and_checksums_catch_corruption() {
     );
     assert!(
         stats.breaker_trips >= 1,
-        "chronic overruns should trip the slow-open breaker"
+        "chronic overruns should trip the device breaker"
     );
     assert!(
         stats.to_json().contains("\"hedge_wins\":"),
@@ -282,10 +279,6 @@ fn half_open_probe_rides_cheapest_pipeline() {
                 .broken_kernel("filter_bitmap_col")
                 .broken_kernel("filter_position"),
         )
-        .health_policy(HealthPolicy {
-            cooldown_queries: 1,
-            ..HealthPolicy::default()
-        })
         .build()
         .unwrap();
     let dev0 = engine.device_ids()[0];
@@ -297,7 +290,8 @@ fn half_open_probe_rides_cheapest_pipeline() {
     health.record_kernel_failure(dev0, "k_b", 100.0);
     assert!(health.is_quarantined(dev0), "breaker did not trip");
     // First tick absorbs the tripping query (it doesn't count toward the
-    // cool-down); the second elapses the one-query cool-down.
+    // cool-down); the next two elapse the two-query cool-down.
+    health.on_query_completed();
     health.on_query_completed();
     health.on_query_completed();
     assert!(health.is_half_open(dev0), "cool-down did not elapse");

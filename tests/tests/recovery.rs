@@ -21,10 +21,7 @@ fn two_device_engine(plan: FaultPlan, checkpoints: Option<CheckpointConfig>) -> 
         .device(DeviceProfile::cuda_rtx2080ti())
         .device(DeviceProfile::opencl_cpu_i7())
         .fault_plan(0, plan)
-        .retry_policy(RetryPolicy {
-            max_attempts: 6,
-            ..Default::default()
-        });
+        .retry_policy(RetryPolicy { max_attempts: 6 });
     if let Some(cfg) = checkpoints {
         b = b.checkpoints(cfg);
     }
@@ -120,10 +117,7 @@ fn checkpoint_resume_with_fusion_is_exact_on_the_same_chunk_grid() {
                     .device(DeviceProfile::cuda_rtx2080ti())
                     .device(DeviceProfile::opencl_cpu_i7())
                     .fault_plan(0, plan)
-                    .retry_policy(RetryPolicy {
-                        max_attempts: 6,
-                        ..Default::default()
-                    });
+                    .retry_policy(RetryPolicy { max_attempts: 6 });
                 if let Some(cfg) = ckpt {
                     b = b.checkpoints(cfg);
                 }
@@ -290,10 +284,7 @@ fn recovery_sweep(
                 .cost_factor(0.5),
         )
         .fault_plan(0, plan)
-        .retry_policy(RetryPolicy {
-            max_attempts: 6,
-            ..Default::default()
-        })
+        .retry_policy(RetryPolicy { max_attempts: 6 })
         .build()
         .unwrap();
     let dev0 = engine.device_ids()[0];

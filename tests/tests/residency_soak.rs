@@ -19,10 +19,7 @@ fn cached_engine(cache_bytes: u64, plan: Option<FaultPlan>) -> Adamant {
         .device(DeviceProfile::cuda_rtx2080ti())
         .device(DeviceProfile::opencl_cpu_i7())
         .residency_cache(ResidencyConfig::new(cache_bytes))
-        .retry_policy(RetryPolicy {
-            max_attempts: 6,
-            ..Default::default()
-        });
+        .retry_policy(RetryPolicy { max_attempts: 6 });
     if let Some(plan) = plan {
         builder = builder.fault_plan(0, plan);
     }

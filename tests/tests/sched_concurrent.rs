@@ -192,8 +192,8 @@ fn fair_share_holds_under_straggling_device() {
         .device(DeviceProfile::cuda_rtx2080ti())
         .device(DeviceProfile::opencl_cpu_i7())
         // A chronic 2× straggler: slow enough to overrun the 1.5× watchdog
-        // budget on every chunk, mild enough to stay below the slow-open
-        // breaker's trip ratio — so the device keeps straggling all run.
+        // budget on every chunk, mild enough to stay below the device
+        // breaker's slow-trip ratio — so the device keeps straggling all run.
         .fault_plan(0, FaultPlan::none().slowdown(2.0))
         .watchdog_multiplier(1.5)
         .build()
@@ -378,4 +378,62 @@ fn oversized_footprint_is_rejected_not_queued_forever() {
     let out = report.output(minnow).expect("small query must complete");
     assert_eq!(out.i64_column("sum")[0], expected_sum(&data, 0, 2));
     assert_eq!(report.stats().rejected_capacity, 1);
+}
+
+/// Every placement ranking adds the same health penalty: two watchdog
+/// overruns on dev0 (below the slow trip, so no quarantine) make it lose
+/// the scheduler's tie between two identical devices, exactly as it would
+/// lose the executor's fallback ranking. Without them the tie goes to the
+/// lowest id.
+#[test]
+fn scheduler_placement_pays_the_latency_penalty() {
+    let data = test_data(1_000);
+    let placed_on = |overruns: usize| -> usize {
+        let mut engine = Adamant::builder()
+            .device(DeviceProfile::cuda_rtx2080ti())
+            .device(DeviceProfile::cuda_rtx2080ti())
+            .build()
+            .unwrap();
+        let ids = engine.device_ids();
+        let health = engine.executor_mut().health_mut();
+        for _ in 0..overruns {
+            health.record_latency_overrun(ids[0], 100.0, 900.0);
+        }
+        assert!(!health.is_quarantined(ids[0]), "below the slow trip");
+        let mut inputs = QueryInputs::new();
+        inputs.bind("x", data.clone());
+        let mut session = engine.session();
+        let ticket = session.submit(
+            "t",
+            QuerySpec::new(
+                filter_map_sum(ids[0], -100, 2),
+                inputs,
+                ExecutionModel::Chunked,
+            ),
+        );
+        let report = session.run_all();
+        let out = report.output(ticket).expect("query must complete");
+        assert_eq!(out.i64_column("sum")[0], expected_sum(&data, -100, 2));
+        drop(session);
+        let uploaded: Vec<u64> = ids
+            .iter()
+            .map(|&d| {
+                engine
+                    .executor()
+                    .devices()
+                    .get(d)
+                    .unwrap()
+                    .clock()
+                    .bytes_h2d()
+            })
+            .collect();
+        assert_eq!(
+            uploaded.iter().filter(|&&b| b > 0).count(),
+            1,
+            "one device ran the query: {uploaded:?}"
+        );
+        uploaded.iter().position(|&b| b > 0).unwrap()
+    };
+    assert_eq!(placed_on(0), 0, "a tie goes to the lowest id");
+    assert_eq!(placed_on(2), 1, "the overrunning device lost the tie");
 }

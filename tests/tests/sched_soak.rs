@@ -61,10 +61,7 @@ fn soak_run(seed: u64, data: &[i64]) -> (Vec<Result<i64, String>>, String) {
                 .exec_error_rate(0.05)
                 .oom_rate(0.05),
         )
-        .retry_policy(RetryPolicy {
-            max_attempts: 6,
-            ..Default::default()
-        })
+        .retry_policy(RetryPolicy { max_attempts: 6 })
         .build()
         .unwrap();
     let dev0 = engine.device_ids()[0];
