@@ -461,7 +461,8 @@ impl Executor {
         // Upload this chunk into the staging buffers of every device that
         // consumes it, verifying each transfer's checksum end-to-end. The
         // rows are borrowed from the bound column: the copy the device
-        // stores is the only one made.
+        // stores is the only one made, and the sender checksum of a chunk on
+        // the block grid is folded from the column's memo.
         let mut staged: HashMap<(usize, DeviceId), BufferId> = HashMap::new();
         for &input_idx in &stream.cols {
             let name = &cx.graph.inputs()[input_idx].name;
@@ -482,7 +483,7 @@ impl Executor {
                     chunk.len,
                 )?;
                 if !from_cache {
-                    let rows = &col.rows[chunk.offset..chunk.offset + chunk.len];
+                    let rows = col.range(chunk.offset..chunk.offset + chunk.len);
                     cx.hub
                         .place_verified(&mut self.devices, dev_id, id, rows, 0)?;
                 }
@@ -578,13 +579,13 @@ impl Executor {
             let mut staged: HashMap<(usize, DeviceId), BufferId> = HashMap::new();
             for input_idx in scan_columns(&cx.graph, pipeline) {
                 let name = &cx.graph.inputs()[input_idx].name;
-                let col = cx.inputs.get(name).expect("validated");
+                let col = cx.inputs.bound(name).expect("validated");
                 let id = cx.hub.fresh_id();
                 self.devices
                     .get_mut(alt)?
                     .prepare_memory(id, (chunk.len.max(1) * 8) as u64)?;
                 cx.hub.track_created(alt, id);
-                let rows = &col[chunk.offset..chunk.offset + chunk.len];
+                let rows = col.range(chunk.offset..chunk.offset + chunk.len);
                 cx.hub.place_verified(&mut self.devices, alt, id, rows, 0)?;
                 staged.insert((input_idx, alt), id);
             }

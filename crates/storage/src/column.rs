@@ -3,8 +3,8 @@
 //! **Bind by reference.** The devices compute on `i64` rows, and a column
 //! is immutable once built, so it hands those rows out shared, never
 //! copied: [`Column::shared_rows`] returns a [`SharedRows`] — the rows
-//! behind one `Arc` and, beside them, the cell that remembers their content
-//! hash. An `Int64` column's storage *is* that `Arc`; a narrower column
+//! behind one `Arc` and, beside them, the cell that remembers their block
+//! digests. An `Int64` column's storage *is* that `Arc`; a narrower column
 //! (`Int32`, `Date`, dictionary codes) is widened once, on first use, into
 //! a memo beside its storage. Rows and cell are paired in exactly one
 //! place, [`SharedRows::new`], and travel together from then on, so the
@@ -13,20 +13,23 @@
 use crate::bitmap::Bitmap;
 use crate::datatype::{DataType, Value};
 use crate::error::StorageError;
-use crate::fnv::{content_hash, Content};
+use crate::fnv::BlockDigests;
 use crate::position::PositionList;
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 /// Immutable `i64` rows shared by reference, paired with the memo of their
-/// content hash (the value that is at once the sender checksum of uploading
-/// them whole and their residency fingerprint).
+/// block digests: the fold of all of them is the rows' content hash (at once
+/// the sender checksum of uploading them whole and their residency
+/// fingerprint), and a fold of a block-aligned run of them is the sender
+/// checksum of uploading that range.
 ///
 /// A clone is two reference-count bumps and shares both the rows and the
 /// memo: whoever hashes first, hashes for every holder.
 #[derive(Clone, Debug)]
 pub struct SharedRows {
     rows: Arc<Vec<i64>>,
-    hash: Arc<OnceLock<u64>>,
+    digests: Arc<OnceLock<BlockDigests>>,
 }
 
 impl SharedRows {
@@ -35,7 +38,7 @@ impl SharedRows {
     pub fn new(rows: impl Into<Arc<Vec<i64>>>) -> Self {
         SharedRows {
             rows: rows.into(),
-            hash: Arc::default(),
+            digests: Arc::default(),
         }
     }
 
@@ -44,16 +47,30 @@ impl SharedRows {
         &self.rows
     }
 
-    /// `content_hash(Content::I64(rows))`, computed on first use.
-    pub fn content_hash(&self) -> u64 {
-        *self
-            .hash
-            .get_or_init(|| content_hash(Content::I64(&self.rows)))
+    /// The memo, made on first use in one pass over the rows.
+    fn digests(&self) -> &BlockDigests {
+        self.digests.get_or_init(|| BlockDigests::new(&self.rows))
     }
 
-    /// The content hash if some holder has asked for it already.
+    /// `content_hash(Content::I64(rows))`, from the memo.
+    pub fn content_hash(&self) -> u64 {
+        self.digests().content_hash()
+    }
+
+    /// The content hash if some holder has made the memo already.
     pub fn known_content_hash(&self) -> Option<u64> {
-        self.hash.get().copied()
+        self.digests.get().map(BlockDigests::content_hash)
+    }
+
+    /// `content_hash(Content::I64(&rows[range]))` from the memo when the
+    /// memo serves `range` (it starts on the block grid and ends on it or at
+    /// the end of the rows, [`BlockDigests::serves`]); `None`, and no memo
+    /// made, for any other range.
+    pub fn range_hash(&self, range: Range<usize>) -> Option<u64> {
+        if !BlockDigests::serves(&range, self.rows.len()) {
+            return None;
+        }
+        self.digests().range_hash(range)
     }
 }
 
@@ -373,6 +390,7 @@ impl Column {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fnv::{content_hash, Content, BLOCK_WORDS};
 
     #[test]
     fn basic_accessors() {
@@ -447,6 +465,24 @@ mod tests {
         let codes = Column::from_strings("s", &["x", "y", "x"]);
         assert_eq!(**codes.shared_rows().unwrap().rows(), [0, 1, 0]);
         assert!(Column::from_f64("f", vec![1.0]).shared_rows().is_err());
+    }
+
+    /// A range off the block grid leaves the memo unmade; the first served
+    /// range makes it, for every holder, and folds to the range's hash.
+    #[test]
+    fn range_hashes_come_from_one_memo() {
+        let rows: Vec<i64> = (0..3 * BLOCK_WORDS as i64 + 5).collect();
+        let shared = SharedRows::new(rows.clone());
+        let holder = shared.clone();
+        assert_eq!(shared.range_hash(1..BLOCK_WORDS), None);
+        assert_eq!(shared.range_hash(0..BLOCK_WORDS + 1), None);
+        assert_eq!(holder.known_content_hash(), None);
+        let hash = |range: Range<usize>| content_hash(Content::I64(&rows[range]));
+        let tail = BLOCK_WORDS..rows.len();
+        assert_eq!(shared.range_hash(tail.clone()), Some(hash(tail)));
+        assert_eq!(holder.known_content_hash(), Some(hash(0..rows.len())));
+        let head = 0..2 * BLOCK_WORDS;
+        assert_eq!(holder.range_hash(head.clone()), Some(hash(head)));
     }
 
     #[test]
