@@ -4,7 +4,12 @@
 //! Plain `fn main` harness (`harness = false`): run with
 //! `cargo bench --bench primitives`.
 
+use adamant::core::hub::DataTransferHub;
+use adamant::core::residency::BoundRange;
+use adamant::device::registry::DeviceRegistry;
 use adamant::prelude::*;
+use adamant::storage::column::SharedRows;
+use adamant::storage::datatype::date_to_days;
 use adamant::task::container::DataContainer;
 use adamant_bench::{bench, random_ints, standard_tasks};
 
@@ -254,8 +259,121 @@ fn bench_workload_shapes() {
     }
 }
 
+/// Rows per chunk, as the benchmark package's workloads stream them.
+const CHUNK_ROWS: usize = 1 << 13;
+
+/// Q1's `hash_agg` input at SF 0.01, catalog seed 500: the packed
+/// `(l_returnflag, l_linestatus)` key of the rows that pass the ship-date
+/// filter, and the six aggregated columns (five sums and the count).
+fn q1_agg_input() -> (Vec<i64>, Vec<Vec<i64>>) {
+    let catalog = TpchGenerator::new(0.01, 500).generate();
+    let lineitem = catalog.table("lineitem").unwrap();
+    let col = |name: &str| lineitem.column(name).unwrap().to_i64_vec().unwrap();
+    let cutoff = i64::from(date_to_days(1998, 9, 2));
+    let kept: Vec<usize> = (col("l_shipdate").iter().enumerate())
+        .filter(|&(_, &d)| d <= cutoff)
+        .map(|(i, _)| i)
+        .collect();
+    let pick = |v: Vec<i64>| kept.iter().map(|&i| v[i]).collect::<Vec<i64>>();
+    let (flag, status) = (pick(col("l_returnflag")), pick(col("l_linestatus")));
+    let key: Vec<i64> = flag.iter().zip(&status).map(|(f, s)| f * 16 + s).collect();
+    let [qty, price, disc, tax] =
+        ["l_quantity", "l_extendedprice", "l_discount", "l_tax"].map(|c| pick(col(c)));
+    let disc_price: Vec<i64> = price
+        .iter()
+        .zip(&disc)
+        .map(|(p, d)| p * (100 - d))
+        .collect();
+    let charge: Vec<i64> = disc_price
+        .iter()
+        .zip(&tax)
+        .map(|(p, t)| p * (t + 100))
+        .collect();
+    let vals = vec![qty, price, disc_price, charge, disc, key.clone()];
+    (key, vals)
+}
+
+/// Q1's aggregation as the executor launches it: one table, fed chunk by
+/// chunk. Its key spans 34 values and changes every 2.8 rows, so every
+/// launch resolves ids through the dense index; the second row times id
+/// resolution alone (no aggregates).
+fn bench_q1_hash_agg() {
+    let group = "q1_hash_agg";
+    let (key, vals) = q1_agg_input();
+    let changes = key.windows(2).filter(|w| w[0] != w[1]).count();
+    println!(
+        "{group}: {} rows, {changes} key changes, {} chunks",
+        key.len(),
+        key.len().div_ceil(CHUNK_ROWS)
+    );
+    let aggs = [[AggFunc::Sum; 5].as_slice(), &[AggFunc::Count]].concat();
+    for (name, agg_count) in [("6aggs", aggs.len()), ("ids_only", 0)] {
+        let mut dev = device();
+        let mut launches = Vec::new();
+        for (c, start) in (0..key.len()).step_by(CHUNK_ROWS).enumerate() {
+            let end = (start + CHUNK_ROWS).min(key.len());
+            let first = 100 * (c as u64 + 1);
+            let columns = std::iter::once(&key).chain(&vals[..agg_count]);
+            let mut bufs = Vec::new();
+            for (i, column) in columns.enumerate() {
+                let id = BufferId(first + i as u64);
+                dev.place_data(id, BufferData::I64(column[start..end].to_vec()), 0)
+                    .unwrap();
+                bufs.push(id);
+            }
+            bufs.push(BufferId(1));
+            launches.push(ExecuteSpec::new(
+                "hash_agg",
+                bufs,
+                vec![0, agg_count as i64],
+            ));
+        }
+        bench(group, &format!("hash_agg/{name}"), SAMPLES, || {
+            let _ = dev.delete_memory(BufferId(1));
+            let table = DataContainer::agg_table(8, aggs[..agg_count].to_vec(), 0);
+            dev.init_structure(BufferId(1), table).unwrap();
+            for spec in &launches {
+                dev.execute(spec).unwrap();
+            }
+        });
+    }
+}
+
+/// A bound column uploaded chunk by chunk through `place_verified`, into one
+/// staging buffer as the executor does: with the sender checksum folded
+/// from the column's warm memo, against hashing each chunk as it is copied.
+fn bench_verified_uploads() {
+    let group = "verified_uploads";
+    let column = SharedRows::new(random_ints(N, i64::MAX, 11));
+    let rows = column.rows().len();
+    let mut devices = DeviceRegistry::new();
+    let gpu = devices.add(Box::new(device()));
+    let mut hub = DataTransferHub::new();
+    let staging = BufferId(1);
+    let mut upload = |name: &str, from_memo: bool| {
+        bench(group, name, SAMPLES, || {
+            devices.get_mut(gpu).unwrap().clock_mut().reset();
+            for start in (0..rows).step_by(CHUNK_ROWS) {
+                let range = start..(start + CHUNK_ROWS).min(rows);
+                let placed = if from_memo {
+                    let chunk = BoundRange::new(&column, range);
+                    hub.place_verified(&mut devices, gpu, staging, chunk, 0)
+                } else {
+                    let chunk = &column.rows()[range];
+                    hub.place_verified(&mut devices, gpu, staging, chunk, 0)
+                };
+                placed.unwrap();
+            }
+        });
+    };
+    upload("place_verified/bare_slice", false);
+    upload("place_verified/warm_memo", true);
+}
+
 fn main() {
     bench_scan_kernels();
     bench_hash_kernels();
     bench_workload_shapes();
+    bench_q1_hash_agg();
+    bench_verified_uploads();
 }
