@@ -87,7 +87,7 @@ use adamant_sched::{PreemptPolicy, QueryScheduler, QuerySpec, SchedReport};
 use adamant_task::registry::TaskRegistry;
 
 pub mod session;
-pub use session::{Session, SessionError, SessionRetryPolicy, SqlResultSet, SqlValue};
+pub use session::{Session, SessionError, SqlResultSet, SqlValue};
 
 /// The top-level engine: devices + tasks + executor, ready to run plans.
 pub struct Adamant {
@@ -414,7 +414,7 @@ impl AdamantBuilder {
 
 /// One-stop imports for applications.
 pub mod prelude {
-    pub use crate::session::{Session, SessionError, SessionRetryPolicy, SqlResultSet, SqlValue};
+    pub use crate::session::{Session, SessionError, SqlResultSet, SqlValue};
     pub use crate::{Adamant, AdamantBuilder};
     pub use adamant_baseline::{BaselineExecutor, BaselineRun};
     pub use adamant_core::checkpoint::{CheckpointConfig, QueryCheckpoint};
@@ -435,9 +435,7 @@ pub mod prelude {
     pub use adamant_device::kernel::{ExecuteSpec, KernelSource, KernelStats};
     pub use adamant_device::profiles::DeviceProfile;
     pub use adamant_device::sdk::{SdkKind, SdkRepr};
-    pub use adamant_plan::prelude::{
-        Expr, GroupResult, PlacementPolicy, PlanBuilder, Predicate, Stream,
-    };
+    pub use adamant_plan::prelude::{Expr, GroupResult, PlanBuilder, Predicate, Stream};
     pub use adamant_sched::{
         PreemptPolicy, QueryOutcome, QueryScheduler, QuerySpec, QueryTicket, SchedReport,
         SchedulerStats, ShedReason, TenantStats,

@@ -91,28 +91,6 @@ impl From<SqlError> for SessionError {
     }
 }
 
-/// Opt-in bounded re-submission for queries shed by a capacity loss.
-///
-/// When a device death mid-run sheds a query with
-/// [`ShedReason::CapacityLost`], the scheduler has already reconciled
-/// membership against the shrunken registry by the time the outcome
-/// surfaces — a re-submission is admitted against the survivors' real
-/// capacity. Only capacity-loss sheds are retried; a cancelled or
-/// deadline-expired query reflects an explicit decision and is never
-/// re-submitted.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SessionRetryPolicy {
-    /// How many times a `CapacityLost` shed is re-submitted (bounded; the
-    /// default policy re-submits once).
-    pub max_resubmits: usize,
-}
-
-impl Default for SessionRetryPolicy {
-    fn default() -> Self {
-        SessionRetryPolicy { max_resubmits: 1 }
-    }
-}
-
 /// A SQL serving session over one engine and one catalog.
 ///
 /// Holds per-session defaults — tenant identity and weight, execution
@@ -126,7 +104,6 @@ pub struct Session<'a> {
     weight: f64,
     model: ExecutionModel,
     deadline_ns: Option<f64>,
-    retry: Option<SessionRetryPolicy>,
 }
 
 impl<'a> Session<'a> {
@@ -140,7 +117,6 @@ impl<'a> Session<'a> {
             weight: 1.0,
             model: ExecutionModel::Chunked,
             deadline_ns: None,
-            retry: None,
         }
     }
 
@@ -164,13 +140,6 @@ impl<'a> Session<'a> {
         self
     }
 
-    /// Opts into bounded re-submission of capacity-loss sheds (see
-    /// [`SessionRetryPolicy`]).
-    pub fn retry(mut self, policy: SessionRetryPolicy) -> Self {
-        self.retry = Some(policy);
-        self
-    }
-
     /// Compiles and serves one SQL query through the scheduler.
     pub fn sql(&mut self, text: &str) -> Result<SqlResultSet, SessionError> {
         let device =
@@ -179,66 +148,52 @@ impl<'a> Session<'a> {
             })?;
         let compiled = adamant_sql::compile(text, self.catalog, device)?;
 
-        // Bounded re-submission loop: only a capacity-loss shed — the
-        // scheduler reconciled membership after a device death and gave up
-        // on this query — is ever retried, and only when the session opted
-        // in. Each resubmission rebuilds the spec and is admitted against
-        // the survivors' reconciled capacity.
-        let mut resubmits_left = self.retry.map_or(0, |p| p.max_resubmits);
-        loop {
-            let mut inputs = QueryInputs::new();
-            for (table, col) in &compiled.input_columns {
-                let t = self.catalog.table(table).map_err(exec_err)?;
-                let c = t.column(col).map_err(exec_err)?;
-                inputs
-                    .bind_column(col.as_str(), c)
-                    .map_err(SessionError::Exec)?;
-            }
+        let mut inputs = QueryInputs::new();
+        for (table, col) in &compiled.input_columns {
+            let t = self.catalog.table(table).map_err(exec_err)?;
+            let c = t.column(col).map_err(exec_err)?;
+            inputs
+                .bind_column(col.as_str(), c)
+                .map_err(SessionError::Exec)?;
+        }
 
-            let chunk_rows = self.engine.executor().config().chunk_rows;
-            let footprint = estimate_footprint_bytes(&compiled.graph, &inputs, chunk_rows);
-            let mut spec = QuerySpec::new(compiled.graph.clone(), inputs, self.model)
-                .with_footprint(footprint);
-            if let Some(d) = self.deadline_ns {
-                spec = spec.with_deadline_ns(d);
-            }
+        let chunk_rows = self.engine.executor().config().chunk_rows;
+        let footprint = estimate_footprint_bytes(&compiled.graph, &inputs, chunk_rows);
+        let mut spec =
+            QuerySpec::new(compiled.graph.clone(), inputs, self.model).with_footprint(footprint);
+        if let Some(d) = self.deadline_ns {
+            spec = spec.with_deadline_ns(d);
+        }
 
-            let mut sched = self.engine.session();
-            sched.tenant(&self.tenant, self.weight);
-            let ticket = sched.submit(&self.tenant, spec);
-            let mut report = sched.run_all();
-            return match report.take_outcome(ticket) {
-                Some(QueryOutcome::Completed {
-                    output,
-                    stats,
+        let mut sched = self.engine.session();
+        sched.tenant(&self.tenant, self.weight);
+        let ticket = sched.submit(&self.tenant, spec);
+        let mut report = sched.run_all();
+        match report.take_outcome(ticket) {
+            Some(QueryOutcome::Completed {
+                output,
+                stats,
+                wait_ns,
+                finish_ns,
+                missed_deadline,
+            }) => {
+                let (columns, rows) = self.decode(&compiled, &output)?;
+                Ok(SqlResultSet {
+                    columns,
+                    rows,
+                    stats: *stats,
+                    footprint_bytes: footprint,
                     wait_ns,
                     finish_ns,
                     missed_deadline,
-                }) => {
-                    let (columns, rows) = self.decode(&compiled, &output)?;
-                    Ok(SqlResultSet {
-                        columns,
-                        rows,
-                        stats: *stats,
-                        footprint_bytes: footprint,
-                        wait_ns,
-                        finish_ns,
-                        missed_deadline,
-                    })
-                }
-                Some(QueryOutcome::Failed { error }) => Err(SessionError::Exec(error)),
-                Some(QueryOutcome::Shed { reason }) => {
-                    if matches!(reason, ShedReason::CapacityLost) && resubmits_left > 0 {
-                        resubmits_left -= 1;
-                        continue;
-                    }
-                    Err(SessionError::Shed(reason))
-                }
-                Some(QueryOutcome::Rejected { reason }) => Err(SessionError::Rejected(reason)),
-                None => Err(SessionError::Exec(ExecError::Internal(
-                    "scheduler returned no outcome for the submitted ticket".into(),
-                ))),
-            };
+                })
+            }
+            Some(QueryOutcome::Failed { error }) => Err(SessionError::Exec(error)),
+            Some(QueryOutcome::Shed { reason }) => Err(SessionError::Shed(reason)),
+            Some(QueryOutcome::Rejected { reason }) => Err(SessionError::Rejected(reason)),
+            None => Err(SessionError::Exec(ExecError::Internal(
+                "scheduler returned no outcome for the submitted ticket".into(),
+            ))),
         }
     }
 

@@ -243,7 +243,7 @@ fn bench_workload_shapes() {
     }
 
     // Q4's semi-join build: every key four times, no payload, into a table
-    // whose estimate is short of the rows it receives (one regrowth a run).
+    // whose estimate is short of the rows it receives (the table grows once a run).
     {
         let keys: Vec<i64> = (0..60_000).map(|i| i / 4).collect();
         let mut dev = device();

@@ -50,7 +50,9 @@ use std::time::Instant;
 #[derive(Clone, Copy, Debug)]
 pub struct ExecutorConfig {
     /// Rows per chunk for the chunked execution models (the paper uses
-    /// 2^25 four-byte values; scale together with your data).
+    /// 2^25 four-byte values; scale together with your data). Every
+    /// pipeline starts at this size; an out-of-memory retry halves it for
+    /// the rest of that pipeline (see [`RetryPolicy`]).
     pub chunk_rows: usize,
     /// How the executor recovers from device faults mid-query.
     pub retry: RetryPolicy,
@@ -96,8 +98,8 @@ impl Default for ExecutorConfig {
 /// accumulations discarded) and retried according to the error class:
 ///
 /// * device out-of-memory → the streaming chunk size is halved before the
-///   retry (down to one row), and doubles back toward `chunk_rows` after
-///   every four clean chunks;
+///   retry (down to one row) and stays halved for the rest of the
+///   pipeline; the next pipeline starts again at `chunk_rows`;
 /// * a kernel that fails twice in a row on the same device → the
 ///   pipeline's nodes on that device are re-placed onto another device
 ///   with the primitive installed;

@@ -1,4 +1,4 @@
-//! The data path: given a placement and a chunk schedule, drive one
+//! The data path: given a placement and a chunk size, drive one
 //! pipeline and leave cost events on the device clocks.
 //!
 //! Nothing here decides policy or inspects an error — a failure is passed
@@ -25,45 +25,6 @@ use adamant_task::primitive::PrimitiveKind;
 use adamant_task::semantics::DataSemantic;
 use std::collections::{HashMap, HashSet};
 
-/// Deterministic chunk-size schedule for one streaming attempt.
-///
-/// A failed chunk unwinds the whole attempt, so every chunk an attempt
-/// processes succeeded and "after K consecutive successful chunks" is a
-/// pure function of the chunk index: starting from a (possibly backed-off)
-/// `start`, the size doubles every [`REGROW_AFTER_CHUNKS`] chunks, capped at
-/// the configured size. Chunk boundaries, and every stat derived from them,
-/// depend on nothing else.
-#[derive(Clone, Copy)]
-struct ChunkSchedule {
-    start: usize,
-    configured: usize,
-}
-
-/// Consecutive successful chunks at a backed-off size after which the
-/// streaming chunk size doubles back toward the configured `chunk_rows`.
-const REGROW_AFTER_CHUNKS: usize = 4;
-
-impl ChunkSchedule {
-    /// Rows for the `chunk`-th (0-based) chunk of the attempt.
-    fn rows_for(&self, chunk: usize) -> usize {
-        let mut size = self.start.max(1);
-        for _ in 0..(chunk / REGROW_AFTER_CHUNKS) {
-            if size >= self.configured {
-                break;
-            }
-            size = (size * 2).min(self.configured);
-        }
-        size
-    }
-
-    /// True when `chunk` is the first chunk of a regrown group (each
-    /// doubling is counted once, and only if a chunk actually runs at the
-    /// new size).
-    fn regrows_at(&self, chunk: usize) -> bool {
-        chunk > 0 && self.rows_for(chunk) > self.rows_for(chunk - 1)
-    }
-}
-
 /// One row range of the pipeline's scan columns on its way to the devices.
 /// It owns no rows: whoever stages it borrows `[offset, offset + len)` from
 /// the bound columns, so the only copy of a chunk is the one the device
@@ -75,10 +36,10 @@ pub(super) struct Chunk {
     pub len: usize,
 }
 
-/// The chunk source: cuts the scan's rows along a [`ChunkSchedule`],
+/// The chunk source: cuts the scan's rows into `chunk_rows`-row chunks,
 /// starting at the cursor's offset.
 struct ChunkSlicer {
-    schedule: ChunkSchedule,
+    chunk_rows: usize,
     rows: usize,
     index: usize,
     offset: usize,
@@ -92,7 +53,7 @@ impl Iterator for ChunkSlicer {
             return None;
         }
         let (index, offset) = (self.index, self.offset);
-        let len = self.schedule.rows_for(index).min(self.rows - offset);
+        let len = self.chunk_rows.min(self.rows - offset);
         self.index += 1;
         self.offset += len;
         Some(Chunk { index, offset, len })
@@ -130,7 +91,6 @@ struct Stream<'a> {
     scan: &'a str,
     /// Graph input indexes of the scan columns the pipeline streams.
     cols: Vec<usize>,
-    schedule: ChunkSchedule,
     /// Devices the pipeline's nodes are placed on (sorted).
     devices: Vec<DeviceId>,
     slots: usize,
@@ -275,15 +235,9 @@ impl Executor {
             .scan
             .as_deref()
             .expect("streaming pipeline has a scan");
-        // Adaptive regrowth: after `REGROW_AFTER_CHUNKS` consecutive
-        // successful chunks at a backed-off size, double back toward the
-        // configured size. Staging buffers grow in place (`place_data`
-        // re-checks the accounting, so an over-eager regrow surfaces as a
-        // recoverable OOM).
-        let schedule = ChunkSchedule {
-            start: chunk_rows.max(1),
-            configured: self.config.chunk_rows.max(1),
-        };
+        // Every chunk of the attempt has `chunk_rows` rows (the last one
+        // fewer), so each fits the staging buffers sized below.
+        let chunk_rows = chunk_rows.max(1);
 
         // The scan columns this pipeline streams, and their length.
         let cols = scan_columns(&cx.graph, pipeline);
@@ -291,7 +245,7 @@ impl Executor {
             let name = &cx.graph.inputs()[i].name;
             cx.inputs.get(name).expect("validated").len()
         });
-        let n_chunks = rows.div_ceil(schedule.start);
+        let n_chunks = rows.div_ceil(chunk_rows);
         if n_chunks > 1 {
             if let Some(kind) = order_sensitive_kind(&cx.graph, pipeline) {
                 return Err(ExecError::InvalidGraph(format!(
@@ -305,7 +259,6 @@ impl Executor {
         let mut stream = Stream {
             scan,
             cols,
-            schedule,
             devices: pipeline_devices(&cx.graph, pipeline),
             slots: if cx.cfg.stage_once {
                 cx.cfg.staging_buffers
@@ -316,8 +269,8 @@ impl Executor {
             scratch: HashMap::new(),
             costs: StreamCosts::default(),
         };
-        let first_chunk_rows = schedule.start.min(rows.max(1));
-        let chunk_bytes = (first_chunk_rows * 8) as u64;
+        let staged_rows = chunk_rows.min(rows.max(1));
+        let chunk_bytes = (staged_rows * 8) as u64;
         for &input_idx in &stream.cols {
             for &dev_id in &stream.devices {
                 for slot in 0..stream.slots {
@@ -351,7 +304,7 @@ impl Executor {
                             .place_verified(&mut self.devices, node.device, id, seed, 0)?;
                     }
                 } else if cx.cfg.stage_once {
-                    let id = self.alloc_output(cx, &node, port, first_chunk_rows)?;
+                    let id = self.alloc_output(cx, &node, port, staged_rows)?;
                     stream.scratch.insert(r, id);
                 }
             }
@@ -365,7 +318,7 @@ impl Executor {
         // about is computed on the modeled timeline
         // (`timeline::overlapped_makespan`, DESIGN.md §4).
         let source = ChunkSlicer {
-            schedule,
+            chunk_rows,
             rows,
             index: 0,
             offset: cursor.resume_offset.min(rows),
@@ -435,9 +388,6 @@ impl Executor {
             cx.tally.elapsed_ns() + stream.costs.streamed_ns,
             &mut cx.tally.stats,
         )?;
-        if stream.schedule.regrows_at(chunk.index) {
-            cx.tally.stats.chunk_regrowths += 1;
-        }
         let outcome = self.run_chunk(cx, pipeline, stream, chunk)?;
         let (cost, charged_ns) = self.supervise_chunk(cx, pipeline, outcome, chunk);
         stream.costs.push(cost, charged_ns);

@@ -1088,19 +1088,6 @@ impl DataTransferHub {
         Ok(())
     }
 
-    /// Batch [`DataTransferHub::release`]: frees many tracked buffers in
-    /// one sweep, stopping at the first error.
-    pub fn release_many(
-        &mut self,
-        devices: &mut DeviceRegistry,
-        buffers: &[(DeviceId, BufferId)],
-    ) -> Result<()> {
-        for &(device, id) in buffers {
-            self.release(devices, device, id)?;
-        }
-        Ok(())
-    }
-
     /// Drops residency bookkeeping for `(device, id)` via the reverse
     /// index (the buffer itself is already gone or owned elsewhere).
     fn untrack_buffer(&mut self, device: DeviceId, id: BufferId) {
@@ -1673,10 +1660,12 @@ mod tests {
             let id = hub
                 .load_whole_input(&mut devices, DataRef::Input(i), gpu, "in0", &[i as i64])
                 .unwrap();
-            buffers.push((gpu, id));
+            buffers.push(id);
         }
         assert_eq!(hub.release_probes(), 0, "loads must not count as probes");
-        hub.release_many(&mut devices, &buffers).unwrap();
+        for id in buffers {
+            hub.release(&mut devices, gpu, id).unwrap();
+        }
         // One probe per buffer plus one per resident ref pointing at it:
         // 2n here. The old quadratic sweep would have counted ~n²/2.
         assert_eq!(hub.release_probes(), 2 * n as u64);

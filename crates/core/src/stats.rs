@@ -45,9 +45,6 @@ pub struct ExecutionStats {
     /// Retries where a pipeline was re-placed onto a fallback device after
     /// a persistent kernel failure or missing implementation.
     pub fallback_placements: usize,
-    /// Chunk-size regrowths: the backed-off streaming chunk size was doubled
-    /// back toward the configured value after sustained success.
-    pub chunk_regrowths: usize,
     /// Device circuit breakers tripped (`Closed → Open`, or a failed
     /// `HalfOpen` probe re-opening) during this run.
     pub breaker_trips: usize,
@@ -239,7 +236,7 @@ impl ExecutionStats {
                 "\"compute_ns\":{:.1},\"other_ns\":{:.1},\"overhead_ns\":{:.1},",
                 "\"bytes_h2d\":{},\"bytes_d2h\":{},\"chunks\":{},\"pipelines\":{},",
                 "\"retries\":{},\"chunk_backoffs\":{},\"fallback_placements\":{},",
-                "\"chunk_regrowths\":{},\"breaker_trips\":{},\"quarantine_skips\":{},",
+                "\"breaker_trips\":{},\"quarantine_skips\":{},",
                 "\"probe_successes\":{},\"kernel_breaker_trips\":{},",
                 "\"kernel_probe_successes\":{},\"deadline_aborts\":{},",
                 "\"watchdog_fires\":{},\"hedged_launches\":{},\"hedge_wins\":{},",
@@ -269,7 +266,6 @@ impl ExecutionStats {
             self.retries,
             self.chunk_backoffs,
             self.fallback_placements,
-            self.chunk_regrowths,
             self.breaker_trips,
             self.quarantine_skips,
             self.probe_successes,
@@ -363,7 +359,6 @@ mod tests {
         s.retries = 3;
         s.chunk_backoffs = 2;
         s.fallback_placements = 1;
-        s.chunk_regrowths = 4;
         s.breaker_trips = 1;
         s.quarantine_skips = 2;
         s.probe_successes = 1;
@@ -416,7 +411,6 @@ mod tests {
         assert!(json.contains("\"retries\":3"));
         assert!(json.contains("\"chunk_backoffs\":2"));
         assert!(json.contains("\"fallback_placements\":1"));
-        assert!(json.contains("\"chunk_regrowths\":4"));
         assert!(json.contains("\"breaker_trips\":1"));
         assert!(json.contains("\"quarantine_skips\":2"));
         assert!(json.contains("\"probe_successes\":1"));

@@ -31,16 +31,13 @@
 #![forbid(unsafe_code)]
 
 pub mod expr;
-pub mod placement;
 pub mod stream;
 
 pub use expr::{Expr, Predicate};
-pub use placement::PlacementPolicy;
 pub use stream::{GroupResult, PlanBuilder, Stream};
 
 /// Convenience re-exports.
 pub mod prelude {
     pub use crate::expr::{Expr, Predicate};
-    pub use crate::placement::PlacementPolicy;
     pub use crate::stream::{GroupResult, PlanBuilder, Stream};
 }

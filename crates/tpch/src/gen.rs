@@ -31,8 +31,6 @@ pub const PART_TYPES: [&str; 9] = [
     "ECONOMY PLATED COPPER",
     "ECONOMY ANODIZED STEEL",
 ];
-/// Line statuses (`l_linestatus`).
-pub const LINE_STATUSES: [&str; 2] = ["F", "O"];
 
 /// Rows per scale-factor-1 table (TPC-H spec §4.2.5).
 pub mod base_rows {

@@ -379,12 +379,10 @@ fn checkpoints_are_off_by_default_and_inert() {
     assert_eq!(stats.resume_validation_failures, 0);
 }
 
-/// Session-level bounded retry (opt-in): a capacity-loss shed is
-/// re-submitted exactly once against the reconciled membership and
-/// terminates with a typed outcome; without the policy the shed surfaces
-/// directly. Cancellations and deadline sheds are never retried.
+/// A session surfaces a capacity-loss shed and a deadline shed to the
+/// caller as typed errors; it never re-submits a shed query.
 #[test]
-fn session_retry_resubmits_capacity_loss_once() {
+fn session_sheds_surface_typed() {
     let mut catalog = Catalog::new();
     catalog.register(
         Table::new(
@@ -400,22 +398,14 @@ fn session_retry_resubmits_capacity_loss_once() {
     // *actual* chunk-bounded working set (so execution itself recovers and
     // completes there) and its conservative admission footprint (so the
     // stranded reservation cannot be re-homed). The run is shed
-    // `CapacityLost` after reconciliation; a resubmission is admitted
-    // against the survivors alone, where the footprint exceeds every
-    // device — it must end *typed* (`Rejected`), not loop forever and not
-    // surface the shed.
-    let build = || {
-        Adamant::builder()
-            .chunk_rows(256)
-            .device(DeviceProfile::cuda_rtx2080ti())
-            .device(DeviceProfile::opencl_cpu_i7().with_memory(16 << 10, 4 << 10))
-            .fault_plan(0, FaultPlan::none().die_on_exec(1))
-            .build()
-            .unwrap()
-    };
-
-    // Without the opt-in policy the shed surfaces to the caller.
-    let mut engine = build();
+    // `CapacityLost` after reconciliation, and the shed surfaces typed.
+    let mut engine = Adamant::builder()
+        .chunk_rows(256)
+        .device(DeviceProfile::cuda_rtx2080ti())
+        .device(DeviceProfile::opencl_cpu_i7().with_memory(16 << 10, 4 << 10))
+        .fault_plan(0, FaultPlan::none().die_on_exec(1))
+        .build()
+        .unwrap();
     let err = Session::new(&mut engine, &catalog)
         .sql("SELECT SUM(price) FROM sales WHERE qty < 50")
         .unwrap_err();
@@ -424,27 +414,13 @@ fn session_retry_resubmits_capacity_loss_once() {
         "expected a CapacityLost shed, got: {err}"
     );
 
-    // With it, the query is re-submitted once after reconciliation; the
-    // survivors cannot hold it, so the retry terminates with the typed
-    // admission rejection instead of the shed.
-    let mut engine = build();
-    let err = Session::new(&mut engine, &catalog)
-        .retry(SessionRetryPolicy::default())
-        .sql("SELECT SUM(price) FROM sales WHERE qty < 50")
-        .unwrap_err();
-    assert!(
-        matches!(err, SessionError::Rejected(_)),
-        "retried shed must end in a typed admission outcome, got: {err}"
-    );
-
-    // A deadline shed is never retried, with or without the policy.
+    // A deadline shed surfaces typed too.
     let mut engine = Adamant::builder()
         .chunk_rows(256)
         .device(DeviceProfile::cuda_rtx2080ti())
         .build()
         .unwrap();
     let err = Session::new(&mut engine, &catalog)
-        .retry(SessionRetryPolicy::default())
         .deadline_ns(1e-9)
         .sql("SELECT SUM(price) FROM sales WHERE qty < 50")
         .unwrap_err();
@@ -452,6 +428,6 @@ fn session_retry_resubmits_capacity_loss_once() {
         SessionError::Shed(ShedReason::DeadlineExpired)
         | SessionError::Shed(ShedReason::BudgetExceeded)
         | SessionError::Exec(_) => {}
-        other => panic!("deadline outcome must not be retried, got: {other}"),
+        other => panic!("expected a typed deadline outcome, got: {other}"),
     }
 }
