@@ -11,14 +11,13 @@
 //! * every host accumulation (cloned, with its contiguity watermark);
 //! * host copies of every materialized breaker accumulator still resident
 //!   on a device (retrieved over the verified transfer path, so capture
-//!   pays real modeled D2H cost);
-//! * a staging manifest naming what must be re-placed on survivors.
+//!   pays real modeled D2H cost).
 //!
 //! Checkpoints are **device-agnostic**: no [`DeviceId`] appears in the
 //! snapshot. On resume the post-re-placement graph annotation decides where
 //! each entry lands, so a snapshot taken before a device died restores
 //! cleanly onto whatever survivors remain. The whole snapshot is guarded by
-//! a seal: FNV-1a framing (counts, refs, watermarks, the manifest) over one
+//! a seal: FNV-1a framing (counts, refs, watermarks) over one
 //! content-hash term per payload — the same word-parallel hash, computed in
 //! place, that verifies the payload's transfers. A snapshot that fails
 //! [`QueryCheckpoint::validate`] (e.g. scripted corruption via
@@ -113,8 +112,6 @@ pub struct QueryCheckpoint {
     /// Device-agnostic: the resume re-places each onto the producing node's
     /// post-recovery device.
     pub resident: Vec<(DataRef, BufferData)>,
-    /// Human-readable staging manifest: what the resume must re-place.
-    pub manifest: Vec<String>,
     /// Total snapshot payload bytes (host accumulations + resident copies).
     pub bytes: u64,
     /// The seal over the canonical serialization of everything above
@@ -152,11 +149,6 @@ impl QueryCheckpoint {
         for (r, payload) in &self.resident {
             eat_ref(&mut h, r);
             h.write_u64(payload.checksum());
-        }
-        h.write_u64(self.manifest.len() as u64);
-        for entry in &self.manifest {
-            h.write(entry.as_bytes());
-            h.write(&[0xff]);
         }
         h.finish()
     }
@@ -206,7 +198,6 @@ mod tests {
                 },
                 BufferData::I64(vec![10, 20]),
             )],
-            manifest: vec!["resident Output { node: NodeId(1), port: 0 }".into()],
             bytes: 0,
             checksum: 0,
         };
@@ -223,7 +214,7 @@ mod tests {
 
     #[test]
     fn seal_value_is_pinned() {
-        assert_eq!(sample().checksum, 5378208950578361187);
+        assert_eq!(sample().checksum, 3762029210870556846);
     }
 
     #[test]
@@ -259,8 +250,17 @@ mod tests {
         c.resume_offset += 1;
         assert!(!c.validate());
         let mut c = sample();
-        c.manifest.push("extra".into());
-        assert!(!c.validate());
+        c.resident[0].0 = DataRef::Output {
+            node: NodeId(1),
+            port: 1,
+        };
+        assert!(!c.validate(), "a resident entry's ref is sealed");
+        let mut c = sample();
+        c.host[0].0 = DataRef::Input(3);
+        assert!(!c.validate(), "a host entry's ref is sealed");
+        let mut c = sample();
+        c.host[0].2 -= 1;
+        assert!(!c.validate(), "a host watermark is sealed");
     }
 
     #[test]

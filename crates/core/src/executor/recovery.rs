@@ -655,16 +655,11 @@ impl Executor {
         }
         let host = cx.hub.snapshot_host();
         let mut resident: Vec<(DataRef, BufferData)> = Vec::new();
-        let mut manifest: Vec<String> = Vec::new();
         for (r, dev, id) in intermediates {
             let payload = cx
                 .hub
                 .retrieve_verified(&mut self.devices, dev, id, None, 0)?;
-            manifest.push(format!("place {:?} ({} B)", r, payload.byte_len()));
             resident.push((r, payload));
-        }
-        for (r, _, watermark) in &host {
-            manifest.push(format!("host {:?} @{}", r, watermark));
         }
         let mut cp = QueryCheckpoint {
             pipelines_done: cx.ckpt.pipelines_done,
@@ -672,7 +667,6 @@ impl Executor {
             chunks_done: cx.ckpt.chunks_done,
             host,
             resident,
-            manifest,
             bytes: 0,
             checksum: 0,
         };

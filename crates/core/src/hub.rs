@@ -235,17 +235,14 @@ fn charge_backoff(
     devices: &mut DeviceRegistry,
     device: DeviceId,
     lane: Lane,
-    id: BufferId,
     attempt: u32,
 ) -> Result<()> {
     if attempt > 0 {
         let backoff = RETRANSMIT_BACKOFF_NS * f64::from(1u32 << (attempt - 1).min(16));
-        devices.get_mut(device)?.clock_mut().record(
-            lane,
-            backoff,
-            0,
-            format!("retransmit backoff {id} (attempt {attempt})"),
-        );
+        devices
+            .get_mut(device)?
+            .clock_mut()
+            .record(lane, backoff, 0);
     }
     Ok(())
 }
@@ -273,7 +270,7 @@ fn transmit(
     let (first, expected) = data.copy_and_checksum();
     let mut first = Some(first);
     for attempt in 0..budget.max(1) {
-        charge_backoff(devices, device, Lane::TransferH2D, id, attempt)?;
+        charge_backoff(devices, device, Lane::TransferH2D, attempt)?;
         let copy = first.take().unwrap_or_else(|| data.to_buffer());
         let len = copy.len();
         devices.get_mut(device)?.place_data(id, copy, offset)?;
@@ -421,7 +418,7 @@ impl DataTransferHub {
         offset: usize,
     ) -> Result<BufferData> {
         for attempt in 0..self.retransmit_budget.max(1) {
-            charge_backoff(devices, device, Lane::TransferD2H, id, attempt)?;
+            charge_backoff(devices, device, Lane::TransferD2H, attempt)?;
             let payload = devices.get_mut(device)?.retrieve_data(id, len, offset)?;
             let echo = devices
                 .get(device)?
@@ -1248,12 +1245,12 @@ mod tests {
     }
 
     /// What an upload leaves behind on a fresh device: the stored payload,
-    /// the pool's echo of it, and the cost events (lane, ns, bytes, label).
+    /// the pool's echo of it, and the cost events (lane, ns, bytes).
     #[derive(Debug, PartialEq)]
     struct UploadTrace {
         stored: BufferData,
         echo: u64,
-        events: Vec<(Lane, f64, u64, String)>,
+        events: Vec<(Lane, f64, u64)>,
     }
 
     fn upload_trace(
@@ -1276,8 +1273,7 @@ mod tests {
             events: dev
                 .clock_mut()
                 .drain_events()
-                .into_iter()
-                .map(|e| (e.lane, e.duration_ns, e.bytes, e.label))
+                .map(|e| (e.lane, e.duration_ns, e.bytes))
                 .collect(),
         }
     }

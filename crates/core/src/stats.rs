@@ -182,12 +182,14 @@ impl ExecutionStats {
         self.total_ns / 1e6
     }
 
-    /// Adds a kernel-time sample for a node label.
+    /// Adds a kernel-time sample for a node label (copied on first sight
+    /// only: this runs once per kernel launch).
     pub fn record_primitive(&mut self, label: &str, ns: f64) {
-        *self
-            .per_primitive_ns
-            .entry(label.to_string())
-            .or_insert(0.0) += ns;
+        if let Some(total) = self.per_primitive_ns.get_mut(label) {
+            *total += ns;
+        } else {
+            self.per_primitive_ns.insert(label.to_owned(), ns);
+        }
     }
 
     /// Serializes the stats to a JSON object string (hand-rolled — the

@@ -31,7 +31,7 @@ impl Lane {
 }
 
 /// One costed operation.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CostEvent {
     /// Lane occupied.
     pub lane: Lane,
@@ -44,8 +44,6 @@ pub struct CostEvent {
     pub clean_ns: f64,
     /// Bytes moved (0 for pure compute).
     pub bytes: u64,
-    /// Human-readable label (kernel or buffer description).
-    pub label: String,
 }
 
 /// Per-device event recorder with running totals.
@@ -66,21 +64,14 @@ impl SimClock {
     }
 
     /// Records an event whose actual duration matches the cost model.
-    pub fn record(&mut self, lane: Lane, duration_ns: f64, bytes: u64, label: impl Into<String>) {
-        self.record_dilated(lane, duration_ns, duration_ns, bytes, label);
+    pub fn record(&mut self, lane: Lane, duration_ns: f64, bytes: u64) {
+        self.record_dilated(lane, duration_ns, duration_ns, bytes);
     }
 
     /// Records an event whose actual duration diverges from the fault-free
     /// model (straggler injection dilates transfers and kernels). Totals use
     /// the *actual* duration; `clean_ns` rides along for watchdog budgets.
-    pub fn record_dilated(
-        &mut self,
-        lane: Lane,
-        clean_ns: f64,
-        duration_ns: f64,
-        bytes: u64,
-        label: impl Into<String>,
-    ) {
+    pub fn record_dilated(&mut self, lane: Lane, clean_ns: f64, duration_ns: f64, bytes: u64) {
         self.total_ns += duration_ns;
         match lane {
             Lane::TransferH2D => {
@@ -99,14 +90,14 @@ impl SimClock {
             duration_ns,
             clean_ns,
             bytes,
-            label: label.into(),
         });
     }
 
-    /// Removes and returns all recorded events (the runtime drains after
-    /// each step to attribute costs to chunks/primitives).
-    pub fn drain_events(&mut self) -> Vec<CostEvent> {
-        std::mem::take(&mut self.events)
+    /// Removes and yields all recorded events in order (the runtime drains
+    /// after each step to attribute costs to chunks/primitives). The buffer
+    /// keeps its capacity for the next step's events.
+    pub fn drain_events(&mut self) -> std::vec::Drain<'_, CostEvent> {
+        self.events.drain(..)
     }
 
     /// Events recorded since the last drain.
@@ -152,10 +143,10 @@ mod tests {
     #[test]
     fn totals_accumulate() {
         let mut c = SimClock::new();
-        c.record(Lane::TransferH2D, 100.0, 1024, "in");
-        c.record(Lane::Compute, 50.0, 0, "map");
-        c.record(Lane::TransferD2H, 25.0, 512, "out");
-        c.record(Lane::Alloc, 10.0, 0, "alloc");
+        c.record(Lane::TransferH2D, 100.0, 1024);
+        c.record(Lane::Compute, 50.0, 0);
+        c.record(Lane::TransferD2H, 25.0, 512);
+        c.record(Lane::Alloc, 10.0, 0);
         assert_eq!(c.total_ns(), 185.0);
         assert_eq!(c.transfer_ns(), 125.0);
         assert_eq!(c.compute_ns(), 50.0);
@@ -166,10 +157,10 @@ mod tests {
     #[test]
     fn drain_empties_but_keeps_totals() {
         let mut c = SimClock::new();
-        c.record(Lane::Compute, 5.0, 0, "k");
-        let ev = c.drain_events();
-        assert_eq!(ev.len(), 1);
+        c.record(Lane::Compute, 5.0, 0);
+        assert_eq!(c.drain_events().len(), 1);
         assert!(c.events().is_empty());
+        assert!(c.events.capacity() > 0, "the drained buffer is kept");
         assert_eq!(c.total_ns(), 5.0);
         c.reset();
         assert_eq!(c.total_ns(), 0.0);
@@ -178,11 +169,11 @@ mod tests {
     #[test]
     fn dilated_events_keep_clean_duration() {
         let mut c = SimClock::new();
-        c.record(Lane::Compute, 5.0, 0, "k");
-        c.record_dilated(Lane::TransferH2D, 10.0, 80.0, 64, "slow place");
+        c.record(Lane::Compute, 5.0, 0);
+        c.record_dilated(Lane::TransferH2D, 10.0, 80.0, 64);
         assert_eq!(c.total_ns(), 85.0, "totals bill the actual duration");
         assert_eq!(c.transfer_ns(), 80.0);
-        let ev = c.drain_events();
+        let ev: Vec<CostEvent> = c.drain_events().collect();
         assert_eq!(ev[0].clean_ns, ev[0].duration_ns);
         assert_eq!(ev[1].clean_ns, 10.0);
         assert_eq!(ev[1].duration_ns, 80.0);

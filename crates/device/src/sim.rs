@@ -142,10 +142,10 @@ impl Device for SimDevice {
             data.flip_bit(fault.corrupt_at as usize);
         }
         let bytes = data.byte_len();
-        let (pinned, label) = if self.state.pool.contains(id) {
+        let pinned = if self.state.pool.contains(id) {
             let pinned = self.state.pool.get(id)?.pinned;
             self.state.pool.write(id, data, offset)?;
-            (pinned, format!("place {id} @{offset}"))
+            pinned
         } else {
             if offset != 0 {
                 return Err(DeviceError::BadKernelArgs {
@@ -162,10 +162,8 @@ impl Device for SimDevice {
             };
             self.state.pool.insert(id, buf)?;
             let alloc = self.state.cost.alloc_ns(bytes, false);
-            self.state
-                .clock
-                .record(Lane::Alloc, alloc, 0, format!("implicit alloc {id}"));
-            (false, format!("place {id}"))
+            self.state.clock.record(Lane::Alloc, alloc, 0);
+            false
         };
         let t = self.state.cost.h2d_ns(bytes, pinned);
         self.state.clock.record_dilated(
@@ -173,7 +171,6 @@ impl Device for SimDevice {
             t,
             t * self.state.faults.time_multiplier() + fault.stall_ns,
             bytes,
-            label,
         );
         Ok(())
     }
@@ -201,7 +198,6 @@ impl Device for SimDevice {
             t,
             t * self.state.faults.time_multiplier() + fault.stall_ns,
             bytes,
-            format!("retrieve {id}"),
         );
         Ok(out)
     }
@@ -214,12 +210,7 @@ impl Device for SimDevice {
             .pool
             .reserve(id, bytes, self.native_repr(), false)?;
         let t = self.state.cost.alloc_ns(bytes, false);
-        self.state.clock.record(
-            Lane::Alloc,
-            t,
-            0,
-            format!("prepare_memory {id} ({bytes} B)"),
-        );
+        self.state.clock.record(Lane::Alloc, t, 0);
         Ok(())
     }
 
@@ -234,30 +225,17 @@ impl Device for SimDevice {
         match kind {
             TransformKind::ZeroCopy => {
                 self.state.pool.get_mut(id)?.repr = target;
-                self.state.clock.record(
-                    Lane::Transform,
-                    self.state.cost.transform_zero_copy_ns,
-                    0,
-                    format!("transform {id} {from}->{target} (zero-copy)"),
-                );
+                self.state
+                    .clock
+                    .record(Lane::Transform, self.state.cost.transform_zero_copy_ns, 0);
             }
             TransformKind::HostRoundTrip => {
                 // Data crosses the bus twice; representation changes on host.
                 self.state.pool.get_mut(id)?.repr = target;
                 let down = self.state.cost.d2h_ns(bytes, pinned);
                 let up = self.state.cost.h2d_ns(bytes, pinned);
-                self.state.clock.record(
-                    Lane::TransferD2H,
-                    down,
-                    bytes,
-                    format!("transform {id} {from}->{target} (down)"),
-                );
-                self.state.clock.record(
-                    Lane::TransferH2D,
-                    up,
-                    bytes,
-                    format!("transform {id} {from}->{target} (up)"),
-                );
+                self.state.clock.record(Lane::TransferD2H, down, bytes);
+                self.state.clock.record(Lane::TransferH2D, up, bytes);
             }
         }
         Ok(kind)
@@ -267,12 +245,9 @@ impl Device for SimDevice {
         self.ensure_alive()?;
         self.ensure_init()?;
         self.state.pool.remove(id)?;
-        self.state.clock.record(
-            Lane::Alloc,
-            self.state.cost.free_overhead_ns,
-            0,
-            format!("free {id}"),
-        );
+        self.state
+            .clock
+            .record(Lane::Alloc, self.state.cost.free_overhead_ns, 0);
         Ok(())
     }
 
@@ -288,12 +263,9 @@ impl Device for SimDevice {
                         device: self.info.name.clone(),
                     });
                 }
-                self.state.clock.record(
-                    Lane::Compile,
-                    self.state.cost.compile_ns,
-                    0,
-                    format!("compile {name}"),
-                );
+                self.state
+                    .clock
+                    .record(Lane::Compile, self.state.cost.compile_ns, 0);
                 entry
             }
         };
@@ -324,12 +296,9 @@ impl Device for SimDevice {
             },
         )?;
         let t = self.state.cost.device_copy_ns(bytes);
-        self.state.clock.record(
-            Lane::Compute,
-            self.state.cost.alloc_overhead_ns + t,
-            bytes,
-            format!("create_chunk {src}->{dst}"),
-        );
+        self.state
+            .clock
+            .record(Lane::Compute, self.state.cost.alloc_overhead_ns + t, bytes);
         Ok(())
     }
 
@@ -341,12 +310,7 @@ impl Device for SimDevice {
             .pool
             .reserve(id, bytes, self.native_repr(), true)?;
         let t = self.state.cost.alloc_ns(bytes, true);
-        self.state.clock.record(
-            Lane::Alloc,
-            t,
-            0,
-            format!("add_pinned_memory {id} ({bytes} B)"),
-        );
+        self.state.clock.record(Lane::Alloc, t, 0);
         Ok(())
     }
 
@@ -379,13 +343,7 @@ impl Device for SimDevice {
                 .fused_kernel_ns(&stats.stages, spec.arg_count())
         };
         let actual = t * self.state.faults.time_multiplier() + self.state.faults.take_exec_stall();
-        self.state.clock.record_dilated(
-            Lane::Compute,
-            t,
-            actual,
-            0,
-            format!("kernel {}", spec.kernel),
-        );
+        self.state.clock.record_dilated(Lane::Compute, t, actual, 0);
         Ok(stats)
     }
 
@@ -408,7 +366,6 @@ impl Device for SimDevice {
             Lane::Alloc,
             self.state.cost.alloc_ns(bytes, false) + memset,
             0,
-            format!("init_structure {id} ({bytes} B)"),
         );
         Ok(())
     }
@@ -722,7 +679,7 @@ mod tests {
             .events()
             .iter()
             .filter(|e| e.lane.is_transfer())
-            .cloned()
+            .copied()
             .collect();
         let slow_t: f64 = slow_events.iter().map(|e| e.duration_ns).sum();
         let slow_clean: f64 = slow_events.iter().map(|e| e.clean_ns).sum();

@@ -69,13 +69,11 @@ impl NpuDevice {
 
     /// Allocates `buffer` under `id` and charges the allocation plus
     /// `extra_ns` of on-device work on the `Alloc` lane.
-    fn alloc(&mut self, id: BufferId, buffer: Buffer, extra_ns: f64, what: &str) -> Result<()> {
+    fn alloc(&mut self, id: BufferId, buffer: Buffer, extra_ns: f64) -> Result<()> {
         let (bytes, pinned) = (buffer.footprint(), buffer.pinned);
         self.state.pool.insert(id, buffer)?;
         let ns = self.state.cost.alloc_ns(bytes, pinned) + extra_ns;
-        self.state
-            .clock
-            .record(Lane::Alloc, ns, 0, format!("{what} {id} ({bytes} B)"));
+        self.state.clock.record(Lane::Alloc, ns, 0);
         Ok(())
     }
 }
@@ -107,18 +105,13 @@ impl Device for NpuDevice {
             self.state.pool.write(id, data, offset)?;
             pinned
         } else if offset == 0 {
-            self.alloc(id, buffer(data, false, 0), 0.0, "implicit alloc")?;
+            self.alloc(id, buffer(data, false, 0), 0.0)?;
             false
         } else {
             return Err(DeviceError::UnknownBuffer(id));
         };
         let ns = self.state.cost.h2d_ns(bytes, pinned);
-        self.state.clock.record(
-            Lane::TransferH2D,
-            ns,
-            bytes,
-            format!("place {id} @{offset}"),
-        );
+        self.state.clock.record(Lane::TransferH2D, ns, bytes);
         Ok(())
     }
 
@@ -132,19 +125,16 @@ impl Device for NpuDevice {
         let out = self.state.pool.read(id, len, offset)?;
         let pinned = self.state.pool.get(id)?.pinned;
         let ns = self.state.cost.d2h_ns(out.byte_len(), pinned);
-        self.state.clock.record(
-            Lane::TransferD2H,
-            ns,
-            out.byte_len(),
-            format!("retrieve {id}"),
-        );
+        self.state
+            .clock
+            .record(Lane::TransferD2H, ns, out.byte_len());
         Ok(out)
     }
 
     fn prepare_memory(&mut self, id: BufferId, bytes: u64) -> Result<()> {
         self.ensure_ready()?;
         let reserved = buffer(BufferData::Raw(Vec::new()), false, bytes);
-        self.alloc(id, reserved, 0.0, "prepare_memory")
+        self.alloc(id, reserved, 0.0)
     }
 
     fn transform_memory(&mut self, id: BufferId, target: SdkRepr) -> Result<TransformKind> {
@@ -160,9 +150,7 @@ impl Device for NpuDevice {
         self.ensure_ready()?;
         self.state.pool.remove(id)?;
         let ns = self.state.cost.free_overhead_ns;
-        self.state
-            .clock
-            .record(Lane::Alloc, ns, 0, format!("free {id}"));
+        self.state.clock.record(Lane::Alloc, ns, 0);
         Ok(())
     }
 
@@ -190,19 +178,14 @@ impl Device for NpuDevice {
         let bytes = chunk.byte_len();
         self.state.pool.insert(dst, buffer(chunk, false, 0))?;
         let ns = self.state.cost.alloc_overhead_ns + self.state.cost.device_copy_ns(bytes);
-        self.state.clock.record(
-            Lane::Compute,
-            ns,
-            bytes,
-            format!("create_chunk {src}->{dst}"),
-        );
+        self.state.clock.record(Lane::Compute, ns, bytes);
         Ok(())
     }
 
     fn add_pinned_memory(&mut self, id: BufferId, bytes: u64) -> Result<()> {
         self.ensure_ready()?;
         let reserved = buffer(BufferData::Raw(Vec::new()), true, bytes);
-        self.alloc(id, reserved, 0.0, "add_pinned_memory")
+        self.alloc(id, reserved, 0.0)
     }
 
     fn execute(&mut self, spec: &ExecuteSpec) -> Result<KernelStats> {
@@ -218,16 +201,14 @@ impl Device for NpuDevice {
         } else {
             cost.fused_kernel_ns(&stats.stages, spec.arg_count())
         };
-        self.state
-            .clock
-            .record(Lane::Compute, ns, 0, format!("kernel {}", spec.kernel));
+        self.state.clock.record(Lane::Compute, ns, 0);
         Ok(stats)
     }
 
     fn init_structure(&mut self, id: BufferId, data: BufferData) -> Result<()> {
         self.ensure_ready()?;
         let memset_ns = self.state.cost.device_copy_ns(data.byte_len());
-        self.alloc(id, buffer(data, false, 0), memset_ns, "init_structure")
+        self.alloc(id, buffer(data, false, 0), memset_ns)
     }
 
     fn state(&self) -> &DeviceState {

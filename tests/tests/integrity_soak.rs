@@ -13,6 +13,7 @@
 //! `INTEGRITY_SEED` environment variable.
 
 use adamant::core::hub::DataTransferHub;
+use adamant::device::clock::Lane;
 use adamant::device::error::Result as DeviceResult;
 use adamant::device::registry::DeviceRegistry;
 use adamant::device::transform::TransformKind;
@@ -510,9 +511,10 @@ fn a_lying_place_is_caught_on_the_first_transmission_without_any_fault_plan() {
     assert_eq!(hub.take_corruption_retransmits().get(&dev), Some(&3));
     assert_eq!(faults_injected(&devices, dev), 0);
     let events = devices.get(dev).unwrap().clock().events();
+    // The back-off rides the same lane with no payload bytes.
     let stores = events
         .iter()
-        .filter(|e| e.label.starts_with("place"))
+        .filter(|e| e.lane == Lane::TransferH2D && e.bytes > 0)
         .count();
     assert_eq!(stores, 3, "exactly `retransmit_budget` transmissions");
     // Doubling back-off before the second and the third.
