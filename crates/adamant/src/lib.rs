@@ -83,7 +83,7 @@ use adamant_device::fault::FaultPlan;
 use adamant_device::health::DeviceHealthRegistry;
 use adamant_device::profiles::DeviceProfile;
 use adamant_device::sdk::SdkKind;
-use adamant_sched::{PreemptPolicy, QueryScheduler, QuerySpec, SchedReport};
+use adamant_sched::QueryScheduler;
 use adamant_task::registry::TaskRegistry;
 
 pub mod session;
@@ -92,7 +92,7 @@ pub use session::{Session, SessionError, SqlResultSet, SqlValue};
 /// The top-level engine: devices + tasks + executor, ready to run plans.
 pub struct Adamant {
     executor: Executor,
-    preempt: PreemptPolicy,
+    preempt_slack_ns: Option<f64>,
 }
 
 impl Adamant {
@@ -172,31 +172,7 @@ impl Adamant {
     /// preemption). The session borrows the engine exclusively; drop it to
     /// run single queries again.
     pub fn session(&mut self) -> QueryScheduler<'_> {
-        let preempt = self.preempt;
-        let mut session = QueryScheduler::new(&mut self.executor);
-        session.preemption(preempt);
-        session
-    }
-
-    /// The preemption policy sessions start with (see
-    /// [`AdamantBuilder::preempt_slack_ns`]).
-    pub fn preempt_policy(&self) -> PreemptPolicy {
-        self.preempt
-    }
-
-    /// Replaces the preemption policy for future sessions.
-    pub fn set_preempt_policy(&mut self, policy: PreemptPolicy) {
-        self.preempt = policy;
-    }
-
-    /// Convenience for one-tenant concurrency: submits `(tenant, spec)`
-    /// pairs and drains them in a single session.
-    pub fn submit_all(&mut self, queries: Vec<(String, QuerySpec)>) -> SchedReport {
-        let mut session = self.session();
-        for (tenant, spec) in queries {
-            session.submit(&tenant, spec);
-        }
-        session.run_all()
+        QueryScheduler::new(&mut self.executor, self.preempt_slack_ns)
     }
 
     /// The cross-query device health registry (breaker states, failure
@@ -240,16 +216,11 @@ impl Adamant {
 pub struct AdamantBuilder {
     profiles: Vec<DeviceProfile>,
     devices: Vec<Box<dyn Device>>,
-    chunk_rows: Option<usize>,
-    retry: Option<RetryPolicy>,
-    checkpoints: Option<CheckpointConfig>,
-    deadline_ns: Option<f64>,
-    watchdog_multiplier: Option<Option<f64>>,
+    config: ExecutorConfig,
     fault_plans: Vec<(usize, FaultPlan)>,
     tasks: Option<TaskRegistry>,
-    preempt: Option<PreemptPolicy>,
+    preempt_slack_ns: Option<f64>,
     residency: Option<ResidencyConfig>,
-    fusion: Option<bool>,
 }
 
 impl AdamantBuilder {
@@ -267,7 +238,7 @@ impl AdamantBuilder {
 
     /// Sets the chunk size in rows for the chunked models.
     pub fn chunk_rows(mut self, rows: usize) -> Self {
-        self.chunk_rows = Some(rows);
+        self.config.chunk_rows = rows;
         self
     }
 
@@ -276,13 +247,13 @@ impl AdamantBuilder {
     /// recovery (a device death, exhausted retries) resumes from the last
     /// validated boundary instead of restarting from row 0.
     pub fn checkpoints(mut self, config: CheckpointConfig) -> Self {
-        self.checkpoints = Some(config);
+        self.config.checkpoints = config;
         self
     }
 
     /// Sets the recovery policy (OOM chunk backoff, device fallback).
     pub fn retry_policy(mut self, retry: RetryPolicy) -> Self {
-        self.retry = Some(retry);
+        self.config.retry = retry;
         self
     }
 
@@ -290,42 +261,39 @@ impl AdamantBuilder {
     /// nanoseconds. Runs exceeding it unwind cleanly and return
     /// [`adamant_core::ExecError::DeadlineExceeded`].
     pub fn deadline_ns(mut self, budget_ns: f64) -> Self {
-        self.deadline_ns = Some(budget_ns);
+        self.config.deadline_ns = Some(budget_ns);
         self
     }
 
     /// Sets the straggler-watchdog budget multiplier: a streamed chunk whose
     /// modeled duration exceeds this multiple of its fault-free cost-model
     /// expectation trips the watchdog and races a hedged duplicate on the
-    /// best alternate device. Defaults to `3.0`; see
+    /// best alternate device. Defaults to `3.0`, floored at `1.0`; see
     /// [`AdamantBuilder::no_hedging`] to disable.
     pub fn watchdog_multiplier(mut self, multiplier: f64) -> Self {
-        self.watchdog_multiplier = Some(Some(multiplier));
+        self.config.watchdog_multiplier = Some(multiplier.max(1.0));
         self
     }
 
     /// Disables the straggler watchdog and hedged chunk execution entirely
     /// (useful for A/B-comparing makespans with and without hedging).
     pub fn no_hedging(mut self) -> Self {
-        self.watchdog_multiplier = Some(None);
+        self.config.watchdog_multiplier = None;
         self
     }
 
     /// Enables scheduler-level preemption for `Adamant::session()` with
-    /// `slack_ns` of urgency headroom: a deadline query whose slack
-    /// (`deadline − now − remaining work`) shrinks to this value suspends
-    /// lower-urgency running queries until its own slices drain. `0.0`
-    /// preempts only at the last feasible moment; larger values preempt
-    /// earlier. Disabled by default (pure weighted-fair interleaving).
+    /// `slack_ns` of urgency headroom (floored at `0.0`): a deadline query
+    /// whose slack (`deadline − now − remaining work`) shrinks to this value
+    /// suspends lower-urgency running queries until its own slices drain.
+    /// Urgency is checked between slices, so a competing slice served while
+    /// the query is not yet urgent eats into its slack unchecked: at `0.0`
+    /// the query turns urgent one competing slice too late and still misses.
+    /// A slack of at least one competing slice lets it turn urgent while its
+    /// own remaining work still fits. Disabled by default (pure
+    /// weighted-fair interleaving).
     pub fn preempt_slack_ns(mut self, slack_ns: f64) -> Self {
-        self.preempt = Some(PreemptPolicy::with_slack_ns(slack_ns));
-        self
-    }
-
-    /// Full control over the preemption policy (enable flag, urgency slack,
-    /// starvation-horizon multiplier).
-    pub fn preemption(mut self, policy: PreemptPolicy) -> Self {
-        self.preempt = Some(policy);
+        self.preempt_slack_ns = Some(slack_ns.max(0.0));
         self
     }
 
@@ -351,7 +319,7 @@ impl AdamantBuilder {
     /// individual kernels by name (a fused chain executes as `fused` /
     /// `fused_agg` instead).
     pub fn fusion(mut self, enabled: bool) -> Self {
-        self.fusion = Some(enabled);
+        self.config.fusion = enabled;
         self
     }
 
@@ -375,26 +343,9 @@ impl AdamantBuilder {
                 SdkKind::Host,
             ])
         });
-        let mut config = ExecutorConfig::default();
-        if let Some(rows) = self.chunk_rows {
-            config.chunk_rows = rows;
-        }
-        if let Some(retry) = self.retry {
-            config.retry = retry;
-        }
-        if let Some(checkpoints) = self.checkpoints {
-            config.checkpoints = checkpoints;
-        }
-        config.deadline_ns = self.deadline_ns;
-        if let Some(watchdog) = self.watchdog_multiplier {
-            config.watchdog_multiplier = watchdog.map(|m| m.max(1.0));
-        }
-        if let Some(fusion) = self.fusion {
-            config.fusion = fusion;
-        }
         let mut engine = Adamant {
-            executor: Executor::new(tasks, config),
-            preempt: self.preempt.unwrap_or_default(),
+            executor: Executor::new(tasks, self.config),
+            preempt_slack_ns: self.preempt_slack_ns,
         };
         for p in &self.profiles {
             engine.plug_profile(p)?;
@@ -437,8 +388,8 @@ pub mod prelude {
     pub use adamant_device::sdk::{SdkKind, SdkRepr};
     pub use adamant_plan::prelude::{Expr, GroupResult, PlanBuilder, Predicate, Stream};
     pub use adamant_sched::{
-        PreemptPolicy, QueryOutcome, QueryScheduler, QuerySpec, QueryTicket, SchedReport,
-        SchedulerStats, ShedReason, TenantStats,
+        QueryOutcome, QueryScheduler, QuerySpec, QueryTicket, SchedReport, SchedulerStats,
+        ShedReason, TenantStats,
     };
     pub use adamant_sql::{SqlError, SqlErrorKind};
     pub use adamant_storage::prelude::{Bitmap, Catalog, Column, PositionList, Table};

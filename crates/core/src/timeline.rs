@@ -67,11 +67,12 @@ pub fn overlapped_makespan(chunks: &[ChunkCost], staging_buffers: usize) -> f64 
 /// minimum active pass (it does not bank credit while idle — the classic
 /// start-time fair queuing rule that keeps the discipline starvation-free).
 ///
-/// Suspension is distinct from idling: a *suspended* stream still has work
-/// but is being preempted by the scheduler, so it keeps its pass frozen.
-/// [`WfqClock::resume`] does not advance it to the active floor the way
-/// [`WfqClock::activate`] does — the stream resumes behind its competitors
-/// and catches up, exactly compensating the service it was denied.
+/// Preemption is not idling: [`WfqClock::next_stream`] serves only the
+/// active streams its `servable` predicate admits, so a stream the
+/// scheduler has parked stays active, is never charged, and keeps its pass
+/// frozen. When the predicate admits it again it has not gone through
+/// [`WfqClock::activate`]'s floor rule, so it resumes behind its
+/// competitors and catches up exactly the service it was denied.
 ///
 /// Fully deterministic: ties break on the lowest stream index.
 #[derive(Clone, Debug, Default)]
@@ -79,7 +80,6 @@ pub struct WfqClock {
     weights: Vec<f64>,
     passes: Vec<f64>,
     active: Vec<bool>,
-    suspended: Vec<bool>,
 }
 
 impl WfqClock {
@@ -94,7 +94,6 @@ impl WfqClock {
         self.weights.push(weight.max(1e-9));
         self.passes.push(0.0);
         self.active.push(false);
-        self.suspended.push(false);
         self.weights.len() - 1
     }
 
@@ -129,39 +128,19 @@ impl WfqClock {
         self.active[idx] = true;
     }
 
-    /// Marks a stream idle (no work left). Clears any suspension: an idle
-    /// stream re-enters through [`WfqClock::activate`]'s floor rule.
+    /// Marks a stream idle (no work left); it re-enters through
+    /// [`WfqClock::activate`]'s floor rule.
     pub fn deactivate(&mut self, idx: usize) {
         self.active[idx] = false;
-        self.suspended[idx] = false;
     }
 
-    /// Suspends a stream *without* deactivating it: the stream still holds
-    /// work (preempted, not idle), keeps its pass frozen, and is skipped by
-    /// [`WfqClock::next_stream`] until [`WfqClock::resume`].
-    pub fn suspend(&mut self, idx: usize) {
-        self.suspended[idx] = true;
-    }
-
-    /// Lifts a suspension. Unlike [`WfqClock::activate`], the pass is NOT
-    /// advanced to the active floor — the preempted stream re-enters behind
-    /// its competitors and catches up the service it was denied.
-    pub fn resume(&mut self, idx: usize) {
-        self.suspended[idx] = false;
-    }
-
-    /// Whether a stream is currently suspended.
-    pub fn is_suspended(&self, idx: usize) -> bool {
-        self.suspended[idx]
-    }
-
-    /// The active stream that should receive the next slice: minimum pass,
-    /// lowest index on ties, suspended streams skipped. `None` when every
-    /// stream is idle or suspended.
-    pub fn next_stream(&self) -> Option<usize> {
+    /// The active stream that should receive the next slice among those
+    /// `servable` admits: minimum pass, lowest index on ties. `None` when no
+    /// active stream is servable.
+    pub fn next_stream(&self, servable: impl Fn(usize) -> bool) -> Option<usize> {
         let mut best: Option<(f64, usize)> = None;
         for (i, (&p, &a)) in self.passes.iter().zip(&self.active).enumerate() {
-            if !a || self.suspended[i] {
+            if !a || !servable(i) {
                 continue;
             }
             match best {
@@ -255,7 +234,7 @@ mod tests {
         clock.activate(light);
         let mut served = [0.0f64; 2];
         for _ in 0..300 {
-            let s = clock.next_stream().unwrap();
+            let s = clock.next_stream(|_| true).unwrap();
             clock.charge(s, 10.0);
             served[s] += 10.0;
         }
@@ -274,7 +253,7 @@ mod tests {
         clock.activate(a);
         // `a` runs alone for a long time...
         for _ in 0..100 {
-            let s = clock.next_stream().unwrap();
+            let s = clock.next_stream(|_| true).unwrap();
             assert_eq!(s, a);
             clock.charge(s, 10.0);
         }
@@ -284,7 +263,7 @@ mod tests {
         let mut b_streak = 0usize;
         let mut max_streak = 0usize;
         for _ in 0..50 {
-            let s = clock.next_stream().unwrap();
+            let s = clock.next_stream(|_| true).unwrap();
             clock.charge(s, 10.0);
             if s == b {
                 b_streak += 1;
@@ -311,7 +290,7 @@ mod tests {
         assert_eq!(clock.weight(a), 2.0);
         let mut served = [0.0f64; 2];
         for _ in 0..300 {
-            let s = clock.next_stream().unwrap();
+            let s = clock.next_stream(|_| true).unwrap();
             clock.charge(s, 10.0);
             served[s] += 10.0;
         }
@@ -333,21 +312,18 @@ mod tests {
         let b = clock.add_stream(1.0);
         clock.activate(a);
         clock.activate(b);
-        // Preempt `a`: all service goes to `b`, `a`'s pass stays frozen.
-        clock.suspend(a);
-        assert!(clock.is_suspended(a));
+        // Park `a`: all service goes to `b`, `a`'s pass stays frozen.
         for _ in 0..10 {
-            let s = clock.next_stream().unwrap();
-            assert_eq!(s, b, "suspended stream must never be served");
+            let s = clock.next_stream(|s| s != a).unwrap();
+            assert_eq!(s, b, "a parked stream must never be served");
             clock.charge(s, 10.0);
         }
-        // Resume without the activate() floor: `a` is behind and catches up
-        // exactly the 100 ns it was denied before `b` is served again.
-        clock.resume(a);
-        assert!(!clock.is_suspended(a));
+        // Serve `a` again without the activate() floor: it is behind and
+        // catches up exactly the 100 ns it was denied before `b` is served
+        // again.
         let mut a_catchup = 0.0;
         loop {
-            let s = clock.next_stream().unwrap();
+            let s = clock.next_stream(|_| true).unwrap();
             if s != a {
                 break;
             }
@@ -360,13 +336,8 @@ mod tests {
             a_catchup, 110.0,
             "resumed stream must catch up the denied service"
         );
-        // Suspending everything leaves the clock with no eligible stream.
-        clock.suspend(a);
-        clock.suspend(b);
-        assert_eq!(clock.next_stream(), None);
-        // Deactivation clears suspension: re-entry goes through activate().
-        clock.deactivate(a);
-        assert!(!clock.is_suspended(a));
+        // Parking everything leaves the clock with no eligible stream.
+        assert_eq!(clock.next_stream(|_| false), None);
     }
 
     #[test]
@@ -376,15 +347,19 @@ mod tests {
         let b = clock.add_stream(1.0);
         clock.activate(a);
         clock.activate(b);
-        assert_eq!(clock.next_stream(), Some(a), "ties break on lowest index");
+        assert_eq!(
+            clock.next_stream(|_| true),
+            Some(a),
+            "ties break on lowest index"
+        );
         clock.deactivate(a);
-        assert_eq!(clock.next_stream(), Some(b));
+        assert_eq!(clock.next_stream(|_| true), Some(b));
         clock.deactivate(b);
-        assert_eq!(clock.next_stream(), None);
+        assert_eq!(clock.next_stream(|_| true), None);
         // Zero-weight streams are floored, not divide-by-zero.
         let z = clock.add_stream(0.0);
         clock.activate(z);
         clock.charge(z, 1.0);
-        assert_eq!(clock.next_stream(), Some(z));
+        assert_eq!(clock.next_stream(|_| true), Some(z));
     }
 }

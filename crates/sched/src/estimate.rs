@@ -3,10 +3,9 @@
 //! Admission needs a *pre-execution* estimate of how many device bytes a
 //! query will hold at once. Two estimators feed it:
 //!
-//! * TPC-H plans carry an analytic estimate
-//!   (`adamant_tpch::TpchQuery::analytic_footprint_bytes`, built on the
-//!   `tpch::footprint` scale-factor model) which callers pass through
-//!   [`crate::QuerySpec::with_footprint`];
+//! * TPC-H plans have an analytic estimate
+//!   (`adamant_tpch::footprint::query_input_bytes`, a scale-factor model)
+//!   which callers can pass through [`crate::QuerySpec::with_footprint`];
 //! * everything else falls back to [`estimate_footprint_bytes`], a generic
 //!   walk of the primitive graph mirroring how the executor actually
 //!   allocates: staged scan chunks, whole-placed side inputs, breaker

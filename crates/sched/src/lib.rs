@@ -22,10 +22,11 @@
 //!   per-chunk time slices interleave on the shared virtual timeline under
 //!   weighted fair queuing (`adamant-core`'s `WfqClock`), so a 2:1-weight
 //!   tenant observes ≈2× the device time under contention while results
-//!   stay reference-exact. With a [`PreemptPolicy`] enabled, tight-deadline
-//!   (or starvation-aged) queries suspend lower-urgency running queries at
-//!   chunk granularity and the suspended tenants catch up afterwards; late
-//!   completions are flagged (`missed_deadline`) and counted, never silent.
+//!   stay reference-exact. With a preemption slack set
+//!   ([`QueryScheduler::new`]), tight-deadline queries suspend lower-urgency
+//!   running queries at chunk granularity and the suspended tenants catch
+//!   up afterwards; late completions are flagged (`missed_deadline`) and
+//!   counted, never silent.
 //!
 //! Entry points: build a [`QueryScheduler`] over an `Executor` (or via the
 //! facade's `Adamant::session()`), register tenants, [`QueryScheduler::submit`]
@@ -44,7 +45,7 @@ pub use estimate::estimate_footprint_bytes;
 pub use ledger::ReservationLedger;
 pub use queue::AdmissionQueues;
 pub use scheduler::{
-    PreemptPolicy, QueryOutcome, QueryScheduler, QuerySpec, QueryTicket, SchedReport, ShedReason,
+    QueryOutcome, QueryScheduler, QuerySpec, QueryTicket, SchedReport, ShedReason,
 };
 pub use stats::{SchedulerStats, TenantStats};
 
@@ -52,8 +53,7 @@ pub use stats::{SchedulerStats, TenantStats};
 pub mod prelude {
     pub use crate::estimate::estimate_footprint_bytes;
     pub use crate::scheduler::{
-        PreemptPolicy, QueryOutcome, QueryScheduler, QuerySpec, QueryTicket, SchedReport,
-        ShedReason,
+        QueryOutcome, QueryScheduler, QuerySpec, QueryTicket, SchedReport, ShedReason,
     };
     pub use crate::stats::{SchedulerStats, TenantStats};
 }

@@ -100,26 +100,6 @@ impl AdmissionQueues {
         self.weight(tenant) * (1.0 + waited / self.age_boost_ns)
     }
 
-    /// The aging horizon (modeled ns; `INFINITY` when aging is disabled).
-    pub fn age_boost_ns(&self) -> f64 {
-        self.age_boost_ns
-    }
-
-    /// The starvation signal preemption listens to: true when `entry` has
-    /// waited past `horizon_multiplier ×` the aging horizon at `now_vt`.
-    /// Such a waiter has been overtaken long enough that, once admitted, it
-    /// is treated as urgent and may preempt running queries. Always false
-    /// when aging is disabled (`age_boost_ns == INFINITY`).
-    pub fn crossed_starvation_horizon(
-        &self,
-        entry: &QueuedEntry,
-        now_vt: f64,
-        horizon_multiplier: f64,
-    ) -> bool {
-        let waited = (now_vt - entry.submit_vt).max(0.0);
-        waited >= self.age_boost_ns * horizon_multiplier.max(0.0)
-    }
-
     /// The next admission candidate at `now_vt`: the head-of-line entry of
     /// the tenant with the highest effective weight; ties broken by
     /// earliest deadline (EDF, `None` last), then submission order.
@@ -203,6 +183,14 @@ mod tests {
         fresh.push("light", entry(1, 1, 0.0, None));
         fresh.push("heavy", entry(2, 2, 0.0, None));
         assert_eq!(fresh.peek_candidate(0.0).unwrap().0, "heavy");
+        // A non-positive horizon disables aging: raw weight wins however
+        // long the light tenant has waited.
+        let mut off = AdmissionQueues::new(0.0);
+        off.register("light", 1.0);
+        off.register("heavy", 4.0);
+        off.push("light", entry(1, 1, 0.0, None));
+        off.push("heavy", entry(2, 2, 10_000.0, None));
+        assert_eq!(off.peek_candidate(1e18).unwrap().0, "heavy");
     }
 
     #[test]
@@ -221,18 +209,6 @@ mod tests {
         f.push("b", entry(2, 1, 0.0, None));
         f.push("a", entry(1, 2, 0.0, None));
         assert_eq!(f.peek_candidate(0.0).unwrap().1.seq, 1);
-    }
-
-    #[test]
-    fn starvation_horizon_scales_with_age_boost() {
-        let q = AdmissionQueues::new(1_000.0);
-        let e = entry(1, 1, 0.0, None);
-        assert!(!q.crossed_starvation_horizon(&e, 3_999.0, 4.0));
-        assert!(q.crossed_starvation_horizon(&e, 4_000.0, 4.0));
-        // Disabled aging never reports starvation.
-        let off = AdmissionQueues::new(0.0);
-        assert_eq!(off.age_boost_ns(), f64::INFINITY);
-        assert!(!off.crossed_starvation_horizon(&e, 1e18, 4.0));
     }
 
     #[test]

@@ -18,16 +18,15 @@
 //! admission-control requirement). Queued queries age multiplicatively so
 //! no tenant starves, with earliest-deadline-first among equal priorities.
 //!
-//! With a [`PreemptPolicy`] enabled, the slice-serving loop additionally
+//! With a preemption slack set, the slice-serving loop additionally
 //! preempts: when an active query turns *urgent* (its deadline slack has
-//! shrunk below the policy's `slack_ns`, or it was admitted after crossing
-//! the starvation horizon), every lower-urgency active query is suspended —
-//! remaining slices parked, tenant WFQ pass frozen — until the urgent
-//! slices drain, after which the suspended queries resume and catch up the
-//! service they were denied. Either way a completed query whose finish time
-//! exceeded its own deadline is reported `Completed { missed_deadline:
-//! true }` and counted in `SchedulerStats::deadline_misses`, never as
-//! silent success.
+//! shrunk to the configured slack or below), every lower-urgency active
+//! query is suspended — remaining slices parked, tenant WFQ pass frozen —
+//! until the urgent slices drain, after which the suspended queries resume
+//! and catch up the service they were denied. Either way a completed query
+//! whose finish time exceeded its own deadline is reported `Completed {
+//! missed_deadline: true }` and counted in `SchedulerStats::deadline_misses`,
+//! never as silent success.
 
 use crate::estimate::estimate_footprint_bytes;
 use crate::ledger::ReservationLedger;
@@ -46,52 +45,6 @@ use std::collections::{BTreeMap, VecDeque};
 /// Default aging horizon: waiting this many modeled ns doubles a queued
 /// query's effective weight (≈10 ms of simulated time).
 pub const DEFAULT_AGE_BOOST_NS: f64 = 1e7;
-
-/// Scheduler-level preemption policy: whether (and how eagerly) a
-/// tight-deadline query — or a waiter that crossed the starvation horizon —
-/// may suspend lower-urgency running queries so its slices drain first.
-///
-/// Suspension parks a query's remaining `slice_ns` without losing fairness
-/// accounting: suspended time is not charged as `run_ns`, the suspended
-/// tenant's WFQ pass stays frozen (`WfqClock::suspend`), and on resume the
-/// tenant catches up exactly the service it was denied. Disabled by
-/// default, preserving pure WFQ interleaving.
-#[derive(Clone, Copy, Debug)]
-pub struct PreemptPolicy {
-    /// Master switch; `false` means never suspend anyone.
-    pub enabled: bool,
-    /// Urgency headroom: a deadline query turns urgent once
-    /// `deadline − now − remaining_work ≤ slack_ns`. Larger slack preempts
-    /// earlier; `0.0` preempts only when any further interleaving would
-    /// push the query past its deadline.
-    pub slack_ns: f64,
-    /// A query admitted after waiting more than `starve_multiplier ×` the
-    /// queue's aging horizon is treated as urgent too (the aged-waiter
-    /// trigger); never fires when aging is disabled.
-    pub starve_multiplier: f64,
-}
-
-impl Default for PreemptPolicy {
-    fn default() -> Self {
-        PreemptPolicy {
-            enabled: false,
-            slack_ns: 0.0,
-            starve_multiplier: 4.0,
-        }
-    }
-}
-
-impl PreemptPolicy {
-    /// Preemption enabled with `slack_ns` of urgency headroom and the
-    /// default starvation horizon.
-    pub fn with_slack_ns(slack_ns: f64) -> Self {
-        PreemptPolicy {
-            enabled: true,
-            slack_ns: slack_ns.max(0.0),
-            ..PreemptPolicy::default()
-        }
-    }
-}
 
 /// One query submission: the plan, its inputs, and per-query scheduling
 /// knobs.
@@ -122,8 +75,8 @@ impl QuerySpec {
     }
 
     /// Overrides the admission footprint estimate (e.g. with
-    /// `TpchQuery::analytic_footprint_bytes`). Without this the scheduler
-    /// walks the primitive graph ([`estimate_footprint_bytes`]).
+    /// `adamant_tpch::footprint::query_input_bytes`). Without this the
+    /// scheduler walks the primitive graph ([`estimate_footprint_bytes`]).
     pub fn with_footprint(mut self, bytes: u64) -> Self {
         self.footprint_bytes = Some(bytes);
         self
@@ -309,23 +262,19 @@ struct Active {
     deadline_vt: Option<f64>,
     /// Parked by preemption: slices stay queued, no service, no `run_ns`.
     suspended: bool,
-    /// Admitted after crossing the starvation horizon: urgent for life.
-    aged_urgent: bool,
     output: QueryOutput,
     stats: Box<ExecutionStats>,
     wait_ns: f64,
 }
 
 impl Active {
-    /// Urgency at `now_ns`: an aged waiter, or a deadline query whose slack
-    /// (`deadline − now − remaining work`) has shrunk to `slack_ns` or
-    /// less. Monotone: serving the query itself keeps its slack constant,
-    /// serving anyone else shrinks it — once urgent, always urgent.
+    /// Urgency at `now_ns`: a deadline query whose slack (`deadline − now −
+    /// remaining work`) has shrunk to `slack_ns` or less. Monotone: serving
+    /// the query itself keeps its slack constant, serving anyone else
+    /// shrinks it — once urgent, always urgent.
     fn urgent(&self, now_ns: f64, slack_ns: f64) -> bool {
-        self.aged_urgent
-            || self
-                .deadline_vt
-                .is_some_and(|d| d - now_ns - self.remaining_ns <= slack_ns)
+        self.deadline_vt
+            .is_some_and(|d| d - now_ns - self.remaining_ns <= slack_ns)
     }
 }
 
@@ -346,22 +295,21 @@ pub struct QueryScheduler<'e> {
     next_ticket: u64,
     next_seq: u64,
     now_ns: f64,
-    preempt: PreemptPolicy,
+    /// Urgency headroom for preemption (see `Active::urgent`); `None`
+    /// serves pure weighted-fair interleaving.
+    preempt_slack_ns: Option<f64>,
     stats: SchedulerStats,
 }
 
 impl<'e> QueryScheduler<'e> {
     /// Creates a scheduler over `executor` with the default aging horizon.
-    pub fn new(executor: &'e mut Executor) -> Self {
-        QueryScheduler::with_age_boost(executor, DEFAULT_AGE_BOOST_NS)
-    }
-
-    /// Creates a scheduler with a custom aging horizon (modeled ns of
-    /// waiting that doubles a queued query's effective weight).
-    pub fn with_age_boost(executor: &'e mut Executor, age_boost_ns: f64) -> Self {
+    /// With `preempt_slack_ns` set, a deadline query whose slack shrinks to
+    /// that value suspends lower-urgency running queries until its own
+    /// slices drain; `None` disables preemption.
+    pub fn new(executor: &'e mut Executor, preempt_slack_ns: Option<f64>) -> Self {
         QueryScheduler {
             executor,
-            queues: AdmissionQueues::new(age_boost_ns),
+            queues: AdmissionQueues::new(DEFAULT_AGE_BOOST_NS),
             ledger: ReservationLedger::new(),
             wfq: WfqClock::new(),
             streams: BTreeMap::new(),
@@ -369,21 +317,9 @@ impl<'e> QueryScheduler<'e> {
             next_ticket: 1,
             next_seq: 1,
             now_ns: 0.0,
-            preempt: PreemptPolicy::default(),
+            preempt_slack_ns,
             stats: SchedulerStats::default(),
         }
-    }
-
-    /// Sets the preemption policy for subsequent [`QueryScheduler::run_all`]
-    /// calls (see [`PreemptPolicy`]; disabled by default).
-    pub fn preemption(&mut self, policy: PreemptPolicy) -> &mut Self {
-        self.preempt = policy;
-        self
-    }
-
-    /// The current preemption policy.
-    pub fn preempt_policy(&self) -> PreemptPolicy {
-        self.preempt
     }
 
     /// Reservations currently outstanding in the admission ledger.
@@ -500,15 +436,22 @@ impl<'e> QueryScheduler<'e> {
 
             // Preemption: (re)classify urgency at the current virtual time —
             // suspend lower-urgency queries while any urgent query is
-            // active, resume them once the urgent work drains — and mirror
-            // per-query suspension onto the tenants' WFQ streams.
-            if self.preempt.enabled {
-                self.apply_preemption(&mut active);
+            // active, resume them once the urgent work drains.
+            if let Some(slack_ns) = self.preempt_slack_ns {
+                self.apply_preemption(&mut active, slack_ns);
             }
 
             // Serve one slice to the WFQ-chosen tenant's next eligible
-            // admitted query (suspended streams are skipped by the clock).
-            let Some(stream) = self.wfq.next_stream() else {
+            // admitted query. A tenant is servable while it has a
+            // non-suspended active query; a parked tenant stays active in
+            // the clock, uncharged, so its pass stays frozen.
+            let streams = &self.streams;
+            let servable = |s: usize| {
+                active
+                    .iter()
+                    .any(|a| !a.suspended && streams[&a.tenant] == s)
+            };
+            let Some(stream) = self.wfq.next_stream(servable) else {
                 debug_assert!(false, "active queries but no servable WFQ stream");
                 break;
             };
@@ -524,7 +467,7 @@ impl<'e> QueryScheduler<'e> {
                 names.dedup();
                 names.len() >= 2
             };
-            let idx = if self.preempt.enabled {
+            let idx = if self.preempt_slack_ns.is_some() {
                 // Within the chosen tenant: non-suspended queries only,
                 // earliest deadline first, then admission order — so when a
                 // tenant holds both an urgent and a parked query, the
@@ -617,16 +560,12 @@ impl<'e> QueryScheduler<'e> {
     /// One preemption pass at the current virtual time: while any active
     /// query is urgent, every non-urgent active query is suspended (its
     /// remaining slices parked, accruing no `run_ns`); once no urgency
-    /// remains, everything suspended is resumed. A tenant's WFQ stream is
-    /// suspended exactly when all of its active queries are — via
-    /// `WfqClock::suspend`, which freezes the pass instead of deactivating,
-    /// so resumed tenants catch up precisely the service they were denied.
-    fn apply_preemption(&mut self, active: &mut [Active]) {
+    /// remains, everything suspended is resumed.
+    fn apply_preemption(&mut self, active: &mut [Active], slack_ns: f64) {
         let now = self.now_ns;
-        let slack = self.preempt.slack_ns;
-        let any_urgent = active.iter().any(|a| a.urgent(now, slack));
+        let any_urgent = active.iter().any(|a| a.urgent(now, slack_ns));
         for a in active.iter_mut() {
-            let urgent = a.urgent(now, slack);
+            let urgent = a.urgent(now, slack_ns);
             if any_urgent && !urgent && !a.suspended {
                 a.suspended = true;
                 self.stats.preemptions += 1;
@@ -638,25 +577,6 @@ impl<'e> QueryScheduler<'e> {
                 // back.
                 a.suspended = false;
                 self.stats.resumed += 1;
-            }
-        }
-        // Mirror query suspension onto streams: servable iff the tenant has
-        // at least one runnable (non-suspended) active query.
-        let wfq = &mut self.wfq;
-        for (tenant, &stream) in &self.streams {
-            let mut has_any = false;
-            let mut runnable = false;
-            for a in active.iter().filter(|a| &a.tenant == tenant) {
-                has_any = true;
-                runnable |= !a.suspended;
-            }
-            if !has_any {
-                continue;
-            }
-            if runnable {
-                wfq.resume(stream);
-            } else {
-                wfq.suspend(stream);
             }
         }
     }
@@ -794,14 +714,6 @@ impl<'e> QueryScheduler<'e> {
 
         // Admitted. Execute for real (results must be exact); the modeled
         // time lands on the shared timeline slice by slice.
-        // A waiter admitted past the starvation horizon carries urgency in
-        // with it (the aged-waiter preemption trigger).
-        let aged_urgent = self.preempt.enabled
-            && self.queues.crossed_starvation_horizon(
-                entry,
-                self.now_ns,
-                self.preempt.starve_multiplier,
-            );
         self.queues.pop(tenant);
         let spec = self.pending.remove(&entry.ticket).expect("pending spec");
         let wait_ns = (self.now_ns - entry.submit_vt).max(0.0);
@@ -840,7 +752,6 @@ impl<'e> QueryScheduler<'e> {
                     remaining_ns,
                     deadline_vt: entry.deadline_vt,
                     suspended: false,
-                    aged_urgent,
                     output,
                     stats: Box::new(stats),
                     wait_ns,

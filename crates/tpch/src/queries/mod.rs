@@ -98,27 +98,6 @@ impl TpchQuery {
         }
     }
 
-    /// The query's number in the TPC-H specification (the index
-    /// [`crate::footprint`] keys its per-query estimates by).
-    pub fn footprint_index(self) -> usize {
-        match self {
-            TpchQuery::Q1 => 1,
-            TpchQuery::Q3 => 3,
-            TpchQuery::Q4 => 4,
-            TpchQuery::Q6 => 6,
-            TpchQuery::Q10 => 10,
-            TpchQuery::Q12 => 12,
-            TpchQuery::Q14 => 14,
-        }
-    }
-
-    /// Analytic input-footprint estimate at scale factor `sf`, in bytes,
-    /// without generating a catalog (the admission controller's estimator
-    /// for TPC-H plans; see [`crate::footprint::query_input_bytes`]).
-    pub fn analytic_footprint_bytes(self, sf: f64) -> u64 {
-        crate::footprint::query_input_bytes(self.footprint_index(), sf)
-    }
-
     /// Input footprint in bytes against a generated catalog.
     pub fn input_bytes(self, catalog: &Catalog) -> Result<u64> {
         let mut total = 0u64;

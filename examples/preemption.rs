@@ -4,7 +4,7 @@
 //! past its deadline (reported, never silent). With preemption enabled the
 //! bulk query is suspended — its remaining slices parked — until the
 //! urgent slices drain, the deadline is met, and the bulk query resumes
-//! and completes reference-exact.
+//! and completes reference-exact. The example asserts both outcomes.
 //!
 //! Run: `cargo run --release -p adamant-examples --example preemption`
 
@@ -21,33 +21,34 @@ fn revenue_query(dev: DeviceId, threshold: i64) -> PrimitiveGraph {
     pb.build().expect("graph")
 }
 
-/// Runs the bulk + realtime contention scenario; returns the report and
-/// the two tickets.
-fn run(preempt: Option<PreemptPolicy>, deadline_ns: f64) -> (SchedReport, QueryTicket) {
-    let mut engine = Adamant::builder()
+fn bulk_amounts() -> Vec<i64> {
+    (0..200_000i64).map(|i| (i * 31 + 7) % 1_000).collect()
+}
+
+fn rt_amounts() -> Vec<i64> {
+    (0..20_000i64).map(|i| (i * 13 + 3) % 1_000).collect()
+}
+
+/// Runs the bulk + realtime contention scenario with preemption at
+/// `slack_ns` (`None`: off); returns the report and the two tickets.
+fn run(slack_ns: Option<f64>, deadline_ns: f64) -> (SchedReport, QueryTicket, QueryTicket) {
+    let mut builder = Adamant::builder()
         .chunk_rows(512)
-        .device(DeviceProfile::cuda_rtx2080ti())
-        .build()
-        .expect("engine");
-    if let Some(policy) = preempt {
-        engine.set_preempt_policy(policy);
+        .device(DeviceProfile::cuda_rtx2080ti());
+    if let Some(slack) = slack_ns {
+        builder = builder.preempt_slack_ns(slack);
     }
+    let mut engine = builder.build().expect("engine");
     let gpu = engine.device_ids()[0];
 
     let mut bulk_inputs = QueryInputs::new();
-    bulk_inputs.bind(
-        "amount",
-        (0..200_000i64).map(|i| (i * 31 + 7) % 1_000).collect(),
-    );
+    bulk_inputs.bind("amount", bulk_amounts());
     let mut rt_inputs = QueryInputs::new();
-    rt_inputs.bind(
-        "amount",
-        (0..20_000i64).map(|i| (i * 13 + 3) % 1_000).collect(),
-    );
+    rt_inputs.bind("amount", rt_amounts());
 
     let mut session = engine.session();
     session.tenant("bulk", 1.0).tenant("realtime", 1.0);
-    session.submit(
+    let bulk = session.submit(
         "bulk",
         QuerySpec::new(
             revenue_query(gpu, 100),
@@ -60,7 +61,7 @@ fn run(preempt: Option<PreemptPolicy>, deadline_ns: f64) -> (SchedReport, QueryT
         QuerySpec::new(revenue_query(gpu, 500), rt_inputs, ExecutionModel::Chunked)
             .with_deadline_ns(deadline_ns),
     );
-    (session.run_all(), rt)
+    (session.run_all(), bulk, rt)
 }
 
 fn main() {
@@ -73,10 +74,7 @@ fn main() {
         .expect("engine");
     let gpu = probe.device_ids()[0];
     let mut rt_inputs = QueryInputs::new();
-    rt_inputs.bind(
-        "amount",
-        (0..20_000i64).map(|i| (i * 13 + 3) % 1_000).collect(),
-    );
+    rt_inputs.bind("amount", rt_amounts());
     let (_, stats) = probe
         .run(
             &revenue_query(gpu, 500),
@@ -92,35 +90,48 @@ fn main() {
         deadline / 1e6
     );
 
-    for (label, policy) in [
+    let bulk_revenue: i64 = bulk_amounts().into_iter().filter(|&a| a >= 100).sum();
+    for (label, slack_ns) in [
         ("preemption OFF (pure WFQ)", None),
-        (
-            "preemption ON  (slack = deadline)",
-            Some(PreemptPolicy::with_slack_ns(deadline)),
-        ),
+        ("preemption ON  (slack = deadline)", Some(deadline)),
     ] {
-        let (report, rt) = run(policy, deadline);
+        let (report, bulk, rt) = run(slack_ns, deadline);
         let stats = report.stats();
-        match report.outcome(rt) {
-            Some(QueryOutcome::Completed {
-                finish_ns,
-                missed_deadline,
-                ..
-            }) => println!(
-                "{label}: finished at {:.3} ms → {} | preemptions={} resumed={} \
-                 deadline_misses={}",
-                finish_ns / 1e6,
-                if *missed_deadline {
-                    "MISSED its deadline (reported, not silent)"
-                } else {
-                    "met its deadline"
-                },
-                stats.preemptions,
-                stats.resumed,
-                stats.deadline_misses
-            ),
-            other => println!("{label}: {other:?}"),
-        }
+        let Some(QueryOutcome::Completed {
+            finish_ns,
+            missed_deadline,
+            ..
+        }) = report.outcome(rt)
+        else {
+            panic!(
+                "{label}: realtime query did not complete: {:?}",
+                report.outcome(rt)
+            );
+        };
+        println!(
+            "{label}: finished at {:.3} ms → {} | preemptions={} resumed={} \
+             deadline_misses={}",
+            finish_ns / 1e6,
+            if *missed_deadline {
+                "MISSED its deadline (reported, not silent)"
+            } else {
+                "met its deadline"
+            },
+            stats.preemptions,
+            stats.resumed,
+            stats.deadline_misses
+        );
         println!("  stats: {}\n", stats.to_json());
+
+        let bulk_out = report.output(bulk).expect("bulk query completes");
+        assert_eq!(bulk_out.i64_column("revenue")[0], bulk_revenue);
+        if slack_ns.is_none() {
+            assert!(*finish_ns > deadline && *missed_deadline);
+            assert_eq!(stats.deadline_misses, 1);
+        } else {
+            assert!(*finish_ns <= deadline && !*missed_deadline);
+            assert!(stats.preemptions >= 1);
+            assert_eq!(stats.preemptions, stats.resumed);
+        }
     }
 }
