@@ -118,27 +118,15 @@ impl Adamant {
         self.executor.add_profile(profile)
     }
 
-    /// Hot-adds a device between runs. Unlike [`Adamant::plug_device`], the
-    /// newcomer enters through the health registry in `HalfOpen` and earns
-    /// traffic via the probe ramp (one probe pipeline per query until a
-    /// success closes its breaker); placement and the cost model pick it up
-    /// on the next run without a rebuild. The add is counted in the next
-    /// run's `ExecutionStats::hot_adds`.
-    pub fn attach_device(&mut self, device: Box<dyn Device>) -> Result<DeviceId> {
-        self.executor.attach_device(device)
-    }
-
-    /// Hot-adds a device from a profile (see [`Adamant::attach_device`]).
+    /// Hot-adds a device from a profile between runs. Unlike
+    /// [`Adamant::plug_profile`], the newcomer enters through the health
+    /// registry in `HalfOpen` and earns traffic via the probe ramp (one
+    /// probe pipeline per query until a success closes its breaker);
+    /// placement and the cost model pick it up on the next run without a
+    /// rebuild. The add is counted in the next run's
+    /// `ExecutionStats::hot_adds`.
     pub fn attach_profile(&mut self, profile: &DeviceProfile) -> Result<DeviceId> {
         self.executor.attach_profile(profile)
-    }
-
-    /// Administratively unplugs a healthy device between runs, returning
-    /// it: residency pins evicted cleanly, health records dropped, the id
-    /// retired (never reused). Mid-query deaths need no call here — the
-    /// engine unplugs a dead device on the first `Gone` it observes.
-    pub fn detach_device(&mut self, id: DeviceId) -> Option<Box<dyn Device>> {
-        self.executor.detach_device(id)
     }
 
     /// Executes a primitive graph.
@@ -193,11 +181,6 @@ impl Adamant {
             adamant_core::ExecError::Internal(format!("no device at plug index {index}"))
         })?;
         self.executor.set_fault_plan(id, plan)
-    }
-
-    /// Replaces the recovery policy.
-    pub fn set_retry_policy(&mut self, retry: RetryPolicy) {
-        self.executor.set_retry_policy(retry);
     }
 
     /// The underlying executor (cost-model tweaks, chunk-size changes).

@@ -268,7 +268,7 @@ const CHUNK_ROWS: usize = 1 << 13;
 fn q1_agg_input() -> (Vec<i64>, Vec<Vec<i64>>) {
     let catalog = TpchGenerator::new(0.01, 500).generate();
     let lineitem = catalog.table("lineitem").unwrap();
-    let col = |name: &str| lineitem.column(name).unwrap().to_i64_vec().unwrap();
+    let col = |name: &str| lineitem.column(name).unwrap().to_i64_vec();
     let cutoff = i64::from(date_to_days(1998, 9, 2));
     let kept: Vec<usize> = (col("l_shipdate").iter().enumerate())
         .filter(|&(_, &d)| d <= cutoff)

@@ -2,10 +2,11 @@
 //!
 //! For every query and every execution model the same plan runs twice on
 //! the same device profile: once with the fusion pass disengaged and once
-//! with it on (the default). Rows land in `BENCH_fusion.json`;
-//! `check_bench_json` gates that on **every** row the fused run
-//! materializes strictly fewer intermediate bytes and is never slower on
-//! the modeled timeline.
+//! with it on (the default). Rows land in `BENCH_fusion.json`. Gate: after
+//! the file is written, **every** row must have fused at least one chain,
+//! elided intermediates, materialized strictly fewer intermediate bytes and
+//! never run slower on the modeled timeline; otherwise the bin panics
+//! naming the rows that failed.
 //!
 //! Run: `cargo run --release -p adamant-bench --bin fusion`
 
@@ -44,6 +45,7 @@ fn main() {
         "fused (ms)",
     ]);
     let mut json_rows: Vec<String> = Vec::new();
+    let mut failed: Vec<String> = Vec::new();
     for q in TpchQuery::ALL {
         let graph = q.plan(dev, &cat).unwrap();
         let inputs = q.bind(&cat).unwrap();
@@ -57,6 +59,13 @@ fn main() {
                 format!("{out_u:?}"),
                 "{q}/{model}: fused result diverged from unfused"
             );
+            let gate_ok = fused.fused_chains >= 1
+                && fused.intermediate_bytes < unfused.intermediate_bytes
+                && fused.intermediates_elided_bytes > 0
+                && fused.total_ns <= unfused.total_ns;
+            if !gate_ok {
+                failed.push(format!("{q}/{model}"));
+            }
             rep.row(vec![
                 q.to_string(),
                 model.to_string(),
@@ -91,11 +100,17 @@ fn main() {
     }
     rep.print("fused vs unfused, per query x execution model");
     println!(
-        "\nEvery row is gated by check_bench_json: the fused run must\n\
+        "\nEvery row is gated (after the file is written): the fused run must\n\
          materialize strictly fewer intermediate bytes and must never be\n\
          slower than the unfused run on the modeled timeline."
     );
 
     let path = write_bench_json("fusion", &json_rows).expect("write BENCH_fusion.json");
     println!("\nwrote {}", path.display());
+    assert!(
+        failed.is_empty(),
+        "fusion gate (chains >= 1, fewer intermediate bytes, elided > 0, never slower) \
+         failed on {} (values in BENCH_fusion.json)",
+        failed.join(", ")
+    );
 }

@@ -6,8 +6,9 @@
 //! run recovers on the survivor twice: once with checkpoints off (the
 //! legacy full restart) and once with checkpoint capture enabled (resume
 //! from the last validated chunk boundary). Rows land in
-//! `BENCH_recovery.json`; `check_bench_json` gates that the resume
-//! re-executes strictly fewer chunks than the restart on every row.
+//! `BENCH_recovery.json`. Gate: after the file is written, every row must
+//! have resumed at least once and re-executed strictly fewer chunks than
+//! the restart; otherwise the bin panics naming the rows that failed.
 //!
 //! Run: `cargo run --release -p adamant-bench --bin recovery`
 
@@ -55,6 +56,7 @@ fn main() {
         "resume (ms)",
     ]);
     let mut json_rows: Vec<String> = Vec::new();
+    let mut failed: Vec<String> = Vec::new();
     for model in MODELS {
         // Fault-free run: the clock the death triggers are placed on.
         let clean_ns = {
@@ -76,6 +78,9 @@ fn main() {
             };
             let restart = run(false);
             let resume = run(true);
+            if resume.resumes < 1 || resume.chunks_processed >= restart.chunks_processed {
+                failed.push(format!("{model} @{frac}"));
+            }
             rep.row(vec![
                 model.to_string(),
                 format!("{:.0}%", frac * 100.0),
@@ -107,10 +112,16 @@ fn main() {
     rep.print("restart-from-zero vs checkpoint-resume after a mid-query death");
     println!(
         "\nEvery death lands at >= 50% progress, so the resume must re-execute\n\
-         strictly fewer chunks than the restart (gated by check_bench_json);\n\
+         strictly fewer chunks than the restart (gated below, per row);\n\
          the makespan delta is the re-executed work minus the capture cost."
     );
 
     let path = write_bench_json("recovery", &json_rows).expect("write BENCH_recovery.json");
     println!("\nwrote {}", path.display());
+    assert!(
+        failed.is_empty(),
+        "recovery gate (resumed, fewer chunks than the restart) failed on {} \
+         (values in BENCH_recovery.json)",
+        failed.join(", ")
+    );
 }

@@ -146,7 +146,9 @@ impl Report {
 // Each figure bin additionally emits a `BENCH_<name>.json` next to the
 // markdown table, so successive commits leave a comparable perf trajectory.
 // Hand-rolled JSON like the rest of the workspace (std-only, no format
-// crate); the `check_bench_json` bin validates the schema in CI.
+// crate). The envelope is written here and every row is a `jobj`, so the
+// schema holds by construction; a bin with a gate checks it on its typed
+// values after writing its file.
 
 /// Schema version stamped into every `BENCH_*.json`.
 pub const BENCH_SCHEMA_VERSION: u64 = 1;
@@ -192,8 +194,10 @@ pub fn jobj(fields: &[(&str, String)]) -> String {
 
 /// Writes `BENCH_<name>.json` into the current directory (the repo root
 /// when run via `cargo run`): a schema-versioned envelope around the bin's
-/// result rows. Returns the path written.
+/// result rows (each one a [`jobj`]; there must be at least one). Returns
+/// the path written.
 pub fn write_bench_json(name: &str, rows: &[String]) -> std::io::Result<std::path::PathBuf> {
+    assert!(!rows.is_empty(), "BENCH_{name}.json: no rows");
     let payload = jobj(&[
         ("benchmark", jstr(name)),
         ("schema_version", BENCH_SCHEMA_VERSION.to_string()),

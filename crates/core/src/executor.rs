@@ -218,7 +218,7 @@ impl QueryInputs {
     /// narrower column's rows widened to `i64` once, by the column;
     /// dictionary columns bind their codes).
     pub fn bind_column(&mut self, name: impl Into<String>, column: &Column) -> Result<()> {
-        self.cols.insert(name.into(), column.shared_rows()?.clone());
+        self.cols.insert(name.into(), column.shared_rows().clone());
         Ok(())
     }
 
@@ -350,20 +350,6 @@ impl Executor {
         self.attach_device(Box::new(profile.build(next)))
     }
 
-    /// Administratively unplugs a healthy device between runs, returning
-    /// it. Residency pins on it are evicted cleanly (buffers freed,
-    /// admission charges released — the device is alive, unlike the
-    /// mid-query death path), and its health records are dropped so no
-    /// ghost entries survive into reports.
-    pub fn detach_device(&mut self, id: DeviceId) -> Option<Box<dyn Device>> {
-        if let Some(cache) = self.residency.as_mut() {
-            cache.invalidate_device(&mut self.devices, id);
-            cache.take_freed();
-        }
-        self.health.forget_device(id);
-        self.devices.remove(id)
-    }
-
     /// The plugged devices.
     pub fn devices(&self) -> &DeviceRegistry {
         &self.devices
@@ -374,24 +360,9 @@ impl Executor {
         &mut self.devices
     }
 
-    /// The task registry.
-    pub fn tasks(&self) -> &TaskRegistry {
-        &self.tasks
-    }
-
     /// The configuration.
     pub fn config(&self) -> &ExecutorConfig {
         &self.config
-    }
-
-    /// Sets the chunk size (rows).
-    pub fn set_chunk_rows(&mut self, rows: usize) {
-        self.config.chunk_rows = rows.max(1);
-    }
-
-    /// Sets the recovery policy.
-    pub fn set_retry_policy(&mut self, retry: RetryPolicy) {
-        self.config.retry = retry;
     }
 
     /// The cross-query device health registry, read-only.
@@ -435,11 +406,6 @@ impl Executor {
         self.residency = Some(ResidencyCache::new(config));
     }
 
-    /// The residency cache, if enabled (read-only; counters and pins).
-    pub fn residency_cache(&self) -> Option<&ResidencyCache> {
-        self.residency.as_ref()
-    }
-
     /// Drops the residency cache and frees every pinned buffer it holds,
     /// releasing the admission bytes reserved against each device pool.
     pub fn clear_residency(&mut self) {
@@ -458,28 +424,6 @@ impl Executor {
             Some(cache) => cache.evict_for_admission(&mut self.devices, device, bytes),
             None => 0,
         }
-    }
-
-    /// Bytes of residency pins on `device` that admission pressure could
-    /// reclaim.
-    pub fn residency_evictable_bytes(&self, device: DeviceId) -> u64 {
-        self.residency
-            .as_ref()
-            .map_or(0, |c| c.pinned_bytes_on(device))
-    }
-
-    /// Bytes of `inputs` already resident on `device` via the cache —
-    /// transfers the next run of this query would not pay. Placement uses
-    /// this to discount modeled transfer cost for cache-warm devices.
-    pub fn residency_resident_bytes(&self, device: DeviceId, inputs: &QueryInputs) -> u64 {
-        let Some(cache) = self.residency.as_ref() else {
-            return 0;
-        };
-        inputs
-            .cols
-            .iter()
-            .map(|(name, col)| cache.resident_bytes(device, name, BoundRows::kept(col)))
-            .sum()
     }
 
     /// Executes `graph` over `inputs` under `model`.
@@ -534,8 +478,9 @@ impl Executor {
         let pipelines = PipelineSet::split(&graph)?;
         self.validate_inputs(&graph, inputs)?;
 
-        // Fresh clocks and peak watermarks for this run; snapshot the fault
-        // counters so the stats report this run's injections only.
+        // Fresh clocks for this run (the pools' peak watermarks are not
+        // reset); snapshot the fault counters so the stats report this
+        // run's injections only.
         let mut fault_base: BTreeMap<DeviceId, u64> = BTreeMap::new();
         for id in self.devices.ids() {
             let dev = self.devices.get_mut(id)?;

@@ -723,31 +723,14 @@ impl DataTransferHub {
         )))
     }
 
-    /// `load_data()`: places a whole host column onto a device as a
-    /// materialized external input.
+    /// `load_data()`: places a whole bound column onto a device as a
+    /// materialized external input; the upload borrows the rows.
     ///
     /// With a residency cache installed, the cache is consulted before any
-    /// transfer: a valid pin of `name` is served without touching the bus,
-    /// and a miss tries to pin the column for future runs (falling back to
-    /// an uncached per-run upload when the column does not fit the cache
-    /// budget or the device).
-    ///
-    /// This is the thin public form for a bare slice; the executor calls
-    /// the crate-internal `load_bound_input` with the fingerprint kept
-    /// beside the binding.
-    pub fn load_whole_input(
-        &mut self,
-        devices: &mut DeviceRegistry,
-        data: DataRef,
-        target: DeviceId,
-        name: &str,
-        column: &[i64],
-    ) -> Result<BufferId> {
-        self.load_bound_input(devices, data, target, name, BoundRows::bare(column))
-    }
-
-    /// [`Self::load_whole_input`] for a bound column: the upload borrows the
-    /// rows, and the cache reads the binding's one fingerprint.
+    /// transfer: a valid pin of `name` (compared by the binding's one
+    /// fingerprint) is served without touching the bus, and a miss tries to
+    /// pin the column for future runs (falling back to an uncached per-run
+    /// upload when the column does not fit the cache budget or the device).
     pub(crate) fn load_bound_input(
         &mut self,
         devices: &mut DeviceRegistry,
@@ -1144,11 +1127,11 @@ mod tests {
         let data = DataRef::Input(0);
         let col = vec![1i64, 2, 3];
         let id_gpu = hub
-            .load_whole_input(&mut devices, data, gpu, "in0", &col)
+            .load_bound_input(&mut devices, data, gpu, "in0", BoundRows::bare(&col))
             .unwrap();
         // Second load is a no-op.
         assert_eq!(
-            hub.load_whole_input(&mut devices, data, gpu, "in0", &col)
+            hub.load_bound_input(&mut devices, data, gpu, "in0", BoundRows::bare(&col))
                 .unwrap(),
             id_gpu
         );
@@ -1342,8 +1325,14 @@ mod tests {
     fn delete_phase_frees_everything() {
         let (mut devices, gpu, _) = two_devices();
         let mut hub = DataTransferHub::new();
-        hub.load_whole_input(&mut devices, DataRef::Input(0), gpu, "in0", &[1, 2, 3])
-            .unwrap();
+        hub.load_bound_input(
+            &mut devices,
+            DataRef::Input(0),
+            gpu,
+            "in0",
+            BoundRows::bare(&[1, 2, 3]),
+        )
+        .unwrap();
         assert!(devices.get(gpu).unwrap().pool().used() > 0);
         hub.delete_all(&mut devices);
         assert_eq!(devices.get(gpu).unwrap().pool().used(), 0);
@@ -1361,9 +1350,9 @@ mod tests {
         let mut hub = DataTransferHub::new();
         let data = DataRef::Input(0);
         let col = vec![7i64; 64];
-        hub.load_whole_input(&mut devices, data, b, "in0", &col)
+        hub.load_bound_input(&mut devices, data, b, "in0", BoundRows::bare(&col))
             .unwrap();
-        hub.load_whole_input(&mut devices, data, c, "in0", &col)
+        hub.load_bound_input(&mut devices, data, c, "in0", BoundRows::bare(&col))
             .unwrap();
 
         hub.router(&mut devices, data, a).unwrap();
@@ -1422,13 +1411,13 @@ mod tests {
         let (mut devices, gpu, _) = two_devices();
         let mut hub = DataTransferHub::new();
         let kept = DataRef::Input(0);
-        hub.load_whole_input(&mut devices, kept, gpu, "in0", &[1, 2, 3])
+        hub.load_bound_input(&mut devices, kept, gpu, "in0", BoundRows::bare(&[1, 2, 3]))
             .unwrap();
         let used_before = devices.get(gpu).unwrap().pool().used();
         let mark = hub.mark();
 
         let rolled = DataRef::Input(1);
-        hub.load_whole_input(&mut devices, rolled, gpu, "in0", &[4; 100])
+        hub.load_bound_input(&mut devices, rolled, gpu, "in0", BoundRows::bare(&[4; 100]))
             .unwrap();
         assert!(devices.get(gpu).unwrap().pool().used() > used_before);
 
@@ -1448,7 +1437,7 @@ mod tests {
         let mut hub = DataTransferHub::new();
         let data = DataRef::Input(0);
         let id = hub
-            .load_whole_input(&mut devices, data, gpu, "in0", &[1, 2, 3])
+            .load_bound_input(&mut devices, data, gpu, "in0", BoundRows::bare(&[1, 2, 3]))
             .unwrap();
         hub.release(&mut devices, gpu, id).unwrap();
         assert_eq!(devices.get(gpu).unwrap().pool().used(), 0);
@@ -1513,8 +1502,14 @@ mod tests {
         devices.get_mut(gpu).unwrap().state_mut().reset();
         assert_eq!(devices.get(gpu).unwrap().pool().used(), 0);
         let mut hub = DataTransferHub::new();
-        hub.load_whole_input(&mut devices, DataRef::Input(0), gpu, "in0", &[1, 2, 3, 4])
-            .unwrap();
+        hub.load_bound_input(
+            &mut devices,
+            DataRef::Input(0),
+            gpu,
+            "in0",
+            BoundRows::bare(&[1, 2, 3, 4]),
+        )
+        .unwrap();
         assert!(hub.take_corruption_retransmits().is_empty());
         let counters = devices.get(gpu).unwrap().state().faults.counters();
         assert_eq!(counters.corruptions_injected, 1);
@@ -1526,7 +1521,13 @@ mod tests {
         let (mut devices, gpu, _) = two_devices();
         let mut hub = DataTransferHub::new();
         let id = hub
-            .load_whole_input(&mut devices, DataRef::Input(0), gpu, "in0", &[9, 8, 7])
+            .load_bound_input(
+                &mut devices,
+                DataRef::Input(0),
+                gpu,
+                "in0",
+                BoundRows::bare(&[9, 8, 7]),
+            )
             .unwrap();
         // Corrupt the *next* retrieve only (transfer ordinals count from
         // plan installation).
@@ -1576,7 +1577,13 @@ mod tests {
         hub.set_retransmit_budget(3);
         let before = devices.get(gpu).unwrap().clock().transfer_ns();
         let err = hub
-            .load_whole_input(&mut devices, DataRef::Input(0), gpu, "in0", &[1, 2, 3])
+            .load_bound_input(
+                &mut devices,
+                DataRef::Input(0),
+                gpu,
+                "in0",
+                BoundRows::bare(&[1, 2, 3]),
+            )
             .unwrap_err();
         assert!(
             matches!(err, ExecError::TransferCorrupted { device, .. } if device == gpu),
@@ -1636,8 +1643,14 @@ mod tests {
         // With no host copy it still reads through the quarantined holder
         // as a last resort (Input refs have no host accumulation).
         let last_resort = DataRef::Input(0);
-        hub.load_whole_input(&mut devices, last_resort, gpu, "in0", &[1, 2])
-            .unwrap();
+        hub.load_bound_input(
+            &mut devices,
+            last_resort,
+            gpu,
+            "in0",
+            BoundRows::bare(&[1, 2]),
+        )
+        .unwrap();
         hub.router(&mut devices, last_resort, cpu).unwrap();
         assert!(devices.get(gpu).unwrap().clock().bytes_d2h() > d2h_before);
     }
@@ -1654,7 +1667,13 @@ mod tests {
         let mut buffers = Vec::with_capacity(n);
         for i in 0..n {
             let id = hub
-                .load_whole_input(&mut devices, DataRef::Input(i), gpu, "in0", &[i as i64])
+                .load_bound_input(
+                    &mut devices,
+                    DataRef::Input(i),
+                    gpu,
+                    "in0",
+                    BoundRows::bare(&[i as i64]),
+                )
                 .unwrap();
             buffers.push(id);
         }

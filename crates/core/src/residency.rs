@@ -1,7 +1,7 @@
 //! Cross-query device-residency cache.
 //!
 //! Every run used to re-ship its input columns to the device from scratch
-//! (`load_whole_input` places the whole column per run), so steady-state
+//! (the hub's `load_bound_input` placed the whole column per run), so steady-state
 //! traffic paid the cold transfer cost forever. The [`ResidencyCache`] pins
 //! hot input columns device-side *across* queries: the hub consults it
 //! before any transfer, serves hits without touching the bus, and stages
@@ -352,21 +352,6 @@ impl ResidencyCache {
         self.counters.saved_transfer_ns += ns;
     }
 
-    /// Bytes a pin of `(device, name)` matching `column` holds — 0 when
-    /// absent or stale. Read-only (no hit/miss accounting, no invalidation);
-    /// placement uses it to discount transfer cost for cache-warm devices.
-    pub(crate) fn resident_bytes(
-        &self,
-        device: DeviceId,
-        name: &str,
-        column: BoundRows<'_>,
-    ) -> u64 {
-        match self.entries.get(&(device, name.to_string())) {
-            Some(e) if column.matches(e) => e.bytes,
-            _ => 0,
-        }
-    }
-
     /// Reserves room to pin `column` on `device`: evicts LRU entries until
     /// the column fits the per-device budget *and* the pool's admission
     /// ledger accepts the charge, then allocates a cache-owned buffer id.
@@ -640,8 +625,6 @@ mod tests {
         // nothing hashed.
         assert!(cache.lookup_bound(&mut reg, dev, "x", bound).is_none());
         pin(&mut cache, &mut reg, dev, "x", &col[..32]);
-        assert_eq!(cache.resident_bytes(dev, "x", bound), 0);
-        assert!(shared.known_content_hash().is_none());
         assert!(cache.lookup_bound(&mut reg, dev, "x", bound).is_none());
         assert!(
             shared.known_content_hash().is_none(),
@@ -651,11 +634,13 @@ mod tests {
         let id = cache.begin_pin(&mut reg, dev, &col).unwrap();
         cache.commit_pin_bound(dev, "x", bound, id, 1_000.0);
         assert_eq!(shared.known_content_hash(), Some(fingerprint(&col)));
-        assert_eq!(cache.resident_bytes(dev, "x", bound), 64 * 8);
+        let upload = adamant_device::buffer::BufferData::I64(col.clone());
+        reg.get_mut(dev).unwrap().place_data(id, upload, 0).unwrap();
+        assert_eq!(cache.lookup_bound(&mut reg, dev, "x", bound), Some(id));
         // The slice-taking public form and the bound form agree.
-        assert_eq!(cache.resident_bytes(dev, "y", bound), 0);
-        cache.commit_pin(dev, "y", &col, BufferId(CACHE_ID_BASE + 99), 1_000.0);
-        assert_eq!(cache.resident_bytes(dev, "y", bound), 64 * 8);
+        assert!(cache.lookup_bound(&mut reg, dev, "y", bound).is_none());
+        let y = pin(&mut cache, &mut reg, dev, "y", &col);
+        assert_eq!(cache.lookup_bound(&mut reg, dev, "y", bound), Some(y));
     }
 
     fn one_device() -> (DeviceRegistry, DeviceId) {
@@ -738,7 +723,6 @@ mod tests {
         reg.get_mut(dev).unwrap().place_data(id, upload, 0).unwrap();
         cache.commit_pin_bound(dev, "x", bound, id, 1_000.0);
         assert_eq!(cache.lookup_bound(&mut reg, dev, "x", bound), Some(id));
-        assert_eq!(cache.resident_bytes(dev, "x", bound), 64 * 8);
 
         // Free the old binding first, then bind the name again: the new
         // vector usually lands on the old one's address.
@@ -746,7 +730,6 @@ mod tests {
         let mut inputs = QueryInputs::new();
         inputs.bind("x", (1..65).collect());
         let rebound = inputs.bound("x").unwrap();
-        assert_eq!(cache.resident_bytes(dev, "x", rebound), 0);
         assert!(cache.lookup_bound(&mut reg, dev, "x", rebound).is_none());
         assert!(cache.is_empty(), "stale pin invalidated");
         assert_eq!(cache.take_counters().invalidations, 1);

@@ -1,7 +1,6 @@
 //! Query outputs.
 
 use adamant_device::buffer::BufferData;
-use adamant_storage::bitmap::Bitmap;
 use adamant_task::hashtable::AggHashTable;
 use adamant_task::params::AggFunc;
 use std::collections::BTreeMap;
@@ -35,7 +34,6 @@ impl OutputData {
     pub fn from_buffer(data: BufferData) -> OutputData {
         match data {
             BufferData::I64(v) => OutputData::I64(v),
-            BufferData::F64(v) => OutputData::I64(v.into_iter().map(|x| x as i64).collect()),
             BufferData::U32(v) => OutputData::U32(v),
             BufferData::BitWords(v) => OutputData::BitWords(v),
             BufferData::Raw(v) => OutputData::Raw(v),
@@ -67,14 +65,6 @@ impl OutputData {
     pub fn as_u32(&self) -> Option<&[u32]> {
         match self {
             OutputData::U32(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// Interprets a bitmap output over `rows` rows.
-    pub fn as_bitmap(&self, rows: usize) -> Option<Bitmap> {
-        match self {
-            OutputData::BitWords(words) => Some(Bitmap::from_words(words.clone(), rows)),
             _ => None,
         }
     }
@@ -154,8 +144,7 @@ mod tests {
         let o = OutputData::from_buffer(BufferData::U32(vec![5]));
         assert_eq!(o.as_u32(), Some(&[5u32][..]));
         let o = OutputData::from_buffer(BufferData::BitWords(vec![0b101]));
-        let bm = o.as_bitmap(3).unwrap();
-        assert_eq!(bm.count_ones(), 2);
+        assert!(matches!(o, OutputData::BitWords(w) if w == [0b101]));
     }
 
     #[test]

@@ -28,7 +28,9 @@ pub struct ExecutionStats {
     pub bytes_h2d: u64,
     /// Bytes moved device→host.
     pub bytes_d2h: u64,
-    /// Peak device-memory usage per device name (Fig. 7-right).
+    /// Peak device-memory usage per device name (Fig. 7-right): the pool's
+    /// high-water mark since the device was plugged, not since this run
+    /// started (runs do not reset it).
     pub peak_device_bytes: BTreeMap<String, u64>,
     /// Device-memory usage after each primitive execution, in order
     /// (`(label, bytes)`), for the Fig. 7-right footprint trace.

@@ -301,8 +301,13 @@ fn overlap_reduces_modeled_time() {
     let n = 20_000;
     let (inputs, _) = q6_inputs(n);
     let run_model = |model: ExecutionModel| {
-        let (mut exec, dev) = executor_with(DeviceProfile::cuda_rtx2080ti());
-        exec.set_chunk_rows(1000);
+        let tasks = TaskRegistry::with_defaults(&[SdkKind::Cuda, SdkKind::Host]);
+        let config = ExecutorConfig {
+            chunk_rows: 1000,
+            ..Default::default()
+        };
+        let mut exec = Executor::new(tasks, config);
+        let dev = exec.add_profile(&DeviceProfile::cuda_rtx2080ti()).unwrap();
         let graph = q6_like_graph(dev);
         let (_, stats) = exec.run(&graph, &inputs, model).unwrap();
         stats

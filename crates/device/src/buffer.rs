@@ -63,8 +63,6 @@ pub enum BufferData {
     /// 64-bit integers (`NUMERIC` semantics; 32-bit inputs are widened on
     /// placement, with the *transfer* still billed at their true width).
     I64(Vec<i64>),
-    /// 64-bit floats (`NUMERIC`).
-    F64(Vec<f64>),
     /// 32-bit positions (`POSITION` semantics).
     U32(Vec<u32>),
     /// Packed bitmap words (`BITMAP` semantics).
@@ -79,7 +77,6 @@ impl Clone for BufferData {
     fn clone(&self) -> Self {
         match self {
             BufferData::I64(v) => BufferData::I64(v.clone()),
-            BufferData::F64(v) => BufferData::F64(v.clone()),
             BufferData::U32(v) => BufferData::U32(v.clone()),
             BufferData::BitWords(v) => BufferData::BitWords(v.clone()),
             BufferData::Raw(v) => BufferData::Raw(v.clone()),
@@ -92,7 +89,6 @@ impl PartialEq for BufferData {
     fn eq(&self, other: &Self) -> bool {
         match (self, other) {
             (BufferData::I64(a), BufferData::I64(b)) => a == b,
-            (BufferData::F64(a), BufferData::F64(b)) => a == b,
             (BufferData::U32(a), BufferData::U32(b)) => a == b,
             (BufferData::BitWords(a), BufferData::BitWords(b)) => a == b,
             (BufferData::Raw(a), BufferData::Raw(b)) => a == b,
@@ -107,7 +103,6 @@ impl BufferData {
     pub fn len(&self) -> usize {
         match self {
             BufferData::I64(v) => v.len(),
-            BufferData::F64(v) => v.len(),
             BufferData::U32(v) => v.len(),
             BufferData::BitWords(v) => v.len(),
             BufferData::Raw(v) => v.len(),
@@ -124,7 +119,6 @@ impl BufferData {
     pub fn byte_len(&self) -> u64 {
         match self {
             BufferData::I64(v) => (v.len() * 8) as u64,
-            BufferData::F64(v) => (v.len() * 8) as u64,
             BufferData::U32(v) => (v.len() * 4) as u64,
             BufferData::BitWords(v) => (v.len() * 8) as u64,
             BufferData::Raw(v) => v.len() as u64,
@@ -136,26 +130,10 @@ impl BufferData {
     pub fn kind(&self) -> &'static str {
         match self {
             BufferData::I64(_) => "i64",
-            BufferData::F64(_) => "f64",
             BufferData::U32(_) => "u32",
             BufferData::BitWords(_) => "bitwords",
             BufferData::Raw(_) => "raw",
             BufferData::Generic(_) => "generic",
-        }
-    }
-
-    /// An empty payload of the same kind with reserved capacity.
-    ///
-    /// `Generic` payloads clone instead (an "empty like" of an opaque
-    /// structure is not generally constructible).
-    pub fn empty_like(&self, capacity: usize) -> BufferData {
-        match self {
-            BufferData::I64(_) => BufferData::I64(Vec::with_capacity(capacity)),
-            BufferData::F64(_) => BufferData::F64(Vec::with_capacity(capacity)),
-            BufferData::U32(_) => BufferData::U32(Vec::with_capacity(capacity)),
-            BufferData::BitWords(_) => BufferData::BitWords(Vec::with_capacity(capacity)),
-            BufferData::Raw(_) => BufferData::Raw(Vec::with_capacity(capacity)),
-            BufferData::Generic(g) => BufferData::Generic(g.clone_box()),
         }
     }
 
@@ -168,7 +146,6 @@ impl BufferData {
         let offset = offset.min(end);
         match self {
             BufferData::I64(v) => BufferData::I64(v[offset..end].to_vec()),
-            BufferData::F64(v) => BufferData::F64(v[offset..end].to_vec()),
             BufferData::U32(v) => BufferData::U32(v[offset..end].to_vec()),
             BufferData::BitWords(v) => BufferData::BitWords(v[offset..end].to_vec()),
             BufferData::Raw(v) => BufferData::Raw(v[offset..end].to_vec()),
@@ -180,14 +157,6 @@ impl BufferData {
     pub fn as_i64(&self) -> Option<&Vec<i64>> {
         match self {
             BufferData::I64(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// Borrows the payload as `f64`s.
-    pub fn as_f64(&self) -> Option<&Vec<f64>> {
-        match self {
-            BufferData::F64(v) => Some(v),
             _ => None,
         }
     }
@@ -249,7 +218,6 @@ impl BufferData {
         let range = offset.min(end)..end;
         content_hash(match self {
             BufferData::I64(v) => Content::I64(&v[range]),
-            BufferData::F64(v) => Content::F64(&v[range]),
             BufferData::U32(v) => Content::U32(&v[range]),
             BufferData::BitWords(v) => Content::BitWords(&v[range]),
             BufferData::Raw(v) => Content::Raw(&v[range]),
@@ -271,7 +239,6 @@ impl BufferData {
         let i = element % self.len();
         match self {
             BufferData::I64(v) => v[i] ^= 1,
-            BufferData::F64(v) => v[i] = f64::from_bits(v[i].to_bits() ^ 1),
             BufferData::U32(v) => v[i] ^= 1,
             BufferData::BitWords(v) => v[i] ^= 1,
             BufferData::Raw(v) => v[i] ^= 1,
@@ -315,7 +282,6 @@ pub(crate) mod tests {
         assert_eq!(BufferData::U32(vec![1, 2, 3]).byte_len(), 12);
         assert_eq!(BufferData::BitWords(vec![0]).byte_len(), 8);
         assert_eq!(BufferData::Raw(vec![0; 5]).byte_len(), 5);
-        assert_eq!(BufferData::F64(vec![]).byte_len(), 0);
     }
 
     #[test]
@@ -323,14 +289,6 @@ pub(crate) mod tests {
         let d = BufferData::I64((0..10).collect());
         assert_eq!(d.slice(8, 5), BufferData::I64(vec![8, 9]));
         assert_eq!(d.slice(20, 5).len(), 0);
-    }
-
-    #[test]
-    fn empty_like_preserves_kind() {
-        let d = BufferData::U32(vec![1]);
-        let e = d.empty_like(10);
-        assert_eq!(e.kind(), "u32");
-        assert!(e.is_empty());
     }
 
     #[test]
@@ -372,9 +330,8 @@ pub(crate) mod tests {
     /// checkpoints and pinned by the golden stats: the hash must not drift.
     #[test]
     fn checksum_values_are_pinned() {
-        let pinned: [(BufferData, u64); 7] = [
+        let pinned: [(BufferData, u64); 6] = [
             (BufferData::I64(vec![1, -2, 3]), 11357866896077846762),
-            (BufferData::F64(vec![0.5, -1.25]), 15851023222852744517),
             (BufferData::U32(vec![7, 8, 9]), 7385504724775396070),
             (
                 BufferData::BitWords(vec![0xdead_beef, 1]),
@@ -418,14 +375,12 @@ pub(crate) mod tests {
         let x = 0x4045_0000_0000_0007u64;
         let same_bits = [
             BufferData::I64(vec![x as i64]),
-            BufferData::F64(vec![f64::from_bits(x)]),
             BufferData::BitWords(vec![x]),
             BufferData::Raw(x.to_le_bytes().to_vec()),
             BufferData::U32(vec![x as u32, (x >> 32) as u32]),
         ];
         let empties = [
             BufferData::I64(vec![]),
-            BufferData::F64(vec![]),
             BufferData::U32(vec![]),
             BufferData::BitWords(vec![]),
             BufferData::Raw(vec![]),
@@ -450,7 +405,6 @@ pub(crate) mod tests {
         let n = 37; // four whole rounds of lanes and an unaligned tail
         let payloads = [
             BufferData::I64((0..n).map(|i| i * 7919 - 5).collect()),
-            BufferData::F64((0..n).map(|i| i as f64 * -0.37).collect()),
             BufferData::U32((0..n as u32).map(|i| i.wrapping_mul(40503)).collect()),
             BufferData::BitWords((0..n as u64).map(|i| !i << 7).collect()),
             BufferData::Raw((0..n as u8).map(|i| i.wrapping_mul(37)).collect()),
@@ -488,9 +442,9 @@ pub(crate) mod tests {
     #[test]
     fn empty_payloads_cannot_be_corrupted() {
         assert!(!BufferData::I64(vec![]).flip_bit(0));
-        let mut f = BufferData::F64(vec![0.5]);
+        let mut f = BufferData::U32(vec![5]);
         assert!(f.flip_bit(0));
-        assert_ne!(f, BufferData::F64(vec![0.5]));
+        assert_ne!(f, BufferData::U32(vec![5]));
     }
 
     #[test]

@@ -141,12 +141,6 @@ impl CostModel {
         self.transfer_latency_ns + bytes as f64 / (bw * GIB) * 1e9
     }
 
-    /// Effective H2D bandwidth in GiB/s for a given transfer size — the
-    /// quantity Fig. 3 plots (latency makes small transfers slower).
-    pub fn h2d_effective_gibs(&self, bytes: u64, pinned: bool) -> f64 {
-        bytes as f64 / GIB / (self.h2d_ns(bytes, pinned) / 1e9)
-    }
-
     /// Time for the allocation of `bytes` (pinned allocations pay
     /// page-locking per MiB).
     pub fn alloc_ns(&self, bytes: u64, pinned: bool) -> f64 {
@@ -233,12 +227,6 @@ impl CostModel {
         }
     }
 
-    /// Primitive throughput in Gi elements/s — the y-axis of Figs. 5 and 9.
-    pub fn throughput_gips(&self, class: CostClass, elements: u64, arg_count: usize) -> f64 {
-        let t_s = self.kernel_ns(class, elements, arg_count) / 1e9;
-        elements as f64 / (1u64 << 30) as f64 / t_s
-    }
-
     /// Recovery-aware placement cost: what moving a `working_set_bytes`
     /// working set onto this device is expected to cost, including the
     /// health registry's `placement_penalty_ns` for the device (failure rate
@@ -249,24 +237,6 @@ impl CostModel {
     /// of winning them by id order.
     pub fn placement_cost_ns(&self, working_set_bytes: u64, penalty_ns: f64) -> f64 {
         self.h2d_ns(working_set_bytes, false) + penalty_ns.max(0.0)
-    }
-
-    /// [`CostModel::placement_cost_ns`] discounted by bytes already resident
-    /// on the device (a residency-cache pin): only the *missing* part of the
-    /// working set pays transfer. A fully cached working set prices at zero
-    /// transfer — just the health penalty.
-    pub fn placement_cost_ns_resident(
-        &self,
-        working_set_bytes: u64,
-        resident_bytes: u64,
-        penalty_ns: f64,
-    ) -> f64 {
-        let moved = working_set_bytes.saturating_sub(resident_bytes);
-        if moved == 0 {
-            penalty_ns.max(0.0)
-        } else {
-            self.placement_cost_ns(moved, penalty_ns)
-        }
     }
 }
 
@@ -324,9 +294,11 @@ mod tests {
 
     #[test]
     fn effective_bandwidth_rises_with_size() {
+        // Effective bandwidth in GiB/s: latency makes small transfers slower.
         let m = discrete();
-        let small = m.h2d_effective_gibs(1 << 20, false);
-        let large = m.h2d_effective_gibs(1 << 30, false);
+        let gibs = |bytes: u64| bytes as f64 / GIB / (m.h2d_ns(bytes, false) / 1e9);
+        let small = gibs(1 << 20);
+        let large = gibs(1 << 30);
         assert!(large > small);
         assert!(large <= 10.0 + 1e-9);
     }
@@ -421,13 +393,6 @@ mod tests {
     }
 
     #[test]
-    fn throughput_sane() {
-        let m = CostModel::default();
-        let t = m.throughput_gips(CostClass::MapLike, 1 << 28, 2);
-        assert!(t > 0.0 && t < 100.0);
-    }
-
-    #[test]
     fn placement_cost_charges_retry_penalty() {
         let m = discrete();
         let healthy = m.placement_cost_ns(1 << 20, 0.0);
@@ -436,22 +401,5 @@ mod tests {
         assert!((flaky - healthy - 50_000.0).abs() < 1e-9);
         // Negative penalties (a bug upstream) must not discount a device.
         assert_eq!(m.placement_cost_ns(1 << 20, -10.0), healthy);
-    }
-
-    #[test]
-    fn resident_discount_prices_cache_hits_at_zero_transfer() {
-        let m = discrete();
-        let cold = m.placement_cost_ns_resident(1 << 20, 0, 0.0);
-        assert_eq!(cold, m.placement_cost_ns(1 << 20, 0.0));
-        // Half the working set cached: only the rest pays transfer.
-        let half = m.placement_cost_ns_resident(1 << 20, 1 << 19, 0.0);
-        assert_eq!(half, m.placement_cost_ns(1 << 19, 0.0));
-        assert!(half < cold);
-        // Fully cached: zero transfer, only the health penalty survives.
-        assert_eq!(m.placement_cost_ns_resident(1 << 20, 1 << 20, 0.0), 0.0);
-        assert_eq!(
-            m.placement_cost_ns_resident(1 << 20, u64::MAX, 7_500.0),
-            7_500.0
-        );
     }
 }

@@ -54,17 +54,6 @@ impl BufferPool {
         self.capacity
     }
 
-    /// Re-sizes the device region to `bytes` (capacity re-negotiation, e.g.
-    /// after membership changes). Existing allocations and admission
-    /// reservations are untouched — a shrink below what is currently
-    /// used/reserved leaves the pool over-subscribed, and only *new*
-    /// allocations/reservations observe the lower cap; callers that need
-    /// the over-subscription resolved (the scheduler's reservation ledger)
-    /// must evict reservations themselves.
-    pub fn set_capacity(&mut self, bytes: u64) {
-        self.capacity = bytes;
-    }
-
     /// Bytes currently allocated from the device region.
     pub fn used(&self) -> u64 {
         self.used
@@ -80,15 +69,9 @@ impl BufferPool {
         self.peak
     }
 
-    /// Remaining device bytes (zero while over-subscribed after a
-    /// [`Self::set_capacity`] shrink).
+    /// Remaining device bytes.
     pub fn available(&self) -> u64 {
         self.capacity.saturating_sub(self.used)
-    }
-
-    /// Number of live buffers (taken ones included).
-    pub fn buffer_count(&self) -> usize {
-        self.buffers.len() + self.taken.len()
     }
 
     /// Inserts a new buffer, charging its footprint against the right region.
@@ -325,7 +308,6 @@ impl BufferPool {
         }
         match (&mut dst.data, data) {
             (BufferData::I64(d), BufferData::I64(s)) => splice!(d, s),
-            (BufferData::F64(d), BufferData::F64(s)) => splice!(d, s),
             (BufferData::U32(d), BufferData::U32(s)) => splice!(d, s),
             (BufferData::BitWords(d), BufferData::BitWords(s)) => splice!(d, s),
             (BufferData::Raw(d), BufferData::Raw(s)) => splice!(d, s),
@@ -385,8 +367,7 @@ impl BufferPool {
         self.admission_reserved
     }
 
-    /// Capacity not yet promised to any admitted query (zero while
-    /// over-subscribed after a [`Self::set_capacity`] shrink).
+    /// Capacity not yet promised to any admitted query.
     pub fn admission_available(&self) -> u64 {
         self.capacity.saturating_sub(self.admission_reserved)
     }
@@ -436,24 +417,6 @@ mod tests {
             other => panic!("unexpected error {other:?}"),
         }
         assert_eq!(pool.used(), 80);
-    }
-
-    #[test]
-    fn set_capacity_shrink_is_safe_while_oversubscribed() {
-        let mut pool = BufferPool::new(1000, 0);
-        pool.insert(BufferId(1), buf(10)).unwrap(); // 80 bytes
-        pool.admission_reserve(500).unwrap();
-        pool.set_capacity(50); // below both `used` and `admission_reserved`
-        assert_eq!(pool.capacity(), 50);
-        assert_eq!(pool.available(), 0, "no underflow while over-subscribed");
-        assert_eq!(pool.admission_available(), 0);
-        assert!(pool.insert(BufferId(2), buf(1)).is_err());
-        assert!(pool.admission_reserve(1).is_err());
-        // Releasing resolves the over-subscription; new work fits again.
-        pool.admission_release(500);
-        pool.remove(BufferId(1)).unwrap();
-        pool.insert(BufferId(3), buf(1)).unwrap();
-        pool.admission_reserve(10).unwrap();
     }
 
     #[test]
@@ -639,6 +602,6 @@ mod tests {
         pool.insert(BufferId(1), buf(10)).unwrap();
         pool.clear();
         assert_eq!(pool.used(), 0);
-        assert_eq!(pool.buffer_count(), 0);
+        assert!(pool.buffers.is_empty() && pool.taken.is_empty());
     }
 }

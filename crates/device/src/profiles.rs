@@ -343,19 +343,11 @@ mod tests {
             ),
             (DeviceProfile::cuda_a100(), DeviceProfile::opencl_a100()),
         ] {
+            // Same bytes, so higher bandwidth is less time.
             let size = 256u64 << 20;
-            assert!(
-                cuda.cost.h2d_effective_gibs(size, false)
-                    > opencl.cost.h2d_effective_gibs(size, false)
-            );
-            assert!(
-                cuda.cost.h2d_effective_gibs(size, true)
-                    > opencl.cost.h2d_effective_gibs(size, true)
-            );
-            assert!(
-                cuda.cost.h2d_effective_gibs(size, true)
-                    > cuda.cost.h2d_effective_gibs(size, false)
-            );
+            assert!(cuda.cost.h2d_ns(size, false) < opencl.cost.h2d_ns(size, false));
+            assert!(cuda.cost.h2d_ns(size, true) < opencl.cost.h2d_ns(size, true));
+            assert!(cuda.cost.h2d_ns(size, true) < cuda.cost.h2d_ns(size, false));
         }
     }
 
@@ -394,8 +386,8 @@ mod tests {
         let omp = DeviceProfile::openmp_cpu_i7().cost;
         let n = 1u64 << 28;
         assert!(
-            ocl.throughput_gips(CostClass::FilterBitmap, n, 3)
-                > omp.throughput_gips(CostClass::FilterBitmap, n, 3)
+            ocl.kernel_ns(CostClass::FilterBitmap, n, 3)
+                < omp.kernel_ns(CostClass::FilterBitmap, n, 3)
         );
     }
 

@@ -49,12 +49,6 @@ impl SimDevice {
         }
     }
 
-    /// Whether the device has died permanently (every data-plane operation
-    /// now fails with [`DeviceError::Gone`]).
-    pub fn is_dead(&self) -> bool {
-        self.dead
-    }
-
     /// Names of prepared kernels, sorted (for diagnostics).
     pub fn kernel_names(&self) -> Vec<&str> {
         let mut names: Vec<&str> = self.kernels.keys().map(|s| s.as_str()).collect();
@@ -776,9 +770,9 @@ mod tests {
             .install(FaultPlan::none().die_on_exec(2));
         let spec = ExecuteSpec::new("noop", vec![], vec![]);
         d.execute(&spec).unwrap();
-        assert!(!d.is_dead());
+        assert!(!d.dead);
         assert!(matches!(d.execute(&spec), Err(DeviceError::Gone { .. })));
-        assert!(d.is_dead());
+        assert!(d.dead);
         // Every data-plane operation is now Gone — including re-initialize.
         assert!(matches!(
             d.place_data(BufferId(1), BufferData::I64(vec![1]), 0),
@@ -789,7 +783,7 @@ mod tests {
             Err(DeviceError::Gone { .. })
         ));
         d.state_mut().reset();
-        assert!(d.is_dead(), "reset must not revive a dead device");
+        assert!(d.dead, "reset must not revive a dead device");
         assert!(matches!(d.initialize(), Err(DeviceError::Gone { .. })));
         // The death was counted exactly once, even after more attempts.
         assert_eq!(d.state().faults.counters().deaths_injected, 1);
@@ -813,7 +807,7 @@ mod tests {
             d.retrieve_data(BufferId(1), None, 0),
             Err(DeviceError::Gone { .. })
         ));
-        assert!(d.is_dead());
+        assert!(d.dead);
         assert_eq!(d.state().faults.counters().deaths_injected, 1);
     }
 
@@ -825,7 +819,7 @@ mod tests {
             .install(FaultPlan::none().die_at_ns(1.0e18));
         d.place_data(BufferId(1), BufferData::I64(vec![1]), 0)
             .unwrap();
-        assert!(!d.is_dead());
+        assert!(!d.dead);
         assert_eq!(d.state().faults.counters().deaths_injected, 0);
     }
 

@@ -64,11 +64,6 @@ impl Expr {
         Expr::Indicator(Box::new(self), MapOp::EqConst, c)
     }
 
-    /// `(self < c) as 0/1`.
-    pub fn lt_const(self, c: i64) -> Expr {
-        Expr::Indicator(Box::new(self), MapOp::LtConst, c)
-    }
-
     /// `(self >= c) as 0/1`.
     pub fn ge_const(self, c: i64) -> Expr {
         Expr::Indicator(Box::new(self), MapOp::GeConst, c)
@@ -224,10 +219,6 @@ mod tests {
         let e = Expr::col("prio").eq_const(3);
         assert_eq!(e.columns(), vec!["prio"]);
         assert!(matches!(e, Expr::Indicator(_, MapOp::EqConst, 3)));
-        assert!(matches!(
-            Expr::col("x").lt_const(5),
-            Expr::Indicator(_, MapOp::LtConst, 5)
-        ));
         assert!(matches!(
             Expr::col("x").ge_const(5),
             Expr::Indicator(_, MapOp::GeConst, 5)

@@ -33,8 +33,7 @@ pub struct PlanBuilder {
 }
 
 impl PlanBuilder {
-    /// Creates a builder targeting one device (per-node overrides via
-    /// [`PlanBuilder::graph_mut`]).
+    /// Creates a builder targeting one device.
     pub fn new(device: DeviceId) -> Self {
         PlanBuilder {
             gb: GraphBuilder::new(),
@@ -182,12 +181,6 @@ impl PlanBuilder {
     /// Declares a named graph output.
     pub fn output(&mut self, name: impl Into<String>, data: DataRef) {
         self.gb.output(name, data);
-    }
-
-    /// Direct access to the underlying graph builder (custom primitives,
-    /// per-node device overrides).
-    pub fn graph_mut(&mut self) -> &mut GraphBuilder {
-        &mut self.gb
     }
 
     /// The target device.

@@ -25,20 +25,6 @@ impl ReservationLedger {
         ReservationLedger::default()
     }
 
-    /// Whether `bytes` more can currently be promised on `device`. Counts
-    /// residency-cache pins as available: pins yield to admission (they are
-    /// evicted by [`ReservationLedger::reserve`]), so budget they hold is
-    /// still promisable.
-    pub fn fits(executor: &Executor, device: DeviceId, bytes: u64) -> bool {
-        executor
-            .devices()
-            .get(device)
-            .map(|d| {
-                d.pool().admission_available() + executor.residency_evictable_bytes(device) >= bytes
-            })
-            .unwrap_or(false)
-    }
-
     /// Reserves `bytes` on `device` for `ticket`. Fails (leaving the ledger
     /// unchanged) when the device's outstanding reservations cannot take it.
     ///
@@ -86,18 +72,6 @@ impl ReservationLedger {
         }
     }
 
-    /// Releases every outstanding reservation in one pass. O(outstanding),
-    /// not O(tickets ever issued): only tickets the ledger actually tracks
-    /// are touched.
-    pub fn release_outstanding(&mut self, executor: &mut Executor) {
-        let entries = std::mem::take(&mut self.entries);
-        for (device, bytes) in entries.into_values() {
-            if let Ok(dev) = executor.devices_mut().get_mut(device) {
-                dev.pool_mut().admission_release(bytes);
-            }
-        }
-    }
-
     /// Forgets every reservation on a permanently dead device **without**
     /// releasing anything against its pool (the corpse's accounting is
     /// reconciled by the engine's write-off, not by the ledger). Returns
@@ -123,55 +97,6 @@ impl ReservationLedger {
         v.sort_unstable();
         v.dedup();
         v
-    }
-
-    /// Shrinks (or grows) `device`'s admission capacity to `bytes`. On a
-    /// shrink that leaves the pool over-subscribed, outstanding
-    /// reservations are evicted highest-ticket-first (newest admissions
-    /// yield; their bytes are released against the pool) until the rest
-    /// fit the new capacity. Returns the displaced tickets.
-    pub fn set_capacity(
-        &mut self,
-        executor: &mut Executor,
-        device: DeviceId,
-        bytes: u64,
-    ) -> Vec<u64> {
-        let mut displaced = Vec::new();
-        let Ok(dev) = executor.devices_mut().get_mut(device) else {
-            return displaced;
-        };
-        dev.pool_mut().set_capacity(bytes);
-        while executor
-            .devices()
-            .get(device)
-            .map(|d| d.pool().admission_reserved() > d.pool().capacity())
-            .unwrap_or(false)
-        {
-            let victim = self
-                .entries
-                .iter()
-                .rev()
-                .find(|(_, (d, _))| *d == device)
-                .map(|(&t, _)| t);
-            let Some(ticket) = victim else { break };
-            self.release(executor, ticket);
-            displaced.push(ticket);
-        }
-        displaced
-    }
-
-    /// Whether `ticket` currently holds a reservation.
-    pub fn holds(&self, ticket: u64) -> bool {
-        self.entries.contains_key(&ticket)
-    }
-
-    /// Bytes currently reserved on `device` across all tickets.
-    pub fn reserved_on(&self, device: DeviceId) -> u64 {
-        self.entries
-            .values()
-            .filter(|(d, _)| *d == device)
-            .map(|(_, b)| b)
-            .sum()
     }
 
     /// Number of outstanding reservations.
@@ -226,33 +151,25 @@ mod tests {
         // succeed — admission can never starve behind the cache.
         let (mut exec, dev) = executor_with_cache();
         run_sum_query(&mut exec, dev);
-        let pinned = exec.residency_evictable_bytes(dev);
-        assert!(pinned > 0, "the run should have pinned its input");
-        let pool_total = exec.devices().get(dev).unwrap().pool().capacity();
+        let reserved =
+            |exec: &Executor| exec.devices().get(dev).unwrap().pool().admission_reserved();
         // The pins hold part of the admission budget...
-        assert_eq!(
-            exec.devices().get(dev).unwrap().pool().admission_reserved(),
-            pinned
-        );
-        // ...yet the full capacity still *fits* (pins are promisable).
-        assert!(ReservationLedger::fits(&exec, dev, pool_total));
+        assert!(reserved(&exec) > 0, "the run should have pinned its input");
+        let pool_total = exec.devices().get(dev).unwrap().pool().capacity();
 
+        // ...yet the full capacity can be reserved: the pins were evicted
+        // to make room, not deadlocked against.
         let mut ledger = ReservationLedger::new();
         ledger.reserve(&mut exec, dev, 1, pool_total).unwrap();
-        assert!(ledger.holds(1));
-        assert_eq!(ledger.reserved_on(dev), pool_total);
-        // The pins were evicted to make room, not deadlocked against.
-        assert_eq!(exec.residency_evictable_bytes(dev), 0);
+        assert_eq!(ledger.outstanding(), 1);
+        assert_eq!(reserved(&exec), pool_total);
 
         // Beyond capacity still fails cleanly (nothing left to evict).
         assert!(ledger.reserve(&mut exec, dev, 2, 1).is_err());
-        assert!(!ledger.holds(2));
+        assert_eq!(ledger.outstanding(), 1);
 
         ledger.release(&mut exec, 1);
-        assert_eq!(
-            exec.devices().get(dev).unwrap().pool().admission_reserved(),
-            0
-        );
+        assert_eq!(reserved(&exec), 0);
     }
 
     #[test]
@@ -275,28 +192,6 @@ mod tests {
     }
 
     #[test]
-    fn set_capacity_shrink_evicts_newest_reservations_first() {
-        let tasks = TaskRegistry::with_defaults(&[SdkKind::Cuda, SdkKind::Host]);
-        let mut exec = Executor::new(tasks, ExecutorConfig::default());
-        let dev = exec.add_profile(&DeviceProfile::cuda_rtx2080ti()).unwrap();
-        let mut ledger = ReservationLedger::new();
-        ledger.reserve(&mut exec, dev, 1, 1000).unwrap();
-        ledger.reserve(&mut exec, dev, 2, 1000).unwrap();
-        ledger.reserve(&mut exec, dev, 3, 1000).unwrap();
-        // Shrink so only 1500 bytes of admission capacity remain: tickets 3
-        // then 2 must yield (newest first); ticket 1 survives.
-        let displaced = ledger.set_capacity(&mut exec, dev, 1500);
-        assert_eq!(displaced, vec![3, 2]);
-        assert!(ledger.holds(1));
-        assert!(!ledger.holds(2) && !ledger.holds(3));
-        assert_eq!(
-            exec.devices().get(dev).unwrap().pool().admission_reserved(),
-            1000
-        );
-        assert_eq!(exec.devices().get(dev).unwrap().pool().capacity(), 1500);
-    }
-
-    #[test]
     fn reserve_without_cache_still_fails_on_oversubscription() {
         let tasks = TaskRegistry::with_defaults(&[SdkKind::Cuda, SdkKind::Host]);
         let mut exec = Executor::new(tasks, ExecutorConfig::default());
@@ -305,7 +200,7 @@ mod tests {
         let mut ledger = ReservationLedger::new();
         ledger.reserve(&mut exec, dev, 1, cap).unwrap();
         assert!(ledger.reserve(&mut exec, dev, 2, 1).is_err());
-        ledger.release_outstanding(&mut exec);
+        ledger.release(&mut exec, 1);
         assert_eq!(ledger.outstanding(), 0);
     }
 }

@@ -32,7 +32,7 @@ use crate::estimate::estimate_footprint_bytes;
 use crate::ledger::ReservationLedger;
 use crate::queue::{AdmissionQueues, QueuedEntry};
 use crate::stats::SchedulerStats;
-use adamant_core::error::{ExecError, Result};
+use adamant_core::error::ExecError;
 use adamant_core::executor::{CancelToken, Executor, QueryInputs};
 use adamant_core::graph::PrimitiveGraph;
 use adamant_core::models::ExecutionModel;
@@ -320,11 +320,6 @@ impl<'e> QueryScheduler<'e> {
             preempt_slack_ns,
             stats: SchedulerStats::default(),
         }
-    }
-
-    /// Reservations currently outstanding in the admission ledger.
-    pub fn outstanding_reservations(&self) -> usize {
-        self.ledger.outstanding()
     }
 
     /// Registers `name` with a fair-share `weight`. Unregistered tenants
@@ -827,17 +822,12 @@ impl<'e> QueryScheduler<'e> {
             .iter()
             .map(|i| {
                 let penalty = self.executor.health().placement_penalty_ns(i.id);
-                // Inputs already pinned on a device by the residency cache
-                // do not pay transfer again — a cache-warm device wins the
-                // placement it is warm for.
-                let resident = self.executor.residency_resident_bytes(i.id, &spec.inputs);
                 let place = self
                     .executor
                     .devices()
                     .get(i.id)
                     .map_or(f64::INFINITY, |d| {
-                        let cost = &d.state().cost;
-                        cost.placement_cost_ns_resident(footprint, resident, penalty)
+                        d.state().cost.placement_cost_ns(footprint, penalty)
                     });
                 (i.id, place + backlog_ns(active, i.id))
             })
@@ -904,14 +894,6 @@ impl<'e> QueryScheduler<'e> {
         let t = self.stats.tenants.entry(tenant.to_string()).or_default();
         t.failed += 1;
         outcomes.insert(ticket, QueryOutcome::Failed { error });
-    }
-
-    /// Releases any reservations still outstanding (defensive; `run_all`
-    /// releases on every exit path). O(outstanding reservations), not
-    /// O(tickets ever issued): the ledger walks only what it still tracks.
-    pub fn release_all(&mut self) -> Result<()> {
-        self.ledger.release_outstanding(self.executor);
-        Ok(())
     }
 }
 

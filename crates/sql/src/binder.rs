@@ -91,12 +91,6 @@ impl<'a> Binder<'a> {
                 ));
             }
         }
-        if self.col_type(name) == DataType::Float64 {
-            return Err(SqlError::unsupported(
-                format!("column `{name}` is Float64; the engine computes in integers"),
-                span,
-            ));
-        }
         Ok(idx)
     }
 
@@ -865,12 +859,7 @@ impl<'a> Binder<'a> {
         if let Some(dict) = col.dictionary() {
             return Ok((0, dict.len() as i64 - 1));
         }
-        let vals = col.to_i64_vec().map_err(|e| {
-            SqlError::bind(
-                format!("cannot read column `{name}`: {e:?}"),
-                Span::default(),
-            )
-        })?;
+        let vals = col.to_i64_vec();
         let lo = vals.iter().copied().min().unwrap_or(0);
         let hi = vals.iter().copied().max().unwrap_or(0);
         Ok((lo, hi))

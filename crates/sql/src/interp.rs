@@ -210,7 +210,7 @@ fn load<'c>(
     for c in columns {
         let data = t
             .column(c)
-            .and_then(|col| col.to_i64_vec())
+            .map(|col| col.to_i64_vec())
             .map_err(|e| SqlError::bind(format!("cannot read `{table}.{c}`: {e}"), q.span))?;
         cols.insert(c.to_string(), data);
     }

@@ -16,7 +16,6 @@ fn catalog() -> Catalog {
                 Column::from_i64("k", vec![1, 2, 3]),
                 Column::from_i64("v", vec![10, 20, 30]),
                 Column::from_strings("s", &["a", "b", "a"]),
-                Column::from_f64("f", vec![0.5, 1.5, 2.5]),
             ],
         )
         .unwrap(),
@@ -78,7 +77,6 @@ fn cases() -> Vec<(&'static str, SqlErrorKind)> {
         ),
         ("SELECT v FROM t GROUP BY ghost", Bind),
         // Type errors.
-        ("SELECT f FROM t", Unsupported),
         ("SELECT s + 1 FROM t", Unsupported),
         ("SELECT v FROM t WHERE s < 'b'", Unsupported),
         ("SELECT v FROM t WHERE k = 'text'", Bind),

@@ -27,16 +27,6 @@ impl Bitmap {
         }
     }
 
-    /// Creates an all-one bitmap covering `len` rows.
-    pub fn new_ones(len: usize) -> Self {
-        let mut bm = Bitmap {
-            words: vec![u64::MAX; len.div_ceil(64)],
-            len,
-        };
-        bm.mask_tail();
-        bm
-    }
-
     /// Builds a bitmap from a slice of booleans.
     pub fn from_bools(bools: &[bool]) -> Self {
         let mut bm = Bitmap::new_zeroed(bools.len());
@@ -226,7 +216,7 @@ mod tests {
         let z = Bitmap::new_zeroed(130);
         assert_eq!(z.count_ones(), 0);
         assert_eq!(z.len(), 130);
-        let o = Bitmap::new_ones(130);
+        let o = Bitmap::from_bools(&[true; 130]);
         assert_eq!(o.count_ones(), 130);
     }
 

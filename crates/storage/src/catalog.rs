@@ -31,11 +31,6 @@ impl Catalog {
             .ok_or_else(|| StorageError::TableNotFound(name.to_string()))
     }
 
-    /// Removes a table, returning it if present.
-    pub fn drop_table(&mut self, name: &str) -> Option<Table> {
-        self.tables.remove(name)
-    }
-
     /// Names of all registered tables, sorted.
     pub fn table_names(&self) -> Vec<&str> {
         self.tables.keys().map(|s| s.as_str()).collect()
@@ -70,7 +65,7 @@ mod tests {
     use crate::column::Column;
 
     #[test]
-    fn register_lookup_drop() {
+    fn register_and_lookup() {
         let mut cat = Catalog::new();
         assert!(cat.is_empty());
         cat.register(Table::new("b", vec![Column::from_i32("x", vec![1])]).unwrap());
@@ -80,9 +75,6 @@ mod tests {
         assert_eq!(cat.table("a").unwrap().row_count(), 2);
         assert!(cat.table("c").is_err());
         assert_eq!(cat.byte_len(), 4 + 8);
-        assert!(cat.drop_table("a").is_some());
-        assert!(cat.drop_table("a").is_none());
-        assert_eq!(cat.len(), 1);
     }
 
     #[test]

@@ -49,11 +49,6 @@ impl Chunker {
     pub fn over(table: &Table, chunk_rows: usize) -> Self {
         Chunker::new(table.row_count(), chunk_rows)
     }
-
-    /// Total number of chunks that will be produced.
-    pub fn chunk_count(&self) -> usize {
-        self.row_count.div_ceil(self.chunk_rows)
-    }
 }
 
 impl Iterator for Chunker {
@@ -110,13 +105,11 @@ mod tests {
             chunks.iter().map(|c| c.len).collect::<Vec<_>>(),
             vec![4, 4, 2]
         );
-        assert_eq!(Chunker::new(10, 4).chunk_count(), 3);
     }
 
     #[test]
     fn empty_input() {
         assert_eq!(Chunker::new(0, 8).count(), 0);
-        assert_eq!(Chunker::new(0, 8).chunk_count(), 0);
     }
 
     #[test]

@@ -10,7 +10,6 @@
 //! place, [`SharedRows::new`], and travel together from then on, so the
 //! memo is keyed by nothing that could outlive what it describes.
 
-use crate::bitmap::Bitmap;
 use crate::datatype::{DataType, Value};
 use crate::error::StorageError;
 use crate::fnv::BlockDigests;
@@ -83,8 +82,6 @@ pub enum ColumnData {
     /// `Arc` because these are the rows the devices see: binding the column
     /// shares them instead of copying them.
     Int64(Arc<Vec<i64>>),
-    /// 64-bit floats.
-    Float64(Vec<f64>),
     /// Dates as days since epoch.
     Date(Vec<i32>),
     /// Dictionary-encoded strings.
@@ -102,7 +99,6 @@ impl ColumnData {
         match self {
             ColumnData::Int32(_) => DataType::Int32,
             ColumnData::Int64(_) => DataType::Int64,
-            ColumnData::Float64(_) => DataType::Float64,
             ColumnData::Date(_) => DataType::Date,
             ColumnData::DictStr { .. } => DataType::DictStr,
         }
@@ -113,7 +109,6 @@ impl ColumnData {
         match self {
             ColumnData::Int32(v) => v.len(),
             ColumnData::Int64(v) => v.len(),
-            ColumnData::Float64(v) => v.len(),
             ColumnData::Date(v) => v.len(),
             ColumnData::DictStr { codes, .. } => codes.len(),
         }
@@ -166,11 +161,6 @@ impl Column {
     /// Convenience constructor for `Int64` columns.
     pub fn from_i64(name: impl Into<String>, values: Vec<i64>) -> Self {
         Column::new(name, ColumnData::Int64(Arc::new(values)))
-    }
-
-    /// Convenience constructor for `Float64` columns.
-    pub fn from_f64(name: impl Into<String>, values: Vec<f64>) -> Self {
-        Column::new(name, ColumnData::Float64(values))
     }
 
     /// Convenience constructor for `Date` columns.
@@ -238,7 +228,6 @@ impl Column {
         Ok(match &self.data {
             ColumnData::Int32(v) => Value::I32(v[i]),
             ColumnData::Int64(v) => Value::I64(v[i]),
-            ColumnData::Float64(v) => Value::F64(v[i]),
             ColumnData::Date(v) => Value::Date(v[i]),
             ColumnData::DictStr { codes, dict } => {
                 let code = codes[i];
@@ -253,38 +242,27 @@ impl Column {
     /// The rows of the column widened to `i64`, shared by reference: what a
     /// query binds. An `Int64` column shares its storage; a narrower one is
     /// widened on the first call and every later call (on this column or a
-    /// clone of it) returns the same rows. Floats are rejected like in
-    /// [`Column::to_i64_vec`].
-    pub fn shared_rows(&self) -> Result<&SharedRows, StorageError> {
-        if let Some(shared) = self.shared.get() {
-            return Ok(shared);
-        }
-        let rows = match &self.data {
-            ColumnData::Int64(v) => Arc::clone(v),
-            _ => Arc::new(self.to_i64_vec()?),
-        };
-        Ok(self.shared.get_or_init(|| SharedRows::new(rows)))
+    /// clone of it) returns the same rows.
+    pub fn shared_rows(&self) -> &SharedRows {
+        self.shared.get_or_init(|| {
+            SharedRows::new(match &self.data {
+                ColumnData::Int64(v) => Arc::clone(v),
+                _ => Arc::new(self.to_i64_vec()),
+            })
+        })
     }
 
     /// A fresh copy of the rows widened to `i64` (device kernels run on
     /// i64), for callers that want a vector of their own; binding goes
-    /// through [`Column::shared_rows`] instead.
-    ///
-    /// Floats are rejected with a `TypeMismatch`; dictionary columns expose
+    /// through [`Column::shared_rows`] instead. Dictionary columns expose
     /// their codes.
-    pub fn to_i64_vec(&self) -> Result<Vec<i64>, StorageError> {
-        Ok(match &self.data {
+    pub fn to_i64_vec(&self) -> Vec<i64> {
+        match &self.data {
             ColumnData::Int32(v) => v.iter().map(|&x| x as i64).collect(),
             ColumnData::Int64(v) => v.to_vec(),
             ColumnData::Date(v) => v.iter().map(|&x| x as i64).collect(),
             ColumnData::DictStr { codes, .. } => codes.iter().map(|&c| c as i64).collect(),
-            ColumnData::Float64(_) => {
-                return Err(StorageError::TypeMismatch {
-                    expected: "integer-like",
-                    actual: "float64",
-                })
-            }
-        })
+        }
     }
 
     /// The string dictionary, if this is a dictionary column.
@@ -301,18 +279,6 @@ impl Column {
             .iter()
             .position(|d| d == s)
             .map(|p| p as u32)
-    }
-
-    /// Extracts the rows selected by `bm` into a new column (early
-    /// materialization on the host; the device path is `MATERIALIZE`).
-    pub fn filter_by_bitmap(&self, bm: &Bitmap) -> Result<Column, StorageError> {
-        if bm.len() != self.len() {
-            return Err(StorageError::LengthMismatch {
-                expected: self.len(),
-                actual: bm.len(),
-            });
-        }
-        self.take(&PositionList::from_bitmap(bm))
     }
 
     /// Extracts the rows at `positions` into a new column.
@@ -343,13 +309,6 @@ impl Column {
                     .map(|&p| check(p).map(|p| v[p]))
                     .collect::<Result<_, _>>()?,
             )),
-            ColumnData::Float64(v) => ColumnData::Float64(
-                positions
-                    .as_slice()
-                    .iter()
-                    .map(|&p| check(p).map(|p| v[p]))
-                    .collect::<Result<_, _>>()?,
-            ),
             ColumnData::Date(v) => ColumnData::Date(
                 positions
                     .as_slice()
@@ -376,7 +335,6 @@ impl Column {
         let data = match &self.data {
             ColumnData::Int32(v) => ColumnData::Int32(v[offset..end].to_vec()),
             ColumnData::Int64(v) => ColumnData::Int64(Arc::new(v[offset..end].to_vec())),
-            ColumnData::Float64(v) => ColumnData::Float64(v[offset..end].to_vec()),
             ColumnData::Date(v) => ColumnData::Date(v[offset..end].to_vec()),
             ColumnData::DictStr { codes, dict } => ColumnData::DictStr {
                 codes: codes[offset..end].to_vec(),
@@ -390,6 +348,7 @@ impl Column {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bitmap::Bitmap;
     use crate::fnv::{content_hash, Content, BLOCK_WORDS};
 
     #[test]
@@ -416,15 +375,8 @@ mod tests {
 
     #[test]
     fn to_i64_widening() {
-        assert_eq!(
-            Column::from_i32("a", vec![-1, 2]).to_i64_vec().unwrap(),
-            vec![-1, 2]
-        );
-        assert_eq!(
-            Column::from_dates("d", vec![10]).to_i64_vec().unwrap(),
-            vec![10]
-        );
-        assert!(Column::from_f64("f", vec![1.0]).to_i64_vec().is_err());
+        assert_eq!(Column::from_i32("a", vec![-1, 2]).to_i64_vec(), vec![-1, 2]);
+        assert_eq!(Column::from_dates("d", vec![10]).to_i64_vec(), vec![10]);
     }
 
     #[test]
@@ -434,37 +386,30 @@ mod tests {
         let ColumnData::Int64(storage) = wide.data() else {
             panic!("{:?}", wide.data())
         };
-        let shared = wide.shared_rows().unwrap();
+        let shared = wide.shared_rows();
         assert!(Arc::ptr_eq(shared.rows(), storage));
         // Narrower types: widened once; later calls and clones of the
         // column (made before or after) hand out the same rows and memo.
         let early = Column::from_dates("d", vec![10, 11]);
         let narrow = early.clone();
-        let first = narrow.shared_rows().unwrap().clone();
+        let first = narrow.shared_rows().clone();
         assert_eq!(**first.rows(), [10, 11]);
+        assert!(Arc::ptr_eq(narrow.shared_rows().rows(), first.rows()));
         assert!(Arc::ptr_eq(
-            narrow.shared_rows().unwrap().rows(),
-            first.rows()
-        ));
-        assert!(Arc::ptr_eq(
-            narrow.clone().shared_rows().unwrap().rows(),
+            narrow.clone().shared_rows().rows(),
             first.rows()
         ));
         assert_eq!(first.known_content_hash(), None);
-        let hash = narrow.clone().shared_rows().unwrap().content_hash();
+        let hash = narrow.clone().shared_rows().content_hash();
         assert_eq!(hash, content_hash(Content::I64(&[10, 11])));
         assert_eq!(first.known_content_hash(), Some(hash));
         // A clone taken before the first use widens for itself — equal
         // rows, its own allocation — and compares equal all the same.
-        assert!(!Arc::ptr_eq(
-            early.shared_rows().unwrap().rows(),
-            first.rows()
-        ));
+        assert!(!Arc::ptr_eq(early.shared_rows().rows(), first.rows()));
         assert_eq!(early, narrow);
         assert_eq!(Column::from_dates("d", vec![10, 11]), narrow);
         let codes = Column::from_strings("s", &["x", "y", "x"]);
-        assert_eq!(**codes.shared_rows().unwrap().rows(), [0, 1, 0]);
-        assert!(Column::from_f64("f", vec![1.0]).shared_rows().is_err());
+        assert_eq!(**codes.shared_rows().rows(), [0, 1, 0]);
     }
 
     /// A range off the block grid leaves the memo unmade; the first served
@@ -489,15 +434,13 @@ mod tests {
     fn filter_and_take() {
         let c = Column::from_i64("a", vec![10, 20, 30, 40]);
         let bm = Bitmap::from_bools(&[true, false, true, false]);
-        let out = c.filter_by_bitmap(&bm).unwrap();
+        let out = c.take(&PositionList::from_bitmap(&bm)).unwrap();
         assert_eq!(out.data(), &ColumnData::Int64(vec![10, 30].into()));
 
-        let taken = c.take(&PositionList::from_vec(vec![3, 0, 3])).unwrap();
+        let taken = c.take(&[3, 0, 3].into_iter().collect()).unwrap();
         assert_eq!(taken.data(), &ColumnData::Int64(vec![40, 10, 40].into()));
 
-        assert!(c.take(&PositionList::from_vec(vec![9])).is_err());
-        let wrong = Bitmap::new_zeroed(3);
-        assert!(c.filter_by_bitmap(&wrong).is_err());
+        assert!(c.take(&[9].into_iter().collect()).is_err());
     }
 
     #[test]

@@ -9,8 +9,6 @@ pub enum DataType {
     Int32,
     /// 64-bit signed integer (keys, fixed-point decimals in cents).
     Int64,
-    /// 64-bit float.
-    Float64,
     /// Date stored as days since 1970-01-01 in an `i32`.
     Date,
     /// Dictionary-encoded string: `u32` codes into a per-column dictionary.
@@ -22,7 +20,7 @@ impl DataType {
     pub fn byte_width(self) -> usize {
         match self {
             DataType::Int32 | DataType::Date | DataType::DictStr => 4,
-            DataType::Int64 | DataType::Float64 => 8,
+            DataType::Int64 => 8,
         }
     }
 
@@ -31,7 +29,6 @@ impl DataType {
         match self {
             DataType::Int32 => "int32",
             DataType::Int64 => "int64",
-            DataType::Float64 => "float64",
             DataType::Date => "date",
             DataType::DictStr => "dictstr",
         }
@@ -51,8 +48,6 @@ pub enum Value {
     I32(i32),
     /// 64-bit integer.
     I64(i64),
-    /// 64-bit float.
-    F64(f64),
     /// Date as days since epoch.
     Date(i32),
     /// String value.
@@ -60,23 +55,12 @@ pub enum Value {
 }
 
 impl Value {
-    /// Coerces to `i64` for device kernels (dates widen; floats are rejected).
+    /// Coerces to `i64` for device kernels (dates widen; strings are rejected).
     pub fn as_i64(&self) -> Option<i64> {
         match self {
             Value::I32(v) => Some(*v as i64),
             Value::I64(v) => Some(*v),
             Value::Date(v) => Some(*v as i64),
-            Value::F64(_) | Value::Str(_) => None,
-        }
-    }
-
-    /// Coerces to `f64` where numerically meaningful.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::I32(v) => Some(*v as f64),
-            Value::I64(v) => Some(*v as f64),
-            Value::Date(v) => Some(*v as f64),
-            Value::F64(v) => Some(*v),
             Value::Str(_) => None,
         }
     }
@@ -86,7 +70,6 @@ impl Value {
         match self {
             Value::I32(_) => DataType::Int32,
             Value::I64(_) => DataType::Int64,
-            Value::F64(_) => DataType::Float64,
             Value::Date(_) => DataType::Date,
             Value::Str(_) => DataType::DictStr,
         }
@@ -98,7 +81,6 @@ impl fmt::Display for Value {
         match self {
             Value::I32(v) => write!(f, "{v}"),
             Value::I64(v) => write!(f, "{v}"),
-            Value::F64(v) => write!(f, "{v}"),
             Value::Date(v) => write!(f, "{}", format_date(*v)),
             Value::Str(v) => write!(f, "{v}"),
         }
@@ -162,7 +144,6 @@ mod tests {
     fn widths() {
         assert_eq!(DataType::Int32.byte_width(), 4);
         assert_eq!(DataType::Int64.byte_width(), 8);
-        assert_eq!(DataType::Float64.byte_width(), 8);
         assert_eq!(DataType::Date.byte_width(), 4);
         assert_eq!(DataType::DictStr.byte_width(), 4);
     }
@@ -171,9 +152,7 @@ mod tests {
     fn value_coercions() {
         assert_eq!(Value::I32(7).as_i64(), Some(7));
         assert_eq!(Value::Date(100).as_i64(), Some(100));
-        assert_eq!(Value::F64(1.5).as_i64(), None);
-        assert_eq!(Value::Str("x".into()).as_f64(), None);
-        assert_eq!(Value::I64(3).as_f64(), Some(3.0));
+        assert_eq!(Value::Str("x".into()).as_i64(), None);
     }
 
     #[test]

@@ -14,13 +14,6 @@ pub enum StorageError {
     },
     /// A table was requested that does not exist in the catalog.
     TableNotFound(String),
-    /// The operation required a specific column type.
-    TypeMismatch {
-        /// What the caller expected.
-        expected: &'static str,
-        /// What the column actually holds.
-        actual: &'static str,
-    },
     /// Columns of a table (or inputs of an operation) disagree in length.
     LengthMismatch {
         /// First length observed.
@@ -46,9 +39,6 @@ impl fmt::Display for StorageError {
                 write!(f, "column `{column}` not found in table `{table}`")
             }
             StorageError::TableNotFound(t) => write!(f, "table `{t}` not found in catalog"),
-            StorageError::TypeMismatch { expected, actual } => {
-                write!(f, "type mismatch: expected {expected}, got {actual}")
-            }
             StorageError::LengthMismatch { expected, actual } => {
                 write!(f, "length mismatch: expected {expected}, got {actual}")
             }

@@ -168,8 +168,6 @@ const LANE_SEEDS: [u64; LANES] = {
 pub enum Content<'a> {
     /// 64-bit integers, one per word.
     I64(&'a [i64]),
-    /// 64-bit floats, one per word (by bit pattern: `-0.0` ≠ `0.0`).
-    F64(&'a [f64]),
     /// 32-bit positions, two per word, the earlier one in the low half.
     U32(&'a [u32]),
     /// Packed bitmap words, one per word.
@@ -192,11 +190,11 @@ const I64_KIND: u64 = 1;
 
 /// The content hash of `content` (see the module docs for the construction
 /// and its detection guarantee). A trailing partial word is zero-padded; the
-/// element count in the finalizer keeps it apart from real zeros.
+/// element count in the finalizer keeps it apart from real zeros. Kind tag 2
+/// is unused (it was a float payload's); the others keep their numbers.
 pub fn content_hash(content: Content<'_>) -> u64 {
     match content {
         Content::I64(v) => hash_i64(v, |_| {}),
-        Content::F64(v) => lane_hash::<_, 1>(2, v, |e| e[0].to_bits()),
         Content::U32(v) => lane_hash::<_, 2>(3, v, |e| {
             e.iter().rev().fold(0, |w, &x| w << 32 | u64::from(x))
         }),
@@ -415,7 +413,6 @@ mod tests {
         let pinned = [
             (Content::I64(&[]), 12490462554737973041),
             (Content::I64(&[1, -2, 3]), 11357866896077846762),
-            (Content::F64(&[0.5, -1.25]), 15851023222852744517),
             (Content::U32(&[7, 8, 9]), 7385504724775396070),
             (Content::BitWords(&[0xdead_beef, 1]), 13642631494642883280),
             (Content::Raw(b"adamant"), 16667896223839231331),
@@ -452,18 +449,15 @@ mod tests {
         ];
         assert_eq!(i64s, pinned);
         let block = ints(512);
-        let f64s: Vec<f64> = block.iter().map(|&x| x as f64 / 8.0).collect();
         let u32s: Vec<u32> = ints(1024).iter().map(|&x| x as u32).collect();
         let words: Vec<u64> = block.iter().map(|&x| (x as u64).rotate_left(17)).collect();
         let bytes: Vec<u8> = ints(4096).iter().map(|&x| x as u8).collect();
         let others = [
-            content_hash(Content::F64(&f64s)),
             content_hash(Content::U32(&u32s)),
             content_hash(Content::BitWords(&words)),
             content_hash(Content::Raw(&bytes)),
         ];
         let pinned = [
-            406537233666739829,
             13646678284692971088,
             12602660973745981441,
             17358018227982836142,
@@ -659,14 +653,12 @@ mod tests {
         let x = 0x4045_0000_0000_0000u64;
         let same_bits = [
             content_hash(Content::I64(&[x as i64])),
-            content_hash(Content::F64(&[f64::from_bits(x)])),
             content_hash(Content::BitWords(&[x])),
             content_hash(Content::Raw(&x.to_le_bytes())),
             content_hash(Content::U32(&[x as u32, (x >> 32) as u32])),
         ];
         let empties = [
             content_hash(Content::I64(&[])),
-            content_hash(Content::F64(&[])),
             content_hash(Content::U32(&[])),
             content_hash(Content::BitWords(&[])),
             content_hash(Content::Raw(&[])),

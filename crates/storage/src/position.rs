@@ -25,11 +25,6 @@ impl PositionList {
         }
     }
 
-    /// Wraps an existing vector of positions.
-    pub fn from_vec(positions: Vec<u32>) -> Self {
-        PositionList { positions }
-    }
-
     /// Converts a bitmap into the equivalent ascending position list.
     pub fn from_bitmap(bm: &Bitmap) -> Self {
         let mut positions = Vec::with_capacity(bm.count_ones());
@@ -69,14 +64,6 @@ impl PositionList {
         bm
     }
 
-    /// Appends all positions of `other`, shifted by `offset`.
-    ///
-    /// Used when accumulating per-chunk filter results into a global list.
-    pub fn extend_shifted(&mut self, other: &PositionList, offset: u32) {
-        self.positions
-            .extend(other.positions.iter().map(|p| p + offset));
-    }
-
     /// Size of the representation in bytes.
     pub fn byte_len(&self) -> usize {
         self.positions.len() * 4
@@ -101,14 +88,6 @@ mod tests {
         let pl = PositionList::from_bitmap(&bm);
         assert_eq!(pl.as_slice(), &[0, 3, 4]);
         assert_eq!(pl.to_bitmap(5), bm);
-    }
-
-    #[test]
-    fn extend_shifted() {
-        let mut acc = PositionList::from_vec(vec![1, 2]);
-        let chunk = PositionList::from_vec(vec![0, 3]);
-        acc.extend_shifted(&chunk, 10);
-        assert_eq!(acc.as_slice(), &[1, 2, 10, 13]);
     }
 
     #[test]

@@ -40,11 +40,6 @@ impl Schema {
         &self.fields
     }
 
-    /// Index of the field named `name`.
-    pub fn index_of(&self, name: &str) -> Option<usize> {
-        self.fields.iter().position(|f| f.name == name)
-    }
-
     /// Number of fields.
     pub fn len(&self) -> usize {
         self.fields.len()
@@ -172,36 +167,11 @@ impl Table {
                 .collect(),
         }
     }
-
-    /// Bytes of row data for a subset of columns (a query's input footprint;
-    /// the quantity plotted in the paper's Fig. 7-left).
-    pub fn footprint_of(&self, column_names: &[&str]) -> Result<usize, StorageError> {
-        let mut total = 0;
-        for name in column_names {
-            total += self.column(name)?.byte_len();
-        }
-        Ok(total)
-    }
-
-    /// Appends a column (must match the row count; first column sets it).
-    pub fn push_column(&mut self, column: Column) -> Result<(), StorageError> {
-        if self.columns.is_empty() {
-            self.row_count = column.len();
-        } else if column.len() != self.row_count {
-            return Err(StorageError::LengthMismatch {
-                expected: self.row_count,
-                actual: column.len(),
-            });
-        }
-        self.columns.push(column);
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::column::ColumnData;
 
     fn sample() -> Table {
         Table::new(
@@ -233,9 +203,7 @@ mod tests {
         assert_eq!(t.column("v").unwrap().data_type(), DataType::Int32);
         assert!(t.column("zzz").is_err());
         let s = t.schema();
-        assert_eq!(s.index_of("k"), Some(0));
-        assert_eq!(s.index_of("v"), Some(1));
-        assert_eq!(s.index_of("w"), None);
+        assert_eq!(s.fields()[1].name, "v");
         assert_eq!(s.len(), 2);
     }
 
@@ -243,15 +211,19 @@ mod tests {
     fn footprints() {
         let t = sample();
         assert_eq!(t.byte_len(), 3 * 8 + 3 * 4);
-        assert_eq!(t.footprint_of(&["v"]).unwrap(), 12);
-        assert!(t.footprint_of(&["nope"]).is_err());
     }
 
     #[test]
     fn describe_reports_schema_and_sizes() {
-        let mut t = sample();
-        t.push_column(Column::from_strings("s", &["x", "y", "x"]))
-            .unwrap();
+        let t = Table::new(
+            "t",
+            vec![
+                Column::from_i64("k", vec![1, 2, 3]),
+                Column::from_i32("v", vec![10, 20, 30]),
+                Column::from_strings("s", &["x", "y", "x"]),
+            ],
+        )
+        .unwrap();
         let info = t.describe();
         assert_eq!(info.name, "t");
         assert_eq!(info.rows, 3);
@@ -263,18 +235,5 @@ mod tests {
         assert_eq!(info.columns[0].dict_size, None);
         assert_eq!(info.columns[2].data_type, DataType::DictStr);
         assert_eq!(info.columns[2].dict_size, Some(2));
-    }
-
-    #[test]
-    fn push_column() {
-        let mut t = sample();
-        t.push_column(Column::from_f64("f", vec![0.5, 1.5, 2.5]))
-            .unwrap();
-        assert_eq!(t.columns().len(), 3);
-        assert!(t.push_column(Column::from_i32("bad", vec![1])).is_err());
-        match t.column("f").unwrap().data() {
-            ColumnData::Float64(v) => assert_eq!(v.len(), 3),
-            _ => panic!("wrong type"),
-        }
     }
 }

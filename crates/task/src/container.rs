@@ -59,12 +59,6 @@ impl KernelContainer {
         }
     }
 
-    /// Attaches kernel source, marking the container runtime-compiled.
-    pub fn with_source(mut self, source: impl Into<String>) -> Self {
-        self.source = Some(source.into());
-        self
-    }
-
     /// The name this kernel is bound under on a device
     /// (`primitive` for the default variant, `primitive@variant` otherwise).
     pub fn kernel_name(&self) -> String {
@@ -176,8 +170,8 @@ mod tests {
 
     #[test]
     fn source_marks_runtime_compiled() {
-        let c = KernelContainer::builtin(PrimitiveKind::Map, SdkKind::OpenCl, noop())
-            .with_source("__kernel void map() {}");
+        let mut c = KernelContainer::builtin(PrimitiveKind::Map, SdkKind::OpenCl, noop());
+        c.source = Some("__kernel void map() {}".into());
         assert!(matches!(c.kernel_source(), KernelSource::Source { .. }));
         let b = KernelContainer::builtin(PrimitiveKind::Map, SdkKind::Cuda, noop());
         assert!(matches!(b.kernel_source(), KernelSource::Builtin(_)));

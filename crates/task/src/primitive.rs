@@ -216,12 +216,6 @@ impl PrimitiveKind {
         )
     }
 
-    /// Whether the primitive *accumulates* across chunks into a persistent
-    /// output (rather than producing per-chunk scratch output).
-    pub fn accumulates(self) -> bool {
-        self.is_pipeline_breaker()
-    }
-
     /// The I/O signature.
     pub fn signature(self) -> PrimitiveSignature {
         use DataSemantic::*;

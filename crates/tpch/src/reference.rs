@@ -59,15 +59,15 @@ pub struct Q4Row {
 pub fn q1(catalog: &Catalog) -> Result<Vec<Q1Row>, StorageError> {
     let li = catalog.table("lineitem")?;
     let cutoff = date_to_days(1998, 9, 2) as i64;
-    let ship = li.column("l_shipdate")?.to_i64_vec()?;
-    let qty = li.column("l_quantity")?.to_i64_vec()?;
-    let price = li.column("l_extendedprice")?.to_i64_vec()?;
-    let disc = li.column("l_discount")?.to_i64_vec()?;
-    let tax = li.column("l_tax")?.to_i64_vec()?;
+    let ship = li.column("l_shipdate")?.to_i64_vec();
+    let qty = li.column("l_quantity")?.to_i64_vec();
+    let price = li.column("l_extendedprice")?.to_i64_vec();
+    let disc = li.column("l_discount")?.to_i64_vec();
+    let tax = li.column("l_tax")?.to_i64_vec();
     let rf = li.column("l_returnflag")?;
     let ls = li.column("l_linestatus")?;
-    let rf_codes = rf.to_i64_vec()?;
-    let ls_codes = ls.to_i64_vec()?;
+    let rf_codes = rf.to_i64_vec();
+    let ls_codes = ls.to_i64_vec();
     let rf_dict = rf.dictionary().expect("dict column").to_vec();
     let ls_dict = ls.dictionary().expect("dict column").to_vec();
 
@@ -110,8 +110,8 @@ pub fn q3(catalog: &Catalog) -> Result<Vec<Q3Row>, StorageError> {
     let cust = catalog.table("customer")?;
     let seg = cust.column("c_mktsegment")?;
     let building = seg.dict_code("BUILDING").expect("segment exists") as i64;
-    let seg_codes = seg.to_i64_vec()?;
-    let custkeys = cust.column("c_custkey")?.to_i64_vec()?;
+    let seg_codes = seg.to_i64_vec();
+    let custkeys = cust.column("c_custkey")?.to_i64_vec();
     let building_custs: std::collections::HashSet<i64> = custkeys
         .iter()
         .zip(&seg_codes)
@@ -120,10 +120,10 @@ pub fn q3(catalog: &Catalog) -> Result<Vec<Q3Row>, StorageError> {
         .collect();
 
     let orders = catalog.table("orders")?;
-    let o_key = orders.column("o_orderkey")?.to_i64_vec()?;
-    let o_cust = orders.column("o_custkey")?.to_i64_vec()?;
-    let o_date = orders.column("o_orderdate")?.to_i64_vec()?;
-    let o_ship = orders.column("o_shippriority")?.to_i64_vec()?;
+    let o_key = orders.column("o_orderkey")?.to_i64_vec();
+    let o_cust = orders.column("o_custkey")?.to_i64_vec();
+    let o_date = orders.column("o_orderdate")?.to_i64_vec();
+    let o_ship = orders.column("o_shippriority")?.to_i64_vec();
     let mut order_info: HashMap<i64, (i64, i64)> = HashMap::new();
     for i in 0..o_key.len() {
         if o_date[i] < date && building_custs.contains(&o_cust[i]) {
@@ -132,10 +132,10 @@ pub fn q3(catalog: &Catalog) -> Result<Vec<Q3Row>, StorageError> {
     }
 
     let li = catalog.table("lineitem")?;
-    let l_key = li.column("l_orderkey")?.to_i64_vec()?;
-    let l_ship = li.column("l_shipdate")?.to_i64_vec()?;
-    let l_price = li.column("l_extendedprice")?.to_i64_vec()?;
-    let l_disc = li.column("l_discount")?.to_i64_vec()?;
+    let l_key = li.column("l_orderkey")?.to_i64_vec();
+    let l_ship = li.column("l_shipdate")?.to_i64_vec();
+    let l_price = li.column("l_extendedprice")?.to_i64_vec();
+    let l_disc = li.column("l_discount")?.to_i64_vec();
     let mut revenue: HashMap<i64, i64> = HashMap::new();
     for i in 0..l_key.len() {
         if l_ship[i] > date && order_info.contains_key(&l_key[i]) {
@@ -171,9 +171,9 @@ pub fn q4(catalog: &Catalog) -> Result<Vec<Q4Row>, StorageError> {
     let hi = date_to_days(1993, 10, 1) as i64; // exclusive
 
     let li = catalog.table("lineitem")?;
-    let l_key = li.column("l_orderkey")?.to_i64_vec()?;
-    let l_commit = li.column("l_commitdate")?.to_i64_vec()?;
-    let l_receipt = li.column("l_receiptdate")?.to_i64_vec()?;
+    let l_key = li.column("l_orderkey")?.to_i64_vec();
+    let l_commit = li.column("l_commitdate")?.to_i64_vec();
+    let l_receipt = li.column("l_receiptdate")?.to_i64_vec();
     let late: std::collections::HashSet<i64> = l_key
         .iter()
         .zip(l_commit.iter().zip(&l_receipt))
@@ -182,10 +182,10 @@ pub fn q4(catalog: &Catalog) -> Result<Vec<Q4Row>, StorageError> {
         .collect();
 
     let orders = catalog.table("orders")?;
-    let o_key = orders.column("o_orderkey")?.to_i64_vec()?;
-    let o_date = orders.column("o_orderdate")?.to_i64_vec()?;
+    let o_key = orders.column("o_orderkey")?.to_i64_vec();
+    let o_date = orders.column("o_orderdate")?.to_i64_vec();
     let prio = orders.column("o_orderpriority")?;
-    let prio_codes = prio.to_i64_vec()?;
+    let prio_codes = prio.to_i64_vec();
     let prio_dict = prio.dictionary().expect("dict column").to_vec();
 
     let mut counts: HashMap<i64, i64> = HashMap::new();
@@ -224,9 +224,9 @@ pub fn q12(catalog: &Catalog) -> Result<Vec<Q12Row>, StorageError> {
     let hi = date_to_days(1995, 1, 1) as i64; // exclusive
 
     let orders = catalog.table("orders")?;
-    let o_key = orders.column("o_orderkey")?.to_i64_vec()?;
+    let o_key = orders.column("o_orderkey")?.to_i64_vec();
     let prio = orders.column("o_orderpriority")?;
-    let prio_codes = prio.to_i64_vec()?;
+    let prio_codes = prio.to_i64_vec();
     let prio_dict = prio.dictionary().expect("dict column").to_vec();
     let urgent = prio_dict.iter().position(|p| p == "1-URGENT").unwrap() as i64;
     let high = prio_dict.iter().position(|p| p == "2-HIGH").unwrap() as i64;
@@ -237,15 +237,15 @@ pub fn q12(catalog: &Catalog) -> Result<Vec<Q12Row>, StorageError> {
         .collect();
 
     let li = catalog.table("lineitem")?;
-    let l_key = li.column("l_orderkey")?.to_i64_vec()?;
+    let l_key = li.column("l_orderkey")?.to_i64_vec();
     let mode = li.column("l_shipmode")?;
-    let mode_codes = mode.to_i64_vec()?;
+    let mode_codes = mode.to_i64_vec();
     let mode_dict = mode.dictionary().expect("dict column").to_vec();
     let mail = mode.dict_code("MAIL").expect("MAIL exists") as i64;
     let ship = mode.dict_code("SHIP").expect("SHIP exists") as i64;
-    let commit = li.column("l_commitdate")?.to_i64_vec()?;
-    let receipt = li.column("l_receiptdate")?.to_i64_vec()?;
-    let shipd = li.column("l_shipdate")?.to_i64_vec()?;
+    let commit = li.column("l_commitdate")?.to_i64_vec();
+    let receipt = li.column("l_receiptdate")?.to_i64_vec();
+    let shipd = li.column("l_shipdate")?.to_i64_vec();
 
     let mut counts: HashMap<i64, (i64, i64)> = HashMap::new();
     for i in 0..l_key.len() {
@@ -286,9 +286,9 @@ pub fn q14(catalog: &Catalog) -> Result<(i64, i64), StorageError> {
 
     let part = catalog.table("part")?;
     let ptype = part.column("p_type")?;
-    let type_codes = ptype.to_i64_vec()?;
+    let type_codes = ptype.to_i64_vec();
     let type_dict = ptype.dictionary().expect("dict column").to_vec();
-    let p_key = part.column("p_partkey")?.to_i64_vec()?;
+    let p_key = part.column("p_partkey")?.to_i64_vec();
     let promo: HashMap<i64, bool> = p_key
         .iter()
         .zip(&type_codes)
@@ -296,10 +296,10 @@ pub fn q14(catalog: &Catalog) -> Result<(i64, i64), StorageError> {
         .collect();
 
     let li = catalog.table("lineitem")?;
-    let l_part = li.column("l_partkey")?.to_i64_vec()?;
-    let shipd = li.column("l_shipdate")?.to_i64_vec()?;
-    let price = li.column("l_extendedprice")?.to_i64_vec()?;
-    let disc = li.column("l_discount")?.to_i64_vec()?;
+    let l_part = li.column("l_partkey")?.to_i64_vec();
+    let shipd = li.column("l_shipdate")?.to_i64_vec();
+    let price = li.column("l_extendedprice")?.to_i64_vec();
+    let disc = li.column("l_discount")?.to_i64_vec();
 
     let mut promo_rev = 0i64;
     let mut total_rev = 0i64;
@@ -332,9 +332,9 @@ pub fn q10(catalog: &Catalog) -> Result<Vec<Q10Row>, StorageError> {
     let hi = date_to_days(1994, 1, 1) as i64; // exclusive
 
     let orders = catalog.table("orders")?;
-    let o_key = orders.column("o_orderkey")?.to_i64_vec()?;
-    let o_cust = orders.column("o_custkey")?.to_i64_vec()?;
-    let o_date = orders.column("o_orderdate")?.to_i64_vec()?;
+    let o_key = orders.column("o_orderkey")?.to_i64_vec();
+    let o_cust = orders.column("o_custkey")?.to_i64_vec();
+    let o_date = orders.column("o_orderdate")?.to_i64_vec();
     let mut order_cust: HashMap<i64, i64> = HashMap::new();
     for i in 0..o_key.len() {
         if o_date[i] >= lo && o_date[i] < hi {
@@ -343,12 +343,12 @@ pub fn q10(catalog: &Catalog) -> Result<Vec<Q10Row>, StorageError> {
     }
 
     let li = catalog.table("lineitem")?;
-    let l_key = li.column("l_orderkey")?.to_i64_vec()?;
+    let l_key = li.column("l_orderkey")?.to_i64_vec();
     let flag = li.column("l_returnflag")?;
-    let flag_codes = flag.to_i64_vec()?;
+    let flag_codes = flag.to_i64_vec();
     let returned = flag.dict_code("R").expect("R flag exists") as i64;
-    let price = li.column("l_extendedprice")?.to_i64_vec()?;
-    let disc = li.column("l_discount")?.to_i64_vec()?;
+    let price = li.column("l_extendedprice")?.to_i64_vec();
+    let disc = li.column("l_discount")?.to_i64_vec();
 
     let mut revenue: HashMap<i64, i64> = HashMap::new();
     for i in 0..l_key.len() {
@@ -376,10 +376,10 @@ pub fn q6(catalog: &Catalog) -> Result<i64, StorageError> {
     let lo = date_to_days(1994, 1, 1) as i64;
     let hi = date_to_days(1995, 1, 1) as i64; // exclusive
     let li = catalog.table("lineitem")?;
-    let ship = li.column("l_shipdate")?.to_i64_vec()?;
-    let disc = li.column("l_discount")?.to_i64_vec()?;
-    let qty = li.column("l_quantity")?.to_i64_vec()?;
-    let price = li.column("l_extendedprice")?.to_i64_vec()?;
+    let ship = li.column("l_shipdate")?.to_i64_vec();
+    let disc = li.column("l_discount")?.to_i64_vec();
+    let qty = li.column("l_quantity")?.to_i64_vec();
+    let price = li.column("l_extendedprice")?.to_i64_vec();
     let mut sum = 0i64;
     for i in 0..ship.len() {
         if ship[i] >= lo && ship[i] < hi && (5..=7).contains(&disc[i]) && qty[i] < 24 {

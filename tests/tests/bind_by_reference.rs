@@ -16,7 +16,7 @@ fn tpch() -> Catalog {
 fn assert_binds_the_catalogs_rows(inputs: &QueryInputs, table: &Table, context: &str) {
     for (name, rows) in inputs.iter() {
         let column = table.column(name).unwrap();
-        let shared = column.shared_rows().unwrap();
+        let shared = column.shared_rows();
         assert!(Arc::ptr_eq(rows, shared.rows()), "{context}: `{name}`");
     }
 }
@@ -36,7 +36,7 @@ fn bindings_of_one_column_share_one_allocation() {
     for (name, narrow) in [("l_extendedprice", false), ("l_shipdate", true)] {
         let column = lineitem.column(name).unwrap();
         assert_eq!(column.data_type() != DataType::Int64, narrow, "{name}");
-        assert_eq!(**first.get(name).unwrap(), column.to_i64_vec().unwrap());
+        assert_eq!(**first.get(name).unwrap(), column.to_i64_vec());
     }
 
     // Ten concurrent specs over one column: ten bindings plus the column's
@@ -74,14 +74,6 @@ fn bindings_of_one_column_share_one_allocation() {
     assert!(!Arc::ptr_eq(raw.get("x").unwrap(), &before));
 }
 
-/// A float column still cannot be bound, by reference or otherwise.
-#[test]
-fn float_columns_are_refused() {
-    let column = Column::from_f64("f", vec![1.0, 2.0]);
-    assert!(column.shared_rows().is_err());
-    assert!(QueryInputs::new().bind_column("f", &column).is_err());
-}
-
 /// A warm `Session::sql` re-binds the same rows and reads the fingerprint
 /// the first call left beside them: the cache hits, and what it compared was
 /// the column's memo, not a fresh hash of a fresh copy.
@@ -98,7 +90,7 @@ fn a_warm_session_reuses_rows_and_fingerprints() {
     let scanned = ["l_quantity", "l_extendedprice", "l_shipdate"];
     for name in scanned {
         let column = lineitem.column(name).unwrap();
-        assert_eq!(column.shared_rows().unwrap().known_content_hash(), None);
+        assert_eq!(column.shared_rows().known_content_hash(), None);
     }
     let sql = "SELECT SUM(l_extendedprice) AS revenue FROM lineitem \
                WHERE l_quantity < 24 AND l_shipdate >= DATE '1994-01-01'";
@@ -108,7 +100,7 @@ fn a_warm_session_reuses_rows_and_fingerprints() {
     let fingerprints: Vec<(Arc<Vec<i64>>, u64)> = scanned
         .iter()
         .map(|name| {
-            let shared = lineitem.column(name).unwrap().shared_rows().unwrap();
+            let shared = lineitem.column(name).unwrap().shared_rows();
             let hash = shared.known_content_hash().expect("pinned, so hashed");
             (Arc::clone(shared.rows()), hash)
         })
@@ -117,7 +109,7 @@ fn a_warm_session_reuses_rows_and_fingerprints() {
     assert_eq!((warm.stats.cache_hits, warm.stats.cache_misses), (3, 0));
     assert_eq!(warm.rows, cold.rows);
     for (name, (rows, hash)) in scanned.iter().zip(&fingerprints) {
-        let shared = lineitem.column(name).unwrap().shared_rows().unwrap();
+        let shared = lineitem.column(name).unwrap().shared_rows();
         assert!(Arc::ptr_eq(shared.rows(), rows), "{name}");
         assert_eq!(shared.known_content_hash(), Some(*hash), "{name}");
     }
