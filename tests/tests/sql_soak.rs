@@ -379,6 +379,58 @@ fn random_sql_agrees_with_host_oracle_under_every_model() {
     }
 }
 
+/// The whole compile path, pinned: plan (hand-built or SQL) → fuse → split.
+/// For the seven hand-built TPC-H plans, the seven TPC-H SQL texts and the
+/// first 100 generated queries of seeds 1–3, the unfused graph, the fused
+/// graph, the fusion report and the fused graph's pipeline split are folded
+/// into one hash; a query that does not compile folds its error's stage and
+/// span (never its wording). A refactor of planning, lowering, fusion or
+/// splitting must leave the value untouched. The seeds are fixed, not
+/// `SQL_SEED`, so every CI shard checks the same value.
+#[test]
+fn compile_path_is_pinned() {
+    use adamant::core::fusion::fuse_graph;
+    use adamant::core::pipeline::PipelineSet;
+    use adamant::storage::fnv::FnvHasher;
+    use std::hash::Hasher;
+
+    let mut h = FnvHasher::default();
+    let mut errors = 0;
+    let mut fold = |graph: std::result::Result<PrimitiveGraph, SqlError>| match graph {
+        Ok(mut g) => {
+            h.write(format!("{g:?}").as_bytes());
+            let report = fuse_graph(&mut g);
+            h.write(format!("{g:?}{report:?}").as_bytes());
+            h.write(format!("{:?}", PipelineSet::split(&g)).as_bytes());
+        }
+        Err(e) => {
+            errors += 1;
+            h.write(format!("{:?}", e.kind).as_bytes());
+            h.write_usize(e.span.start);
+            h.write_usize(e.span.end);
+        }
+    };
+    let dev = DeviceId(0);
+    let tpch_catalog = TpchGenerator::new(0.001, 20260707).generate();
+    for q in TpchQuery::ALL {
+        fold(Ok(q.plan(dev, &tpch_catalog).unwrap()));
+    }
+    for q in TpchQuery::ALL {
+        let sql = adamant::tpch::sql::text(q);
+        fold(adamant::sql::compile(sql, &tpch_catalog, dev).map(|c| c.graph));
+    }
+    for seed in 1..=3 {
+        let catalog = catalog(seed);
+        let mut rng = Rng::new(seed);
+        for _ in 0..100 {
+            let sql = gen_query(&mut rng);
+            fold(adamant::sql::compile(&sql, &catalog, dev).map(|c| c.graph));
+        }
+    }
+    assert_eq!(errors, 0, "every pinned text compiles");
+    assert_eq!(h.finish(), 381_976_527_628_539_709);
+}
+
 /// The generator itself is deterministic: same seed, same SQL texts. A
 /// regression here would silently decouple the CI shards from each other.
 #[test]
