@@ -504,10 +504,8 @@ impl Executor {
             ..Default::default()
         };
         // Health-aware placement repair: move pipelines off quarantined
-        // devices, admit at most one half-open probe, and tell the hub which
-        // devices to avoid as transfer sources.
+        // devices and admit at most one half-open probe.
         self.apply_health_placement(&mut graph, &pipelines, &mut stats);
-        hub.set_quarantined(self.health.quarantined_ids().into_iter().collect());
         // Lend the cross-query residency cache to this run's hub. Pins on
         // quarantined devices are invalidated up front — a tripped device's
         // contents are not trusted, and holding the pins would leak their
@@ -541,7 +539,6 @@ impl Executor {
             let base = fault_base.get(&id).copied().unwrap_or(0);
             tally.capture_device(self.devices.get(id)?, base);
         }
-        tally.stats.quarantine_skips += hub.take_quarantine_skips();
         // Silent-corruption accounting: every checksum-mismatch retransmit
         // the hub performed is charged to the offending device's health.
         for (dev, n) in hub.take_corruption_retransmits() {

@@ -25,10 +25,14 @@
 //! * both nodes are annotated onto the **same device**;
 //! * `c` is the **sole consumer** of `p`'s output and that output is not a
 //!   graph output;
-//! * both nodes derive the **same stream scan** under pipeline splitting
-//!   (same chunk grid — fused chunks line up exactly with unfused chunks,
-//!   which keeps checkpoints, `ResumeCursor` rows and watchdog budgets on
-//!   the same boundaries with fusion on or off).
+//! * both nodes stream the **same scan** in [`PipelineSet::split`] of the
+//!   graph — the pass reads each node's pipeline from the split itself, so
+//!   the two cannot disagree (same chunk grid — fused chunks line up
+//!   exactly with unfused chunks, which keeps checkpoints, `ResumeCursor`
+//!   rows and watchdog budgets on the same boundaries with fusion on or
+//!   off). Scans compare by name, not pipeline index: once a breaker
+//!   closes a scan's pipeline, the next pipeline over that scan is a new
+//!   index on the same grid.
 //!
 //! Regions grow greedily along eligible edges; sole-consumer plus DAG
 //! topological order guarantee every region is convex with a unique
@@ -39,6 +43,7 @@
 use crate::graph::{
     DataRef, FusedOperand, FusedStageSpec, NodeId, NodeParams, PrimitiveGraph, PrimitiveNode,
 };
+use crate::pipeline::PipelineSet;
 use adamant_device::cost::{CostClass, CostModel};
 use adamant_task::container::DataContainer;
 use adamant_task::primitive::{FusionRole, PrimitiveKind};
@@ -90,78 +95,15 @@ pub fn fused_saved_ns(
     (unfused - cost.fused_kernel_ns(stage_stats, fused_arg_count)).max(0.0)
 }
 
-/// Derives each node's stream scan exactly as [`crate::pipeline::PipelineSet::split`]
-/// would. Returns `None` when derivation fails (the split will surface the
-/// error; fusion simply stands down).
-fn derive_scans(graph: &PrimitiveGraph) -> Option<Vec<Option<String>>> {
-    let mut scans: Vec<Option<String>> = Vec::with_capacity(graph.nodes().len());
-    let mut node_pipeline: Vec<usize> = Vec::with_capacity(graph.nodes().len());
-    let mut pipelines: Vec<Option<String>> = Vec::new();
-    let mut open: std::collections::BTreeMap<String, usize> = Default::default();
-    let mut open_full: Option<usize> = None;
-
-    for node in graph.nodes() {
-        let mut stream_scan: Option<String> = None;
-        for &input in &node.inputs {
-            let contrib = match input {
-                DataRef::Input(i) => graph.inputs()[i].scan.clone(),
-                DataRef::Output { node: src, .. } => {
-                    let src_node = graph.node(src);
-                    if src_node.kind.is_pipeline_breaker() {
-                        None
-                    } else {
-                        let pidx = node_pipeline[src.0];
-                        if open.values().any(|&v| v == pidx) || open_full == Some(pidx) {
-                            pipelines[pidx].clone()
-                        } else {
-                            None
-                        }
-                    }
-                }
-            };
-            if let Some(scan) = contrib {
-                match &stream_scan {
-                    None => stream_scan = Some(scan),
-                    Some(existing) if *existing == scan => {}
-                    Some(_) => return None, // conflicting scans: split will error
-                }
-            }
-        }
-        let pidx = match &stream_scan {
-            Some(scan) => *open.entry(scan.clone()).or_insert_with(|| {
-                pipelines.push(Some(scan.clone()));
-                pipelines.len() - 1
-            }),
-            None => match open_full {
-                Some(p) => p,
-                None => {
-                    pipelines.push(None);
-                    open_full = Some(pipelines.len() - 1);
-                    pipelines.len() - 1
-                }
-            },
-        };
-        node_pipeline.push(pidx);
-        if node.kind.is_pipeline_breaker() {
-            if let Some(scan) = &stream_scan {
-                open.remove(scan);
-            } else if open_full == Some(pidx) {
-                open_full = None;
-            }
-        }
-        scans.push(stream_scan);
-    }
-    Some(scans)
-}
-
 /// Runs the fusion pass in place. Returns what was merged; a graph with no
 /// eligible edges comes back untouched with a zero report.
 pub fn fuse_graph(graph: &mut PrimitiveGraph) -> FusionReport {
     let n = graph.nodes().len();
-    let scans = match derive_scans(graph) {
-        Some(s) => s,
-        None => return FusionReport::default(),
+    let Ok(ps) = PipelineSet::split(graph) else {
+        // The executor's own split surfaces the error; fusion stands down.
+        return FusionReport::default();
     };
+    let scan_of = |i: usize| &ps.pipelines[ps.node_pipeline[i]].scan;
     let counts = graph.consumer_counts();
 
     // merged_into[p] = the consumer p's output folds into.
@@ -180,7 +122,7 @@ pub fn fuse_graph(graph: &mut PrimitiveGraph) -> FusionReport {
                 || p.output_count != 1
                 || p.device != c.device
                 || counts.get(&input).copied().unwrap_or(0) != 1
-                || scans[src.0] != scans[c.id.0]
+                || scan_of(src.0) != scan_of(c.id.0)
             {
                 continue;
             }
@@ -319,7 +261,6 @@ pub fn fuse_graph(graph: &mut PrimitiveGraph) -> FusionReport {
 mod tests {
     use super::*;
     use crate::graph::GraphBuilder;
-    use crate::pipeline::PipelineSet;
     use adamant_device::device::DeviceId;
     use adamant_task::params::{AggFunc, CmpOp, MapOp};
     use adamant_task::semantics::DataSemantic;
@@ -467,8 +408,8 @@ mod tests {
         // The shared filter output is not sole-consumed, so neither edge out
         // of it fuses. m1+a1 fuse; m2+a2 do NOT: a1 is a pipeline breaker
         // that closes the "t" stream pipeline before a2 is reached, so a2
-        // derives scan None while m2 derives Some("t") — exactly the
-        // split-order semantics the eligibility rule replicates.
+        // derives scan None while m2 derives Some("t") in the split the
+        // eligibility rule reads.
         assert_eq!(report.fused_chains, 1);
         assert_eq!(report.nodes_fused, 2);
         assert_eq!(g.nodes().len(), 4);

@@ -293,11 +293,10 @@ pub struct DataTransferHub {
     next_id: u64,
     /// Where each materialized data ref lives: `(ref, device) -> buffer`.
     resident: HashMap<(DataRef, DeviceId), BufferId>,
-    /// Host-side accumulations of escaped streamed results.
-    host: HashMap<DataRef, HostAccum>,
-    /// Next expected chunk offset per host accumulation — chunks must
-    /// arrive in order, contiguously.
-    host_offsets: HashMap<DataRef, usize>,
+    /// Host-side accumulations of escaped streamed results, each with the
+    /// next expected chunk offset — chunks must arrive in order,
+    /// contiguously.
+    host: HashMap<DataRef, (HostAccum, usize)>,
     /// Every buffer created per device, in creation order. Append-only so
     /// [`DataTransferHub::mark`] positions stay stable; [`Self::release`]
     /// clears `live` membership instead of splicing this list.
@@ -318,11 +317,6 @@ pub struct DataTransferHub {
     /// tolerated died-mid-allocation case (see
     /// [`DataTransferHub::rollback_to`]).
     rollback_delete_errors: usize,
-    /// Devices quarantined by the health registry: the router avoids them
-    /// as transfer sources while any healthy copy exists.
-    quarantined: BTreeSet<DeviceId>,
-    /// Transfers whose source was re-picked away from a quarantined holder.
-    quarantine_skips: usize,
     /// Maximum transmissions of one payload before a checksum mismatch
     /// becomes [`ExecError::TransferCorrupted`].
     retransmit_budget: u32,
@@ -340,14 +334,11 @@ impl Default for DataTransferHub {
             next_id: 0,
             resident: HashMap::new(),
             host: HashMap::new(),
-            host_offsets: HashMap::new(),
             created: Vec::new(),
             live: BTreeSet::new(),
             by_buffer: BTreeMap::new(),
             release_probes: 0,
             rollback_delete_errors: 0,
-            quarantined: BTreeSet::new(),
-            quarantine_skips: 0,
             retransmit_budget: 4,
             corruption_log: BTreeMap::new(),
             cache: None,
@@ -436,19 +427,6 @@ impl DataTransferHub {
     pub fn fresh_id(&mut self) -> BufferId {
         self.next_id += 1;
         BufferId(self.next_id)
-    }
-
-    /// Installs the set of quarantined devices the router should avoid as
-    /// transfer sources (the executor refreshes this at the start of each
-    /// run from the health registry).
-    pub fn set_quarantined(&mut self, devices: std::collections::BTreeSet<DeviceId>) {
-        self.quarantined = devices;
-    }
-
-    /// Takes (and resets) the count of transfers re-sourced away from a
-    /// quarantined holder, for the run's stats.
-    pub fn take_quarantine_skips(&mut self) -> usize {
-        std::mem::take(&mut self.quarantine_skips)
     }
 
     /// Records that `data` is materialized on `device` under `id`.
@@ -561,7 +539,6 @@ impl DataTransferHub {
     /// loss re-streams all pipelines from row 0).
     pub fn discard_all_host(&mut self) {
         self.host.clear();
-        self.host_offsets.clear();
     }
 
     /// Clones every host accumulation with its contiguity watermark, sorted
@@ -570,10 +547,7 @@ impl DataTransferHub {
         let mut out: Vec<(DataRef, HostAccum, usize)> = self
             .host
             .iter()
-            .map(|(&r, accum)| {
-                let watermark = self.host_offsets.get(&r).copied().unwrap_or(0);
-                (r, accum.clone(), watermark)
-            })
+            .map(|(&r, (accum, watermark))| (r, accum.clone(), *watermark))
             .collect();
         out.sort_by_key(|(r, _, _)| *r);
         out
@@ -585,8 +559,7 @@ impl DataTransferHub {
     /// stream appends exactly where the snapshot left off.
     pub fn restore_host(&mut self, entries: &[(DataRef, HostAccum, usize)]) {
         for (r, accum, watermark) in entries {
-            self.host.insert(*r, accum.clone());
-            self.host_offsets.insert(*r, *watermark);
+            self.host.insert(*r, (accum.clone(), *watermark));
         }
     }
 
@@ -644,14 +617,9 @@ impl DataTransferHub {
     /// function iterates over all the incoming edges to a primitive and
     /// loads the data to the target device").
     ///
-    /// Resolution order: already resident on target → reuse; resident on a
-    /// *healthy* device → retrieve there, place on target;
-    /// host-accumulated → upload; resident only on quarantined devices →
-    /// read through one as a last resort. A host copy always beats a
-    /// quarantined holder: the data is intact either way, but reading
-    /// through a tripped device keeps it on the critical path and delays
-    /// its recovery probe. Transfer costs land on the involved devices'
-    /// clocks.
+    /// Resolution order: already resident on target → reuse; resident on
+    /// another device → retrieve there, place on target; host-accumulated →
+    /// upload. Transfer costs land on the involved devices' clocks.
     pub fn router(
         &mut self,
         devices: &mut DeviceRegistry,
@@ -665,29 +633,12 @@ impl DataTransferHub {
         // copy, pick the lowest device id so the transfer source (and the
         // clocks it charges) is deterministic across runs — HashMap
         // iteration order must never leak into the execution.
-        let mut holders: Vec<(DeviceId, BufferId)> = self
+        let source = self
             .resident
             .iter()
             .filter(|((r, _), _)| *r == data)
-            .map(|((_, d), id)| (*d, *id))
-            .collect();
-        holders.sort_unstable_by_key(|(d, _)| *d);
-        let healthy = holders
-            .iter()
-            .find(|(d, _)| !self.quarantined.contains(d))
-            .copied();
-        let source = match healthy {
-            Some(h) => Some(h),
-            // Every holder is quarantined: prefer the authoritative host
-            // copy (if any) over reading through a tripped device.
-            None if self.host.contains_key(&data) => None,
-            None => holders.first().copied(),
-        };
-        if let (Some((chosen, _)), Some(&(lowest, _))) = (source, holders.first()) {
-            if chosen != lowest {
-                self.quarantine_skips += 1;
-            }
-        }
+            .map(|(&(_, d), &id)| (d, id))
+            .min_by_key(|&(d, _)| d);
         if let Some((src_dev, src_id)) = source {
             let payload = self.retrieve_verified(devices, src_dev, src_id, None, 0)?;
             let new_id = self.fresh_id();
@@ -700,10 +651,6 @@ impl DataTransferHub {
             // The device gets a copy: the host accumulation stays
             // authoritative, so a recovery rollback that deletes the device
             // copy cannot lose the data.
-            if !holders.is_empty() {
-                // The holders were all quarantined and the host copy won.
-                self.quarantine_skips += 1;
-            }
             let new_id = self.fresh_id();
             self.track_created(target, new_id);
             transmit(
@@ -712,7 +659,7 @@ impl DataTransferHub {
                 devices,
                 target,
                 new_id,
-                &self.host[&data],
+                &self.host[&data].0,
                 0,
             )?;
             self.register_resident(data, target, new_id);
@@ -880,32 +827,32 @@ impl DataTransferHub {
         chunk_offset: usize,
         chunk_len: usize,
     ) -> Result<()> {
-        let expected = self.host_offsets.get(&data).copied().unwrap_or(0);
+        let expected = self.host.get(&data).map_or(0, |&(_, end)| end);
         if chunk_offset != expected {
             return Err(ExecError::Internal(format!(
                 "out-of-order host accumulation for {data:?}: \
                  got chunk offset {chunk_offset}, expected {expected}"
             )));
         }
-        let entry = match self.host.entry(data) {
+        let (accum, end) = match self.host.entry(data) {
             std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-            std::collections::hash_map::Entry::Vacant(e) => e.insert(HostAccum::new(semantic)?),
+            std::collections::hash_map::Entry::Vacant(e) => {
+                e.insert((HostAccum::new(semantic)?, 0))
+            }
         };
-        entry.push_chunk(payload, chunk_offset, chunk_len)?;
-        self.host_offsets.insert(data, chunk_offset + chunk_len);
+        accum.push_chunk(payload, chunk_offset, chunk_len)?;
+        *end = chunk_offset + chunk_len;
         Ok(())
     }
 
     /// Takes a finished host accumulation (for graph outputs).
     pub fn take_host(&mut self, data: DataRef) -> Option<HostAccum> {
-        self.host_offsets.remove(&data);
-        self.host.remove(&data)
+        self.host.remove(&data).map(|(accum, _)| accum)
     }
 
     /// Discards a partial host accumulation (recovery: a failed pipeline
     /// attempt is rolled back before the retry re-streams from row 0).
     pub fn discard_host(&mut self, data: DataRef) {
-        self.host_offsets.remove(&data);
         self.host.remove(&data);
     }
 
@@ -931,7 +878,24 @@ impl DataTransferHub {
     ) -> Result<BufferId> {
         let id = self.fresh_id();
         let device = devices.get_mut(node.device)?;
-        match (&node.kind, &node.params) {
+        // A fused aggregation's accumulator is whatever its terminal stage
+        // would have gotten unfused; interior stages get nothing at all —
+        // that is the fusion win.
+        let (kind, params) = match (node.kind, &node.params) {
+            (PrimitiveKind::FusedAgg, NodeParams::Fused { stages, .. }) => match stages.last() {
+                Some(s) if matches!(s.kind, PrimitiveKind::AggBlock | PrimitiveKind::HashAgg) => {
+                    (s.kind, s.params.as_ref())
+                }
+                _ => {
+                    return Err(ExecError::Internal(format!(
+                        "fused_agg node `{}` lacks an aggregation terminal stage",
+                        node.label
+                    )))
+                }
+            },
+            other => other,
+        };
+        match (kind, params) {
             (
                 PrimitiveKind::HashBuild,
                 NodeParams::HashBuild {
@@ -963,32 +927,6 @@ impl DataTransferHub {
                     _ => 0,
                 };
                 device.init_structure(id, BufferData::I64(vec![identity, 0]))?;
-            }
-            (PrimitiveKind::FusedAgg, NodeParams::Fused { stages, .. }) => {
-                // The fused accumulator is whatever the terminal aggregation
-                // stage would have gotten unfused; interior stages get
-                // nothing at all — that is the fusion win.
-                match stages.last().map(|s| s.params.as_ref()) {
-                    Some(NodeParams::AggBlock { agg }) => {
-                        device.init_structure(id, BufferData::I64(vec![agg.identity(), 0]))?;
-                    }
-                    Some(NodeParams::HashAgg {
-                        payload_cols,
-                        aggs,
-                        expected_groups,
-                    }) => {
-                        device.init_structure(
-                            id,
-                            DataContainer::agg_table(*expected_groups, aggs.clone(), *payload_cols),
-                        )?;
-                    }
-                    _ => {
-                        return Err(ExecError::Internal(format!(
-                            "fused_agg node `{}` lacks an aggregation terminal stage",
-                            node.label
-                        )))
-                    }
-                }
             }
             _ => {
                 let bytes = DataContainer::estimate_output_bytes(semantic, estimate_rows).max(8);
@@ -1599,60 +1537,35 @@ mod tests {
     }
 
     #[test]
-    fn router_prefers_host_copy_over_quarantined_holder() {
-        // Regression: with every resident holder quarantined AND a host
-        // accumulation present, the router used to read through the tripped
-        // device. The host copy is authoritative and off the sick device's
-        // critical path — it must win.
+    fn router_reads_a_holder_before_the_host_copy() {
+        // A device copy and a host accumulation of the same ref: the router
+        // reads the resident holder, whatever its health, and leaves the
+        // host copy for when no device holds the data.
         let (mut devices, gpu, cpu) = two_devices();
         let mut hub = DataTransferHub::new();
         let r = DataRef::Output {
             node: crate::graph::NodeId(0),
             port: 0,
         };
-        // Host copy exists...
         hub.host_accumulate(r, DataSemantic::Numeric, BufferData::I64(vec![5, 6]), 0, 2)
             .unwrap();
-        // ...and so does a device copy, but its holder is quarantined.
         let id = hub.fresh_id();
-        devices
-            .get_mut(gpu)
-            .unwrap()
-            .prepare_memory(id, 16)
-            .unwrap();
-        devices
-            .get_mut(gpu)
-            .unwrap()
-            .place_data(id, BufferData::I64(vec![5, 6]), 0)
-            .unwrap();
+        let dev = devices.get_mut(gpu).unwrap();
+        dev.prepare_memory(id, 16).unwrap();
+        dev.place_data(id, BufferData::I64(vec![5, 6]), 0).unwrap();
         hub.track_created(gpu, id);
         hub.register_resident(r, gpu, id);
-        hub.set_quarantined([gpu].into_iter().collect());
         let d2h_before = devices.get(gpu).unwrap().clock().bytes_d2h();
 
         let id_cpu = hub.router(&mut devices, r, cpu).unwrap();
 
-        // The quarantined holder was never read; the upload came from host.
-        assert_eq!(devices.get(gpu).unwrap().clock().bytes_d2h(), d2h_before);
+        assert!(devices.get(gpu).unwrap().clock().bytes_d2h() > d2h_before);
         let payload = devices
             .get_mut(cpu)
             .unwrap()
             .retrieve_data(id_cpu, None, 0)
             .unwrap();
         assert_eq!(payload, BufferData::I64(vec![5, 6]));
-        // With no host copy it still reads through the quarantined holder
-        // as a last resort (Input refs have no host accumulation).
-        let last_resort = DataRef::Input(0);
-        hub.load_bound_input(
-            &mut devices,
-            last_resort,
-            gpu,
-            "in0",
-            BoundRows::bare(&[1, 2]),
-        )
-        .unwrap();
-        hub.router(&mut devices, last_resort, cpu).unwrap();
-        assert!(devices.get(gpu).unwrap().clock().bytes_d2h() > d2h_before);
     }
 
     #[test]

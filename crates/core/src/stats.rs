@@ -50,9 +50,9 @@ pub struct ExecutionStats {
     /// Device circuit breakers tripped (`Closed → Open`, or a failed
     /// `HalfOpen` probe re-opening) during this run.
     pub breaker_trips: usize,
-    /// Times a quarantined device was skipped: pipelines moved off `Open`
-    /// devices at placement time plus hub transfers re-sourced away from
-    /// quarantined holders.
+    /// Pipelines re-placed at run start: moved off a quarantined (or
+    /// unplugged) device, off a half-open one that probes with another
+    /// pipeline, or off a device where a kernel they need is quarantined.
     pub quarantine_skips: usize,
     /// `HalfOpen` probes that succeeded and restored a device to `Closed`.
     pub probe_successes: usize,

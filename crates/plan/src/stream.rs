@@ -47,6 +47,21 @@ impl PlanBuilder {
         format!("{prefix}#{}", self.counter)
     }
 
+    /// Adds a single-output node on the target device and returns its
+    /// output. Callers take `label` from [`Self::label`] first, so the `#n`
+    /// counter advances in node order.
+    fn node(
+        &mut self,
+        kind: PrimitiveKind,
+        params: NodeParams,
+        inputs: Vec<DataRef>,
+        label: String,
+    ) -> DataRef {
+        self.gb
+            .add(kind, params, inputs, 1, self.device, label)
+            .remove(0)
+    }
+
     /// Starts a stream over `table`, registering its columns as chunked
     /// scan inputs. Input binding names are the bare column names.
     pub fn scan(&mut self, table: impl Into<String>, columns: &[&str]) -> Stream {
@@ -68,16 +83,12 @@ impl PlanBuilder {
     /// (`[state, rows]`).
     pub fn agg_block(&mut self, input: DataRef, agg: AggFunc, label: &str) -> DataRef {
         let label = format!("{label}:{}", self.label("agg_block"));
-        self.gb
-            .add(
-                PrimitiveKind::AggBlock,
-                NodeParams::AggBlock { agg },
-                vec![input],
-                1,
-                self.device,
-                label,
-            )
-            .remove(0)
+        self.node(
+            PrimitiveKind::AggBlock,
+            NodeParams::AggBlock { agg },
+            vec![input],
+            label,
+        )
     }
 
     /// Exports an aggregation hash table's dense columns.
@@ -115,16 +126,12 @@ impl PlanBuilder {
             .fold(0u64, |m, (i, (_, d))| m | ((*d as u64) << i));
         let inputs: Vec<DataRef> = keys.iter().map(|(r, _)| *r).collect();
         let label = self.label("sort");
-        self.gb
-            .add(
-                PrimitiveKind::Sort,
-                NodeParams::Sort { desc_mask },
-                inputs,
-                1,
-                self.device,
-                label,
-            )
-            .remove(0)
+        self.node(
+            PrimitiveKind::Sort,
+            NodeParams::Sort { desc_mask },
+            inputs,
+            label,
+        )
     }
 
     /// Sort-based aggregation (the paper's `SORT_AGG` path, the
@@ -151,31 +158,23 @@ impl PlanBuilder {
     /// (`PREFIX_SUM`; pairs with scatter-style materialization).
     pub fn prefix_sum(&mut self, input: DataRef) -> DataRef {
         let label = self.label("prefix_sum");
-        self.gb
-            .add(
-                PrimitiveKind::PrefixSum,
-                NodeParams::None,
-                vec![input],
-                1,
-                self.device,
-                label,
-            )
-            .remove(0)
+        self.node(
+            PrimitiveKind::PrefixSum,
+            NodeParams::None,
+            vec![input],
+            label,
+        )
     }
 
     /// Gathers `values` at `positions` (`MATERIALIZE_POSITION`).
     pub fn take(&mut self, values: DataRef, positions: DataRef) -> DataRef {
         let label = self.label("take");
-        self.gb
-            .add(
-                PrimitiveKind::MaterializePosition,
-                NodeParams::None,
-                vec![values, positions],
-                1,
-                self.device,
-                label,
-            )
-            .remove(0)
+        self.node(
+            PrimitiveKind::MaterializePosition,
+            NodeParams::None,
+            vec![values, positions],
+            label,
+        )
     }
 
     /// Declares a named graph output.
@@ -229,8 +228,9 @@ impl Stream {
         }
     }
 
-    /// Applies a filter predicate. Filters must precede joins (predicate
-    /// pushdown — the standard TPC-H shape); the boolean tree is lowered to
+    /// Applies a filter predicate. A stream takes one filter, before any
+    /// join (predicate pushdown — the standard TPC-H shape): conjoin the
+    /// conditions with [`Predicate::and`]. The boolean tree is lowered to
     /// `FILTER_BITMAP`/`FILTER_BITMAP_COL` leaves combined by
     /// `BITMAP_OP(And/Or)` chains.
     pub fn filter(&mut self, pb: &mut PlanBuilder, predicate: Predicate) -> Result<()> {
@@ -239,29 +239,8 @@ impl Stream {
                 "filters must be applied before joins on this stream".into(),
             ));
         }
-        let bitmap = self.lower_predicate(pb, &predicate)?;
-        if let Some(bm) = bitmap {
-            // Merge with an existing selection from a previous filter call.
-            let merged = match self.chain.first() {
-                Some(Link::Sel(prev)) => {
-                    let label = pb.label("and");
-                    let out = pb
-                        .gb
-                        .add(
-                            PrimitiveKind::BitmapOp,
-                            NodeParams::Bitmap { op: BitmapOp::And },
-                            vec![*prev, bm],
-                            1,
-                            pb.device,
-                            label,
-                        )
-                        .remove(0);
-                    self.chain.clear();
-                    out
-                }
-                _ => bm,
-            };
-            self.chain.push(Link::Sel(merged));
+        if let Some(bm) = self.lower_predicate(pb, &predicate)? {
+            self.chain.push(Link::Sel(bm));
             self.cache.clear();
         }
         Ok(())
@@ -274,19 +253,6 @@ impl Stream {
         pb: &mut PlanBuilder,
         predicate: &Predicate,
     ) -> Result<Option<DataRef>> {
-        let combine = |pb: &mut PlanBuilder, op: BitmapOp, a: DataRef, b: DataRef| {
-            let label = pb.label(if op == BitmapOp::And { "and" } else { "or" });
-            pb.gb
-                .add(
-                    PrimitiveKind::BitmapOp,
-                    NodeParams::Bitmap { op },
-                    vec![a, b],
-                    1,
-                    pb.device,
-                    label,
-                )
-                .remove(0)
-        };
         match predicate {
             Predicate::Cmp {
                 col,
@@ -296,39 +262,27 @@ impl Stream {
             } => {
                 let input = self.raw_col(col)?;
                 let label = format!("filter({col}):{}", pb.label("f"));
-                Ok(Some(
-                    pb.gb
-                        .add(
-                            PrimitiveKind::FilterBitmap,
-                            NodeParams::Filter {
-                                cmp: *cmp,
-                                value: *value,
-                                hi: *hi,
-                            },
-                            vec![input],
-                            1,
-                            pb.device,
-                            label,
-                        )
-                        .remove(0),
-                ))
+                Ok(Some(pb.node(
+                    PrimitiveKind::FilterBitmap,
+                    NodeParams::Filter {
+                        cmp: *cmp,
+                        value: *value,
+                        hi: *hi,
+                    },
+                    vec![input],
+                    label,
+                )))
             }
             Predicate::CmpCols { left, cmp, right } => {
                 let a = self.raw_col(left)?;
                 let b = self.raw_col(right)?;
                 let label = format!("filter({left},{right}):{}", pb.label("f"));
-                Ok(Some(
-                    pb.gb
-                        .add(
-                            PrimitiveKind::FilterBitmapCol,
-                            NodeParams::FilterCol { cmp: *cmp },
-                            vec![a, b],
-                            1,
-                            pb.device,
-                            label,
-                        )
-                        .remove(0),
-                ))
+                Ok(Some(pb.node(
+                    PrimitiveKind::FilterBitmapCol,
+                    NodeParams::FilterCol { cmp: *cmp },
+                    vec![a, b],
+                    label,
+                )))
             }
             Predicate::And(ps) | Predicate::Or(ps) => {
                 let op = if matches!(predicate, Predicate::And(_)) {
@@ -362,11 +316,10 @@ impl Stream {
             .columns()
             .iter()
             .all(|c| matches!(self.cols.get(*c), Some(&(_, 0))));
+        let r = self.lower_expr(pb, &expr, !all_raw)?;
         if all_raw {
-            let r = self.lower_expr(pb, &expr)?;
             self.cols.insert(name.to_string(), (r, 0));
         } else {
-            let r = self.lower_expr_current(pb, &expr)?;
             let upto = self.chain.len();
             self.cols.insert(name.to_string(), (r, upto));
             self.cache.insert(name.to_string(), r);
@@ -374,205 +327,62 @@ impl Stream {
         Ok(())
     }
 
-    /// Lowers an expression with every column materialized into the
-    /// current row domain.
-    fn lower_expr_current(&mut self, pb: &mut PlanBuilder, expr: &Expr) -> Result<DataRef> {
-        // Materialize the referenced columns first, then rewrite the
-        // expression against temporary names bound to those refs.
-        match expr {
-            Expr::Col(c) => self.materialized(pb, c),
-            Expr::Lit(_) => Err(ExecError::InvalidGraph(
-                "a bare literal is not a column expression".into(),
-            )),
-            Expr::Add(a, b) => self.lower_binary_current(pb, a, b, MapOp::Add),
-            Expr::Sub(a, b) => self.lower_binary_current(pb, a, b, MapOp::Sub),
-            Expr::Mul(a, b) => self.lower_binary_current(pb, a, b, MapOp::Mul),
-            Expr::Div(a, b) => self.lower_binary_current(pb, a, b, MapOp::Div),
-            Expr::Indicator(a, op, c) => {
-                let inner = self.lower_expr_current(pb, a)?;
-                let label = pb.label("map");
-                Ok(pb
-                    .gb
-                    .add(
-                        PrimitiveKind::Map,
-                        NodeParams::Map {
-                            op: *op,
-                            constant: *c,
-                        },
-                        vec![inner],
-                        1,
-                        pb.device,
-                        label,
-                    )
-                    .remove(0))
-            }
-        }
-    }
-
-    fn lower_binary_current(
-        &mut self,
-        pb: &mut PlanBuilder,
-        a: &Expr,
-        b: &Expr,
-        binary: MapOp,
-    ) -> Result<DataRef> {
-        let add_map = |pb: &mut PlanBuilder, params: NodeParams, inputs: Vec<DataRef>| {
-            let label = pb.label("map");
-            pb.gb
-                .add(PrimitiveKind::Map, params, inputs, 1, pb.device, label)
-                .remove(0)
-        };
-        let (rhs_const, lhs_const) = match binary {
-            MapOp::Add => (MapOp::AddConst, Some(MapOp::AddConst)),
-            MapOp::Sub => (MapOp::SubConst, Some(MapOp::RsubConst)),
-            MapOp::Mul => (MapOp::MulConst, Some(MapOp::MulConst)),
-            MapOp::Div => (MapOp::DivConst, None),
-            _ => unreachable!("binary arithmetic only"),
-        };
-        match (const_of(a), const_of(b)) {
-            (None, Some(c)) => {
-                let lhs = self.lower_expr_current(pb, a)?;
-                Ok(add_map(
-                    pb,
-                    NodeParams::Map {
-                        op: rhs_const,
-                        constant: c,
-                    },
-                    vec![lhs],
+    /// Lowers an element-wise expression to `MAP` nodes. Column leaves
+    /// resolve in the raw scan domain, or — with `current` — materialized
+    /// into the current row domain.
+    fn lower_expr(&mut self, pb: &mut PlanBuilder, expr: &Expr, current: bool) -> Result<DataRef> {
+        // Each binary op with its constant-on-the-right form and, where one
+        // exists, its constant-on-the-left form (commutative ops reuse the
+        // right-hand form).
+        let (a, b, binary, rhs_const, lhs_const) = match expr {
+            Expr::Col(c) if current => return self.materialized(pb, c),
+            Expr::Col(c) => return self.raw_col(c),
+            Expr::Lit(_) => {
+                return Err(ExecError::InvalidGraph(
+                    "a bare literal is not a column expression".into(),
                 ))
             }
+            Expr::Indicator(a, op, c) => {
+                let inner = self.lower_expr(pb, a, current)?;
+                let label = pb.label("map");
+                let params = NodeParams::Map {
+                    op: *op,
+                    constant: *c,
+                };
+                return Ok(pb.node(PrimitiveKind::Map, params, vec![inner], label));
+            }
+            Expr::Add(a, b) => (a, b, MapOp::Add, MapOp::AddConst, Some(MapOp::AddConst)),
+            Expr::Sub(a, b) => (a, b, MapOp::Sub, MapOp::SubConst, Some(MapOp::RsubConst)),
+            Expr::Mul(a, b) => (a, b, MapOp::Mul, MapOp::MulConst, Some(MapOp::MulConst)),
+            Expr::Div(a, b) => (a, b, MapOp::Div, MapOp::DivConst, None),
+        };
+        let (op, constant, inputs) = match (const_of(a), const_of(b)) {
+            (None, Some(c)) => (rhs_const, c, vec![self.lower_expr(pb, a, current)?]),
             (Some(c), None) => {
-                let rhs = self.lower_expr_current(pb, b)?;
-                match lhs_const {
-                    Some(op) => Ok(add_map(pb, NodeParams::Map { op, constant: c }, vec![rhs])),
-                    None => Err(ExecError::InvalidGraph(
-                        "literal-on-left division is not lowerable".into(),
-                    )),
-                }
+                let rhs = self.lower_expr(pb, b, current)?;
+                let op = lhs_const.ok_or_else(|| {
+                    ExecError::InvalidGraph("literal-on-left division is not lowerable".into())
+                })?;
+                (op, c, vec![rhs])
             }
             (None, None) => {
-                let lhs = self.lower_expr_current(pb, a)?;
-                let rhs = self.lower_expr_current(pb, b)?;
-                Ok(add_map(
-                    pb,
-                    NodeParams::Map {
-                        op: binary,
-                        constant: 0,
-                    },
-                    vec![lhs, rhs],
+                let lhs = self.lower_expr(pb, a, current)?;
+                let rhs = self.lower_expr(pb, b, current)?;
+                (binary, 0, vec![lhs, rhs])
+            }
+            (Some(_), Some(_)) => {
+                return Err(ExecError::InvalidGraph(
+                    "constant-only expressions have no row domain".into(),
                 ))
             }
-            (Some(_), Some(_)) => Err(ExecError::InvalidGraph(
-                "constant-only expressions have no row domain".into(),
-            )),
-        }
-    }
-
-    fn lower_expr(&mut self, pb: &mut PlanBuilder, expr: &Expr) -> Result<DataRef> {
-        match expr {
-            Expr::Col(c) => self.raw_col(c),
-            Expr::Lit(_) => Err(ExecError::InvalidGraph(
-                "a bare literal is not a column expression".into(),
-            )),
-            Expr::Add(a, b) => self.lower_binary(pb, a, b, MapOp::Add, MapOp::AddConst, None),
-            Expr::Sub(a, b) => self.lower_binary(
-                pb,
-                a,
-                b,
-                MapOp::Sub,
-                MapOp::SubConst,
-                Some(MapOp::RsubConst),
-            ),
-            Expr::Mul(a, b) => self.lower_binary(pb, a, b, MapOp::Mul, MapOp::MulConst, None),
-            Expr::Div(a, b) => self.lower_binary(pb, a, b, MapOp::Div, MapOp::DivConst, None),
-            Expr::Indicator(a, op, c) => {
-                let inner = self.lower_expr(pb, a)?;
-                let label = pb.label("map");
-                Ok(pb
-                    .gb
-                    .add(
-                        PrimitiveKind::Map,
-                        NodeParams::Map {
-                            op: *op,
-                            constant: *c,
-                        },
-                        vec![inner],
-                        1,
-                        pb.device,
-                        label,
-                    )
-                    .remove(0))
-            }
-        }
-    }
-
-    fn lower_binary(
-        &mut self,
-        pb: &mut PlanBuilder,
-        a: &Expr,
-        b: &Expr,
-        binary: MapOp,
-        rhs_const: MapOp,
-        lhs_const: Option<MapOp>,
-    ) -> Result<DataRef> {
-        let add_map = |pb: &mut PlanBuilder, params: NodeParams, inputs: Vec<DataRef>| {
-            let label = pb.label("map");
-            pb.gb
-                .add(PrimitiveKind::Map, params, inputs, 1, pb.device, label)
-                .remove(0)
         };
-        match (const_of(a), const_of(b)) {
-            (None, Some(c)) => {
-                let lhs = self.lower_expr(pb, a)?;
-                Ok(add_map(
-                    pb,
-                    NodeParams::Map {
-                        op: rhs_const,
-                        constant: c,
-                    },
-                    vec![lhs],
-                ))
-            }
-            (Some(c), None) => {
-                let rhs = self.lower_expr(pb, b)?;
-                match (binary, lhs_const) {
-                    // Commutative ops reuse the rhs-const form.
-                    (MapOp::Add, _) | (MapOp::Mul, _) => Ok(add_map(
-                        pb,
-                        NodeParams::Map {
-                            op: if binary == MapOp::Add {
-                                MapOp::AddConst
-                            } else {
-                                MapOp::MulConst
-                            },
-                            constant: c,
-                        },
-                        vec![rhs],
-                    )),
-                    (_, Some(op)) => {
-                        Ok(add_map(pb, NodeParams::Map { op, constant: c }, vec![rhs]))
-                    }
-                    _ => Err(ExecError::InvalidGraph(format!(
-                        "literal-on-left form of {binary:?} is not lowerable"
-                    ))),
-                }
-            }
-            (None, None) => {
-                let lhs = self.lower_expr(pb, a)?;
-                let rhs = self.lower_expr(pb, b)?;
-                Ok(add_map(
-                    pb,
-                    NodeParams::Map {
-                        op: binary,
-                        constant: 0,
-                    },
-                    vec![lhs, rhs],
-                ))
-            }
-            (Some(_), Some(_)) => Err(ExecError::InvalidGraph(
-                "constant-only expressions have no row domain".into(),
-            )),
-        }
+        let label = pb.label("map");
+        Ok(pb.node(
+            PrimitiveKind::Map,
+            NodeParams::Map { op, constant },
+            inputs,
+            label,
+        ))
     }
 
     /// The column fully materialized into the current row domain.
@@ -588,29 +398,17 @@ impl Stream {
             r = match link {
                 Link::Sel(bm) => {
                     let label = format!("mat({name}):{}", pb.label("m"));
-                    pb.gb
-                        .add(
-                            PrimitiveKind::Materialize,
-                            NodeParams::None,
-                            vec![r, bm],
-                            1,
-                            pb.device,
-                            label,
-                        )
-                        .remove(0)
+                    pb.node(
+                        PrimitiveKind::Materialize,
+                        NodeParams::None,
+                        vec![r, bm],
+                        label,
+                    )
                 }
                 Link::Pos(pos) => {
                     let label = format!("gather({name}):{}", pb.label("g"));
-                    pb.gb
-                        .add(
-                            PrimitiveKind::MaterializePosition,
-                            NodeParams::None,
-                            vec![r, pos],
-                            1,
-                            pb.device,
-                            label,
-                        )
-                        .remove(0)
+                    let kind = PrimitiveKind::MaterializePosition;
+                    pb.node(kind, NodeParams::None, vec![r, pos], label)
                 }
             };
         }
@@ -632,20 +430,11 @@ impl Stream {
             inputs.push(self.materialized(pb, p)?);
         }
         let label = format!("hash_build({key}):{}", pb.label("hb"));
-        Ok(pb
-            .gb
-            .add(
-                PrimitiveKind::HashBuild,
-                NodeParams::HashBuild {
-                    payload_cols: payload.len(),
-                    expected,
-                },
-                inputs,
-                1,
-                pb.device,
-                label,
-            )
-            .remove(0))
+        let params = NodeParams::HashBuild {
+            payload_cols: payload.len(),
+            expected,
+        };
+        Ok(pb.node(PrimitiveKind::HashBuild, params, inputs, label))
     }
 
     /// Inner-join probe against `table`, pulling `payload_names.len()`
@@ -684,17 +473,8 @@ impl Stream {
     pub fn semi_join(&mut self, pb: &mut PlanBuilder, key: &str, table: DataRef) -> Result<()> {
         let key_ref = self.materialized(pb, key)?;
         let label = format!("semi({key}):{}", pb.label("sj"));
-        let bm = pb
-            .gb
-            .add(
-                PrimitiveKind::HashProbeSemi,
-                NodeParams::None,
-                vec![key_ref, table],
-                1,
-                pb.device,
-                label,
-            )
-            .remove(0);
+        let kind = PrimitiveKind::HashProbeSemi;
+        let bm = pb.node(kind, NodeParams::None, vec![key_ref, table], label);
         self.chain.push(Link::Sel(bm));
         self.cache.clear();
         Ok(())
@@ -719,22 +499,24 @@ impl Stream {
             inputs.push(self.materialized(pb, col)?);
         }
         let label = format!("hash_agg({group}):{}", pb.label("ha"));
-        Ok(pb
-            .gb
-            .add(
-                PrimitiveKind::HashAgg,
-                NodeParams::HashAgg {
-                    payload_cols: payload.len(),
-                    aggs: aggs.iter().map(|(f, _)| *f).collect(),
-                    expected_groups,
-                },
-                inputs,
-                1,
-                pb.device,
-                label,
-            )
-            .remove(0))
+        let params = NodeParams::HashAgg {
+            payload_cols: payload.len(),
+            aggs: aggs.iter().map(|(f, _)| *f).collect(),
+            expected_groups,
+        };
+        Ok(pb.node(PrimitiveKind::HashAgg, params, inputs, label))
     }
+}
+
+/// Combines two selection bitmaps with `BITMAP_OP` (predicate trees).
+fn combine(pb: &mut PlanBuilder, op: BitmapOp, a: DataRef, b: DataRef) -> DataRef {
+    let label = pb.label(if op == BitmapOp::And { "and" } else { "or" });
+    pb.node(
+        PrimitiveKind::BitmapOp,
+        NodeParams::Bitmap { op },
+        vec![a, b],
+        label,
+    )
 }
 
 fn const_of(e: &Expr) -> Option<i64> {

@@ -98,30 +98,6 @@ impl Bitmap {
         }
     }
 
-    /// In-place conjunction with `other` (same length required).
-    pub fn and_inplace(&mut self, other: &Bitmap) {
-        assert_eq!(self.len, other.len, "bitmap length mismatch in AND");
-        for (a, b) in self.words.iter_mut().zip(other.words.iter()) {
-            *a &= *b;
-        }
-    }
-
-    /// In-place disjunction with `other` (same length required).
-    pub fn or_inplace(&mut self, other: &Bitmap) {
-        assert_eq!(self.len, other.len, "bitmap length mismatch in OR");
-        for (a, b) in self.words.iter_mut().zip(other.words.iter()) {
-            *a |= *b;
-        }
-    }
-
-    /// In-place negation (valid bits only).
-    pub fn not_inplace(&mut self) {
-        for w in self.words.iter_mut() {
-            *w = !*w;
-        }
-        self.mask_tail();
-    }
-
     /// Iterator over the indices of selected rows, ascending.
     pub fn iter_ones(&self) -> OnesIter<'_> {
         OnesIter {
@@ -242,28 +218,6 @@ mod tests {
         for (i, &b) in bools.iter().enumerate() {
             assert_eq!(bm.get(i), b, "row {i}");
         }
-    }
-
-    #[test]
-    fn and_or_not() {
-        let a = Bitmap::from_bools(&[true, true, false, false]);
-        let b = Bitmap::from_bools(&[true, false, true, false]);
-        let mut x = a.clone();
-        x.and_inplace(&b);
-        assert_eq!(x, Bitmap::from_bools(&[true, false, false, false]));
-        let mut y = a.clone();
-        y.or_inplace(&b);
-        assert_eq!(y, Bitmap::from_bools(&[true, true, true, false]));
-        let mut z = a.clone();
-        z.not_inplace();
-        assert_eq!(z, Bitmap::from_bools(&[false, false, true, true]));
-    }
-
-    #[test]
-    fn not_masks_tail_bits() {
-        let mut bm = Bitmap::new_zeroed(5);
-        bm.not_inplace();
-        assert_eq!(bm.count_ones(), 5);
     }
 
     #[test]

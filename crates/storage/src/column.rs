@@ -434,7 +434,7 @@ mod tests {
     fn filter_and_take() {
         let c = Column::from_i64("a", vec![10, 20, 30, 40]);
         let bm = Bitmap::from_bools(&[true, false, true, false]);
-        let out = c.take(&PositionList::from_bitmap(&bm)).unwrap();
+        let out = c.take(&bm.iter_ones().map(|i| i as u32).collect()).unwrap();
         assert_eq!(out.data(), &ColumnData::Int64(vec![10, 30].into()));
 
         let taken = c.take(&[3, 0, 3].into_iter().collect()).unwrap();

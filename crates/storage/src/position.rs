@@ -1,7 +1,5 @@
 //! Position lists — the second intermediate format of `FILTER_POSITION`.
 
-use crate::bitmap::Bitmap;
-
 /// A list of selected row positions (ascending unless produced by a join).
 ///
 /// `FILTER_POSITION` emits a position list instead of a bitmap when late
@@ -25,13 +23,6 @@ impl PositionList {
         }
     }
 
-    /// Converts a bitmap into the equivalent ascending position list.
-    pub fn from_bitmap(bm: &Bitmap) -> Self {
-        let mut positions = Vec::with_capacity(bm.count_ones());
-        positions.extend(bm.iter_ones().map(|i| i as u32));
-        PositionList { positions }
-    }
-
     /// Number of positions.
     pub fn len(&self) -> usize {
         self.positions.len()
@@ -53,17 +44,6 @@ impl PositionList {
         &self.positions
     }
 
-    /// Converts into a bitmap over `len` rows.
-    ///
-    /// Panics (debug) if any position is `>= len`.
-    pub fn to_bitmap(&self, len: usize) -> Bitmap {
-        let mut bm = Bitmap::new_zeroed(len);
-        for &p in &self.positions {
-            bm.set(p as usize);
-        }
-        bm
-    }
-
     /// Size of the representation in bytes.
     pub fn byte_len(&self) -> usize {
         self.positions.len() * 4
@@ -81,14 +61,6 @@ impl FromIterator<u32> for PositionList {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bitmap_roundtrip() {
-        let bm = Bitmap::from_bools(&[true, false, false, true, true]);
-        let pl = PositionList::from_bitmap(&bm);
-        assert_eq!(pl.as_slice(), &[0, 3, 4]);
-        assert_eq!(pl.to_bitmap(5), bm);
-    }
 
     #[test]
     fn from_iterator_and_push() {

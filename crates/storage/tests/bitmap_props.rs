@@ -4,7 +4,6 @@
 //! so a failure reproduces exactly without a stored regression corpus.
 
 use adamant_storage::bitmap::Bitmap;
-use adamant_storage::position::PositionList;
 use adamant_storage::rng::Rng;
 
 const CASES: u64 = 128;
@@ -36,44 +35,6 @@ fn bitmap_matches_bool_vec() {
 }
 
 #[test]
-fn bitmap_boolean_algebra() {
-    for case in 0..CASES {
-        let mut rng = Rng::new(0xA16_0000 + case);
-        let a = random_bools(&mut rng, 300);
-        let b_seed = random_bools(&mut rng, 300);
-        // Same-length operand derived from the seeds.
-        let n = a.len();
-        let b: Vec<bool> = (0..n)
-            .map(|i| b_seed.get(i).copied().unwrap_or(i % 3 == 0))
-            .collect();
-        let ba = Bitmap::from_bools(&a);
-        let bb = Bitmap::from_bools(&b);
-
-        let mut and = ba.clone();
-        and.and_inplace(&bb);
-        let mut or = ba.clone();
-        or.or_inplace(&bb);
-        let mut not = ba.clone();
-        not.not_inplace();
-
-        for i in 0..n {
-            assert_eq!(and.get(i), a[i] && b[i]);
-            assert_eq!(or.get(i), a[i] || b[i]);
-            assert_eq!(not.get(i), !a[i]);
-        }
-        // De Morgan: !(a & b) == !a | !b
-        let mut lhs = ba.clone();
-        lhs.and_inplace(&bb);
-        lhs.not_inplace();
-        let mut nb = bb.clone();
-        nb.not_inplace();
-        let mut rhs = not.clone();
-        rhs.or_inplace(&nb);
-        assert_eq!(lhs, rhs);
-    }
-}
-
-#[test]
 fn bitmap_slice_extend_roundtrip() {
     for case in 0..CASES {
         let mut rng = Rng::new(0x511CE + case * 31);
@@ -84,20 +45,6 @@ fn bitmap_slice_extend_roundtrip() {
         rebuilt.extend_from(&bm.slice(0, cut));
         rebuilt.extend_from(&bm.slice(cut, bools.len() - cut));
         assert_eq!(rebuilt, bm);
-    }
-}
-
-#[test]
-fn positions_bitmap_roundtrip() {
-    for case in 0..CASES {
-        let mut rng = Rng::new(0x9051_7105 + case);
-        let bools = random_bools(&mut rng, 400);
-        let bm = Bitmap::from_bools(&bools);
-        let pl = PositionList::from_bitmap(&bm);
-        assert_eq!(pl.len(), bm.count_ones());
-        assert_eq!(pl.to_bitmap(bools.len()), bm);
-        // Positions strictly ascending.
-        assert!(pl.as_slice().windows(2).all(|w| w[0] < w[1]));
     }
 }
 

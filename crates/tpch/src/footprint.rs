@@ -307,29 +307,12 @@ pub fn query_columns(q: usize) -> &'static [(&'static str, &'static str)] {
     }
 }
 
-/// Analytic input footprint of an arbitrary `(table, column)` set at scale
-/// factor `sf`, in bytes.
-///
-/// This is the general form of the per-query footprint: any logical plan —
-/// hand-built or compiled from SQL — that knows which TPC-H columns it
-/// scans can be priced without generating data (e.g. a `CompiledQuery`'s
-/// `input_columns`). Duplicate entries count once. Panics on tables
-/// outside the TPC-H schema, for which no row-count scaling rule exists.
-pub fn columns_input_bytes<'a>(
-    columns: impl IntoIterator<Item = (&'a str, &'a str)>,
-    sf: f64,
-) -> u64 {
-    let mut seen = std::collections::BTreeSet::new();
-    columns
-        .into_iter()
-        .filter(|&(t, c)| seen.insert((t, c)))
-        .map(|(t, c)| rows(t, sf) * width(c))
-        .sum()
-}
-
 /// Input footprint of query `q` at scale factor `sf`, in bytes.
 pub fn query_input_bytes(q: usize, sf: f64) -> u64 {
-    columns_input_bytes(query_columns(q).iter().copied(), sf)
+    query_columns(q)
+        .iter()
+        .map(|&(t, c)| rows(t, sf) * width(c))
+        .sum()
 }
 
 /// Size of the complete dataset at scale factor `sf`, in bytes (all
@@ -375,18 +358,13 @@ mod tests {
     }
 
     #[test]
-    fn columns_input_bytes_matches_query_index() {
-        // The per-query-index footprint must stay byte-identical to the
-        // general column-set form it now delegates to, and duplicates
-        // must not double-count.
-        for sf in [0.01, 1.0, 30.0] {
-            for q in 1..=22 {
-                let cols = query_columns(q);
-                let general = columns_input_bytes(cols.iter().copied(), sf);
-                assert_eq!(general, query_input_bytes(q, sf), "Q{q} sf {sf}");
-                let doubled = cols.iter().chain(cols.iter()).copied();
-                assert_eq!(columns_input_bytes(doubled, sf), general, "Q{q} dup");
-            }
+    fn query_column_lists_have_no_duplicates() {
+        // `query_input_bytes` sums the list as it stands, so a repeated
+        // column would count twice.
+        for q in 1..=22 {
+            let cols = query_columns(q);
+            let distinct: std::collections::BTreeSet<_> = cols.iter().collect();
+            assert_eq!(distinct.len(), cols.len(), "Q{q}");
         }
     }
 
