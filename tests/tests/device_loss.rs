@@ -499,12 +499,11 @@ fn scheduler_sheds_capacity_lost_and_keeps_serving() {
 
     let mut session = engine.session();
     session.tenant("alpha", 1.0).tenant("beta", 1.0);
-    // Ticket 1: pinned to the doomed device with a footprint bigger than
-    // the survivor's entire pool — unreadmittable once dev0 dies.
+    // Ticket 1: a footprint bigger than the survivor's entire pool, so only
+    // the doomed device can admit it — unreadmittable once dev0 dies.
     let doomed = session.submit(
         "alpha",
         QuerySpec::new(graph.clone(), inputs.clone(), ExecutionModel::Chunked)
-            .pin_device(dev0)
             .with_footprint(2 * survivor_cap),
     );
     // Ticket 2: ordinary query, must complete on the survivor.
