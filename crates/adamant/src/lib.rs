@@ -72,7 +72,7 @@ pub use adamant_tpch as tpch;
 
 use adamant_core::checkpoint::CheckpointConfig;
 use adamant_core::error::Result;
-use adamant_core::executor::{CancelToken, Executor, ExecutorConfig, QueryInputs, RetryPolicy};
+use adamant_core::executor::{Executor, ExecutorConfig, QueryInputs, RetryPolicy};
 use adamant_core::graph::PrimitiveGraph;
 use adamant_core::models::ExecutionModel;
 use adamant_core::residency::ResidencyConfig;
@@ -139,19 +139,6 @@ impl Adamant {
         self.executor.run(graph, inputs, model)
     }
 
-    /// Like [`Adamant::run`] under a cancellation token: cancelling from
-    /// another thread unwinds the run between chunks (buffers released) and
-    /// returns [`adamant_core::ExecError::Cancelled`].
-    pub fn run_with_cancel(
-        &mut self,
-        graph: &PrimitiveGraph,
-        inputs: &QueryInputs,
-        model: ExecutionModel,
-        cancel: &CancelToken,
-    ) -> Result<(QueryOutput, ExecutionStats)> {
-        self.executor.run_with_cancel(graph, inputs, model, cancel)
-    }
-
     /// Opens a multi-query scheduling session over this engine: register
     /// tenants, [`QueryScheduler::submit`] queries, then
     /// [`QueryScheduler::run_all`] to interleave them on the shared
@@ -167,11 +154,6 @@ impl Adamant {
     /// memory), read-only.
     pub fn health(&self) -> &DeviceHealthRegistry {
         self.executor.health()
-    }
-
-    /// Statistics of the most recent run, kept even when the run failed.
-    pub fn last_run_stats(&self) -> Option<&ExecutionStats> {
-        self.executor.last_run_stats()
     }
 
     /// Installs a fault plan on one device (by plug order among the devices
@@ -237,14 +219,6 @@ impl AdamantBuilder {
     /// Sets the recovery policy (OOM chunk backoff, device fallback).
     pub fn retry_policy(mut self, retry: RetryPolicy) -> Self {
         self.config.retry = retry;
-        self
-    }
-
-    /// Sets a per-query deadline on the simulated timeline, in modeled
-    /// nanoseconds. Runs exceeding it unwind cleanly and return
-    /// [`adamant_core::ExecError::DeadlineExceeded`].
-    pub fn deadline_ns(mut self, budget_ns: f64) -> Self {
-        self.config.deadline_ns = Some(budget_ns);
         self
     }
 
@@ -352,9 +326,7 @@ pub mod prelude {
     pub use crate::{Adamant, AdamantBuilder};
     pub use adamant_baseline::{BaselineExecutor, BaselineRun};
     pub use adamant_core::checkpoint::{CheckpointConfig, QueryCheckpoint};
-    pub use adamant_core::executor::{
-        CancelToken, Executor, ExecutorConfig, QueryInputs, RetryPolicy,
-    };
+    pub use adamant_core::executor::{Executor, ExecutorConfig, QueryInputs, RetryPolicy};
     pub use adamant_core::graph::{DataRef, GraphBuilder, NodeParams, PrimitiveGraph};
     pub use adamant_core::models::ExecutionModel;
     pub use adamant_core::residency::{ResidencyCache, ResidencyConfig, ResidencyCounters};
@@ -375,7 +347,7 @@ pub mod prelude {
         ShedReason, TenantStats,
     };
     pub use adamant_sql::{SqlError, SqlErrorKind};
-    pub use adamant_storage::prelude::{Bitmap, Catalog, Column, PositionList, Table};
+    pub use adamant_storage::prelude::{Bitmap, Catalog, Column, Table};
     pub use adamant_task::params::{AggFunc, BitmapOp, CmpOp, MapOp};
     pub use adamant_task::primitive::PrimitiveKind;
     pub use adamant_task::registry::TaskRegistry;

@@ -53,10 +53,6 @@ pub struct SqlResultSet {
     pub footprint_bytes: u64,
     /// Modeled ns the query waited for admission.
     pub wait_ns: f64,
-    /// Virtual time on the shared timeline when the query finished.
-    pub finish_ns: f64,
-    /// True when a deadline was set and the finish overran it.
-    pub missed_deadline: bool,
 }
 
 /// Why a session query produced no rows.
@@ -66,7 +62,7 @@ pub enum SessionError {
     Sql(SqlError),
     /// Admitted but failed during execution.
     Exec(ExecError),
-    /// Shed by the scheduler (deadline, cancellation, capacity loss).
+    /// Shed by the scheduler (capacity loss).
     Shed(ShedReason),
     /// Rejected at admission: the footprint exceeds every device.
     Rejected(String),
@@ -94,7 +90,7 @@ impl From<SqlError> for SessionError {
 /// A SQL serving session over one engine and one catalog.
 ///
 /// Holds per-session defaults — tenant identity and weight, execution
-/// model, optional deadline — applied to every query it serves. The
+/// model — applied to every query it serves. The
 /// session borrows the engine exclusively; queries on the same session
 /// run sequentially on the shared simulated timeline.
 pub struct Session<'a> {
@@ -103,12 +99,11 @@ pub struct Session<'a> {
     tenant: String,
     weight: f64,
     model: ExecutionModel,
-    deadline_ns: Option<f64>,
 }
 
 impl<'a> Session<'a> {
     /// Opens a session with default settings: tenant `"default"` at weight
-    /// 1.0, chunked execution, no deadline.
+    /// 1.0, chunked execution.
     pub fn new(engine: &'a mut Adamant, catalog: &'a Catalog) -> Self {
         Session {
             engine,
@@ -116,7 +111,6 @@ impl<'a> Session<'a> {
             tenant: "default".to_string(),
             weight: 1.0,
             model: ExecutionModel::Chunked,
-            deadline_ns: None,
         }
     }
 
@@ -130,13 +124,6 @@ impl<'a> Session<'a> {
     /// Sets the execution model queries run under.
     pub fn model(mut self, model: ExecutionModel) -> Self {
         self.model = model;
-        self
-    }
-
-    /// Sets a default deadline (modeled ns from submission) for every
-    /// query this session serves.
-    pub fn deadline_ns(mut self, deadline_ns: f64) -> Self {
-        self.deadline_ns = Some(deadline_ns);
         self
     }
 
@@ -159,11 +146,8 @@ impl<'a> Session<'a> {
 
         let chunk_rows = self.engine.executor().config().chunk_rows;
         let footprint = estimate_footprint_bytes(&compiled.graph, &inputs, chunk_rows);
-        let mut spec =
+        let spec =
             QuerySpec::new(compiled.graph.clone(), inputs, self.model).with_footprint(footprint);
-        if let Some(d) = self.deadline_ns {
-            spec = spec.with_deadline_ns(d);
-        }
 
         let mut sched = self.engine.session();
         sched.tenant(&self.tenant, self.weight);
@@ -174,8 +158,7 @@ impl<'a> Session<'a> {
                 output,
                 stats,
                 wait_ns,
-                finish_ns,
-                missed_deadline,
+                ..
             }) => {
                 let (columns, rows) = self.decode(&compiled, &output)?;
                 Ok(SqlResultSet {
@@ -184,8 +167,6 @@ impl<'a> Session<'a> {
                     stats: *stats,
                     footprint_bytes: footprint,
                     wait_ns,
-                    finish_ns,
-                    missed_deadline,
                 })
             }
             Some(QueryOutcome::Failed { error }) => Err(SessionError::Exec(error)),
@@ -355,20 +336,6 @@ mod tests {
                 assert_eq!(e.kind, adamant_sql::SqlErrorKind::Bind)
             }
             other => panic!("expected sql error, got {other}"),
-        }
-    }
-
-    #[test]
-    fn deadline_defaults_apply_per_session() {
-        let (mut engine, catalog) = setup();
-        // An impossibly tight deadline sheds the query at admission.
-        let mut session = Session::new(&mut engine, &catalog).deadline_ns(1e-9);
-        let err = session
-            .sql("SELECT SUM(amount) AS total FROM sales")
-            .unwrap_err();
-        match err {
-            SessionError::Shed(_) => {}
-            other => panic!("expected shed, got {other}"),
         }
     }
 }

@@ -59,8 +59,6 @@ pub struct BaselineRun {
     pub cold_ns: f64,
     /// Modeled in-place time (execution only, tables already resident).
     pub hot_ns: f64,
-    /// Bytes of the whole referenced tables (what cold start transfers).
-    pub table_bytes: u64,
     /// Execution statistics of the compute phase.
     pub stats: ExecutionStats,
     /// Query output (exact).
@@ -152,15 +150,9 @@ impl BaselineExecutor {
         Ok(BaselineRun {
             cold_ns,
             hot_ns,
-            table_bytes,
             stats,
             output,
         })
-    }
-
-    /// The device profile.
-    pub fn profile(&self) -> &DeviceProfile {
-        &self.profile
     }
 }
 
@@ -187,7 +179,6 @@ mod tests {
         let run = b.run(&cat, TpchQuery::Q6).unwrap();
         assert_eq!(q6::decode(&run.output), reference::q6(&cat).unwrap());
         assert!(run.cold_ns > run.hot_ns);
-        assert!(run.table_bytes > 0);
     }
 
     #[test]

@@ -57,9 +57,6 @@ pub enum ExecError {
         /// Modeled nanoseconds actually spent when the deadline check fired.
         spent_ns: f64,
     },
-    /// The run was cancelled through its cancellation token. Unwound exactly
-    /// like [`ExecError::DeadlineExceeded`].
-    Cancelled,
     /// A host↔device transfer kept failing its end-to-end checksum after the
     /// full retransmit budget — the link to this device is lying. The
     /// recovery loop treats this like a broken device and re-places the
@@ -109,7 +106,6 @@ impl fmt::Display for ExecError {
                 f,
                 "query deadline exceeded: spent {spent_ns:.0} ns of a {budget_ns:.0} ns budget"
             ),
-            ExecError::Cancelled => write!(f, "query cancelled"),
             ExecError::TransferCorrupted { device, buffer } => write!(
                 f,
                 "transfer of {buffer} to/from {device} failed checksum verification \
@@ -163,7 +159,6 @@ mod tests {
             spent_ns: 1500.0,
         };
         assert!(e.to_string().contains("deadline exceeded"));
-        assert!(ExecError::Cancelled.to_string().contains("cancelled"));
         let e = ExecError::TransferCorrupted {
             device: DeviceId(1),
             buffer: adamant_device::buffer::BufferId(7),

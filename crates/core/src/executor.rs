@@ -42,7 +42,6 @@ use adamant_task::registry::TaskRegistry;
 use datapath::escaping_refs;
 use recovery::CheckpointState;
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::atomic::Ordering;
 use std::sync::{Arc, Once};
 use std::time::Instant;
 
@@ -56,11 +55,6 @@ pub struct ExecutorConfig {
     pub chunk_rows: usize,
     /// How the executor recovers from device faults mid-query.
     pub retry: RetryPolicy,
-    /// Simulated-timeline budget per query, in modeled nanoseconds. The
-    /// streaming loops check it between chunks and the recovery loop before
-    /// each attempt; exceeding it unwinds the attempt like the OOM path and
-    /// returns [`ExecError::DeadlineExceeded`]. `None` disables the check.
-    pub deadline_ns: Option<f64>,
     /// Straggler watchdog: a streamed chunk whose modeled duration exceeds
     /// this multiple of its fault-free cost-model expectation trips the
     /// watchdog — the overrun is fed to the health registry's latency
@@ -84,7 +78,6 @@ impl Default for ExecutorConfig {
         ExecutorConfig {
             chunk_rows: 1 << 20,
             retry: RetryPolicy::default(),
-            deadline_ns: None,
             watchdog_multiplier: Some(3.0),
             checkpoints: CheckpointConfig::default(),
             fusion: true,
@@ -118,61 +111,6 @@ impl Default for RetryPolicy {
     }
 }
 
-/// Cooperative cancellation token for [`Executor::run_with_cancel`].
-///
-/// Clone it, hand one copy to the run and keep the other; calling
-/// [`CancelToken::cancel`] from anywhere (another thread, a timeout watcher)
-/// makes the run unwind at its next between-chunks check and return
-/// [`ExecError::Cancelled`] with all buffers released.
-#[derive(Clone, Debug, Default)]
-pub struct CancelToken {
-    flag: Arc<std::sync::atomic::AtomicBool>,
-}
-
-impl CancelToken {
-    /// Creates a token in the not-cancelled state.
-    pub fn new() -> Self {
-        CancelToken::default()
-    }
-
-    /// Requests cancellation (idempotent, callable from any thread).
-    pub fn cancel(&self) {
-        self.flag.store(true, Ordering::Release);
-    }
-
-    /// Whether cancellation has been requested.
-    pub fn is_cancelled(&self) -> bool {
-        self.flag.load(Ordering::Acquire)
-    }
-}
-
-/// Per-run deadline + cancellation bundle threaded through the execution
-/// loops.
-struct RunControl {
-    deadline_ns: Option<f64>,
-    cancel: CancelToken,
-}
-
-impl RunControl {
-    /// Cooperative check: called between chunks, between whole-mode nodes
-    /// and before each recovery attempt, with the modeled time spent so far.
-    fn check(&self, spent_ns: f64, stats: &mut ExecutionStats) -> Result<()> {
-        if self.cancel.is_cancelled() {
-            return Err(ExecError::Cancelled);
-        }
-        if let Some(budget_ns) = self.deadline_ns {
-            if spent_ns > budget_ns {
-                stats.deadline_aborts += 1;
-                return Err(ExecError::DeadlineExceeded {
-                    budget_ns,
-                    spent_ns,
-                });
-            }
-        }
-        Ok(())
-    }
-}
-
 /// One run's working state — the only thing the data path, the recovery
 /// policy and the accounting fold share.
 struct RunCx<'a> {
@@ -182,10 +120,28 @@ struct RunCx<'a> {
     cfg: ModelConfig,
     /// Streamed non-breaker outputs consumed outside their pipeline.
     escaping: HashSet<DataRef>,
-    control: RunControl,
+    /// Modeled-ns budget of this run (`None`: unbounded).
+    deadline_ns: Option<f64>,
     hub: DataTransferHub,
     tally: Tally,
     ckpt: CheckpointState,
+}
+
+impl RunCx<'_> {
+    /// The deadline check: called between chunks, between whole-mode nodes
+    /// and before each recovery attempt, with the modeled time spent so far.
+    fn check_deadline(&mut self, spent_ns: f64) -> Result<()> {
+        match self.deadline_ns {
+            Some(budget_ns) if spent_ns > budget_ns => {
+                self.tally.stats.deadline_aborts += 1;
+                Err(ExecError::DeadlineExceeded {
+                    budget_ns,
+                    spent_ns,
+                })
+            }
+            _ => Ok(()),
+        }
+    }
 }
 
 /// Host columns bound to graph inputs, by reference.
@@ -231,16 +187,6 @@ impl QueryInputs {
     /// fingerprint — what the hub hands to the residency cache.
     pub(crate) fn bound(&self, name: &str) -> Option<BoundRows<'_>> {
         self.cols.get(name).map(BoundRows::kept)
-    }
-
-    /// Number of bound columns.
-    pub fn len(&self) -> usize {
-        self.cols.len()
-    }
-
-    /// True when nothing is bound.
-    pub fn is_empty(&self) -> bool {
-        self.cols.is_empty()
     }
 
     /// Iterates bound `(name, column)` pairs in name order.
@@ -435,32 +381,20 @@ impl Executor {
         inputs: &QueryInputs,
         model: ExecutionModel,
     ) -> Result<(QueryOutput, ExecutionStats)> {
-        self.run_with_cancel(graph, inputs, model, &CancelToken::new())
+        self.run_with_deadline(graph, inputs, model, None)
     }
 
-    /// Like [`Executor::run`], under a [`CancelToken`]: cancelling from
-    /// another thread unwinds the run between chunks (buffers released, ids
-    /// untracked) and returns [`ExecError::Cancelled`].
-    pub fn run_with_cancel(
-        &mut self,
-        graph: &PrimitiveGraph,
-        inputs: &QueryInputs,
-        model: ExecutionModel,
-        cancel: &CancelToken,
-    ) -> Result<(QueryOutput, ExecutionStats)> {
-        self.run_with_deadline(graph, inputs, model, cancel, self.config.deadline_ns)
-    }
-
-    /// Like [`Executor::run_with_cancel`] with a per-query deadline override
-    /// replacing [`ExecutorConfig::deadline_ns`] for this run only. The
-    /// multi-query scheduler uses this to pass each query's *remaining*
-    /// budget rather than a global one.
+    /// Like [`Executor::run`] under a budget of `deadline_ns` modeled ns
+    /// (`None`: unbounded). The recovery loop checks the budget before each
+    /// attempt, the streaming loops between chunks and the whole-input loop
+    /// between nodes; a run over budget unwinds like the OOM path (buffers
+    /// released) and returns [`ExecError::DeadlineExceeded`]. The
+    /// multi-query scheduler passes each query's *remaining* budget.
     pub fn run_with_deadline(
         &mut self,
         graph: &PrimitiveGraph,
         inputs: &QueryInputs,
         model: ExecutionModel,
-        cancel: &CancelToken,
         deadline_ns: Option<f64>,
     ) -> Result<(QueryOutput, ExecutionStats)> {
         let wall = Instant::now();
@@ -521,10 +455,7 @@ impl Executor {
             graph,
             inputs,
             cfg: model.config(),
-            control: RunControl {
-                deadline_ns,
-                cancel: cancel.clone(),
-            },
+            deadline_ns,
             hub,
             tally: Tally::new(stats),
             ckpt: CheckpointState::new(self.config.checkpoints),

@@ -212,8 +212,7 @@ impl Executor {
             outputs: Outputs::Publish,
         };
         for &node_id in &pipeline.nodes {
-            cx.control
-                .check(cx.tally.elapsed_ns(), &mut cx.tally.stats)?;
+            cx.check_deadline(cx.tally.elapsed_ns())?;
             let node = cx.graph.node(node_id).clone();
             self.run_node(cx, &node, &mut io, None)?;
             let used = self.devices.get(node.device)?.pool().used();
@@ -384,10 +383,7 @@ impl Executor {
         stream: &mut Stream<'_>,
         chunk: &Chunk,
     ) -> Result<()> {
-        cx.control.check(
-            cx.tally.elapsed_ns() + stream.costs.streamed_ns,
-            &mut cx.tally.stats,
-        )?;
+        cx.check_deadline(cx.tally.elapsed_ns() + stream.costs.streamed_ns)?;
         let outcome = self.run_chunk(cx, pipeline, stream, chunk)?;
         let (cost, charged_ns) = self.supervise_chunk(cx, pipeline, outcome, chunk);
         stream.costs.push(cost, charged_ns);
@@ -692,7 +688,7 @@ impl Executor {
             port,
         });
         cx.hub
-            .prepare_output_buffer(&mut self.devices, node, port, semantic, rows)
+            .prepare_output_buffer(&mut self.devices, node, semantic, rows)
     }
 
     /// Resolves and runs one node's kernel. Returns the modeled nanoseconds

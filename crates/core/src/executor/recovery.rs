@@ -55,7 +55,7 @@ pub(super) enum Fault {
     },
     /// The device died permanently.
     DeviceGone { device: DeviceId },
-    /// Graph validation problems, missing inputs, deadlines, cancellation,
+    /// Graph validation problems, missing inputs, deadlines,
     /// internal invariant violations: retrying cannot help.
     Fatal,
 }
@@ -369,8 +369,7 @@ impl Executor {
         let mut attempt = 0usize;
         loop {
             attempt += 1;
-            cx.control
-                .check(cx.tally.elapsed_ns(), &mut cx.tally.stats)?;
+            cx.check_deadline(cx.tally.elapsed_ns())?;
             // Devices this attempt runs on (re-placement changes them), for
             // the health registry's attempt/success accounting.
             let attempt_devs = pipeline_devices(&cx.graph, pipeline);

@@ -861,9 +861,9 @@ impl DataTransferHub {
         self.host.contains_key(&data)
     }
 
-    /// `prepare_output_buffer()`: creates result space for output `port` of
+    /// `prepare_output_buffer()`: creates result space for an output of
     /// `node` on its device, sized for `estimate_rows` input rows, with the
-    /// correct data semantics.
+    /// output's data semantics.
     ///
     /// Pipeline-breaker accumulators (hash tables, block-agg states) are
     /// initialized as device structures; everything else is a reserved
@@ -872,7 +872,6 @@ impl DataTransferHub {
         &mut self,
         devices: &mut DeviceRegistry,
         node: &PrimitiveNode,
-        port: usize,
         semantic: DataSemantic,
         estimate_rows: usize,
     ) -> Result<BufferId> {
@@ -934,7 +933,6 @@ impl DataTransferHub {
             }
         }
         self.track_created(node.device, id);
-        let _ = port;
         Ok(id)
     }
 

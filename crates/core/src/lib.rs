@@ -40,7 +40,7 @@ pub mod timeline;
 
 pub use checkpoint::{CheckpointConfig, QueryCheckpoint};
 pub use error::ExecError;
-pub use executor::{CancelToken, Executor, ExecutorConfig, QueryInputs, RetryPolicy};
+pub use executor::{Executor, ExecutorConfig, QueryInputs, RetryPolicy};
 pub use fusion::{fuse_graph, FusionReport};
 pub use graph::{
     DataRef, FusedOperand, FusedStageSpec, GraphBuilder, NodeId, NodeParams, PrimitiveGraph,
@@ -56,7 +56,7 @@ pub use stats::ExecutionStats;
 pub mod prelude {
     pub use crate::checkpoint::{CheckpointConfig, QueryCheckpoint};
     pub use crate::error::ExecError;
-    pub use crate::executor::{CancelToken, Executor, ExecutorConfig, QueryInputs, RetryPolicy};
+    pub use crate::executor::{Executor, ExecutorConfig, QueryInputs, RetryPolicy};
     pub use crate::fusion::{fuse_graph, FusionReport};
     pub use crate::graph::{
         DataRef, FusedOperand, FusedStageSpec, GraphBuilder, NodeId, NodeParams, PrimitiveGraph,

@@ -73,11 +73,6 @@ impl ResidencyConfig {
             max_bytes_per_device,
         }
     }
-
-    /// The per-device pin budget in bytes.
-    pub fn max_bytes_per_device(&self) -> u64 {
-        self.max_bytes_per_device
-    }
 }
 
 /// Counters the executor drains into `ExecutionStats` after each run.
@@ -249,11 +244,6 @@ impl ResidencyCache {
             counters: ResidencyCounters::default(),
             pinned: BTreeMap::new(),
         }
-    }
-
-    /// The configured budget.
-    pub fn config(&self) -> ResidencyConfig {
-        self.config
     }
 
     /// Number of pinned entries.

@@ -116,21 +116,6 @@ impl QueryOutput {
             .as_i64()
             .unwrap_or_else(|| panic!("output `{name}` is not a numeric column"))
     }
-
-    /// Output names, sorted.
-    pub fn names(&self) -> Vec<&str> {
-        self.columns.keys().map(|s| s.as_str()).collect()
-    }
-
-    /// Number of outputs.
-    pub fn len(&self) -> usize {
-        self.columns.len()
-    }
-
-    /// True when no outputs were produced.
-    pub fn is_empty(&self) -> bool {
-        self.columns.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -173,9 +158,7 @@ mod tests {
         let mut q = QueryOutput::new();
         q.insert("revenue", OutputData::I64(vec![42]));
         assert_eq!(q.i64_column("revenue"), &[42]);
-        assert_eq!(q.names(), vec!["revenue"]);
         assert!(q.get("nope").is_none());
-        assert_eq!(q.len(), 1);
     }
 
     #[test]

@@ -450,11 +450,6 @@ impl FaultState {
         self.counters
     }
 
-    /// The installed plan.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Called before each allocation of `requested` bytes while the pool
     /// holds `used` of `capacity` bytes. Returns the scripted error when the
     /// plan says this allocation fails.

@@ -69,11 +69,6 @@ impl BufferPool {
         self.peak
     }
 
-    /// Remaining device bytes.
-    pub fn available(&self) -> u64 {
-        self.capacity.saturating_sub(self.used)
-    }
-
     /// Inserts a new buffer, charging its footprint against the right region.
     pub fn insert(&mut self, id: BufferId, buffer: Buffer) -> Result<()> {
         if self.buffers.contains_key(&id) || self.taken.contains_key(&id) {
@@ -327,11 +322,6 @@ impl BufferPool {
     /// Resets the peak-usage watermark (between experiments).
     pub fn reset_peak(&mut self) {
         self.peak = self.used;
-    }
-
-    /// Ids of all resident buffers (unordered).
-    pub fn ids(&self) -> Vec<BufferId> {
-        self.buffers.keys().copied().collect()
     }
 
     /// Reserves `bytes` of capacity in the admission ledger, failing with

@@ -154,18 +154,6 @@ impl PlanBuilder {
         (outs[0], outs[1])
     }
 
-    /// Exclusive prefix sum with the grand total appended
-    /// (`PREFIX_SUM`; pairs with scatter-style materialization).
-    pub fn prefix_sum(&mut self, input: DataRef) -> DataRef {
-        let label = self.label("prefix_sum");
-        self.node(
-            PrimitiveKind::PrefixSum,
-            NodeParams::None,
-            vec![input],
-            label,
-        )
-    }
-
     /// Gathers `values` at `positions` (`MATERIALIZE_POSITION`).
     pub fn take(&mut self, values: DataRef, positions: DataRef) -> DataRef {
         let label = self.label("take");
@@ -180,11 +168,6 @@ impl PlanBuilder {
     /// Declares a named graph output.
     pub fn output(&mut self, name: impl Into<String>, data: DataRef) {
         self.gb.output(name, data);
-    }
-
-    /// The target device.
-    pub fn device(&self) -> DeviceId {
-        self.device
     }
 
     /// Validates and finalizes the primitive graph.
@@ -642,16 +625,6 @@ mod tests {
         let g = pb.build().unwrap();
         // sort + 2 takes + sort_agg = 4 nodes.
         assert_eq!(g.nodes().len(), 4);
-    }
-
-    #[test]
-    fn prefix_sum_builds() {
-        let mut pb = PlanBuilder::new(dev());
-        let mut s = pb.scan("t", &["x"]);
-        let x = s.materialized(&mut pb, "x").unwrap();
-        let px = pb.prefix_sum(x);
-        pb.output("px", px);
-        assert!(pb.build().is_ok());
     }
 
     #[test]

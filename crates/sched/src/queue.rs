@@ -76,11 +76,6 @@ impl AdmissionQueues {
         q.len()
     }
 
-    /// Queue depth for one tenant.
-    pub fn depth(&self, tenant: &str) -> usize {
-        self.queues.get(tenant).map(|q| q.len()).unwrap_or(0)
-    }
-
     /// Total queued entries across tenants.
     pub fn len(&self) -> usize {
         self.queues.values().map(|q| q.len()).sum()

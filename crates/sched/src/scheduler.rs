@@ -33,7 +33,7 @@ use crate::ledger::ReservationLedger;
 use crate::queue::{AdmissionQueues, QueuedEntry};
 use crate::stats::SchedulerStats;
 use adamant_core::error::ExecError;
-use adamant_core::executor::{CancelToken, Executor, QueryInputs};
+use adamant_core::executor::{Executor, QueryInputs};
 use adamant_core::graph::PrimitiveGraph;
 use adamant_core::models::ExecutionModel;
 use adamant_core::result::QueryOutput;
@@ -55,8 +55,6 @@ pub struct QuerySpec {
     model: ExecutionModel,
     footprint_bytes: Option<u64>,
     deadline_ns: Option<f64>,
-    pin_device: Option<DeviceId>,
-    cancel: CancelToken,
 }
 
 impl QuerySpec {
@@ -69,8 +67,6 @@ impl QuerySpec {
             model,
             footprint_bytes: None,
             deadline_ns: None,
-            pin_device: None,
-            cancel: CancelToken::new(),
         }
     }
 
@@ -89,51 +85,30 @@ impl QuerySpec {
         self.deadline_ns = Some(deadline_ns);
         self
     }
-
-    /// Pins execution to one device (admission still checks its capacity).
-    pub fn pin_device(mut self, device: DeviceId) -> Self {
-        self.pin_device = Some(device);
-        self
-    }
-
-    /// Attaches a cancellation token: cancelling before admission sheds the
-    /// query; cancelling mid-run unwinds it like any executor cancel.
-    pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
-        self.cancel = cancel;
-        self
-    }
 }
 
 /// Handle identifying a submitted query in the [`SchedReport`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct QueryTicket(u64);
 
-impl QueryTicket {
-    /// The raw ticket number.
-    pub fn id(self) -> u64 {
-        self.0
-    }
-}
-
 /// Why a query was shed — typed so callers can react programmatically
-/// (retry, re-queue, alert) instead of parsing reason strings.
+/// (retry, re-queue, alert) instead of parsing reason strings. The
+/// discriminants are explicit because `sched_preempt`'s pinned decision
+/// hash folds them (`reason as i64`); they start at 1.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ShedReason {
-    /// Its cancel token fired while it was still queued.
-    Cancelled,
     /// Its deadline expired while it was still queued.
-    DeadlineExpired,
+    DeadlineExpired = 1,
     /// Its remaining budget was below the cheapest modeled placement.
-    BudgetExceeded,
+    BudgetExceeded = 2,
     /// It was admitted against capacity a permanent device death took
     /// away, and no survivor could absorb its reservation.
-    CapacityLost,
+    CapacityLost = 3,
 }
 
 impl std::fmt::Display for ShedReason {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
-            ShedReason::Cancelled => "cancelled while queued",
             ShedReason::DeadlineExpired => "deadline expired while queued",
             ShedReason::BudgetExceeded => "remaining budget below cheapest modeled placement",
             ShedReason::CapacityLost => "admitted capacity lost to device death",
@@ -165,8 +140,8 @@ pub enum QueryOutcome {
         /// The executor error.
         error: ExecError,
     },
-    /// Shed: deadline unmeetable, cancelled while queued, or its admitted
-    /// capacity vanished with a dead device and no survivor could take it.
+    /// Shed: deadline unmeetable, or its admitted capacity vanished with
+    /// a dead device and no survivor could take it.
     Shed {
         /// Why it was shed.
         reason: ShedReason,
@@ -358,16 +333,6 @@ impl<'e> QueryScheduler<'e> {
         t.submitted += 1;
         t.max_queue_depth = t.max_queue_depth.max(depth);
         QueryTicket(ticket)
-    }
-
-    /// Current virtual time on the shared timeline (modeled ns).
-    pub fn now_ns(&self) -> f64 {
-        self.now_ns
-    }
-
-    /// Cumulative scheduler statistics.
-    pub fn stats(&self) -> &SchedulerStats {
-        &self.stats
     }
 
     /// Drains every submitted query: admits under the reservation ledger,
@@ -648,13 +613,6 @@ impl<'e> QueryScheduler<'e> {
     ) -> Admit {
         let spec = &self.pending[&entry.ticket];
 
-        if spec.cancel.is_cancelled() {
-            self.queues.pop(tenant);
-            self.pending.remove(&entry.ticket);
-            self.shed(tenant, entry.ticket, ShedReason::Cancelled, outcomes);
-            return Admit::Resolved;
-        }
-
         // Remaining deadline budget after time already spent queued.
         let remaining = entry.deadline_vt.map(|dl| dl - self.now_ns);
         if matches!(remaining, Some(r) if r <= 0.0) {
@@ -669,7 +627,7 @@ impl<'e> QueryScheduler<'e> {
             estimate_footprint_bytes(&spec.graph, &spec.inputs, self.executor.config().chunk_rows)
         });
 
-        let device = match self.choose_device(spec, footprint, remaining, active) {
+        let device = match self.choose_device(footprint, remaining, active) {
             Ok(d) => d,
             Err(Unplaceable::Capacity) => {
                 self.queues.pop(tenant);
@@ -687,12 +645,6 @@ impl<'e> QueryScheduler<'e> {
                 self.pending.remove(&entry.ticket);
                 self.stats.shed_deadline += 1;
                 self.shed(tenant, entry.ticket, ShedReason::BudgetExceeded, outcomes);
-                return Admit::Resolved;
-            }
-            Err(Unplaceable::Other(e)) => {
-                self.queues.pop(tenant);
-                self.pending.remove(&entry.ticket);
-                self.fail(tenant, entry.ticket, e, outcomes);
                 return Admit::Resolved;
             }
         };
@@ -722,13 +674,9 @@ impl<'e> QueryScheduler<'e> {
         }
         let mut graph = spec.graph.clone();
         graph.retarget(device);
-        let run = self.executor.run_with_deadline(
-            &graph,
-            &spec.inputs,
-            spec.model,
-            &spec.cancel,
-            remaining,
-        );
+        let run = self
+            .executor
+            .run_with_deadline(&graph, &spec.inputs, spec.model, remaining);
         match run {
             Ok((output, stats)) => {
                 self.absorb_robustness_counters(&stats);
@@ -784,13 +732,12 @@ impl<'e> QueryScheduler<'e> {
         self.stats.resume_validation_failures += stats.resume_validation_failures as u64;
     }
 
-    /// Picks the target device: the pin, or the cheapest non-quarantined
-    /// device with capacity — with the modeled backlog of already-admitted
+    /// Picks the target device: the cheapest non-quarantined device with
+    /// capacity — with the modeled backlog of already-admitted
     /// queries added to each device's cost so concurrent placements spread
     /// apart.
     fn choose_device(
         &self,
-        spec: &QuerySpec,
         footprint: u64,
         remaining_budget: Option<f64>,
         active: &[Active],
@@ -801,18 +748,6 @@ impl<'e> QueryScheduler<'e> {
             .filter(|i| i.memory_capacity >= footprint)
             .cloned()
             .collect();
-
-        if let Some(pin) = spec.pin_device {
-            let info = infos.iter().find(|i| i.id == pin).ok_or_else(|| {
-                Unplaceable::Other(ExecError::InvalidGraph(format!(
-                    "pinned device {pin:?} not plugged"
-                )))
-            })?;
-            if info.memory_capacity < footprint {
-                return Err(Unplaceable::Capacity);
-            }
-            return Ok(pin);
-        }
 
         if feasible.is_empty() {
             return Err(Unplaceable::Capacity);
@@ -917,5 +852,4 @@ enum Admit {
 enum Unplaceable {
     Capacity,
     Deadline,
-    Other(ExecError),
 }

@@ -18,7 +18,7 @@ pub struct TenantStats {
     pub completed: u64,
     /// Queries admitted but failed during execution.
     pub failed: u64,
-    /// Queries shed before admission (deadline unmeetable or cancelled).
+    /// Queries shed before admission (deadline unmeetable).
     pub shed: u64,
     /// Queries rejected outright (footprint exceeds every device).
     pub rejected: u64,
@@ -75,8 +75,8 @@ pub struct SchedulerStats {
     /// Checksum-mismatch retransmits across all executed queries (silent
     /// transfer corruption caught by the hub's end-to-end verification).
     pub corruption_retransmits: u64,
-    /// Running queries suspended so a higher-urgency (tight-deadline or
-    /// starvation-horizon) query's slices could drain first.
+    /// Running queries suspended so that a deadline query whose slack fell
+    /// to the preemption slack could drain its slices first.
     pub preemptions: u64,
     /// Suspended queries resumed after the urgent work drained (every
     /// preemption is eventually matched by a resume or a completion).

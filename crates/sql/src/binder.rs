@@ -382,7 +382,7 @@ impl<'a> Binder<'a> {
                 })?;
                 Ok(Predicate::between(col, lo, hi))
             }
-            BoolExpr::InList { expr, list, span } => {
+            BoolExpr::InList { expr, list, .. } => {
                 let (_, col) = self.resolve_ref(expr)?;
                 let mut values = Vec::new();
                 for item in list {
@@ -395,7 +395,6 @@ impl<'a> Binder<'a> {
                 if values.is_empty() {
                     return Ok(Predicate::cmp(col, CmpOp::Eq, NEVER_CODE));
                 }
-                let _ = span;
                 Ok(Predicate::in_set(col, &values))
             }
             BoolExpr::Like {
@@ -659,7 +658,7 @@ impl<'a> Binder<'a> {
                     hi,
                 )))
             }
-            BoolExpr::InList { expr, list, span } => {
+            BoolExpr::InList { expr, list, .. } => {
                 let (_, name) = self.resolve_ref(expr)?;
                 let mut values = Vec::new();
                 for item in list {
@@ -669,7 +668,6 @@ impl<'a> Binder<'a> {
                 }
                 values.sort_unstable();
                 values.dedup();
-                let _ = span;
                 Ok(sum_of_eq(&name, &values))
             }
             BoolExpr::Like {

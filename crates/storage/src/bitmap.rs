@@ -89,15 +89,6 @@ impl Bitmap {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Fraction of rows selected (`0.0..=1.0`); `0.0` for an empty bitmap.
-    pub fn selectivity(&self) -> f64 {
-        if self.len == 0 {
-            0.0
-        } else {
-            self.count_ones() as f64 / self.len as f64
-        }
-    }
-
     /// Iterator over the indices of selected rows, ascending.
     pub fn iter_ones(&self) -> OnesIter<'_> {
         OnesIter {
@@ -129,11 +120,6 @@ impl Bitmap {
         for i in other.iter_ones() {
             self.set(base + i);
         }
-    }
-
-    /// Size of the packed representation in bytes.
-    pub fn byte_len(&self) -> usize {
-        self.words.len() * 8
     }
 
     fn mask_tail(&mut self) {
@@ -251,12 +237,5 @@ mod tests {
     fn from_words_clears_extra_bits() {
         let bm = Bitmap::from_words(vec![u64::MAX], 3);
         assert_eq!(bm.count_ones(), 3);
-    }
-
-    #[test]
-    fn selectivity() {
-        let bm = Bitmap::from_bools(&[true, false, true, false]);
-        assert!((bm.selectivity() - 0.5).abs() < 1e-12);
-        assert_eq!(Bitmap::new_zeroed(0).selectivity(), 0.0);
     }
 }

@@ -36,21 +36,6 @@ impl Catalog {
         self.tables.keys().map(|s| s.as_str()).collect()
     }
 
-    /// Number of registered tables.
-    pub fn len(&self) -> usize {
-        self.tables.len()
-    }
-
-    /// True when the catalog is empty.
-    pub fn is_empty(&self) -> bool {
-        self.tables.is_empty()
-    }
-
-    /// Total bytes of row data across all tables.
-    pub fn byte_len(&self) -> usize {
-        self.tables.values().map(|t| t.byte_len()).sum()
-    }
-
     /// Schema introspection for every table, sorted by table name — the
     /// catalog view a SQL binder (or a `DESCRIBE`-style shell command)
     /// consumes.
@@ -67,14 +52,12 @@ mod tests {
     #[test]
     fn register_and_lookup() {
         let mut cat = Catalog::new();
-        assert!(cat.is_empty());
+        assert!(cat.table_names().is_empty());
         cat.register(Table::new("b", vec![Column::from_i32("x", vec![1])]).unwrap());
         cat.register(Table::new("a", vec![Column::from_i32("y", vec![1, 2])]).unwrap());
-        assert_eq!(cat.len(), 2);
         assert_eq!(cat.table_names(), vec!["a", "b"]);
         assert_eq!(cat.table("a").unwrap().row_count(), 2);
         assert!(cat.table("c").is_err());
-        assert_eq!(cat.byte_len(), 4 + 8);
     }
 
     #[test]

@@ -13,7 +13,6 @@
 use crate::datatype::{DataType, Value};
 use crate::error::StorageError;
 use crate::fnv::BlockDigests;
-use crate::position::PositionList;
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
@@ -280,75 +279,11 @@ impl Column {
             .position(|d| d == s)
             .map(|p| p as u32)
     }
-
-    /// Extracts the rows at `positions` into a new column.
-    pub fn take(&self, positions: &PositionList) -> Result<Column, StorageError> {
-        let check = |p: u32| -> Result<usize, StorageError> {
-            let p = p as usize;
-            if p >= self.len() {
-                Err(StorageError::OutOfBounds {
-                    index: p,
-                    len: self.len(),
-                })
-            } else {
-                Ok(p)
-            }
-        };
-        let data = match &self.data {
-            ColumnData::Int32(v) => ColumnData::Int32(
-                positions
-                    .as_slice()
-                    .iter()
-                    .map(|&p| check(p).map(|p| v[p]))
-                    .collect::<Result<_, _>>()?,
-            ),
-            ColumnData::Int64(v) => ColumnData::Int64(Arc::new(
-                positions
-                    .as_slice()
-                    .iter()
-                    .map(|&p| check(p).map(|p| v[p]))
-                    .collect::<Result<_, _>>()?,
-            )),
-            ColumnData::Date(v) => ColumnData::Date(
-                positions
-                    .as_slice()
-                    .iter()
-                    .map(|&p| check(p).map(|p| v[p]))
-                    .collect::<Result<_, _>>()?,
-            ),
-            ColumnData::DictStr { codes, dict } => ColumnData::DictStr {
-                codes: positions
-                    .as_slice()
-                    .iter()
-                    .map(|&p| check(p).map(|p| codes[p]))
-                    .collect::<Result<_, _>>()?,
-                dict: dict.clone(),
-            },
-        };
-        Ok(Column::new(self.name.clone(), data))
-    }
-
-    /// A contiguous sub-column of rows `offset..offset+count` (clamped).
-    pub fn slice(&self, offset: usize, count: usize) -> Column {
-        let end = (offset + count).min(self.len());
-        let offset = offset.min(end);
-        let data = match &self.data {
-            ColumnData::Int32(v) => ColumnData::Int32(v[offset..end].to_vec()),
-            ColumnData::Int64(v) => ColumnData::Int64(Arc::new(v[offset..end].to_vec())),
-            ColumnData::Date(v) => ColumnData::Date(v[offset..end].to_vec()),
-            ColumnData::DictStr { codes, dict } => ColumnData::DictStr {
-                codes: codes[offset..end].to_vec(),
-                dict: dict.clone(),
-            },
-        };
-        Column::new(self.name.clone(), data)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bitmap::Bitmap;
     use crate::fnv::{content_hash, Content, BLOCK_WORDS};
 
     #[test]
@@ -428,27 +363,5 @@ mod tests {
         assert_eq!(holder.known_content_hash(), Some(hash(0..rows.len())));
         let head = 0..2 * BLOCK_WORDS;
         assert_eq!(holder.range_hash(head.clone()), Some(hash(head)));
-    }
-
-    #[test]
-    fn filter_and_take() {
-        let c = Column::from_i64("a", vec![10, 20, 30, 40]);
-        let bm = Bitmap::from_bools(&[true, false, true, false]);
-        let out = c.take(&bm.iter_ones().map(|i| i as u32).collect()).unwrap();
-        assert_eq!(out.data(), &ColumnData::Int64(vec![10, 30].into()));
-
-        let taken = c.take(&[3, 0, 3].into_iter().collect()).unwrap();
-        assert_eq!(taken.data(), &ColumnData::Int64(vec![40, 10, 40].into()));
-
-        assert!(c.take(&[9].into_iter().collect()).is_err());
-    }
-
-    #[test]
-    fn slice_clamps() {
-        let c = Column::from_i32("a", vec![1, 2, 3, 4, 5]);
-        let s = c.slice(3, 10);
-        assert_eq!(s.data(), &ColumnData::Int32(vec![4, 5]));
-        let empty = c.slice(9, 2);
-        assert!(empty.is_empty());
     }
 }

@@ -64,16 +64,6 @@ impl Value {
             Value::Str(_) => None,
         }
     }
-
-    /// The logical type of this value.
-    pub fn data_type(&self) -> DataType {
-        match self {
-            Value::I32(_) => DataType::Int32,
-            Value::I64(_) => DataType::Int64,
-            Value::Date(_) => DataType::Date,
-            Value::Str(_) => DataType::DictStr,
-        }
-    }
 }
 
 impl fmt::Display for Value {

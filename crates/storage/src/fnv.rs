@@ -66,8 +66,7 @@
 //! in two lanes of one block with certainty, since
 //! `step(h, w) ^ step(h, w ^ 1 << 63)` is `1 << 28` for every `h` and `w`.
 
-use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::Hasher;
 use std::ops::Range;
 
 /// FNV-1a, 64-bit.
@@ -109,11 +108,6 @@ impl Hasher for FnvHasher {
         self.write_u64(v as u64);
     }
 }
-
-/// `HashMap` with the FNV hasher.
-pub type FnvHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FnvHasher>>;
-/// `HashSet` with the FNV hasher.
-pub type FnvHashSet<K> = HashSet<K, BuildHasherDefault<FnvHasher>>;
 
 /// Independent lanes of the content hash. Eight keep a 3-cycle multiplier
 /// busy every cycle; the hash is defined by this number, so changing it
@@ -365,6 +359,11 @@ impl BlockDigests {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::{HashMap, HashSet};
+    use std::hash::BuildHasherDefault;
+
+    type FnvHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FnvHasher>>;
+    type FnvHashSet<K> = HashSet<K, BuildHasherDefault<FnvHasher>>;
 
     #[test]
     fn deterministic() {

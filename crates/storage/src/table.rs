@@ -39,16 +39,6 @@ impl Schema {
     pub fn fields(&self) -> &[Field] {
         &self.fields
     }
-
-    /// Number of fields.
-    pub fn len(&self) -> usize {
-        self.fields.len()
-    }
-
-    /// True when the schema has no fields.
-    pub fn is_empty(&self) -> bool {
-        self.fields.is_empty()
-    }
 }
 
 /// Size and type summary of one column, as reported by
@@ -204,7 +194,7 @@ mod tests {
         assert!(t.column("zzz").is_err());
         let s = t.schema();
         assert_eq!(s.fields()[1].name, "v");
-        assert_eq!(s.len(), 2);
+        assert_eq!(s.fields().len(), 2);
     }
 
     #[test]

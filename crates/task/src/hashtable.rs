@@ -491,11 +491,6 @@ impl AggHashTable {
         )
     }
 
-    /// The dense state column for aggregate `i`.
-    pub fn states(&self, i: usize) -> &[i64] {
-        &self.states[i]
-    }
-
     /// The dense group keys in first-seen order.
     pub fn group_keys(&self) -> &[i64] {
         &self.group_keys
@@ -700,8 +695,7 @@ mod tests {
         let mut t = AggHashTable::with_capacity(4, vec![AggFunc::Min, AggFunc::Max], 0);
         let vals = [5, -3, 12];
         t.update_block(&[7, 7, 7], &[], &[&vals, &vals]).unwrap();
-        assert_eq!(t.states(0), &[-3]);
-        assert_eq!(t.states(1), &[12]);
+        assert_eq!(t.export().2, vec![vec![-3], vec![12]]);
         assert_eq!(t.group_keys(), &[7]);
     }
 
@@ -711,9 +705,7 @@ mod tests {
         let keys: Vec<i64> = (0..500).flat_map(|k| [k, k]).collect();
         t.update_block(&keys, &[], &[&keys]).unwrap();
         assert_eq!(t.group_count(), 500);
-        for g in 0..500 {
-            assert_eq!(t.states(0)[g], 2);
-        }
+        assert_eq!(t.export().2[0], vec![2; 500]);
     }
 
     /// The reserved key is refused whole — wherever it sits in the block —

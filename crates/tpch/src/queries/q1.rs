@@ -6,7 +6,6 @@
 //! returned.
 
 use adamant_core::error::Result;
-use adamant_core::executor::QueryInputs;
 use adamant_core::graph::PrimitiveGraph;
 use adamant_core::result::QueryOutput;
 use adamant_device::device::DeviceId;
@@ -95,11 +94,6 @@ pub fn plan(device: DeviceId, _catalog: &Catalog) -> Result<PrimitiveGraph> {
         pb.output(*name, sorted);
     }
     pb.build()
-}
-
-/// Binds Q1 inputs.
-pub fn bind(catalog: &Catalog) -> Result<QueryInputs> {
-    super::bind_columns(catalog, COLUMNS)
 }
 
 /// Decodes executor output into [`Q1Row`]s ordered by

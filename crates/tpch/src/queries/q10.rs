@@ -19,7 +19,6 @@
 //! revenue per customer, with a full-buffer sort/take stage for the top-20.
 
 use adamant_core::error::Result;
-use adamant_core::executor::QueryInputs;
 use adamant_core::graph::PrimitiveGraph;
 use adamant_core::result::QueryOutput;
 use adamant_device::device::DeviceId;
@@ -102,11 +101,6 @@ pub fn plan(device: DeviceId, catalog: &Catalog) -> Result<PrimitiveGraph> {
     pb.output("o_custkey", cust);
     pb.output("revenue", rev);
     pb.build()
-}
-
-/// Binds Q10 inputs.
-pub fn bind(catalog: &Catalog) -> Result<QueryInputs> {
-    super::bind_columns(catalog, COLUMNS)
 }
 
 /// Decodes executor output into the top-20 [`Q10Row`]s.

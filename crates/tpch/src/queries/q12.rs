@@ -19,7 +19,6 @@
 //! ```
 
 use adamant_core::error::Result;
-use adamant_core::executor::QueryInputs;
 use adamant_core::graph::PrimitiveGraph;
 use adamant_core::result::QueryOutput;
 use adamant_device::device::DeviceId;
@@ -125,11 +124,6 @@ pub fn plan(device: DeviceId, catalog: &Catalog) -> Result<PrimitiveGraph> {
     pb.output("high_line_count", high_out);
     pb.output("low_line_count", low_out);
     pb.build()
-}
-
-/// Binds Q12 inputs.
-pub fn bind(catalog: &Catalog) -> Result<QueryInputs> {
-    super::bind_columns(catalog, COLUMNS)
 }
 
 /// Decodes executor output into [`Q12Row`]s ordered by mode string.

@@ -15,7 +15,6 @@
 //! ```
 
 use adamant_core::error::Result;
-use adamant_core::executor::QueryInputs;
 use adamant_core::graph::PrimitiveGraph;
 use adamant_core::result::QueryOutput;
 use adamant_device::device::DeviceId;
@@ -97,11 +96,6 @@ pub fn plan(device: DeviceId, catalog: &Catalog) -> Result<PrimitiveGraph> {
     pb.output("total_revenue", total);
     pb.output("promo_revenue", promo);
     pb.build()
-}
-
-/// Binds Q14 inputs.
-pub fn bind(catalog: &Catalog) -> Result<QueryInputs> {
-    super::bind_columns(catalog, COLUMNS)
 }
 
 /// Decodes executor output into `(promo_revenue, total_revenue)` scaled

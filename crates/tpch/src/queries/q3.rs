@@ -10,7 +10,6 @@
 //!    `HASH_AGG` by order key; then a full-buffer export/sort stage.
 
 use adamant_core::error::Result;
-use adamant_core::executor::QueryInputs;
 use adamant_core::graph::PrimitiveGraph;
 use adamant_core::result::QueryOutput;
 use adamant_device::device::DeviceId;
@@ -118,11 +117,6 @@ pub fn plan(device: DeviceId, catalog: &Catalog) -> Result<PrimitiveGraph> {
     pb.output("o_shippriority", oship);
     pb.output("revenue", rev);
     pb.build()
-}
-
-/// Binds Q3 inputs.
-pub fn bind(catalog: &Catalog) -> Result<QueryInputs> {
-    super::bind_columns(catalog, COLUMNS)
 }
 
 /// Decodes executor output into the top-10 [`Q3Row`]s.

@@ -8,7 +8,6 @@
 //! it under OpenCL (Fig. 11).
 
 use adamant_core::error::Result;
-use adamant_core::executor::QueryInputs;
 use adamant_core::graph::PrimitiveGraph;
 use adamant_core::result::QueryOutput;
 use adamant_device::device::DeviceId;
@@ -68,11 +67,6 @@ pub fn plan(device: DeviceId, catalog: &Catalog) -> Result<PrimitiveGraph> {
     pb.output("o_orderpriority", prio);
     pb.output("order_count", count);
     pb.build()
-}
-
-/// Binds Q4 inputs.
-pub fn bind(catalog: &Catalog) -> Result<QueryInputs> {
-    super::bind_columns(catalog, COLUMNS)
 }
 
 /// Decodes executor output into [`Q4Row`]s ordered by priority string.

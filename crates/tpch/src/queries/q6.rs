@@ -13,7 +13,6 @@
 //! map (`price * disc`) → materialize → block-sum. One pipeline.
 
 use adamant_core::error::Result;
-use adamant_core::executor::QueryInputs;
 use adamant_core::graph::PrimitiveGraph;
 use adamant_core::result::QueryOutput;
 use adamant_device::device::DeviceId;
@@ -56,11 +55,6 @@ pub fn plan(device: DeviceId, _catalog: &Catalog) -> Result<PrimitiveGraph> {
     let sum = pb.agg_block(rev, AggFunc::Sum, "q6_revenue");
     pb.output("revenue", sum);
     pb.build()
-}
-
-/// Binds Q6 inputs.
-pub fn bind(catalog: &Catalog) -> Result<QueryInputs> {
-    super::bind_columns(catalog, COLUMNS)
 }
 
 /// Decodes the executor output into the scaled revenue sum.

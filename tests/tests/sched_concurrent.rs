@@ -272,10 +272,9 @@ fn fair_share_holds_under_straggling_device() {
 }
 
 /// A query whose deadline cannot cover even the cheapest modeled placement
-/// is shed at admission; a generous deadline sails through. Cancelling a
-/// queued query sheds it without running.
+/// is shed at admission; a generous deadline sails through.
 #[test]
-fn infeasible_deadlines_and_cancellations_shed_at_admission() {
+fn infeasible_deadlines_shed_at_admission() {
     let data = test_data(500);
     let mut engine = Adamant::builder()
         .chunk_rows(100)
@@ -285,9 +284,6 @@ fn infeasible_deadlines_and_cancellations_shed_at_admission() {
     let gpu = engine.device_ids()[0];
     let mut inputs = QueryInputs::new();
     inputs.bind("x", data.clone());
-
-    let cancelled = CancelToken::new();
-    cancelled.cancel();
 
     let mut session = engine.session();
     let doomed = session.submit(
@@ -309,15 +305,6 @@ fn infeasible_deadlines_and_cancellations_shed_at_admission() {
         )
         .with_deadline_ns(1e12),
     );
-    let dropped = session.submit(
-        "t",
-        QuerySpec::new(
-            filter_map_sum(gpu, 0, 2),
-            inputs.clone(),
-            ExecutionModel::Chunked,
-        )
-        .with_cancel(cancelled),
-    );
     let report = session.run_all();
 
     assert!(
@@ -325,15 +312,10 @@ fn infeasible_deadlines_and_cancellations_shed_at_admission() {
         "unmeetable deadline must shed, got {:?}",
         report.outcome(doomed)
     );
-    assert!(
-        matches!(report.outcome(dropped), Some(QueryOutcome::Shed { .. })),
-        "cancelled query must shed, got {:?}",
-        report.outcome(dropped)
-    );
     let out = report.output(fine).expect("feasible query must complete");
     assert_eq!(out.i64_column("sum")[0], expected_sum(&data, 0, 2));
     assert_eq!(report.stats().shed_deadline, 1);
-    assert_eq!(report.stats().tenants["t"].shed, 2);
+    assert_eq!(report.stats().tenants["t"].shed, 1);
 }
 
 /// A query whose footprint exceeds every device's capacity is rejected
