@@ -2,8 +2,8 @@
 //! lower-urgency running queries at chunk granularity, meets its deadline,
 //! and the suspended queries resume without losing fairness accounting or
 //! result exactness. Also the regression suite for the fair-share
-//! weight-update and completed-past-deadline bugs, and the ledger's
-//! O(outstanding) release.
+//! weight-update and completed-past-deadline bugs, and for failed
+//! admissions holding no reservation.
 //!
 //! The CI `soak` matrix shards the seeded soak through `PREEMPT_SEED`
 //! (mirroring `SCHED_SEED`/`INTEGRITY_SEED`), randomizing arrival order ×
@@ -11,7 +11,6 @@
 //! misses its deadline.
 
 use adamant::prelude::*;
-use adamant::sched::ReservationLedger;
 use adamant::storage::fnv::{content_hash, Content};
 use adamant::storage::Rng;
 use adamant_integration_tests::seeds;
@@ -436,7 +435,7 @@ fn reregistered_weight_updates_fair_share_mid_session() {
     );
 }
 
-/// Regression (ledger): a failed admission leaves no reservation behind.
+/// Regression: a failed admission leaves no reservation behind.
 #[test]
 fn failed_admission_holds_no_reservation() {
     let data = test_data(300);
@@ -447,32 +446,10 @@ fn failed_admission_holds_no_reservation() {
         .unwrap();
     let dev = e.device_ids()[0];
 
-    // Ledger-level: a reservation that does not fit fails cleanly and
-    // leaves the ledger untracked.
-    {
-        let mut ledger = ReservationLedger::new();
-        let exec = e.executor_mut();
-        assert!(ledger.reserve(exec, dev, 1, 1 << 30).is_err());
-        assert_eq!(
-            ledger.outstanding(),
-            0,
-            "failed reservation must not be tracked"
-        );
-        assert!(ledger.reserve(exec, dev, 2, 16 << 10).is_ok());
-        assert_eq!(ledger.outstanding(), 1);
-        ledger.release(exec, 2);
-        assert_eq!(ledger.outstanding(), 0);
-        assert_eq!(
-            e.executor()
-                .devices()
-                .get(dev)
-                .unwrap()
-                .pool()
-                .admission_reserved(),
-            0
-        );
-    }
-
+    // The reservation-level half of this check (a reservation that does
+    // not fit holds nothing) is the scheduler crate's
+    // `failed_reservation_holds_nothing` unit test.
+    //
     // Scheduler-level: an over-capacity submission is rejected and its
     // ticket holds nothing afterwards.
     let mut inputs = QueryInputs::new();
