@@ -200,8 +200,9 @@ impl<'a> Session<'a> {
         }
 
         let n_rows = if compiled.scalar {
-            // Each output is an accumulator buffer `[state, rows]`.
-            1
+            // Each output is an accumulator buffer `[state, rows]`: one
+            // row, or none under `LIMIT 0`.
+            compiled.limit.map_or(1, |l| l.min(1))
         } else {
             let n = cols.iter().map(|c| c.len()).min().unwrap_or(0);
             compiled.limit.map_or(n, |l| n.min(l))
@@ -296,6 +297,21 @@ mod tests {
         assert_eq!(rs.rows, vec![vec![SqlValue::Int(750), SqlValue::Int(3)]]);
         assert!(rs.footprint_bytes > 0);
         assert!(rs.stats.total_ns > 0.0);
+    }
+
+    /// `LIMIT` caps a whole-input aggregate's one row like any other
+    /// result, on the device path and in the host oracle alike.
+    #[test]
+    fn limit_applies_to_whole_input_aggregates() {
+        let (mut engine, catalog) = setup();
+        let mut session = Session::new(&mut engine, &catalog);
+        for (suffix, rows) in [(" LIMIT 0", 0), (" LIMIT 1", 1), (" LIMIT 5", 1), ("", 1)] {
+            let sql = format!("SELECT SUM(amount) AS total FROM sales{suffix}");
+            let rs = session.sql(&sql).unwrap();
+            assert_eq!(rs.rows.len(), rows, "session: {sql}");
+            let host = adamant_sql::prelude::run_sql_host(&sql, &catalog).unwrap();
+            assert_eq!(host.len(), rows, "host oracle: {sql}");
+        }
     }
 
     #[test]

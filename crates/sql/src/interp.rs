@@ -139,15 +139,15 @@ pub fn execute_host(q: &BoundQuery, catalog: &Catalog) -> SqlResult<Vec<Vec<i64>
                 .collect();
 
             if group.is_empty() {
-                // Whole-input aggregation: one row, identity on empty input
-                // (matching the AGG_BLOCK kernel).
+                // Whole-input aggregation: one row (none under `LIMIT 0`),
+                // identity on empty input (matching the AGG_BLOCK kernel).
                 let mut states: Vec<i64> = aggs.iter().map(|a| a.func.identity()).collect();
                 for i in 0..stream.len {
                     for (s, (a, vals)) in states.iter_mut().zip(aggs.iter().zip(&arg_cols)) {
                         *s = a.func.fold(*s, vals[i]);
                     }
                 }
-                return Ok(vec![states]);
+                return Ok(std::iter::once(states).take(q.limit.unwrap_or(1)).collect());
             }
 
             let group_cols: Vec<&[i64]> = group.iter().map(|g| stream.get(&g.column)).collect();
