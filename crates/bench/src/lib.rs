@@ -155,21 +155,7 @@ pub const BENCH_SCHEMA_VERSION: u64 = 1;
 
 /// Quotes and escapes a JSON string.
 pub fn jstr(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    format!("\"{}\"", adamant::core::stats::escape_json(s))
 }
 
 /// Formats an `f64` as a JSON number (non-finite values become 0 — JSON has

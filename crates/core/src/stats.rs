@@ -197,9 +197,7 @@ impl ExecutionStats {
     /// Serializes the stats to a JSON object string (hand-rolled — the
     /// experiment harness archives run records without a format crate).
     pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            s.replace('\\', "\\\\").replace('"', "\\\"")
-        }
+        let esc = escape_json;
         let per_primitive: Vec<String> = self
             .per_primitive_ns
             .iter()
@@ -308,6 +306,26 @@ impl ExecutionStats {
             health.join(","),
         )
     }
+}
+
+/// Escapes `s` for the inside of a JSON string literal: `"`, `\\` and
+/// every control character below U+0020 (`\n`, `\t`, `\r` by name, the
+/// rest as `\u00XX`). Tenant, device and node names are caller-supplied
+/// and may hold any of them.
+pub fn escape_json(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 #[cfg(test)]

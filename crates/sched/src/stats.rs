@@ -5,6 +5,7 @@
 //! same-seed runs export byte-identical JSON. Counters are cumulative
 //! across [`crate::QueryScheduler::run_all`] calls on one scheduler.
 
+use adamant_core::stats::escape_json;
 use std::collections::BTreeMap;
 
 /// Per-tenant accounting on the shared timeline.
@@ -178,7 +179,7 @@ impl SchedulerStats {
                  \"failed\":{},\"shed\":{},\"rejected\":{},\"wait_ns\":{:.1},\
                  \"run_ns\":{:.1},\"contended_run_ns\":{:.1},\"max_queue_depth\":{},\
                  \"preemptions\":{},\"deadline_misses\":{}}}",
-                escape(name),
+                escape_json(name),
                 t.weight,
                 t.submitted,
                 t.completed,
@@ -196,10 +197,6 @@ impl SchedulerStats {
         s.push_str("}}");
         s
     }
-}
-
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 #[cfg(test)]

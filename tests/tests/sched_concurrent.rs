@@ -419,3 +419,51 @@ fn scheduler_placement_pays_the_latency_penalty() {
     assert_eq!(placed_on(0), 0, "a tie goes to the lowest id");
     assert_eq!(placed_on(2), 1, "the overrunning device lost the tie");
 }
+
+/// Tenant, device and node names are caller-supplied, so both JSON exports
+/// must escape every control character, and an infinite tenant weight must
+/// not reach the export as `inf`.
+#[test]
+fn stats_json_stays_valid_for_any_caller_supplied_name() {
+    let mut engine = Adamant::builder()
+        .chunk_rows(100)
+        .device(DeviceProfile {
+            name: "gpu\u{7}\r".into(),
+            ..DeviceProfile::cuda_rtx2080ti()
+        })
+        .build()
+        .unwrap();
+    let gpu = engine.device_ids()[0];
+    let mut pb = PlanBuilder::new(gpu);
+    let mut s = pb.scan("t", &["x"]);
+    let x = s.materialized(&mut pb, "x").unwrap();
+    let sum = pb.agg_block(x, AggFunc::Sum, "sum\u{2}\n");
+    pb.output("sum", sum);
+    let graph = pb.build().unwrap();
+    let mut inputs = QueryInputs::new();
+    inputs.bind("x", test_data(500));
+
+    let tenant = "a\"b\\c\nd\te\u{1}";
+    let mut session = engine.session();
+    session.tenant(tenant, f64::INFINITY);
+    let ticket = session.submit(
+        tenant,
+        QuerySpec::new(graph, inputs, ExecutionModel::Chunked),
+    );
+    let report = session.run_all();
+    let Some(QueryOutcome::Completed { stats, .. }) = report.outcome(ticket) else {
+        panic!("query must complete: {:?}", report.outcome(ticket));
+    };
+    let sched_json = report.stats().to_json();
+    let exec_json = stats.to_json();
+    assert!(sched_json.contains(r#""a\"b\\c\nd\te\u0001":{"weight":"#));
+    assert!(exec_json.contains(r#"gpu\u0007\r"#), "{exec_json}");
+    assert!(exec_json.contains(r#"sum\u0002\n"#), "{exec_json}");
+    for json in [&sched_json, &exec_json] {
+        assert!(
+            !json.chars().any(|c| c < '\u{20}'),
+            "raw control character in {json}"
+        );
+        assert!(!json.contains("inf"), "non-finite number in {json}");
+    }
+}
