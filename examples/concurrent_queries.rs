@@ -1,7 +1,9 @@
 //! Two tenants share one simulated GPU through the multi-query scheduler:
 //! admission control keeps their reservations from colliding, and weighted
 //! fair queuing splits the device time 2:1 on the simulated timeline while
-//! every query still returns exact results.
+//! every query still returns exact results. It asserts both: every query
+//! completes with the host-computed revenue, and the contended device time
+//! splits within 0.05 of 2:1.
 //!
 //! Run: `cargo run --release -p adamant-examples --example concurrent_queries`
 
@@ -28,8 +30,9 @@ fn main() {
     let gpu = engine.device_ids()[0];
 
     let n = 20_000i64;
+    let amounts: Vec<i64> = (0..n).map(|i| (i * 31 + 7) % 1_000).collect();
     let mut inputs = QueryInputs::new();
-    inputs.bind("amount", (0..n).map(|i| (i * 31 + 7) % 1_000).collect());
+    inputs.bind("amount", amounts.clone());
 
     // "analytics" pays for 2x the fair share of "reporting".
     let mut session = engine.session();
@@ -53,21 +56,26 @@ fn main() {
 
     println!("query outcomes (all results exact):");
     for (tenant, round, ticket) in &tickets {
-        match report.outcome(*ticket) {
-            Some(QueryOutcome::Completed {
-                output,
-                wait_ns,
-                finish_ns,
-                ..
-            }) => println!(
-                "  {tenant:<10} round {round}: revenue={:<8} waited {:>10.0} ns, \
-                 finished at {:>12.0} ns",
-                output.i64_column("revenue")[0],
-                wait_ns,
-                finish_ns
-            ),
-            other => println!("  {tenant:<10} round {round}: {other:?}"),
-        }
+        let Some(QueryOutcome::Completed {
+            output,
+            wait_ns,
+            finish_ns,
+            ..
+        }) = report.outcome(*ticket)
+        else {
+            panic!(
+                "{tenant} round {round} did not complete: {:?}",
+                report.outcome(*ticket)
+            );
+        };
+        let revenue = output.i64_column("revenue")[0];
+        let threshold = 100 + round * 50;
+        let expected: i64 = amounts.iter().filter(|&&a| a >= threshold).sum();
+        assert_eq!(revenue, expected, "{tenant} round {round}: inexact revenue");
+        println!(
+            "  {tenant:<10} round {round}: revenue={revenue:<8} waited {wait_ns:>10.0} ns, \
+             finished at {finish_ns:>12.0} ns"
+        );
     }
 
     let stats = report.stats();
@@ -81,9 +89,11 @@ fn main() {
     }
     let heavy = &stats.tenants["analytics"];
     let light = &stats.tenants["reporting"];
-    println!(
-        "\ncontended-time ratio analytics:reporting = {:.2} (weights say 2.0)",
-        heavy.contended_run_ns / light.contended_run_ns
+    let ratio = heavy.contended_run_ns / light.contended_run_ns;
+    println!("\ncontended-time ratio analytics:reporting = {ratio:.2} (weights say 2.0)");
+    assert!(
+        (ratio - 2.0).abs() < 0.05,
+        "contended device time must split 2:1, got {ratio:.3}"
     );
     println!(
         "makespan {:.3} ms across {} slices; {} admissions held at the gate",
