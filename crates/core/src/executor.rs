@@ -362,8 +362,8 @@ impl Executor {
 
     /// Evicts residency pins on `device` until at least `bytes` of
     /// admission budget is available (or no pins remain). Returns the bytes
-    /// freed. The scheduler's reservation ledger calls this before failing
-    /// an admission so cache pins always yield to query reservations —
+    /// freed. The scheduler calls this before failing an admission so
+    /// cache pins always yield to query reservations —
     /// pins can starve, admissions cannot.
     pub fn evict_residency_for_admission(&mut self, device: DeviceId, bytes: u64) -> u64 {
         match self.residency.as_mut() {

@@ -13,7 +13,7 @@
 //! * **Pin** — on a miss the hub asks the cache to reserve space
 //!   ([`ResidencyCache::begin_pin`]). The reservation is charged against the
 //!   device pool's *admission* ledger — the same per-device budget the
-//!   multi-query scheduler's `ReservationLedger` draws from — so cache pins
+//!   multi-query scheduler's query reservations draw from — so cache pins
 //!   and admitted queries can never jointly overcommit a device. The hub
 //!   then uploads the column through its checksummed `place_verified` path
 //!   and commits ([`ResidencyCache::commit_pin`]) or aborts
@@ -246,11 +246,6 @@ impl ResidencyCache {
         }
     }
 
-    /// Number of pinned entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Whether nothing is pinned.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
@@ -467,9 +462,9 @@ impl ResidencyCache {
     }
 
     /// Evicts pins on `device` until its admission ledger can take `bytes`
-    /// more (or no pins remain). Returns the bytes freed — the scheduler's
-    /// `ReservationLedger` calls this before giving up on a reservation, so
-    /// cache pins always yield to admission instead of starving it.
+    /// more (or no pins remain). Returns the bytes freed — the scheduler
+    /// calls this before giving up on a query's reservation, so cache pins
+    /// always yield to admission instead of starving it.
     pub fn evict_for_admission(
         &mut self,
         devices: &mut DeviceRegistry,

@@ -67,11 +67,6 @@ impl DeviceRegistry {
         self.devices.keys().copied().collect()
     }
 
-    /// Number of plugged devices.
-    pub fn len(&self) -> usize {
-        self.devices.len()
-    }
-
     /// True when no devices are plugged.
     pub fn is_empty(&self) -> bool {
         self.devices.is_empty()
@@ -91,12 +86,11 @@ mod tests {
         let id1 = reg.add(Box::new(DeviceProfile::cuda_rtx2080ti().build(DeviceId(1))));
         assert_eq!(id0, DeviceId(0));
         assert_eq!(id1, DeviceId(1));
-        assert_eq!(reg.len(), 2);
         assert_eq!(reg.ids(), vec![id0, id1]);
         assert!(reg.get(id1).is_ok());
         assert!(reg.get(DeviceId(99)).is_err());
         assert!(reg.remove(id0).is_some());
-        assert_eq!(reg.len(), 1);
+        assert_eq!(reg.ids(), vec![id1]);
     }
 
     #[test]

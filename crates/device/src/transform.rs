@@ -69,16 +69,6 @@ impl TransformTable {
             .copied()
             .unwrap_or(TransformKind::HostRoundTrip)
     }
-
-    /// Number of registered (non-identity) paths.
-    pub fn len(&self) -> usize {
-        self.paths.len()
-    }
-
-    /// True when no paths are registered.
-    pub fn is_empty(&self) -> bool {
-        self.paths.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -119,7 +109,7 @@ mod tests {
             t.resolve(SdkRepr::CudaDevPtr, SdkRepr::HostVec),
             TransformKind::HostRoundTrip
         );
-        assert_eq!(t.len(), 12);
+        assert_eq!(t.paths.len(), 12);
     }
 
     #[test]

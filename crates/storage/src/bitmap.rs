@@ -70,13 +70,6 @@ impl Bitmap {
         self.words[i / 64] |= 1u64 << (i % 64);
     }
 
-    /// Clears row `i`.
-    #[inline]
-    pub fn clear(&mut self, i: usize) {
-        debug_assert!(i < self.len);
-        self.words[i / 64] &= !(1u64 << (i % 64));
-    }
-
     /// Returns whether row `i` is selected.
     #[inline]
     pub fn get(&self, i: usize) -> bool {
@@ -191,10 +184,9 @@ mod tests {
         bm.set(99);
         assert!(bm.get(0) && bm.get(63) && bm.get(64) && bm.get(99));
         assert!(!bm.get(1) && !bm.get(65));
+        // Rows never set read clear.
         assert_eq!(bm.count_ones(), 4);
-        bm.clear(63);
-        assert!(!bm.get(63));
-        assert_eq!(bm.count_ones(), 3);
+        assert_eq!(bm.iter_ones().collect::<Vec<_>>(), [0, 63, 64, 99]);
     }
 
     #[test]

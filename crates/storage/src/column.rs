@@ -191,11 +191,6 @@ impl Column {
         &self.name
     }
 
-    /// Payload.
-    pub fn data(&self) -> &ColumnData {
-        &self.data
-    }
-
     /// Logical type.
     pub fn data_type(&self) -> DataType {
         self.data.data_type()
@@ -318,8 +313,8 @@ mod tests {
     fn shared_rows_are_the_columns_own() {
         // `Int64`: the shared rows are the storage itself.
         let wide = Column::from_i64("a", vec![1, -2, 3]);
-        let ColumnData::Int64(storage) = wide.data() else {
-            panic!("{:?}", wide.data())
+        let ColumnData::Int64(storage) = &wide.data else {
+            panic!("{:?}", wide.data)
         };
         let shared = wide.shared_rows();
         assert!(Arc::ptr_eq(shared.rows(), storage));

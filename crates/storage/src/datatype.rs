@@ -54,18 +54,6 @@ pub enum Value {
     Str(String),
 }
 
-impl Value {
-    /// Coerces to `i64` for device kernels (dates widen; strings are rejected).
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Value::I32(v) => Some(*v as i64),
-            Value::I64(v) => Some(*v),
-            Value::Date(v) => Some(*v as i64),
-            Value::Str(_) => None,
-        }
-    }
-}
-
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -136,13 +124,6 @@ mod tests {
         assert_eq!(DataType::Int64.byte_width(), 8);
         assert_eq!(DataType::Date.byte_width(), 4);
         assert_eq!(DataType::DictStr.byte_width(), 4);
-    }
-
-    #[test]
-    fn value_coercions() {
-        assert_eq!(Value::I32(7).as_i64(), Some(7));
-        assert_eq!(Value::Date(100).as_i64(), Some(100));
-        assert_eq!(Value::Str("x".into()).as_i64(), None);
     }
 
     #[test]
