@@ -93,6 +93,9 @@ pub use session::{Session, SessionError, SqlResultSet, SqlValue};
 pub struct Adamant {
     executor: Executor,
     preempt_slack_ns: Option<f64>,
+    /// SQL texts compiled by [`Session::sql`], shared by every session on
+    /// this engine.
+    statements: session::StatementCache,
 }
 
 impl Adamant {
@@ -303,6 +306,7 @@ impl AdamantBuilder {
         let mut engine = Adamant {
             executor: Executor::new(tasks, self.config),
             preempt_slack_ns: self.preempt_slack_ns,
+            statements: session::StatementCache::default(),
         };
         for p in &self.profiles {
             engine.plug_profile(p)?;

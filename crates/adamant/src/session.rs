@@ -1,13 +1,20 @@
 //! The SQL serving layer: text in, typed rows out.
 //!
 //! A [`Session`] ties the SQL front door (`adamant-sql`) to a catalog and
-//! an engine. Each [`Session::sql`] call compiles the text to a primitive
-//! graph, binds the pruned input columns from the catalog, estimates the
+//! an engine. [`Session::sql`] compiles the text to a primitive graph,
+//! binds the pruned input columns from the catalog, estimates the
 //! admission footprint, and submits the query through the multi-query
 //! scheduler — so SQL queries pass the same admission control, fair
 //! queuing and (when enabled) preemption as hand-built submissions — then
 //! decodes the outputs into typed [`SqlValue`] rows using the compiled
 //! column decoders (dictionary strings, dates, scaled integers).
+//!
+//! The engine, not the session, keeps what a text compiles to: a bounded
+//! cache maps the exact SQL text to its compiled query and admission
+//! footprint, valid for one catalog [stamp](Catalog::stamp) and one device.
+//! A repeated text skips parse, bind, rewrite, lower and footprint
+//! estimation, from any session on the same engine; everything after the
+//! lookup is the same path for a hit and a miss.
 
 use crate::Adamant;
 use adamant_core::executor::QueryInputs;
@@ -15,10 +22,85 @@ use adamant_core::models::ExecutionModel;
 use adamant_core::result::QueryOutput;
 use adamant_core::stats::ExecutionStats;
 use adamant_core::ExecError;
+use adamant_device::device::DeviceId;
 use adamant_sched::{estimate_footprint_bytes, QueryOutcome, QuerySpec, ShedReason};
 use adamant_sql::{ColumnDecode, CompiledQuery, SqlError};
 use adamant_storage::datatype::format_date;
 use adamant_storage::prelude::Catalog;
+use std::collections::HashMap;
+use std::sync::Arc;
+
+/// Statements the engine keeps compiled; a new text beyond this many
+/// evicts the least recently used.
+const STATEMENT_CACHE_ENTRIES: usize = 256;
+
+/// What one SQL text compiled to.
+struct Statement {
+    query: CompiledQuery,
+    /// Admission footprint. It depends on the graph, on the bound input
+    /// lengths (fixed by the catalog stamp) and on `chunk_rows` (fixed when
+    /// the engine is built).
+    footprint: u64,
+}
+
+struct CacheEntry {
+    statement: Arc<Statement>,
+    /// The catalog stamp and the device the statement was compiled for.
+    stamp: u64,
+    device: DeviceId,
+    last_use: u64,
+}
+
+/// The engine's SQL statement cache: exact text → compiled statement,
+/// bounded at [`STATEMENT_CACHE_ENTRIES`] with least-recently-used
+/// eviction. Errors are never cached, and neither are input columns: a
+/// replaced table's columns are not kept alive.
+#[derive(Default)]
+pub(crate) struct StatementCache {
+    entries: HashMap<String, CacheEntry>,
+    tick: u64,
+}
+
+impl StatementCache {
+    /// The statement `text` compiled to against a catalog stamped `stamp`
+    /// on `device`, marked used; `None` when there is none or it was
+    /// compiled for another stamp or device.
+    fn get(&mut self, text: &str, stamp: u64, device: DeviceId) -> Option<Arc<Statement>> {
+        self.tick += 1;
+        let entry = self.entries.get_mut(text)?;
+        if entry.stamp != stamp || entry.device != device {
+            return None;
+        }
+        entry.last_use = self.tick;
+        Some(Arc::clone(&entry.statement))
+    }
+
+    /// Records what `text` compiled to, replacing a stale entry for it or
+    /// evicting the least recently used one when full.
+    fn insert(&mut self, text: &str, stamp: u64, device: DeviceId, statement: Arc<Statement>) {
+        let entry = CacheEntry {
+            statement,
+            stamp,
+            device,
+            last_use: self.tick,
+        };
+        if let Some(stale) = self.entries.get_mut(text) {
+            *stale = entry;
+            return;
+        }
+        if self.entries.len() >= STATEMENT_CACHE_ENTRIES {
+            let lru = self
+                .entries
+                .iter()
+                .min_by_key(|(_, e)| e.last_use)
+                .map(|(text, _)| text.clone());
+            if let Some(lru) = lru {
+                self.entries.remove(&lru);
+            }
+        }
+        self.entries.insert(text.to_owned(), entry);
+    }
+}
 
 /// One decoded cell of a SQL result.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -127,27 +209,39 @@ impl<'a> Session<'a> {
         self
     }
 
-    /// Compiles and serves one SQL query through the scheduler.
+    /// Serves one SQL query through the scheduler.
+    ///
+    /// The first call with a text compiles it and estimates its admission
+    /// footprint; the engine keeps both. A later call with the same text,
+    /// from any session on this engine, reuses them when the catalog has
+    /// the same [stamp](Catalog::stamp) and the first plugged device is the
+    /// same; otherwise the text is compiled again and replaces the entry.
+    /// The input columns are bound from the catalog on every call, and a
+    /// text that fails to compile is not kept.
     pub fn sql(&mut self, text: &str) -> Result<SqlResultSet, SessionError> {
         let device =
             self.engine.device_ids().first().copied().ok_or_else(|| {
                 SessionError::Exec(ExecError::Internal("no devices plugged".into()))
             })?;
-        let compiled = adamant_sql::compile(text, self.catalog, device)?;
-
-        let mut inputs = QueryInputs::new();
-        for (table, col) in &compiled.input_columns {
-            let t = self.catalog.table(table).map_err(exec_err)?;
-            let c = t.column(col).map_err(exec_err)?;
-            inputs
-                .bind_column(col.as_str(), c)
-                .map_err(SessionError::Exec)?;
-        }
-
-        let chunk_rows = self.engine.executor().config().chunk_rows;
-        let footprint = estimate_footprint_bytes(&compiled.graph, &inputs, chunk_rows);
-        let spec =
-            QuerySpec::new(compiled.graph.clone(), inputs, self.model).with_footprint(footprint);
+        let stamp = self.catalog.stamp();
+        let (statement, inputs) = match self.engine.statements.get(text, stamp, device) {
+            Some(statement) => {
+                let inputs = self.bind_inputs(&statement.query)?;
+                (statement, inputs)
+            }
+            None => {
+                let query = adamant_sql::compile(text, self.catalog, device)?;
+                let inputs = self.bind_inputs(&query)?;
+                let chunk_rows = self.engine.executor().config().chunk_rows;
+                let footprint = estimate_footprint_bytes(&query.graph, &inputs, chunk_rows);
+                let statement = Arc::new(Statement { query, footprint });
+                let entry = Arc::clone(&statement);
+                self.engine.statements.insert(text, stamp, device, entry);
+                (statement, inputs)
+            }
+        };
+        let spec = QuerySpec::new(statement.query.graph.clone(), inputs, self.model)
+            .with_footprint(statement.footprint);
 
         let mut sched = self.engine.session();
         sched.tenant(&self.tenant, self.weight);
@@ -160,12 +254,12 @@ impl<'a> Session<'a> {
                 wait_ns,
                 ..
             }) => {
-                let (columns, rows) = self.decode(&compiled, &output)?;
+                let (columns, rows) = self.decode(&statement.query, &output)?;
                 Ok(SqlResultSet {
                     columns,
                     rows,
                     stats: *stats,
-                    footprint_bytes: footprint,
+                    footprint_bytes: statement.footprint,
                     wait_ns,
                 })
             }
@@ -176,6 +270,19 @@ impl<'a> Session<'a> {
                 "scheduler returned no outcome for the submitted ticket".into(),
             ))),
         }
+    }
+
+    /// Binds the input columns `compiled` scans from the catalog.
+    fn bind_inputs(&self, compiled: &CompiledQuery) -> Result<QueryInputs, SessionError> {
+        let mut inputs = QueryInputs::new();
+        for (table, col) in &compiled.input_columns {
+            let t = self.catalog.table(table).map_err(exec_err)?;
+            let c = t.column(col).map_err(exec_err)?;
+            inputs
+                .bind_column(col.as_str(), c)
+                .map_err(SessionError::Exec)?;
+        }
+        Ok(inputs)
     }
 
     /// Decodes executor outputs into typed rows per the compiled decoders.
@@ -342,6 +449,118 @@ mod tests {
         );
     }
 
+    /// A catalog holding one `sales(amount, region)` table.
+    fn sales(amount: Vec<i64>, region: &[&str]) -> Catalog {
+        let mut catalog = Catalog::new();
+        catalog.register(
+            Table::new(
+                "sales",
+                vec![
+                    Column::from_i64("amount", amount),
+                    Column::from_strings("region", region),
+                ],
+            )
+            .unwrap(),
+        );
+        catalog
+    }
+
+    /// The address of the statement the engine holds for `text`.
+    fn cached(engine: &Adamant, text: &str) -> Option<*const Statement> {
+        engine
+            .statements
+            .entries
+            .get(text)
+            .map(|e| Arc::as_ptr(&e.statement))
+    }
+
+    #[test]
+    fn repeated_text_is_served_from_the_cache() {
+        let (mut engine, catalog) = setup();
+        let sql = "SELECT SUM(amount) AS total FROM sales WHERE amount > 100";
+        let first = Session::new(&mut engine, &catalog).sql(sql).unwrap();
+        let compiled = cached(&engine, sql).expect("the first serve compiles and keeps");
+        // A new session, another model and tenant: still the same entry.
+        let second = Session::new(&mut engine, &catalog)
+            .tenant("other", 3.0)
+            .model(ExecutionModel::FourPhasePipelined)
+            .sql(sql)
+            .unwrap();
+        assert_eq!(
+            cached(&engine, sql),
+            Some(compiled),
+            "served, not recompiled"
+        );
+        assert_eq!(engine.statements.entries.len(), 1);
+        assert_eq!(second.rows, first.rows);
+        assert_eq!(second.rows, vec![vec![SqlValue::Int(750)]]);
+        assert_eq!(second.footprint_bytes, first.footprint_bytes);
+    }
+
+    #[test]
+    fn re_registering_a_table_recompiles() {
+        let mut engine = Adamant::builder()
+            .device(DeviceProfile::cuda_rtx2080ti())
+            .build()
+            .unwrap();
+        let sql = "SELECT SUM(amount) AS total, COUNT(*) AS n FROM sales";
+        let mut catalog = sales(vec![50, 150, 250, 350], &["east", "west", "east", "west"]);
+        let rs = Session::new(&mut engine, &catalog).sql(sql).unwrap();
+        assert_eq!(rs.rows, vec![vec![SqlValue::Int(800), SqlValue::Int(4)]]);
+        let before = cached(&engine, sql);
+        catalog
+            .register(Table::new("sales", vec![Column::from_i64("amount", vec![7, 8])]).unwrap());
+        let rs = Session::new(&mut engine, &catalog).sql(sql).unwrap();
+        assert_eq!(rs.rows, vec![vec![SqlValue::Int(15), SqlValue::Int(2)]]);
+        assert_ne!(cached(&engine, sql), before, "the stale entry is replaced");
+        assert_eq!(engine.statements.entries.len(), 1);
+    }
+
+    /// A dictionary literal compiles to a code of one catalog's dictionary:
+    /// a plan kept across catalogs would compare against the wrong code.
+    #[test]
+    fn each_catalog_gets_its_own_dictionary_codes() {
+        let mut engine = Adamant::builder()
+            .device(DeviceProfile::cuda_rtx2080ti())
+            .build()
+            .unwrap();
+        let sql = "SELECT SUM(amount) AS total FROM sales WHERE region = 'east'";
+        let amounts = vec![50, 150, 250, 350];
+        let a = sales(amounts.clone(), &["east", "west", "east", "west"]);
+        let b = sales(amounts, &["west", "east", "west", "west"]);
+        for _ in 0..2 {
+            for (catalog, want) in [(&a, 300), (&b, 150)] {
+                let rs = Session::new(&mut engine, catalog).sql(sql).unwrap();
+                assert_eq!(rs.rows, vec![vec![SqlValue::Int(want)]]);
+            }
+        }
+    }
+
+    #[test]
+    fn statement_cache_keeps_the_most_recently_used() {
+        let (mut engine, catalog) = setup();
+        let text = |i: usize| format!("SELECT SUM(amount) AS total FROM sales WHERE amount > {i}");
+        let mut serve = |i: usize| {
+            let rs = Session::new(&mut engine, &catalog).sql(&text(i)).unwrap();
+            let want: i64 = [50, 150, 250, 350].iter().filter(|&&a| a > i as i64).sum();
+            assert_eq!(rs.rows, vec![vec![SqlValue::Int(want)]], "{}", text(i));
+        };
+        for i in 0..STATEMENT_CACHE_ENTRIES {
+            serve(i);
+        }
+        serve(0); // a hit: text 0 is now the most recently used
+        let extra = 3;
+        for i in STATEMENT_CACHE_ENTRIES..STATEMENT_CACHE_ENTRIES + extra {
+            serve(i);
+        }
+        let entries = &engine.statements.entries;
+        assert_eq!(entries.len(), STATEMENT_CACHE_ENTRIES);
+        for i in 0..STATEMENT_CACHE_ENTRIES + extra {
+            let evicted = (1..=extra).contains(&i);
+            assert_eq!(entries.contains_key(&text(i)), !evicted, "{}", text(i));
+        }
+    }
+
     #[test]
     fn sql_errors_surface_typed() {
         let (mut engine, catalog) = setup();
@@ -352,6 +571,19 @@ mod tests {
                 assert_eq!(e.kind, adamant_sql::SqlErrorKind::Bind)
             }
             other => panic!("expected sql error, got {other}"),
+        }
+    }
+
+    #[test]
+    fn failed_compiles_are_not_cached() {
+        let (mut engine, catalog) = setup();
+        for _ in 0..2 {
+            match Session::new(&mut engine, &catalog).sql("SELECT nope FROM sales") {
+                Err(SessionError::Sql(e)) => assert_eq!(e.kind, adamant_sql::SqlErrorKind::Bind),
+                Err(other) => panic!("expected sql error, got {other}"),
+                Ok(_) => panic!("expected sql error, got rows"),
+            }
+            assert!(engine.statements.entries.is_empty());
         }
     }
 }

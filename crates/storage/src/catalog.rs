@@ -3,14 +3,38 @@
 use crate::error::StorageError;
 use crate::table::Table;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// The source of catalog stamps: every stamp handed out in this process is
+/// distinct. `Relaxed` suffices: a stamp publishes no other data, and
+/// `fetch_add` alone keeps stamps distinct.
+static NEXT_STAMP: AtomicU64 = AtomicU64::new(1);
+
+fn fresh_stamp() -> u64 {
+    NEXT_STAMP.fetch_add(1, Ordering::Relaxed)
+}
 
 /// The catalog maps table names to tables.
 ///
 /// Iteration order is deterministic (sorted by name) so experiments and
 /// examples print stable output.
-#[derive(Clone, Debug, Default)]
+///
+/// Every catalog carries a [stamp](Catalog::stamp): two catalogs with the
+/// same stamp hold the same tables, so anything derived from one (a
+/// compiled SQL statement, its admission footprint) is valid for the other.
+#[derive(Clone, Debug)]
 pub struct Catalog {
     tables: BTreeMap<String, Table>,
+    stamp: u64,
+}
+
+impl Default for Catalog {
+    fn default() -> Self {
+        Catalog {
+            tables: BTreeMap::new(),
+            stamp: fresh_stamp(),
+        }
+    }
 }
 
 impl Catalog {
@@ -19,9 +43,18 @@ impl Catalog {
         Catalog::default()
     }
 
-    /// Registers (or replaces) a table under its own name.
+    /// Registers (or replaces) a table under its own name. The catalog's
+    /// only mutator: it takes a fresh stamp.
     pub fn register(&mut self, table: Table) {
         self.tables.insert(table.name().to_string(), table);
+        self.stamp = fresh_stamp();
+    }
+
+    /// The catalog's stamp, unique to its contents within the process: a
+    /// new catalog and every [`register`](Catalog::register) take a fresh
+    /// one, and a clone keeps its original's.
+    pub fn stamp(&self) -> u64 {
+        self.stamp
     }
 
     /// Looks up a table by name.
@@ -80,5 +113,19 @@ mod tests {
         cat.register(Table::new("t", vec![Column::from_i32("x", vec![1])]).unwrap());
         cat.register(Table::new("t", vec![Column::from_i32("x", vec![1, 2, 3])]).unwrap());
         assert_eq!(cat.table("t").unwrap().row_count(), 3);
+    }
+
+    #[test]
+    fn stamps_follow_the_contents() {
+        let a = Catalog::new();
+        let b = Catalog::default();
+        assert_ne!(a.stamp(), b.stamp(), "fresh catalogs");
+        let mut c = a.clone();
+        assert_eq!(c.stamp(), a.stamp(), "a clone keeps its stamp");
+        c.register(Table::new("t", vec![Column::from_i32("x", vec![1])]).unwrap());
+        assert_ne!(c.stamp(), a.stamp(), "register takes a fresh stamp");
+        let before = c.stamp();
+        c.register(Table::new("t", vec![Column::from_i32("x", vec![1])]).unwrap());
+        assert_ne!(c.stamp(), before, "even when it replaces a table");
     }
 }

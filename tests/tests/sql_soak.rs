@@ -304,8 +304,9 @@ fn strip_wall_ns(json: &str) -> String {
 }
 
 /// One full soak pass: generate, serve under every model, check against
-/// the oracle. Returns per-query executor stats JSON (first model) for the
-/// determinism check.
+/// the oracle, then serve the first model again from the statement cache
+/// and check it repeats its stats. Returns per-query executor stats JSON
+/// (first model) for the determinism check.
 fn soak_run(seed: u64) -> Vec<String> {
     let catalog = catalog(seed);
     let mut engine = Adamant::builder()
@@ -328,7 +329,7 @@ fn soak_run(seed: u64) -> Vec<String> {
             .map(|row| decode_oracle_row(&catalog, &compiled.outputs, row))
             .collect();
 
-        for (mi, &model) in ExecutionModel::ALL.iter().enumerate() {
+        let mut serve = |model: ExecutionModel| {
             let rs = Session::new(&mut engine, &catalog)
                 .tenant("soak", 1.0)
                 .model(model)
@@ -339,10 +340,20 @@ fn soak_run(seed: u64) -> Vec<String> {
                 "seed {seed} query {qi} under {model} diverged from oracle:\n  {sql}"
             );
             assert!(rs.footprint_bytes > 0, "footprint feeds admission");
-            if mi == 0 {
-                stats_jsons.push(strip_wall_ns(&rs.stats.to_json()));
-            }
+            strip_wall_ns(&rs.stats.to_json())
+        };
+        // The first serve compiles the text; the other models' serves, and
+        // the repeat of the first model after them, are statement-cache hits.
+        let first = serve(ExecutionModel::ALL[0]);
+        for &model in &ExecutionModel::ALL[1..] {
+            serve(model);
         }
+        assert_eq!(
+            serve(ExecutionModel::ALL[0]),
+            first,
+            "seed {seed} query {qi}: a cache hit's stats differ from the compiling serve's\n  {sql}"
+        );
+        stats_jsons.push(first);
     }
 
     // The serving layer must leave no residue: pools and the admission
