@@ -63,7 +63,9 @@ fn main() {
             }
             report.row(cells);
         }
-        report.print(&format!("{title} throughput (Gi elements/s)"));
+        report.print(&format!(
+            "{title} throughput (Gi elements/s; fusion off, the paper's configuration)"
+        ));
     }
     println!(
         "\nShape check vs paper: GPUs >> CPUs; CUDA ≈ OpenCL on GPU;\n\

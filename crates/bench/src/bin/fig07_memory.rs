@@ -71,7 +71,9 @@ fn main() {
             format!("{:.2}", *bytes as f64 / (1 << 20) as f64),
         ]);
     }
-    trace.print("Q6 (SF 0.01) operator-at-a-time memory footprint trace");
+    trace.print(
+        "Q6 (SF 0.01) operator-at-a-time memory footprint trace (fusion off, the paper's configuration)",
+    );
     println!(
         "\npeak device memory: {:.2} MiB — intermediate results stack on top of\n\
          the resident input columns, the Fig. 7-right effect.",

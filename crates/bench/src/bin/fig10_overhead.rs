@@ -44,7 +44,7 @@ fn main() {
         }
         per_driver_overhead.push((profile.name.clone(), driver_total));
     }
-    rep.print("overhead = total − Σ primitive kernel time");
+    rep.print("overhead = total − Σ primitive kernel time (fusion off, the paper's configuration)");
 
     let max = per_driver_overhead
         .iter()

@@ -3,6 +3,9 @@
 //! baseline with cold start ("w transfer") and in-place ("w/o transfer"),
 //! including the Q3 out-of-memory failure, plus the steady-state cold/warm
 //! comparison with the cross-query residency cache enabled (Part C).
+//! Parts A and B are the paper's sections and run in its configuration
+//! (fusion off, through `engine_with`); Part C is an extension and runs
+//! with fusion on.
 //!
 //! Gate: after `BENCH_fig11.json` is written, at least 4 of the 7 cold/warm
 //! rows must run warm < cold with cache hits > 0; otherwise the bin panics
@@ -76,7 +79,7 @@ fn main() {
             rep.row(row);
         }
     }
-    rep.print("A. modeled query time per execution model");
+    rep.print("A. modeled query time per execution model (fusion off, the paper's configuration)");
 
     let best = speedups.iter().max_by(|a, b| a.2.total_cmp(&b.2)).unwrap();
     let worst = speedups.iter().min_by(|a, b| a.2.total_cmp(&b.2)).unwrap();
@@ -156,7 +159,9 @@ fn main() {
             fmt(base.as_ref().ok().map(|r| r.cold_ns)),
         ]);
     }
-    rep.print("B. ADAMANT vs whole-table-resident baseline");
+    rep.print(
+        "B. ADAMANT vs whole-table-resident baseline (fusion off, the paper's configuration)",
+    );
     println!(
         "\nShape check vs paper: Q3 fails on the baseline (hash table exceeds\n\
          device memory) while ADAMANT streams it; baseline cold start is far\n\
@@ -226,7 +231,7 @@ fn main() {
             ("saved_transfer_ns", jnum(warm.cache_saved_transfer_ns)),
         ]));
     }
-    rep.print("C. cold vs warm with the cross-query residency cache");
+    rep.print("C. cold vs warm with the cross-query residency cache (fusion on, extension)");
     let warm_wins = TpchQuery::ALL.len() - warm_misses.len();
     println!(
         "\nwarm run beats cold with cache hits on {warm_wins}/{} queries — pinned\n\

@@ -28,11 +28,15 @@ pub fn standard_tasks() -> TaskRegistry {
     ])
 }
 
-/// Builds a single-device engine.
+/// Builds a single-device engine in the paper's configuration: fusion off,
+/// so every primitive is its own kernel launch (§V). The paper sections of
+/// the figure bins run through it; the extension sections (Fig. 11 part C,
+/// the `fusion` bin) build their own fused engines.
 pub fn engine_with(profile: &DeviceProfile, chunk_rows: usize) -> (Adamant, DeviceId) {
     let engine = Adamant::builder()
         .tasks(standard_tasks())
         .chunk_rows(chunk_rows)
+        .fusion(false)
         .device(profile.clone())
         .build()
         .expect("engine construction");
