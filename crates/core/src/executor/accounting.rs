@@ -10,7 +10,7 @@
 //! [`CostEvent`]: adamant_device::clock::CostEvent
 
 use crate::error::Result;
-use crate::graph::{PrimitiveGraph, PrimitiveNode};
+use crate::graph::{NodeParams, PrimitiveGraph, PrimitiveNode};
 use crate::models::ModelConfig;
 use crate::stats::ExecutionStats;
 use crate::timeline::{overlapped_makespan, serial_makespan, ChunkCost};
@@ -200,20 +200,35 @@ impl Tally {
     /// Per-execution intermediate accounting: bytes flowing through
     /// materialized non-breaker outputs and the interior bytes a fused
     /// chain kept in kernel-local memory instead. `rows` is the chunk
-    /// length when streaming, the input cardinality in whole mode.
+    /// length when streaming, the widest input's length in whole mode.
+    /// `stage_rows` is a fused kernel's per-stage report of the same, used
+    /// in whole mode, where each stage's unfused node would have been sized
+    /// by its own widest input; the two counters then add up to what the
+    /// unfused run materializes.
     pub fn note_intermediates(
         &mut self,
         graph: &PrimitiveGraph,
         node: &PrimitiveNode,
         rows: usize,
+        stage_rows: Option<&[usize]>,
     ) {
+        let rows_of = |stage: usize| {
+            stage_rows
+                .and_then(|r| r.get(stage).copied())
+                .unwrap_or(rows)
+        };
         if !node.kind.is_pipeline_breaker() {
+            // A fused node's output is its last stage's.
+            let own = match &node.params {
+                NodeParams::Fused { stages, .. } => rows_of(stages.len() - 1),
+                _ => rows,
+            };
             for r in node.output_refs() {
                 self.stats.intermediate_bytes +=
-                    DataContainer::estimate_output_bytes(graph.semantic_of(r), rows);
+                    DataContainer::estimate_output_bytes(graph.semantic_of(r), own);
             }
         }
-        self.stats.intermediates_elided_bytes += crate::fusion::elided_bytes(&node.params, rows);
+        self.stats.intermediates_elided_bytes += crate::fusion::elided_bytes(&node.params, rows_of);
     }
 
     /// Captures what only the device itself knows — pool peak, bytes moved,

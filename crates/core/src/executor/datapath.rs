@@ -586,9 +586,12 @@ impl Executor {
                 Charge::Slice
             }
         };
-        let saved_ns = self.execute_node(node, &in_ids, &out_ids)?;
+        let streaming = matches!(charge, Charge::Chunk(_));
+        let (saved_ns, stage_rows) = self.execute_node(node, &in_ids, &out_ids)?;
         cx.tally.stats.fusion_saved_transfer_ns += saved_ns;
-        cx.tally.note_intermediates(&cx.graph, node, rows);
+        let stage_rows = (!streaming).then_some(stage_rows.as_slice());
+        cx.tally
+            .note_intermediates(&cx.graph, node, rows, stage_rows);
         let kernel_ns = cx.tally.fold(&mut self.devices, node.device, charge)?;
         cx.tally.stats.record_primitive(&node.label, kernel_ns);
         Ok(())
@@ -693,13 +696,14 @@ impl Executor {
 
     /// Resolves and runs one node's kernel. Returns the modeled nanoseconds
     /// a fused node saved over launching its stages individually (`0.0` for
-    /// ordinary nodes, or when the device exposes no cost model).
+    /// ordinary nodes, or when the device exposes no cost model), and the
+    /// fused kernel's per-stage row counts (empty for ordinary nodes).
     fn execute_node(
         &mut self,
         node: &PrimitiveNode,
         in_ids: &[BufferId],
         out_ids: &[BufferId],
-    ) -> Result<f64> {
+    ) -> Result<(f64, Vec<usize>)> {
         let sdk = self.devices.get(node.device)?.info().sdk;
         let container = self
             .tasks
@@ -724,17 +728,18 @@ impl Executor {
                 kernel: spec.kernel.clone(),
                 source: e,
             })?;
+        let mut saved_ns = 0.0;
         if let NodeParams::Fused { stages, .. } = &node.params {
             if !kstats.stages.is_empty() {
-                return Ok(crate::fusion::fused_saved_ns(
+                saved_ns = crate::fusion::fused_saved_ns(
                     &self.devices.get(node.device)?.state().cost,
                     stages,
                     &kstats.stages,
                     spec.arg_count(),
-                ));
+                );
             }
         }
-        Ok(0.0)
+        Ok((saved_ns, kstats.stage_rows))
     }
 
     /// Gathers the graph's outputs: finished host accumulations, else the

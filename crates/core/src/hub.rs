@@ -43,7 +43,7 @@ use adamant_device::registry::DeviceRegistry;
 use adamant_storage::bitmap::Bitmap;
 use adamant_storage::fnv::{content_hash, copy_and_hash, Content};
 use adamant_task::container::DataContainer;
-use adamant_task::primitive::PrimitiveKind;
+use adamant_task::primitive::{FusionRole, PrimitiveKind};
 use adamant_task::semantics::DataSemantic;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -877,17 +877,17 @@ impl DataTransferHub {
     ) -> Result<BufferId> {
         let id = self.fresh_id();
         let device = devices.get_mut(node.device)?;
-        // A fused aggregation's accumulator is whatever its terminal stage
-        // would have gotten unfused; interior stages get nothing at all —
-        // that is the fusion win.
+        // A `FUSED_AGG`'s accumulator is whatever its terminal stage — a
+        // `Terminal` row of the fusion table — would have gotten unfused;
+        // interior stages get nothing at all — that is the fusion win.
         let (kind, params) = match (node.kind, &node.params) {
             (PrimitiveKind::FusedAgg, NodeParams::Fused { stages, .. }) => match stages.last() {
-                Some(s) if matches!(s.kind, PrimitiveKind::AggBlock | PrimitiveKind::HashAgg) => {
+                Some(s) if matches!(s.kind.fusion(), Some((FusionRole::Terminal, _))) => {
                     (s.kind, s.params.as_ref())
                 }
                 _ => {
                     return Err(ExecError::Internal(format!(
-                        "fused_agg node `{}` lacks an aggregation terminal stage",
+                        "fused_agg node `{}` lacks a terminal stage",
                         node.label
                     )))
                 }

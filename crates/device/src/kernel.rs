@@ -25,6 +25,10 @@ pub struct KernelStats {
     /// launch overhead plus discounted per-stage bodies — instead of the
     /// single-class formula.
     pub stages: Vec<(CostClass, u64)>,
+    /// Per stage of a fused kernel, its longest operand's length: the row
+    /// count the runtime would have sized that stage's outputs by had it
+    /// launched unfused over whole buffers. Empty for ordinary kernels.
+    pub stage_rows: Vec<usize>,
 }
 
 impl KernelStats {
@@ -34,15 +38,22 @@ impl KernelStats {
             elements,
             cost_class,
             stages: Vec::new(),
+            stage_rows: Vec::new(),
         }
     }
 
     /// Constructor for fused kernels reporting a per-stage breakdown.
-    pub fn fused(elements: u64, cost_class: CostClass, stages: Vec<(CostClass, u64)>) -> Self {
+    pub fn fused(
+        elements: u64,
+        cost_class: CostClass,
+        stages: Vec<(CostClass, u64)>,
+        stage_rows: Vec<usize>,
+    ) -> Self {
         KernelStats {
             elements,
             cost_class,
             stages,
+            stage_rows,
         }
     }
 }

@@ -1,80 +1,104 @@
 //! `HASH_BUILD`, `HASH_PROBE` and `HASH_PROBE_SEMI` kernels.
 
 use super::filter::pack_words;
-use super::{bad_args, count_param, count_sum, input_i64, need_bufs, with_taken, write_output};
+use super::{
+    bad_args, count_param, count_sum, input_i64, need_bufs, with_taken, write_output, Produced,
+    StageCost,
+};
 use crate::hashtable::JoinHashTable;
-use adamant_device::buffer::{BufferData, BufferId};
+use adamant_device::buffer::{Buffer, BufferData, BufferId};
 use adamant_device::cost::CostClass;
 use adamant_device::error::Result;
 use adamant_device::kernel::KernelStats;
 use adamant_device::pool::BufferPool;
 
-/// Borrows the [`JoinHashTable`] a probe's table buffer must hold.
-fn join_table<'p>(pool: &'p BufferPool, k: &str, id: BufferId) -> Result<&'p JoinHashTable> {
-    let held = pool.get(id)?.data.as_generic::<JoinHashTable>();
+/// Borrows the [`JoinHashTable`] a probe's table operand must hold.
+pub(crate) fn join_table<'d>(k: &str, data: &'d BufferData) -> Result<&'d JoinHashTable> {
+    let held = data.as_generic::<JoinHashTable>();
     held.ok_or_else(|| bad_args(k, "table buffer does not hold a JoinHashTable"))
 }
 
+/// Mutably borrows the [`JoinHashTable`] a build's table buffer must hold.
+pub(crate) fn join_table_mut<'b>(k: &str, buf: &'b mut Buffer) -> Result<&'b mut JoinHashTable> {
+    let held = buf.data.as_generic_mut::<JoinHashTable>();
+    held.ok_or_else(|| bad_args(k, "table buffer does not hold a JoinHashTable"))
+}
+
+/// Body of `hash_build`: inserts one block of rows into `table`, straight
+/// from the column slices. `cols` is `[keys, payload_0..]`, params
+/// `[payload_cols]`, and the table must carry that many payload columns. A
+/// key column holding the reserved `i64::MIN` is a typed error and leaves
+/// the table untouched.
+pub(crate) fn hash_build_body(
+    k: &str,
+    table: &mut JoinHashTable,
+    cols: &[&[i64]],
+    params: &[i64],
+) -> Result<StageCost> {
+    let payload_cols = count_param(k, params, 0)?;
+    let expected = count_sum(k, &[1, payload_cols])?;
+    if cols.len() < expected {
+        return Err(bad_args(
+            k,
+            format!("expected {expected} input columns, got {}", cols.len()),
+        ));
+    }
+    if table.payload_cols() != payload_cols {
+        return Err(bad_args(
+            k,
+            format!(
+                "table has {} payload columns, call supplies {payload_cols}",
+                table.payload_cols()
+            ),
+        ));
+    }
+    let (keys, payloads) = (cols[0], &cols[1..expected]);
+    if payloads.iter().any(|col| col.len() != keys.len()) {
+        return Err(bad_args(k, "payload length mismatch"));
+    }
+    table
+        .insert_block(keys, payloads)
+        .map_err(|reserved| bad_args(k, reserved.to_string()))?;
+    Ok((CostClass::HashBuild, keys.len() as u64))
+}
+
 /// `hash_build` — streams keys (plus payload columns) into a shared
-/// device-resident join table, straight from the column slices.
+/// device-resident join table.
 ///
 /// Buffers `[keys, payload_0.., table]`, params `[payload_cols]`. The table
 /// buffer must already hold a [`JoinHashTable`] with matching payload
-/// column count. Accumulates across chunks (pipeline breaker). A key column
-/// holding the reserved `i64::MIN` is a typed error and leaves the table
-/// untouched.
+/// column count. Accumulates across chunks (pipeline breaker).
 pub fn hash_build(pool: &mut BufferPool, bufs: &[BufferId], params: &[i64]) -> Result<KernelStats> {
     const K: &str = "hash_build";
     let payload_cols = count_param(K, params, 0)?;
     need_bufs(K, bufs, count_sum(K, &[2, payload_cols])?)?;
-    with_taken(pool, bufs[1 + payload_cols], |pool, table_buf| {
-        let table = table_buf
-            .data
-            .as_generic_mut::<JoinHashTable>()
-            .ok_or_else(|| bad_args(K, "table buffer does not hold a JoinHashTable"))?;
-        if table.payload_cols() != payload_cols {
-            return Err(bad_args(
-                K,
-                format!(
-                    "table has {} payload columns, call supplies {payload_cols}",
-                    table.payload_cols()
-                ),
-            ));
-        }
-        let keys = input_i64(pool, K, bufs[0])?;
-        let mut payload_refs = Vec::with_capacity(payload_cols);
-        for i in 0..payload_cols {
-            let col = input_i64(pool, K, bufs[1 + i])?;
-            if col.len() != keys.len() {
-                return Err(bad_args(K, "payload length mismatch"));
-            }
-            payload_refs.push(col.as_slice());
-        }
-        table
-            .insert_block(keys, &payload_refs)
-            .map_err(|reserved| bad_args(K, reserved.to_string()))?;
-        Ok(KernelStats::new(keys.len() as u64, CostClass::HashBuild))
-    })
+    let (class, elements) = with_taken(pool, bufs[1 + payload_cols], |pool, table_buf| {
+        let cols = bufs[..1 + payload_cols]
+            .iter()
+            .map(|&id| input_i64(pool, K, id).map(Vec::as_slice))
+            .collect::<Result<Vec<_>>>()?;
+        hash_build_body(K, join_table_mut(K, table_buf)?, &cols, params)
+    })?;
+    Ok(KernelStats::new(elements, class))
 }
 
-/// `hash_probe` — inner-join probe.
-///
-/// Buffers `[keys, table, out_probe_pos, out_payload_0..]`, params
-/// `[payload_outs]`. For every probe row `i` and every matching build entry,
-/// emits `i` into `out_probe_pos` (chunk-relative) and the entry's payload
-/// values into the payload outputs. Multi-match keys emit one row per match,
-/// in the build's insertion order. Each key's chain is walked once and its
-/// matches go straight into the outputs, which start with room for one
-/// match per key.
-pub fn hash_probe(pool: &mut BufferPool, bufs: &[BufferId], params: &[i64]) -> Result<KernelStats> {
-    const K: &str = "hash_probe";
-    let payload_outs = count_param(K, params, 0)?;
-    need_bufs(K, bufs, count_sum(K, &[3, payload_outs])?)?;
-    let keys = input_i64(pool, K, bufs[0])?;
-    let table = join_table(pool, K, bufs[1])?;
+/// Body of `hash_probe`: for every probe row `i` and every matching build
+/// entry, emits `i` (chunk-relative) into the positions and the entry's
+/// payload values into the payload columns. Returns `[positions,
+/// payload_0..]`; params `[payload_outs]`. Multi-match keys emit one row per
+/// match, in the build's insertion order. Each key's chain is walked once
+/// and its matches go straight into the outputs, which start with room for
+/// one match per key.
+pub(crate) fn hash_probe_body(
+    k: &str,
+    keys: &[i64],
+    table: &JoinHashTable,
+    params: &[i64],
+) -> Result<(Vec<BufferData>, StageCost)> {
+    let payload_outs = count_param(k, params, 0)?;
     if table.payload_cols() < payload_outs {
         return Err(bad_args(
-            K,
+            k,
             format!(
                 "table has {} payload columns, call requests {payload_outs}",
                 table.payload_cols()
@@ -93,16 +117,40 @@ pub fn hash_probe(pool: &mut BufferPool, bufs: &[BufferId], params: &[i64]) -> R
             }
         }
     }
-    let n = keys.len() as u64;
-    write_output(pool, bufs[2], BufferData::U32(probe_pos))?;
-    for (c, col) in payload_out.into_iter().enumerate() {
-        write_output(pool, bufs[3 + c], BufferData::I64(col))?;
+    let mut outputs = vec![BufferData::U32(probe_pos)];
+    outputs.extend(payload_out.into_iter().map(BufferData::I64));
+    Ok((outputs, (CostClass::HashProbe, keys.len() as u64)))
+}
+
+/// `hash_probe` — inner-join probe.
+///
+/// Buffers `[keys, table, out_probe_pos, out_payload_0..]`, params
+/// `[payload_outs]`.
+pub fn hash_probe(pool: &mut BufferPool, bufs: &[BufferId], params: &[i64]) -> Result<KernelStats> {
+    const K: &str = "hash_probe";
+    let payload_outs = count_param(K, params, 0)?;
+    need_bufs(K, bufs, count_sum(K, &[3, payload_outs])?)?;
+    let keys = input_i64(pool, K, bufs[0])?;
+    let table = join_table(K, &pool.get(bufs[1])?.data)?;
+    let (outputs, (class, elements)) = hash_probe_body(K, keys, table, params)?;
+    for (&id, data) in bufs[2..].iter().zip(outputs) {
+        write_output(pool, id, data)?;
     }
-    Ok(KernelStats::new(n, CostClass::HashProbe))
+    Ok(KernelStats::new(elements, class))
+}
+
+/// Body of `hash_probe_semi`: a bitmap over the probe rows, set where the
+/// key is in `table`, through the filters' packing loop.
+pub(crate) fn hash_probe_semi_body(keys: &[i64], table: &JoinHashTable) -> Produced {
+    let words = pack_words(keys, |key| table.contains(key));
+    (
+        BufferData::BitWords(words),
+        (CostClass::HashProbe, keys.len() as u64),
+    )
 }
 
 /// `hash_probe_semi` — EXISTS probe producing a bitmap over the probe rows
-/// (Q4's subquery), through the filters' packing loop.
+/// (Q4's subquery).
 ///
 /// Buffers `[keys, table, out_bitmap]`.
 pub fn hash_probe_semi(
@@ -113,11 +161,10 @@ pub fn hash_probe_semi(
     const K: &str = "hash_probe_semi";
     need_bufs(K, bufs, 3)?;
     let keys = input_i64(pool, K, bufs[0])?;
-    let table = join_table(pool, K, bufs[1])?;
-    let words = pack_words(keys, |key| table.contains(key));
-    let n = keys.len() as u64;
-    write_output(pool, bufs[2], BufferData::BitWords(words))?;
-    Ok(KernelStats::new(n, CostClass::HashProbe))
+    let table = join_table(K, &pool.get(bufs[1])?.data)?;
+    let (data, (class, elements)) = hash_probe_semi_body(keys, table);
+    write_output(pool, bufs[2], data)?;
+    Ok(KernelStats::new(elements, class))
 }
 
 #[cfg(test)]

@@ -1,8 +1,6 @@
 //! `MATERIALIZE` and `MATERIALIZE_POSITION` kernels.
 
-use super::{
-    bad_args, emit, input_bitwords, input_i64, input_u32, need_bufs, write_output, Produced,
-};
+use super::{bad_args, emit, input_bitwords, input_i64, input_u32, need_bufs, Produced};
 use adamant_device::buffer::{BufferData, BufferId};
 use adamant_device::cost::CostClass;
 use adamant_device::error::Result;
@@ -84,6 +82,30 @@ pub fn materialize(
     emit(pool, bufs[2], produced)
 }
 
+/// Body of `materialize_position`: the values at the given positions, in
+/// position order. A position past the values is a typed error.
+pub(crate) fn materialize_position_body(
+    k: &str,
+    values: &[i64],
+    positions: &[u32],
+) -> Result<Produced> {
+    let mut out = Vec::with_capacity(positions.len());
+    for &pos in positions {
+        let pos = pos as usize;
+        let Some(&v) = values.get(pos) else {
+            return Err(bad_args(
+                k,
+                format!("position {pos} out of bounds for {} values", values.len()),
+            ));
+        };
+        out.push(v);
+    }
+    Ok((
+        BufferData::I64(out),
+        (CostClass::MaterializePosition, positions.len() as u64),
+    ))
+}
+
 /// `materialize_position` — gathers values at the given positions.
 ///
 /// Buffers `[values, positions, out]`.
@@ -92,23 +114,12 @@ pub fn materialize_position(
     bufs: &[BufferId],
     _params: &[i64],
 ) -> Result<KernelStats> {
-    need_bufs("materialize_position", bufs, 3)?;
-    let values = input_i64(pool, "materialize_position", bufs[0])?;
-    let positions = input_u32(pool, "materialize_position", bufs[1])?;
-    let mut out = Vec::with_capacity(positions.len());
-    for &pos in positions {
-        let pos = pos as usize;
-        if pos >= values.len() {
-            return Err(bad_args(
-                "materialize_position",
-                format!("position {pos} out of bounds for {} values", values.len()),
-            ));
-        }
-        out.push(values[pos]);
-    }
-    let n = positions.len() as u64;
-    write_output(pool, bufs[2], BufferData::I64(out))?;
-    Ok(KernelStats::new(n, CostClass::MaterializePosition))
+    const K: &str = "materialize_position";
+    need_bufs(K, bufs, 3)?;
+    let values = input_i64(pool, K, bufs[0])?;
+    let positions = input_u32(pool, K, bufs[1])?;
+    let produced = materialize_position_body(K, values, positions)?;
+    emit(pool, bufs[2], produced)
 }
 
 #[cfg(test)]

@@ -99,6 +99,17 @@ pub struct PrimitiveSignature {
     pub variadic_outputs: bool,
 }
 
+impl PrimitiveSignature {
+    /// The semantic of output `port`; ports past the fixed slots repeat the
+    /// last one.
+    pub fn output(&self, port: usize) -> DataSemantic {
+        match self.outputs.get(port) {
+            Some(&semantic) => semantic,
+            None => *self.outputs.last().expect("primitives have outputs"),
+        }
+    }
+}
+
 impl PrimitiveKind {
     /// All primitives, in Table I order followed by the extensions.
     pub const ALL: [PrimitiveKind; 18] = [
@@ -180,21 +191,28 @@ impl PrimitiveKind {
     }
 
     /// The fusion table: which primitives fuse, in which role, and the
-    /// semantic the stage's result would have carried as a materialized
-    /// edge. The fusion pass reads it for eligibility, `FUSED` vs `FUSED_AGG`
-    /// and elided-byte sizing; the interpreter kernel reads it to accept or
-    /// reject a stage at its position. A new fusible primitive is one row
-    /// here plus one body for the interpreter to call.
+    /// semantic of the stage's port 0 as a materialized edge (a
+    /// multi-output kind's other ports follow its signature). The fusion
+    /// pass reads it for eligibility and `FUSED` vs `FUSED_AGG`; the
+    /// interpreter kernel reads it to accept or reject a stage at its
+    /// position, and the hub to give a `FUSED_AGG` its terminal's
+    /// accumulator. A new fusible primitive is one row here plus one body
+    /// for the interpreter to call.
     pub fn fusion(self) -> Option<(FusionRole, DataSemantic)> {
-        use DataSemantic::{Bitmap, HashTable, Numeric};
+        use DataSemantic::{Bitmap, HashTable, Numeric, Position};
         use FusionRole::{Interior, Terminal};
         Some(match self {
             PrimitiveKind::FilterBitmap
             | PrimitiveKind::FilterBitmapCol
-            | PrimitiveKind::BitmapOp => (Interior, Bitmap),
-            PrimitiveKind::Map | PrimitiveKind::Materialize => (Interior, Numeric),
+            | PrimitiveKind::BitmapOp
+            | PrimitiveKind::HashProbeSemi => (Interior, Bitmap),
+            PrimitiveKind::Map
+            | PrimitiveKind::Materialize
+            | PrimitiveKind::MaterializePosition => (Interior, Numeric),
+            // Positions on port 0, one payload column per further port.
+            PrimitiveKind::HashProbe => (Interior, Position),
             PrimitiveKind::AggBlock => (Terminal, Numeric),
-            PrimitiveKind::HashAgg => (Terminal, HashTable),
+            PrimitiveKind::HashAgg | PrimitiveKind::HashBuild => (Terminal, HashTable),
             _ => return None,
         })
     }
@@ -319,7 +337,15 @@ mod tests {
             let Some((role, semantic)) = kind.fusion() else {
                 continue;
             };
-            assert_eq!(kind.signature().outputs, vec![semantic], "{kind}");
+            let sig = kind.signature();
+            assert_eq!(sig.output(0), semantic, "{kind}");
+            if sig.outputs.len() > 1 || sig.variadic_outputs {
+                // A multi-output stage can only feed later stages: a chain's
+                // last stage is the fused node's one output.
+                assert_eq!(role, FusionRole::Interior, "{kind}");
+            } else {
+                assert_eq!(sig.outputs, vec![semantic], "{kind}");
+            }
             // Accumulating terminals are exactly the fusible breakers.
             assert_eq!(
                 role == FusionRole::Terminal,

@@ -9,10 +9,15 @@
 //!
 //! `kind` is [`PrimitiveKind::op_code`], `params` are exactly the scalars the
 //! standalone kernel would receive, and an operand is signed: `>= 0` names
-//! the fused node's external input at that index, `< 0` the in-kernel result
-//! of stage `-(code + 1)`. This module is the only place that knows the
-//! layout: `adamant-core` encodes a fused node's params through [`encode`],
-//! the interpreter kernel reads them back through [`decode`].
+//! the fused node's external input at that index, `< 0` an output port of
+//! an earlier stage's in-kernel result. A stage operand packs the stage in
+//! the low 32 bits and the port above them and is written as
+//! `-(packed + 1)`, so port 0 of stage `j` is `-(j + 1)`: a program whose
+//! stages read only port 0 has the bytes it had before stages had ports.
+//! Only `HASH_PROBE` has more than one port (positions, then one payload
+//! column per port). This module is the only place that knows the layout:
+//! `adamant-core` encodes a fused node's params through [`encode`], the
+//! interpreter kernel reads them back through [`decode`].
 
 use crate::kernels::bad_args;
 use crate::primitive::PrimitiveKind;
@@ -23,9 +28,12 @@ use adamant_device::error::{DeviceError, Result};
 pub enum FusedOperand {
     /// The fused node's external input at this index.
     External(usize),
-    /// The in-kernel result of an earlier stage.
-    Stage(usize),
+    /// Output port `.1` of an earlier stage `.0`'s in-kernel result.
+    Stage(usize, usize),
 }
+
+/// Bits of a packed stage operand that hold the stage; the port sits above.
+const PORT_SHIFT: u32 = 32;
 
 /// One stage in wire form: the original primitive, its operand sources and
 /// its own scalar parameters.
@@ -47,7 +55,7 @@ pub fn encode(stages: &[Stage]) -> Vec<i64> {
         out.push(stage.operands.len() as i64);
         out.extend(stage.operands.iter().map(|o| match *o {
             FusedOperand::External(i) => i as i64,
-            FusedOperand::Stage(j) => -(j as i64) - 1,
+            FusedOperand::Stage(j, port) => -((port as i64) << PORT_SHIFT | j as i64) - 1,
         }));
         out.push(stage.params.len() as i64);
         out.extend_from_slice(&stage.params);
@@ -89,7 +97,8 @@ fn take_run<'a>(rest: &mut &'a [i64], what: &str) -> Result<&'a [i64]> {
 /// Inverse of [`encode`]. The scalars come from the caller of the kernel
 /// interface, so every malformed program — truncated, a count that is
 /// negative or past the end, an unknown op code, a stage reading a later
-/// stage — is a `BadKernelArgs` error.
+/// stage (at any port) — is a `BadKernelArgs` error. A port the stage does
+/// not have is the interpreter's to reject.
 pub fn decode(scalars: &[i64]) -> Result<Vec<Stage>> {
     let mut rest = scalars;
     let n_stages = take_count(&mut rest, "stage count")?;
@@ -102,13 +111,19 @@ pub fn decode(scalars: &[i64]) -> Result<Vec<Stage>> {
             .ok_or_else(|| bad("unknown stage op code"))?;
         let operands = take_run(&mut rest, "operand count")?
             .iter()
-            .map(|&code| match usize::try_from(code) {
-                Ok(i) => Ok(FusedOperand::External(i)),
-                // `-(code + 1)` cannot overflow: `code + 1 <= 0`.
-                Err(_) if ((-(code + 1)) as usize) < si => {
-                    Ok(FusedOperand::Stage((-(code + 1)) as usize))
+            .map(|&code| {
+                if let Ok(i) = usize::try_from(code) {
+                    return Ok(FusedOperand::External(i));
                 }
-                Err(_) => Err(bad("stage operand references a later stage")),
+                // `-(code + 1)` cannot overflow: `code + 1 <= 0`.
+                let packed = (-(code + 1)) as u64;
+                let stage = (packed & ((1 << PORT_SHIFT) - 1)) as usize;
+                let port = (packed >> PORT_SHIFT) as usize;
+                if stage < si {
+                    Ok(FusedOperand::Stage(stage, port))
+                } else {
+                    Err(bad("stage operand references a later stage"))
+                }
             })
             .collect::<Result<Vec<_>>>()?;
         let params = take_run(&mut rest, "param count")?.to_vec();
@@ -134,15 +149,56 @@ mod tests {
             },
             Stage {
                 kind: PrimitiveKind::Materialize,
-                operands: vec![FusedOperand::External(1), FusedOperand::Stage(0)],
+                operands: vec![FusedOperand::External(1), FusedOperand::Stage(0, 0)],
                 params: vec![],
             },
             Stage {
                 kind: PrimitiveKind::AggBlock,
-                operands: vec![FusedOperand::Stage(1)],
+                operands: vec![FusedOperand::Stage(1, 0)],
                 params: vec![i64::MIN],
             },
         ]
+    }
+
+    #[test]
+    fn port_operands_round_trip() {
+        let probe = PrimitiveKind::HashProbe;
+        let gather = PrimitiveKind::MaterializePosition;
+        let stages = vec![
+            Stage {
+                kind: probe,
+                operands: vec![FusedOperand::External(0), FusedOperand::External(1)],
+                params: vec![2],
+            },
+            Stage {
+                kind: gather,
+                operands: vec![FusedOperand::Stage(0, 2), FusedOperand::Stage(0, 0)],
+                params: vec![],
+            },
+        ];
+        let scalars = encode(&stages);
+        // Port 0 is the bare stage code; port 2 sits above the stage bits.
+        assert_eq!(scalars[9..11], [-(2 << 32) - 1, -1]);
+        assert_eq!(decode(&scalars).unwrap(), stages);
+        // The largest port and stage the packing holds survive the trip.
+        let far = FusedOperand::Stage(0, (1 << 31) - 1);
+        let mut wide = stages.clone();
+        wide[1].operands[0] = far;
+        assert_eq!(decode(&encode(&wide)).unwrap(), wide);
+    }
+
+    #[test]
+    fn a_port_on_a_later_stage_is_rejected() {
+        let gather = PrimitiveKind::MaterializePosition.op_code();
+        let probe = PrimitiveKind::HashProbe.op_code();
+        let later = |stage: i64, port: i64| -((port << 32) | stage) - 1;
+        // One stage reading port 1 of itself, then of stage 1 (later).
+        assert!(decode(&[1, gather, 2, 0, later(0, 1), 0]).is_err());
+        assert!(decode(&[2, probe, 2, 0, 1, 1, 1, gather, 2, 0, later(2, 1), 0]).is_err());
+        assert!(decode(&[2, probe, 2, 0, 1, 1, 1, gather, 2, 0, later(1, 1), 0]).is_err());
+        // The same port of the earlier stage decodes.
+        let ok = decode(&[2, probe, 2, 0, 1, 1, 1, gather, 2, 0, later(0, 1), 0]).unwrap();
+        assert_eq!(ok[1].operands[1], FusedOperand::Stage(0, 1));
     }
 
     #[test]
