@@ -439,7 +439,7 @@ fn compile_path_is_pinned() {
         }
     }
     assert_eq!(errors, 0, "every pinned text compiles");
-    assert_eq!(h.finish(), 381_976_527_628_539_709);
+    assert_eq!(h.finish(), 14_717_029_832_341_600_078);
 }
 
 /// The generator itself is deterministic: same seed, same SQL texts. A
