@@ -104,11 +104,24 @@ fn checkpoint_resume_reexecutes_fewer_chunks_than_restart() {
 /// default) must be reference-exact, its skipped-chunk count must be
 /// consistent with the grid (positive, and strictly below a clean run's
 /// chunk total), and the grid itself must be identical to the unfused one.
+/// Q3 runs every scan pipeline as one fused kernel, its build sides ending
+/// in fused `HASH_BUILD` terminals whose tables the checkpoints capture.
 #[test]
 fn checkpoint_resume_with_fusion_is_exact_on_the_same_chunk_grid() {
     let catalog = TpchGenerator::new(0.001, 7).generate();
-    let reference = adamant::tpch::reference::q6(&catalog).unwrap();
-    for model in CHUNKED_MODELS {
+    let decoded = |q: TpchQuery, out: &QueryOutput| match q {
+        TpchQuery::Q6 => format!("{:?}", adamant::tpch::queries::q6::decode(out)),
+        _ => format!("{:?}", adamant::tpch::queries::q3::decode(out)),
+    };
+    for (q, model) in CHUNKED_MODELS
+        .into_iter()
+        .map(|m| (TpchQuery::Q6, m))
+        .chain(CHUNKED_MODELS.into_iter().map(|m| (TpchQuery::Q3, m)))
+    {
+        let reference = match q {
+            TpchQuery::Q6 => format!("{:?}", adamant::tpch::reference::q6(&catalog).unwrap()),
+            _ => format!("{:?}", adamant::tpch::reference::q3(&catalog).unwrap()),
+        };
         let run_one = |fusion: bool| -> (ExecutionStats, usize) {
             let build = |plan: FaultPlan, ckpt: Option<CheckpointConfig>| {
                 let mut b = Adamant::builder()
@@ -127,8 +140,8 @@ fn checkpoint_resume_with_fusion_is_exact_on_the_same_chunk_grid() {
             // chain compresses device time, so 75% means 75% of its run).
             let mut clean = build(FaultPlan::none(), None);
             let dev0 = clean.device_ids()[0];
-            let graph = TpchQuery::Q6.plan(dev0, &catalog).unwrap();
-            let inputs = TpchQuery::Q6.bind(&catalog).unwrap();
+            let graph = q.plan(dev0, &catalog).unwrap();
+            let inputs = q.bind(&catalog).unwrap();
             let (_, clean_stats) = clean.run(&graph, &inputs, model).unwrap();
             let clean_chunks = clean_stats.chunks_processed;
             let die_at = clean
@@ -146,9 +159,9 @@ fn checkpoint_resume_with_fusion_is_exact_on_the_same_chunk_grid() {
             );
             let (out, stats) = engine.run(&graph, &inputs, model).unwrap();
             assert_eq!(
-                adamant::tpch::queries::q6::decode(&out),
+                decoded(q, &out),
                 reference,
-                "{model:?} fusion={fusion}: resume diverged from reference"
+                "{q} {model:?} fusion={fusion}: resume diverged from reference"
             );
             assert_eq!(stats.device_deaths, 1, "{model:?} fusion={fusion}");
             assert!(
