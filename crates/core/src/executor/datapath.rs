@@ -1,5 +1,9 @@
-//! The data path: given a placement and a chunk size, drive one
+//! The data path: given a pipeline's device and a chunk size, drive the
 //! pipeline and leave cost events on the device clocks.
+//!
+//! The device is the run's, not the graph's: every node execution finds it
+//! in its [`NodeIo`] — the pipeline's entry of the run's placement, or the
+//! alternate a hedged duplicate runs on — so the graph is only ever read.
 //!
 //! Nothing here decides policy or inspects an error — a failure is passed
 //! up untouched, and the two per-chunk decisions that are policy (hedge a
@@ -74,12 +78,14 @@ enum Outputs {
     Sandbox,
 }
 
-/// Where one node execution finds its buffers.
+/// Where one node execution runs and finds its buffers.
 struct NodeIo<'a> {
+    /// The device every node of this execution runs on.
+    device: DeviceId,
     /// The scan this execution streams (`None`: every input placed whole).
     scan: Option<&'a str>,
-    /// This chunk's staged scan columns per `(input, device)`.
-    staged: &'a HashMap<(usize, DeviceId), BufferId>,
+    /// This chunk's staged scan columns, by graph input index.
+    staged: &'a HashMap<usize, BufferId>,
     /// Output buffers private to the pipeline: stream scratch, or the
     /// hedge sandbox.
     local: &'a mut HashMap<DataRef, BufferId>,
@@ -91,26 +97,14 @@ struct Stream<'a> {
     scan: &'a str,
     /// Graph input indexes of the scan columns the pipeline streams.
     cols: Vec<usize>,
-    /// Devices the pipeline's nodes are placed on (sorted).
-    devices: Vec<DeviceId>,
+    /// The device the pipeline runs on in this attempt.
+    device: DeviceId,
     slots: usize,
-    /// Staging buffers per `(scan input, consuming device, slot)`.
-    staging: HashMap<(usize, DeviceId, usize), BufferId>,
+    /// Staging buffers per `(scan input, slot)`.
+    staging: HashMap<(usize, usize), BufferId>,
     /// Non-breaker outputs, reused across chunks when staged once.
     scratch: HashMap<DataRef, BufferId>,
     costs: StreamCosts,
-}
-
-/// The devices a pipeline's nodes are placed on, sorted and deduplicated.
-pub(super) fn pipeline_devices(graph: &PrimitiveGraph, pipeline: &Pipeline) -> Vec<DeviceId> {
-    let mut devs: Vec<DeviceId> = pipeline
-        .nodes
-        .iter()
-        .map(|&n| graph.node(n).device)
-        .collect();
-    devs.sort_unstable();
-    devs.dedup();
-    devs
 }
 
 /// Graph input indexes of the columns `pipeline` streams from its scan, in
@@ -204,8 +198,11 @@ impl Executor {
     // ---- whole-input execution (OAAT and full-buffer pipelines) ---------
 
     fn run_whole(&mut self, cx: &mut RunCx<'_>, pipeline: &Pipeline) -> Result<()> {
+        let graph = cx.graph;
+        let device = cx.placement[pipeline.index];
         let (staged, mut local) = (HashMap::new(), HashMap::new());
         let mut io = NodeIo {
+            device,
             scan: None,
             staged: &staged,
             local: &mut local,
@@ -213,10 +210,10 @@ impl Executor {
         };
         for &node_id in &pipeline.nodes {
             cx.check_deadline(cx.tally.elapsed_ns())?;
-            let node = cx.graph.node(node_id).clone();
-            self.run_node(cx, &node, &mut io, None)?;
-            let used = self.devices.get(node.device)?.pool().used();
-            cx.tally.stats.memory_trace.push((node.label, used));
+            let node = graph.node(node_id);
+            self.run_node(cx, node, &mut io, None)?;
+            let used = self.devices.get(device)?.pool().used();
+            cx.tally.stats.memory_trace.push((node.label.clone(), used));
         }
         Ok(())
     }
@@ -237,16 +234,18 @@ impl Executor {
         // Every chunk of the attempt has `chunk_rows` rows (the last one
         // fewer), so each fits the staging buffers sized below.
         let chunk_rows = chunk_rows.max(1);
+        let graph = cx.graph;
+        let device = cx.placement[pipeline.index];
 
         // The scan columns this pipeline streams, and their length.
-        let cols = scan_columns(&cx.graph, pipeline);
+        let cols = scan_columns(graph, pipeline);
         let rows = cols.first().map_or(0, |&i| {
-            let name = &cx.graph.inputs()[i].name;
+            let name = &graph.inputs()[i].name;
             cx.inputs.get(name).expect("validated").len()
         });
         let n_chunks = rows.div_ceil(chunk_rows);
         if n_chunks > 1 {
-            if let Some(kind) = order_sensitive_kind(&cx.graph, pipeline) {
+            if let Some(kind) = order_sensitive_kind(graph, pipeline) {
                 return Err(ExecError::InvalidGraph(format!(
                     "{kind} is order-sensitive and cannot run in a multi-chunk \
                      streaming pipeline; materialize its input first"
@@ -258,7 +257,7 @@ impl Executor {
         let mut stream = Stream {
             scan,
             cols,
-            devices: pipeline_devices(&cx.graph, pipeline),
+            device,
             slots: if cx.cfg.stage_once {
                 cx.cfg.staging_buffers
             } else {
@@ -271,27 +270,25 @@ impl Executor {
         let staged_rows = chunk_rows.min(rows.max(1));
         let chunk_bytes = (staged_rows * 8) as u64;
         for &input_idx in &stream.cols {
-            for &dev_id in &stream.devices {
-                for slot in 0..stream.slots {
-                    let id = cx.hub.fresh_id();
-                    let dev = self.devices.get_mut(dev_id)?;
-                    if cx.cfg.pinned {
-                        dev.add_pinned_memory(id, chunk_bytes)?;
-                    } else {
-                        dev.prepare_memory(id, chunk_bytes)?;
-                    }
-                    cx.hub.track_created(dev_id, id);
-                    stream.staging.insert((input_idx, dev_id, slot), id);
+            for slot in 0..stream.slots {
+                let id = cx.hub.fresh_id();
+                let dev = self.devices.get_mut(device)?;
+                if cx.cfg.pinned {
+                    dev.add_pinned_memory(id, chunk_bytes)?;
+                } else {
+                    dev.prepare_memory(id, chunk_bytes)?;
                 }
+                cx.hub.track_created(device, id);
+                stream.staging.insert((input_idx, slot), id);
             }
         }
         // Scratch outputs (non-breaker) and accumulators (breaker outputs).
         for &node_id in &pipeline.nodes {
-            let node = cx.graph.node(node_id).clone();
+            let node = graph.node(node_id);
             for (port, r) in node.output_refs().enumerate() {
                 if node.kind.is_pipeline_breaker() {
-                    let id = self.alloc_output(cx, &node, port, rows)?;
-                    cx.hub.register_resident(r, node.device, id);
+                    let id = self.alloc_output(cx, node, device, port, rows)?;
+                    cx.hub.register_resident(r, device, id);
                     // Checkpoint resume: seed the fresh accumulator with the
                     // snapshot's partial state. Seeding happens per attempt
                     // (the accumulator is created after the recovery mark),
@@ -300,15 +297,15 @@ impl Executor {
                     // never double-counted.
                     if let Some(seed) = cursor.seed_for(r) {
                         cx.hub
-                            .place_verified(&mut self.devices, node.device, id, seed, 0)?;
+                            .place_verified(&mut self.devices, device, id, seed, 0)?;
                     }
                 } else if cx.cfg.stage_once {
-                    let id = self.alloc_output(cx, &node, port, staged_rows)?;
+                    let id = self.alloc_output(cx, node, device, port, staged_rows)?;
                     stream.scratch.insert(r, id);
                 }
             }
         }
-        cx.tally.fold_serial(&mut self.devices, &stream.devices)?;
+        cx.tally.fold_serial(&mut self.devices, &[device])?;
 
         // ---- Copy-compute phase -------------------------------------------
         // Rows below the cursor's offset are already host-accumulated (and
@@ -328,13 +325,13 @@ impl Executor {
         // Escaped scratch refs that never saw a chunk (empty scans) still
         // need an (empty) host accumulation for downstream consumers.
         for &node_id in &pipeline.nodes {
-            let node = cx.graph.node(node_id);
+            let node = graph.node(node_id);
             if node.kind.is_pipeline_breaker() {
                 continue;
             }
             for r in node.output_refs() {
                 if cx.escaping.contains(&r) && !cx.hub.has_host(r) {
-                    let semantic = cx.graph.semantic_of(r);
+                    let semantic = graph.semantic_of(r);
                     let empty = DataContainer::empty_payload(semantic);
                     cx.hub.host_accumulate(r, semantic, empty, 0, 0)?;
                 }
@@ -343,35 +340,19 @@ impl Executor {
         cx.tally.close_stream(stream.costs, cx.cfg);
 
         // ---- Per-pipeline delete phase ------------------------------------
-        // Free staging and scratch on the device that owns each buffer;
-        // breaker accumulators stay resident for downstream pipelines.
-        // These buffers are expected to exist, so failures are real leaks
-        // and surface as errors; `release` also untracks the ids so the
-        // final `delete_all` sweep cannot double-delete them.
-        let mut staging_ids: Vec<(DeviceId, BufferId)> = stream
-            .staging
-            .into_iter()
-            .map(|((_, dev_id, _), id)| (dev_id, id))
-            .collect();
+        // Free staging, then scratch; breaker accumulators stay resident for
+        // downstream pipelines. These buffers are expected to exist, so
+        // failures are real leaks and surface as errors; `release` also
+        // untracks the ids so the final `delete_all` sweep cannot
+        // double-delete them.
+        let mut staging_ids: Vec<BufferId> = stream.staging.into_values().collect();
         staging_ids.sort_unstable();
-        let mut scratch_ids: Vec<(DeviceId, BufferId)> = stream
-            .scratch
-            .into_iter()
-            .map(|(r, id)| (self.owner_of(cx, r), id))
-            .collect();
+        let mut scratch_ids: Vec<BufferId> = stream.scratch.into_values().collect();
         scratch_ids.sort_unstable();
-        for (dev_id, id) in staging_ids.into_iter().chain(scratch_ids) {
-            cx.hub.release(&mut self.devices, dev_id, id)?;
+        for id in staging_ids.into_iter().chain(scratch_ids) {
+            cx.hub.release(&mut self.devices, device, id)?;
         }
-        cx.tally.fold_serial(&mut self.devices, &stream.devices)
-    }
-
-    /// The device a pipeline-local output buffer lives on: its producer's.
-    fn owner_of(&self, cx: &RunCx<'_>, r: DataRef) -> DeviceId {
-        match r {
-            DataRef::Output { node, .. } => cx.graph.node(node).device,
-            DataRef::Input(_) => unreachable!("pipeline-local refs are node outputs"),
-        }
+        cx.tally.fold_serial(&mut self.devices, &[device])
     }
 
     /// The chunk-loop body (Algorithms 1 and 2 share it): run the chunk,
@@ -403,40 +384,38 @@ impl Executor {
     ) -> Result<ChunkOutcome> {
         let mut out = ChunkOutcome::default();
         let slot = chunk.index % stream.slots;
+        let (graph, device) = (cx.graph, stream.device);
 
-        // Upload this chunk into the staging buffers of every device that
-        // consumes it, verifying each transfer's checksum end-to-end. The
-        // rows are borrowed from the bound column: the copy the device
-        // stores is the only one made, and the sender checksum of a chunk on
-        // the block grid is folded from the column's memo.
-        let mut staged: HashMap<(usize, DeviceId), BufferId> = HashMap::new();
+        // Upload this chunk into the pipeline device's staging buffers,
+        // verifying each transfer's checksum end-to-end. The rows are
+        // borrowed from the bound column: the copy the device stores is the
+        // only one made, and the sender checksum of a chunk on the block
+        // grid is folded from the column's memo.
+        let mut staged: HashMap<usize, BufferId> = HashMap::new();
         for &input_idx in &stream.cols {
-            let name = &cx.graph.inputs()[input_idx].name;
+            let name = &graph.inputs()[input_idx].name;
             let col = cx.inputs.bound(name).expect("validated");
-            for &dev_id in &stream.devices {
-                let id = stream.staging[&(input_idx, dev_id, slot)];
-                // A residency-cached copy of the scan column serves the
-                // chunk with a device-internal copy instead of a fresh
-                // host→device upload; otherwise fall back to the verified
-                // transfer path.
-                let from_cache = cx.hub.stage_chunk_from_cache(
-                    &mut self.devices,
-                    dev_id,
-                    id,
-                    name,
-                    col,
-                    chunk.offset,
-                    chunk.len,
-                )?;
-                if !from_cache {
-                    let rows = col.range(chunk.offset..chunk.offset + chunk.len);
-                    cx.hub
-                        .place_verified(&mut self.devices, dev_id, id, rows, 0)?;
-                }
-                staged.insert((input_idx, dev_id), id);
-                cx.tally
-                    .fold(&mut self.devices, dev_id, Charge::Chunk(&mut out))?;
+            let id = stream.staging[&(input_idx, slot)];
+            // A residency-cached copy of the scan column serves the chunk
+            // with a device-internal copy instead of a fresh host→device
+            // upload; otherwise fall back to the verified transfer path.
+            let from_cache = cx.hub.stage_chunk_from_cache(
+                &mut self.devices,
+                device,
+                id,
+                name,
+                col,
+                chunk.offset,
+                chunk.len,
+            )?;
+            if !from_cache {
+                let rows = col.range(chunk.offset..chunk.offset + chunk.len);
+                cx.hub
+                    .place_verified(&mut self.devices, device, id, rows, 0)?;
             }
+            staged.insert(input_idx, id);
+            cx.tally
+                .fold(&mut self.devices, device, Charge::Chunk(&mut out))?;
         }
 
         // Per-chunk scratch allocation for the naive chunked model
@@ -444,30 +423,31 @@ impl Executor {
         let mut chunk_scratch: Vec<(DataRef, BufferId)> = Vec::new();
         if !cx.cfg.stage_once {
             for &node_id in &pipeline.nodes {
-                let node = cx.graph.node(node_id).clone();
+                let node = graph.node(node_id);
                 if node.kind.is_pipeline_breaker() {
                     continue;
                 }
                 for (port, r) in node.output_refs().enumerate() {
-                    let id = self.alloc_output(cx, &node, port, chunk.len)?;
+                    let id = self.alloc_output(cx, node, device, port, chunk.len)?;
                     stream.scratch.insert(r, id);
                     chunk_scratch.push((r, id));
                 }
                 cx.tally
-                    .fold(&mut self.devices, node.device, Charge::Chunk(&mut out))?;
+                    .fold(&mut self.devices, device, Charge::Chunk(&mut out))?;
             }
         }
 
         // Execute the pipeline's primitives over this chunk.
         let mut io = NodeIo {
+            device,
             scan: Some(stream.scan),
             staged: &staged,
             local: &mut stream.scratch,
             outputs: Outputs::Staged,
         };
         for &node_id in &pipeline.nodes {
-            let node = cx.graph.node(node_id).clone();
-            self.run_node(cx, &node, &mut io, Some((chunk.len, &mut out)))?;
+            let node = graph.node(node_id);
+            self.run_node(cx, node, &mut io, Some((chunk.len, &mut out)))?;
             if node.kind.is_pipeline_breaker() {
                 continue;
             }
@@ -478,14 +458,14 @@ impl Executor {
                     continue;
                 }
                 let id = io.local[&r];
-                let payload =
-                    cx.hub
-                        .retrieve_verified(&mut self.devices, node.device, id, None, 0)?;
-                let semantic = cx.graph.semantic_of(r);
+                let payload = cx
+                    .hub
+                    .retrieve_verified(&mut self.devices, device, id, None, 0)?;
+                let semantic = graph.semantic_of(r);
                 cx.hub
                     .host_accumulate(r, semantic, payload, chunk.offset, chunk.len)?;
                 cx.tally
-                    .fold(&mut self.devices, node.device, Charge::Chunk(&mut out))?;
+                    .fold(&mut self.devices, device, Charge::Chunk(&mut out))?;
             }
         }
 
@@ -493,11 +473,10 @@ impl Executor {
         // through `release` untracks the ids, so the final sweep never sees
         // (and double-deletes) buffers that died inside the chunk loop.
         for (r, id) in chunk_scratch {
-            let owner = self.owner_of(cx, r);
-            cx.hub.release(&mut self.devices, owner, id)?;
+            cx.hub.release(&mut self.devices, device, id)?;
             stream.scratch.remove(&r);
             cx.tally
-                .fold(&mut self.devices, owner, Charge::Chunk(&mut out))?;
+                .fold(&mut self.devices, device, Charge::Chunk(&mut out))?;
         }
         Ok(out)
     }
@@ -519,12 +498,13 @@ impl Executor {
         chunk: &Chunk,
     ) -> Result<ChunkCost> {
         let mark = cx.hub.mark();
+        let graph = cx.graph;
         let result = (|| -> Result<()> {
             // Stage the scan chunk on the hedge device (verified, like the
             // primary's uploads).
-            let mut staged: HashMap<(usize, DeviceId), BufferId> = HashMap::new();
-            for input_idx in scan_columns(&cx.graph, pipeline) {
-                let name = &cx.graph.inputs()[input_idx].name;
+            let mut staged: HashMap<usize, BufferId> = HashMap::new();
+            for input_idx in scan_columns(graph, pipeline) {
+                let name = &graph.inputs()[input_idx].name;
                 let col = cx.inputs.bound(name).expect("validated");
                 let id = cx.hub.fresh_id();
                 self.devices
@@ -533,20 +513,20 @@ impl Executor {
                 cx.hub.track_created(alt, id);
                 let rows = col.range(chunk.offset..chunk.offset + chunk.len);
                 cx.hub.place_verified(&mut self.devices, alt, id, rows, 0)?;
-                staged.insert((input_idx, alt), id);
+                staged.insert(input_idx, id);
             }
             let mut sandbox = HashMap::new();
             let mut io = NodeIo {
+                device: alt,
                 scan: pipeline.scan.as_deref(),
                 staged: &staged,
                 local: &mut sandbox,
                 outputs: Outputs::Sandbox,
             };
             for &node_id in &pipeline.nodes {
-                let mut node = cx.graph.node(node_id).clone();
-                node.device = alt;
-                let (in_ids, out_ids, _) = self.wire_node(cx, &node, &mut io, Some(chunk.len))?;
-                self.execute_node(&node, &in_ids, &out_ids)?;
+                let node = graph.node(node_id);
+                let (in_ids, out_ids, _) = self.wire_node(cx, node, &mut io, Some(chunk.len))?;
+                self.execute_node(node, alt, &in_ids, &out_ids)?;
             }
             Ok(())
         })();
@@ -568,9 +548,9 @@ impl Executor {
 
     // ---- one node ---------------------------------------------------------
 
-    /// Wires and launches one node, then folds its events: as part of
-    /// `chunk` when streaming, as a serial slice of its own in whole mode
-    /// (where staging the operands is serial time outside the slice).
+    /// Wires and launches one node on `io.device`, then folds its events: as
+    /// part of `chunk` when streaming, as a serial slice of its own in whole
+    /// mode (where staging the operands is serial time outside the slice).
     fn run_node(
         &mut self,
         cx: &mut RunCx<'_>,
@@ -578,26 +558,27 @@ impl Executor {
         io: &mut NodeIo<'_>,
         chunk: Option<(usize, &mut ChunkOutcome)>,
     ) -> Result<()> {
+        let device = io.device;
         let (in_ids, out_ids, rows) = self.wire_node(cx, node, io, chunk.as_ref().map(|c| c.0))?;
         let charge = match chunk {
             Some((_, outcome)) => Charge::Chunk(outcome),
             None => {
-                cx.tally.fold_serial(&mut self.devices, &[node.device])?;
+                cx.tally.fold_serial(&mut self.devices, &[device])?;
                 Charge::Slice
             }
         };
         let streaming = matches!(charge, Charge::Chunk(_));
-        let (saved_ns, stage_rows) = self.execute_node(node, &in_ids, &out_ids)?;
+        let (saved_ns, stage_rows) = self.execute_node(node, device, &in_ids, &out_ids)?;
         cx.tally.stats.fusion_saved_transfer_ns += saved_ns;
         let stage_rows = (!streaming).then_some(stage_rows.as_slice());
         cx.tally
-            .note_intermediates(&cx.graph, node, rows, stage_rows);
-        let kernel_ns = cx.tally.fold(&mut self.devices, node.device, charge)?;
+            .note_intermediates(cx.graph, node, rows, stage_rows);
+        let kernel_ns = cx.tally.fold(&mut self.devices, device, charge)?;
         cx.tally.stats.record_primitive(&node.label, kernel_ns);
         Ok(())
     }
 
-    /// Resolves a node's operand and result buffers on `node.device`:
+    /// Resolves a node's operand and result buffers on `io.device`:
     /// streamed scan inputs from this chunk's staging, other inputs placed
     /// whole (once; later chunks reuse them through the residency map),
     /// pipeline-local intermediates from `io.local`, everything else routed
@@ -611,6 +592,7 @@ impl Executor {
         io: &mut NodeIo<'_>,
         rows: Option<usize>,
     ) -> Result<(Vec<BufferId>, Vec<BufferId>, usize)> {
+        let device = io.device;
         let mut in_ids = Vec::with_capacity(node.inputs.len());
         let mut widest = 0usize;
         for &input in &node.inputs {
@@ -618,10 +600,9 @@ impl Executor {
                 DataRef::Input(i) => {
                     let gi = &cx.graph.inputs()[i];
                     if io.scan.is_some() && gi.scan.as_deref() == io.scan {
-                        *io.staged.get(&(i, node.device)).ok_or_else(|| {
+                        *io.staged.get(&i).ok_or_else(|| {
                             ExecError::Internal(format!(
-                                "no staged chunk for input #{i} on {}",
-                                node.device
+                                "no staged chunk for input #{i} on {device}"
                             ))
                         })?
                     } else {
@@ -629,24 +610,19 @@ impl Executor {
                             .inputs
                             .bound(&gi.name)
                             .ok_or_else(|| ExecError::MissingInput(gi.name.clone()))?;
-                        cx.hub.load_bound_input(
-                            &mut self.devices,
-                            input,
-                            node.device,
-                            &gi.name,
-                            col,
-                        )?
+                        cx.hub
+                            .load_bound_input(&mut self.devices, input, device, &gi.name, col)?
                     }
                 }
                 DataRef::Output { .. } => match io.local.get(&input) {
                     Some(&id) => id,
                     // Materialized elsewhere (breaker output, earlier
                     // pipeline, or escaped host accumulation).
-                    None => cx.hub.router(&mut self.devices, input, node.device)?,
+                    None => cx.hub.router(&mut self.devices, input, device)?,
                 },
             };
             if rows.is_none() {
-                let pool = self.devices.get(node.device)?.pool();
+                let pool = self.devices.get(device)?.pool();
                 widest = widest.max(pool.get(id).map_or(0, |b| b.data.len()));
             }
             in_ids.push(id);
@@ -656,16 +632,16 @@ impl Executor {
         for (port, r) in node.output_refs().enumerate() {
             let id = match (io.local.get(&r), io.outputs) {
                 (Some(&id), _) => id,
-                (None, Outputs::Staged) => cx.hub.resident(r, node.device).ok_or_else(|| {
+                (None, Outputs::Staged) => cx.hub.resident(r, device).ok_or_else(|| {
                     ExecError::Internal(format!(
                         "output {r:?} has no buffer (node `{}`)",
                         node.label
                     ))
                 })?,
                 (None, outputs) => {
-                    let id = self.alloc_output(cx, node, port, rows)?;
+                    let id = self.alloc_output(cx, node, device, port, rows)?;
                     if let Outputs::Publish = outputs {
-                        cx.hub.register_resident(r, node.device, id);
+                        cx.hub.register_resident(r, device, id);
                     } else {
                         io.local.insert(r, id);
                     }
@@ -677,12 +653,13 @@ impl Executor {
         Ok((in_ids, out_ids, rows))
     }
 
-    /// Creates result space for output `port` of `node` on its device, sized
+    /// Creates result space for output `port` of `node` on `device`, sized
     /// for `rows` input rows, with the port's data semantics.
     fn alloc_output(
         &mut self,
         cx: &mut RunCx<'_>,
         node: &PrimitiveNode,
+        device: DeviceId,
         port: usize,
         rows: usize,
     ) -> Result<BufferId> {
@@ -691,20 +668,22 @@ impl Executor {
             port,
         });
         cx.hub
-            .prepare_output_buffer(&mut self.devices, node, semantic, rows)
+            .prepare_output_buffer(&mut self.devices, node, device, semantic, rows)
     }
 
-    /// Resolves and runs one node's kernel. Returns the modeled nanoseconds
-    /// a fused node saved over launching its stages individually (`0.0` for
-    /// ordinary nodes, or when the device exposes no cost model), and the
-    /// fused kernel's per-stage row counts (empty for ordinary nodes).
+    /// Resolves and runs one node's kernel on `device`. Returns the modeled
+    /// nanoseconds a fused node saved over launching its stages individually
+    /// (`0.0` for ordinary nodes, or when the device exposes no cost model),
+    /// and the fused kernel's per-stage row counts (empty for ordinary
+    /// nodes).
     fn execute_node(
         &mut self,
         node: &PrimitiveNode,
+        device: DeviceId,
         in_ids: &[BufferId],
         out_ids: &[BufferId],
     ) -> Result<(f64, Vec<usize>)> {
-        let sdk = self.devices.get(node.device)?.info().sdk;
+        let sdk = self.devices.get(device)?.info().sdk;
         let container = self
             .tasks
             .resolve(node.kind, sdk, node.variant.as_deref())
@@ -719,20 +698,20 @@ impl Executor {
         let mut buffers = in_ids.to_vec();
         buffers.extend_from_slice(out_ids);
         let spec = ExecuteSpec::new(container.kernel_name(), buffers, node.params.to_scalars());
-        let kstats = self
-            .devices
-            .get_mut(node.device)?
-            .execute(&spec)
-            .map_err(|e| ExecError::KernelFailed {
-                device: node.device,
-                kernel: spec.kernel.clone(),
-                source: e,
-            })?;
+        let kstats =
+            self.devices
+                .get_mut(device)?
+                .execute(&spec)
+                .map_err(|e| ExecError::KernelFailed {
+                    device,
+                    kernel: spec.kernel.clone(),
+                    source: e,
+                })?;
         let mut saved_ns = 0.0;
         if let NodeParams::Fused { stages, .. } = &node.params {
             if !kstats.stages.is_empty() {
                 saved_ns = crate::fusion::fused_saved_ns(
-                    &self.devices.get(node.device)?.state().cost,
+                    &self.devices.get(device)?.state().cost,
                     stages,
                     &kstats.stages,
                     spec.arg_count(),

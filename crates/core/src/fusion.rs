@@ -23,8 +23,12 @@
 //! * A fusible node `p` **folds into** region `R` when `p` is an `Interior`
 //!   kind, none of its outputs is a graph output, it has at least one
 //!   consumer, and **all** of its consumers — over every output port — are
-//!   already members of `R` and sit on `p`'s **device** and stream `p`'s
-//!   **scan** in [`PipelineSet::split`] of the graph.
+//!   already members of `R` and stream `p`'s **scan** in
+//!   [`PipelineSet::split`] of the graph. The split puts every node of a
+//!   pipeline on one device, and the pass stands down when it fails, so
+//!   the members a region takes from one pipeline share its device. A
+//!   fused node runs on its root's device, and that includes a producer
+//!   folded in from an earlier pipeline over the same scan.
 //! * Otherwise `p` **roots** a region of its own, if it has a single output
 //!   port; a multi-output node (a `HASH_PROBE` with payload columns) is
 //!   never a root, so a region always has exactly one output — its root's.
@@ -152,12 +156,7 @@ pub fn fuse_graph(graph: &mut PrimitiveGraph) -> FusionReport {
         if p.variant.is_some() {
             continue;
         }
-        let shared = |c: &usize| {
-            let c_node = graph.node(NodeId(*c));
-            (c_node.device == p.device && scan_of(*c) == scan_of(i))
-                .then_some(root[*c])
-                .flatten()
-        };
+        let shared = |c: &usize| (scan_of(*c) == scan_of(i)).then_some(root[*c]).flatten();
         let mut regions = consumers[i].iter().map(shared);
         let folds_into = match regions.next() {
             Some(Some(r)) if role == FusionRole::Interior && !is_output[i] => {
@@ -718,6 +717,8 @@ mod tests {
 
     #[test]
     fn cross_device_edge_blocks_fusion() {
+        // A pipeline runs on one device: the split rejects this graph, and
+        // fusion stands down when the split fails.
         let mut b = GraphBuilder::new();
         let x = b.scan_input("t", "x");
         let m = b.add(

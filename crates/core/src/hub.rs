@@ -862,7 +862,7 @@ impl DataTransferHub {
     }
 
     /// `prepare_output_buffer()`: creates result space for an output of
-    /// `node` on its device, sized for `estimate_rows` input rows, with the
+    /// `node` on `device`, sized for `estimate_rows` input rows, with the
     /// output's data semantics.
     ///
     /// Pipeline-breaker accumulators (hash tables, block-agg states) are
@@ -872,11 +872,12 @@ impl DataTransferHub {
         &mut self,
         devices: &mut DeviceRegistry,
         node: &PrimitiveNode,
+        device: DeviceId,
         semantic: DataSemantic,
         estimate_rows: usize,
     ) -> Result<BufferId> {
         let id = self.fresh_id();
-        let device = devices.get_mut(node.device)?;
+        let dev = devices.get_mut(device)?;
         // A `FUSED_AGG`'s accumulator is whatever its terminal stage — a
         // `Terminal` row of the fusion table — would have gotten unfused;
         // interior stages get nothing at all — that is the fusion win.
@@ -902,7 +903,7 @@ impl DataTransferHub {
                     expected,
                 },
             ) => {
-                device.init_structure(id, DataContainer::join_table(*expected, *payload_cols))?;
+                dev.init_structure(id, DataContainer::join_table(*expected, *payload_cols))?;
             }
             (
                 PrimitiveKind::HashAgg,
@@ -912,7 +913,7 @@ impl DataTransferHub {
                     expected_groups,
                 },
             ) => {
-                device.init_structure(
+                dev.init_structure(
                     id,
                     DataContainer::agg_table(*expected_groups, aggs.clone(), *payload_cols),
                 )?;
@@ -925,14 +926,14 @@ impl DataTransferHub {
                     NodeParams::AggBlock { agg } => agg.identity(),
                     _ => 0,
                 };
-                device.init_structure(id, BufferData::I64(vec![identity, 0]))?;
+                dev.init_structure(id, BufferData::I64(vec![identity, 0]))?;
             }
             _ => {
                 let bytes = DataContainer::estimate_output_bytes(semantic, estimate_rows).max(8);
-                device.prepare_memory(id, bytes)?;
+                dev.prepare_memory(id, bytes)?;
             }
         }
-        self.track_created(node.device, id);
+        self.track_created(device, id);
         Ok(id)
     }
 

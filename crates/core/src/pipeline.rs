@@ -8,6 +8,10 @@
 //! A *streaming* pipeline consumes one scan's columns chunk-wise; a
 //! *full-buffer* pipeline (e.g. the post-aggregation ORDER BY stage)
 //! consumes only materialized data and runs once on whole buffers.
+//!
+//! Every node of a pipeline names the same device: the pipeline is the unit
+//! of placement. The annotation is where a run *starts*; recovery re-places
+//! whole pipelines in the run's own placement and never edits the graph.
 
 use crate::error::{ExecError, Result};
 use crate::graph::{DataRef, NodeId, PrimitiveGraph};
@@ -47,6 +51,9 @@ impl PipelineSet {
     /// pipeline. Nodes whose every input is materialized (external
     /// whole-inputs, breaker outputs, outputs of already-closed pipelines)
     /// join the open full-buffer pipeline.
+    ///
+    /// Fails with [`ExecError::InvalidGraph`] when a node streams two scans
+    /// or joins a pipeline whose nodes are annotated with another device.
     pub fn split(graph: &PrimitiveGraph) -> Result<PipelineSet> {
         let mut pipelines: Vec<Pipeline> = Vec::new();
         let mut node_pipeline: Vec<usize> = Vec::with_capacity(graph.nodes().len());
@@ -112,6 +119,19 @@ impl PipelineSet {
                     }
                 },
             };
+            if let Some(&head) = pipelines[pidx].nodes.first() {
+                let head = graph.node(head);
+                if head.device != node.device {
+                    let what = match &pipelines[pidx].scan {
+                        Some(scan) => format!("the pipeline over scan `{scan}`"),
+                        None => "the full-buffer pipeline".to_string(),
+                    };
+                    return Err(ExecError::InvalidGraph(format!(
+                        "{what} places `{}` on {} and `{}` on {}: a pipeline runs on one device",
+                        head.label, head.device, node.label, node.device
+                    )));
+                }
+            }
             pipelines[pidx].nodes.push(node.id);
             node_pipeline.push(pidx);
 
@@ -313,5 +333,90 @@ mod tests {
         b.output("r", m[0]);
         let g = b.build().unwrap();
         assert!(PipelineSet::split(&g).is_err());
+    }
+
+    /// `map` on device 0 feeding `sum` on device 1 over one scan.
+    fn two_device_stream() -> PrimitiveGraph {
+        let mut b = GraphBuilder::new();
+        let x = b.scan_input("t", "x");
+        let m = b.add(
+            PrimitiveKind::Map,
+            NodeParams::Map {
+                op: adamant_task::params::MapOp::MulConst,
+                constant: 2,
+            },
+            vec![x],
+            1,
+            DeviceId(0),
+            "map",
+        );
+        let s = b.add(
+            PrimitiveKind::AggBlock,
+            NodeParams::AggBlock { agg: AggFunc::Sum },
+            vec![m[0]],
+            1,
+            DeviceId(1),
+            "sum",
+        );
+        b.output("s", s[0]);
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn rejects_a_streaming_pipeline_on_two_devices() {
+        let err = PipelineSet::split(&two_device_stream()).unwrap_err();
+        let ExecError::InvalidGraph(msg) = err else {
+            panic!("expected InvalidGraph, got {err:?}");
+        };
+        assert!(msg.contains("scan `t`"), "{msg}");
+        assert!(
+            msg.contains("`map` on dev#0") && msg.contains("`sum` on dev#1"),
+            "{msg}"
+        );
+    }
+
+    #[test]
+    fn rejects_a_full_buffer_pipeline_on_two_devices() {
+        // The sum closes the scan's pipeline; the map and the max read its
+        // materialized result, so they share the full-buffer pipeline.
+        let mut b = GraphBuilder::new();
+        let x = b.scan_input("t", "x");
+        let s = b.add(
+            PrimitiveKind::AggBlock,
+            NodeParams::AggBlock { agg: AggFunc::Sum },
+            vec![x],
+            1,
+            DeviceId(0),
+            "sum",
+        );
+        let m = b.add(
+            PrimitiveKind::Map,
+            NodeParams::Map {
+                op: adamant_task::params::MapOp::MulConst,
+                constant: 2,
+            },
+            vec![s[0]],
+            1,
+            DeviceId(0),
+            "map",
+        );
+        let mx = b.add(
+            PrimitiveKind::AggBlock,
+            NodeParams::AggBlock { agg: AggFunc::Max },
+            vec![m[0]],
+            1,
+            DeviceId(1),
+            "max",
+        );
+        b.output("m", mx[0]);
+        let err = PipelineSet::split(&b.build().unwrap()).unwrap_err();
+        let ExecError::InvalidGraph(msg) = err else {
+            panic!("expected InvalidGraph, got {err:?}");
+        };
+        assert!(msg.contains("full-buffer pipeline"), "{msg}");
+        assert!(
+            msg.contains("`map` on dev#0") && msg.contains("`max` on dev#1"),
+            "{msg}"
+        );
     }
 }
