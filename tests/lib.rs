@@ -1,5 +1,6 @@
 //! Support shared by the integration suites: the seed-sharding convention,
-//! the chunk-streaming model list and the zero-leak invariant.
+//! the chunk-streaming model list, the TPC-H reference check and the
+//! zero-leak invariant.
 
 use adamant::prelude::*;
 
@@ -21,6 +22,50 @@ pub fn seeds(env_var: &str, defaults: &[u64]) -> Vec<u64> {
             .parse()
             .unwrap_or_else(|_| panic!("{env_var} must be an unsigned integer"))],
         Err(_) => defaults.to_vec(),
+    }
+}
+
+/// Asserts that `out`, a run of TPC-H query `q` over `catalog`, decodes to
+/// exactly the host reference's result (`adamant::tpch::reference`).
+pub fn assert_matches_reference(q: TpchQuery, catalog: &Catalog, out: &QueryOutput, ctx: &str) {
+    use adamant::tpch::{queries, reference};
+    let msg = format!("{ctx}: result differs from the reference");
+    match q {
+        TpchQuery::Q1 => assert_eq!(
+            queries::q1::decode(catalog, out).unwrap(),
+            reference::q1(catalog).unwrap(),
+            "{msg}"
+        ),
+        TpchQuery::Q3 => assert_eq!(
+            queries::q3::decode(out),
+            reference::q3(catalog).unwrap(),
+            "{msg}"
+        ),
+        TpchQuery::Q4 => assert_eq!(
+            queries::q4::decode(catalog, out).unwrap(),
+            reference::q4(catalog).unwrap(),
+            "{msg}"
+        ),
+        TpchQuery::Q6 => assert_eq!(
+            queries::q6::decode(out),
+            reference::q6(catalog).unwrap(),
+            "{msg}"
+        ),
+        TpchQuery::Q10 => assert_eq!(
+            queries::q10::decode(out),
+            reference::q10(catalog).unwrap(),
+            "{msg}"
+        ),
+        TpchQuery::Q12 => assert_eq!(
+            queries::q12::decode(catalog, out).unwrap(),
+            reference::q12(catalog).unwrap(),
+            "{msg}"
+        ),
+        TpchQuery::Q14 => assert_eq!(
+            queries::q14::decode(out),
+            reference::q14(catalog).unwrap(),
+            "{msg}"
+        ),
     }
 }
 

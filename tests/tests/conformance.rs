@@ -10,6 +10,7 @@
 use adamant::device::error::DeviceError;
 use adamant::prelude::*;
 use adamant_examples::{NpuDevice, NPU_SDK};
+use adamant_integration_tests::assert_matches_reference;
 
 /// Exercises every interface of a freshly-initialized device.
 fn conformance_suite(dev: &mut dyn Device, supports_jit: bool) {
@@ -203,36 +204,7 @@ fn custom_device_runs_full_query_suite() {
             let (out, _) = engine
                 .run(&graph, &inputs, model)
                 .unwrap_or_else(|e| panic!("{q} under {model}: {e}"));
-            match q {
-                TpchQuery::Q6 => assert_eq!(
-                    adamant::tpch::queries::q6::decode(&out),
-                    adamant::tpch::reference::q6(&catalog).unwrap()
-                ),
-                TpchQuery::Q1 => assert_eq!(
-                    adamant::tpch::queries::q1::decode(&catalog, &out).unwrap(),
-                    adamant::tpch::reference::q1(&catalog).unwrap()
-                ),
-                TpchQuery::Q3 => assert_eq!(
-                    adamant::tpch::queries::q3::decode(&out),
-                    adamant::tpch::reference::q3(&catalog).unwrap()
-                ),
-                TpchQuery::Q4 => assert_eq!(
-                    adamant::tpch::queries::q4::decode(&catalog, &out).unwrap(),
-                    adamant::tpch::reference::q4(&catalog).unwrap()
-                ),
-                TpchQuery::Q10 => assert_eq!(
-                    adamant::tpch::queries::q10::decode(&out),
-                    adamant::tpch::reference::q10(&catalog).unwrap()
-                ),
-                TpchQuery::Q12 => assert_eq!(
-                    adamant::tpch::queries::q12::decode(&catalog, &out).unwrap(),
-                    adamant::tpch::reference::q12(&catalog).unwrap()
-                ),
-                TpchQuery::Q14 => assert_eq!(
-                    adamant::tpch::queries::q14::decode(&out),
-                    adamant::tpch::reference::q14(&catalog).unwrap()
-                ),
-            }
+            assert_matches_reference(q, &catalog, &out, &format!("{q} under {model}"));
         }
     }
 }

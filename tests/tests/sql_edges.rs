@@ -1,6 +1,7 @@
 //! SQL edges with pinned expectations: empty tables, empty filter results,
-//! empty join sides, duplicate keys, two-key ordering and `EXISTS` against
-//! an empty and a non-empty table. Every text runs under every execution
+//! empty join sides, duplicate keys, two-key ordering, `EXISTS` against an
+//! empty and a non-empty table, and a `GROUP BY` with a single group and
+//! one with all groups distinct. Every text runs under every execution
 //! model at `chunk_rows` 1, 3 and 256 and must agree exactly with the
 //! scalar host interpreter ([`adamant::sql::prelude::run_sql_host`]).
 //!
@@ -96,6 +97,22 @@ fn edges() -> Vec<(&'static str, Vec<Vec<i64>>)> {
         (
             "SELECT k, SUM(v) AS s FROM t WHERE v > 1000 GROUP BY k ORDER BY k",
             vec![],
+        ),
+        // One group: the filter keeps only the duplicate key.
+        (
+            "SELECT k, COUNT(*) AS n, SUM(v) AS s FROM t WHERE k = 2 GROUP BY k",
+            vec![vec![2, 2, 50]],
+        ),
+        // Every row its own group.
+        (
+            "SELECT v, COUNT(*) AS n, SUM(k) AS s FROM t GROUP BY v ORDER BY v",
+            vec![
+                vec![10, 1, 1],
+                vec![20, 1, 2],
+                vec![30, 1, 2],
+                vec![40, 1, 3],
+                vec![50, 1, 5],
+            ],
         ),
     ]
 }
