@@ -14,9 +14,10 @@
 //!   pays real modeled D2H cost).
 //!
 //! Checkpoints are **device-agnostic**: no [`DeviceId`] appears in the
-//! snapshot. On resume the post-re-placement graph annotation decides where
-//! each entry lands, so a snapshot taken before a device died restores
-//! cleanly onto whatever survivors remain. The whole snapshot is guarded by
+//! snapshot. On resume the run's placement after re-placement (the device
+//! of the pipeline that produced each entry) decides where the entry lands,
+//! so a snapshot taken before a device died restores cleanly onto whatever
+//! survivors remain. The whole snapshot is guarded by
 //! a seal: FNV-1a framing (counts, refs, watermarks) over one
 //! content-hash term per payload — the same word-parallel hash, computed in
 //! place, that verifies the payload's transfers. A snapshot that fails

@@ -1,7 +1,8 @@
 //! The primitive graph: a query plan over task-layer primitives.
 //!
 //! Nodes are primitive instances annotated with a target device (the paper's
-//! "primitive graph with annotations, which mark the target device"); data
+//! "primitive graph with annotations, which mark the target device"), one
+//! device per pipeline; data
 //! flows along [`DataRef`]s carrying I/O semantics. The graph is built by a
 //! front end (a hand-written plan, or `adamant-plan`'s lowering of a logical
 //! plan) and validated before execution.
@@ -187,7 +188,10 @@ pub struct PrimitiveNode {
     pub inputs: Vec<DataRef>,
     /// Number of output ports.
     pub output_count: usize,
-    /// Target device annotation.
+    /// Target device annotation: the plan-time choice. Every node of a
+    /// pipeline names the same device (`PipelineSet::split` rejects a graph
+    /// where they differ); a run starts each pipeline there, and recovery
+    /// re-places the pipeline in the run's own placement, never here.
     pub device: DeviceId,
     /// Implementation variant (`None` = default).
     pub variant: Option<String>,
