@@ -95,9 +95,9 @@ impl Default for ExecutorConfig {
 ///   pipeline; the next pipeline starts again at `chunk_rows`;
 /// * a kernel that fails twice in a row on the same device → the
 ///   pipeline is re-placed onto another device with its primitives
-///   installed;
-/// * a missing implementation → immediate re-placement (or the original
-///   error when no capable device exists).
+///   installed (or the original error when no capable device exists);
+/// * anything else — an exhausted retransmit budget, a missing
+///   implementation — surfaces as the run's error.
 #[derive(Clone, Copy, Debug)]
 pub struct RetryPolicy {
     /// Total attempts per pipeline, including the first (so 1 disables

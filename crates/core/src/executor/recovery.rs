@@ -14,9 +14,7 @@
 //! | fault | action |
 //! |---|---|
 //! | device or kernel out of memory | halve the streaming chunk, retry |
-//! | kernel failed | retry; second strike in a row on the device moves the pipeline off it |
-//! | transfer corrupt through the whole retransmit budget | move the pipeline off the device |
-//! | no implementation on the placed device | move the pipeline off it |
+//! | kernel failed | retry; second strike in a row moves the pipeline off its device |
 //! | chunk overran its watchdog budget | hedge it on the best alternate device |
 //! | device gone | unplug it, re-place, resume from the latest checkpoint (none: from row 0) |
 //! | anything else | fail |
@@ -43,24 +41,17 @@ pub(super) enum Fault {
     /// A device pool (regular or pinned) could not satisfy an allocation.
     /// Every allocation of an attempt is on the pipeline's device.
     OutOfMemory,
-    /// A kernel launch failed on a device.
-    KernelFailed { device: DeviceId, kernel: String },
-    /// Transfers to/from the device failed checksum verification through
-    /// the whole retransmit budget.
-    CorruptLink { device: DeviceId },
-    /// A node is placed on a device whose SDK has no kernel for it.
-    Unplaceable,
+    /// A kernel launch failed. Every kernel of an attempt runs on the
+    /// pipeline's device.
+    KernelFailed { kernel: String },
     /// A streamed chunk overran its watchdog budget (not an error: the
     /// chunk's result is committed, only its time can still be rescued).
-    Straggler {
-        device: DeviceId,
-        clean_ns: f64,
-        actual_ns: f64,
-    },
+    Straggler { clean_ns: f64, actual_ns: f64 },
     /// The device died permanently.
     DeviceGone { device: DeviceId },
-    /// Graph validation problems, missing inputs, deadlines,
-    /// internal invariant violations: retrying cannot help.
+    /// Graph validation problems, missing inputs or implementations, an
+    /// exhausted retransmit budget, deadlines, internal invariant
+    /// violations: retrying cannot help.
     Fatal,
 }
 
@@ -71,11 +62,9 @@ pub(super) enum RecoveryAction {
     /// transient allocation faults).
     ShrinkChunk,
     /// Retry in place — one failure is treated as transient — and move the
-    /// pipeline off the device on the second consecutive strike.
-    MoveOnSecondStrike(DeviceId),
-    /// Move the pipeline off the device now (`None`: off the device it runs
-    /// on, which lacks an implementation), or fail when nobody can take it.
-    Move(Option<DeviceId>),
+    /// pipeline off its device on the second consecutive strike, or fail
+    /// when nobody can take it.
+    MoveOnSecondStrike,
     /// Race a duplicate of the chunk on the best alternate device.
     Hedge,
     /// Unplug the device and continue on the survivors from the latest
@@ -99,12 +88,9 @@ pub(super) fn classify(err: &ExecError) -> Fault {
             source: OutOfMemory { .. } | OutOfPinnedMemory { .. },
             ..
         } => Fault::OutOfMemory,
-        ExecError::KernelFailed { device, kernel, .. } => Fault::KernelFailed {
-            device: *device,
+        ExecError::KernelFailed { kernel, .. } => Fault::KernelFailed {
             kernel: kernel.clone(),
         },
-        ExecError::TransferCorrupted { device, .. } => Fault::CorruptLink { device: *device },
-        ExecError::NoImplementation { .. } => Fault::Unplaceable,
         _ => Fault::Fatal,
     }
 }
@@ -113,9 +99,7 @@ pub(super) fn classify(err: &ExecError) -> Fault {
 pub(super) fn action(fault: &Fault) -> RecoveryAction {
     match *fault {
         Fault::OutOfMemory => RecoveryAction::ShrinkChunk,
-        Fault::KernelFailed { device, .. } => RecoveryAction::MoveOnSecondStrike(device),
-        Fault::CorruptLink { device } => RecoveryAction::Move(Some(device)),
-        Fault::Unplaceable => RecoveryAction::Move(None),
+        Fault::KernelFailed { .. } => RecoveryAction::MoveOnSecondStrike,
         Fault::Straggler { .. } => RecoveryAction::Hedge,
         Fault::DeviceGone { device } => RecoveryAction::ResumeOnSurvivors(device),
         Fault::Fatal => RecoveryAction::Fail,
@@ -361,16 +345,15 @@ impl Executor {
     ) -> Result<()> {
         let max_attempts = self.config.retry.max_attempts.max(1);
         let mut chunk_rows = self.config.chunk_rows;
-        let mut strikes: Option<(DeviceId, usize)> = None;
+        // Consecutive kernel failures on the pipeline's current device.
+        let mut strikes = 0usize;
         let mut attempt = 0usize;
         loop {
             attempt += 1;
             cx.check_deadline(cx.tally.elapsed_ns())?;
             // The device this attempt runs on (re-placement changes it), for
-            // the health registry's attempt/success accounting.
+            // the health registry's success and failure accounting.
             let device = cx.placement[pipeline.index];
-            self.health.record_attempt(device);
-            let lanes_before = cx.tally.lanes_ns();
             let mark = cx.hub.mark();
             let err = match self.run_pipeline(cx, pipeline, chunk_rows, cursor) {
                 Ok(()) => {
@@ -402,13 +385,11 @@ impl Executor {
             }
             cx.hub.restore_host(&cursor.host);
 
-            // What the attempt burned is its observed retry cost.
-            let wasted_ns = (cx.tally.lanes_ns() - lanes_before).max(0.0);
-            let tripped = self.record_fault(&fault, device, wasted_ns, &mut cx.tally.stats);
+            let tripped = self.record_fault(&fault, device, &mut cx.tally.stats);
             // Residency pins on the attempt's device are part of the fault
             // domain: an OOM retry needs the memory back, a tripped breaker
-            // or corrupted link means the device's contents are not trusted.
-            if tripped || matches!(fault, Fault::OutOfMemory | Fault::CorruptLink { .. }) {
+            // means the device's contents are not trusted.
+            if tripped || matches!(fault, Fault::OutOfMemory) {
                 cx.hub.evict_cache_on(&mut self.devices, device);
             }
             if attempt >= max_attempts {
@@ -429,15 +410,15 @@ impl Executor {
                     }
                     true
                 }
-                RecoveryAction::MoveOnSecondStrike(device) => {
-                    let n = match strikes {
-                        Some((d, n)) if d == device => n + 1,
-                        _ => 1,
-                    };
-                    strikes = (n < 2).then_some((device, n));
-                    n < 2 || self.move_pipeline(cx, pipeline, Some(device))
+                RecoveryAction::MoveOnSecondStrike => {
+                    strikes += 1;
+                    if strikes < 2 {
+                        true
+                    } else {
+                        strikes = 0;
+                        self.move_pipeline(cx, pipeline)
+                    }
                 }
-                RecoveryAction::Move(off) => self.move_pipeline(cx, pipeline, off),
                 _ => false,
             };
             if !retry {
@@ -474,7 +455,6 @@ impl Executor {
         &mut self,
         fault: &Fault,
         device: DeviceId,
-        wasted_ns: f64,
         stats: &mut ExecutionStats,
     ) -> bool {
         let device_only = |device_tripped| FailureVerdict {
@@ -482,44 +462,27 @@ impl Executor {
             kernel_tripped: false,
         };
         let verdict = match fault {
-            Fault::OutOfMemory => device_only(self.health.record_oom(device, wasted_ns)),
-            Fault::KernelFailed { device, kernel } => self
-                .health
-                .record_kernel_failure(*device, kernel, wasted_ns),
-            Fault::CorruptLink { device } => {
-                // The retransmit loop already logged each mismatch; the
-                // exhausted budget itself counts as one more strike.
-                self.health.record_corruption(*device);
-                FailureVerdict::default()
-            }
+            Fault::OutOfMemory => device_only(self.health.record_oom(device)),
+            Fault::KernelFailed { kernel } => self.health.record_kernel_failure(device, kernel),
             Fault::Straggler {
-                device,
                 clean_ns,
                 actual_ns,
             } => device_only(
                 self.health
-                    .record_latency_overrun(*device, *clean_ns, *actual_ns),
+                    .record_latency_overrun(device, *clean_ns, *actual_ns),
             ),
-            Fault::Unplaceable | Fault::DeviceGone { .. } | Fault::Fatal => {
-                FailureVerdict::default()
-            }
+            Fault::DeviceGone { .. } | Fault::Fatal => FailureVerdict::default(),
         };
         stats.breaker_trips += usize::from(verdict.device_tripped);
         stats.kernel_breaker_trips += usize::from(verdict.kernel_tripped);
         verdict.device_tripped
     }
 
-    /// Re-places `pipeline` when it runs on `off` (`None`: wherever it
-    /// runs). Returns whether a fallback happened.
-    fn move_pipeline(
-        &mut self,
-        cx: &mut RunCx<'_>,
-        pipeline: &Pipeline,
-        off: Option<DeviceId>,
-    ) -> bool {
+    /// Re-places `pipeline` off the device it runs on. Returns whether a
+    /// fallback happened.
+    fn move_pipeline(&mut self, cx: &mut RunCx<'_>, pipeline: &Pipeline) -> bool {
         let device = &mut cx.placement[pipeline.index];
-        let moved =
-            off.is_none_or(|d| d == *device) && self.repoint_pipeline(cx.graph, pipeline, device);
+        let moved = self.repoint_pipeline(cx.graph, pipeline, device);
         cx.tally.stats.fallback_placements += usize::from(moved);
         moved
     }
@@ -551,11 +514,10 @@ impl Executor {
         cx.tally.stats.watchdog_fires += 1;
         let primary = cx.placement[pipeline.index];
         let fault = Fault::Straggler {
-            device: primary,
             clean_ns: outcome.clean_ns,
             actual_ns: outcome.actual_ns(),
         };
-        self.record_fault(&fault, primary, 0.0, &mut cx.tally.stats);
+        self.record_fault(&fault, primary, &mut cx.tally.stats);
         let RecoveryAction::Hedge = action(&fault) else {
             return unhedged;
         };
@@ -622,7 +584,7 @@ impl Executor {
             .filter_map(|&(_, dev, id)| {
                 let d = self.devices.get(dev).ok()?.state();
                 let bytes = d.pool.get(id).ok()?.footprint();
-                Some(d.cost.placement_cost_ns(bytes, 0.0))
+                Some(d.cost.placement_cost_ns(bytes))
             })
             .sum();
         if cx.tally.lanes_ns() - cx.ckpt.lanes_mark <= estimate_ns * cx.ckpt.cfg.cost_factor {
@@ -668,20 +630,12 @@ impl Executor {
 
     // ---- placement ---------------------------------------------------------
 
-    /// Recovery-aware cost of placing `est_bytes` of work on `dev`: modeled
-    /// staging transfer plus the expected-retry penalty and the latency
-    /// EWMA the watchdog feeds (slow devices lose placement ties).
-    fn placement_cost_ns(&self, dev: DeviceId, est_bytes: u64) -> Option<f64> {
-        let penalty = self.health.placement_penalty_ns(dev);
-        let cost = &self.devices.get(dev).ok()?.state().cost;
-        Some(cost.placement_cost_ns(est_bytes, penalty))
-    }
-
     /// The one candidate ranking: the best device other than `avoid` that
     /// implements every one of `nodes` with no kernel known broken there.
-    /// Healthy candidates are ranked by [`Executor::placement_cost_ns`],
-    /// lowest id on ties; a quarantined one (lowest id) is returned only
-    /// when `last_resort` allows it and nothing healthy qualifies.
+    /// Healthy candidates are ranked by their cost model's placement cost
+    /// for `est_bytes`, lowest id on ties; a quarantined one (lowest id) is
+    /// returned only when `last_resort` allows it and nothing healthy
+    /// qualifies.
     fn best_candidate(
         &self,
         graph: &PrimitiveGraph,
@@ -708,10 +662,11 @@ impl Executor {
             }
             if self.health.is_quarantined(cand) {
                 quarantined.get_or_insert(cand);
-            } else if let Some(cost) = self.placement_cost_ns(cand, est_bytes) {
-                if healthy.is_none_or(|(best, _)| cost.total_cmp(&best).is_lt()) {
-                    healthy = Some((cost, cand));
-                }
+                continue;
+            }
+            let cost = dev.state().cost.placement_cost_ns(est_bytes);
+            if healthy.is_none_or(|(best, _)| cost.total_cmp(&best).is_lt()) {
+                healthy = Some((cost, cand));
             }
         }
         healthy
@@ -767,11 +722,9 @@ impl Executor {
     /// when one exists; a `HalfOpen` device (or `(device, kernel)` breaker)
     /// keeps exactly one pipeline as its recovery probe and sheds the rest.
     ///
-    /// Probe placement is latency-aware: among the pipelines placed on a
-    /// half-open device, the one with the **cheapest** modeled probe cost
-    /// (fewest nodes, weighted by the device's recovery-aware placement
-    /// cost) carries the probe, so the least work is at risk if the device
-    /// is still sick.
+    /// Among the pipelines placed on a half-open device, the one with the
+    /// fewest nodes carries the probe, so the least work is at risk if the
+    /// device is still sick.
     pub(super) fn apply_health_placement(
         &mut self,
         graph: &PrimitiveGraph,
@@ -783,22 +736,19 @@ impl Executor {
             .iter()
             .map(|p| graph.node(p.nodes[0]).device)
             .collect();
-        // Pre-pass: pick, per half-open device, the cheapest pipeline to
-        // carry its recovery probe (ties broken by earliest pipeline).
-        let est_bytes = (self.config.chunk_rows.max(1) * 8) as u64;
-        let mut probe_choice: HashMap<DeviceId, (f64, usize)> = HashMap::new();
+        // Pre-pass: pick, per half-open device, the pipeline with the fewest
+        // nodes to carry its recovery probe (ties broken by earliest
+        // pipeline).
+        let mut probe_choice: HashMap<DeviceId, (usize, usize)> = HashMap::new();
         for (pi, pipeline) in pipelines.pipelines.iter().enumerate() {
             let dev = placement[pi];
             if !self.health.probe_candidate(dev) {
                 continue;
             }
-            let unit = self
-                .placement_cost_ns(dev, est_bytes)
-                .map_or(1.0, |c| c.max(1.0));
-            let cost = pipeline.nodes.len() as f64 * unit;
-            let entry = probe_choice.entry(dev).or_insert((cost, pi));
-            if cost < entry.0 {
-                *entry = (cost, pi);
+            let nodes = pipeline.nodes.len();
+            let entry = probe_choice.entry(dev).or_insert((nodes, pi));
+            if nodes < entry.0 {
+                *entry = (nodes, pi);
             }
         }
         // A granted probe is in flight, so the breaker stops being a probe

@@ -219,13 +219,11 @@ impl ExecutionStats {
             .map(|(k, h)| {
                 format!(
                     "\"{}\":{{\"state\":\"{}\",\"kernel_failures\":{},\"ooms\":{},\
-                     \"retry_penalty_ns\":{:.1},\"open_kernels\":{},\
-                     \"latency_overruns\":{},\"corruptions\":{}}}",
+                     \"open_kernels\":{},\"latency_overruns\":{},\"corruptions\":{}}}",
                     esc(k),
                     h.state.label(),
                     h.kernel_failures,
                     h.ooms,
-                    h.retry_penalty_ns,
                     h.open_kernels,
                     h.latency_overruns,
                     h.corruptions,
@@ -419,7 +417,6 @@ mod tests {
                 state: adamant_device::health::BreakerState::Open { cooldown_left: 2 },
                 kernel_failures: 2,
                 ooms: 1,
-                retry_penalty_ns: 123.45,
                 open_kernels: 1,
                 latency_overruns: 6,
                 corruptions: 7,
@@ -467,8 +464,7 @@ mod tests {
         assert!(json.contains("\"device_faults\":{\"gpu0\":5}"));
         assert!(json.contains(
             "\"device_health\":{\"gpu0\":{\"state\":\"open\",\"kernel_failures\":2,\
-             \"ooms\":1,\"retry_penalty_ns\":123.5,\"open_kernels\":1,\
-             \"latency_overruns\":6,\"corruptions\":7}}"
+             \"ooms\":1,\"open_kernels\":1,\"latency_overruns\":6,\"corruptions\":7}}"
         ));
         // Quotes in labels are escaped.
         assert!(json.contains("filter \\\"x\\\""));

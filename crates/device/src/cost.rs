@@ -251,16 +251,11 @@ impl CostModel {
         }
     }
 
-    /// Recovery-aware placement cost: what moving a `working_set_bytes`
-    /// working set onto this device is expected to cost, including the
-    /// health registry's `placement_penalty_ns` for the device (failure rate
-    /// × average wasted modeled time, plus its smoothed watchdog overrun).
-    ///
-    /// Every placement ranking uses this value, so a flaky, memory-tight or
-    /// slow device loses ties against an equally capable healthy one instead
-    /// of winning them by id order.
-    pub fn placement_cost_ns(&self, working_set_bytes: u64, penalty_ns: f64) -> f64 {
-        self.h2d_ns(working_set_bytes, false) + penalty_ns.max(0.0)
+    /// Placement cost: what moving a `working_set_bytes` working set onto
+    /// this device is expected to cost. Every placement ranking uses this
+    /// value; the health registry only filters the candidates.
+    pub fn placement_cost_ns(&self, working_set_bytes: u64) -> f64 {
+        self.h2d_ns(working_set_bytes, false)
     }
 }
 
@@ -427,16 +422,5 @@ mod tests {
         // kernel_ns is launch + body.
         let k = m.kernel_ns(CostClass::MapLike, 1024, 4);
         assert!((k - (m.launch_ns(4) + m.body_ns(CostClass::MapLike, 1024))).abs() < 1e-9);
-    }
-
-    #[test]
-    fn placement_cost_charges_retry_penalty() {
-        let m = discrete();
-        let healthy = m.placement_cost_ns(1 << 20, 0.0);
-        let flaky = m.placement_cost_ns(1 << 20, 50_000.0);
-        assert_eq!(healthy, m.h2d_ns(1 << 20, false));
-        assert!((flaky - healthy - 50_000.0).abs() < 1e-9);
-        // Negative penalties (a bug upstream) must not discount a device.
-        assert_eq!(m.placement_cost_ns(1 << 20, -10.0), healthy);
     }
 }

@@ -585,7 +585,7 @@ impl<'e> QueryScheduler<'e> {
             self.stats.held += 1;
         }
         self.tenants[ti].stats.wait_ns += wait_ns;
-        let mut graph = q.spec.graph.clone();
+        let mut graph = q.spec.graph;
         graph.retarget(device);
         let run = self
             .executor
@@ -668,13 +668,12 @@ impl<'e> QueryScheduler<'e> {
         let costs: Vec<(DeviceId, f64)> = feasible
             .iter()
             .map(|i| {
-                let penalty = self.executor.health().placement_penalty_ns(i.id);
                 let place = self
                     .executor
                     .devices()
                     .get(i.id)
                     .map_or(f64::INFINITY, |d| {
-                        d.state().cost.placement_cost_ns(footprint, penalty)
+                        d.state().cost.placement_cost_ns(footprint)
                     });
                 (i.id, place + backlog_ns(active, i.id))
             })

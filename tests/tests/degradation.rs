@@ -153,8 +153,8 @@ fn kernel_breaker_quarantine_probe_lifecycle() {
         "kernel breaker not re-closed"
     );
     assert_eq!(
-        engine.health().retry_penalty_ns(dev0),
-        0.0,
+        engine.health().snapshot()[&dev0].kernel_failures,
+        0,
         "probe success should clear failure memory"
     );
 
@@ -193,8 +193,8 @@ fn repoint_skips_known_broken_kernel_candidates() {
     // Teach the registry that `agg_block` is broken on dev1 (as a previous
     // query would have): the fallback from dev0 must skip straight to dev2.
     let health = engine.executor_mut().health_mut();
-    health.record_kernel_failure(dev1, "agg_block", 100.0);
-    health.record_kernel_failure(dev1, "agg_block", 100.0);
+    health.record_kernel_failure(dev1, "agg_block");
+    health.record_kernel_failure(dev1, "agg_block");
     assert!(health.kernel_known_broken(dev1, "agg_block"));
 
     let graph = filter_map_sum(dev0, 0, 3);

@@ -4,6 +4,7 @@
 //! must stay usable afterwards.
 
 use adamant::prelude::*;
+use adamant_integration_tests::assert_no_leaks;
 
 fn tiny_engine(mem: u64, pinned: u64, chunk_rows: usize) -> (Adamant, DeviceId) {
     let engine = Adamant::builder()
@@ -468,6 +469,31 @@ fn pinned_pool_exhaustion_is_typed() {
         .run(&graph, &inputs, ExecutionModel::Chunked)
         .unwrap();
     assert_eq!(out.i64_column("sum")[0], 1 << 16);
+}
+
+/// A link that corrupts every transfer exhausts the retransmit budget: the
+/// run surfaces a typed `TransferCorrupted` naming the device instead of
+/// re-placing the pipeline on the healthy second device, and leaks nothing.
+#[test]
+fn exhausted_retransmit_budget_is_a_typed_error() {
+    let mut engine = Adamant::builder()
+        .device(DeviceProfile::cuda_rtx2080ti())
+        .device(DeviceProfile::cuda_rtx2080ti())
+        .fault_plan(0, FaultPlan::none().corrupt_transfer_rate(1.0))
+        .build()
+        .unwrap();
+    let dev0 = engine.device_ids()[0];
+    let graph = sum_query(dev0);
+    let mut inputs = QueryInputs::new();
+    inputs.bind("x", test_data(100));
+    for model in [ExecutionModel::OperatorAtATime, ExecutionModel::Chunked] {
+        let err = engine.run(&graph, &inputs, model).unwrap_err();
+        assert!(
+            matches!(err, ExecError::TransferCorrupted { device, .. } if device == dev0),
+            "{model:?}: got {err}"
+        );
+        assert_no_leaks(&mut engine, &format!("{model:?}"));
+    }
 }
 
 #[test]

@@ -287,8 +287,8 @@ fn half_open_probe_rides_cheapest_pipeline() {
     // Trip dev0's breaker (a streak across two distinct kernels), then tick
     // the cool-down so the next query admits a half-open probe.
     let health = engine.executor_mut().health_mut();
-    health.record_kernel_failure(dev0, "k_a", 100.0);
-    health.record_kernel_failure(dev0, "k_b", 100.0);
+    health.record_kernel_failure(dev0, "k_a");
+    health.record_kernel_failure(dev0, "k_b");
     assert!(health.is_quarantined(dev0), "breaker did not trip");
     // First tick absorbs the tripping query (it doesn't count toward the
     // cool-down); the next two elapse the two-query cool-down.
