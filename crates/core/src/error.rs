@@ -12,9 +12,9 @@ pub enum ExecError {
     Device(DeviceError),
     /// A kernel execution failed on a specific device.
     ///
-    /// Unlike [`ExecError::Device`], this carries *which* device failed, so
-    /// the executor's recovery path can re-place the pipeline onto a
-    /// fallback device that has the primitive installed.
+    /// Unlike [`ExecError::Device`], this carries *which* device failed and
+    /// which kernel, for the error report and the health registry's
+    /// per-kernel breaker.
     KernelFailed {
         /// The device the kernel ran on.
         device: DeviceId,
@@ -59,8 +59,7 @@ pub enum ExecError {
     },
     /// A host↔device transfer kept failing its end-to-end checksum after the
     /// full retransmit budget — the link to this device is lying. The
-    /// recovery loop treats this like a broken device and re-places the
-    /// pipeline elsewhere.
+    /// recovery loop does not retry it: the run returns this error.
     TransferCorrupted {
         /// The device whose transfers cannot be trusted.
         device: DeviceId,
