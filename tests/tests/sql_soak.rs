@@ -442,6 +442,84 @@ fn compile_path_is_pinned() {
     assert_eq!(h.finish(), 14_717_029_832_341_600_078);
 }
 
+/// Every condition shape the binder handles or rejects, pinned over
+/// `catalog(1)`: the texts the generated corpus lacks — CASE conditions
+/// with OR, AND and BETWEEN, literal-first comparisons, LIKE and IN sets
+/// that match nothing or repeat a value, absent dictionary strings, date
+/// strings, column pairs — and one text per rejection rule in CASE and in
+/// WHERE. An accepted text folds its unfused graph; a rejected one folds
+/// its error's stage, span and message. A refactor of binding or lowering
+/// must leave the value untouched.
+#[test]
+fn condition_shapes_are_pinned() {
+    use adamant::storage::fnv::FnvHasher;
+    use std::hash::Hasher;
+
+    const ACCEPTED: [&str; 13] = [
+        "SELECT SUM(CASE WHEN f_v > 10 OR f_mode = 'air' THEN 1 ELSE 0 END) AS n FROM f",
+        "SELECT SUM(CASE WHEN f_w BETWEEN 2 AND 5 AND f_day < '1995-06-01' THEN f_v ELSE 0 END) \
+         AS s FROM f",
+        "SELECT SUM(CASE WHEN 10 < f_v THEN f_w ELSE 1 END) AS s FROM f",
+        "SELECT COUNT(*) AS n FROM f WHERE 3 >= f_w AND 'rail' <> f_mode",
+        "SELECT SUM(CASE WHEN f_mode LIKE 'tr%' THEN 1 ELSE 0 END) AS n FROM f \
+         WHERE f_mode LIKE 'a%'",
+        "SELECT SUM(CASE WHEN f_mode LIKE 'zz%' THEN 0 ELSE 1 END) AS n FROM f",
+        "SELECT SUM(CASE WHEN f_mode IN ('ship', 'zzz', 'ship') THEN 1 ELSE 0 END) AS n FROM f \
+         WHERE f_mode IN ('air', 'air', 'nowhere', 'rail')",
+        "SELECT SUM(CASE WHEN f_mode = 'nowhere' THEN 1 ELSE 0 END) AS n FROM f \
+         WHERE f_mode <> 'nowhere'",
+        "SELECT SUM(CASE WHEN f_day >= '1995-07-01' THEN f_v ELSE 0 END) AS s FROM f \
+         WHERE f_day BETWEEN '1995-02-01' AND '1995-11-30'",
+        "SELECT COUNT(*) AS n FROM f WHERE f_mode IN ('zzz', 'nowhere')",
+        "SELECT f_key, f_v FROM f WHERE f_mode LIKE 'zz%'",
+        "SELECT d_cat, SUM(f_v) AS s FROM f JOIN d ON d_key = f_key \
+         WHERE f_v < f_w AND d_val >= d_key GROUP BY d_cat",
+        "SELECT COUNT(*) AS n FROM f WHERE f_v BETWEEN 0 AND 10 OR f_w = 3",
+    ];
+    const REJECTED: [&str; 19] = [
+        "SELECT SUM(CASE WHEN f_v < f_w THEN 1 ELSE 0 END) AS n FROM f",
+        "SELECT SUM(CASE WHEN f_v < nope THEN 1 ELSE 0 END) AS n FROM f",
+        "SELECT SUM(CASE WHEN EXISTS (SELECT d_key FROM d WHERE d_key = f_key) \
+         THEN 1 ELSE 0 END) AS n FROM f",
+        "SELECT COUNT(*) AS n FROM f \
+         WHERE f_v > 0 OR EXISTS (SELECT d_key FROM d WHERE d_key = f_key)",
+        "SELECT COUNT(*) AS n FROM f JOIN d ON d_key = f_key WHERE f_mode = d_cat",
+        "SELECT COUNT(*) AS n FROM f JOIN d ON d_key = f_key WHERE f_v < d_val",
+        "SELECT SUM(CASE WHEN 1 = 1 THEN 1 ELSE 0 END) AS n FROM f",
+        "SELECT COUNT(*) AS n FROM f WHERE 1 = 1",
+        "SELECT SUM(CASE WHEN f_mode < 'rail' THEN 1 ELSE 0 END) AS n FROM f",
+        "SELECT COUNT(*) AS n FROM f WHERE 'rail' > f_mode",
+        "SELECT SUM(CASE WHEN f_v < f_w + 1 THEN 1 ELSE 0 END) AS n FROM f",
+        "SELECT COUNT(*) AS n FROM f WHERE f_v * 2 > f_w",
+        "SELECT SUM(CASE WHEN f_v = 'ten' THEN 1 ELSE 0 END) AS n FROM f",
+        "SELECT COUNT(*) AS n FROM f WHERE 'ten' = f_v",
+        "SELECT SUM(CASE WHEN f_mode BETWEEN 'air' AND 'rail' THEN 1 ELSE 0 END) AS n FROM f",
+        "SELECT COUNT(*) AS n FROM f WHERE f_mode BETWEEN 'air' AND 'rail'",
+        "SELECT COUNT(*) AS n FROM f WHERE f_w BETWEEN 1 AND 'nine'",
+        "SELECT SUM(CASE WHEN f_mode LIKE '%ail' THEN 1 ELSE 0 END) AS n FROM f",
+        "SELECT COUNT(*) AS n FROM f WHERE f_v LIKE 'a%'",
+    ];
+
+    let catalog = catalog(1);
+    let dev = DeviceId(0);
+    let mut h = FnvHasher::default();
+    for sql in ACCEPTED {
+        let compiled = adamant::sql::compile(sql, &catalog, dev);
+        let compiled = compiled.unwrap_or_else(|e| panic!("{sql}: {e}"));
+        h.write(format!("{:?}", compiled.graph).as_bytes());
+    }
+    for sql in REJECTED {
+        let Err(e) = adamant::sql::compile(sql, &catalog, dev) else {
+            panic!("{sql}: compiled");
+        };
+        h.write(format!("{:?}", e.kind).as_bytes());
+        h.write_usize(e.span.start);
+        h.write_usize(e.span.end);
+        h.write(e.message.as_bytes());
+    }
+    assert_eq!(h.finish(), 17_300_338_951_503_204_342);
+}
+
 /// The generator itself is deterministic: same seed, same SQL texts. A
 /// regression here would silently decouple the CI shards from each other.
 #[test]
