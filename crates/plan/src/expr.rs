@@ -176,6 +176,15 @@ impl Predicate {
             leaf => vec![leaf],
         }
     }
+
+    /// Column names read by this predicate's leaves.
+    pub fn columns(&self) -> Vec<&str> {
+        match self {
+            Predicate::Cmp { col, .. } => vec![col],
+            Predicate::CmpCols { left, right, .. } => vec![left, right],
+            Predicate::And(ps) | Predicate::Or(ps) => ps.iter().flat_map(|p| p.columns()).collect(),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -212,6 +221,7 @@ mod tests {
             }
         ));
         assert!(matches!(leaves[2], Predicate::CmpCols { .. }));
+        assert_eq!(p.columns(), vec!["date", "qty", "commit", "receipt"]);
     }
 
     #[test]

@@ -7,6 +7,12 @@
 //! scan inputs by *bare* column name, the binder requires column names to
 //! be globally unique across all joined tables — ambiguous schemas get a
 //! typed `Unsupported` error instead of silently wrong bindings.
+//!
+//! WHERE and CASE conditions share one leaf binder (`Binder::bind_cond`):
+//! every comparison, BETWEEN, IN and LIKE leaf is resolved and its literals
+//! translated there. Only the last step differs — a WHERE leaf becomes a
+//! [`Predicate`], a CASE leaf an indicator [`Expr`] — and each side keeps
+//! its own AND, OR and EXISTS handling and its own error texts.
 
 use crate::ast::*;
 use crate::error::{Span, SqlError, SqlResult};
@@ -37,6 +43,48 @@ struct Binder<'a> {
     catalog: &'a Catalog,
     tables: Vec<&'a Table>,
     col_table: BTreeMap<String, usize>,
+}
+
+/// The top of a WHERE or CASE condition as `Binder::bind_cond` binds it.
+enum Cond<'b> {
+    And(&'b BoolExpr, &'b BoolExpr),
+    Or(&'b BoolExpr, &'b BoolExpr),
+    Exists(Span),
+    /// Two columns compared; each caller resolves or rejects the pair.
+    Cols {
+        left: &'b ScalarExpr,
+        op: CmpName,
+        right: &'b ScalarExpr,
+        span: Span,
+    },
+    /// A comparison with a column on neither side.
+    NoColumn(Span),
+    /// `col <op> value`.
+    Cmp {
+        col: String,
+        op: CmpName,
+        value: i64,
+    },
+    /// `lo <= col <= hi`.
+    Between {
+        col: String,
+        lo: i64,
+        hi: i64,
+    },
+    /// `col` equals one of `values` (IN and LIKE); sorted and distinct, and
+    /// empty when nothing can match.
+    In {
+        col: String,
+        values: Vec<i64>,
+    },
+}
+
+impl Cond<'_> {
+    fn in_set(col: String, mut values: Vec<i64>) -> Self {
+        values.sort_unstable();
+        values.dedup();
+        Cond::In { col, values }
+    }
 }
 
 impl<'a> Binder<'a> {
@@ -344,28 +392,50 @@ impl<'a> Binder<'a> {
         }
     }
 
-    // ---- predicates -----------------------------------------------------
+    // ---- conditions -----------------------------------------------------
 
-    fn bind_predicate(&self, b: &BoolExpr) -> SqlResult<Predicate> {
+    /// Binds the top of a WHERE or CASE condition. AND, OR and EXISTS come
+    /// back with their operands for the caller to combine or reject;
+    /// comparison leaves come back resolved, with the dictionary rule
+    /// applied, a literal-first comparison flipped and every literal
+    /// translated.
+    fn bind_cond<'b>(&self, b: &'b BoolExpr) -> SqlResult<Cond<'b>> {
         match b {
-            BoolExpr::And(l, r) => Ok(Predicate::and(vec![
-                self.bind_predicate(l)?,
-                self.bind_predicate(r)?,
-            ])),
-            BoolExpr::Or(l, r) => Ok(Predicate::or(vec![
-                self.bind_predicate(l)?,
-                self.bind_predicate(r)?,
-            ])),
-            BoolExpr::Exists { span, .. } => Err(SqlError::unsupported(
-                "EXISTS is only supported as a top-level WHERE conjunct",
-                *span,
-            )),
+            BoolExpr::And(l, r) => Ok(Cond::And(l, r)),
+            BoolExpr::Or(l, r) => Ok(Cond::Or(l, r)),
+            BoolExpr::Exists { span, .. } => Ok(Cond::Exists(*span)),
             BoolExpr::Cmp {
                 left,
                 op,
                 right,
                 span,
-            } => self.bind_cmp(left, *op, right, *span),
+            } => {
+                let (col, op, lit) = match (&**left, &**right) {
+                    (ScalarExpr::Column { .. }, ScalarExpr::Column { .. }) => {
+                        return Ok(Cond::Cols {
+                            left,
+                            op: *op,
+                            right,
+                            span: *span,
+                        })
+                    }
+                    (ScalarExpr::Column { .. }, lit) => (&**left, *op, lit),
+                    (lit, ScalarExpr::Column { .. }) => (&**right, flip(*op), lit),
+                    _ => return Ok(Cond::NoColumn(*span)),
+                };
+                let (_, col) = self.resolve_ref(col)?;
+                if self.col_type(&col) == DataType::DictStr
+                    && !matches!(op, CmpName::Eq | CmpName::Ne)
+                {
+                    return Err(SqlError::unsupported(
+                        "dictionary columns only support `=`, `<>`, IN and LIKE",
+                        *span,
+                    ));
+                }
+                // A string with no dictionary code: `=` never holds, `<>` always.
+                let value = self.literal_for(&col, lit)?.unwrap_or(NEVER_CODE);
+                Ok(Cond::Cmp { col, op, value })
+            }
             BoolExpr::Between { expr, lo, hi, span } => {
                 let (_, col) = self.resolve_ref(expr)?;
                 if self.col_type(&col) == DataType::DictStr {
@@ -374,28 +444,21 @@ impl<'a> Binder<'a> {
                         *span,
                     ));
                 }
-                let lo = self.literal_for(&col, lo)?.ok_or_else(|| {
-                    SqlError::bind("BETWEEN bound does not match the column", *span)
-                })?;
-                let hi = self.literal_for(&col, hi)?.ok_or_else(|| {
-                    SqlError::bind("BETWEEN bound does not match the column", *span)
-                })?;
-                Ok(Predicate::between(col, lo, hi))
+                let bound = |e: &ScalarExpr| {
+                    self.literal_for(&col, e)?.ok_or_else(|| {
+                        SqlError::bind("BETWEEN bound does not match the column", *span)
+                    })
+                };
+                let (lo, hi) = (bound(lo)?, bound(hi)?);
+                Ok(Cond::Between { col, lo, hi })
             }
             BoolExpr::InList { expr, list, .. } => {
                 let (_, col) = self.resolve_ref(expr)?;
                 let mut values = Vec::new();
                 for item in list {
-                    if let Some(v) = self.literal_for(&col, item)? {
-                        values.push(v);
-                    }
+                    values.extend(self.literal_for(&col, item)?);
                 }
-                values.sort_unstable();
-                values.dedup();
-                if values.is_empty() {
-                    return Ok(Predicate::cmp(col, CmpOp::Eq, NEVER_CODE));
-                }
-                Ok(Predicate::in_set(col, &values))
+                Ok(Cond::in_set(col, values))
             }
             BoolExpr::Like {
                 expr,
@@ -404,66 +467,89 @@ impl<'a> Binder<'a> {
             } => {
                 let (_, col) = self.resolve_ref(expr)?;
                 let codes = self.like_codes(&col, pattern, *span)?;
-                if codes.is_empty() {
-                    return Ok(Predicate::cmp(col, CmpOp::Eq, NEVER_CODE));
-                }
-                Ok(Predicate::in_set(col, &codes))
+                Ok(Cond::in_set(col, codes))
             }
         }
     }
 
-    fn bind_cmp(
-        &self,
-        left: &ScalarExpr,
-        op: CmpName,
-        right: &ScalarExpr,
-        span: Span,
-    ) -> SqlResult<Predicate> {
-        let classify =
-            |e: &ScalarExpr| -> Option<()> { matches!(e, ScalarExpr::Column { .. }).then_some(()) };
-        match (classify(left), classify(right)) {
-            (Some(()), Some(())) => {
+    fn bind_predicate(&self, b: &BoolExpr) -> SqlResult<Predicate> {
+        let unsupported = |msg, span| Err(SqlError::unsupported(msg, span));
+        Ok(match self.bind_cond(b)? {
+            Cond::And(l, r) => {
+                Predicate::and(vec![self.bind_predicate(l)?, self.bind_predicate(r)?])
+            }
+            Cond::Or(l, r) => Predicate::or(vec![self.bind_predicate(l)?, self.bind_predicate(r)?]),
+            Cond::Exists(span) => {
+                return unsupported(
+                    "EXISTS is only supported as a top-level WHERE conjunct",
+                    span,
+                )
+            }
+            Cond::NoColumn(span) => {
+                return unsupported(
+                    "predicates must compare a column with a literal or another column",
+                    span,
+                )
+            }
+            Cond::Cols {
+                left,
+                op,
+                right,
+                span,
+            } => {
                 let (_, lc) = self.resolve_ref(left)?;
                 let (_, rc) = self.resolve_ref(right)?;
-                for c in [&lc, &rc] {
-                    if self.col_type(c) == DataType::DictStr {
-                        return Err(SqlError::unsupported(
-                            "column-to-column comparison on dictionary columns \
-                             is not supported",
-                            span,
-                        ));
-                    }
+                if [&lc, &rc]
+                    .iter()
+                    .any(|c| self.col_type(c) == DataType::DictStr)
+                {
+                    return unsupported(
+                        "column-to-column comparison on dictionary columns is not supported",
+                        span,
+                    );
                 }
-                Ok(Predicate::cmp_cols(lc, cmp_op(op), rc))
+                Predicate::cmp_cols(lc, cmp_op(op), rc)
             }
-            (Some(()), None) => self.bind_col_lit(left, op, right, span),
-            (None, Some(())) => self.bind_col_lit(right, flip(op), left, span),
-            (None, None) => Err(SqlError::unsupported(
-                "predicates must compare a column with a literal or another column",
-                span,
-            )),
-        }
+            Cond::Cmp { col, op, value } => Predicate::cmp(col, cmp_op(op), value),
+            Cond::Between { col, lo, hi } => Predicate::between(col, lo, hi),
+            Cond::In { col, values } if values.is_empty() => {
+                Predicate::cmp(col, CmpOp::Eq, NEVER_CODE)
+            }
+            Cond::In { col, values } => Predicate::in_set(col, &values),
+        })
     }
 
-    fn bind_col_lit(
-        &self,
-        col: &ScalarExpr,
-        op: CmpName,
-        lit: &ScalarExpr,
-        span: Span,
-    ) -> SqlResult<Predicate> {
-        let (_, name) = self.resolve_ref(col)?;
-        if self.col_type(&name) == DataType::DictStr && !matches!(op, CmpName::Eq | CmpName::Ne) {
-            return Err(SqlError::unsupported(
-                "dictionary columns only support `=`, `<>`, IN and LIKE",
-                span,
-            ));
-        }
-        match self.literal_for(&name, lit)? {
-            Some(v) => Ok(Predicate::cmp(name, cmp_op(op), v)),
-            // A string with no dictionary code: `=` never holds, `<>` always.
-            None => Ok(Predicate::cmp(name, cmp_op(op), NEVER_CODE)),
-        }
+    /// Lowers a CASE condition to a 0/1 indicator expression (the paper's
+    /// conditional-aggregation shape: `sum(case when … then … end)` becomes
+    /// arithmetic over `MAP` comparison indicators).
+    fn cond_indicator(&self, b: &BoolExpr) -> SqlResult<Expr> {
+        let unsupported = |msg, span| Err(SqlError::unsupported(msg, span));
+        Ok(match self.bind_cond(b)? {
+            Cond::And(l, r) => self.cond_indicator(l)?.mul(self.cond_indicator(r)?),
+            Cond::Or(l, r) => {
+                let a = self.cond_indicator(l)?;
+                let b = self.cond_indicator(r)?;
+                // a OR b = a + b − a·b over 0/1 indicators.
+                a.clone().add(b.clone()).sub(a.mul(b))
+            }
+            Cond::Exists(span) => return unsupported("EXISTS is not supported inside CASE", span),
+            Cond::Cols { span, .. } => {
+                return unsupported(
+                    "column-to-column comparisons are not supported in CASE",
+                    span,
+                )
+            }
+            Cond::NoColumn(span) => {
+                return unsupported("CASE conditions must compare a column with a literal", span)
+            }
+            Cond::Cmp { col, op, value } => {
+                Expr::Indicator(Box::new(Expr::col(col)), indicator_op(op), value)
+            }
+            Cond::Between { col, lo, hi } => Expr::col(col.clone()).ge_const(lo).mul(
+                Expr::Indicator(Box::new(Expr::col(col)), MapOp::LeConst, hi),
+            ),
+            Cond::In { col, values } => sum_of_eq(&col, &values),
+        })
     }
 
     /// Translates a literal for comparison against `col`: integers pass
@@ -513,14 +599,12 @@ impl<'a> Binder<'a> {
             ));
         }
         let dict = self.col_data(col).dictionary().unwrap_or(&[]);
-        let mut codes: Vec<i64> = dict
+        Ok(dict
             .iter()
             .enumerate()
             .filter(|(_, s)| s.starts_with(prefix))
             .map(|(i, _)| i as i64)
-            .collect();
-        codes.sort_unstable();
-        Ok(codes)
+            .collect())
     }
 
     // ---- scalar expressions ---------------------------------------------
@@ -585,104 +669,6 @@ impl<'a> Binder<'a> {
                 };
                 Ok(case_arith(ind, t, o))
             }
-        }
-    }
-
-    /// Lowers a CASE condition to a 0/1 indicator expression (the paper's
-    /// conditional-aggregation shape: `sum(case when … then … end)` becomes
-    /// arithmetic over `MAP` comparison indicators).
-    fn cond_indicator(&self, b: &BoolExpr) -> SqlResult<Expr> {
-        match b {
-            BoolExpr::And(l, r) => Ok(self.cond_indicator(l)?.mul(self.cond_indicator(r)?)),
-            BoolExpr::Or(l, r) => {
-                let a = self.cond_indicator(l)?;
-                let b = self.cond_indicator(r)?;
-                // a OR b = a + b − a·b over 0/1 indicators.
-                Ok(a.clone().add(b.clone()).sub(a.mul(b)))
-            }
-            BoolExpr::Cmp {
-                left,
-                op,
-                right,
-                span,
-            } => {
-                let (col, op, lit) = match (&**left, &**right) {
-                    (ScalarExpr::Column { .. }, ScalarExpr::Column { .. }) => {
-                        return Err(SqlError::unsupported(
-                            "column-to-column comparisons are not supported in CASE",
-                            *span,
-                        ))
-                    }
-                    (ScalarExpr::Column { .. }, lit) => (&**left, *op, lit),
-                    (lit, ScalarExpr::Column { .. }) => (&**right, flip(*op), lit),
-                    _ => {
-                        return Err(SqlError::unsupported(
-                            "CASE conditions must compare a column with a literal",
-                            *span,
-                        ))
-                    }
-                };
-                let (_, name) = self.resolve_ref(col)?;
-                if self.col_type(&name) == DataType::DictStr
-                    && !matches!(op, CmpName::Eq | CmpName::Ne)
-                {
-                    return Err(SqlError::unsupported(
-                        "dictionary columns only support `=`, `<>`, IN and LIKE",
-                        *span,
-                    ));
-                }
-                let value = self.literal_for(&name, lit)?.unwrap_or(NEVER_CODE);
-                Ok(Expr::Indicator(
-                    Box::new(Expr::col(name)),
-                    indicator_op(op),
-                    value,
-                ))
-            }
-            BoolExpr::Between { expr, lo, hi, span } => {
-                let (_, name) = self.resolve_ref(expr)?;
-                if self.col_type(&name) == DataType::DictStr {
-                    return Err(SqlError::unsupported(
-                        "BETWEEN on dictionary columns is not supported",
-                        *span,
-                    ));
-                }
-                let lo = self.literal_for(&name, lo)?.ok_or_else(|| {
-                    SqlError::bind("BETWEEN bound does not match the column", *span)
-                })?;
-                let hi = self.literal_for(&name, hi)?.ok_or_else(|| {
-                    SqlError::bind("BETWEEN bound does not match the column", *span)
-                })?;
-                Ok(Expr::col(name.clone()).ge_const(lo).mul(Expr::Indicator(
-                    Box::new(Expr::col(name)),
-                    MapOp::LeConst,
-                    hi,
-                )))
-            }
-            BoolExpr::InList { expr, list, .. } => {
-                let (_, name) = self.resolve_ref(expr)?;
-                let mut values = Vec::new();
-                for item in list {
-                    if let Some(v) = self.literal_for(&name, item)? {
-                        values.push(v);
-                    }
-                }
-                values.sort_unstable();
-                values.dedup();
-                Ok(sum_of_eq(&name, &values))
-            }
-            BoolExpr::Like {
-                expr,
-                pattern,
-                span,
-            } => {
-                let (_, name) = self.resolve_ref(expr)?;
-                let codes = self.like_codes(&name, pattern, *span)?;
-                Ok(sum_of_eq(&name, &codes))
-            }
-            BoolExpr::Exists { span, .. } => Err(SqlError::unsupported(
-                "EXISTS is not supported inside CASE",
-                *span,
-            )),
         }
     }
 

@@ -180,94 +180,58 @@ pub struct BoundQuery {
 impl BoundQuery {
     /// Table indices referenced by a predicate's leaf columns.
     pub fn pred_tables(&self, pred: &Predicate) -> BTreeSet<usize> {
-        let mut out = BTreeSet::new();
-        for leaf in pred.leaves() {
-            match leaf {
-                Predicate::Cmp { col, .. } => {
-                    if let Some(&t) = self.col_table.get(col) {
-                        out.insert(t);
-                    }
-                }
-                Predicate::CmpCols { left, right, .. } => {
-                    for c in [left, right] {
-                        if let Some(&t) = self.col_table.get(c) {
-                            out.insert(t);
-                        }
-                    }
-                }
-                _ => {}
+        pred.columns()
+            .into_iter()
+            .filter_map(|c| self.col_table.get(c).copied())
+            .collect()
+    }
+
+    /// The columns of each table read after its scan: select expressions,
+    /// join stream keys and the EXISTS outer key. A table that ends up on a
+    /// join's build side carries these as payload.
+    pub(crate) fn post_scan_columns(&self) -> Vec<BTreeSet<String>> {
+        self.by_table(self.post_scan_names())
+    }
+
+    /// The minimal set of columns each table must scan: the post-scan
+    /// columns, routed and unrouted predicates, and the join build keys.
+    pub fn required_columns(&self) -> Vec<BTreeSet<String>> {
+        let mut cols = self.post_scan_names();
+        let preds = self
+            .conjuncts
+            .iter()
+            .chain(self.scan_preds.iter().flatten());
+        cols.extend(preds.flat_map(Predicate::columns));
+        cols.extend(self.joins.iter().map(|j| j.table_key.as_str()));
+        self.by_table(cols)
+    }
+
+    fn post_scan_names(&self) -> Vec<&str> {
+        let mut cols = Vec::new();
+        match &self.select {
+            BoundSelect::Plain(items) => cols.extend(items.iter().flat_map(|i| i.expr.columns())),
+            BoundSelect::Aggregate { group, aggs, .. } => {
+                cols.extend(group.iter().map(|g| g.column.as_str()));
+                cols.extend(
+                    aggs.iter()
+                        .filter_map(|a| a.arg.as_ref())
+                        .flat_map(Expr::columns),
+                );
+            }
+        }
+        cols.extend(self.joins.iter().map(|j| j.stream_key.as_str()));
+        cols.extend(self.exists.iter().map(|ex| ex.outer_key.as_str()));
+        cols
+    }
+
+    /// Sorts column names into per-table sets, dropping names no table owns.
+    fn by_table<'c>(&self, cols: impl IntoIterator<Item = &'c str>) -> Vec<BTreeSet<String>> {
+        let mut out = vec![BTreeSet::new(); self.tables.len()];
+        for c in cols {
+            if let Some(&t) = self.col_table.get(c) {
+                out[t].insert(c.to_string());
             }
         }
         out
-    }
-
-    /// The minimal set of columns each table must scan: select expressions,
-    /// routed and unrouted predicates, join keys and the EXISTS outer key.
-    pub fn required_columns(&self) -> Vec<BTreeSet<String>> {
-        let mut needed: Vec<BTreeSet<String>> = vec![BTreeSet::new(); self.tables.len()];
-        let add = |needed: &mut Vec<BTreeSet<String>>, col: &str| {
-            if let Some(&t) = self.col_table.get(col) {
-                needed[t].insert(col.to_string());
-            }
-        };
-        let add_expr = |needed: &mut Vec<BTreeSet<String>>, e: &Expr| {
-            for c in e.columns() {
-                if let Some(&t) = self.col_table.get(c) {
-                    needed[t].insert(c.to_string());
-                }
-            }
-        };
-        match &self.select {
-            BoundSelect::Plain(items) => {
-                for item in items {
-                    add_expr(&mut needed, &item.expr);
-                }
-            }
-            BoundSelect::Aggregate { group, aggs, .. } => {
-                for g in group {
-                    add(&mut needed, &g.column);
-                }
-                for a in aggs {
-                    if let Some(e) = &a.arg {
-                        add_expr(&mut needed, e);
-                    }
-                }
-            }
-        }
-        let add_pred = |needed: &mut Vec<BTreeSet<String>>, p: &Predicate| {
-            for leaf in p.leaves() {
-                match leaf {
-                    Predicate::Cmp { col, .. } => {
-                        if let Some(&t) = self.col_table.get(col) {
-                            needed[t].insert(col.clone());
-                        }
-                    }
-                    Predicate::CmpCols { left, right, .. } => {
-                        for c in [left, right] {
-                            if let Some(&t) = self.col_table.get(c) {
-                                needed[t].insert(c.clone());
-                            }
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        };
-        for p in &self.conjuncts {
-            add_pred(&mut needed, p);
-        }
-        for ps in &self.scan_preds {
-            for p in ps {
-                add_pred(&mut needed, p);
-            }
-        }
-        for j in &self.joins {
-            add(&mut needed, &j.stream_key);
-            add(&mut needed, &j.table_key);
-        }
-        if let Some(ex) = &self.exists {
-            add(&mut needed, &ex.outer_key);
-        }
-        needed
     }
 }

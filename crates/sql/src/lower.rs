@@ -83,7 +83,7 @@ impl<'a> Lowerer<'a> {
         let mut pb = PlanBuilder::new(self.device);
         let mut input_columns = Vec::new();
 
-        let post = self.post_join_columns();
+        let post = q.post_scan_columns();
 
         // Plan the join chain first: per join, does the new table build
         // (stream keeps probing) or does the accumulated stream build (the
@@ -134,12 +134,10 @@ impl<'a> Lowerer<'a> {
         }
         let ht_exists = match &q.exists {
             Some(ex) => {
-                let mut inner_cols: BTreeSet<String> = BTreeSet::new();
-                inner_cols.insert(ex.inner_key.clone());
-                for p in &ex.conjuncts {
-                    collect_pred_cols(p, &mut inner_cols);
-                }
-                let cols: Vec<&str> = inner_cols.iter().map(|s| s.as_str()).collect();
+                let mut inner_cols: BTreeSet<&str> =
+                    ex.conjuncts.iter().flat_map(Predicate::columns).collect();
+                inner_cols.insert(&ex.inner_key);
+                let cols: Vec<&str> = inner_cols.into_iter().collect();
                 for c in &cols {
                     input_columns.push((ex.table.clone(), c.to_string()));
                 }
@@ -233,48 +231,6 @@ impl<'a> Lowerer<'a> {
                 .map_err(|e| self.err(e))?;
         }
         Ok(stream)
-    }
-
-    /// Columns of each table consumed *after* its scan stage: select-layer
-    /// expressions, later join stream keys, and the EXISTS correlation key.
-    /// These must be carried as join payloads when a table ends up on a
-    /// build side.
-    fn post_join_columns(&self) -> Vec<BTreeSet<String>> {
-        let q = self.q;
-        let mut post: Vec<BTreeSet<String>> = vec![BTreeSet::new(); q.tables.len()];
-        let add = |post: &mut Vec<BTreeSet<String>>, col: &str| {
-            if let Some(&t) = q.col_table.get(col) {
-                post[t].insert(col.to_string());
-            }
-        };
-        match &q.select {
-            BoundSelect::Plain(items) => {
-                for item in items {
-                    for c in item.expr.columns() {
-                        add(&mut post, c);
-                    }
-                }
-            }
-            BoundSelect::Aggregate { group, aggs, .. } => {
-                for g in group {
-                    add(&mut post, &g.column);
-                }
-                for a in aggs {
-                    if let Some(e) = &a.arg {
-                        for c in e.columns() {
-                            add(&mut post, c);
-                        }
-                    }
-                }
-            }
-        }
-        for j in &q.joins {
-            add(&mut post, &j.stream_key);
-        }
-        if let Some(ex) = &q.exists {
-            add(&mut post, &ex.outer_key);
-        }
-        post
     }
 
     fn lower_select(
@@ -458,21 +414,6 @@ impl<'a> Lowerer<'a> {
                 }
                 Ok((out_cols, false))
             }
-        }
-    }
-}
-
-fn collect_pred_cols(p: &Predicate, out: &mut BTreeSet<String>) {
-    for leaf in p.leaves() {
-        match leaf {
-            Predicate::Cmp { col, .. } => {
-                out.insert(col.clone());
-            }
-            Predicate::CmpCols { left, right, .. } => {
-                out.insert(left.clone());
-                out.insert(right.clone());
-            }
-            _ => {}
         }
     }
 }
