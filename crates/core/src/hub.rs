@@ -3,10 +3,10 @@
 //! Three responsibilities, matching the paper's description:
 //!
 //! * `load_data()` — loading (whole) inputs onto a target device;
-//! * `router()` — all SDK-to-SDK and device-to-device transfers: it
-//!   inspects where a data ref currently lives and produces a buffer on the
-//!   requested device, retrieving/placing across the bus or transforming
-//!   representations as needed;
+//! * `router()` — all device-to-device transfers: it produces a buffer
+//!   holding a data ref on the requested device by reusing a copy already
+//!   there, else retrieving the copy of the lowest-id device holding one and
+//!   placing it, else uploading the host accumulation;
 //! * `prepare_output_buffer()` — estimating and creating result space for a
 //!   primitive, with the correct data semantics (numeric scratch, bitmap
 //!   words, position lists, join/aggregation hash tables).

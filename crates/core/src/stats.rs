@@ -146,8 +146,8 @@ pub struct ExecutionStats {
     /// whole-mode node. The multi-query scheduler replays these on the
     /// shared timeline; not exported to JSON (unbounded length).
     pub slice_ns: Vec<f64>,
-    /// Per-device health snapshot (breaker state, failure counts, current
-    /// placement penalty) at the end of this run, keyed by device name.
+    /// Per-device health snapshot (breaker state, failure, overrun and
+    /// corruption counts) at the end of this run, keyed by device name.
     /// Deterministic ordering for reproducible reports.
     pub device_health: BTreeMap<String, HealthSnapshot>,
     /// Faults injected per device name during this run (only devices with a
