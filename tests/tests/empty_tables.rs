@@ -71,3 +71,40 @@ fn every_query_over_empty_tables_matches_the_reference() {
         }
     }
 }
+
+/// Every hand-built plan's output, printed whole, under every execution
+/// model, fused and unfused, at `chunk_rows` 900, over the SF 0.001 catalog
+/// and over it emptied, folded into one hash. A change to how outputs are
+/// accumulated, gathered or represented must leave the value untouched.
+#[test]
+fn outputs_are_pinned() {
+    use adamant::storage::fnv::FnvHasher;
+    use std::hash::Hasher;
+
+    let full = TpchGenerator::new(0.001, 13).generate();
+    let empty = emptied(&full);
+    let mut h = FnvHasher::default();
+    let mut bytes = 0;
+    for catalog in [&full, &empty] {
+        for fusion in [true, false] {
+            let mut engine = Adamant::builder()
+                .chunk_rows(900)
+                .fusion(fusion)
+                .device(DeviceProfile::cuda_rtx2080ti())
+                .build()
+                .unwrap();
+            let dev = engine.device_ids()[0];
+            for q in TpchQuery::ALL {
+                let graph = q.plan(dev, catalog).unwrap();
+                let inputs = q.bind(catalog).unwrap();
+                for model in ExecutionModel::ALL {
+                    let (out, _) = engine.run(&graph, &inputs, model).unwrap();
+                    let line = format!("{q}/{model}/{fusion}: {out:?}\n");
+                    bytes += line.len();
+                    h.write(line.as_bytes());
+                }
+            }
+        }
+    }
+    assert_eq!((h.finish(), bytes), (5_735_428_950_001_360_603, 27_602));
+}
