@@ -334,7 +334,7 @@ pub mod prelude {
     pub use adamant_core::graph::{DataRef, GraphBuilder, NodeParams, PrimitiveGraph};
     pub use adamant_core::models::ExecutionModel;
     pub use adamant_core::residency::{ResidencyCache, ResidencyConfig, ResidencyCounters};
-    pub use adamant_core::result::{OutputData, QueryOutput};
+    pub use adamant_core::result::QueryOutput;
     pub use adamant_core::stats::ExecutionStats;
     pub use adamant_core::ExecError;
     pub use adamant_device::buffer::{Buffer, BufferData, BufferId};

@@ -28,7 +28,6 @@
 //! [`DeviceId`]: adamant_device::device::DeviceId
 
 use crate::graph::DataRef;
-use crate::hub::HostAccum;
 use adamant_device::buffer::BufferData;
 use adamant_storage::fnv::FnvHasher;
 use std::hash::Hasher;
@@ -108,7 +107,7 @@ pub struct QueryCheckpoint {
     pub chunks_done: usize,
     /// Host accumulations: `(ref, cloned accumulation, contiguity
     /// watermark)`, sorted by ref for deterministic checksums.
-    pub host: Vec<(DataRef, HostAccum, usize)>,
+    pub host: Vec<(DataRef, BufferData, usize)>,
     /// Host copies of device-resident breaker accumulators, sorted by ref.
     /// Device-agnostic: the resume re-places each onto the producing node's
     /// post-recovery device.
@@ -189,7 +188,7 @@ mod tests {
                     node: NodeId(3),
                     port: 0,
                 },
-                HostAccum::Numeric(vec![1, 2, 3]),
+                BufferData::I64(vec![1, 2, 3]),
                 512,
             )],
             resident: vec![(
@@ -222,7 +221,7 @@ mod tests {
     fn accumulated_value_tamper_fails_validation() {
         let mut c = sample();
         match &mut c.host[0].1 {
-            HostAccum::Numeric(v) => v[1] ^= 1,
+            BufferData::I64(v) => v[1] ^= 1,
             _ => unreachable!(),
         }
         assert!(!c.validate());

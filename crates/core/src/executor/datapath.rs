@@ -19,14 +19,13 @@ use super::{Executor, RunCx};
 use crate::error::{ExecError, Result};
 use crate::graph::{DataRef, NodeParams, PrimitiveGraph, PrimitiveNode};
 use crate::pipeline::{Pipeline, PipelineSet};
-use crate::result::{OutputData, QueryOutput};
+use crate::result::QueryOutput;
 use crate::timeline::ChunkCost;
 use adamant_device::buffer::BufferId;
 use adamant_device::device::DeviceId;
 use adamant_device::kernel::ExecuteSpec;
 use adamant_task::container::DataContainer;
 use adamant_task::primitive::PrimitiveKind;
-use adamant_task::semantics::DataSemantic;
 use std::collections::{HashMap, HashSet};
 
 /// One row range of the pipeline's scan columns on its way to the devices.
@@ -728,7 +727,7 @@ impl Executor {
         let mut out = QueryOutput::new();
         for (name, r) in cx.graph.outputs() {
             let data = if let Some(acc) = cx.hub.take_host(*r) {
-                OutputData::from_buffer(acc.into_buffer())
+                acc
             } else if let Some((dev_id, id)) = self
                 .devices
                 .ids()
@@ -739,13 +738,9 @@ impl Executor {
                     .hub
                     .retrieve_verified(&mut self.devices, dev_id, id, None, 0)?;
                 cx.tally.fold_serial(&mut self.devices, &[dev_id])?;
-                OutputData::from_buffer(payload)
+                payload
             } else {
-                match cx.graph.semantic_of(*r) {
-                    DataSemantic::Position => OutputData::U32(Vec::new()),
-                    DataSemantic::Bitmap => OutputData::BitWords(Vec::new()),
-                    _ => OutputData::I64(Vec::new()),
-                }
+                DataContainer::empty_payload(cx.graph.semantic_of(*r))
             };
             out.insert(name.clone(), data);
         }

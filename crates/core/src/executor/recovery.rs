@@ -25,7 +25,6 @@ use super::{Executor, RunCx};
 use crate::checkpoint::{CheckpointConfig, QueryCheckpoint};
 use crate::error::{ExecError, Result};
 use crate::graph::{DataRef, NodeId, PrimitiveGraph};
-use crate::hub::HostAccum;
 use crate::pipeline::{Pipeline, PipelineSet};
 use crate::result::QueryOutput;
 use crate::stats::ExecutionStats;
@@ -115,7 +114,7 @@ pub(super) struct ResumeCursor {
     pipelines_done: usize,
     pub resume_offset: usize,
     chunks_done: usize,
-    host: Vec<(DataRef, HostAccum, usize)>,
+    host: Vec<(DataRef, BufferData, usize)>,
     seed: Vec<(DataRef, BufferData)>,
 }
 

@@ -41,118 +41,66 @@ use adamant_device::device::DeviceId;
 use adamant_device::error::DeviceError;
 use adamant_device::registry::DeviceRegistry;
 use adamant_storage::bitmap::Bitmap;
-use adamant_storage::fnv::{content_hash, copy_and_hash, Content};
+use adamant_storage::fnv::copy_and_hash;
 use adamant_task::container::DataContainer;
 use adamant_task::primitive::{FusionRole, PrimitiveKind};
 use adamant_task::semantics::DataSemantic;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-/// Host-side accumulation of per-chunk results.
-///
-/// `Clone` so the checkpoint subsystem can snapshot accumulations without
-/// disturbing the live copies.
-#[derive(Clone, Debug)]
-pub enum HostAccum {
-    /// Concatenated numeric rows.
-    Numeric(Vec<i64>),
-    /// Positions rebased to global row numbers.
-    Position(Vec<u32>),
-    /// A growing bitmap with exact logical length.
-    Bitmap(Bitmap),
-}
-
-impl HostAccum {
-    fn new(semantic: DataSemantic) -> Result<HostAccum> {
-        Ok(match semantic {
-            DataSemantic::Numeric | DataSemantic::PrefixSum => HostAccum::Numeric(Vec::new()),
-            DataSemantic::Position => HostAccum::Position(Vec::new()),
-            DataSemantic::Bitmap => HostAccum::Bitmap(Bitmap::new_zeroed(0)),
-            other => {
-                return Err(ExecError::Internal(format!(
-                    "cannot host-accumulate {other} results"
-                )))
-            }
-        })
-    }
-
-    fn push_chunk(
-        &mut self,
-        data: BufferData,
-        chunk_offset: usize,
-        chunk_len: usize,
-    ) -> Result<()> {
-        match (self, data) {
-            (HostAccum::Numeric(acc), BufferData::I64(v)) => acc.extend_from_slice(&v),
-            (HostAccum::Position(acc), BufferData::U32(v)) => {
-                // Rebasing to global row numbers must not wrap: a silent
-                // overflow would produce positions pointing at the wrong
-                // rows, which is far worse than failing the query.
-                let base = u32::try_from(chunk_offset).map_err(|_| {
+/// Appends one chunk of an escaped streamed result to its host
+/// accumulation, which holds scan rows `0..chunk_offset`: numeric rows are
+/// appended, positions are rebased to global row numbers, and bitmap bits
+/// are written from scan row `chunk_offset` (a bitmap accumulation holds one
+/// bit per scan row, so its logical length is the contiguity watermark).
+/// Hash tables and generic structures are never host-accumulated.
+fn append_chunk(
+    acc: &mut BufferData,
+    data: BufferData,
+    chunk_offset: usize,
+    chunk_len: usize,
+) -> Result<()> {
+    match (acc, data) {
+        (BufferData::I64(acc), BufferData::I64(v)) => acc.extend_from_slice(&v),
+        (BufferData::U32(acc), BufferData::U32(v)) => {
+            // Rebasing to global row numbers must not wrap: a silent
+            // overflow would produce positions pointing at the wrong
+            // rows, which is far worse than failing the query.
+            let base = u32::try_from(chunk_offset).map_err(|_| {
+                ExecError::Internal(format!(
+                    "position rebase overflow: chunk offset {chunk_offset} exceeds u32 range"
+                ))
+            })?;
+            for p in v {
+                let global = p.checked_add(base).ok_or_else(|| {
                     ExecError::Internal(format!(
-                        "position rebase overflow: chunk offset {chunk_offset} exceeds u32 range"
+                        "position rebase overflow: {p} + chunk offset {base} exceeds u32 range"
                     ))
                 })?;
-                for p in v {
-                    let global = p.checked_add(base).ok_or_else(|| {
-                        ExecError::Internal(format!(
-                            "position rebase overflow: {p} + chunk offset {base} exceeds u32 range"
-                        ))
-                    })?;
-                    acc.push(global);
-                }
-            }
-            (HostAccum::Bitmap(acc), BufferData::BitWords(words)) => {
-                let chunk = Bitmap::from_words(words, chunk_len);
-                acc.extend_from(&chunk);
-            }
-            (acc, data) => {
-                return Err(ExecError::Internal(format!(
-                    "host accumulation kind mismatch: {acc:?} <- {}",
-                    data.kind()
-                )))
+                acc.push(global);
             }
         }
-        Ok(())
-    }
-
-    /// Finalizes into a device-shaped payload.
-    pub fn into_buffer(self) -> BufferData {
-        match self {
-            HostAccum::Numeric(v) => BufferData::I64(v),
-            HostAccum::Position(v) => BufferData::U32(v),
-            HostAccum::Bitmap(bm) => BufferData::BitWords(bm.words().to_vec()),
+        (BufferData::BitWords(acc), BufferData::BitWords(words)) => {
+            acc.resize((chunk_offset + chunk_len).div_ceil(64), 0);
+            for i in Bitmap::from_words(words, chunk_len).iter_ones() {
+                let row = chunk_offset + i;
+                acc[row / 64] |= 1 << (row % 64);
+            }
+        }
+        (acc @ (BufferData::Raw(_) | BufferData::Generic(_)), _) => {
+            return Err(ExecError::Internal(format!(
+                "cannot host-accumulate {} results",
+                acc.kind()
+            )))
+        }
+        (acc, data) => {
+            return Err(ExecError::Internal(format!(
+                "host accumulation kind mismatch: {} <- {}",
+                acc.kind(),
+                data.kind()
+            )))
         }
     }
-
-    /// Clones into a device-shaped payload, leaving the accumulation in
-    /// place. Used when uploading a host accumulation to a device: the host
-    /// copy stays authoritative so a later rollback of the device buffer
-    /// never destroys the only copy of the data.
-    pub fn to_buffer(&self) -> BufferData {
-        match self {
-            HostAccum::Numeric(v) => BufferData::I64(v.clone()),
-            HostAccum::Position(v) => BufferData::U32(v.clone()),
-            HostAccum::Bitmap(bm) => BufferData::BitWords(bm.words().to_vec()),
-        }
-    }
-
-    /// `self.to_buffer().byte_len()`, without the copy.
-    pub fn byte_len(&self) -> u64 {
-        match self {
-            HostAccum::Numeric(v) => (v.len() * 8) as u64,
-            HostAccum::Position(v) => (v.len() * 4) as u64,
-            HostAccum::Bitmap(bm) => (bm.words().len() * 8) as u64,
-        }
-    }
-
-    /// `self.to_buffer().checksum()`, hashed in place.
-    pub fn checksum(&self) -> u64 {
-        content_hash(match self {
-            HostAccum::Numeric(v) => Content::I64(v),
-            HostAccum::Position(v) => Content::U32(v),
-            HostAccum::Bitmap(bm) => Content::BitWords(bm.words()),
-        })
-    }
+    Ok(())
 }
 
 /// What [`DataTransferHub::place_verified`] uploads: something that can
@@ -192,18 +140,6 @@ impl Payload for [i64] {
     }
     fn to_buffer(&self) -> BufferData {
         BufferData::I64(self.to_vec())
-    }
-}
-
-impl Payload for HostAccum {
-    fn copy_and_checksum(&self) -> (BufferData, u64) {
-        match self {
-            HostAccum::Numeric(rows) => rows.as_slice().copy_and_checksum(),
-            other => (other.to_buffer(), other.checksum()),
-        }
-    }
-    fn to_buffer(&self) -> BufferData {
-        HostAccum::to_buffer(self)
     }
 }
 
@@ -296,7 +232,7 @@ pub struct DataTransferHub {
     /// Host-side accumulations of escaped streamed results, each with the
     /// next expected chunk offset — chunks must arrive in order,
     /// contiguously.
-    host: HashMap<DataRef, (HostAccum, usize)>,
+    host: HashMap<DataRef, (BufferData, usize)>,
     /// Every buffer created per device, in creation order. Append-only so
     /// [`DataTransferHub::mark`] positions stay stable; [`Self::release`]
     /// clears `live` membership instead of splicing this list.
@@ -543,8 +479,8 @@ impl DataTransferHub {
 
     /// Clones every host accumulation with its contiguity watermark, sorted
     /// by ref for deterministic checkpoint checksums.
-    pub fn snapshot_host(&self) -> Vec<(DataRef, HostAccum, usize)> {
-        let mut out: Vec<(DataRef, HostAccum, usize)> = self
+    pub fn snapshot_host(&self) -> Vec<(DataRef, BufferData, usize)> {
+        let mut out: Vec<(DataRef, BufferData, usize)> = self
             .host
             .iter()
             .map(|(&r, (accum, watermark))| (r, accum.clone(), *watermark))
@@ -557,7 +493,7 @@ impl DataTransferHub {
     /// whatever partial state a rolled-back attempt left behind. The
     /// watermark re-arms the in-order contiguity check, so the resumed
     /// stream appends exactly where the snapshot left off.
-    pub fn restore_host(&mut self, entries: &[(DataRef, HostAccum, usize)]) {
+    pub fn restore_host(&mut self, entries: &[(DataRef, BufferData, usize)]) {
         for (r, accum, watermark) in entries {
             self.host.insert(*r, (accum.clone(), *watermark));
         }
@@ -834,19 +770,17 @@ impl DataTransferHub {
                  got chunk offset {chunk_offset}, expected {expected}"
             )));
         }
-        let (accum, end) = match self.host.entry(data) {
-            std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert((HostAccum::new(semantic)?, 0))
-            }
-        };
-        accum.push_chunk(payload, chunk_offset, chunk_len)?;
+        let (accum, end) = self
+            .host
+            .entry(data)
+            .or_insert_with(|| (DataContainer::empty_payload(semantic), 0));
+        append_chunk(accum, payload, chunk_offset, chunk_len)?;
         *end = chunk_offset + chunk_len;
         Ok(())
     }
 
     /// Takes a finished host accumulation (for graph outputs).
-    pub fn take_host(&mut self, data: DataRef) -> Option<HostAccum> {
+    pub fn take_host(&mut self, data: DataRef) -> Option<BufferData> {
         self.host.remove(&data).map(|(accum, _)| accum)
     }
 
@@ -1100,20 +1034,14 @@ mod tests {
             .unwrap();
         hub.host_accumulate(r, DataSemantic::Numeric, BufferData::I64(vec![3]), 2, 1)
             .unwrap();
-        match hub.take_host(r).unwrap() {
-            HostAccum::Numeric(v) => assert_eq!(v, vec![1, 2, 3]),
-            other => panic!("{other:?}"),
-        }
+        assert_eq!(hub.take_host(r), Some(BufferData::I64(vec![1, 2, 3])));
 
         let p = DataRef::Input(1);
         hub.host_accumulate(p, DataSemantic::Position, BufferData::U32(vec![0, 3]), 0, 4)
             .unwrap();
         hub.host_accumulate(p, DataSemantic::Position, BufferData::U32(vec![1]), 4, 4)
             .unwrap();
-        match hub.take_host(p).unwrap() {
-            HostAccum::Position(v) => assert_eq!(v, vec![0, 3, 5]),
-            other => panic!("{other:?}"),
-        }
+        assert_eq!(hub.take_host(p), Some(BufferData::U32(vec![0, 3, 5])));
 
         let bm = DataRef::Input(2);
         hub.host_accumulate(
@@ -1132,35 +1060,58 @@ mod tests {
             2,
         )
         .unwrap();
-        match hub.take_host(bm).unwrap() {
-            HostAccum::Bitmap(b) => {
-                assert_eq!(b.len(), 5);
-                assert!(b.get(0));
-                assert!(b.get(4));
-                assert_eq!(b.count_ones(), 2);
-            }
-            other => panic!("{other:?}"),
-        }
+        assert_eq!(
+            hub.take_host(bm),
+            Some(BufferData::BitWords(vec![0b1_0001]))
+        );
+
+        // A payload of another kind, and a structure, never accumulate.
+        assert!(hub
+            .host_accumulate(r, DataSemantic::Numeric, BufferData::U32(vec![1]), 0, 1)
+            .is_err());
+        let table = DataContainer::agg_table(4, vec![], 0);
+        let t = DataRef::Input(3);
+        assert!(hub
+            .host_accumulate(t, DataSemantic::HashTable, table, 0, 1)
+            .is_err());
     }
 
-    /// The in-place forms the checkpoint seal uses are the copying forms,
-    /// by construction.
+    /// Bitmap chunks of any length — shorter than, equal to and longer than
+    /// a word, empty, starting mid-word — accumulate to the whole scan's
+    /// words, whatever the chunk payloads carry past their last row.
     #[test]
-    fn in_place_byte_len_and_checksum_match_the_copy() {
-        let mut bitmap = Bitmap::new_zeroed(0);
-        bitmap.extend_from(&Bitmap::from_bools(&[true; 70])); // two words, 6 bits used
-        bitmap.extend_from(&Bitmap::from_bools(&[false, true, true]));
-        assert_ne!(bitmap.len() % 64, 0);
-        for accum in [
-            HostAccum::Numeric(vec![]),
-            HostAccum::Numeric((0..37).map(|i| i * 7919 - 5).collect()),
-            HostAccum::Position(vec![0, 3, 5, 70_000, u32::MAX]),
-            HostAccum::Bitmap(Bitmap::new_zeroed(0)),
-            HostAccum::Bitmap(bitmap),
-        ] {
-            let copy = accum.to_buffer();
-            assert_eq!(accum.byte_len(), copy.byte_len(), "{accum:?}");
-            assert_eq!(accum.checksum(), copy.checksum(), "{accum:?}");
+    fn chunked_bitmap_accumulation_is_the_whole_bitmap() {
+        for lens in [&[1, 63, 64, 65, 107][..], &[70, 3, 0, 227]] {
+            let rows: usize = lens.iter().sum();
+            let bit = |i: usize| (i * 7 + i / 5).is_multiple_of(3);
+            let mut whole = vec![0u64; rows.div_ceil(64)];
+            for i in (0..rows).filter(|&i| bit(i)) {
+                whole[i / 64] |= 1 << (i % 64);
+            }
+            let mut hub = DataTransferHub::new();
+            let r = DataRef::Input(0);
+            let mut offset = 0;
+            for &len in lens {
+                // Every bit past the chunk's last row is set.
+                let mut words = vec![u64::MAX; len.div_ceil(64)];
+                for i in (0..len).filter(|&i| !bit(offset + i)) {
+                    words[i / 64] &= !(1 << (i % 64));
+                }
+                hub.host_accumulate(
+                    r,
+                    DataSemantic::Bitmap,
+                    BufferData::BitWords(words),
+                    offset,
+                    len,
+                )
+                .unwrap();
+                offset += len;
+            }
+            assert_eq!(
+                hub.take_host(r),
+                Some(BufferData::BitWords(whole)),
+                "{lens:?}"
+            );
         }
     }
 
@@ -1314,10 +1265,7 @@ mod tests {
         // The expected offset still works.
         hub.host_accumulate(r, DataSemantic::Numeric, BufferData::I64(vec![3]), 2, 1)
             .unwrap();
-        match hub.take_host(r).unwrap() {
-            HostAccum::Numeric(v) => assert_eq!(v, vec![1, 2, 3]),
-            other => panic!("{other:?}"),
-        }
+        assert_eq!(hub.take_host(r), Some(BufferData::I64(vec![1, 2, 3])));
     }
 
     #[test]
@@ -1663,9 +1611,6 @@ mod tests {
         // The host copy is still there: deleting the device buffer (e.g. in
         // a recovery rollback) cannot lose the accumulated result.
         assert!(hub.has_host(r));
-        match hub.take_host(r).unwrap() {
-            HostAccum::Numeric(v) => assert_eq!(v, vec![1, 2]),
-            other => panic!("{other:?}"),
-        }
+        assert_eq!(hub.take_host(r), Some(BufferData::I64(vec![1, 2])));
     }
 }

@@ -49,7 +49,7 @@ pub use graph::{
 pub use models::ExecutionModel;
 pub use pipeline::{Pipeline, PipelineSet};
 pub use residency::{ResidencyCache, ResidencyConfig, ResidencyCounters};
-pub use result::{OutputData, QueryOutput};
+pub use result::QueryOutput;
 pub use stats::ExecutionStats;
 
 /// Convenience re-exports.
@@ -65,6 +65,6 @@ pub mod prelude {
     pub use crate::models::ExecutionModel;
     pub use crate::pipeline::{Pipeline, PipelineSet};
     pub use crate::residency::{ResidencyCache, ResidencyConfig, ResidencyCounters};
-    pub use crate::result::{OutputData, QueryOutput};
+    pub use crate::result::QueryOutput;
     pub use crate::stats::ExecutionStats;
 }

@@ -35,20 +35,6 @@ fn bitmap_matches_bool_vec() {
 }
 
 #[test]
-fn bitmap_slice_extend_roundtrip() {
-    for case in 0..CASES {
-        let mut rng = Rng::new(0x511CE + case * 31);
-        let bools = random_bools(&mut rng, 400);
-        let cut = rng.gen_range(0usize..=400).min(bools.len());
-        let bm = Bitmap::from_bools(&bools);
-        let mut rebuilt = Bitmap::new_zeroed(0);
-        rebuilt.extend_from(&bm.slice(0, cut));
-        rebuilt.extend_from(&bm.slice(cut, bools.len() - cut));
-        assert_eq!(rebuilt, bm);
-    }
-}
-
-#[test]
 fn words_roundtrip_preserves_set_bits() {
     for case in 0..CASES {
         let mut rng = Rng::new(0x60D5 + case * 7);
