@@ -1,15 +1,13 @@
 //! Device-memory footprint estimation for admission control.
 //!
 //! Admission needs a *pre-execution* estimate of how many device bytes a
-//! query will hold at once. Two estimators feed it:
-//!
-//! * TPC-H plans have an analytic estimate
-//!   (`adamant_tpch::footprint::query_input_bytes`, a scale-factor model)
-//!   which callers can pass through [`crate::QuerySpec::with_footprint`];
-//! * everything else falls back to [`estimate_footprint_bytes`], a generic
-//!   walk of the primitive graph mirroring how the executor actually
-//!   allocates: staged scan chunks, whole-placed side inputs, breaker
-//!   accumulators sized by the scan, and chunk-sized scratch.
+//! query will hold at once. [`estimate_footprint_bytes`] provides it: a
+//! walk of the primitive graph mirroring how the executor actually
+//! allocates — staged scan chunks, whole-placed side inputs, breaker
+//! accumulators sized by the scan, and chunk-sized scratch. The scheduler
+//! runs it for every query submitted without a footprint;
+//! `Session::sql` computes it once per cached statement and passes the
+//! stored value through [`crate::QuerySpec::with_footprint`].
 //!
 //! The estimate is deliberately conservative (it assumes every pipeline's
 //! buffers are live at once). Over-estimating delays admission; the

@@ -66,9 +66,10 @@ impl QuerySpec {
         }
     }
 
-    /// Overrides the admission footprint estimate (e.g. with
-    /// `adamant_tpch::footprint::query_input_bytes`). Without this the
-    /// scheduler walks the primitive graph ([`estimate_footprint_bytes`]).
+    /// Overrides the admission footprint estimate. `Session::sql` passes
+    /// the [`estimate_footprint_bytes`] value it cached with the compiled
+    /// statement; without this the scheduler walks the primitive graph at
+    /// admission.
     pub fn with_footprint(mut self, bytes: u64) -> Self {
         self.footprint_bytes = Some(bytes);
         self

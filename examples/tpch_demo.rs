@@ -1,5 +1,6 @@
-//! TPC-H end to end: generate data, run Q1/Q3/Q4/Q6 on the simulated GPU,
-//! validate every result against the host reference implementations.
+//! TPC-H end to end: generate data, run all seven queries (Q1, Q3, Q4, Q6,
+//! Q10, Q12, Q14) on the simulated GPU, and assert every result equals the
+//! host reference implementation's.
 //!
 //! Run: `cargo run --release -p adamant-examples --example tpch_demo`
 
