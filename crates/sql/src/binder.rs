@@ -204,6 +204,8 @@ impl<'a> Binder<'a> {
                 }
             }
             joins.push(BoundJoin {
+                stream_key_unique: self.col_data(&stream_key).is_unique(),
+                table_key_unique: self.col_data(&table_key).is_unique(),
                 stream_key,
                 table_key,
             });

@@ -132,6 +132,8 @@ pub struct Column {
     /// The rows as the devices see them, made on first use
     /// ([`Column::shared_rows`]); a clone of the column shares them.
     shared: OnceLock<SharedRows>,
+    /// Whether no value repeats, found on first use ([`Column::is_unique`]).
+    unique: OnceLock<bool>,
 }
 
 /// Name and payload; whether the rows were shared yet is not part of a
@@ -149,6 +151,7 @@ impl Column {
             name: name.into(),
             data,
             shared: OnceLock::new(),
+            unique: OnceLock::new(),
         }
     }
 
@@ -246,6 +249,16 @@ impl Column {
         })
     }
 
+    /// Whether no value occurs twice in the column. Found by one sort on the
+    /// first call and kept: the rows never change.
+    pub fn is_unique(&self) -> bool {
+        *self.unique.get_or_init(|| {
+            let mut rows = self.to_i64_vec();
+            rows.sort_unstable();
+            rows.windows(2).all(|w| w[0] != w[1])
+        })
+    }
+
     /// A fresh copy of the rows widened to `i64` (device kernels run on
     /// i64), for callers that want a vector of their own; binding goes
     /// through [`Column::shared_rows`] instead. Dictionary columns expose
@@ -307,6 +320,14 @@ mod tests {
     fn to_i64_widening() {
         assert_eq!(Column::from_i32("a", vec![-1, 2]).to_i64_vec(), vec![-1, 2]);
         assert_eq!(Column::from_dates("d", vec![10]).to_i64_vec(), vec![10]);
+    }
+
+    #[test]
+    fn uniqueness_sees_a_repeat_anywhere() {
+        assert!(Column::from_i64("k", vec![3, 1, 2]).is_unique());
+        assert!(Column::from_i64("k", vec![]).is_unique());
+        assert!(!Column::from_i64("k", vec![3, 1, 2, 3]).is_unique());
+        assert!(!Column::from_i32("k", vec![i32::MIN, 0, i32::MIN]).is_unique());
     }
 
     #[test]
