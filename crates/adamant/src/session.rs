@@ -295,12 +295,12 @@ impl<'a> Session<'a> {
         let mut cols: Vec<&[i64]> = Vec::with_capacity(compiled.outputs.len());
         for o in &compiled.outputs {
             let data = output
-                .get(&o.name)
+                .get(o.source())
                 .and_then(|d| d.as_i64())
                 .ok_or_else(|| {
                     SessionError::Exec(ExecError::Internal(format!(
                         "output `{}` missing or not integer data",
-                        o.name
+                        o.source()
                     )))
                 })?;
             cols.push(data);
@@ -319,7 +319,7 @@ impl<'a> Session<'a> {
         for r in 0..n_rows {
             let mut row = Vec::with_capacity(cols.len());
             for (c, o) in cols.iter().zip(&compiled.outputs) {
-                let raw = c[if compiled.scalar { 0 } else { r }];
+                let raw = o.value(c[if compiled.scalar { 0 } else { r }]);
                 row.push(self.decode_value(raw, &o.decode)?);
             }
             rows.push(row);
