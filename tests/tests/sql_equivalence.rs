@@ -3,7 +3,8 @@
 //! front door (parse → bind → rewrite → lower) and served by a [`Session`]
 //! — i.e. scheduled through `QueryScheduler` admission — must produce
 //! exactly the rows the hand-built primitive graph produces, under every
-//! execution model.
+//! execution model. The lowered graphs must also cost no more modeled time
+//! than the hand-built ones.
 
 use adamant::prelude::*;
 use adamant::storage::datatype::format_date;
@@ -201,4 +202,67 @@ fn sql_input_columns_match_declared_footprints() {
         want.sort();
         assert_eq!(got, want, "{q}: pruned scan set");
     }
+}
+
+/// The seven TPC-H texts lower to graphs that cost no more modeled time
+/// than the hand-built plans of the same queries: SF 0.01, `chunk_rows`
+/// 2^14, the CUDA profile, every execution model. The bound is SQL ≤ hand
+/// in every cell with fusion off, the paper's configuration; the fused
+/// ratios are printed beside it. `--nocapture` prints the table
+/// (SQL / hand modeled total per model, and the node counts).
+#[test]
+fn sql_graphs_cost_no_more_than_the_hand_built_plans() {
+    let catalog = tpch::TpchGenerator::new(0.01, 20260707).generate();
+    let mut over = Vec::new();
+    println!(
+        "| fusion | query | nodes, SQL → hand | {} |",
+        model_header()
+    );
+    println!("|---|---|---|{}", "---|".repeat(ExecutionModel::ALL.len()));
+    for fusion in [false, true] {
+        let mut engine = Adamant::builder()
+            .chunk_rows(1 << 14)
+            .fusion(fusion)
+            .device(DeviceProfile::cuda_rtx2080ti())
+            .build()
+            .unwrap();
+        let dev = engine.device_ids()[0];
+        for q in TpchQuery::ALL {
+            let sql = adamant::sql::compile(tpch::sql::text(q), &catalog, dev).unwrap();
+            let columns: Vec<(&str, &str)> = sql
+                .input_columns
+                .iter()
+                .map(|(t, c)| (t.as_str(), c.as_str()))
+                .collect();
+            let sql_inputs = tpch::queries::bind_columns(&catalog, &columns).unwrap();
+            let hand = q.plan(dev, &catalog).unwrap();
+            let hand_inputs = q.bind(&catalog).unwrap();
+            let mut cells = Vec::new();
+            for model in ExecutionModel::ALL {
+                let (_, s) = engine.run(&sql.graph, &sql_inputs, model).unwrap();
+                let (_, h) = engine.run(&hand, &hand_inputs, model).unwrap();
+                let ratio = s.total_ns / h.total_ns;
+                if !fusion && s.total_ns > h.total_ns {
+                    over.push(format!("{q} under {model}: SQL/hand {ratio:.4}"));
+                }
+                cells.push(format!("{ratio:.3}"));
+            }
+            println!(
+                "| {} | {q} | {} → {} | {} |",
+                if fusion { "on" } else { "off" },
+                sql.graph.nodes().len(),
+                hand.nodes().len(),
+                cells.join(" | ")
+            );
+        }
+    }
+    assert!(over.is_empty(), "SQL graphs above hand-built: {over:#?}");
+}
+
+fn model_header() -> String {
+    ExecutionModel::ALL
+        .iter()
+        .map(|m| m.name())
+        .collect::<Vec<_>>()
+        .join(" | ")
 }
