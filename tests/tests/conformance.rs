@@ -208,3 +208,76 @@ fn custom_device_runs_full_query_suite() {
         }
     }
 }
+
+#[test]
+fn custom_device_prices_like_the_simulator() {
+    // One call script on the hand-written driver and on a fault-free
+    // simulator built from its description and cost model: every call
+    // must charge the same lane, duration, clean duration and bytes, in
+    // the same order. Fusion's saved-time estimate and placement price
+    // every device as the simulator does, so a driver that prices
+    // differently would be mis-scheduled.
+    use adamant::device::clock::CostEvent;
+    use adamant::device::kernel::KernelFn;
+    use adamant::device::{SimDevice, TransformTable};
+    use std::sync::Arc;
+
+    let mut npu = NpuDevice::new(DeviceId(0));
+    let mut sim = SimDevice::new(
+        npu.info().clone(),
+        npu.state().cost.clone(),
+        TransformTable::new(),
+        false,
+    );
+    let plain: KernelFn = Arc::new(|pool, bufs, _| {
+        let n = pool.get(bufs[0])?.data.len() as u64;
+        Ok(KernelStats::new(n, CostClass::MapLike))
+    });
+    let fused: KernelFn = Arc::new(|_, _, _| {
+        let stages = vec![(CostClass::FilterBitmap, 64), (CostClass::HashProbe, 40)];
+        Ok(KernelStats::fused(
+            64,
+            CostClass::MapLike,
+            stages,
+            vec![64, 64],
+        ))
+    });
+    let script = |dev: &mut dyn Device| -> Vec<CostEvent> {
+        dev.initialize().unwrap();
+        for (name, f) in [("plain", &plain), ("fused", &fused)] {
+            dev.prepare_kernel(name, KernelSource::Builtin(f.clone()))
+                .unwrap();
+        }
+        dev.place_data(BufferId(1), BufferData::I64((0..64).collect()), 0)
+            .unwrap();
+        dev.place_data(BufferId(1), BufferData::I64(vec![7; 8]), 16)
+            .unwrap();
+        dev.retrieve_data(BufferId(1), None, 0).unwrap();
+        dev.retrieve_data(BufferId(1), Some(10), 5).unwrap();
+        dev.prepare_memory(BufferId(2), 4096).unwrap();
+        dev.add_pinned_memory(BufferId(3), 1024).unwrap();
+        dev.place_data(BufferId(3), BufferData::I64(vec![1; 32]), 0)
+            .unwrap();
+        dev.retrieve_data(BufferId(3), Some(16), 8).unwrap();
+        dev.create_chunk(BufferId(1), BufferId(4), 8, 24).unwrap();
+        dev.execute(&ExecuteSpec::new(
+            "plain",
+            vec![BufferId(1), BufferId(2)],
+            vec![3],
+        ))
+        .unwrap();
+        dev.execute(&ExecuteSpec::new(
+            "fused",
+            vec![BufferId(1), BufferId(4), BufferId(2)],
+            vec![1, 2],
+        ))
+        .unwrap();
+        dev.init_structure(BufferId(5), BufferData::I64(vec![0; 128]))
+            .unwrap();
+        dev.delete_memory(BufferId(4)).unwrap();
+        dev.clock_mut().drain_events().collect()
+    };
+    let (custom, simulated) = (script(&mut npu), script(&mut sim));
+    assert_eq!(custom.len(), 14, "{custom:?}");
+    assert_eq!(custom, simulated);
+}
