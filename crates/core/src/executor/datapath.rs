@@ -21,7 +21,7 @@ use crate::graph::{DataRef, NodeParams, PrimitiveGraph, PrimitiveNode};
 use crate::pipeline::{Pipeline, PipelineSet};
 use crate::result::QueryOutput;
 use crate::timeline::ChunkCost;
-use adamant_device::buffer::BufferId;
+use adamant_device::buffer::{BufferData, BufferId};
 use adamant_device::device::DeviceId;
 use adamant_device::kernel::ExecuteSpec;
 use adamant_task::container::DataContainer;
@@ -720,13 +720,22 @@ impl Executor {
         Ok((saved_ns, kstats.stage_rows))
     }
 
-    /// Gathers the graph's outputs: finished host accumulations, else the
-    /// resident copy (retrieved verified), else — a zero-row streaming run
-    /// produced nothing — an empty column of the right kind.
+    /// Gathers the graph's outputs: a graph input's bound rows, finished
+    /// host accumulations, else the resident copy (retrieved verified),
+    /// else — a zero-row streaming run produced nothing — an empty column
+    /// of the right kind.
     pub(super) fn collect_outputs(&mut self, cx: &mut RunCx<'_>) -> Result<QueryOutput> {
         let mut out = QueryOutput::new();
         for (name, r) in cx.graph.outputs() {
-            let data = if let Some(acc) = cx.hub.take_host(*r) {
+            let data = if let DataRef::Input(i) = *r {
+                // The host already holds every row; no run produces them.
+                let gi = &cx.graph.inputs()[i];
+                let rows = cx
+                    .inputs
+                    .get(&gi.name)
+                    .ok_or_else(|| ExecError::MissingInput(gi.name.clone()))?;
+                BufferData::I64(rows.to_vec())
+            } else if let Some(acc) = cx.hub.take_host(*r) {
                 acc
             } else if let Some((dev_id, id)) = self
                 .devices
