@@ -124,6 +124,7 @@ impl<'a> Binder<'a> {
 
     /// Resolves a column reference to its owning table index.
     fn resolve(&self, table: &Option<String>, name: &str, span: Span) -> SqlResult<usize> {
+        reject_reserved(name, span)?;
         let &idx = self
             .col_table
             .get(name)
@@ -169,6 +170,11 @@ impl<'a> Binder<'a> {
     // ---- statement ------------------------------------------------------
 
     fn bind_stmt(&self, stmt: &SelectStmt) -> SqlResult<BoundQuery> {
+        for item in &stmt.items {
+            if let Some(alias) = &item.alias {
+                reject_reserved(alias, item.span)?;
+            }
+        }
         let tables: Vec<BoundTable> = self
             .tables
             .iter()
@@ -845,10 +851,14 @@ impl<'a> Binder<'a> {
         if let Some(dict) = col.dictionary() {
             return Ok((0, dict.len() as i64 - 1));
         }
-        let vals = col.to_i64_vec();
-        let lo = vals.iter().copied().min().unwrap_or(0);
-        let hi = vals.iter().copied().max().unwrap_or(0);
-        Ok((lo, hi))
+        // One pass over the rows the query binds anyway: no copy per bind.
+        let rows = col.shared_rows().rows();
+        if rows.is_empty() {
+            return Ok((0, 0));
+        }
+        Ok(rows
+            .iter()
+            .fold((i64::MAX, i64::MIN), |(lo, hi), &v| (lo.min(v), hi.max(v))))
     }
 }
 
@@ -899,6 +909,18 @@ fn check_unique_names<'n>(names: impl Iterator<Item = &'n str>, span: Span) -> S
                 span,
             ));
         }
+    }
+    Ok(())
+}
+
+/// Lowering names its intermediates `__…`; a user name with that prefix
+/// could collide with one, so it is a bind error.
+fn reject_reserved(name: &str, span: Span) -> SqlResult<()> {
+    if name.starts_with("__") {
+        return Err(SqlError::bind(
+            format!("`{name}`: names starting with `__` are reserved"),
+            span,
+        ));
     }
     Ok(())
 }
@@ -1103,6 +1125,7 @@ mod tests {
             ("SELECT SUM(SUM(i_qty)) AS s FROM items", K::Unsupported),
             ("SELECT i_key FROM items WHERE 1 = 1", K::Unsupported),
             ("SELECT i_key FROM items ORDER BY i_key", K::Unsupported),
+            ("SELECT i_key AS __out0 FROM items", K::Bind),
         ] {
             let err = bind_sql(sql).unwrap_err();
             assert_eq!(err.kind, kind, "{sql}: {err}");
