@@ -1,8 +1,9 @@
 #!/bin/sh
 # Feature-ledger counts (DESIGN.md §17). Prints the non-test line count over
-# crates/*/src, then the public items no product target reaches, as listed
-# by the compiler check in tools/unreached_pub.py (one `file:line kind name`
-# per line).
+# crates/*/src and that of examples/lib.rs (the plug-in driver: the paper's
+# measure of what integrating a co-processor costs), then the public items
+# no product target reaches, as listed by the compiler check in
+# tools/unreached_pub.py (one `file:line kind name` per line).
 #
 # Non-test lines are non-blank lines that do not start with `//`, up to a
 # file's first `#[cfg(test)]` item, skipping files that are themselves a
@@ -28,7 +29,12 @@ non_test_lines() {
   done
 }
 
-lines=$(non_test_lines crates/*/src | awk -F'\t' '$2 ~ /[^[:space:]]/ && $2 !~ /^[[:space:]]*\/\//' | wc -l)
-echo "non-test lines over crates/*/src: $lines"
+# The non-test lines that are neither blank nor a comment.
+count() {
+  non_test_lines "$@" | awk -F'\t' '$2 ~ /[^[:space:]]/ && $2 !~ /^[[:space:]]*\/\//' | wc -l
+}
+
+echo "non-test lines over crates/*/src: $(count crates/*/src)"
+echo "non-test lines of the plug-in driver, examples/lib.rs: $(count examples/lib.rs)"
 
 python3 tools/unreached_pub.py
