@@ -23,7 +23,9 @@
 //! Beside those, a driver names itself ([`Device::info`]), initializes
 //! device-resident structures ([`Device::init_structure`]) and hands the
 //! runtime its [`DeviceState`] — clock, pool, fault state and cost model in
-//! one concrete struct, so the trait carries no per-concern hooks.
+//! one concrete struct, so the trait carries no per-concern hooks. The
+//! state's charging methods do each call's pool work and price it from the
+//! cost model, so every driver prices a call the same way.
 //!
 //! ## Hardware simulation
 //!
