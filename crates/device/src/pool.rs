@@ -54,6 +54,11 @@ impl BufferPool {
         self.capacity
     }
 
+    /// Total pinned capacity in bytes.
+    pub fn pinned_capacity(&self) -> u64 {
+        self.pinned_capacity
+    }
+
     /// Bytes currently allocated from the device region.
     pub fn used(&self) -> u64 {
         self.used

@@ -2,9 +2,10 @@
 //!
 //! [`SimDevice`] implements [`Device`] exactly as a real driver would wrap
 //! CUDA or OpenCL — every operation goes through [`DeviceState`]'s charging
-//! methods, which use the bounded buffer pool and charge the profile's cost
-//! model on the clock; the simulator adds its fault plan's checks and
-//! dilation. Because the pool is real
+//! methods, which gate the call, consult the fault plan, use the bounded
+//! buffer pool and charge the profile's cost model on the clock. What the
+//! simulator adds is what its SDK has: a transform table, optional runtime
+//! compilation and the compile charge. Because the pool is real
 //! (allocations fail when full) and kernels really run, the executor above
 //! cannot tell it apart from hardware except by wall-clock speed.
 
@@ -13,34 +14,16 @@ use crate::clock::Lane;
 use crate::cost::CostModel;
 use crate::device::{Device, DeviceInfo, DeviceState};
 use crate::error::{DeviceError, Result};
-use crate::fault::FaultState;
-use crate::kernel::{ExecuteSpec, KernelFn, KernelSource, KernelStats};
-use crate::pool::BufferPool;
+use crate::kernel::{ExecuteSpec, KernelSource, KernelStats};
 use crate::sdk::SdkRepr;
 use crate::transform::{TransformKind, TransformTable};
-use std::collections::HashMap;
 
 /// A simulated co-processor driver.
 pub struct SimDevice {
     info: DeviceInfo,
     state: DeviceState,
     transforms: TransformTable,
-    kernels: HashMap<String, KernelFn>,
     supports_compilation: bool,
-    /// Permanent death (hot-unplug / terminal fault): once set, every
-    /// data-plane operation fails with [`DeviceError::Gone`] forever —
-    /// [`DeviceState::reset`] does not revive a dead device.
-    dead: bool,
-}
-
-/// The fault plan's verdict on allocating `bytes` of device memory.
-fn admit(faults: &mut FaultState, pool: &BufferPool, bytes: u64) -> Result<()> {
-    faults.on_alloc(bytes, pool.used(), pool.capacity())
-}
-
-/// The plan's dilation of one transfer: `clean × slowdown + stall`.
-fn dilated(stall_ns: f64) -> impl FnOnce(&mut FaultState, f64) -> f64 {
-    move |faults, clean| clean * faults.time_multiplier() + stall_ns
 }
 
 impl SimDevice {
@@ -55,54 +38,8 @@ impl SimDevice {
             state: DeviceState::new(&info, cost),
             info,
             transforms,
-            kernels: HashMap::new(),
             supports_compilation,
-            dead: false,
         }
-    }
-
-    /// Names of prepared kernels, sorted (for diagnostics).
-    pub fn kernel_names(&self) -> Vec<&str> {
-        let mut names: Vec<&str> = self.kernels.keys().map(|s| s.as_str()).collect();
-        names.sort_unstable();
-        names
-    }
-
-    /// Kills the device permanently, counting the injected death exactly
-    /// once, and returns the terminal error.
-    fn die(&mut self) -> DeviceError {
-        if !self.dead {
-            self.dead = true;
-            self.state.faults.note_death();
-        }
-        DeviceError::Gone {
-            device: self.info.id,
-        }
-    }
-
-    /// Gate at the top of every operation: a dead device only ever answers
-    /// [`DeviceError::Gone`], and the plan's wall-clock death trigger fires
-    /// on the first operation at or past its instant.
-    /// The host-side accessors (`info`, `state`) stay usable so write-off
-    /// accounting can still read the corpse's clock, pool and fault counters.
-    fn ensure_alive(&mut self) -> Result<()> {
-        if self.dead {
-            return Err(DeviceError::Gone {
-                device: self.info.id,
-            });
-        }
-        if self.state.faults.death_due(self.state.clock.total_ns()) {
-            return Err(self.die());
-        }
-        Ok(())
-    }
-
-    /// Gate at the top of every data-plane operation: alive, then
-    /// initialized — both before the fault plan is consulted, so a refused
-    /// call advances no fault ordinal.
-    fn ensure_ready(&mut self) -> Result<()> {
-        self.ensure_alive()?;
-        self.state.ensure_initialized()
     }
 }
 
@@ -112,25 +49,11 @@ impl Device for SimDevice {
     }
 
     fn initialize(&mut self) -> Result<()> {
-        self.ensure_alive()?;
-        self.state.initialize();
-        Ok(())
+        self.state.initialize()
     }
 
     fn place_data(&mut self, id: BufferId, data: BufferData, offset: usize) -> Result<()> {
-        self.ensure_ready()?;
-        let fault = self.state.faults.on_place();
-        let mut data = data;
-        if fault.corrupt {
-            // A bit flipped on the bus: the device stores the damaged
-            // payload. The hub's checksum echo is what catches this.
-            data.flip_bit(fault.corrupt_at as usize);
-        }
-        if offset == 0 && !self.state.pool.contains(id) {
-            admit(&mut self.state.faults, &self.state.pool, data.byte_len())?;
-        }
-        self.state
-            .place_data(id, data, offset, dilated(fault.stall_ns))
+        self.state.place_data(id, data, offset)
     }
 
     fn retrieve_data(
@@ -139,56 +62,41 @@ impl Device for SimDevice {
         len: Option<usize>,
         offset: usize,
     ) -> Result<BufferData> {
-        self.ensure_ready()?;
-        let fault = self.state.faults.on_retrieve();
-        let mut out = self
-            .state
-            .retrieve_data(id, len, offset, dilated(fault.stall_ns))?;
-        if fault.corrupt {
-            // The device copy stays intact; the payload was damaged in
-            // flight, so a retransmit can succeed.
-            out.flip_bit(fault.corrupt_at as usize);
-        }
-        Ok(out)
+        self.state.retrieve_data(id, len, offset)
     }
 
     fn prepare_memory(&mut self, id: BufferId, bytes: u64) -> Result<()> {
-        self.ensure_ready()?;
-        admit(&mut self.state.faults, &self.state.pool, bytes)?;
         self.state.prepare_memory(id, bytes)
     }
 
     fn transform_memory(&mut self, id: BufferId, target: SdkRepr) -> Result<TransformKind> {
-        self.ensure_alive()?;
         let transforms = &self.transforms;
         self.state
-            .transform_memory(id, target, |from| transforms.resolve(from, target))
+            .transform_memory(id, target, |from| Ok(transforms.resolve(from, target)))
     }
 
     fn delete_memory(&mut self, id: BufferId) -> Result<()> {
-        self.ensure_alive()?;
         self.state.delete_memory(id)
     }
 
     fn prepare_kernel(&mut self, name: &str, source: KernelSource) -> Result<()> {
-        self.ensure_alive()?;
-        // Binding kernels before initialize() is allowed (paper compiles at
-        // initialization); compilation cost is charged when it happens.
-        let entry = match source {
-            KernelSource::Builtin(f) => f,
-            KernelSource::Source { entry, .. } => {
-                if !self.supports_compilation {
-                    return Err(DeviceError::CompilationUnsupported {
-                        device: self.info.name.clone(),
-                    });
-                }
-                self.state
-                    .clock
-                    .record(Lane::Compile, self.state.cost.compile_ns, 0);
-                entry
+        let (entry, compiled) = match source {
+            KernelSource::Builtin(f) => (f, false),
+            KernelSource::Source { entry, .. } if self.supports_compilation => (entry, true),
+            KernelSource::Source { .. } => {
+                return Err(DeviceError::CompilationUnsupported {
+                    device: self.info.name.clone(),
+                })
             }
         };
-        self.kernels.insert(name.to_string(), entry);
+        self.state.prepare_kernel(name, entry)?;
+        if compiled {
+            // Binding kernels before initialize() is allowed (paper compiles
+            // at initialization); compilation cost is charged when it happens.
+            self.state
+                .clock
+                .record(Lane::Compile, self.state.cost.compile_ns, 0);
+        }
         Ok(())
     }
 
@@ -199,42 +107,18 @@ impl Device for SimDevice {
         offset: usize,
         len: usize,
     ) -> Result<()> {
-        self.ensure_alive()?;
-        self.state.create_chunk(src, dst, offset, len, admit)
+        self.state.create_chunk(src, dst, offset, len)
     }
 
     fn add_pinned_memory(&mut self, id: BufferId, bytes: u64) -> Result<()> {
-        self.ensure_ready()?;
-        let used = self.state.pool.pinned_used();
-        self.state
-            .faults
-            .on_alloc(bytes, used, self.info.pinned_capacity)?;
         self.state.add_pinned_memory(id, bytes)
     }
 
     fn execute(&mut self, spec: &ExecuteSpec) -> Result<KernelStats> {
-        self.ensure_ready()?;
-        // The terminal trigger is checked before `on_execute` advances the
-        // ordinal, so `die_on_exec(n)` kills the n-th call itself.
-        if self.state.faults.exec_death_due() {
-            return Err(self.die());
-        }
-        self.state.faults.on_execute(&spec.kernel)?;
-        let kernel = self
-            .kernels
-            .get(&spec.kernel)
-            .ok_or_else(|| DeviceError::KernelNotFound(spec.kernel.clone()))?;
-        // Fused kernels are priced through the fused cost entry; the
-        // watchdog's fault-free budget sees the same figure, so healthy
-        // fused chunks never look like stragglers.
-        self.state.execute(kernel, spec, |faults, clean| {
-            clean * faults.time_multiplier() + faults.take_exec_stall()
-        })
+        self.state.execute(spec)
     }
 
     fn init_structure(&mut self, id: BufferId, data: BufferData) -> Result<()> {
-        self.ensure_ready()?;
-        admit(&mut self.state.faults, &self.state.pool, data.byte_len())?;
         self.state.init_structure(id, data)
     }
 
@@ -253,6 +137,7 @@ mod tests {
     use crate::cost::CostClass;
     use crate::device::{DeviceId, DeviceKind};
     use crate::fault::{FaultCounters, FaultPlan};
+    use crate::kernel::KernelFn;
     use crate::sdk::SdkKind;
     use std::sync::Arc;
 
@@ -438,7 +323,7 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(d.kernel_names(), vec!["jit"]);
+        assert_eq!(d.state().kernel_names(), vec!["jit"]);
 
         let info = DeviceInfo {
             id: DeviceId(1),
@@ -644,9 +529,8 @@ mod tests {
             .install(FaultPlan::none().die_on_exec(2));
         let spec = ExecuteSpec::new("noop", vec![], vec![]);
         d.execute(&spec).unwrap();
-        assert!(!d.dead);
+        assert_eq!(d.state().faults.counters().deaths_injected, 0);
         assert!(matches!(d.execute(&spec), Err(DeviceError::Gone { .. })));
-        assert!(d.dead);
         // Every data-plane operation is now Gone — including re-initialize.
         assert!(matches!(
             d.place_data(BufferId(1), BufferData::I64(vec![1]), 0),
@@ -656,8 +540,8 @@ mod tests {
             d.delete_memory(BufferId(1)),
             Err(DeviceError::Gone { .. })
         ));
+        // A reset must not revive a dead device.
         d.state_mut().reset();
-        assert!(d.dead, "reset must not revive a dead device");
         assert!(matches!(d.initialize(), Err(DeviceError::Gone { .. })));
         // The death was counted exactly once, even after more attempts.
         assert_eq!(d.state().faults.counters().deaths_injected, 1);
@@ -681,7 +565,10 @@ mod tests {
             d.retrieve_data(BufferId(1), None, 0),
             Err(DeviceError::Gone { .. })
         ));
-        assert!(d.dead);
+        assert!(matches!(
+            d.retrieve_data(BufferId(1), None, 0),
+            Err(DeviceError::Gone { .. })
+        ));
         assert_eq!(d.state().faults.counters().deaths_injected, 1);
     }
 
@@ -693,7 +580,6 @@ mod tests {
             .install(FaultPlan::none().die_at_ns(1.0e18));
         d.place_data(BufferId(1), BufferData::I64(vec![1]), 0)
             .unwrap();
-        assert!(!d.dead);
         assert_eq!(d.state().faults.counters().deaths_injected, 0);
     }
 

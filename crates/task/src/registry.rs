@@ -193,8 +193,8 @@ mod tests {
         let mut dev = DeviceProfile::cuda_rtx2080ti().build(DeviceId(0));
         let installed = reg.install_on(&mut dev).unwrap();
         assert_eq!(installed, 20);
-        assert!(dev.kernel_names().contains(&"hash_probe"));
-        assert!(dev.kernel_names().contains(&"map@blocked"));
+        assert!(dev.state().kernel_names().contains(&"hash_probe"));
+        assert!(dev.state().kernel_names().contains(&"map@blocked"));
     }
 
     #[test]

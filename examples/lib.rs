@@ -6,15 +6,15 @@
 //! embedding a [`DeviceState`], and one `impl Device` holding nothing but
 //! the trait's required methods. Where a real driver would call its SDK
 //! (`npuMemcpy`, `npuLaunch` …) this one calls the state's charging method
-//! of the same name, which keeps the payload in the state's bounded pool
-//! and charges the call from the state's cost model — the same way the
-//! simulator's calls are charged.
+//! of the same name, which gates the call, consults the installed
+//! [`FaultPlan`], keeps the payload in the state's bounded pool, runs the
+//! bound kernel and charges the call from the state's cost model — the
+//! same way the simulator's calls are handled. So the NPU can be
+//! fault-injected like the simulator, with no driver code for it.
 
 use adamant::device::error::{DeviceError, Result};
-use adamant::device::kernel::KernelFn;
 use adamant::device::transform::TransformKind;
 use adamant::prelude::*;
-use std::collections::HashMap;
 
 /// The NPU's SDK tag — unknown to every built-in component.
 pub const NPU_SDK: SdkKind = SdkKind::Custom(42);
@@ -25,7 +25,6 @@ pub const NPU_SDK: SdkKind = SdkKind::Custom(42);
 pub struct NpuDevice {
     info: DeviceInfo,
     state: DeviceState,
-    kernels: HashMap<String, KernelFn>,
 }
 
 impl NpuDevice {
@@ -52,7 +51,6 @@ impl NpuDevice {
         NpuDevice {
             state: DeviceState::new(&info, cost),
             info,
-            kernels: HashMap::new(),
         }
     }
 }
@@ -63,12 +61,11 @@ impl Device for NpuDevice {
     }
 
     fn initialize(&mut self) -> Result<()> {
-        self.state.initialize();
-        Ok(())
+        self.state.initialize()
     }
 
     fn place_data(&mut self, id: BufferId, data: BufferData, offset: usize) -> Result<()> {
-        self.state.place_data(id, data, offset, |_, t| t)
+        self.state.place_data(id, data, offset)
     }
 
     fn retrieve_data(
@@ -77,7 +74,7 @@ impl Device for NpuDevice {
         len: Option<usize>,
         offset: usize,
     ) -> Result<BufferData> {
-        self.state.retrieve_data(id, len, offset, |_, t| t)
+        self.state.retrieve_data(id, len, offset)
     }
 
     fn prepare_memory(&mut self, id: BufferId, bytes: u64) -> Result<()> {
@@ -85,12 +82,14 @@ impl Device for NpuDevice {
     }
 
     fn transform_memory(&mut self, id: BufferId, target: SdkRepr) -> Result<TransformKind> {
-        self.state.ensure_initialized()?;
-        let from = self.state.pool.get(id)?.repr;
-        if target != from {
-            return Err(DeviceError::NoTransformPath { from, to: target });
-        }
-        Ok(TransformKind::ZeroCopy)
+        // One representation: the identity transform is the only path.
+        self.state.transform_memory(id, target, |from| {
+            if from == target {
+                Ok(TransformKind::ZeroCopy)
+            } else {
+                Err(DeviceError::NoTransformPath { from, to: target })
+            }
+        })
     }
 
     fn delete_memory(&mut self, id: BufferId) -> Result<()> {
@@ -99,10 +98,7 @@ impl Device for NpuDevice {
 
     fn prepare_kernel(&mut self, name: &str, source: KernelSource) -> Result<()> {
         match source {
-            KernelSource::Builtin(entry) => {
-                self.kernels.insert(name.to_string(), entry);
-                Ok(())
-            }
+            KernelSource::Builtin(entry) => self.state.prepare_kernel(name, entry),
             KernelSource::Source { .. } => Err(DeviceError::CompilationUnsupported {
                 device: self.info.name.clone(),
             }),
@@ -116,8 +112,7 @@ impl Device for NpuDevice {
         offset: usize,
         len: usize,
     ) -> Result<()> {
-        self.state
-            .create_chunk(src, dst, offset, len, |_, _, _| Ok(()))
+        self.state.create_chunk(src, dst, offset, len)
     }
 
     fn add_pinned_memory(&mut self, id: BufferId, bytes: u64) -> Result<()> {
@@ -125,11 +120,7 @@ impl Device for NpuDevice {
     }
 
     fn execute(&mut self, spec: &ExecuteSpec) -> Result<KernelStats> {
-        let kernel = self
-            .kernels
-            .get(&spec.kernel)
-            .ok_or_else(|| DeviceError::KernelNotFound(spec.kernel.clone()))?;
-        self.state.execute(kernel, spec, |_, t| t)
+        self.state.execute(spec)
     }
 
     fn init_structure(&mut self, id: BufferId, data: BufferData) -> Result<()> {
