@@ -351,7 +351,7 @@ pub mod prelude {
         ShedReason, TenantStats,
     };
     pub use adamant_sql::{SqlError, SqlErrorKind};
-    pub use adamant_storage::prelude::{Bitmap, Catalog, Column, Table};
+    pub use adamant_storage::prelude::{Catalog, Column, Table};
     pub use adamant_task::params::{AggFunc, BitmapOp, CmpOp, MapOp};
     pub use adamant_task::primitive::PrimitiveKind;
     pub use adamant_task::registry::TaskRegistry;

@@ -40,7 +40,6 @@ use adamant_device::clock::Lane;
 use adamant_device::device::DeviceId;
 use adamant_device::error::DeviceError;
 use adamant_device::registry::DeviceRegistry;
-use adamant_storage::bitmap::Bitmap;
 use adamant_storage::fnv::copy_and_hash;
 use adamant_task::container::DataContainer;
 use adamant_task::primitive::{FusionRole, PrimitiveKind};
@@ -81,9 +80,19 @@ fn append_chunk(
         }
         (BufferData::BitWords(acc), BufferData::BitWords(words)) => {
             acc.resize((chunk_offset + chunk_len).div_ceil(64), 0);
-            for i in Bitmap::from_words(words, chunk_len).iter_ones() {
-                let row = chunk_offset + i;
-                acc[row / 64] |= 1 << (row % 64);
+            // Chunk bit `i` is scan row `chunk_offset + i`; bits at or past
+            // `chunk_len` are not rows and are dropped.
+            for (w, &word) in words.iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    let i = w * 64 + bits.trailing_zeros() as usize;
+                    if i >= chunk_len {
+                        break;
+                    }
+                    let row = chunk_offset + i;
+                    acc[row / 64] |= 1 << (row % 64);
+                    bits &= bits - 1;
+                }
             }
         }
         (acc @ (BufferData::Raw(_) | BufferData::Generic(_)), _) => {

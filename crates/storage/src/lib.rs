@@ -3,9 +3,7 @@
 //! Columnar storage substrate for the ADAMANT query executor.
 //!
 //! This crate provides the host-side data representation used throughout the
-//! system: typed [`Column`]s, [`Table`]s grouped in a [`Catalog`], bit-packed
-//! [`Bitmap`]s (the selection format of the paper's `FILTER_BITMAP`
-//! primitive).
+//! system: typed [`Column`]s and [`Table`]s grouped in a [`Catalog`].
 //!
 //! The paper (ADAMANT, ICDE 2023) assumes a columnar engine feeding the
 //! executor; this crate is that substrate, built from scratch.
@@ -14,15 +12,13 @@
 //! use adamant_storage::prelude::*;
 //!
 //! let col = Column::from_i64("qty", vec![5, 12, 30, 7]);
-//! let bm = Bitmap::from_bools(&[false, true, true, false]);
-//! assert_eq!(bm.count_ones(), 2);
 //! assert_eq!(col.len(), 4);
+//! assert_eq!(col.value(2).unwrap(), Value::I64(30));
 //! ```
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod bitmap;
 pub mod catalog;
 pub mod column;
 pub mod datatype;
@@ -31,7 +27,6 @@ pub mod fnv;
 pub mod rng;
 pub mod table;
 
-pub use bitmap::Bitmap;
 pub use catalog::Catalog;
 pub use column::{Column, ColumnData, SharedRows};
 pub use datatype::{DataType, Value};
@@ -41,7 +36,6 @@ pub use table::{ColumnInfo, Field, Schema, Table, TableInfo};
 
 /// Convenience re-exports for downstream crates.
 pub mod prelude {
-    pub use crate::bitmap::Bitmap;
     pub use crate::catalog::Catalog;
     pub use crate::column::{Column, ColumnData, SharedRows};
     pub use crate::datatype::{DataType, Value};
