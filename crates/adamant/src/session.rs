@@ -11,7 +11,9 @@
 //!
 //! The engine, not the session, keeps what a text compiles to: a bounded
 //! cache maps the exact SQL text to its compiled query and admission
-//! footprint, valid for one catalog [stamp](Catalog::stamp) and one device.
+//! footprint, valid for one catalog [stamp](Catalog::stamp). It is valid on
+//! any device: the scheduler retargets every node to the device it picks,
+//! and the footprint reads no device.
 //! A repeated text skips parse, bind, rewrite, lower and footprint
 //! estimation, from any session on the same engine; everything after the
 //! lookup is the same path for a hit and a miss.
@@ -22,7 +24,6 @@ use adamant_core::models::ExecutionModel;
 use adamant_core::result::QueryOutput;
 use adamant_core::stats::ExecutionStats;
 use adamant_core::ExecError;
-use adamant_device::device::DeviceId;
 use adamant_sched::{estimate_footprint_bytes, QueryOutcome, QuerySpec, ShedReason};
 use adamant_sql::{ColumnDecode, CompiledQuery, SqlError};
 use adamant_storage::datatype::format_date;
@@ -45,9 +46,8 @@ struct Statement {
 
 struct CacheEntry {
     statement: Arc<Statement>,
-    /// The catalog stamp and the device the statement was compiled for.
+    /// The catalog stamp the statement was compiled against.
     stamp: u64,
-    device: DeviceId,
     last_use: u64,
 }
 
@@ -62,13 +62,13 @@ pub(crate) struct StatementCache {
 }
 
 impl StatementCache {
-    /// The statement `text` compiled to against a catalog stamped `stamp`
-    /// on `device`, marked used; `None` when there is none or it was
-    /// compiled for another stamp or device.
-    fn get(&mut self, text: &str, stamp: u64, device: DeviceId) -> Option<Arc<Statement>> {
+    /// The statement `text` compiled to against a catalog stamped `stamp`,
+    /// marked used; `None` when there is none or it was compiled for
+    /// another stamp.
+    fn get(&mut self, text: &str, stamp: u64) -> Option<Arc<Statement>> {
         self.tick += 1;
         let entry = self.entries.get_mut(text)?;
-        if entry.stamp != stamp || entry.device != device {
+        if entry.stamp != stamp {
             return None;
         }
         entry.last_use = self.tick;
@@ -77,11 +77,10 @@ impl StatementCache {
 
     /// Records what `text` compiled to, replacing a stale entry for it or
     /// evicting the least recently used one when full.
-    fn insert(&mut self, text: &str, stamp: u64, device: DeviceId, statement: Arc<Statement>) {
+    fn insert(&mut self, text: &str, stamp: u64, statement: Arc<Statement>) {
         let entry = CacheEntry {
             statement,
             stamp,
-            device,
             last_use: self.tick,
         };
         if let Some(stale) = self.entries.get_mut(text) {
@@ -214,8 +213,8 @@ impl<'a> Session<'a> {
     /// The first call with a text compiles it and estimates its admission
     /// footprint; the engine keeps both. A later call with the same text,
     /// from any session on this engine, reuses them when the catalog has
-    /// the same [stamp](Catalog::stamp) and the first plugged device is the
-    /// same; otherwise the text is compiled again and replaces the entry.
+    /// the same [stamp](Catalog::stamp), whichever devices are plugged;
+    /// otherwise the text is compiled again and replaces the entry.
     /// The input columns are bound from the catalog on every call, and a
     /// text that fails to compile is not kept.
     pub fn sql(&mut self, text: &str) -> Result<SqlResultSet, SessionError> {
@@ -224,7 +223,7 @@ impl<'a> Session<'a> {
                 SessionError::Exec(ExecError::Internal("no devices plugged".into()))
             })?;
         let stamp = self.catalog.stamp();
-        let (statement, inputs) = match self.engine.statements.get(text, stamp, device) {
+        let (statement, inputs) = match self.engine.statements.get(text, stamp) {
             Some(statement) => {
                 let inputs = self.bind_inputs(&statement.query)?;
                 (statement, inputs)
@@ -236,7 +235,7 @@ impl<'a> Session<'a> {
                 let footprint = estimate_footprint_bytes(&query.graph, &inputs, chunk_rows);
                 let statement = Arc::new(Statement { query, footprint });
                 let entry = Arc::clone(&statement);
-                self.engine.statements.insert(text, stamp, device, entry);
+                self.engine.statements.insert(text, stamp, entry);
                 (statement, inputs)
             }
         };
@@ -357,6 +356,7 @@ fn exec_err(e: adamant_storage::error::StorageError) -> SessionError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adamant_device::fault::FaultPlan;
     use adamant_device::profiles::DeviceProfile;
     use adamant_storage::column::Column;
     use adamant_storage::table::Table;
@@ -495,6 +495,41 @@ mod tests {
         assert_eq!(second.rows, first.rows);
         assert_eq!(second.rows, vec![vec![SqlValue::Int(750)]]);
         assert_eq!(second.footprint_bytes, first.footprint_bytes);
+    }
+
+    /// The scheduler retargets a statement to the device it picks, so a
+    /// change of the first plugged device keeps the statement.
+    #[test]
+    fn a_new_first_device_keeps_the_statement() {
+        let (_, catalog) = setup();
+        let mut engine = Adamant::builder()
+            .chunk_rows(256)
+            .device(DeviceProfile::cuda_rtx2080ti())
+            .device(DeviceProfile::cuda_rtx2080ti())
+            .build()
+            .unwrap();
+        let sql = "SELECT SUM(amount) AS total FROM sales WHERE amount > 100";
+        let want = vec![vec![SqlValue::Int(750)]];
+        let [first, second] = engine.device_ids()[..] else {
+            panic!("two devices plugged")
+        };
+        let rs = Session::new(&mut engine, &catalog).sql(sql).unwrap();
+        assert_eq!(rs.rows, want);
+        let compiled = cached(&engine, sql).expect("the first serve compiles and keeps");
+        // The next query dies on the first device and finishes on the second.
+        engine
+            .set_fault_plan(0, FaultPlan::none().die_on_exec(1))
+            .unwrap();
+        let rs = Session::new(&mut engine, &catalog).sql(sql).unwrap();
+        assert_eq!((rs.rows, rs.stats.device_deaths), (want.clone(), 1));
+        assert_eq!(engine.device_ids(), vec![second], "{first} is gone");
+        let rs = Session::new(&mut engine, &catalog).sql(sql).unwrap();
+        assert_eq!(rs.rows, want);
+        assert_eq!(
+            cached(&engine, sql),
+            Some(compiled),
+            "served, not recompiled"
+        );
     }
 
     #[test]
