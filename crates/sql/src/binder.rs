@@ -851,14 +851,8 @@ impl<'a> Binder<'a> {
         if let Some(dict) = col.dictionary() {
             return Ok((0, dict.len() as i64 - 1));
         }
-        // One pass over the rows the query binds anyway: no copy per bind.
-        let rows = col.shared_rows().rows();
-        if rows.is_empty() {
-            return Ok((0, 0));
-        }
-        Ok(rows
-            .iter()
-            .fold((i64::MAX, i64::MIN), |(lo, hi), &v| (lo.min(v), hi.max(v))))
+        // Found on the column's first bind and kept with it.
+        Ok(col.min_max().unwrap_or((0, 0)))
     }
 }
 

@@ -134,6 +134,8 @@ pub struct Column {
     shared: OnceLock<SharedRows>,
     /// Whether no value repeats, found on first use ([`Column::is_unique`]).
     unique: OnceLock<bool>,
+    /// Smallest and largest value, found on first use ([`Column::min_max`]).
+    min_max: OnceLock<Option<(i64, i64)>>,
 }
 
 /// Name and payload; whether the rows were shared yet is not part of a
@@ -152,6 +154,7 @@ impl Column {
             data,
             shared: OnceLock::new(),
             unique: OnceLock::new(),
+            min_max: OnceLock::new(),
         }
     }
 
@@ -259,6 +262,19 @@ impl Column {
         })
     }
 
+    /// The smallest and largest value widened to `i64` (codes for a
+    /// dictionary column), `None` when empty. Found by one pass over the
+    /// [shared rows](Column::shared_rows) on the first call and kept.
+    pub fn min_max(&self) -> Option<(i64, i64)> {
+        *self.min_max.get_or_init(|| {
+            let rows = self.shared_rows().rows();
+            (!rows.is_empty()).then(|| {
+                rows.iter()
+                    .fold((i64::MAX, i64::MIN), |(lo, hi), &v| (lo.min(v), hi.max(v)))
+            })
+        })
+    }
+
     /// A fresh copy of the rows widened to `i64` (device kernels run on
     /// i64), for callers that want a vector of their own; binding goes
     /// through [`Column::shared_rows`] instead. Dictionary columns expose
@@ -328,6 +344,20 @@ mod tests {
         assert!(Column::from_i64("k", vec![]).is_unique());
         assert!(!Column::from_i64("k", vec![3, 1, 2, 3]).is_unique());
         assert!(!Column::from_i32("k", vec![i32::MIN, 0, i32::MIN]).is_unique());
+    }
+
+    #[test]
+    fn min_max_spans_the_widened_rows() {
+        assert_eq!(Column::from_i64("k", vec![]).min_max(), None);
+        assert_eq!(
+            Column::from_i32("k", vec![4, -9, 7]).min_max(),
+            Some((-9, 7))
+        );
+        assert_eq!(Column::from_dates("d", vec![10]).min_max(), Some((10, 10)));
+        assert_eq!(
+            Column::from_strings("s", &["b", "a", "b"]).min_max(),
+            Some((0, 1))
+        );
     }
 
     #[test]
