@@ -24,8 +24,10 @@
 //! device-resident structures ([`Device::init_structure`]) and hands the
 //! runtime its [`DeviceState`] — clock, pool, fault state and cost model in
 //! one concrete struct, so the trait carries no per-concern hooks. The
-//! state's charging methods do each call's pool work and price it from the
-//! cost model, so every driver prices a call the same way.
+//! state's charging methods gate each call, consult the installed fault
+//! plan, do the call's pool work and price it from the cost model, so
+//! every driver prices a call the same way and can be fault-injected with
+//! no code of its own.
 //!
 //! ## Hardware simulation
 //!
