@@ -60,8 +60,10 @@ pub struct DeviceInfo {
 ///
 /// This is the one concrete struct behind [`Device::state`]; the runtime
 /// reads it directly instead of reaching through per-concern trait hooks.
-/// A driver embeds one and calls its charging methods (`initialize` …
-/// `init_structure`): each gates the call (a dead device answers
+/// A driver embeds one; its charging methods (`initialize` …
+/// `init_structure`) are the default bodies of the [`Device`] calls of the
+/// same name, and a driver that overrides a call hands its SDK's result to
+/// the matching method. Each gates the call (a dead device answers
 /// [`DeviceError::Gone`], an uninitialized one
 /// [`DeviceError::NotInitialized`], both before any fault ordinal moves),
 /// consults the installed fault plan, does the call's pool work and
@@ -78,8 +80,8 @@ pub struct DeviceState {
     pub faults: FaultState,
     /// Transfer/allocation/kernel cost model.
     pub cost: CostModel,
-    /// Registry id, named by [`DeviceError::Gone`].
-    id: DeviceId,
+    /// The description the state was built from; [`Device::info`] reads it.
+    info: DeviceInfo,
     /// Representation of the buffers this device creates.
     repr: SdkRepr,
     /// Kernels bound by [`Self::prepare_kernel`], by name.
@@ -94,14 +96,14 @@ pub struct DeviceState {
 impl DeviceState {
     /// Fresh state for a device: an empty pool sized from `info`, a zeroed
     /// clock, no fault plan, no kernels, not yet initialized.
-    pub fn new(info: &DeviceInfo, cost: CostModel) -> Self {
+    pub fn new(info: DeviceInfo, cost: CostModel) -> Self {
         DeviceState {
             clock: SimClock::new(),
             pool: BufferPool::new(info.memory_capacity, info.pinned_capacity),
             faults: FaultState::default(),
             cost,
-            id: info.id,
             repr: SdkRepr::native_of(info.sdk),
+            info,
             kernels: HashMap::new(),
             initialized: false,
             dead: false,
@@ -121,6 +123,11 @@ impl DeviceState {
         self.clock.reset();
     }
 
+    /// The device's static description.
+    pub fn info(&self) -> &DeviceInfo {
+        &self.info
+    }
+
     /// Names of prepared kernels, sorted (for diagnostics).
     pub fn kernel_names(&self) -> Vec<&str> {
         let mut names: Vec<&str> = self.kernels.keys().map(|s| s.as_str()).collect();
@@ -134,7 +141,9 @@ impl DeviceState {
     fn die(&mut self) -> DeviceError {
         self.dead = true;
         self.faults.note_death();
-        DeviceError::Gone { device: self.id }
+        DeviceError::Gone {
+            device: self.info.id,
+        }
     }
 
     /// A dead device only ever answers [`DeviceError::Gone`], and the plan's
@@ -143,7 +152,9 @@ impl DeviceState {
     /// corpse's clock, pool and fault counters.
     fn ensure_alive(&mut self) -> Result<()> {
         if self.dead {
-            return Err(DeviceError::Gone { device: self.id });
+            return Err(DeviceError::Gone {
+                device: self.info.id,
+            });
         }
         if self.faults.death_due(self.clock.total_ns()) {
             return Err(self.die());
@@ -388,26 +399,39 @@ impl DeviceState {
 ///
 /// Implementing this trait is all that is required to plug a new
 /// co-processor or SDK into the executor; the runtime layer only ever talks
-/// through these methods. The required surface is [`Device::info`], the ten
-/// paper interfaces (`initialize` … `execute`), [`Device::init_structure`]
-/// and the [`Device::state`] pair; `clock`/`pool` are provided shorthands
-/// for the matching [`DeviceState`] fields. A driver wraps its SDK calls
-/// and hands each to the [`DeviceState`] method of the same name, which
-/// gates it, injects the installed fault plan's faults and prices it.
+/// through these methods. A driver writes four of them: the
+/// [`Device::state`] pair, which hands the runtime the [`DeviceState`] it
+/// embeds, and the two calls where SDKs differ, [`Device::transform_memory`]
+/// (which representation changes are possible) and
+/// [`Device::prepare_kernel`] (whether it compiles). Every other call has a
+/// default body: the [`DeviceState`] method of the same name, i.e. the
+/// simulated SDK call, which gates the call, injects the installed fault
+/// plan's faults, does the pool work and prices it. A driver whose SDK does
+/// one of them differently overrides it and still hands the call to that
+/// method. A driver that wraps another must forward every method its inner
+/// driver overrides; the defaults would skip the inner driver's code.
+/// `info` and `clock`/`pool` are provided shorthands for [`DeviceState`]
+/// fields.
 pub trait Device: Send {
     /// Static device description.
-    fn info(&self) -> &DeviceInfo;
+    fn info(&self) -> &DeviceInfo {
+        self.state().info()
+    }
 
     /// `initialize()`: set device properties, compile pre-registered
     /// kernels. Must be called before any other operation.
-    fn initialize(&mut self) -> Result<()>;
+    fn initialize(&mut self) -> Result<()> {
+        self.state_mut().initialize()
+    }
 
     /// `place_data(data, size, offset)`: push data into device memory.
     ///
     /// With `offset == 0` and no existing buffer, creates the buffer. With an
     /// existing buffer, overwrites elements starting at `offset` (chunk
     /// uploads into pinned staging buffers use this).
-    fn place_data(&mut self, id: BufferId, data: BufferData, offset: usize) -> Result<()>;
+    fn place_data(&mut self, id: BufferId, data: BufferData, offset: usize) -> Result<()> {
+        self.state_mut().place_data(id, data, offset)
+    }
 
     /// `retrieve_data(id, size, offset)`: read `len` elements back to the
     /// host (`None` = the whole buffer).
@@ -416,17 +440,23 @@ pub trait Device: Send {
         id: BufferId,
         len: Option<usize>,
         offset: usize,
-    ) -> Result<BufferData>;
+    ) -> Result<BufferData> {
+        self.state_mut().retrieve_data(id, len, offset)
+    }
 
     /// `prepare_memory(size)`: allocate `bytes` of device memory for `id`.
-    fn prepare_memory(&mut self, id: BufferId, bytes: u64) -> Result<()>;
+    fn prepare_memory(&mut self, id: BufferId, bytes: u64) -> Result<()> {
+        self.state_mut().prepare_memory(id, bytes)
+    }
 
     /// `transform_memory(source, target)`: convert a buffer's SDK
-    /// representation, zero-copy when the transform table allows.
+    /// representation, zero-copy when the driver's transform paths allow.
     fn transform_memory(&mut self, id: BufferId, target: SdkRepr) -> Result<TransformKind>;
 
     /// `delete_memory(id)`: free a buffer.
-    fn delete_memory(&mut self, id: BufferId) -> Result<()>;
+    fn delete_memory(&mut self, id: BufferId) -> Result<()> {
+        self.state_mut().delete_memory(id)
+    }
 
     /// `prepare_kernel(name, location)`: bind (and for source kernels,
     /// compile) a kernel under `name`. Optional per the paper — drivers
@@ -441,14 +471,20 @@ pub trait Device: Send {
         dst: BufferId,
         offset: usize,
         len: usize,
-    ) -> Result<()>;
+    ) -> Result<()> {
+        self.state_mut().create_chunk(src, dst, offset, len)
+    }
 
     /// `add_pinned_memory(ID, chunk size, offset)`: reserve host-accessible
     /// pinned memory for `id` (fast staging for the 4-phase model).
-    fn add_pinned_memory(&mut self, id: BufferId, bytes: u64) -> Result<()>;
+    fn add_pinned_memory(&mut self, id: BufferId, bytes: u64) -> Result<()> {
+        self.state_mut().add_pinned_memory(id, bytes)
+    }
 
     /// `execute()`: run a prepared kernel against device buffers.
-    fn execute(&mut self, spec: &ExecuteSpec) -> Result<KernelStats>;
+    fn execute(&mut self, spec: &ExecuteSpec) -> Result<KernelStats> {
+        self.state_mut().execute(spec)
+    }
 
     /// Allocates and initializes a device-resident structure (empty hash
     /// table, zeroed accumulator) **without** a host transfer — the
@@ -458,14 +494,17 @@ pub trait Device: Send {
     ///
     /// Cost: one allocation plus an on-device initialization at memory
     /// bandwidth (like `cudaMemset` after `cudaMalloc`).
-    fn init_structure(&mut self, id: BufferId, data: BufferData) -> Result<()>;
+    fn init_structure(&mut self, id: BufferId, data: BufferData) -> Result<()> {
+        self.state_mut().init_structure(id, data)
+    }
 
     /// The driver's [`DeviceState`]. Stays readable on a dead device so
     /// write-off accounting can still inspect the corpse.
     fn state(&self) -> &DeviceState;
 
-    /// Mutable [`DeviceState`] access: the runtime drains clock events,
-    /// installs fault plans and drives the admission ledger through it.
+    /// Mutable [`DeviceState`] access: the default calls run through it,
+    /// and the runtime drains clock events, installs fault plans and drives
+    /// the admission ledger through it.
     fn state_mut(&mut self) -> &mut DeviceState;
 
     /// Shorthand for `&self.state().clock`.

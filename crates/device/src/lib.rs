@@ -20,14 +20,21 @@
 //! | `add_pinned_memory(ID, chunk size, offset)` | [`Device::add_pinned_memory`] |
 //! | `execute()` | [`Device::execute`] |
 //!
-//! Beside those, a driver names itself ([`Device::info`]), initializes
-//! device-resident structures ([`Device::init_structure`]) and hands the
-//! runtime its [`DeviceState`] — clock, pool, fault state and cost model in
-//! one concrete struct, so the trait carries no per-concern hooks. The
-//! state's charging methods gate each call, consult the installed fault
-//! plan, do the call's pool work and price it from the cost model, so
-//! every driver prices a call the same way and can be fault-injected with
-//! no code of its own.
+//! Beside those, the trait names the device ([`Device::info`]),
+//! initializes device-resident structures ([`Device::init_structure`]) and
+//! hands the runtime the driver's [`DeviceState`] — description, clock,
+//! pool, fault state and cost model in one concrete struct, so the trait
+//! carries no per-concern hooks. The state's charging methods gate each
+//! call, consult the installed fault plan, do the call's pool work and
+//! price it from the cost model, so every driver prices a call the same way
+//! and can be fault-injected with no code of its own.
+//!
+//! A driver writes four methods: the `state`/`state_mut` pair, and the two
+//! calls where SDKs differ, `transform_memory` and `prepare_kernel`. Every
+//! other call defaults to the [`DeviceState`] method of the same name —
+//! the simulated SDK call. A driver whose SDK does one differently
+//! overrides it and hands the result to that method; a driver that wraps
+//! another must forward every method its inner driver overrides.
 //!
 //! ## Hardware simulation
 //!

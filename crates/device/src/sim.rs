@@ -3,24 +3,24 @@
 //! [`SimDevice`] implements [`Device`] exactly as a real driver would wrap
 //! CUDA or OpenCL — every operation goes through [`DeviceState`]'s charging
 //! methods, which gate the call, consult the fault plan, use the bounded
-//! buffer pool and charge the profile's cost model on the clock. What the
-//! simulator adds is what its SDK has: a transform table, optional runtime
-//! compilation and the compile charge. Because the pool is real
+//! buffer pool and charge the profile's cost model on the clock. Nine calls
+//! are the trait's default bodies; what the simulator writes is what its
+//! SDK has: a transform table, optional runtime compilation and the compile
+//! charge. Because the pool is real
 //! (allocations fail when full) and kernels really run, the executor above
 //! cannot tell it apart from hardware except by wall-clock speed.
 
-use crate::buffer::{BufferData, BufferId};
+use crate::buffer::BufferId;
 use crate::clock::Lane;
 use crate::cost::CostModel;
 use crate::device::{Device, DeviceInfo, DeviceState};
 use crate::error::{DeviceError, Result};
-use crate::kernel::{ExecuteSpec, KernelSource, KernelStats};
+use crate::kernel::KernelSource;
 use crate::sdk::SdkRepr;
 use crate::transform::{TransformKind, TransformTable};
 
 /// A simulated co-processor driver.
 pub struct SimDevice {
-    info: DeviceInfo,
     state: DeviceState,
     transforms: TransformTable,
     supports_compilation: bool,
@@ -35,8 +35,7 @@ impl SimDevice {
         supports_compilation: bool,
     ) -> Self {
         SimDevice {
-            state: DeviceState::new(&info, cost),
-            info,
+            state: DeviceState::new(info, cost),
             transforms,
             supports_compilation,
         }
@@ -44,39 +43,10 @@ impl SimDevice {
 }
 
 impl Device for SimDevice {
-    fn info(&self) -> &DeviceInfo {
-        &self.info
-    }
-
-    fn initialize(&mut self) -> Result<()> {
-        self.state.initialize()
-    }
-
-    fn place_data(&mut self, id: BufferId, data: BufferData, offset: usize) -> Result<()> {
-        self.state.place_data(id, data, offset)
-    }
-
-    fn retrieve_data(
-        &mut self,
-        id: BufferId,
-        len: Option<usize>,
-        offset: usize,
-    ) -> Result<BufferData> {
-        self.state.retrieve_data(id, len, offset)
-    }
-
-    fn prepare_memory(&mut self, id: BufferId, bytes: u64) -> Result<()> {
-        self.state.prepare_memory(id, bytes)
-    }
-
     fn transform_memory(&mut self, id: BufferId, target: SdkRepr) -> Result<TransformKind> {
         let transforms = &self.transforms;
         self.state
             .transform_memory(id, target, |from| Ok(transforms.resolve(from, target)))
-    }
-
-    fn delete_memory(&mut self, id: BufferId) -> Result<()> {
-        self.state.delete_memory(id)
     }
 
     fn prepare_kernel(&mut self, name: &str, source: KernelSource) -> Result<()> {
@@ -85,7 +55,7 @@ impl Device for SimDevice {
             KernelSource::Source { entry, .. } if self.supports_compilation => (entry, true),
             KernelSource::Source { .. } => {
                 return Err(DeviceError::CompilationUnsupported {
-                    device: self.info.name.clone(),
+                    device: self.info().name.clone(),
                 })
             }
         };
@@ -100,28 +70,6 @@ impl Device for SimDevice {
         Ok(())
     }
 
-    fn create_chunk(
-        &mut self,
-        src: BufferId,
-        dst: BufferId,
-        offset: usize,
-        len: usize,
-    ) -> Result<()> {
-        self.state.create_chunk(src, dst, offset, len)
-    }
-
-    fn add_pinned_memory(&mut self, id: BufferId, bytes: u64) -> Result<()> {
-        self.state.add_pinned_memory(id, bytes)
-    }
-
-    fn execute(&mut self, spec: &ExecuteSpec) -> Result<KernelStats> {
-        self.state.execute(spec)
-    }
-
-    fn init_structure(&mut self, id: BufferId, data: BufferData) -> Result<()> {
-        self.state.init_structure(id, data)
-    }
-
     fn state(&self) -> &DeviceState {
         &self.state
     }
@@ -134,10 +82,11 @@ impl Device for SimDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::buffer::BufferData;
     use crate::cost::CostClass;
     use crate::device::{DeviceId, DeviceKind};
     use crate::fault::{FaultCounters, FaultPlan};
-    use crate::kernel::KernelFn;
+    use crate::kernel::{ExecuteSpec, KernelFn, KernelStats};
     use crate::sdk::SdkKind;
     use std::sync::Arc;
 

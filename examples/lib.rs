@@ -4,13 +4,17 @@
 //!
 //! [`NpuDevice`] is what a vendor writes to join ADAMANT: one struct
 //! embedding a [`DeviceState`], and one `impl Device` holding nothing but
-//! the trait's required methods. Where a real driver would call its SDK
-//! (`npuMemcpy`, `npuLaunch` …) this one calls the state's charging method
-//! of the same name, which gates the call, consults the installed
-//! [`FaultPlan`], keeps the payload in the state's bounded pool, runs the
-//! bound kernel and charges the call from the state's cost model — the
-//! same way the simulator's calls are handled. So the NPU can be
-//! fault-injected like the simulator, with no driver code for it.
+//! the trait's four required methods — the state hand-off, and the two
+//! calls where the NPU's SDK differs from the simulator's (one memory
+//! representation, no compiler). Every other call is the trait's default:
+//! the state's charging method of the same name, which gates the call,
+//! consults the installed [`FaultPlan`], keeps the payload in the state's
+//! bounded pool, runs the bound kernel and charges the call from the
+//! state's cost model — the same way the simulator's calls are handled. A
+//! real driver would override those whose SDK call (`npuMemcpy`,
+//! `npuLaunch` …) it must make, and hand its result to the same method. So
+//! the NPU can be fault-injected like the simulator, with no driver code
+//! for it.
 
 use adamant::device::error::{DeviceError, Result};
 use adamant::device::transform::TransformKind;
@@ -23,7 +27,6 @@ pub const NPU_SDK: SdkKind = SdkKind::Custom(42);
 /// a single memory representation (`SdkRepr::Custom(42)`), no runtime
 /// kernel compilation.
 pub struct NpuDevice {
-    info: DeviceInfo,
     state: DeviceState,
 }
 
@@ -49,38 +52,12 @@ impl NpuDevice {
             ..CostModel::default()
         };
         NpuDevice {
-            state: DeviceState::new(&info, cost),
-            info,
+            state: DeviceState::new(info, cost),
         }
     }
 }
 
 impl Device for NpuDevice {
-    fn info(&self) -> &DeviceInfo {
-        &self.info
-    }
-
-    fn initialize(&mut self) -> Result<()> {
-        self.state.initialize()
-    }
-
-    fn place_data(&mut self, id: BufferId, data: BufferData, offset: usize) -> Result<()> {
-        self.state.place_data(id, data, offset)
-    }
-
-    fn retrieve_data(
-        &mut self,
-        id: BufferId,
-        len: Option<usize>,
-        offset: usize,
-    ) -> Result<BufferData> {
-        self.state.retrieve_data(id, len, offset)
-    }
-
-    fn prepare_memory(&mut self, id: BufferId, bytes: u64) -> Result<()> {
-        self.state.prepare_memory(id, bytes)
-    }
-
     fn transform_memory(&mut self, id: BufferId, target: SdkRepr) -> Result<TransformKind> {
         // One representation: the identity transform is the only path.
         self.state.transform_memory(id, target, |from| {
@@ -92,39 +69,13 @@ impl Device for NpuDevice {
         })
     }
 
-    fn delete_memory(&mut self, id: BufferId) -> Result<()> {
-        self.state.delete_memory(id)
-    }
-
     fn prepare_kernel(&mut self, name: &str, source: KernelSource) -> Result<()> {
         match source {
             KernelSource::Builtin(entry) => self.state.prepare_kernel(name, entry),
             KernelSource::Source { .. } => Err(DeviceError::CompilationUnsupported {
-                device: self.info.name.clone(),
+                device: self.info().name.clone(),
             }),
         }
-    }
-
-    fn create_chunk(
-        &mut self,
-        src: BufferId,
-        dst: BufferId,
-        offset: usize,
-        len: usize,
-    ) -> Result<()> {
-        self.state.create_chunk(src, dst, offset, len)
-    }
-
-    fn add_pinned_memory(&mut self, id: BufferId, bytes: u64) -> Result<()> {
-        self.state.add_pinned_memory(id, bytes)
-    }
-
-    fn execute(&mut self, spec: &ExecuteSpec) -> Result<KernelStats> {
-        self.state.execute(spec)
-    }
-
-    fn init_structure(&mut self, id: BufferId, data: BufferData) -> Result<()> {
-        self.state.init_structure(id, data)
     }
 
     fn state(&self) -> &DeviceState {
