@@ -593,7 +593,7 @@ impl<'e> QueryScheduler<'e> {
             .run_with_deadline(&graph, &q.spec.inputs, q.spec.model, remaining);
         match run {
             Ok((output, stats)) => {
-                self.absorb_robustness_counters(&stats);
+                absorb_robustness_counters(&mut self.stats, &stats);
                 let slices: VecDeque<f64> = if stats.slice_ns.is_empty() {
                     VecDeque::from([stats.total_ns])
                 } else {
@@ -618,8 +618,7 @@ impl<'e> QueryScheduler<'e> {
                 // The failed run's counters still describe real watchdog and
                 // retransmit activity; the executor keeps them around.
                 if let Some(s) = self.executor.last_run_stats() {
-                    let s = s.clone();
-                    self.absorb_robustness_counters(&s);
+                    absorb_robustness_counters(&mut self.stats, s);
                 }
                 release(self.executor, device, footprint);
                 self.fail(ti, ticket, e, outcomes);
@@ -627,24 +626,6 @@ impl<'e> QueryScheduler<'e> {
             }
         }
     }
-    /// Folds one executed query's straggler/corruption counters into the
-    /// scheduler-level aggregates.
-    fn absorb_robustness_counters(&mut self, stats: &ExecutionStats) {
-        self.stats.watchdog_fires += stats.watchdog_fires as u64;
-        self.stats.hedged_launches += stats.hedged_launches as u64;
-        self.stats.hedge_wins += stats.hedge_wins as u64;
-        self.stats.corruption_retransmits += stats.corruption_retransmits as u64;
-        self.stats.device_deaths += stats.device_deaths as u64;
-        self.stats.buffers_written_off += stats.buffers_written_off as u64;
-        self.stats.restaged_bytes += stats.restaged_bytes;
-        self.stats.hot_adds += stats.hot_adds as u64;
-        self.stats.checkpoints_taken += stats.checkpoints_taken as u64;
-        self.stats.checkpoint_bytes += stats.checkpoint_bytes;
-        self.stats.resumes += stats.resumes as u64;
-        self.stats.chunks_skipped_on_resume += stats.chunks_skipped_on_resume as u64;
-        self.stats.resume_validation_failures += stats.resume_validation_failures as u64;
-    }
-
     /// Picks the target device: the cheapest non-quarantined device with
     /// capacity — with the modeled backlog of already-admitted
     /// queries added to each device's cost so concurrent placements spread
@@ -739,6 +720,24 @@ impl<'e> QueryScheduler<'e> {
         self.tenants[ti].stats.failed += 1;
         outcomes.insert(ticket, QueryOutcome::Failed { error });
     }
+}
+
+/// Folds one executed query's straggler/corruption counters into the
+/// scheduler-level aggregates.
+fn absorb_robustness_counters(agg: &mut SchedulerStats, stats: &ExecutionStats) {
+    agg.watchdog_fires += stats.watchdog_fires as u64;
+    agg.hedged_launches += stats.hedged_launches as u64;
+    agg.hedge_wins += stats.hedge_wins as u64;
+    agg.corruption_retransmits += stats.corruption_retransmits as u64;
+    agg.device_deaths += stats.device_deaths as u64;
+    agg.buffers_written_off += stats.buffers_written_off as u64;
+    agg.restaged_bytes += stats.restaged_bytes;
+    agg.hot_adds += stats.hot_adds as u64;
+    agg.checkpoints_taken += stats.checkpoints_taken as u64;
+    agg.checkpoint_bytes += stats.checkpoint_bytes;
+    agg.resumes += stats.resumes as u64;
+    agg.chunks_skipped_on_resume += stats.chunks_skipped_on_resume as u64;
+    agg.resume_validation_failures += stats.resume_validation_failures as u64;
 }
 
 /// Reserves `bytes` of `device`'s admission budget, failing (and holding
