@@ -1,8 +1,10 @@
 #!/bin/sh
 # Feature-ledger counts (DESIGN.md §17). Prints the non-test line count over
 # crates/*/src and that of examples/lib.rs (the plug-in driver: the paper's
-# measure of what integrating a co-processor costs), then the public items
-# no product target reaches, as listed by the compiler check in
+# measure of what integrating a co-processor costs), the length of each
+# driver's `impl Device for` block (first line to closing brace, in
+# crates/device/src/sim.rs and examples/lib.rs), then the public items no
+# product target reaches, as listed by the compiler check in
 # tools/unreached_pub.py (one `file:line kind name` per line).
 #
 # Non-test lines are non-blank lines that do not start with `//`, up to a
@@ -36,5 +38,10 @@ count() {
 
 echo "non-test lines over crates/*/src: $(count crates/*/src)"
 echo "non-test lines of the plug-in driver, examples/lib.rs: $(count examples/lib.rs)"
+for f in crates/device/src/sim.rs examples/lib.rs; do
+  awk -v f="$f" '/^impl Device for / { name = $4; n = 0; on = 1 }
+       on { n++ }
+       on && /^}/ { print "lines of impl Device for " name ", " f ": " n; on = 0 }' "$f"
+done
 
 python3 tools/unreached_pub.py
