@@ -18,7 +18,7 @@ use super::recovery::ResumeCursor;
 use super::{Executor, RunCx};
 use crate::error::{ExecError, Result};
 use crate::graph::{DataRef, NodeParams, PrimitiveGraph, PrimitiveNode};
-use crate::pipeline::{Pipeline, PipelineSet};
+use crate::pipeline::Pipeline;
 use crate::result::QueryOutput;
 use crate::timeline::ChunkCost;
 use adamant_device::buffer::{BufferData, BufferId};
@@ -26,7 +26,7 @@ use adamant_device::device::DeviceId;
 use adamant_device::kernel::ExecuteSpec;
 use adamant_task::container::DataContainer;
 use adamant_task::primitive::PrimitiveKind;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// One row range of the pipeline's scan columns on its way to the devices.
 /// It owns no rows: whoever stages it borrows `[offset, offset + len)` from
@@ -141,40 +141,6 @@ pub(super) fn order_sensitive_kind(
                 PrimitiveKind::Sort | PrimitiveKind::SortAgg | PrimitiveKind::PrefixSum
             )
         })
-}
-
-/// Data refs produced by non-breaker nodes of streaming pipelines that are
-/// consumed outside their pipeline (or are graph outputs) — these must be
-/// accumulated chunk-by-chunk.
-pub(super) fn escaping_refs(graph: &PrimitiveGraph, pipelines: &PipelineSet) -> HashSet<DataRef> {
-    let mut escaping = HashSet::new();
-    let is_streamed_scratch = |r: DataRef| -> bool {
-        match r {
-            DataRef::Output { node, .. } => {
-                let n = graph.node(node);
-                !n.kind.is_pipeline_breaker()
-                    && pipelines.pipelines[pipelines.node_pipeline[node.0]].is_streaming()
-            }
-            DataRef::Input(_) => false,
-        }
-    };
-    for node in graph.nodes() {
-        for &input in &node.inputs {
-            if let DataRef::Output { node: src, .. } = input {
-                if pipelines.node_pipeline[src.0] != pipelines.node_pipeline[node.id.0]
-                    && is_streamed_scratch(input)
-                {
-                    escaping.insert(input);
-                }
-            }
-        }
-    }
-    for (_, r) in graph.outputs() {
-        if is_streamed_scratch(*r) {
-            escaping.insert(*r);
-        }
-    }
-    escaping
 }
 
 impl Executor {
@@ -525,7 +491,7 @@ impl Executor {
             for &node_id in &pipeline.nodes {
                 let node = graph.node(node_id);
                 let (in_ids, out_ids, _) = self.wire_node(cx, node, &mut io, Some(chunk.len))?;
-                self.execute_node(node, alt, &in_ids, &out_ids)?;
+                self.execute_node(node, &cx.scalars[node_id.0], alt, &in_ids, &out_ids)?;
             }
             Ok(())
         })();
@@ -567,7 +533,8 @@ impl Executor {
             }
         };
         let streaming = matches!(charge, Charge::Chunk(_));
-        let (saved_ns, stage_rows) = self.execute_node(node, device, &in_ids, &out_ids)?;
+        let scalars = &cx.scalars[node.id.0];
+        let (saved_ns, stage_rows) = self.execute_node(node, scalars, device, &in_ids, &out_ids)?;
         cx.tally.stats.fusion_saved_transfer_ns += saved_ns;
         let stage_rows = (!streaming).then_some(stage_rows.as_slice());
         cx.tally
@@ -670,7 +637,8 @@ impl Executor {
             .prepare_output_buffer(&mut self.devices, node, device, semantic, rows)
     }
 
-    /// Resolves and runs one node's kernel on `device`. Returns the modeled
+    /// Resolves and runs one node's kernel on `device`, launched with a copy
+    /// of the node's `scalars` as the plan encoded them. Returns the modeled
     /// nanoseconds a fused node saved over launching its stages individually
     /// (`0.0` for ordinary nodes, or when the device exposes no cost model),
     /// and the fused kernel's per-stage row counts (empty for ordinary
@@ -678,6 +646,7 @@ impl Executor {
     fn execute_node(
         &mut self,
         node: &PrimitiveNode,
+        scalars: &[i64],
         device: DeviceId,
         in_ids: &[BufferId],
         out_ids: &[BufferId],
@@ -696,7 +665,7 @@ impl Executor {
             })?;
         let mut buffers = in_ids.to_vec();
         buffers.extend_from_slice(out_ids);
-        let spec = ExecuteSpec::new(container.kernel_name(), buffers, node.params.to_scalars());
+        let spec = ExecuteSpec::new(container.kernel_name(), buffers, scalars.to_vec());
         let kstats =
             self.devices
                 .get_mut(device)?

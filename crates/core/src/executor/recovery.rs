@@ -7,9 +7,10 @@
 //! checkpoints that make a restart a resume. It moves placement, health
 //! records and buffers; time is accounted by the accounting fold alone.
 //!
-//! Placement is the run's `placement`: one device per pipeline, read from
-//! the graph's annotation when the run starts. Every re-placement below
-//! writes a pipeline's entry there — the graph itself is never edited.
+//! Placement is the run's `placement`: one device per pipeline, the run's
+//! device (or the graph's annotation) when the run starts. Every
+//! re-placement below writes a pipeline's entry there — the graph itself is
+//! never edited.
 //!
 //! | fault | action |
 //! |---|---|
@@ -377,7 +378,7 @@ impl Executor {
             // contiguity watermark) the discard just dropped is reinstated.
             cx.tally.fold_all(&mut self.devices);
             cx.hub.rollback_to(&mut self.devices, mark);
-            for r in &cx.escaping {
+            for r in cx.escaping {
                 if matches!(r, DataRef::Output { node, .. } if pipeline.nodes.contains(node)) {
                     cx.hub.discard_host(*r);
                 }
@@ -714,8 +715,9 @@ impl Executor {
         kernels
     }
 
-    /// The run's starting placement: each pipeline on the device its nodes
-    /// are annotated with, then repaired from cross-query health. Every
+    /// The run's starting placement: every pipeline on `device`, or (`None`)
+    /// each on the device its nodes are annotated with, then repaired from
+    /// cross-query health. Every
     /// pipeline placed on a quarantined device — or whose kernels are
     /// quarantined *on* that device — is moved to a healthy capable device
     /// when one exists; a `HalfOpen` device (or `(device, kernel)` breaker)
@@ -728,12 +730,13 @@ impl Executor {
         &mut self,
         graph: &PrimitiveGraph,
         pipelines: &PipelineSet,
+        device: Option<DeviceId>,
         stats: &mut ExecutionStats,
     ) -> Vec<DeviceId> {
         let mut placement: Vec<DeviceId> = pipelines
             .pipelines
             .iter()
-            .map(|p| graph.node(p.nodes[0]).device)
+            .map(|p| device.unwrap_or(graph.node(p.nodes[0]).device))
             .collect();
         // Pre-pass: pick, per half-open device, the pipeline with the fewest
         // nodes to carry its recovery probe (ties broken by earliest

@@ -33,6 +33,7 @@ pub mod graph;
 pub mod hub;
 pub mod models;
 pub mod pipeline;
+pub mod prepared;
 pub mod residency;
 pub mod result;
 pub mod stats;
@@ -48,6 +49,7 @@ pub use graph::{
 };
 pub use models::ExecutionModel;
 pub use pipeline::{Pipeline, PipelineSet};
+pub use prepared::Prepared;
 pub use residency::{ResidencyCache, ResidencyConfig, ResidencyCounters};
 pub use result::QueryOutput;
 pub use stats::ExecutionStats;
@@ -64,6 +66,7 @@ pub mod prelude {
     };
     pub use crate::models::ExecutionModel;
     pub use crate::pipeline::{Pipeline, PipelineSet};
+    pub use crate::prepared::Prepared;
     pub use crate::residency::{ResidencyCache, ResidencyConfig, ResidencyCounters};
     pub use crate::result::QueryOutput;
     pub use crate::stats::ExecutionStats;

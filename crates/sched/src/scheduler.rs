@@ -37,28 +37,53 @@ use adamant_core::error::{ExecError, Result};
 use adamant_core::executor::{Executor, QueryInputs};
 use adamant_core::graph::PrimitiveGraph;
 use adamant_core::models::ExecutionModel;
+use adamant_core::prepared::Prepared;
 use adamant_core::result::QueryOutput;
 use adamant_core::stats::ExecutionStats;
 use adamant_device::device::DeviceId;
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 /// One query submission: the plan, its inputs, and per-query scheduling
 /// knobs.
 #[derive(Clone, Debug)]
 pub struct QuerySpec {
-    graph: PrimitiveGraph,
+    plan: Plan,
     inputs: QueryInputs,
     model: ExecutionModel,
     footprint_bytes: Option<u64>,
     deadline_ns: Option<f64>,
 }
 
+/// What a query runs.
+#[derive(Clone, Debug)]
+enum Plan {
+    /// A graph, retargeted to the admitted device and prepared at
+    /// admission.
+    Graph(PrimitiveGraph),
+    /// A plan prepared once and shared: run as it is, on the admitted
+    /// device.
+    Prepared(Arc<Prepared>),
+}
+
 impl QuerySpec {
     /// A query running `graph` over `inputs` under `model`, with the
     /// scheduler free to place it and no deadline.
     pub fn new(graph: PrimitiveGraph, inputs: QueryInputs, model: ExecutionModel) -> Self {
+        QuerySpec::with_plan(Plan::Graph(graph), inputs, model)
+    }
+
+    /// A query running an already prepared plan: admission neither clones,
+    /// fuses nor splits it, and every pipeline starts on the admitted device
+    /// whatever the plan's annotations say. `Session::sql` submits the plan
+    /// its statement cache keeps.
+    pub fn prepared(prepared: Arc<Prepared>, inputs: QueryInputs, model: ExecutionModel) -> Self {
+        QuerySpec::with_plan(Plan::Prepared(prepared), inputs, model)
+    }
+
+    fn with_plan(plan: Plan, inputs: QueryInputs, model: ExecutionModel) -> Self {
         QuerySpec {
-            graph,
+            plan,
             inputs,
             model,
             footprint_bytes: None,
@@ -69,7 +94,7 @@ impl QuerySpec {
     /// Overrides the admission footprint estimate. `Session::sql` passes
     /// the [`estimate_footprint_bytes`] value it cached with the compiled
     /// statement; without this the scheduler walks the primitive graph at
-    /// admission.
+    /// admission (a prepared plan's own graph, fused when it was).
     pub fn with_footprint(mut self, bytes: u64) -> Self {
         self.footprint_bytes = Some(bytes);
         self
@@ -544,11 +569,11 @@ impl<'e> QueryScheduler<'e> {
         }
 
         let footprint = head.spec.footprint_bytes.unwrap_or_else(|| {
-            estimate_footprint_bytes(
-                &head.spec.graph,
-                &head.spec.inputs,
-                self.executor.config().chunk_rows,
-            )
+            let graph = match &head.spec.plan {
+                Plan::Graph(graph) => graph,
+                Plan::Prepared(prepared) => prepared.graph(),
+            };
+            estimate_footprint_bytes(graph, &head.spec.inputs, self.executor.config().chunk_rows)
         });
 
         let device = match self.choose_device(footprint, remaining, active) {
@@ -586,11 +611,18 @@ impl<'e> QueryScheduler<'e> {
             self.stats.held += 1;
         }
         self.tenants[ti].stats.wait_ns += wait_ns;
-        let mut graph = q.spec.graph;
-        graph.retarget(device);
-        let run = self
-            .executor
-            .run_with_deadline(&graph, &q.spec.inputs, q.spec.model, remaining);
+        let (inputs, model) = (&q.spec.inputs, q.spec.model);
+        let run = match q.spec.plan {
+            Plan::Graph(mut graph) => {
+                graph.retarget(device);
+                self.executor
+                    .run_with_deadline(&graph, inputs, model, remaining)
+            }
+            Plan::Prepared(prepared) => {
+                self.executor
+                    .run_prepared(&prepared, inputs, model, Some(device), remaining)
+            }
+        };
         match run {
             Ok((output, stats)) => {
                 absorb_robustness_counters(&mut self.stats, &stats);
@@ -616,7 +648,8 @@ impl<'e> QueryScheduler<'e> {
             }
             Err(e) => {
                 // The failed run's counters still describe real watchdog and
-                // retransmit activity; the executor keeps them around.
+                // retransmit activity; the executor keeps them around (and
+                // keeps none for a run that failed before it started).
                 if let Some(s) = self.executor.last_run_stats() {
                     absorb_robustness_counters(&mut self.stats, s);
                 }
@@ -812,6 +845,7 @@ enum Unplaceable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adamant_core::checkpoint::CheckpointConfig;
     use adamant_core::executor::ExecutorConfig;
     use adamant_core::residency::ResidencyConfig;
     use adamant_device::profiles::DeviceProfile;
@@ -844,16 +878,60 @@ mod tests {
         exec.devices().get(dev).unwrap().pool().admission_reserved()
     }
 
-    fn run_sum_query(exec: &mut Executor, dev: DeviceId) {
+    fn sum_graph(dev: DeviceId) -> PrimitiveGraph {
         let mut pb = PlanBuilder::new(dev);
         let mut s = pb.scan("t", &["x"]);
         let x = s.materialized(&mut pb, "x").unwrap();
         let sum = pb.agg_block(x, AggFunc::Sum, "s");
         pb.output("s", sum);
-        let graph = pb.build().unwrap();
+        pb.build().unwrap()
+    }
+
+    fn run_sum_query(exec: &mut Executor, dev: DeviceId) {
         let mut inputs = QueryInputs::new();
         inputs.bind("x", (0..4096).collect());
-        exec.run(&graph, &inputs, ExecutionModel::Chunked).unwrap();
+        exec.run(&sum_graph(dev), &inputs, ExecutionModel::Chunked)
+            .unwrap();
+    }
+
+    /// A run that fails before it starts (here: an unbound input) has no
+    /// counters of its own; the failure path must not fold the previous
+    /// run's into the scheduler's aggregates a second time.
+    #[test]
+    fn a_run_failing_before_it_starts_counts_nothing() {
+        let tasks = TaskRegistry::with_defaults(&[SdkKind::Cuda, SdkKind::Host]);
+        let mut exec = Executor::new(
+            tasks,
+            ExecutorConfig {
+                chunk_rows: 256,
+                checkpoints: CheckpointConfig::enabled().chunk_interval(2),
+                ..Default::default()
+            },
+        );
+        let dev = exec.add_profile(&DeviceProfile::cuda_rtx2080ti()).unwrap();
+        let mut inputs = QueryInputs::new();
+        inputs.bind("x", (0..4096).collect());
+        let mut sched = QueryScheduler::new(&mut exec, None);
+        sched.submit(
+            "a",
+            QuerySpec::new(sum_graph(dev), inputs, ExecutionModel::Chunked),
+        );
+        let taken = sched.run_all().stats().checkpoints_taken;
+        assert!(taken > 0, "the first query takes checkpoints");
+
+        let mut sched = QueryScheduler::new(&mut exec, None);
+        let unbound = QuerySpec::new(sum_graph(dev), QueryInputs::new(), ExecutionModel::Chunked)
+            .with_footprint(1024);
+        let ticket = sched.submit("a", unbound);
+        let report = sched.run_all();
+        assert!(matches!(
+            report.outcome(ticket),
+            Some(QueryOutcome::Failed {
+                error: ExecError::MissingInput(_)
+            })
+        ));
+        let stats = report.stats();
+        assert_eq!((stats.failed, stats.checkpoints_taken), (1, 0));
     }
 
     #[test]
