@@ -3,15 +3,19 @@
 //! word-at-a-time or block-at-a-time loop can go wrong.
 
 use super::testutil::*;
-use super::{agg, filter, join, map, materialize};
+use super::{agg, filter, fused, join, map, materialize};
 use crate::hashtable::{AggHashTable, JoinHashTable, DENSE_SPAN};
 use crate::params::{AggFunc, CmpOp, MapOp};
+use crate::primitive::PrimitiveKind;
+use crate::program::{encode, FusedOperand, Stage};
 use adamant_device::buffer::{BufferData, BufferId};
 use adamant_device::cost::CostClass;
 use adamant_device::error::{DeviceError, Result};
 use adamant_device::kernel::KernelStats;
 use adamant_device::pool::BufferPool;
+use adamant_storage::rng::Rng;
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// Around one and two bitmap words, and around a chunk of 2^13 rows.
 const LENGTHS: [usize; 11] = [0, 1, 63, 64, 65, 127, 128, 129, 8191, 8192, 8193];
@@ -319,10 +323,13 @@ fn hash_agg_dense_and_hashed_launches_match_a_btreemap_fold() {
     }
 }
 
-/// Runs `hash_build` (in two launches) then `hash_probe` / `hash_probe_semi`
-/// and returns `(probe positions, payload outputs, semi bitmap)`.
+/// Runs `hash_build` over `launches` (row ranges of `build`), then
+/// `hash_probe` and `hash_probe_semi`, standalone and as one-stage fused
+/// chains (a fused probe's output is its positions port), and returns
+/// `(probe positions, payload outputs, semi bitmap)` once both agree.
 fn build_and_probe(
     build: &[Vec<i64>],
+    launches: &[Range<usize>],
     probe_keys: &[i64],
     payload_outs: usize,
 ) -> (Vec<u32>, Vec<Vec<i64>>, Vec<u64>) {
@@ -330,11 +337,10 @@ fn build_and_probe(
     let mut p = pool();
     let table = JoinHashTable::with_capacity(8, payload_cols); // grows
     put(&mut p, 50, BufferData::Generic(Box::new(table)));
-    let rows = build[0].len();
-    for (launch, range) in [0..rows / 3, rows / 3..rows].into_iter().enumerate() {
+    for (launch, range) in launches.iter().enumerate() {
         let mut bufs = Vec::new();
         for (c, col) in build.iter().enumerate() {
-            let id = (launch * 10 + c) as u64 + 1;
+            let id = (launch * 10 + c) as u64 + 100;
             put(&mut p, id, BufferData::I64(col[range.clone()].to_vec()));
             bufs.push(b(id));
         }
@@ -355,11 +361,62 @@ fn build_and_probe(
     let positions = read_u32(&p, 61);
     out(&mut p, 70);
     join::hash_probe_semi(&mut p, &[b(60), b(50), b(70)], &[]).unwrap();
-    (positions, outs, read_words(&p, 70))
+    let semi = read_words(&p, 70);
+    let one_stage = |kind, params: &[i64]| {
+        let operands = vec![FusedOperand::External(0), FusedOperand::External(1)];
+        let params = params.to_vec();
+        encode(&[Stage {
+            kind,
+            operands,
+            params,
+        }])
+    };
+    let fused_probe = one_stage(PrimitiveKind::HashProbe, &[payload_outs as i64]);
+    let fused_semi = one_stage(PrimitiveKind::HashProbeSemi, &[]);
+    out(&mut p, 80);
+    out(&mut p, 81);
+    fused::fused(&mut p, &[b(60), b(50), b(80)], &fused_probe).unwrap();
+    fused::fused(&mut p, &[b(60), b(50), b(81)], &fused_semi).unwrap();
+    assert_eq!(read_u32(&p, 80), positions, "fused probe");
+    assert_eq!(read_words(&p, 81), semi, "fused semi probe");
+    (positions, outs, semi)
+}
+
+/// Builds `build_keys` (with the first `payload_cols` of `payloads`) over
+/// `launches`, probes it with `probe_keys`, and holds every output to a
+/// scan of the build side in insertion order per probe row.
+fn check_join(
+    build_keys: &[i64],
+    payloads: &[Vec<i64>],
+    launches: &[Range<usize>],
+    probe_keys: &[i64],
+    (payload_cols, payload_outs): (usize, usize),
+    what: &str,
+) {
+    let build: Vec<Vec<i64>> = std::iter::once(build_keys.to_vec())
+        .chain(payloads[..payload_cols].iter().cloned())
+        .collect();
+    let (positions, outs, semi) = build_and_probe(&build, launches, probe_keys, payload_outs);
+    let mut want_positions = Vec::new();
+    let mut want_outs = vec![Vec::new(); payload_outs];
+    for (i, probe) in probe_keys.iter().enumerate() {
+        for row in (0..build_keys.len()).filter(|&row| build_keys[row] == *probe) {
+            want_positions.push(i as u32);
+            for (c, out) in want_outs.iter_mut().enumerate() {
+                out.push(payloads[c][row]);
+            }
+        }
+    }
+    let what = format!("{what}, {payload_outs} of {payload_cols} payloads");
+    assert_eq!(positions, want_positions, "{what}");
+    assert_eq!(outs, want_outs, "{what}");
+    let want_semi = naive_bitmap(probe_keys.iter().map(|k| build_keys.contains(k)));
+    assert_eq!(semi, want_semi, "{what}");
 }
 
 #[test]
 fn join_build_and_probe_match_a_vec_scan() {
+    let mut rng = Rng::new(46);
     for n in LENGTHS {
         // Every third build key is duplicated a few rows later; probe keys
         // include absent ones (and the sentinel, which matches nothing).
@@ -368,27 +425,38 @@ fn join_build_and_probe_match_a_vec_scan() {
             .map(|i| [i * 11 % 120 - 10, i64::MIN][(i % 29 == 28) as usize])
             .collect();
         let payloads = [column(n, 6), column(n, 7)];
-        for (payload_cols, payload_outs) in [(0, 0), (2, 2), (2, 1), (1, 0)] {
-            let build: Vec<Vec<i64>> = std::iter::once(build_keys.clone())
-                .chain(payloads[..payload_cols].iter().cloned())
-                .collect();
-            let (positions, outs, semi) = build_and_probe(&build, &probe_keys, payload_outs);
-            // The oracle: scan the build side in insertion order per probe.
-            let mut want_positions = Vec::new();
-            let mut want_outs = vec![Vec::new(); payload_outs];
-            for (i, probe) in probe_keys.iter().enumerate() {
-                for row in (0..n).filter(|&row| build_keys[row] == *probe) {
-                    want_positions.push(i as u32);
-                    for (c, out) in want_outs.iter_mut().enumerate() {
-                        out.push(payloads[c][row]);
-                    }
-                }
-            }
-            let what = format!("{n} rows, {payload_outs} of {payload_cols} payloads");
-            assert_eq!(positions, want_positions, "{what}");
-            assert_eq!(outs, want_outs, "{what}");
-            let want_semi = naive_bitmap(probe_keys.iter().map(|k| build_keys.contains(k)));
-            assert_eq!(semi, want_semi, "{what}");
+        let two_launches = [0..n / 3, n / 3..n];
+        for counts in [(0, 0), (2, 2), (2, 1), (1, 0)] {
+            let what = format!("{n} rows");
+            check_join(
+                &build_keys,
+                &payloads,
+                &two_launches,
+                &probe_keys,
+                counts,
+                &what,
+            );
+        }
+        // Keys repeating 1–7 times in shuffled order, built over launches
+        // cut at seeded points (empty ones among them): a table without
+        // payload columns keeps each key once with its count.
+        let mut repeated: Vec<i64> = (0..n as i64)
+            .flat_map(|k| std::iter::repeat_n(k * 3 - 40, rng.gen_range(1..=7usize)))
+            .take(n)
+            .collect();
+        for i in (1..n).rev() {
+            repeated.swap(i, rng.gen_range(0..=i));
+        }
+        let mut cuts: Vec<usize> = (0..4).map(|_| rng.gen_range(0..=n)).collect();
+        cuts.extend([0, cuts[0], n]);
+        cuts.sort_unstable();
+        let launches: Vec<Range<usize>> = cuts.windows(2).map(|c| c[0]..c[1]).collect();
+        let probe_keys: Vec<i64> = (-45..n as i64 * 3 / 4)
+            .chain([i64::MIN, i64::MAX])
+            .collect();
+        for counts in [(0, 0), (2, 1)] {
+            let what = format!("{n} repeated rows in {} launches", launches.len());
+            check_join(&repeated, &payloads, &launches, &probe_keys, counts, &what);
         }
     }
 }
