@@ -340,8 +340,11 @@ fn bench_q1_hash_agg() {
 }
 
 /// A bound column uploaded chunk by chunk through `place_verified`, into one
-/// staging buffer as the executor does: with the sender checksum folded
-/// from the column's warm memo, against hashing each chunk as it is copied.
+/// staging buffer as the executor does. `warm_memo` uploads a kept binding:
+/// each chunk reaches the device as a view of the column's rows, nothing is
+/// copied, and the sender checksum is folded from the column's warm memo.
+/// `bare_slice` uploads the same rows as a slice: each chunk is copied for
+/// the device and hashed in the same pass. Both pay the device's echo hash.
 fn bench_verified_uploads() {
     let group = "verified_uploads";
     let column = SharedRows::new(random_ints(N, i64::MAX, 11));

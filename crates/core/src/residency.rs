@@ -48,13 +48,14 @@
 //! run.
 
 use crate::hub::Payload;
-use adamant_device::buffer::{BufferData, BufferId};
+use adamant_device::buffer::{BufferData, BufferId, SharedI64};
 use adamant_device::device::DeviceId;
 use adamant_device::registry::DeviceRegistry;
 use adamant_storage::column::SharedRows;
 use adamant_storage::fnv::{content_hash, Content};
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
+use std::sync::Arc;
 
 /// First buffer id the cache allocates from — far above any per-run hub id.
 const CACHE_ID_BASE: u64 = 1 << 48;
@@ -131,11 +132,15 @@ pub(crate) struct BoundRows<'a> {
 }
 
 /// Rows `range` of a bound column on their way to a device (a
-/// [`crate::hub::Payload`]): a chunk, or the whole column. The copy handed
-/// to the device *is* the transfer; the sender checksum is folded from the
-/// column's memo when the memo serves the range, and hashed in the pass
-/// that makes the copy otherwise. The memo vouches for exactly what that
-/// pass would: it is a hash of the source.
+/// [`crate::hub::Payload`]): a chunk, or the whole column.
+///
+/// A kept binding's rows are immutable and held by reference, so the device
+/// is handed a view of them ([`BufferData::Shared`]) on every transmission,
+/// and nothing is copied; a write on the device side copies first. The
+/// sender checksum is folded from the column's memo when the memo serves the
+/// range and hashed in place otherwise; the memo vouches for exactly what
+/// that hash would. A bare slice has no `Arc` to share: it is copied, and
+/// hashed in the same pass.
 #[derive(Debug)]
 pub struct BoundRange<'a> {
     column: BoundRows<'a>,
@@ -147,22 +152,32 @@ impl<'a> BoundRange<'a> {
     pub fn new(rows: &'a SharedRows, range: Range<usize>) -> Self {
         BoundRows::kept(rows).range(range)
     }
+
+    /// Rows `range` of `shared`, as a view of its vector.
+    fn view(&self, shared: &SharedRows) -> BufferData {
+        BufferData::Shared(SharedI64::new(
+            Arc::clone(shared.rows()),
+            self.range.clone(),
+        ))
+    }
 }
 
 impl Payload for BoundRange<'_> {
-    fn copy_and_checksum(&self) -> (BufferData, u64) {
-        let rows = &self.column.rows[self.range.clone()];
-        match self
-            .column
-            .kept
-            .and_then(|s| s.range_hash(self.range.clone()))
-        {
-            Some(checksum) => (BufferData::I64(rows.to_vec()), checksum),
-            None => rows.copy_and_checksum(),
-        }
+    fn to_buffer_and_checksum(&self) -> (BufferData, u64) {
+        let Some(shared) = self.column.kept else {
+            return self.column.rows[self.range.clone()].to_buffer_and_checksum();
+        };
+        let view = self.view(shared);
+        let checksum = shared
+            .range_hash(self.range.clone())
+            .unwrap_or_else(|| view.checksum());
+        (view, checksum)
     }
     fn to_buffer(&self) -> BufferData {
-        self.column.rows[self.range.clone()].to_buffer()
+        match self.column.kept {
+            Some(shared) => self.view(shared),
+            None => self.column.rows[self.range.clone()].to_buffer(),
+        }
     }
 }
 

@@ -6,6 +6,15 @@
 //! owned by the device's bounded pool and can only be read back through
 //! `retrieve_data` — the runtime never reaches around the interface.
 //!
+//! Because the payload lives in host memory, an upload of rows nobody writes
+//! need not copy them: [`BufferData::Shared`] is a view of immutable `i64`
+//! rows held by reference ([`SharedI64`]), the same kind as
+//! [`BufferData::I64`] to every reader, the pool's accounting and the cost
+//! model. A slice of it is a sub-view, and whatever writes it — a splice, an
+//! injected bit flip — first makes it an owned copy, so a write lands on the
+//! device's rows and never on the host's. The modeled transfer is charged
+//! exactly as for an owned payload; only the host's `memcpy` is gone.
+//!
 //! [`BufferData::checksum`] is what both ends of a transfer compare. It is
 //! the engine's one content hash (`adamant_storage::fnv::content_hash`):
 //! word-parallel, tagged with the payload kind and the element count, and
@@ -16,6 +25,8 @@ use crate::sdk::SdkRepr;
 use adamant_storage::fnv::{content_hash, Content};
 use std::any::Any;
 use std::fmt;
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Identifier for a buffer within one device's pool.
 ///
@@ -53,6 +64,53 @@ pub trait GenericPayload: Send + Sync + fmt::Debug {
     fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
+/// Rows `range` of an immutable `i64` vector shared by reference — the
+/// payload of [`BufferData::Shared`]. A clone bumps a reference count, a
+/// sub-view narrows the range, and nothing ever writes the rows.
+#[derive(Clone)]
+pub struct SharedI64 {
+    rows: Arc<Vec<i64>>,
+    range: Range<usize>,
+}
+
+impl SharedI64 {
+    /// Rows `range` of `rows`, clamped to their length.
+    pub fn new(rows: Arc<Vec<i64>>, range: Range<usize>) -> Self {
+        let end = range.end.min(rows.len());
+        let start = range.start.min(end);
+        SharedI64 {
+            rows,
+            range: start..end,
+        }
+    }
+
+    /// The viewed rows.
+    pub fn as_slice(&self) -> &[i64] {
+        &self.rows[self.range.clone()]
+    }
+
+    /// Rows `offset..offset+len` of the view, saturating at its end: a
+    /// sub-view of the same vector.
+    fn slice(&self, offset: usize, len: usize) -> SharedI64 {
+        let start = self.range.start.saturating_add(offset);
+        SharedI64::new(
+            Arc::clone(&self.rows),
+            start..start.saturating_add(len).min(self.range.end),
+        )
+    }
+}
+
+/// The range and its length, not the rows: a chunk's view would otherwise
+/// print the whole column behind it.
+impl fmt::Debug for SharedI64 {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SharedI64")
+            .field("range", &self.range)
+            .field("len", &self.range.len())
+            .finish()
+    }
+}
+
 /// Typed buffer payload.
 ///
 /// Kernels operate on these payloads directly, which keeps the whole engine
@@ -63,6 +121,11 @@ pub enum BufferData {
     /// 64-bit integers (`NUMERIC` semantics; 32-bit inputs are widened on
     /// placement, with the *transfer* still billed at their true width).
     I64(Vec<i64>),
+    /// 64-bit integers shared by reference with the host's immutable rows:
+    /// the same kind as [`BufferData::I64`] (equal length, byte length,
+    /// checksum and `kind()` for equal rows), made an owned `I64` before
+    /// anything writes it.
+    Shared(SharedI64),
     /// 32-bit positions (`POSITION` semantics).
     U32(Vec<u32>),
     /// Packed bitmap words (`BITMAP` semantics).
@@ -77,6 +140,7 @@ impl Clone for BufferData {
     fn clone(&self) -> Self {
         match self {
             BufferData::I64(v) => BufferData::I64(v.clone()),
+            BufferData::Shared(v) => BufferData::Shared(v.clone()),
             BufferData::U32(v) => BufferData::U32(v.clone()),
             BufferData::BitWords(v) => BufferData::BitWords(v.clone()),
             BufferData::Raw(v) => BufferData::Raw(v.clone()),
@@ -85,15 +149,17 @@ impl Clone for BufferData {
     }
 }
 
+/// Content equality; an owned and a shared `i64` payload of the same rows
+/// are equal.
 impl PartialEq for BufferData {
     fn eq(&self, other: &Self) -> bool {
         match (self, other) {
-            (BufferData::I64(a), BufferData::I64(b)) => a == b,
             (BufferData::U32(a), BufferData::U32(b)) => a == b,
             (BufferData::BitWords(a), BufferData::BitWords(b)) => a == b,
             (BufferData::Raw(a), BufferData::Raw(b)) => a == b,
-            // Opaque structures are never considered equal.
-            _ => false,
+            // `i64` rows compare by content, owned or shared; opaque
+            // structures are never considered equal.
+            _ => matches!((self.as_i64(), other.as_i64()), (Some(a), Some(b)) if a == b),
         }
     }
 }
@@ -103,6 +169,7 @@ impl BufferData {
     pub fn len(&self) -> usize {
         match self {
             BufferData::I64(v) => v.len(),
+            BufferData::Shared(v) => v.range.len(),
             BufferData::U32(v) => v.len(),
             BufferData::BitWords(v) => v.len(),
             BufferData::Raw(v) => v.len(),
@@ -119,6 +186,7 @@ impl BufferData {
     pub fn byte_len(&self) -> u64 {
         match self {
             BufferData::I64(v) => (v.len() * 8) as u64,
+            BufferData::Shared(v) => (v.range.len() * 8) as u64,
             BufferData::U32(v) => (v.len() * 4) as u64,
             BufferData::BitWords(v) => (v.len() * 8) as u64,
             BufferData::Raw(v) => v.len() as u64,
@@ -126,10 +194,12 @@ impl BufferData {
         }
     }
 
-    /// Short kind name for error messages.
+    /// Short kind name, for error messages and for the pool's rule that a
+    /// write matches its buffer's kind (owned and shared `i64` rows are one
+    /// kind).
     pub fn kind(&self) -> &'static str {
         match self {
-            BufferData::I64(_) => "i64",
+            BufferData::I64(_) | BufferData::Shared(_) => "i64",
             BufferData::U32(_) => "u32",
             BufferData::BitWords(_) => "bitwords",
             BufferData::Raw(_) => "raw",
@@ -137,7 +207,8 @@ impl BufferData {
         }
     }
 
-    /// Copies elements `offset..offset+len` into a new payload.
+    /// Elements `offset..offset+len` as a new payload: a copy, except for a
+    /// shared payload, whose slice is a sub-view of the same rows.
     ///
     /// `Generic` payloads do not support slicing; they are cloned whole
     /// (chunking a hash table has no meaning — the runtime never does it).
@@ -146,6 +217,7 @@ impl BufferData {
         let offset = offset.min(end);
         match self {
             BufferData::I64(v) => BufferData::I64(v[offset..end].to_vec()),
+            BufferData::Shared(v) => BufferData::Shared(v.slice(offset, end - offset)),
             BufferData::U32(v) => BufferData::U32(v[offset..end].to_vec()),
             BufferData::BitWords(v) => BufferData::BitWords(v[offset..end].to_vec()),
             BufferData::Raw(v) => BufferData::Raw(v[offset..end].to_vec()),
@@ -153,11 +225,21 @@ impl BufferData {
         }
     }
 
-    /// Borrows the payload as `i64`s.
-    pub fn as_i64(&self) -> Option<&Vec<i64>> {
+    /// Borrows the payload as `i64`s, owned or shared.
+    pub fn as_i64(&self) -> Option<&[i64]> {
         match self {
             BufferData::I64(v) => Some(v),
+            BufferData::Shared(v) => Some(v.as_slice()),
             _ => None,
+        }
+    }
+
+    /// Copy on write: replaces a shared payload with an owned copy of its
+    /// rows, so what writes it next writes this payload's own rows and never
+    /// the ones it shares. Every other payload is owned already.
+    pub(crate) fn make_owned(&mut self) {
+        if let BufferData::Shared(v) = self {
+            *self = BufferData::I64(v.as_slice().to_vec());
         }
     }
 
@@ -218,6 +300,7 @@ impl BufferData {
         let range = offset.min(end)..end;
         content_hash(match self {
             BufferData::I64(v) => Content::I64(&v[range]),
+            BufferData::Shared(v) => Content::I64(&v.as_slice()[range]),
             BufferData::U32(v) => Content::U32(&v[range]),
             BufferData::BitWords(v) => Content::BitWords(&v[range]),
             BufferData::Raw(v) => Content::Raw(&v[range]),
@@ -231,18 +314,21 @@ impl BufferData {
     /// Flips the low bit of the element at `element % len` (fault injection:
     /// a single-bit DMA error). Returns `false` when there is nothing to
     /// corrupt (empty or opaque payload), so the injector can count only
-    /// flips that actually happened.
+    /// flips that actually happened. A shared payload is copied first (copy
+    /// on write): the flip damages this payload's own rows, not the host's.
     pub fn flip_bit(&mut self, element: usize) -> bool {
         if self.is_empty() {
             return false;
         }
         let i = element % self.len();
+        self.make_owned();
         match self {
             BufferData::I64(v) => v[i] ^= 1,
             BufferData::U32(v) => v[i] ^= 1,
             BufferData::BitWords(v) => v[i] ^= 1,
             BufferData::Raw(v) => v[i] ^= 1,
-            BufferData::Generic(_) => return false,
+            // A shared payload was made owned above.
+            BufferData::Generic(_) | BufferData::Shared(_) => return false,
         }
         true
     }
@@ -445,6 +531,77 @@ pub(crate) mod tests {
         let mut f = BufferData::U32(vec![5]);
         assert!(f.flip_bit(0));
         assert_ne!(f, BufferData::U32(vec![5]));
+    }
+
+    /// Rows `range` of `rows`, as a shared payload.
+    pub(crate) fn shared(rows: &Arc<Vec<i64>>, range: Range<usize>) -> BufferData {
+        BufferData::Shared(SharedI64::new(Arc::clone(rows), range))
+    }
+
+    /// To every reader, a view of rows is an owned payload of those rows.
+    #[test]
+    fn a_shared_payload_reads_as_an_owned_one() {
+        let rows = Arc::new((0..37).map(|i| i * 7919 - 5).collect::<Vec<i64>>());
+        for range in [0..37, 0..0, 3..11, 36..37, 11..37] {
+            let view = shared(&rows, range.clone());
+            let owned = BufferData::I64(rows[range.clone()].to_vec());
+            let facts = |d: &BufferData| (d.len(), d.byte_len(), d.kind(), d.checksum());
+            assert_eq!(facts(&view), facts(&owned), "{range:?}");
+            for (offset, len) in [(0, 0), (0, 5), (2, 3), (1, usize::MAX), (40, 1)] {
+                assert_eq!(
+                    view.checksum_range(offset, len),
+                    owned.checksum_range(offset, len),
+                    "{range:?} [{offset}, +{len})"
+                );
+                assert_eq!(view.slice(offset, len), owned.slice(offset, len));
+            }
+            assert_eq!(view.as_i64(), owned.as_i64());
+            assert_eq!(view, owned, "{range:?}");
+            assert_eq!(owned, view, "{range:?}");
+        }
+        assert_ne!(shared(&rows, 0..3), BufferData::I64(vec![-5, 7914, 7915]));
+        assert_ne!(shared(&rows, 0..0), BufferData::U32(vec![]));
+        // A range past the end is clamped, as `slice` saturates.
+        assert_eq!(shared(&rows, 30..99), BufferData::I64(rows[30..].to_vec()));
+        assert_eq!(shared(&rows, 50..60).len(), 0);
+    }
+
+    #[test]
+    fn a_shared_payload_slices_and_clones_into_views_of_the_same_rows() {
+        let rows = Arc::new((0..100).collect::<Vec<i64>>());
+        let view = shared(&rows, 10..90);
+        let (BufferData::Shared(sub), BufferData::Shared(copy)) = (view.slice(5, 10), view.clone())
+        else {
+            panic!("a slice or a clone of a view is a view");
+        };
+        assert!(Arc::ptr_eq(&sub.rows, &rows) && Arc::ptr_eq(&copy.rows, &rows));
+        assert_eq!(sub.as_slice(), &rows[15..25]);
+        assert_eq!(copy.as_slice(), &rows[10..90]);
+        assert_eq!(view.slice(75, 10).as_i64(), Some(&rows[85..90]));
+        assert_eq!(Arc::strong_count(&rows), 4);
+    }
+
+    #[test]
+    fn a_bit_flip_lands_on_a_copy_of_shared_rows() {
+        let rows = Arc::new((0..64).collect::<Vec<i64>>());
+        let before = rows.to_vec();
+        let mut view = shared(&rows, 8..40);
+        assert!(view.flip_bit(13));
+        assert_eq!(*rows, before, "the shared rows are untouched");
+        assert!(matches!(view, BufferData::I64(_)), "the flip made it owned");
+        assert_eq!(view, dirty_at(&BufferData::I64(before[8..40].to_vec()), 13));
+        assert_eq!(Arc::strong_count(&rows), 1);
+        assert!(!shared(&rows, 3..3).flip_bit(0));
+    }
+
+    /// A chunk's view prints where it lies, not the column behind it.
+    #[test]
+    fn a_shared_payload_prints_its_range_not_its_rows() {
+        let rows = Arc::new(vec![7i64; 10_000]);
+        assert_eq!(
+            format!("{:?}", shared(&rows, 100..612)),
+            "Shared(SharedI64 { range: 100..612, len: 512 })"
+        );
     }
 
     #[test]

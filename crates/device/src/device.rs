@@ -241,8 +241,10 @@ impl DeviceState {
         Ok(())
     }
 
-    /// [`Device::retrieve_data`]: copies the range out and charges the
-    /// download at the buffer's pinned or pageable rate.
+    /// [`Device::retrieve_data`]: reads the range out ([`BufferPool::read`]:
+    /// a copy, or a view of shared rows) and charges the download at the
+    /// buffer's pinned or pageable rate. A corrupted download flips a bit in
+    /// what it returns, never in the stored payload or the rows it shares.
     pub fn retrieve_data(
         &mut self,
         id: BufferId,
@@ -328,9 +330,12 @@ impl DeviceState {
         Ok(())
     }
 
-    /// [`Device::create_chunk`]: copies the range into a new buffer `dst`
-    /// (in `src`'s representation) on the device, once the fault plan
-    /// admits the chunk's bytes.
+    /// [`Device::create_chunk`]: materializes the range as a new buffer
+    /// `dst` (in `src`'s representation) on the device, once the fault plan
+    /// admits the chunk's bytes. The range is read as [`BufferPool::read`]
+    /// reads it, so a chunk of a shared payload (a residency pin) is a
+    /// sub-view of the same rows; the device-internal copy is charged in
+    /// full either way.
     pub fn create_chunk(
         &mut self,
         src: BufferId,

@@ -233,7 +233,7 @@ mod tests {
         d.prepare_memory(BufferId(2), 24).unwrap();
         let add_const: KernelFn = Arc::new(|pool, bufs, params| {
             let c = params[0];
-            let input = pool.get(bufs[0])?.data.as_i64().unwrap().clone();
+            let input = pool.get(bufs[0])?.data.as_i64().unwrap().to_vec();
             let mut out = pool.take(bufs[1])?;
             out.data = BufferData::I64(input.iter().map(|x| x + c).collect());
             let n = input.len() as u64;

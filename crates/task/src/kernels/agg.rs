@@ -123,7 +123,7 @@ pub fn hash_agg(pool: &mut BufferPool, bufs: &[BufferId], params: &[i64]) -> Res
     let (class, elements) = with_taken(pool, table_id, |pool, table_buf| {
         let cols = col_ids
             .iter()
-            .map(|&id| input_i64(pool, K, id).map(Vec::as_slice))
+            .map(|&id| input_i64(pool, K, id))
             .collect::<Result<Vec<_>>>()?;
         hash_agg_body(K, agg_table_mut(K, table_buf)?, &cols, params)
     })?;

@@ -162,11 +162,15 @@ fn materialize_matches_the_naive_gather() {
                 .collect();
             let run = |words: &[u64]| materialize::materialize_body(K, &values, words);
             let (got, cost) = run(&words).unwrap();
-            assert_eq!(got.as_i64(), Some(&want), "{name}, {n} rows");
+            assert_eq!(got.as_i64(), Some(&want[..]), "{name}, {n} rows");
             assert_eq!(cost, (CostClass::MaterializeBitmap, n as u64));
             // A bitmap longer than the values: the extra words are ignored.
             let longer = [&words[..], &[u64::MAX, 1]].concat();
-            assert_eq!(run(&longer).unwrap().0.as_i64(), Some(&want), "{name} long");
+            assert_eq!(
+                run(&longer).unwrap().0.as_i64(),
+                Some(&want[..]),
+                "{name} long"
+            );
             // One word short: the same typed error as ever.
             if n > 0 {
                 let short = &words[..words.len() - 1];
@@ -201,7 +205,7 @@ fn map_and_its_blocked_variant_match_apply() {
             let second = (!op.is_const()).then_some(&other[..]);
             let params = [op.to_code(), -3];
             let (got, cost) = map::map_body(K, &a, second, &params).unwrap();
-            assert_eq!(got.as_i64(), Some(&want), "{op:?}, {n} rows");
+            assert_eq!(got.as_i64(), Some(&want[..]), "{op:?}, {n} rows");
             assert_eq!(cost, (CostClass::MapLike, n as u64));
             let mut p = pool();
             put(&mut p, 1, BufferData::I64(a.clone()));

@@ -73,7 +73,7 @@ impl<'a> Operands<'a> {
     fn i64(&self, pool: &'a BufferPool, i: usize) -> Result<&'a [i64]> {
         let data = self.data(pool, i)?;
         let need = || bad_args(K, format!("operand {i} is {}, need i64", data.kind()));
-        data.as_i64().map(Vec::as_slice).ok_or_else(need)
+        data.as_i64().ok_or_else(need)
     }
 
     fn bits(&self, pool: &'a BufferPool, i: usize) -> Result<&'a [u64]> {

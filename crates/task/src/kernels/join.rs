@@ -75,7 +75,7 @@ pub fn hash_build(pool: &mut BufferPool, bufs: &[BufferId], params: &[i64]) -> R
     let (class, elements) = with_taken(pool, bufs[1 + payload_cols], |pool, table_buf| {
         let cols = bufs[..1 + payload_cols]
             .iter()
-            .map(|&id| input_i64(pool, K, id).map(Vec::as_slice))
+            .map(|&id| input_i64(pool, K, id))
             .collect::<Result<Vec<_>>>()?;
         hash_build_body(K, join_table_mut(K, table_buf)?, &cols, params)
     })?;

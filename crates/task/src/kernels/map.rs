@@ -97,7 +97,7 @@ fn run_map(
     let a = input_i64(pool, "map", bufs[0])?;
     let b = match bufs.len() {
         2 => None,
-        _ => Some(input_i64(pool, "map", bufs[1])?.as_slice()),
+        _ => Some(input_i64(pool, "map", bufs[1])?),
     };
     let produced = body("map", a, b, params)?;
     emit(pool, bufs[bufs.len() - 1], produced)

@@ -125,12 +125,8 @@ pub(crate) fn count_sum(kernel: &str, parts: &[usize]) -> Result<usize> {
         .ok_or_else(|| bad_args(kernel, "buffer count overflows"))
 }
 
-/// Borrows an input buffer's payload as `i64`s.
-pub(crate) fn input_i64<'p>(
-    pool: &'p BufferPool,
-    kernel: &str,
-    id: BufferId,
-) -> Result<&'p Vec<i64>> {
+/// Borrows an input buffer's payload as `i64`s, owned or shared.
+pub(crate) fn input_i64<'p>(pool: &'p BufferPool, kernel: &str, id: BufferId) -> Result<&'p [i64]> {
     let buf = pool.get(id)?;
     buf.data.as_i64().ok_or_else(|| {
         bad_args(
@@ -241,7 +237,7 @@ pub(crate) mod testutil {
             .data
             .as_i64()
             .unwrap()
-            .clone()
+            .to_vec()
     }
 
     /// Reads back a u32 payload.

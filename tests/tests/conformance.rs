@@ -95,7 +95,7 @@ fn conformance_suite(dev: &mut dyn Device, supports_jit: bool) {
     // Kernel binding + execution.
     let f: adamant::device::kernel::KernelFn = std::sync::Arc::new(|pool, bufs, params| {
         let c = params[0];
-        let input = pool.get(bufs[0])?.data.as_i64().unwrap().clone();
+        let input = pool.get(bufs[0])?.data.as_i64().unwrap().to_vec();
         let mut out = pool.take(bufs[1])?;
         out.data = BufferData::I64(input.iter().map(|x| x * c).collect());
         pool.restore(bufs[1], out)?;
