@@ -203,8 +203,9 @@ impl QueryInputs {
 /// blocks instead of returning them to the operating system.
 ///
 /// Every query allocates and frees column-sized buffers at a high rate —
-/// the stored copies of uploads and kernel outputs, tens to hundreds of KiB
-/// each (bound inputs are shared by reference and no longer among them).
+/// kernel outputs, downloads and the stored copies of uploads that are not
+/// bound rows, tens to hundreds of KiB each (bound inputs are shared by
+/// reference, with the devices as well, and are no longer among them).
 /// glibc serves a block above its `mmap` threshold with a fresh mapping, and
 /// trims the heap top once a `free` leaves more than its trim threshold
 /// there, so the next query faults the same memory in again page by page.

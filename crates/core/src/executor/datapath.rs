@@ -29,9 +29,9 @@ use adamant_task::primitive::PrimitiveKind;
 use std::collections::HashMap;
 
 /// One row range of the pipeline's scan columns on its way to the devices.
-/// It owns no rows: whoever stages it borrows `[offset, offset + len)` from
-/// the bound columns, so the only copy of a chunk is the one the device
-/// stores.
+/// It owns no rows: whoever stages it hands the device a view of
+/// `[offset, offset + len)` of the bound columns, so staging a chunk copies
+/// no rows on the host.
 #[derive(Clone, Copy)]
 pub(super) struct Chunk {
     pub index: usize,
@@ -352,18 +352,19 @@ impl Executor {
         let (graph, device) = (cx.graph, stream.device);
 
         // Upload this chunk into the pipeline device's staging buffers,
-        // verifying each transfer's checksum end-to-end. The rows are
-        // borrowed from the bound column: the copy the device stores is the
-        // only one made, and the sender checksum of a chunk on the block
-        // grid is folded from the column's memo.
+        // verifying each transfer's checksum end-to-end. The device stores
+        // a view of the bound column's rows, copied only if something writes
+        // it, and the sender checksum of a chunk on the block grid is folded
+        // from the column's memo.
         let mut staged: HashMap<usize, BufferId> = HashMap::new();
         for &input_idx in &stream.cols {
             let name = &graph.inputs()[input_idx].name;
             let col = cx.inputs.bound(name).expect("validated");
             let id = stream.staging[&(input_idx, slot)];
-            // A residency-cached copy of the scan column serves the chunk
-            // with a device-internal copy instead of a fresh host→device
-            // upload; otherwise fall back to the verified transfer path.
+            // A residency pin of the scan column serves the chunk with a
+            // device-internal `create_chunk` (charged as a device copy) instead
+            // of a fresh host→device upload; otherwise fall back to the
+            // verified transfer path.
             let from_cache = cx.hub.stage_chunk_from_cache(
                 &mut self.devices,
                 device,
