@@ -1,5 +1,5 @@
 //! Permanent device-loss soak: hot-unplug mid-query, full-engine recovery
-//! on the survivors, and hot-add through the health probe ramp. A device
+//! on the survivors, and hot-add between runs. A device
 //! that dies stays dead — the engine must write off its buffers without
 //! calling into it, re-stage lost inputs from host copies, finish the
 //! query reference-exact on the survivors (or fail with a clean typed
@@ -67,12 +67,11 @@ fn device_death_mid_query_recovers_and_hot_add_takes_work() {
     assert!(!live.contains(&dev0), "the dead device must be gone");
     assert_no_leaks(&mut engine, "after death recovery");
 
-    // Hot-add a replacement between runs: it enters the health registry in
-    // the half-open probe ramp and the next run routes work onto it.
+    // Hot-add a replacement between runs: a plan annotated with it runs
+    // there on the very next run, every chunk of it.
     let new_dev = engine
         .attach_profile(&DeviceProfile::cuda_rtx2080ti())
         .unwrap();
-    assert!(engine.health().is_half_open(new_dev));
     let graph2 = TpchQuery::Q6.plan(new_dev, &catalog).unwrap();
     let (out2, stats2) = engine
         .run(&graph2, &inputs, ExecutionModel::Chunked)
@@ -80,24 +79,79 @@ fn device_death_mid_query_recovers_and_hot_add_takes_work() {
     assert_eq!(adamant::tpch::queries::q6::decode(&out2), reference);
     assert_eq!(stats2.hot_adds, 1, "the attach must be counted once");
     assert_eq!(stats2.device_deaths, 0);
+    assert_eq!(stats2.fallback_placements, 0);
     assert!(stats2.chunks_processed > 0);
-    assert!(
-        engine
+    // Clocks restart with every run, so a device that ran no chunk of this
+    // one reads zero.
+    for id in engine.device_ids() {
+        let ns = engine
             .executor()
             .devices()
-            .get(new_dev)
+            .get(id)
             .unwrap()
             .clock()
-            .total_ns()
-            > 0.0,
-        "the hot-added device must have executed work"
-    );
+            .total_ns();
+        if id == new_dev {
+            assert!(ns > 0.0, "the hot-added device must have executed work");
+        } else {
+            assert_eq!(ns, 0.0, "{id:?} ran a chunk the hot-added device owns");
+        }
+    }
     // The counter is per-run: it must not persist into the next run.
     let (_, stats3) = engine
         .run(&graph2, &inputs, ExecutionModel::Chunked)
         .unwrap();
     assert_eq!(stats3.hot_adds, 0);
     assert_no_leaks(&mut engine, "after hot-add run");
+}
+
+/// A plan annotated with a device that died in an earlier run is re-placed
+/// on a survivor when the next run starts: the stale annotation neither
+/// fails the run nor reaches the corpse, and the result stays exact.
+#[test]
+fn plan_annotated_with_a_dead_device_runs_on_a_survivor() {
+    let catalog = TpchGenerator::new(0.001, 7).generate();
+    let reference = adamant::tpch::reference::q6(&catalog).unwrap();
+    let mut engine = Adamant::builder()
+        .chunk_rows(500)
+        .device(DeviceProfile::cuda_rtx2080ti())
+        .device(DeviceProfile::opencl_cpu_i7())
+        .fault_plan(0, FaultPlan::none().die_on_exec(3))
+        .build()
+        .unwrap();
+    let [dead, survivor] = engine.device_ids()[..] else {
+        panic!("two devices plugged");
+    };
+    let graph = TpchQuery::Q6.plan(dead, &catalog).unwrap();
+    let inputs = TpchQuery::Q6.bind(&catalog).unwrap();
+    let (_, stats) = engine
+        .run(&graph, &inputs, ExecutionModel::Chunked)
+        .unwrap();
+    assert_eq!(stats.device_deaths, 1, "the scripted death must fire");
+    assert_eq!(engine.device_ids(), vec![survivor]);
+
+    for model in [ExecutionModel::Chunked, ExecutionModel::OperatorAtATime] {
+        let (out, stats) = engine.run(&graph, &inputs, model).unwrap();
+        assert_eq!(
+            adamant::tpch::queries::q6::decode(&out),
+            reference,
+            "{model:?}: the re-placed plan diverged from reference"
+        );
+        assert_eq!(stats.device_deaths, 0, "{model:?}");
+        assert!(stats.pipelines > 0, "{model:?}");
+        let survivor_ns = engine
+            .executor()
+            .devices()
+            .get(survivor)
+            .unwrap()
+            .clock()
+            .total_ns();
+        assert!(
+            survivor_ns > 0.0,
+            "{model:?}: the survivor must run the plan"
+        );
+        assert_no_leaks(&mut engine, &format!("stale annotation, {model:?}"));
+    }
 }
 
 /// The facade keeps no membership list of its own: `device_ids()` is the
