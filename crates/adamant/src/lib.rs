@@ -80,7 +80,6 @@ use adamant_core::result::QueryOutput;
 use adamant_core::stats::ExecutionStats;
 use adamant_device::device::{Device, DeviceId};
 use adamant_device::fault::FaultPlan;
-use adamant_device::health::DeviceHealthRegistry;
 use adamant_device::profiles::DeviceProfile;
 use adamant_device::sdk::SdkKind;
 use adamant_sched::QueryScheduler;
@@ -121,13 +120,9 @@ impl Adamant {
         self.executor.add_profile(profile)
     }
 
-    /// Hot-adds a device from a profile between runs. Unlike
-    /// [`Adamant::plug_profile`], the newcomer enters through the health
-    /// registry in `HalfOpen` and earns traffic via the probe ramp (one
-    /// probe pipeline per query until a success closes its breaker);
-    /// placement and the cost model pick it up on the next run without a
-    /// rebuild. The add is counted in the next run's
-    /// `ExecutionStats::hot_adds`.
+    /// Hot-adds a device from a profile between runs: placement and the
+    /// cost model pick it up on the next run without a rebuild. The add is
+    /// counted in the next run's `ExecutionStats::hot_adds`.
     pub fn attach_profile(&mut self, profile: &DeviceProfile) -> Result<DeviceId> {
         self.executor.attach_profile(profile)
     }
@@ -151,12 +146,6 @@ impl Adamant {
     /// run single queries again.
     pub fn session(&mut self) -> QueryScheduler<'_> {
         QueryScheduler::new(&mut self.executor, self.preempt_slack_ns)
-    }
-
-    /// The cross-query device health registry (breaker states, failure
-    /// memory), read-only.
-    pub fn health(&self) -> &DeviceHealthRegistry {
-        self.executor.health()
     }
 
     /// Installs a fault plan on one device (by plug order among the devices
@@ -341,7 +330,6 @@ pub mod prelude {
     pub use adamant_device::cost::{CostClass, CostModel};
     pub use adamant_device::device::{Device, DeviceId, DeviceInfo, DeviceKind, DeviceState};
     pub use adamant_device::fault::{FaultCounters, FaultPlan};
-    pub use adamant_device::health::{BreakerState, DeviceHealthRegistry, HealthSnapshot};
     pub use adamant_device::kernel::{ExecuteSpec, KernelSource, KernelStats};
     pub use adamant_device::profiles::DeviceProfile;
     pub use adamant_device::sdk::{SdkKind, SdkRepr};

@@ -13,8 +13,7 @@ pub enum ExecError {
     /// A kernel execution failed on a specific device.
     ///
     /// Unlike [`ExecError::Device`], this carries *which* device failed and
-    /// which kernel, for the error report and the health registry's
-    /// per-kernel breaker.
+    /// which kernel, for the error report.
     KernelFailed {
         /// The device the kernel ran on.
         device: DeviceId,

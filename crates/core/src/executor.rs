@@ -34,7 +34,6 @@ use crate::result::QueryOutput;
 use crate::stats::ExecutionStats;
 use accounting::Tally;
 use adamant_device::device::{Device, DeviceId};
-use adamant_device::health::DeviceHealthRegistry;
 use adamant_device::profiles::DeviceProfile;
 use adamant_device::registry::DeviceRegistry;
 use adamant_storage::column::{Column, SharedRows};
@@ -56,8 +55,7 @@ pub struct ExecutorConfig {
     pub retry: RetryPolicy,
     /// Straggler watchdog: a streamed chunk whose modeled duration exceeds
     /// this multiple of its fault-free cost-model expectation trips the
-    /// watchdog — the overrun is fed to the health registry's latency
-    /// tracking, and a hedged duplicate of the chunk is raced on the best
+    /// watchdog, and a hedged duplicate of the chunk is raced on the best
     /// alternate device (first completion wins; the loser's allocations are
     /// reclaimed). `None` disables watchdogs and hedging.
     pub watchdog_multiplier: Option<f64>,
@@ -233,13 +231,11 @@ fn keep_freed_buffers_mapped() {
     });
 }
 
-/// The ADAMANT executor: plugged devices + task registry + configuration,
-/// plus the cross-query [`DeviceHealthRegistry`] that feeds placement.
+/// The ADAMANT executor: plugged devices + task registry + configuration.
 pub struct Executor {
     devices: DeviceRegistry,
     tasks: TaskRegistry,
     config: ExecutorConfig,
-    health: DeviceHealthRegistry,
     last_stats: Option<ExecutionStats>,
     residency: Option<ResidencyCache>,
     /// Devices hot-added since the last run; drained into
@@ -255,7 +251,6 @@ impl Executor {
             devices: DeviceRegistry::new(),
             tasks,
             config,
-            health: DeviceHealthRegistry::default(),
             last_stats: None,
             residency: None,
             pending_hot_adds: 0,
@@ -279,17 +274,11 @@ impl Executor {
         self.add_device(Box::new(profile.build(next)))
     }
 
-    /// Hot-adds a device between runs. Unlike [`Executor::add_device`], the
-    /// newcomer enters through the health registry in `HalfOpen`, so it
-    /// earns traffic via the existing probe ramp (one probe pipeline per
-    /// query until a success closes the breaker) instead of instantly
-    /// absorbing load the engine knows nothing about. Placement and the
+    /// Hot-adds a device between runs: [`Executor::add_device`], counted
+    /// in the next run's [`ExecutionStats::hot_adds`]. Placement and the
     /// cost model pick it up on the next run without any rebuild.
     pub fn attach_device(&mut self, device: Box<dyn Device>) -> Result<DeviceId> {
-        let id = self.devices.add(device);
-        let dev = self.devices.get_mut(id)?;
-        self.tasks.install_on(dev.as_mut())?;
-        self.health.admit_half_open(id);
+        let id = self.add_device(device)?;
         self.pending_hot_adds += 1;
         Ok(id)
     }
@@ -316,20 +305,9 @@ impl Executor {
         &self.config
     }
 
-    /// The cross-query device health registry, read-only.
-    pub fn health(&self) -> &DeviceHealthRegistry {
-        &self.health
-    }
-
-    /// Mutable health registry access (tests record events to force breaker
-    /// states, or tick a cool-down with `on_query_completed`).
-    pub fn health_mut(&mut self) -> &mut DeviceHealthRegistry {
-        &mut self.health
-    }
-
     /// Statistics of the most recent run, kept even when the run failed —
-    /// the only way to observe breaker trips and deadline aborts of a query
-    /// that returned an error. `None` after a run (or a
+    /// the only way to observe retries and deadline aborts of a query that
+    /// returned an error. `None` after a run (or a
     /// [`prepare`](Executor::prepare)) that failed before it started: a
     /// run that never began has no counters, and must not report the
     /// previous run's.
@@ -425,11 +403,10 @@ impl Executor {
 
     /// Runs a prepared plan over `inputs` under `model`, every pipeline
     /// starting on `device` (`None`: on the device its nodes are annotated
-    /// with); health-aware placement repair and recovery move pipelines from
-    /// there as in any run. The plan is only read, so one `Prepared` serves
-    /// any number of runs on any device. The multi-query scheduler passes
-    /// the device it admitted the query on and the query's *remaining*
-    /// budget.
+    /// with); recovery moves pipelines from there as in any run. The plan
+    /// is only read, so one `Prepared` serves any number of runs on any
+    /// device. The multi-query scheduler passes the device it admitted the
+    /// query on and the query's *remaining* budget.
     pub fn run_prepared(
         &mut self,
         prepared: &Prepared,
@@ -473,7 +450,7 @@ impl Executor {
             u32::try_from(self.config.retry.max_attempts).unwrap_or(u32::MAX),
         );
         let fusion_report = prepared.fusion_report();
-        let mut stats = ExecutionStats {
+        let stats = ExecutionStats {
             model: model.name().to_string(),
             pipelines: pipelines.len(),
             hot_adds: std::mem::take(&mut self.pending_hot_adds),
@@ -481,17 +458,9 @@ impl Executor {
             fused_chains: fusion_report.fused_chains,
             ..Default::default()
         };
-        // Health-aware placement repair: move pipelines off quarantined
-        // devices and admit at most one half-open probe.
-        let placement = self.apply_health_placement(graph, pipelines, device, &mut stats);
-        // Lend the cross-query residency cache to this run's hub. Pins on
-        // quarantined devices are invalidated up front — a tripped device's
-        // contents are not trusted, and holding the pins would leak their
-        // admission charge if the device later resets.
-        if let Some(mut cache) = self.residency.take() {
-            for dev in self.health.quarantined_ids() {
-                cache.invalidate_device(&mut self.devices, dev);
-            }
+        let placement = self.starting_placement(graph, pipelines, device);
+        // Lend the cross-query residency cache to this run's hub.
+        if let Some(cache) = self.residency.take() {
             hub.install_cache(cache);
         }
         let mut cx = RunCx {
@@ -516,14 +485,8 @@ impl Executor {
             let base = fault_base.get(&id).copied().unwrap_or(0);
             tally.capture_device(self.devices.get(id)?, base);
         }
-        // Silent-corruption accounting: every checksum-mismatch retransmit
-        // the hub performed is charged to the offending device's health.
-        for (dev, n) in hub.take_corruption_retransmits() {
-            tally.stats.corruption_retransmits += n as usize;
-            for _ in 0..n {
-                self.health.record_corruption(dev);
-            }
-        }
+        // Silent corruption the hub caught and repaired by retransmitting.
+        tally.stats.corruption_retransmits += hub.take_corruption_retransmits() as usize;
         tally.stats.rollback_delete_errors += hub.take_rollback_delete_errors();
         // Delete phase: free everything this run created. Cache pins are not
         // run-created and survive into the next run.
@@ -539,18 +502,7 @@ impl Executor {
             self.residency = Some(cache);
         }
         tally.fold_all(&mut self.devices);
-        let mut stats = tally.finish(wall.elapsed().as_nanos() as u64);
-
-        // Tick breaker cool-downs and snapshot post-query health, whether
-        // the run succeeded or not.
-        self.health.on_query_completed();
-        for (id, snap) in self.health.snapshot() {
-            let name = match self.devices.get(id) {
-                Ok(dev) => dev.info().name.clone(),
-                Err(_) => format!("dev#{}", id.0),
-            };
-            stats.device_health.insert(name, snap);
-        }
+        let stats = tally.finish(wall.elapsed().as_nanos() as u64);
         self.last_stats = Some(stats.clone());
         let output = run_result?;
         Ok((output, stats))

@@ -266,8 +266,8 @@ impl PrimitiveGraph {
     }
 
     /// Re-places every node onto `device` (the multi-query scheduler pins a
-    /// whole query to its admitted device; health-aware repair may still
-    /// move individual pipelines afterwards).
+    /// whole query to its admitted device; recovery may still move
+    /// individual pipelines afterwards).
     pub fn retarget(&mut self, device: DeviceId) {
         for node in &mut self.nodes {
             node.device = device;

@@ -205,15 +205,15 @@ fn charge_backoff(
 /// to be sent ([`Payload::to_buffer_and_checksum`]); then per transmission
 /// hand the device its payload (a fresh one for a retransmission), ask the
 /// pool to echo the checksum of the range it now holds, and compare — on
-/// every transmission, the first included. A mismatch is logged against
-/// `device` and retransmitted until `budget` transmissions are spent.
+/// every transmission, the first included. A mismatch is counted and
+/// retransmitted until `budget` transmissions are spent.
 ///
 /// A free function over the hub's two fields it needs, so a payload borrowed
 /// from another field of the hub (a host accumulation) can be uploaded
 /// without copying it out first.
 fn transmit(
     budget: u32,
-    corruption_log: &mut BTreeMap<DeviceId, u64>,
+    corruption_retransmits: &mut u64,
     devices: &mut DeviceRegistry,
     device: DeviceId,
     id: BufferId,
@@ -234,7 +234,7 @@ fn transmit(
         if echo == expected {
             return Ok(());
         }
-        *corruption_log.entry(device).or_insert(0) += 1;
+        *corruption_retransmits += 1;
     }
     Err(ExecError::TransferCorrupted { device, buffer: id })
 }
@@ -273,9 +273,9 @@ pub struct DataTransferHub {
     /// Maximum transmissions of one payload before a checksum mismatch
     /// becomes [`ExecError::TransferCorrupted`].
     retransmit_budget: u32,
-    /// Retransmits caused by checksum mismatches, per device, since the
-    /// last [`DataTransferHub::take_corruption_retransmits`] drain.
-    corruption_log: BTreeMap<DeviceId, u64>,
+    /// Retransmits caused by checksum mismatches since the last
+    /// [`DataTransferHub::take_corruption_retransmits`] drain.
+    corruption_retransmits: u64,
     /// The cross-query residency cache, lent by the executor for the
     /// duration of one run (`None` when caching is disabled).
     cache: Option<ResidencyCache>,
@@ -293,7 +293,7 @@ impl Default for DataTransferHub {
             release_probes: 0,
             rollback_delete_errors: 0,
             retransmit_budget: 4,
-            corruption_log: BTreeMap::new(),
+            corruption_retransmits: 0,
             cache: None,
         }
     }
@@ -312,10 +312,10 @@ impl DataTransferHub {
         self.retransmit_budget = budget.max(1);
     }
 
-    /// Takes (and resets) the per-device counts of retransmits caused by
-    /// checksum mismatches, for the run's stats and the health registry.
-    pub fn take_corruption_retransmits(&mut self) -> std::collections::BTreeMap<DeviceId, u64> {
-        std::mem::take(&mut self.corruption_log)
+    /// Takes (and resets) the count of retransmits caused by checksum
+    /// mismatches, for the run's stats.
+    pub fn take_corruption_retransmits(&mut self) -> u64 {
+        std::mem::take(&mut self.corruption_retransmits)
     }
 
     /// Checksummed `place_data`: uploads `data`, asks the device to echo the
@@ -341,7 +341,7 @@ impl DataTransferHub {
     ) -> Result<()> {
         transmit(
             self.retransmit_budget,
-            &mut self.corruption_log,
+            &mut self.corruption_retransmits,
             devices,
             device,
             id,
@@ -372,7 +372,7 @@ impl DataTransferHub {
             if payload.checksum() == echo {
                 return Ok(payload);
             }
-            *self.corruption_log.entry(device).or_insert(0) += 1;
+            self.corruption_retransmits += 1;
         }
         Err(ExecError::TransferCorrupted { device, buffer: id })
     }
@@ -418,9 +418,9 @@ impl DataTransferHub {
         self.cache.take()
     }
 
-    /// Drops every residency-cache entry on `device` (fault recovery:
-    /// failed attempt, breaker trip) and purges per-run residency entries
-    /// that pointed at the freed buffers. Returns the bytes freed.
+    /// Drops every residency-cache entry on `device` (fault recovery: an
+    /// attempt that ran out of memory there) and purges per-run residency
+    /// entries that pointed at the freed buffers. Returns the bytes freed.
     pub fn evict_cache_on(&mut self, devices: &mut DeviceRegistry, device: DeviceId) -> u64 {
         let Some(mut cache) = self.cache.take() else {
             return 0;
@@ -609,7 +609,7 @@ impl DataTransferHub {
             self.track_created(target, new_id);
             transmit(
                 self.retransmit_budget,
-                &mut self.corruption_log,
+                &mut self.corruption_retransmits,
                 devices,
                 target,
                 new_id,
@@ -1155,7 +1155,7 @@ mod tests {
             .prepare_memory(id, 64)
             .unwrap();
         upload(&mut hub, &mut devices, gpu, id);
-        assert!(hub.take_corruption_retransmits().is_empty());
+        assert_eq!(hub.take_corruption_retransmits(), 0);
         let dev = devices.get_mut(gpu).unwrap();
         UploadTrace {
             stored: dev.pool().get(id).unwrap().data.clone(),
@@ -1375,8 +1375,7 @@ mod tests {
             .unwrap();
         // The first transmission was corrupted; the pool's checksum echo
         // exposed it and the hub retransmitted.
-        let log = hub.take_corruption_retransmits();
-        assert_eq!(log.get(&gpu), Some(&1));
+        assert_eq!(hub.take_corruption_retransmits(), 1);
         // The bit was flipped in the device's own copy: the host's rows —
         // shared by reference with whoever else bound the column — are what
         // they were, and the memo the upload read its sender hash from holds
@@ -1400,7 +1399,7 @@ mod tests {
             .unwrap();
         assert_eq!(payload, BufferData::I64(vec![1, 2, 3, 4]));
         // The drain reset the log.
-        assert!(hub.take_corruption_retransmits().is_empty());
+        assert_eq!(hub.take_corruption_retransmits(), 0);
         // A state reset frees the buffers but keeps the plan's ordinals:
         // place #1 is behind us, so the next upload goes through clean.
         devices.get_mut(gpu).unwrap().state_mut().reset();
@@ -1414,7 +1413,7 @@ mod tests {
             BoundRows::bare(&[1, 2, 3, 4]),
         )
         .unwrap();
-        assert!(hub.take_corruption_retransmits().is_empty());
+        assert_eq!(hub.take_corruption_retransmits(), 0);
         let counters = devices.get(gpu).unwrap().state().faults.counters();
         assert_eq!(counters.corruptions_injected, 1);
     }
@@ -1445,7 +1444,7 @@ mod tests {
             .retrieve_verified(&mut devices, gpu, id, None, 0)
             .unwrap();
         assert_eq!(payload, BufferData::I64(vec![9, 8, 7]));
-        assert_eq!(hub.take_corruption_retransmits().get(&gpu), Some(&1));
+        assert_eq!(hub.take_corruption_retransmits(), 1);
         // A scripted death is permanent: the state reset between queries
         // must not revive the device.
         let dev = devices.get_mut(gpu).unwrap();
@@ -1493,7 +1492,7 @@ mod tests {
             matches!(err, ExecError::TransferCorrupted { device, .. } if device == gpu),
             "got {err}"
         );
-        assert_eq!(hub.take_corruption_retransmits().get(&gpu), Some(&3));
+        assert_eq!(hub.take_corruption_retransmits(), 3);
         // Doubling back-off was charged for attempts 2 and 3.
         let spent = devices.get(gpu).unwrap().clock().transfer_ns() - before;
         assert!(spent >= 500.0 + 1000.0, "backoff missing: {spent}");
@@ -1505,7 +1504,7 @@ mod tests {
     #[test]
     fn router_reads_a_holder_before_the_host_copy() {
         // A device copy and a host accumulation of the same ref: the router
-        // reads the resident holder, whatever its health, and leaves the
+        // reads the resident holder, whichever device it is, and leaves the
         // host copy for when no device holds the data.
         let (mut devices, gpu, cpu) = two_devices();
         let mut hub = DataTransferHub::new();

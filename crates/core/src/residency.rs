@@ -39,9 +39,9 @@
 //!   the admission ledger needs room. Eviction frees the device buffer and
 //!   releases the admission charge, so admission can always reclaim pinned
 //!   bytes — pins yield, queries are never starved (no deadlock).
-//! * **Invalidate** — fault recovery (rollback of a failed attempt on a
-//!   device, quarantine, circuit-breaker trips) drops the device's entries
-//!   instead of trusting — or leaking — them.
+//! * **Invalidate** — fault recovery (an attempt that ran out of memory on
+//!   a device, the device's death) drops the device's entries instead of
+//!   trusting — or leaking — them.
 //!
 //! Cache-owned buffer ids live in their own id range (`1 << 48` up) so they
 //! can never collide with the hub's per-run ids, which restart at 1 each
@@ -503,8 +503,8 @@ impl ResidencyCache {
         }
     }
 
-    /// Drops every entry on `device` (fault recovery: rollback on that
-    /// device, quarantine, a circuit-breaker trip). Returns the bytes freed.
+    /// Drops every entry on `device` (fault recovery: an out-of-memory
+    /// attempt on that device). Returns the bytes freed.
     pub fn invalidate_device(&mut self, devices: &mut DeviceRegistry, device: DeviceId) -> u64 {
         let keys: Vec<_> = self
             .entries

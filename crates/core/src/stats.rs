@@ -1,6 +1,5 @@
 //! Execution statistics — the quantities the paper's figures report.
 
-use adamant_device::health::HealthSnapshot;
 use std::collections::BTreeMap;
 
 /// Statistics of one query execution.
@@ -47,21 +46,6 @@ pub struct ExecutionStats {
     /// Retries where a pipeline was re-placed onto a fallback device after
     /// a persistent kernel failure or missing implementation.
     pub fallback_placements: usize,
-    /// Device circuit breakers tripped (`Closed → Open`, or a failed
-    /// `HalfOpen` probe re-opening) during this run.
-    pub breaker_trips: usize,
-    /// Pipelines re-placed at run start: moved off a quarantined (or
-    /// unplugged) device, off a half-open one that probes with another
-    /// pipeline, or off a device where a kernel they need is quarantined.
-    pub quarantine_skips: usize,
-    /// `HalfOpen` probes that succeeded and restored a device to `Closed`.
-    pub probe_successes: usize,
-    /// Per-`(device, kernel)` circuit breakers tripped during this run (a
-    /// kernel quarantined without quarantining its device).
-    pub kernel_breaker_trips: usize,
-    /// `HalfOpen` kernel probes that succeeded and restored a
-    /// `(device, kernel)` breaker to `Closed`.
-    pub kernel_probe_successes: usize,
     /// Runs aborted because the simulated-timeline deadline was exceeded.
     pub deadline_aborts: usize,
     /// Chunk executions whose modeled duration overran the watchdog budget
@@ -104,8 +88,7 @@ pub struct ExecutionStats {
     /// Bytes of input lost with a dead device that were re-staged onto
     /// survivors from host copies during recovery.
     pub restaged_bytes: u64,
-    /// Devices hot-added (through the health registry's `HalfOpen` probe
-    /// ramp) since the previous run.
+    /// Devices hot-added since the previous run.
     pub hot_adds: usize,
     /// Query checkpoints captured (pipeline-boundary + chunk-interval
     /// snapshots the cost policy accepted).
@@ -146,10 +129,6 @@ pub struct ExecutionStats {
     /// whole-mode node. The multi-query scheduler replays these on the
     /// shared timeline; not exported to JSON (unbounded length).
     pub slice_ns: Vec<f64>,
-    /// Per-device health snapshot (breaker state, failure, overrun and
-    /// corruption counts) at the end of this run, keyed by device name.
-    /// Deterministic ordering for reproducible reports.
-    pub device_health: BTreeMap<String, HealthSnapshot>,
     /// Faults injected per device name during this run (only devices with a
     /// non-zero count appear). Deterministic ordering for reproducible
     /// reports.
@@ -213,32 +192,13 @@ impl ExecutionStats {
             .iter()
             .map(|(k, v)| format!("\"{}\":{v}", esc(k)))
             .collect();
-        let health: Vec<String> = self
-            .device_health
-            .iter()
-            .map(|(k, h)| {
-                format!(
-                    "\"{}\":{{\"state\":\"{}\",\"kernel_failures\":{},\"ooms\":{},\
-                     \"open_kernels\":{},\"latency_overruns\":{},\"corruptions\":{}}}",
-                    esc(k),
-                    h.state.label(),
-                    h.kernel_failures,
-                    h.ooms,
-                    h.open_kernels,
-                    h.latency_overruns,
-                    h.corruptions,
-                )
-            })
-            .collect();
         format!(
             concat!(
                 "{{\"model\":\"{}\",\"total_ns\":{:.1},\"transfer_ns\":{:.1},",
                 "\"compute_ns\":{:.1},\"other_ns\":{:.1},\"overhead_ns\":{:.1},",
                 "\"bytes_h2d\":{},\"bytes_d2h\":{},\"chunks\":{},\"pipelines\":{},",
                 "\"retries\":{},\"chunk_backoffs\":{},\"fallback_placements\":{},",
-                "\"breaker_trips\":{},\"quarantine_skips\":{},",
-                "\"probe_successes\":{},\"kernel_breaker_trips\":{},",
-                "\"kernel_probe_successes\":{},\"deadline_aborts\":{},",
+                "\"deadline_aborts\":{},",
                 "\"watchdog_fires\":{},\"hedged_launches\":{},\"hedge_wins\":{},",
                 "\"corruption_retransmits\":{},",
                 "\"cache_hits\":{},\"cache_misses\":{},\"cache_evictions\":{},",
@@ -251,7 +211,7 @@ impl ExecutionStats {
                 "\"nodes_fused\":{},\"fused_chains\":{},\"intermediate_bytes\":{},",
                 "\"intermediates_elided_bytes\":{},\"fusion_saved_transfer_ns\":{:.1},",
                 "\"wall_ns\":{},\"per_primitive_ns\":{{{}}},\"peak_device_bytes\":{{{}}},",
-                "\"device_faults\":{{{}}},\"device_health\":{{{}}}}}"
+                "\"device_faults\":{{{}}}}}"
             ),
             esc(&self.model),
             self.total_ns,
@@ -266,11 +226,6 @@ impl ExecutionStats {
             self.retries,
             self.chunk_backoffs,
             self.fallback_placements,
-            self.breaker_trips,
-            self.quarantine_skips,
-            self.probe_successes,
-            self.kernel_breaker_trips,
-            self.kernel_probe_successes,
             self.deadline_aborts,
             self.watchdog_fires,
             self.hedged_launches,
@@ -301,7 +256,6 @@ impl ExecutionStats {
             per_primitive.join(","),
             peaks.join(","),
             faults.join(","),
-            health.join(","),
         )
     }
 }
@@ -379,11 +333,6 @@ mod tests {
         s.retries = 3;
         s.chunk_backoffs = 2;
         s.fallback_placements = 1;
-        s.breaker_trips = 1;
-        s.quarantine_skips = 2;
-        s.probe_successes = 1;
-        s.kernel_breaker_trips = 2;
-        s.kernel_probe_successes = 1;
         s.deadline_aborts = 1;
         s.watchdog_fires = 3;
         s.hedged_launches = 2;
@@ -411,17 +360,6 @@ mod tests {
         s.intermediates_elided_bytes = 12288;
         s.fusion_saved_transfer_ns = 456.7;
         s.device_faults.insert("gpu0".into(), 5);
-        s.device_health.insert(
-            "gpu0".into(),
-            HealthSnapshot {
-                state: adamant_device::health::BreakerState::Open { cooldown_left: 2 },
-                kernel_failures: 2,
-                ooms: 1,
-                open_kernels: 1,
-                latency_overruns: 6,
-                corruptions: 7,
-            },
-        );
         let json = s.to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"model\":\"chunked\""));
@@ -430,11 +368,6 @@ mod tests {
         assert!(json.contains("\"retries\":3"));
         assert!(json.contains("\"chunk_backoffs\":2"));
         assert!(json.contains("\"fallback_placements\":1"));
-        assert!(json.contains("\"breaker_trips\":1"));
-        assert!(json.contains("\"quarantine_skips\":2"));
-        assert!(json.contains("\"probe_successes\":1"));
-        assert!(json.contains("\"kernel_breaker_trips\":2"));
-        assert!(json.contains("\"kernel_probe_successes\":1"));
         assert!(json.contains("\"deadline_aborts\":1"));
         assert!(json.contains("\"watchdog_fires\":3"));
         assert!(json.contains("\"hedged_launches\":2"));
@@ -462,10 +395,6 @@ mod tests {
         assert!(json.contains("\"intermediates_elided_bytes\":12288"));
         assert!(json.contains("\"fusion_saved_transfer_ns\":456.7"));
         assert!(json.contains("\"device_faults\":{\"gpu0\":5}"));
-        assert!(json.contains(
-            "\"device_health\":{\"gpu0\":{\"state\":\"open\",\"kernel_failures\":2,\
-             \"ooms\":1,\"open_kernels\":1,\"latency_overruns\":6,\"corruptions\":7}}"
-        ));
         // Quotes in labels are escaped.
         assert!(json.contains("filter \\\"x\\\""));
         // Balanced braces.

@@ -253,7 +253,7 @@ impl CostModel {
 
     /// Placement cost: what moving a `working_set_bytes` working set onto
     /// this device is expected to cost. Every placement ranking uses this
-    /// value; the health registry only filters the candidates.
+    /// value.
     pub fn placement_cost_ns(&self, working_set_bytes: u64) -> f64 {
         self.h2d_ns(working_set_bytes, false)
     }

@@ -55,7 +55,6 @@ pub mod cost;
 pub mod device;
 pub mod error;
 pub mod fault;
-pub mod health;
 pub mod kernel;
 pub mod pool;
 pub mod profiles;
@@ -70,7 +69,6 @@ pub use cost::{CostClass, CostModel};
 pub use device::{Device, DeviceId, DeviceInfo, DeviceKind, DeviceState};
 pub use error::DeviceError;
 pub use fault::{FaultCounters, FaultPlan};
-pub use health::{BreakerState, DeviceHealthRegistry, HealthSnapshot};
 pub use kernel::{ExecuteSpec, KernelFn, KernelSource, KernelStats};
 pub use pool::BufferPool;
 pub use profiles::DeviceProfile;
@@ -87,7 +85,6 @@ pub mod prelude {
     pub use crate::device::{Device, DeviceId, DeviceInfo, DeviceKind, DeviceState};
     pub use crate::error::DeviceError;
     pub use crate::fault::{FaultCounters, FaultPlan};
-    pub use crate::health::{BreakerState, DeviceHealthRegistry, HealthSnapshot};
     pub use crate::kernel::{ExecuteSpec, KernelFn, KernelSource, KernelStats};
     pub use crate::pool::BufferPool;
     pub use crate::profiles::DeviceProfile;

@@ -659,10 +659,9 @@ impl<'e> QueryScheduler<'e> {
             }
         }
     }
-    /// Picks the target device: the cheapest non-quarantined device with
-    /// capacity — with the modeled backlog of already-admitted
-    /// queries added to each device's cost so concurrent placements spread
-    /// apart.
+    /// Picks the target device: the cheapest device with capacity — with
+    /// the modeled backlog of already-admitted queries added to each
+    /// device's cost so concurrent placements spread apart.
     fn choose_device(
         &self,
         footprint: u64,
@@ -694,18 +693,10 @@ impl<'e> QueryScheduler<'e> {
             })
             .collect();
 
-        // Cheapest feasible device, skipping quarantined ones
-        // when any healthy device qualifies; shed when even the cheapest
-        // modeled cost overruns the remaining budget.
-        let healthy: Vec<_> = costs
-            .iter()
-            .filter(|(id, _)| !self.executor.health().is_quarantined(*id))
-            .copied()
-            .collect();
-        let pool = if healthy.is_empty() { &costs } else { &healthy };
-        let (best, cost) = pool
-            .iter()
-            .copied()
+        // Cheapest feasible device; shed when even the cheapest modeled
+        // cost overruns the remaining budget.
+        let (best, cost) = costs
+            .into_iter()
             .min_by(|(ia, ca), (ib, cb)| ca.total_cmp(cb).then(ia.0.cmp(&ib.0)))
             .expect("feasible set is non-empty");
         if matches!(remaining_budget, Some(b) if cost > b) {

@@ -97,7 +97,7 @@ pub struct SchedulerStats {
     pub buffers_written_off: u64,
     /// Bytes re-staged onto survivors after device deaths.
     pub restaged_bytes: u64,
-    /// Devices hot-added through the health probe ramp.
+    /// Devices hot-added between runs.
     pub hot_adds: u64,
     /// Partial-progress checkpoints captured across all executed queries.
     pub checkpoints_taken: u64,

@@ -5,8 +5,10 @@
 //! The engine writes off the corpse's buffers without touching it,
 //! re-stages the lost inputs from host copies, finishes the query
 //! reference-exact on the survivors, and unplugs the dead device from the
-//! registry. A replacement is then hot-added between runs — it enters the
-//! health registry half-open and the very next run routes work onto it.
+//! registry. A replacement is then hot-added between runs, and the very
+//! next run of a plan annotated with it runs there. The engine remembers no
+//! device state across runs: what a run starts on is the plan's annotation
+//! (re-pointed only when that device is gone) and the cost model.
 //!
 //! Run: `cargo run --release -p adamant-examples --example device_loss`
 
@@ -49,8 +51,8 @@ fn main() {
         .attach_profile(&DeviceProfile::cuda_rtx2080ti())
         .expect("attach");
     println!(
-        "  {new_dev} attached, half-open in the health registry: {}",
-        engine.health().is_half_open(new_dev)
+        "  {new_dev} attached; devices plugged: {:?}",
+        engine.device_ids()
     );
 
     println!("== run 2: work routes onto the replacement ==");

@@ -1,6 +1,4 @@
-//! Graceful degradation end-to-end: the cross-query device health registry
-//! (circuit breakers, quarantine, half-open probes), recovery-aware fallback
-//! placement and query deadlines.
+//! Graceful degradation end-to-end: chunk backoff and query deadlines.
 
 use adamant::prelude::*;
 
@@ -26,201 +24,6 @@ fn expected_sum(data: &[i64], threshold: i64, factor: i64) -> i64 {
         .filter(|&&v| v >= threshold)
         .map(|v| v * factor)
         .sum()
-}
-
-/// The acceptance scenario of the per-kernel circuit breakers, on one
-/// engine across four queries:
-///
-/// 1. query 1 trips the `(dev0, agg_block)` breaker of a persistently
-///    broken kernel and falls back to the healthy device — while dev0
-///    itself stays out of quarantine (one broken kernel must not condemn a
-///    healthy device);
-/// 2. query 2 is placed around the quarantined kernel up front — zero
-///    retries, the broken kernel never touched, the skip recorded;
-/// 3. the kernel is "repaired"; after the cool-down, query 3 is admitted
-///    as a half-open kernel probe, succeeds, and restores the breaker to
-///    `Closed` with the failure memory cleared;
-/// 4. query 4 runs on the restored device without any health intervention.
-#[test]
-fn kernel_breaker_quarantine_probe_lifecycle() {
-    let data = test_data(150);
-    let expected = expected_sum(&data, -100, 2);
-    let mut engine = Adamant::builder()
-        .chunk_rows(50)
-        // Fault scripting targets the unfused kernel names / allocation
-        // ordinals, so run this scenario with fusion off.
-        .fusion(false)
-        .device(DeviceProfile::cuda_rtx2080ti())
-        .device(DeviceProfile::opencl_cpu_i7())
-        .fault_plan(0, FaultPlan::none().broken_kernel("agg_block"))
-        .build()
-        .unwrap();
-    let dev0 = engine.device_ids()[0];
-    let graph = filter_map_sum(dev0, -100, 2);
-    let mut inputs = QueryInputs::new();
-    inputs.bind("x", data.clone());
-
-    // Query 1: two strikes on `agg_block` trip its kernel breaker; the
-    // fallback placement completes the query elsewhere. The device breaker
-    // must NOT trip: the failure streak never spanned a second kernel.
-    let (out, stats) = engine
-        .run(&graph, &inputs, ExecutionModel::Chunked)
-        .unwrap();
-    assert_eq!(out.i64_column("sum")[0], expected);
-    assert!(stats.retries >= 2, "fallback needs two failed attempts");
-    assert!(
-        stats.kernel_breaker_trips >= 1,
-        "kernel breaker did not trip"
-    );
-    assert_eq!(
-        stats.breaker_trips, 0,
-        "device breaker tripped for one kernel"
-    );
-    assert!(
-        !engine.health().is_quarantined(dev0),
-        "one broken kernel must not quarantine the whole device"
-    );
-    assert!(
-        engine.health().kernel_known_broken(dev0, "agg_block"),
-        "kernel not quarantined"
-    );
-    // The open kernel count is visible in the exported stats.
-    assert!(
-        stats.to_json().contains("\"open_kernels\":1"),
-        "kernel quarantine missing from stats JSON: {}",
-        stats.to_json()
-    );
-    let hits_after_q1 = engine
-        .executor()
-        .devices()
-        .get(dev0)
-        .unwrap()
-        .state()
-        .faults
-        .counters()
-        .broken_kernel_hits;
-    // Spend one of the two cool-down queries outside a run, so query 2's
-    // completion half-opens the kernel breaker.
-    engine.executor_mut().health_mut().on_query_completed();
-
-    // Query 2: the known-broken kernel re-places the plan up front — no
-    // retries, and the broken kernel is never executed again.
-    let (out, stats) = engine
-        .run(&graph, &inputs, ExecutionModel::Chunked)
-        .unwrap();
-    assert_eq!(out.i64_column("sum")[0], expected);
-    assert_eq!(stats.retries, 0, "quarantined kernel was still attempted");
-    assert!(stats.quarantine_skips > 0, "no skip recorded");
-    assert_eq!(
-        engine
-            .executor()
-            .devices()
-            .get(dev0)
-            .unwrap()
-            .state()
-            .faults
-            .counters()
-            .broken_kernel_hits,
-        hits_after_q1,
-        "quarantined kernel was still executed"
-    );
-    // Query 2 completing ends the cool-down: the kernel breaker half-opens
-    // (the device breaker never moved).
-    assert!(!engine.health().kernel_known_broken(dev0, "agg_block"));
-    assert!(
-        matches!(
-            engine.health().kernel_state(dev0, "agg_block"),
-            Some(BreakerState::HalfOpen)
-        ),
-        "kernel cool-down did not elapse"
-    );
-
-    // Repair the kernel, then query 3 probes and restores it.
-    engine.set_fault_plan(0, FaultPlan::none()).unwrap();
-    let (out, stats) = engine
-        .run(&graph, &inputs, ExecutionModel::Chunked)
-        .unwrap();
-    assert_eq!(out.i64_column("sum")[0], expected);
-    assert!(
-        stats.kernel_probe_successes >= 1,
-        "kernel probe success not recorded"
-    );
-    assert!(
-        !matches!(
-            engine.health().kernel_state(dev0, "agg_block"),
-            Some(BreakerState::Open { .. } | BreakerState::HalfOpen)
-        ),
-        "kernel breaker not re-closed"
-    );
-    assert_eq!(
-        engine.health().snapshot()[&dev0].kernel_failures,
-        0,
-        "probe success should clear failure memory"
-    );
-
-    // Query 4: business as usual on the repaired device.
-    let (out, stats) = engine
-        .run(&graph, &inputs, ExecutionModel::Chunked)
-        .unwrap();
-    assert_eq!(out.i64_column("sum")[0], expected);
-    assert_eq!(stats.retries, 0);
-    assert_eq!(stats.quarantine_skips, 0);
-    for d in engine.device_ids() {
-        let used = engine.executor().devices().get(d).unwrap().pool().used();
-        assert_eq!(used, 0, "leaked {used} bytes on {d}");
-    }
-}
-
-/// Fallback placement consults the health registry: a candidate whose
-/// resolved kernel is already known broken there is skipped outright, even
-/// though its breaker is still closed.
-#[test]
-fn repoint_skips_known_broken_kernel_candidates() {
-    let data = test_data(120);
-    let mut engine = Adamant::builder()
-        .chunk_rows(40)
-        // Fault scripting targets the unfused kernel names / allocation
-        // ordinals, so run this scenario with fusion off.
-        .fusion(false)
-        .device(DeviceProfile::cuda_rtx2080ti())
-        .device(DeviceProfile::opencl_cpu_i7())
-        .device(DeviceProfile::openmp_cpu_i7())
-        .fault_plan(0, FaultPlan::none().broken_kernel("agg_block"))
-        .fault_plan(1, FaultPlan::none().broken_kernel("agg_block"))
-        .build()
-        .unwrap();
-    let (dev0, dev1) = (engine.device_ids()[0], engine.device_ids()[1]);
-    // Teach the registry that `agg_block` is broken on dev1 (as a previous
-    // query would have): the fallback from dev0 must skip straight to dev2.
-    let health = engine.executor_mut().health_mut();
-    health.record_kernel_failure(dev1, "agg_block");
-    health.record_kernel_failure(dev1, "agg_block");
-    assert!(health.kernel_known_broken(dev1, "agg_block"));
-
-    let graph = filter_map_sum(dev0, 0, 3);
-    let mut inputs = QueryInputs::new();
-    inputs.bind("x", data.clone());
-    let (out, stats) = engine
-        .run(&graph, &inputs, ExecutionModel::Chunked)
-        .unwrap();
-    assert_eq!(out.i64_column("sum")[0], expected_sum(&data, 0, 3));
-    // One fallback, directly to the healthy third device; trying dev1 first
-    // would have cost a second fallback and two more retries.
-    assert_eq!(stats.fallback_placements, 1, "expected a single fallback");
-    assert_eq!(stats.retries, 2);
-    assert_eq!(
-        engine
-            .executor()
-            .devices()
-            .get(dev1)
-            .unwrap()
-            .state()
-            .faults
-            .counters()
-            .broken_kernel_hits,
-        0,
-        "known-broken candidate was still executed on"
-    );
 }
 
 /// A wedged device (every kernel execution fails) under a simulated-timeline

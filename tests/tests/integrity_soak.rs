@@ -5,9 +5,9 @@
 //! zero bytes. Same-seed runs must be byte-identical.
 //!
 //! Also hosts the end-to-end acceptance scenario for the robustness layer
-//! (watchdog + hedged chunks + checksum retransmits), the latency-aware
-//! half-open probe placement test, and the lying-driver tests: transfers are
-//! verified on every transmission whether or not any fault plan exists.
+//! (watchdog + hedged chunks + checksum retransmits) and the lying-driver
+//! tests: transfers are verified on every transmission whether or not any
+//! fault plan exists.
 //!
 //! The CI `soak` matrix shards the soak by seed through the
 //! `INTEGRITY_SEED` environment variable.
@@ -169,7 +169,6 @@ fn distinct_seeds_vary_the_schedule() {
 ///   hedge wins the race (`hedge_wins >= 1`);
 /// * the hub's end-to-end checksum catches the corrupted transfer and
 ///   retransmits it (`corruption_retransmits >= 1`);
-/// * the chronic overruns trip the device breaker;
 ///
 /// and the hedged run's simulated makespan beats the identical run with
 /// hedging disabled. Nothing leaks, and the whole scenario is byte-stable.
@@ -223,10 +222,6 @@ fn hedge_rescues_straggler_and_checksums_catch_corruption() {
         "checksum mismatch was not caught and retransmitted"
     );
     assert!(
-        stats.breaker_trips >= 1,
-        "chronic overruns should trip the device breaker"
-    );
-    assert!(
         stats.to_json().contains("\"hedge_wins\":"),
         "hedge counters missing from exported stats"
     );
@@ -254,102 +249,6 @@ fn hedge_rescues_straggler_and_checksums_catch_corruption() {
         stats1.to_json(),
         stats2.to_json(),
         "hedged rescue stats drifted between identical runs"
-    );
-}
-
-/// Half-open recovery probes ride the *cheapest* eligible pipeline, not
-/// merely the first one that touches the device. The expensive first
-/// pipeline needs a kernel that is broken on the recovering device, so if
-/// the probe were still granted first-come-first-served the probe would
-/// strike the broken kernel and burn retries; riding the cheap second
-/// pipeline it succeeds untouched.
-#[test]
-fn half_open_probe_rides_cheapest_pipeline() {
-    let data: Vec<i64> = (0..200).map(|i| (i * 37 + 11) % 500 - 250).collect();
-    let small: Vec<i64> = (0..200).map(|i| i % 17).collect();
-    let mut engine = Adamant::builder()
-        .chunk_rows(64)
-        .device(DeviceProfile::cuda_rtx2080ti())
-        .device(DeviceProfile::opencl_cpu_i7())
-        // Every filter flavour is broken on dev0: a probe that lands on the
-        // big filtering pipeline cannot succeed.
-        .fault_plan(
-            0,
-            FaultPlan::none()
-                .broken_kernel("filter_bitmap")
-                .broken_kernel("filter_bitmap_col")
-                .broken_kernel("filter_position"),
-        )
-        .build()
-        .unwrap();
-    let dev0 = engine.device_ids()[0];
-
-    // Trip dev0's breaker (a streak across two distinct kernels), then tick
-    // the cool-down so the next query admits a half-open probe.
-    let health = engine.executor_mut().health_mut();
-    health.record_kernel_failure(dev0, "k_a");
-    health.record_kernel_failure(dev0, "k_b");
-    assert!(health.is_quarantined(dev0), "breaker did not trip");
-    // First tick absorbs the tripping query (it doesn't count toward the
-    // cool-down); the next two elapse the two-query cool-down.
-    health.on_query_completed();
-    health.on_query_completed();
-    health.on_query_completed();
-    assert!(health.is_half_open(dev0), "cool-down did not elapse");
-
-    // Pipeline 1 (first, expensive): scan → filter → project → agg.
-    // Pipeline 2 (second, cheap): scan → materialize → agg.
-    let mut pb = PlanBuilder::new(dev0);
-    let mut big = pb.scan("t", &["x"]);
-    big.filter(&mut pb, Predicate::cmp("x", CmpOp::Ge, 0))
-        .unwrap();
-    big.project(&mut pb, "y", Expr::col("x").mul(Expr::lit(2)))
-        .unwrap();
-    let y = big.materialized(&mut pb, "y").unwrap();
-    let sum_big = pb.agg_block(y, AggFunc::Sum, "sum_big");
-    pb.output("sum_big", sum_big);
-    let mut cheap = pb.scan("u", &["z"]);
-    let z = cheap.materialized(&mut pb, "z").unwrap();
-    let sum_cheap = pb.agg_block(z, AggFunc::Sum, "sum_cheap");
-    pb.output("sum_cheap", sum_cheap);
-    let graph = pb.build().unwrap();
-    let mut inputs = QueryInputs::new();
-    inputs.bind("x", data.clone());
-    inputs.bind("z", small.clone());
-
-    let (out, stats) = engine
-        .run(&graph, &inputs, ExecutionModel::Chunked)
-        .unwrap();
-    let expected_big: i64 = data.iter().filter(|&&v| v >= 0).map(|v| v * 2).sum();
-    let expected_cheap: i64 = small.iter().sum();
-    assert_eq!(out.i64_column("sum_big")[0], expected_big);
-    assert_eq!(out.i64_column("sum_cheap")[0], expected_cheap);
-
-    // The probe rode the cheap pipeline: it succeeded without ever touching
-    // dev0's broken filter kernels, and the big pipeline was shed to the
-    // healthy device up front instead of burning retries.
-    assert_eq!(stats.probe_successes, 1, "probe did not succeed cleanly");
-    assert_eq!(stats.retries, 0, "probe struck the expensive pipeline");
-    assert_eq!(
-        engine
-            .executor()
-            .devices()
-            .get(dev0)
-            .unwrap()
-            .state()
-            .faults
-            .counters()
-            .broken_kernel_hits,
-        0,
-        "a broken filter kernel ran on dev0 — probe was misplaced"
-    );
-    assert!(
-        stats.quarantine_skips >= 1,
-        "the non-probe pipeline should have been shed off the half-open device"
-    );
-    assert!(
-        !engine.health().is_quarantined(dev0),
-        "successful probe should re-close the breaker"
     );
 }
 
@@ -460,7 +359,7 @@ fn a_lying_place_is_caught_on_the_first_transmission_without_any_fault_plan() {
     let (mut devices, dev, mut hub, buf) = lying_rig(|call| call == 1, |_| false, 4);
     hub.place_verified(&mut devices, dev, buf, &rows[..], 0)
         .unwrap();
-    assert_eq!(hub.take_corruption_retransmits().get(&dev), Some(&1));
+    assert_eq!(hub.take_corruption_retransmits(), 1);
     assert_eq!(faults_injected(&devices, dev), 0, "nothing was armed");
     let stored = &devices.get(dev).unwrap().pool().get(buf).unwrap().data;
     assert_eq!(
@@ -480,7 +379,7 @@ fn a_lying_place_is_caught_on_the_first_transmission_without_any_fault_plan() {
         matches!(err, ExecError::TransferCorrupted { device, buffer } if device == dev && buffer == buf),
         "got {err}"
     );
-    assert_eq!(hub.take_corruption_retransmits().get(&dev), Some(&3));
+    assert_eq!(hub.take_corruption_retransmits(), 3);
     assert_eq!(faults_injected(&devices, dev), 0);
     let events = devices.get(dev).unwrap().clock().events();
     // The back-off rides the same lane with no payload bytes.
@@ -504,7 +403,7 @@ fn a_lying_retrieve_is_caught_on_the_first_read_without_any_fault_plan() {
         .retrieve_verified(&mut devices, dev, buf, None, 0)
         .unwrap();
     assert_eq!(got, BufferData::I64(rows.clone()));
-    assert_eq!(hub.take_corruption_retransmits().get(&dev), Some(&1));
+    assert_eq!(hub.take_corruption_retransmits(), 1);
     assert_eq!(faults_injected(&devices, dev), 0);
 
     let (mut devices, dev, mut hub, buf) = lying_rig(|_| false, |_| true, 3);
@@ -517,7 +416,7 @@ fn a_lying_retrieve_is_caught_on_the_first_read_without_any_fault_plan() {
         matches!(err, ExecError::TransferCorrupted { device, .. } if device == dev),
         "got {err}"
     );
-    assert_eq!(hub.take_corruption_retransmits().get(&dev), Some(&3));
+    assert_eq!(hub.take_corruption_retransmits(), 3);
     assert_eq!(faults_injected(&devices, dev), 0);
     // The device's own copy was never damaged.
     let stored = &devices.get(dev).unwrap().pool().get(buf).unwrap().data;
