@@ -93,7 +93,7 @@ fn sql_serves_are_pinned() {
         }
     }
     assert_eq!(serves, 2 * 5 * 2 * 15);
-    assert_eq!(h.finish(), 5_966_081_195_087_080_997);
+    assert_eq!(h.finish(), 15_918_145_049_005_652_769);
 }
 
 /// A run's outputs and modeled stats, printed.
